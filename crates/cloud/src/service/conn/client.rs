@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use bytes::Bytes;
+use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
 use gcx_core::health::HealthDoc;
@@ -16,6 +17,7 @@ use gcx_core::metrics::MetricsRegistry;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_core::trace::{TraceContext, Tracer};
 use gcx_core::value::Value;
+use gcx_core::wire::batch::{self, PushBatch};
 use gcx_core::wire::{
     error_from_value, peer_caps, Frame, FrameType, TcpTransport, Transport, DEFAULT_MAX_FRAME,
     WIRE_VERSION,
@@ -23,10 +25,11 @@ use gcx_core::wire::{
 use parking_lot::Mutex;
 
 use super::super::CancelOutcome;
-use super::{
-    cancel_outcome_from_value, methods, status_entry_from_value, stream_envelope_from_value,
-    task_id_from_str, WireMetrics,
-};
+use super::{cancel_outcome_from_value, methods, status_entry_from_value, WireMetrics};
+
+/// Push batches a subscription may hold undelivered before the demux thread
+/// blocks on it (each is at most one server wake-up's worth of results).
+const PUSH_QUEUE_BATCHES: usize = 8;
 
 /// Client-side knobs. The defaults suit tests and localhost benches; the
 /// SDK derives them from its `TransportSpec`.
@@ -57,7 +60,7 @@ struct Shared {
     cfg: WireClientConfig,
     corr: AtomicU64,
     pending: Mutex<HashMap<u64, Sender<GcxResult<Value>>>>,
-    subs: Mutex<HashMap<u64, Sender<Value>>>,
+    subs: Mutex<HashMap<u64, Sender<PushBatch>>>,
     /// The connection failed (transport error or server goodbye); every
     /// in-flight and future call gets a retryable error.
     dead: AtomicBool,
@@ -379,25 +382,14 @@ impl WireClient {
 
     pub fn submit_batch(&self, specs: &[TaskSpec]) -> GcxResult<Vec<TaskId>> {
         let ctxs: Vec<TraceContext> = specs.iter().filter_map(|s| s.trace).collect();
-        let resp = self.call_traced(
-            methods::SUBMIT_BATCH,
-            Value::map([(
-                "specs",
-                Value::List(specs.iter().map(TaskSpec::to_value).collect::<Vec<_>>()),
-            )]),
-            &ctxs,
-        )?;
-        resp.get("ids")
-            .and_then(Value::as_list)
-            .ok_or_else(|| GcxError::Codec("submit_batch: missing ids".into()))?
-            .iter()
-            .map(|v| {
-                task_id_from_str(
-                    v.as_str()
-                        .ok_or_else(|| GcxError::Codec("submit_batch: non-string id".into()))?,
-                )
-            })
-            .collect()
+        let params = Value::Bytes(batch::pack_specs(specs)?);
+        match self.call_traced(methods::SUBMIT_BATCH, params, &ctxs)? {
+            Value::Bytes(ids) => batch::unpack_ids(&ids),
+            other => Err(GcxError::Codec(format!(
+                "submit_batch: ids must be packed bytes, got {}",
+                other.type_name()
+            ))),
+        }
     }
 
     pub fn task_status(&self, id: TaskId) -> GcxResult<(TaskState, Option<TaskResult>)> {
@@ -451,7 +443,7 @@ impl WireClient {
         let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
         // Register the push channel BEFORE the request is sent: the first
         // pushed result may race the open_stream response.
-        let (push_tx, push_rx) = bounded(1024);
+        let (push_tx, push_rx) = bounded(PUSH_QUEUE_BATCHES);
         shared.subs.lock().insert(corr, push_tx);
         let (tx, rx) = bounded(1);
         shared.pending.lock().insert(corr, tx);
@@ -487,6 +479,7 @@ impl WireClient {
             client: self.clone(),
             corr,
             rx: push_rx,
+            batch: Mutex::new(PushBatch::default()),
         })
     }
 }
@@ -495,7 +488,9 @@ impl WireClient {
 pub struct WireStream {
     client: WireClient,
     corr: u64,
-    rx: Receiver<Value>,
+    rx: Receiver<PushBatch>,
+    /// The batch being served; the channel is touched only once it is spent.
+    batch: Mutex<PushBatch>,
 }
 
 impl WireStream {
@@ -503,17 +498,32 @@ impl WireStream {
     /// `Ok(None)` = nothing yet (connection healthy); `Err` = the stream is
     /// gone (connection lost) and the caller must reconnect + resubscribe.
     pub fn next(&self, timeout: Duration) -> GcxResult<Option<(TaskId, TaskResult)>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(v) => stream_envelope_from_value(&v).map(Some),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.client.is_dead() {
-                    Err(GcxError::Transient("wire connection lost".into()))
-                } else {
-                    Ok(None)
+        let mut batch = self.batch.lock();
+        loop {
+            if let Some((trace, envelope)) = batch.next_entry()? {
+                if let Some(ctx) = trace {
+                    // The server stamped the result's trace context on its
+                    // entry: link the delivery leg back into the originating
+                    // trace on the client's collector.
+                    let tracer = &self.client.shared.tracer;
+                    let now = tracer.now_ms();
+                    tracer.record_span(Some(&ctx), "wire.push", now, now);
                 }
+                let (id, result, _sent_ms) = TaskResult::from_envelope(&envelope)?;
+                return Ok(Some((id, result)));
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(GcxError::Transient("wire stream closed".into()))
+            match self.rx.recv_timeout(timeout) {
+                Ok(next) => *batch = next,
+                Err(RecvTimeoutError::Timeout) => {
+                    return if self.client.is_dead() {
+                        Err(GcxError::Transient("wire connection lost".into()))
+                    } else {
+                        Ok(None)
+                    };
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(GcxError::Transient("wire stream closed".into()));
+                }
             }
         }
     }
@@ -522,6 +532,10 @@ impl WireStream {
 impl Drop for WireStream {
     fn drop(&mut self) {
         self.client.shared.subs.lock().remove(&self.corr);
+        // The demux thread may be blocked handing this stream a batch, and
+        // it is the thread that must route the close_stream response: make
+        // room so it moves on (later pushes find no subscription).
+        while self.rx.try_recv().is_ok() {}
         if !self.client.is_dead() && !self.client.shared.closed.load(Ordering::SeqCst) {
             let _ = self.client.call(
                 methods::CLOSE_STREAM,
@@ -541,9 +555,10 @@ fn demux_loop(shared: Arc<Shared>) {
                 FrameType::Response => {
                     shared.metrics.frames_in.inc();
                     if let Some(tx) = shared.pending.lock().remove(&frame.corr_id) {
-                        let result = if let Some(ok) = frame.payload.get("ok") {
-                            Ok(ok.clone())
-                        } else if let Some(err) = frame.payload.get("err") {
+                        let mut fields = frame.payload.into_map().unwrap_or_default();
+                        let result = if let Some(ok) = fields.remove("ok") {
+                            Ok(ok)
+                        } else if let Some(err) = fields.get("err") {
                             Err(error_from_value(err))
                         } else {
                             Err(GcxError::Codec("response with neither ok nor err".into()))
@@ -560,21 +575,15 @@ fn demux_loop(shared: Arc<Shared>) {
                     }
                 }
                 FrameType::Push => {
-                    // A full channel applies backpressure by dropping the
-                    // oldest pending push: the executor's catch-up path
-                    // re-polls status on reconnect, so a lost push is a
-                    // latency cost, not a lost result.
                     shared.metrics.frames_in.inc();
-                    if let Some(ctx) = frame.trace {
-                        // The server stamped the result's trace context on
-                        // the push frame: link the delivery leg back into
-                        // the originating trace on the client's collector.
-                        let now = shared.tracer.now_ms();
-                        shared.tracer.record_span(Some(&ctx), "wire.push", now, now);
-                    }
-                    let subs = shared.subs.lock();
-                    if let Some(tx) = subs.get(&frame.corr_id) {
-                        let _ = tx.try_send(frame.payload);
+                    let Value::Bytes(body) = frame.payload else {
+                        // Not a version-2 push body: the peer is confused.
+                        shared.mark_dead();
+                        return;
+                    };
+                    let tx = shared.subs.lock().get(&frame.corr_id).cloned();
+                    if let Some(tx) = tx {
+                        deliver_push(&shared, &tx, PushBatch::new(Bytes::from(body)));
                     }
                 }
                 FrameType::HeartbeatAck => {
@@ -602,6 +611,25 @@ fn demux_loop(shared: Arc<Shared>) {
                     shared.mark_dead();
                 }
                 return;
+            }
+        }
+    }
+}
+
+/// Hand one pushed batch to its subscription, waiting while the
+/// subscription's queue is full. A pushed result is never dropped: a slow
+/// consumer stops this thread reading the socket, so the kernel buffers, the
+/// server's push thread and finally the stream queue hold the backlog. The
+/// wait ends early only when the stream is dropped or the connection goes.
+fn deliver_push(shared: &Shared, tx: &Sender<PushBatch>, mut batch: PushBatch) {
+    loop {
+        match tx.send_timeout(batch, Duration::from_millis(50)) {
+            Ok(()) | Err(SendTimeoutError::Disconnected(_)) => return,
+            Err(SendTimeoutError::Timeout(back)) => {
+                if shared.closed.load(Ordering::SeqCst) || shared.dead.load(Ordering::SeqCst) {
+                    return;
+                }
+                batch = back;
             }
         }
     }

@@ -12,9 +12,14 @@
 //!   responses to pending calls and server-push frames to subscriptions,
 //!   while a heartbeat thread keeps the connection alive;
 //! - result delivery is **server push**: a client opens a stream once and
-//!   the server forwards each `(task_id, result)` envelope as a `Push`
-//!   frame the moment it lands — the wire replacement for handing the
-//!   executor a broker consumer.
+//!   the server forwards the `(task_id, result)` envelopes that are ready
+//!   at each wake-up as one `Push` frame — the wire replacement for handing
+//!   the executor a broker consumer. Pushes are never dropped: a slow
+//!   subscriber exerts backpressure through the connection.
+//!
+//! Tasks cross as flat bytes ([`gcx_core::wire::batch`]): a submit is the
+//! packed mq message form of its specs, the answer packed uuids, a push the
+//! packed result envelopes.
 //!
 //! Transport metrics (`wire.conns_open`, `wire.frames_in`, `wire.frames_out`,
 //! `wire.handshake_failures`, `wire.heartbeat_timeouts`, and the receive
@@ -150,19 +155,6 @@ pub(crate) fn cancel_outcome_from_value(v: &Value) -> GcxResult<CancelOutcome> {
     }
 }
 
-/// Decode a result-stream push: the `Push` frame payload wraps the raw
-/// binary result envelope as `Value::Bytes` (the server memcpys queue
-/// bytes into the frame without re-walking them through the codec).
-pub(crate) fn stream_envelope_from_value(v: &Value) -> GcxResult<(TaskId, TaskResult)> {
-    let Value::Bytes(raw) = v else {
-        return Err(GcxError::Codec(format!(
-            "stream push must be raw envelope bytes, got {v:?}"
-        )));
-    };
-    let (id, result, _sent_ms) = TaskResult::from_envelope(&bytes::Bytes::from(raw.clone()))?;
-    Ok((id, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{login, service, T};
@@ -265,6 +257,67 @@ mod tests {
             svc.metrics().counter("wire.bytes_reused").get() > 0,
             "frame reader must reuse its receive buffer across frames"
         );
+        server.shutdown();
+        svc.shutdown();
+    }
+
+    /// More results than any client-side queue holds, all published before
+    /// the stream is read once: every one must still arrive, exactly once.
+    /// (The demux thread used to `try_send` pushes into a 1024-deep channel
+    /// and drop the rest, stranding their futures.)
+    #[test]
+    fn results_published_before_the_first_read_all_arrive_exactly_once() {
+        const RESULTS: usize = 4096;
+        let svc = service();
+        let token = login(&svc, "backlog@x.y");
+        let server = WireServer::inmem(&svc, fast_spec());
+        let client = WireClient::over(server.connect_inmem(), &token.0, client_cfg()).unwrap();
+        let fid = client
+            .register_function(&FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+
+        let stream = client.open_stream().unwrap();
+        let mut ids = HashSet::new();
+        for _ in 0..RESULTS / 128 {
+            let specs: Vec<TaskSpec> = (0..128)
+                .map(|_| TaskSpec::new(fid, reg.endpoint_id))
+                .collect();
+            ids.extend(client.submit_batch(&specs).unwrap());
+        }
+        assert_eq!(ids.len(), RESULTS);
+        for _ in 0..RESULTS {
+            let (spec, tag) = session.next_task(T).unwrap().unwrap();
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(Value::Int(1)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+        }
+
+        let mut got = HashSet::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while got.len() < RESULTS {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "only {} of {RESULTS} pushed results arrived",
+                got.len()
+            );
+            if let Some((tid, _)) = stream.next(Duration::from_millis(100)).unwrap() {
+                assert!(got.insert(tid), "result for {tid} delivered twice");
+            }
+        }
+        assert_eq!(got, ids);
+        assert!(stream.next(Duration::from_millis(100)).unwrap().is_none());
+        // Batched: far fewer frames than results crossed the wire.
+        assert!(svc.metrics().counter("wire.frames_out").get() < RESULTS as u64);
+
+        drop(stream);
+        client.close();
         server.shutdown();
         svc.shutdown();
     }

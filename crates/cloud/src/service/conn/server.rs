@@ -7,12 +7,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use gcx_auth::Token;
 use gcx_config::TransportSpec;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
-use gcx_core::task::TaskSpec;
+use gcx_core::trace::TraceContext;
 use gcx_core::value::Value;
+use gcx_core::wire::batch;
 use gcx_core::wire::{
     caps_value, peer_caps, Frame, FrameType, InMemTransport, TcpTransport, Transport, WIRE_VERSION,
 };
@@ -26,6 +28,13 @@ use super::{
 /// How often a connection thread wakes to check idle/shutdown when no
 /// frames are arriving.
 const RECV_SLICE: Duration = Duration::from_millis(50);
+
+/// Ceilings on one `Push` frame: results per batch, and payload bytes per
+/// batch (far under any sane `max_frame_size`; a lone larger envelope still
+/// travels, as a batch of one). A batch is whatever is ready at wake-up up
+/// to these — the push thread never waits to fill one.
+const PUSH_BATCH_MAX_RESULTS: usize = 256;
+const PUSH_BATCH_MAX_BYTES: usize = 1 << 20;
 
 /// A subscription's push thread: forwards stream-queue deliveries to the
 /// connection as `Push` frames until stopped or the queue dies.
@@ -205,9 +214,6 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
         transport.close();
         return;
     };
-    inner.m.conns_open.add(1);
-    inner.conns.lock().insert(conn.id, conn.clone());
-
     let idle_timeout = Duration::from_millis(inner.spec.idle_timeout_ms);
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -225,7 +231,7 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
                         );
                     }
                     FrameType::Request => {
-                        handle_request(&inner, &conn, &token, frame.corr_id, &frame.payload);
+                        handle_request(&inner, &conn, &token, frame.corr_id, frame.payload);
                     }
                     FrameType::Health => {
                         // The SLO health plane over the wire: answer with
@@ -342,19 +348,23 @@ fn handshake(
             ("caps", caps_value()),
         ]),
     );
+    let conn = Arc::new(Conn {
+        id,
+        transport: transport.clone(),
+        last_seen: Mutex::new(Instant::now()),
+        subs: Mutex::new(HashMap::new()),
+        peer_trace,
+    });
+    // Registered before the ack goes out: a peer holding a HelloAck is a
+    // connection the server already counts.
+    inner.m.conns_open.add(1);
+    inner.conns.lock().insert(id, conn.clone());
     if inner.m.send_counted(transport.as_ref(), &ack).is_err() {
+        inner.conns.lock().remove(&id);
+        inner.m.conns_open.sub(1);
         return None;
     }
-    Some((
-        Arc::new(Conn {
-            id,
-            transport: transport.clone(),
-            last_seen: Mutex::new(Instant::now()),
-            subs: Mutex::new(HashMap::new()),
-            peer_trace,
-        }),
-        token,
-    ))
+    Some((conn, token))
 }
 
 /// Dispatch one `Request` frame to the service and answer on the same
@@ -367,11 +377,13 @@ fn handle_request(
     conn: &Arc<Conn>,
     token: &Token,
     corr: u64,
-    payload: &Value,
+    payload: Value,
 ) {
-    let method = payload.get("method").and_then(Value::as_str).unwrap_or("");
-    let params = payload.get("params").cloned().unwrap_or(Value::None);
-    let outcome = dispatch_method(inner, conn, token, corr, method, &params);
+    // The frame is ours: move the fields out instead of cloning a batch.
+    let mut fields = payload.into_map().unwrap_or_default();
+    let params = fields.remove("params").unwrap_or(Value::None);
+    let method = fields.get("method").and_then(Value::as_str).unwrap_or("");
+    let outcome = dispatch_method(inner, conn, token, corr, method, params);
     let frame = match outcome {
         Ok(v) => Frame::response_ok(corr, v),
         Err(e) => Frame::response_err(corr, &e),
@@ -385,7 +397,7 @@ fn dispatch_method(
     token: &Token,
     corr: u64,
     method: &str,
-    params: &Value,
+    params: Value,
 ) -> GcxResult<Value> {
     let svc = &inner.svc;
     match method {
@@ -399,13 +411,16 @@ fn dispatch_method(
         }
         methods::SUBMIT_BATCH => {
             let t0 = now_ms(inner);
-            let specs = params
-                .get("specs")
-                .and_then(Value::as_list)
-                .ok_or_else(|| GcxError::Codec("submit_batch: missing specs".into()))?
-                .iter()
-                .map(TaskSpec::from_value)
-                .collect::<GcxResult<Vec<_>>>()?;
+            let Value::Bytes(body) = params else {
+                return Err(GcxError::Codec(format!(
+                    "submit_batch: params must be packed spec bytes, got {}",
+                    params.type_name()
+                )));
+            };
+            // Ingress from a peer: `unpack_specs` verifies every payload
+            // against its carried hash and refuses the batch on any defect,
+            // before admission, the CAS store or the task store see it.
+            let specs = batch::unpack_specs(&Bytes::from(body))?;
             let t1 = now_ms(inner);
             // The specs' contexts link into the service tracer once
             // `submit_batch` adopts them; stamp the server-side wire legs
@@ -422,14 +437,7 @@ fn dispatch_method(
                     tracer.record_span(Some(ctx), "wire.queue", t1, t2);
                 }
             }
-            Ok(Value::map([(
-                "ids",
-                Value::List(
-                    ids.iter()
-                        .map(|id| Value::str(id.to_string()))
-                        .collect::<Vec<_>>(),
-                ),
-            )]))
+            Ok(Value::Bytes(batch::pack_ids(&ids)))
         }
         methods::TASK_STATUS => {
             let id = task_id_from_str(
@@ -505,9 +513,14 @@ fn dispatch_method(
 }
 
 /// Forward the subscription's stream queue to the connection as `Push`
-/// frames, acking each delivery only after the frame is on the wire. The
-/// loop ends when the subscription is closed, the connection dies, or the
-/// stream queue disappears (liveness reaping, shutdown).
+/// frames, one per wake-up: the first delivery is waited for, whatever else
+/// is already ready rides along (up to the batch ceilings), the batch goes
+/// out in one write, and only then is every delivery of it acked. A failed
+/// write acks none of them — the deliveries stay with the queue, exactly as
+/// a single unacked result did. With one result outstanding the batch is
+/// that one result and nothing waits. The loop ends when the subscription is
+/// closed, the connection dies, or the stream queue disappears (liveness
+/// reaping, shutdown).
 fn spawn_push_loop(
     inner: Arc<ServerInner>,
     conn: Arc<Conn>,
@@ -518,42 +531,70 @@ fn spawn_push_loop(
     std::thread::Builder::new()
         .name("gcx-wire-push".into())
         .spawn(move || {
+            let max_bytes = PUSH_BATCH_MAX_BYTES.min(inner.spec.max_frame_size as usize / 2);
+            // Reused across batches: the payload buffer (lent to the frame
+            // for the send and taken back) and the tags awaiting the write.
+            let mut body: Vec<u8> = Vec::new();
+            let mut tags: Vec<u64> = Vec::new();
+            // A ready delivery that did not fit the previous batch.
+            let mut carried = None;
             while !stop.load(Ordering::SeqCst) && !inner.shutdown.load(Ordering::SeqCst) {
-                match stream.consumer.next(Duration::from_millis(50)) {
-                    Ok(Some(delivery)) => {
-                        // The stream queue carries the binary result envelope;
-                        // wrap the raw bytes in the Push frame (one memcpy, no
-                        // codec re-walk). The client validates on decode.
-                        let payload = Value::Bytes(delivery.message.body.to_vec());
-                        // Link the pushed result back to its originating
-                        // trace: the result envelope carries the context in
-                        // a queue header, and a trace-capable peer gets it
-                        // in the frame's context segment.
-                        let trace = if conn.peer_trace {
-                            delivery
-                                .message
-                                .headers
-                                .get(gcx_mq::TRACE_HEADER)
-                                .and_then(|s| gcx_core::trace::TraceContext::decode(s))
-                        } else {
-                            None
-                        };
-                        let frame = Frame::new(FrameType::Push, corr, payload).with_trace(trace);
-                        if inner
-                            .m
-                            .send_counted(conn.transport.as_ref(), &frame)
-                            .is_err()
-                        {
-                            // Connection dead: leave the delivery unacked so
-                            // a reconnecting client's catch-up (or the next
-                            // stream) can still see it, and stop pushing.
-                            return;
-                        }
-                        let _ = stream.consumer.ack(delivery.tag);
+                let mut next = carried.take();
+                if next.is_none() {
+                    match stream.consumer.next(Duration::from_millis(50)) {
+                        Ok(Some(delivery)) => next = Some(delivery),
+                        Ok(None) => continue,
+                        // Queue deleted (stream reaped or broker gone).
+                        Err(_) => return,
                     }
-                    Ok(None) => {}
-                    // Queue deleted (stream reaped or broker gone).
-                    Err(_) => return,
+                }
+                body.clear();
+                tags.clear();
+                while let Some(delivery) = next.take() {
+                    // Link each pushed result back to its originating trace:
+                    // the envelope's context rides a queue header, and a
+                    // trace-capable peer gets it beside the entry.
+                    let trace = if conn.peer_trace {
+                        delivery
+                            .message
+                            .headers
+                            .get(gcx_mq::TRACE_HEADER)
+                            .and_then(|s| TraceContext::decode(s))
+                    } else {
+                        None
+                    };
+                    let envelope = &delivery.message.body;
+                    let entry = batch::push_entry_len(trace.is_some(), envelope.len());
+                    if !tags.is_empty() && body.len() + entry > max_bytes {
+                        carried = Some(delivery);
+                        break;
+                    }
+                    // The stream queue carries the binary result envelope;
+                    // its bytes go into the batch as they are (one memcpy,
+                    // no codec re-walk). The client validates on decode.
+                    batch::write_push_entry(&mut body, trace.as_ref(), envelope);
+                    tags.push(delivery.tag);
+                    if tags.len() < PUSH_BATCH_MAX_RESULTS {
+                        // Only what is ready now; a dead queue ends the loop
+                        // on the next blocking `next`.
+                        next = stream.consumer.next(Duration::ZERO).ok().flatten();
+                    }
+                }
+                let frame = Frame::new(FrameType::Push, corr, Value::Bytes(body));
+                let sent = inner.m.send_counted(conn.transport.as_ref(), &frame);
+                body = match frame.payload {
+                    // A lone oversized envelope does not get to keep its
+                    // allocation for the life of the subscription.
+                    Value::Bytes(b) if b.capacity() <= 2 * PUSH_BATCH_MAX_BYTES => b,
+                    _ => Vec::new(),
+                };
+                if sent.is_err() {
+                    // Connection dead: leave the whole batch unacked and
+                    // stop pushing.
+                    return;
+                }
+                for tag in tags.drain(..) {
+                    let _ = stream.consumer.ack(tag);
                 }
             }
         })

@@ -45,6 +45,15 @@ pub fn encode(v: &Value) -> Bytes {
     buf.freeze()
 }
 
+/// Append the wire representation of `v` to `out` — what [`encode`] would
+/// return, without the intermediate buffer. The frame encoder writes payloads
+/// straight into its (reused) write buffer through this.
+pub fn encode_to(v: &Value, out: &mut Vec<u8>) {
+    out.reserve(v.approx_size() + 1);
+    out.push(CODEC_VERSION);
+    encode_into(v, out);
+}
+
 /// The number of bytes [`encode`] would produce, without allocating.
 pub fn encoded_size(v: &Value) -> usize {
     1 + value_size(v)
@@ -72,7 +81,7 @@ pub fn decode(data: &[u8]) -> GcxResult<Value> {
     Ok(v)
 }
 
-fn encode_into(v: &Value, buf: &mut BytesMut) {
+fn encode_into<B: BufMut>(v: &Value, buf: &mut B) {
     match v {
         Value::None => buf.put_u8(tag::NONE),
         Value::Bool(false) => buf.put_u8(tag::FALSE),
@@ -204,8 +213,8 @@ fn take_bytes(cur: &mut &[u8]) -> GcxResult<Vec<u8>> {
     if cur.remaining() < len {
         return Err(truncated());
     }
-    let mut out = vec![0u8; len];
-    cur.copy_to_slice(&mut out);
+    let out = cur[..len].to_vec();
+    cur.advance(len);
     Ok(out)
 }
 
@@ -249,7 +258,7 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint<B: BufMut>(buf: &mut B, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -261,7 +270,8 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-fn varint_size(mut v: u64) -> usize {
+/// Bytes [`write_varint`] emits for `v`.
+pub fn varint_size(mut v: u64) -> usize {
     let mut n = 1;
     while v >= 0x80 {
         v >>= 7;

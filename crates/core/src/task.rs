@@ -96,10 +96,10 @@ impl TaskSpec {
         self.payload.decode_args()
     }
 
-    /// Pack to the structured wire form used by federation envelopes and the
-    /// conn-layer submit RPC (the mq fast path uses [`TaskSpec::to_message`]
-    /// instead). The payload crosses as opaque bytes — no re-encode of the
-    /// argument tree, but the bytes are copied into the `Value`.
+    /// Pack to the structured form used by federation envelopes (the mq and
+    /// the wire's `submit_batch` both use [`TaskSpec::to_message`] instead).
+    /// The payload crosses as opaque bytes — no re-encode of the argument
+    /// tree, but the bytes are copied into the `Value`.
     pub fn to_value(&self) -> Value {
         let mut fields = vec![
             ("task_id", Value::str(self.task_id.to_string())),
@@ -183,12 +183,21 @@ impl TaskSpec {
     /// the content hash and length travel (a CAS reference — the consumer
     /// resolves the bytes from the dedup store, see `gcx-cloud`).
     pub fn to_message(&self, inline_payload: bool) -> Bytes {
+        let mut out = Vec::new();
+        self.write_message(inline_payload, &mut out);
+        Bytes::from(out)
+    }
+
+    /// Append the [`TaskSpec::to_message`] body to `out` — the wire packs a
+    /// whole submit batch into one buffer this way, with no per-task
+    /// allocation.
+    pub fn write_message(&self, inline_payload: bool, out: &mut Vec<u8>) {
         let payload_len = if inline_payload {
             self.payload.len()
         } else {
             0
         };
-        let mut out = Vec::with_capacity(SPEC_MSG_FIXED + 64 + payload_len);
+        out.reserve(SPEC_MSG_FIXED + 64 + payload_len);
         out.push(SPEC_MSG_VERSION);
         out.extend_from_slice(&self.task_id.uuid().as_bytes());
         out.extend_from_slice(&self.function_id.uuid().as_bytes());
@@ -216,30 +225,29 @@ impl TaskSpec {
         }
         out.push(flags);
         if let Some(d) = self.deadline_ms {
-            codec::write_varint(&mut out, d);
+            codec::write_varint(out, d);
         }
         if self.priority != 0 {
-            codec::write_varint(&mut out, codec::zigzag_encode(self.priority));
+            codec::write_varint(out, codec::zigzag_encode(self.priority));
         }
         if let Some(ctx) = &self.trace {
-            wire::encode_trace_ctx(ctx, &mut out);
+            wire::encode_trace_ctx(ctx, out);
         }
         if has_respec {
             let enc = codec::encode(&self.resource_spec.to_value());
-            codec::write_varint(&mut out, enc.len() as u64);
+            codec::write_varint(out, enc.len() as u64);
             out.extend_from_slice(&enc);
         }
         if has_uec {
             let enc = codec::encode(&self.user_endpoint_config);
-            codec::write_varint(&mut out, enc.len() as u64);
+            codec::write_varint(out, enc.len() as u64);
             out.extend_from_slice(&enc);
         }
         out.extend_from_slice(&self.payload.hash().to_bytes());
-        codec::write_varint(&mut out, self.payload.len() as u64);
+        codec::write_varint(out, self.payload.len() as u64);
         if inline_payload {
             out.extend_from_slice(self.payload.as_slice());
         }
-        Bytes::from(out)
     }
 
     /// Decode a [`TaskSpec::to_message`] body. Returns the spec plus

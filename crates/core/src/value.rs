@@ -131,6 +131,14 @@ impl Value {
         }
     }
 
+    /// Take the map out of an owned value (no clone of a large field).
+    pub fn into_map(self) -> Option<BTreeMap<String, Value>> {
+        match self {
+            Value::Map(m) => Some(m),
+            _ => None,
+        }
+    }
+
     /// Look up `key` in a map value.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_map().and_then(|m| m.get(key))

@@ -36,10 +36,17 @@
 //! (frames are fully serialized into the pipe and re-parsed on the far
 //! side) so single-process tests exercise the identical encode/decode path.
 //!
+//! Two bodies are flat bytes rather than `Value` trees, because they carry
+//! one entry per task: the `submit_batch` request/response and the result
+//! `Push` (see [`batch`]). Both still travel as a codec `Value::Bytes`
+//! inside the frame layout above.
+//!
 //! Decoding is exhaustively defensive: truncated frames, oversized length
 //! prefixes, garbage type tags, and arbitrary payload corruption must all
 //! surface as typed [`GcxError`]s — never a panic, never an unbounded
 //! buffer, never a hang (see `prop_codec.rs`).
+
+pub mod batch;
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -57,7 +64,9 @@ use crate::trace::{SpanId, TraceContext, TraceId};
 use crate::value::Value;
 
 /// Version carried in the `Hello` frame; bumped on incompatible changes.
-pub const WIRE_VERSION: i64 = 1;
+/// Version 2 changed the bodies of `submit_batch` (request and response) and
+/// `Push` to the packed forms in [`batch`]; the frame layout is unchanged.
+pub const WIRE_VERSION: i64 = 2;
 
 /// Default ceiling on a single frame's length field (16 MiB) — comfortably
 /// above the service's 10 MB payload limit, small enough that a corrupt or
@@ -267,21 +276,16 @@ pub fn decode_trace_ctx(seg: &[u8]) -> GcxResult<Option<TraceContext>> {
 /// — the peer would reject it anyway, so the error surfaces at the sender
 /// where the payload is still addressable.
 pub fn encode_frame(frame: &Frame, max_frame: usize) -> GcxResult<Vec<u8>> {
-    let payload = codec::encode(&frame.payload);
-    let trace_len = if frame.trace.is_some() {
-        TRACE_CTX_LEN
-    } else {
-        0
-    };
-    let body_len = FRAME_HEADER + trace_len + payload.len();
-    if body_len > max_frame {
-        return Err(GcxError::PayloadTooLarge {
-            size: body_len,
-            limit: max_frame,
-        });
-    }
-    let mut out = Vec::with_capacity(4 + body_len);
-    out.extend_from_slice(&(body_len as u32).to_be_bytes());
+    let mut out = Vec::new();
+    encode_frame_into(frame, max_frame, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_frame`] appending to `out`, so a transport can serialize every
+/// frame into one retained write buffer. On error `out` is left as it was.
+pub fn encode_frame_into(frame: &Frame, max_frame: usize, out: &mut Vec<u8>) -> GcxResult<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
     let mut tag = frame.frame_type as u8;
     if frame.trace.is_some() {
         tag |= TRACE_FLAG;
@@ -289,10 +293,23 @@ pub fn encode_frame(frame: &Frame, max_frame: usize) -> GcxResult<Vec<u8>> {
     out.push(tag);
     out.extend_from_slice(&frame.corr_id.to_be_bytes());
     if let Some(ctx) = &frame.trace {
-        encode_trace_ctx(ctx, &mut out);
+        encode_trace_ctx(ctx, out);
     }
-    out.extend_from_slice(&payload);
-    Ok(out)
+    codec::encode_to(&frame.payload, out);
+    let body_len = out.len() - start - 4;
+    match u32::try_from(body_len) {
+        Ok(len) if body_len <= max_frame => {
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(start);
+            Err(GcxError::PayloadTooLarge {
+                size: body_len,
+                limit: max_frame,
+            })
+        }
+    }
 }
 
 /// Decode one frame body (the bytes *after* the length prefix).
@@ -344,28 +361,58 @@ pub fn decode_frame_body(body: &[u8]) -> GcxResult<Frame> {
 /// resynchronize and the connection must drop).
 #[derive(Debug)]
 pub struct FrameReader {
-    /// Contiguous read buffer. Frames are parsed *in place* out of
-    /// `buf[pos..]` — no per-frame allocation — and the allocation is
-    /// retained across frames: after warm-up, incoming reads land in
-    /// already-owned capacity.
+    /// Contiguous, fully initialized storage. `buf[pos..end]` holds received
+    /// bytes not yet yielded as frames; `buf[end..]` is spare room that the
+    /// next read lands in directly. Frames are parsed *in place* — no
+    /// per-frame allocation — and the storage is retained across frames:
+    /// after warm-up, incoming reads land in already-owned (and already
+    /// zeroed, once, when it grew) memory.
     buf: Vec<u8>,
     /// Consumed prefix of `buf` (bytes of already-yielded frames awaiting
     /// compaction).
     pos: usize,
+    /// End of the received bytes.
+    end: usize,
     max_frame: usize,
     poisoned: Option<GcxError>,
     bytes_reused: u64,
 }
+
+/// Spare room [`FrameReader::fill_from`] grows the storage to when less
+/// than half of it is left: enough that a burst of small frames arrives in
+/// one system call.
+const READ_CHUNK: usize = 64 * 1024;
 
 impl FrameReader {
     pub fn new(max_frame: usize) -> Self {
         Self {
             buf: Vec::new(),
             pos: 0,
+            end: 0,
             max_frame,
             poisoned: None,
             bytes_reused: 0,
         }
+    }
+
+    /// Make sure at least `min` bytes of spare room follow `end`, growing
+    /// the storage to `grow` spare bytes when they do not. Returns whether
+    /// the retained storage sufficed (no allocation).
+    fn make_room(&mut self, min: usize, grow: usize) -> bool {
+        // Compact first: slide the unconsumed tail (typically a partial
+        // frame, often nothing) to the front so the storage tracks
+        // outstanding bytes, not history.
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        let reused = self.buf.len() - self.end >= min;
+        if !reused {
+            let grown = (self.end + grow).max(self.buf.len() * 2);
+            self.buf.resize(grown, 0);
+        }
+        reused
     }
 
     /// Append raw bytes read from the transport.
@@ -373,32 +420,39 @@ impl FrameReader {
         if self.poisoned.is_some() {
             return;
         }
-        // Compact first: slide the unconsumed tail (typically a partial
-        // frame, often nothing) to the front so the buffer's length tracks
-        // outstanding bytes, not history.
-        if self.pos > 0 {
-            let len = self.buf.len();
-            self.buf.copy_within(self.pos..len, 0);
-            self.buf.truncate(len - self.pos);
-            self.pos = 0;
-        }
-        // Bytes landing in retained capacity were served without a fresh
+        // Bytes landing in retained storage were served without a fresh
         // allocation — the cross-frame reuse this reader exists to provide.
-        if self.buf.capacity() - self.buf.len() >= bytes.len() {
+        if self.make_room(bytes.len(), bytes.len()) {
             self.bytes_reused += bytes.len() as u64;
         }
-        self.buf.extend_from_slice(bytes);
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Read once from `src` straight into the spare room — no intermediate
+    /// chunk, no second copy. Returns the byte count (`0` = end of stream).
+    pub fn fill_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        if self.poisoned.is_some() {
+            return Err(std::io::ErrorKind::InvalidData.into());
+        }
+        let reused = self.make_room(READ_CHUNK / 2, READ_CHUNK);
+        let n = src.read(&mut self.buf[self.end..])?;
+        if reused {
+            self.bytes_reused += n as u64;
+        }
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
-    /// Total bytes fed into retained buffer capacity rather than freshly
-    /// grown allocations. After the first few reads warm the buffer up,
-    /// every subsequent byte should land here; the `wire.bytes_reused`
-    /// counter surfaces this per connection.
+    /// Total bytes received into retained storage rather than freshly grown
+    /// allocations. After the first few reads warm the buffer up, every
+    /// subsequent byte should land here; the `wire.bytes_reused` counter
+    /// surfaces this per connection.
     pub fn bytes_reused(&self) -> u64 {
         self.bytes_reused
     }
@@ -408,7 +462,7 @@ impl FrameReader {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        let avail = self.buf.len() - self.pos;
+        let avail = self.end - self.pos;
         if avail < 4 {
             return Ok(None);
         }
@@ -417,23 +471,15 @@ impl FrameReader {
             .expect("4 bytes available");
         let body_len = u32::from_be_bytes(len_bytes) as usize;
         if body_len > self.max_frame {
-            let err = GcxError::Codec(format!(
+            return Err(self.poison(GcxError::Codec(format!(
                 "frame length {body_len} exceeds the {} byte limit",
                 self.max_frame
-            ));
-            self.poisoned = Some(err.clone());
-            self.buf.clear();
-            self.pos = 0;
-            return Err(err);
+            ))));
         }
         if body_len < FRAME_HEADER {
-            let err = GcxError::Codec(format!(
+            return Err(self.poison(GcxError::Codec(format!(
                 "frame length {body_len} is shorter than the {FRAME_HEADER}-byte header"
-            ));
-            self.poisoned = Some(err.clone());
-            self.buf.clear();
-            self.pos = 0;
-            return Err(err);
+            ))));
         }
         if avail < 4 + body_len {
             return Ok(None);
@@ -457,27 +503,34 @@ impl FrameReader {
                     && body_len < FRAME_HEADER + TRACE_CTX_LEN;
                 if recoverable {
                     self.consume(start + body_len);
+                    Err(err)
                 } else {
                     // The framing itself was sound (we consumed exactly one
                     // frame's bytes) but the contents are garbage; poison
                     // — a peer producing undecodable frames is not
                     // trustworthy.
-                    self.poisoned = Some(err.clone());
-                    self.buf.clear();
-                    self.pos = 0;
+                    Err(self.poison(err))
                 }
-                Err(err)
             }
         }
     }
 
-    /// Advance past a fully-parsed frame; when the buffer is fully drained,
-    /// reset it (keeping its capacity for the next read).
+    /// Refuse everything from here on: after a framing violation the byte
+    /// boundary is unknowable.
+    fn poison(&mut self, err: GcxError) -> GcxError {
+        self.poisoned = Some(err.clone());
+        self.pos = 0;
+        self.end = 0;
+        err
+    }
+
+    /// Advance past a fully-parsed frame; when everything received has been
+    /// consumed, rewind (keeping the storage for the next read).
     fn consume(&mut self, new_pos: usize) {
         self.pos = new_pos;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
+        if self.pos == self.end {
             self.pos = 0;
+            self.end = 0;
         }
     }
 }
@@ -690,18 +743,49 @@ pub trait Transport: Send + Sync {
 // TCP transport
 // ---------------------------------------------------------------------------
 
+/// Largest write buffer a transport keeps between sends; a frame that grew
+/// it further (a bulk payload) gives the memory back afterwards.
+const WRITE_BUF_KEEP: usize = 256 * 1024;
+
+/// Serialize `frame` into the retained write buffer and hand the bytes to
+/// `write` — one buffer, one write per frame.
+fn send_via(
+    buf: &mut Vec<u8>,
+    frame: &Frame,
+    max_frame: usize,
+    write: impl FnOnce(&[u8]) -> GcxResult<()>,
+) -> GcxResult<()> {
+    buf.clear();
+    encode_frame_into(frame, max_frame, buf)?;
+    let res = write(buf);
+    if buf.capacity() > WRITE_BUF_KEEP {
+        *buf = Vec::new();
+    }
+    res
+}
+
 /// [`Transport`] over a real `std::net::TcpStream`.
 ///
-/// The stream is cloned into a read half and a write half; writers take
+/// One socket, read and written through shared references. Writers take
 /// the write mutex for the duration of one frame so concurrent callers
-/// never interleave bytes. The read half lives under its own mutex with a
-/// [`FrameReader`] accumulating split reads.
+/// never interleave bytes; the mutex owns the retained write buffer. The
+/// read side lives under its own mutex with a [`FrameReader`] that the
+/// socket is read straight into. [`Transport::close`] takes neither lock,
+/// so it unblocks a writer stuck on a peer that stopped reading.
 pub struct TcpTransport {
-    writer: Mutex<TcpStream>,
-    reader: Mutex<(TcpStream, FrameReader)>,
+    stream: TcpStream,
+    writer: Mutex<Vec<u8>>,
+    reader: Mutex<TcpReader>,
     closed: AtomicBool,
     max_frame: usize,
     peer: String,
+}
+
+struct TcpReader {
+    frames: FrameReader,
+    /// The `SO_RCVTIMEO` value currently set on the socket, so the option
+    /// is only re-issued when the wanted timeout changes.
+    timeout: Option<Duration>,
 }
 
 impl TcpTransport {
@@ -713,12 +797,13 @@ impl TcpTransport {
         stream
             .set_nodelay(true)
             .map_err(|e| GcxError::Transient(format!("set_nodelay: {e}")))?;
-        let read_half = stream
-            .try_clone()
-            .map_err(|e| GcxError::Transient(format!("tcp clone: {e}")))?;
         Ok(Self {
-            writer: Mutex::new(stream),
-            reader: Mutex::new((read_half, FrameReader::new(max_frame))),
+            stream,
+            writer: Mutex::new(Vec::new()),
+            reader: Mutex::new(TcpReader {
+                frames: FrameReader::new(max_frame),
+                timeout: None,
+            }),
             closed: AtomicBool::new(false),
             max_frame,
             peer,
@@ -738,60 +823,67 @@ impl Transport for TcpTransport {
         if self.closed.load(Ordering::Acquire) {
             return Err(GcxError::Transient("connection closed".into()));
         }
-        let bytes = encode_frame(frame, self.max_frame)?;
-        let mut w = self.writer.lock();
-        w.write_all(&bytes).map_err(|e| {
-            self.closed.store(true, Ordering::Release);
-            GcxError::Transient(format!("tcp send: {e}"))
+        let mut buf = self.writer.lock();
+        send_via(&mut buf, frame, self.max_frame, |bytes| {
+            (&self.stream).write_all(bytes).map_err(|e| {
+                self.closed.store(true, Ordering::Release);
+                GcxError::Transient(format!("tcp send: {e}"))
+            })
         })
     }
 
     fn recv(&self, timeout: Duration) -> GcxResult<Option<Frame>> {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.reader.lock();
-        let (stream, reader) = &mut *guard;
+        let mut reader = self.reader.lock();
+        // The first read of a call waits the caller's own `timeout` — the
+        // same value call after call, so no socket option is issued; only a
+        // read after a partial frame re-arms with what is left.
+        let mut wait = timeout;
         loop {
-            if let Some(frame) = reader.next_frame()? {
+            if let Some(frame) = reader.frames.next_frame()? {
                 return Ok(Some(frame));
             }
             if self.closed.load(Ordering::Acquire) {
                 return Err(GcxError::Transient("connection closed".into()));
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
             // Read timeouts must be nonzero (zero means "block forever").
-            let wait = (deadline - now).max(Duration::from_millis(1));
-            stream
-                .set_read_timeout(Some(wait))
-                .map_err(|e| GcxError::Transient(format!("tcp set_read_timeout: {e}")))?;
-            let mut chunk = [0u8; 64 * 1024];
-            match stream.read(&mut chunk) {
+            wait = wait.max(Duration::from_millis(1));
+            if reader.timeout != Some(wait) {
+                self.stream
+                    .set_read_timeout(Some(wait))
+                    .map_err(|e| GcxError::Transient(format!("tcp set_read_timeout: {e}")))?;
+                reader.timeout = Some(wait);
+            }
+            match reader.frames.fill_from(&mut &self.stream) {
                 Ok(0) => {
                     self.closed.store(true, Ordering::Release);
                     return Err(GcxError::Transient("connection closed by peer".into()));
                 }
-                Ok(n) => reader.feed(&chunk[..n]),
+                Ok(_) => {}
                 Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock
+                            | std::io::ErrorKind::TimedOut
+                            | std::io::ErrorKind::Interrupted
+                    ) => {}
                 Err(e) => {
                     self.closed.store(true, Ordering::Release);
                     return Err(GcxError::Transient(format!("tcp recv: {e}")));
                 }
             }
+            let now = Instant::now();
+            if now >= deadline {
+                // One last look: the read may have completed a frame.
+                return reader.frames.next_frame();
+            }
+            wait = deadline - now;
         }
     }
 
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        let w = self.writer.lock();
-        let _ = w.shutdown(std::net::Shutdown::Both);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
     fn peer(&self) -> String {
@@ -799,7 +891,7 @@ impl Transport for TcpTransport {
     }
 
     fn bytes_reused(&self) -> u64 {
-        self.reader.lock().1.bytes_reused()
+        self.reader.lock().frames.bytes_reused()
     }
 }
 
@@ -856,6 +948,9 @@ pub struct InMemTransport {
     /// …and bytes the peer writes arrive on this one.
     inbound: Arc<Pipe>,
     reader: Mutex<FrameReader>,
+    /// Retained write buffer; the lock also keeps whole frames contiguous
+    /// in the pipe.
+    writer: Mutex<Vec<u8>>,
     max_frame: usize,
     label: String,
 }
@@ -871,6 +966,7 @@ impl InMemTransport {
                 out: a_to_b.clone(),
                 inbound: b_to_a.clone(),
                 reader: Mutex::new(FrameReader::new(max_frame)),
+                writer: Mutex::new(Vec::new()),
                 max_frame,
                 label: "inmem:client".into(),
             },
@@ -878,6 +974,7 @@ impl InMemTransport {
                 out: b_to_a,
                 inbound: a_to_b,
                 reader: Mutex::new(FrameReader::new(max_frame)),
+                writer: Mutex::new(Vec::new()),
                 max_frame,
                 label: "inmem:server".into(),
             },
@@ -887,8 +984,10 @@ impl InMemTransport {
 
 impl Transport for InMemTransport {
     fn send(&self, frame: &Frame) -> GcxResult<()> {
-        let bytes = encode_frame(frame, self.max_frame)?;
-        self.out.write(&bytes)
+        let mut buf = self.writer.lock();
+        send_via(&mut buf, frame, self.max_frame, |bytes| {
+            self.out.write(bytes)
+        })
     }
 
     fn recv(&self, timeout: Duration) -> GcxResult<Option<Frame>> {
@@ -919,9 +1018,11 @@ impl Transport for InMemTransport {
                     return Ok(None);
                 }
             }
-            let drained: Vec<u8> = st.bytes.drain(..).collect();
-            drop(st);
-            reader.feed(&drained);
+            // `VecDeque<u8>` is a `Read`: the pipe's bytes move straight
+            // into the frame reader's spare room.
+            reader
+                .fill_from(&mut st.bytes)
+                .map_err(|e| GcxError::Transient(format!("inmem recv: {e}")))?;
         }
     }
 
@@ -979,6 +1080,32 @@ mod tests {
         }
         assert_eq!(reader.next_frame().unwrap().unwrap(), frame);
         assert!(reader.bytes_reused() >= bytes.len() as u64);
+    }
+
+    #[test]
+    fn fill_from_reads_into_the_reader_and_counts_reuse() {
+        let frame = Frame::new(FrameType::Push, 3, Value::Bytes(vec![5u8; 300]));
+        let bytes = encode_frame(&frame, DEFAULT_MAX_FRAME).unwrap();
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        // Two and a half frames in the source: the first fill grows the
+        // storage (nothing reused yet) and takes them all in one read.
+        let mut src: VecDeque<u8> = bytes.iter().chain(&bytes).copied().collect();
+        src.extend(&bytes[..bytes.len() / 2]);
+        src.make_contiguous();
+        let took = reader.fill_from(&mut src).unwrap();
+        assert_eq!(took, 2 * bytes.len() + bytes.len() / 2);
+        assert_eq!(reader.bytes_reused(), 0);
+        assert_eq!(reader.next_frame().unwrap().unwrap(), frame);
+        assert_eq!(reader.next_frame().unwrap().unwrap(), frame);
+        assert!(reader.next_frame().unwrap().is_none());
+        // The rest lands in retained storage, behind the compacted tail.
+        src.extend(&bytes[bytes.len() / 2..]);
+        let rest = reader.fill_from(&mut src).unwrap();
+        assert_eq!(reader.bytes_reused(), rest as u64);
+        assert_eq!(reader.next_frame().unwrap().unwrap(), frame);
+        assert_eq!(reader.buffered(), 0);
+        // An exhausted source reads as end of stream.
+        assert_eq!(reader.fill_from(&mut src).unwrap(), 0);
     }
 
     fn roundtrip(frame: &Frame) -> Frame {
@@ -1161,6 +1288,10 @@ mod tests {
             encode_frame(&f, 256),
             Err(GcxError::PayloadTooLarge { .. })
         ));
+        // A refused frame leaves a shared write buffer as it was.
+        let mut out = b"earlier frame".to_vec();
+        assert!(encode_frame_into(&f, 256, &mut out).is_err());
+        assert_eq!(out, b"earlier frame");
     }
 
     #[test]

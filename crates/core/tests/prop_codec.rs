@@ -3,16 +3,22 @@
 //! the frame layer on top (`gcx_core::wire`): length-prefixed framing must
 //! survive arbitrary read-boundary splits, and truncation, oversized
 //! length prefixes, garbage type tags, and byte corruption must all land
-//! as typed errors, never a panic or a hang.
+//! as typed errors, never a panic or a hang. The packed per-task bodies
+//! (`gcx_core::wire::batch`: submit specs, id lists, batched pushes) get the
+//! same treatment inside their frames.
 //!
 //! `prop_core.rs` keeps a shallow smoke round-trip; this suite generates
 //! deeper and wider trees and pins the decoder's nesting limit exactly.
 
+use bytes::Bytes;
 use gcx_core::codec::{decode, encode, encoded_size};
 use gcx_core::error::GcxError;
-use gcx_core::ids::Uuid;
+use gcx_core::ids::{EndpointId, FunctionId, TaskId, Uuid};
+use gcx_core::payload::{ContentHash, Payload};
+use gcx_core::task::{TaskResult, TaskSpec};
 use gcx_core::trace::{SpanId, TraceContext, TraceId};
 use gcx_core::value::Value;
+use gcx_core::wire::batch::{self, PushBatch};
 use gcx_core::wire::{
     encode_frame, error_from_value, error_to_value, Frame, FrameReader, FrameType, FRAME_HEADER,
     TRACE_CTX_LEN,
@@ -357,5 +363,240 @@ proptest! {
             std::mem::discriminant(&err),
             std::mem::discriminant(&back)
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packed per-task bodies: submit specs, id lists and batched pushes.
+// ---------------------------------------------------------------------------
+
+fn uuid_strategy() -> impl Strategy<Value = Uuid> {
+    (any::<u64>(), any::<u64>()).prop_map(|(hi, lo)| Uuid(((hi as u128) << 64) | lo as u128))
+}
+
+/// Specs covering every optional section of the flat message form, with
+/// payloads on both sides of the ingress copy threshold.
+fn spec_strategy() -> impl Strategy<Value = TaskSpec> {
+    (
+        (uuid_strategy(), uuid_strategy(), uuid_strategy()),
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..64),
+            prop::collection::vec(any::<u8>(), 1000..1100),
+        ],
+        prop::option::of(trace_ctx_strategy()),
+        prop::option::of(any::<u64>()),
+        any::<i64>(),
+        prop_oneof![Just(Value::None), leaf_strategy()],
+    )
+        .prop_map(|((t, f, e), payload, trace, deadline_ms, priority, uec)| {
+            let mut spec = TaskSpec::new(FunctionId(f), EndpointId(e));
+            spec.task_id = TaskId(t);
+            spec.payload = Payload::from_vec(payload);
+            spec.trace = trace;
+            spec.deadline_ms = deadline_ms;
+            spec.priority = priority;
+            spec.user_endpoint_config = uec;
+            spec
+        })
+}
+
+fn result_strategy() -> impl Strategy<Value = TaskResult> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..200)
+            .prop_map(|b| TaskResult::Ok(Payload::from_vec(b))),
+        "[ -~]{0,60}".prop_map(TaskResult::Err),
+    ]
+}
+
+/// One pushed result as the server writes it: trace context, task id, result.
+type PushEntry = (Option<TraceContext>, Uuid, TaskResult);
+
+fn push_entries_strategy() -> impl Strategy<Value = Vec<PushEntry>> {
+    prop::collection::vec(
+        (
+            prop::option::of(trace_ctx_strategy()),
+            uuid_strategy(),
+            result_strategy(),
+        ),
+        1..12,
+    )
+}
+
+fn push_body(entries: &[PushEntry]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for (trace, id, result) in entries {
+        batch::write_push_entry(
+            &mut body,
+            trace.as_ref(),
+            &result.to_envelope(TaskId(*id), None),
+        );
+    }
+    body
+}
+
+/// Feed `bytes` in `chunk`-sized reads; exactly one frame must pop, and not
+/// before the last read (a truncated frame waits, it does not error).
+fn read_one_frame_in_chunks(bytes: &[u8], chunk: usize) -> Frame {
+    let mut reader = FrameReader::new(TEST_MAX_FRAME);
+    let pieces: Vec<&[u8]> = bytes.chunks(chunk).collect();
+    for piece in &pieces[..pieces.len() - 1] {
+        reader.feed(piece);
+        assert!(reader.next_frame().unwrap().is_none(), "frame popped early");
+    }
+    reader.feed(pieces[pieces.len() - 1]);
+    let frame = reader
+        .next_frame()
+        .unwrap()
+        .expect("complete frame decodes");
+    assert_eq!(reader.buffered(), 0);
+    frame
+}
+
+fn bytes_of(v: Option<&Value>) -> Bytes {
+    match v {
+        Some(Value::Bytes(b)) => Bytes::from(b.clone()),
+        other => panic!("expected a bytes body, got {other:?}"),
+    }
+}
+
+proptest! {
+    /// A packed submit request and its packed id response survive the frame
+    /// layer under any read split, and unpack to the specs that were packed.
+    #[test]
+    fn packed_submit_bodies_roundtrip_under_read_splits(
+        specs in prop::collection::vec(spec_strategy(), 0..6),
+        corr in any::<u64>(),
+        chunk in 1usize..64,
+    ) {
+        let request = Frame::request(
+            corr,
+            "submit_batch",
+            Value::Bytes(batch::pack_specs(&specs).unwrap()),
+        );
+        let got = read_one_frame_in_chunks(&encode_frame(&request, TEST_MAX_FRAME).unwrap(), chunk);
+        let back = batch::unpack_specs(&bytes_of(got.payload.get("params"))).unwrap();
+        prop_assert_eq!(&back, &specs);
+
+        let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+        let response = Frame::response_ok(corr, Value::Bytes(batch::pack_ids(&ids)));
+        let got = read_one_frame_in_chunks(&encode_frame(&response, TEST_MAX_FRAME).unwrap(), chunk);
+        prop_assert_eq!(batch::unpack_ids(&bytes_of(got.payload.get("ok"))).unwrap(), ids);
+    }
+
+    /// A batched push survives the frame layer under any read split; every
+    /// entry comes back with its own trace context and its result intact.
+    #[test]
+    fn batched_push_bodies_roundtrip_under_read_splits(
+        entries in push_entries_strategy(),
+        corr in any::<u64>(),
+        chunk in 1usize..64,
+    ) {
+        let push = Frame::new(FrameType::Push, corr, Value::Bytes(push_body(&entries)));
+        let got = read_one_frame_in_chunks(&encode_frame(&push, TEST_MAX_FRAME).unwrap(), chunk);
+        let mut batch = PushBatch::new(bytes_of(Some(&got.payload)));
+        for (trace, id, result) in &entries {
+            let (got_trace, envelope) = batch.next_entry().unwrap().expect("entry present");
+            prop_assert_eq!(&got_trace, trace);
+            let (got_id, got_result, sent_ms) = TaskResult::from_envelope(&envelope).unwrap();
+            prop_assert_eq!(got_id, TaskId(*id));
+            prop_assert_eq!(&got_result, result);
+            prop_assert_eq!(sent_ms, None);
+        }
+        prop_assert!(batch.next_entry().unwrap().is_none());
+    }
+
+    /// A byte flipped anywhere in a packed submit body never panics the
+    /// ingress decoder, and whatever it still accepts is self-consistent:
+    /// no spec comes out carrying a hash its bytes do not have.
+    #[test]
+    fn corrupted_submit_bodies_are_typed_and_never_forge_a_hash(
+        specs in prop::collection::vec(spec_strategy(), 1..5),
+        pos in any::<usize>(),
+        x in 1u8..=255,
+    ) {
+        let mut body = batch::pack_specs(&specs).unwrap();
+        let i = pos % body.len();
+        body[i] ^= x;
+        match batch::unpack_specs(&Bytes::from(body)) {
+            Ok(back) => {
+                for spec in &back {
+                    prop_assert_eq!(ContentHash::of(spec.payload.as_slice()), spec.payload.hash());
+                }
+            }
+            Err(e) => prop_assert!(matches!(e, GcxError::Codec(_)), "untyped: {e:?}"),
+        }
+    }
+
+    /// Arbitrary bytes in place of a packed body: typed errors, no panics,
+    /// and a push batch always terminates.
+    #[test]
+    fn garbage_bodies_are_typed_errors(garbage in prop::collection::vec(any::<u8>(), 0..300)) {
+        let body = Bytes::from(garbage);
+        if let Err(e) = batch::unpack_specs(&body) {
+            prop_assert!(matches!(e, GcxError::Codec(_)), "untyped: {e:?}");
+        }
+        if let Err(e) = batch::unpack_ids(&body) {
+            prop_assert!(matches!(e, GcxError::Codec(_)), "untyped: {e:?}");
+        }
+        let mut batch = PushBatch::new(body.clone());
+        // Every entry consumes at least two bytes; an error ends the batch.
+        for _ in 0..=body.len() {
+            match batch.next_entry() {
+                Ok(Some((_, envelope))) => { let _ = TaskResult::from_envelope(&envelope); }
+                Ok(None) => break,
+                Err(e) => prop_assert!(matches!(e, GcxError::Codec(_)), "untyped: {e:?}"),
+            }
+        }
+        prop_assert!(batch.next_entry().unwrap().is_none());
+    }
+
+    /// A byte flipped anywhere in a push body never panics the client-side
+    /// decode, and the walk over the batch terminates.
+    #[test]
+    fn corrupted_push_bodies_never_panic(
+        entries in push_entries_strategy(),
+        pos in any::<usize>(),
+        x in 1u8..=255,
+    ) {
+        let mut body = push_body(&entries);
+        let i = pos % body.len();
+        body[i] ^= x;
+        let len = body.len();
+        let mut batch = PushBatch::new(Bytes::from(body));
+        for _ in 0..=len {
+            match batch.next_entry() {
+                Ok(Some((_, envelope))) => { let _ = TaskResult::from_envelope(&envelope); }
+                Ok(None) => break,
+                Err(e) => prop_assert!(matches!(e, GcxError::Codec(_)), "untyped: {e:?}"),
+            }
+        }
+    }
+
+    /// A push entry whose trace segment is cut short is a defect of that one
+    /// frame's payload: the frame itself decodes, the batch reports a typed
+    /// error, and the stream is not poisoned — the next frame parses intact.
+    #[test]
+    fn short_push_entry_trace_segment_does_not_poison_the_stream(
+        entries in push_entries_strategy(),
+        ctx in trace_ctx_strategy(),
+        keep in 0usize..TRACE_CTX_LEN,
+        next in frame_strategy(),
+    ) {
+        let mut body = push_body(&entries);
+        let mut cut = Vec::new();
+        batch::write_push_entry(&mut cut, Some(&ctx), b"unreachable envelope");
+        body.extend_from_slice(&cut[..1 + keep]);
+        let push = Frame::new(FrameType::Push, 1, Value::Bytes(body));
+        let mut reader = FrameReader::new(TEST_MAX_FRAME);
+        reader.feed(&encode_frame(&push, TEST_MAX_FRAME).unwrap());
+        let got = reader.next_frame().unwrap().expect("the frame is well-formed");
+        let mut batch = PushBatch::new(bytes_of(Some(&got.payload)));
+        for _ in &entries {
+            prop_assert!(batch.next_entry().unwrap().is_some());
+        }
+        prop_assert!(matches!(batch.next_entry(), Err(GcxError::Codec(_))));
+        prop_assert!(batch.next_entry().unwrap().is_none());
+        reader.feed(&encode_frame(&next, TEST_MAX_FRAME).unwrap());
+        prop_assert_eq!(reader.next_frame().unwrap(), Some(next));
     }
 }

@@ -1000,6 +1000,91 @@ mod tests {
         }
     }
 
+    /// 4096 futures outstanding over the wire with the stream thread held
+    /// up (a slow `on_done` callback) while every result is published: the
+    /// connection must hold the backlog, not drop it. (Pushes beyond a
+    /// 1024-deep client channel used to be discarded, stranding futures.)
+    #[test]
+    fn wire_executor_resolves_4096_outstanding_futures() {
+        use crate::link::WireLink;
+        use gcx_cloud::{WireClient, WireClientConfig, WireServer};
+        use gcx_config::TransportSpec;
+
+        const TASKS: usize = 4096;
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("backlog@site.org").unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let server = WireServer::inmem(&svc, TransportSpec::default());
+        let wire_cfg = WireClientConfig::default();
+        let client = WireClient::over(server.connect_inmem(), &token.0, wire_cfg.clone()).unwrap();
+        let link = Link::Wire(WireLink::over(client, wire_cfg));
+        let ex = Executor::build(
+            link,
+            token.clone(),
+            reg.endpoint_id,
+            ExecutorConfig::default(),
+            None,
+        )
+        .unwrap();
+
+        let inc = PyFunction::new("def f(x):\n    return x + 1\n");
+        let futures: Vec<TaskFuture> = (0..TASKS)
+            .map(|i| {
+                ex.submit(&inc, vec![Value::Int(i as i64)], Value::None)
+                    .unwrap()
+            })
+            .collect();
+        // The first result to resolve parks the stream thread until every
+        // result has been published behind it.
+        let (published_tx, published_rx) = crossbeam_channel::bounded::<()>(1);
+        let first = Arc::new(AtomicBool::new(true));
+        for f in &futures {
+            let (first, published_rx) = (first.clone(), published_rx.clone());
+            f.on_done(move |_| {
+                if first.swap(false, Ordering::SeqCst) {
+                    let _ = published_rx.recv_timeout(Duration::from_secs(30));
+                }
+            });
+        }
+
+        // Submissions first: once the stream thread parks, the connection
+        // carries nothing else (requests queue behind the unread pushes).
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while svc.metrics().counter("cloud.tasks_submitted").get() < TASKS as u64 {
+            assert!(Instant::now() < deadline, "submissions did not land");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        for _ in 0..TASKS {
+            let (spec, tag) = session
+                .next_task(Duration::from_secs(10))
+                .unwrap()
+                .expect("every submitted task reaches the endpoint queue");
+            let x = spec.decode_args().unwrap().0[0].as_int().unwrap();
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(Value::Int(x + 1)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+        }
+        published_tx.send(()).unwrap();
+
+        for (i, f) in futures.iter().enumerate() {
+            assert_eq!(
+                f.result_timeout(Duration::from_secs(30)).unwrap(),
+                Value::Int(i as i64 + 1),
+                "future {i} of {TASKS} stranded"
+            );
+        }
+        assert_eq!(ex.inflight(), 0);
+        ex.close();
+        server.shutdown();
+        svc.shutdown();
+    }
+
     #[test]
     fn submit_after_close_errors() {
         let stack = Stack::new("engine:\n  type: GlobusComputeEngine\n");

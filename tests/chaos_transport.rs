@@ -26,7 +26,9 @@ use gcx::core::metrics::MetricsRegistry;
 use gcx::core::retry::RetryPolicy;
 use gcx::core::task::{TaskResult, TaskSpec};
 use gcx::core::value::Value;
-use gcx::core::wire::{Frame, FrameType, TcpTransport, Transport, DEFAULT_MAX_FRAME};
+use gcx::core::wire::{
+    batch, error_from_value, Frame, FrameType, TcpTransport, Transport, DEFAULT_MAX_FRAME,
+};
 use gcx::mq::{Broker, LinkProfile};
 use gcx::sdk::{Executor, ExecutorConfig, Link, PyFunction, TaskFuture, WireClientConfig};
 
@@ -141,6 +143,16 @@ fn assert_traces_linked(svc: &WebService, tasks: usize) {
 }
 
 fn drain_queue(svc: &WebService, reg: &gcx::cloud::EndpointRegistration, n: usize) {
+    drain_queue_with(svc, reg, n, |x| Value::Int(x * 2));
+}
+
+/// Serve `n` queued tasks as an endpoint would, answering `f(first arg)`.
+fn drain_queue_with(
+    svc: &WebService,
+    reg: &gcx::cloud::EndpointRegistration,
+    n: usize,
+    f: impl Fn(i64) -> Value,
+) {
     let session = svc
         .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
         .unwrap();
@@ -152,9 +164,7 @@ fn drain_queue(svc: &WebService, reg: &gcx::cloud::EndpointRegistration, n: usiz
             session
                 .publish_result(
                     spec.task_id,
-                    &TaskResult::ok(Value::Int(
-                        spec.decode_args().unwrap().0[0].as_int().unwrap() * 2,
-                    )),
+                    &TaskResult::ok(f(spec.decode_args().unwrap().0[0].as_int().unwrap())),
                 )
                 .unwrap();
             session.ack_task(tag).unwrap();
@@ -195,33 +205,28 @@ fn tcp_client_killed_mid_batch_tasks_complete_exactly_once() {
         .expect("hello ack");
     assert_eq!(ack.frame_type, FrameType::HelloAck);
 
-    let specs: Vec<Value> = (0..tasks)
+    let specs: Vec<TaskSpec> = (0..tasks)
         .map(|i| {
             let mut spec = TaskSpec::new(fid, reg.endpoint_id);
             spec.set_args(vec![Value::Int(i as i64)], Value::None);
-            spec.to_value()
+            spec
         })
         .collect();
     transport
         .send(&Frame::request(
             1,
             "submit_batch",
-            Value::map([("specs", Value::List(specs))]),
+            Value::Bytes(batch::pack_specs(&specs).unwrap()),
         ))
         .unwrap();
     let resp = transport
         .recv(Duration::from_secs(5))
         .unwrap()
         .expect("submit response");
-    let ids: Vec<TaskId> = resp
-        .payload
-        .get("ok")
-        .and_then(|ok| ok.get("ids"))
-        .and_then(Value::as_list)
-        .expect("ids in response")
-        .iter()
-        .map(|v| v.as_str().unwrap().parse().unwrap())
-        .collect();
+    let Some(Value::Bytes(packed)) = resp.payload.get("ok") else {
+        panic!("packed ids in response, got {:?}", resp.payload);
+    };
+    let ids: Vec<TaskId> = batch::unpack_ids(packed).unwrap();
     assert_eq!(ids.len(), tasks);
 
     // Kill: sever the socket with the batch in flight. No Goodbye, no
@@ -531,6 +536,196 @@ fn restarted_client_resumes_by_polling_exactly_once() {
     assert_eq!(m.counter("cloud.results_processed").get(), tasks as u64);
     assert_eq!(m.counter("cloud.duplicate_results_dropped").get(), 0);
     assert_traces_linked(&svc, tasks);
+    server.shutdown();
+    svc.shutdown();
+}
+
+/// Scenario 5 — the connection dies with a push batch written but not
+/// acked. The executor's stream thread is parked (a slow `on_done`), so
+/// megabyte results back up through the client's queue and both socket
+/// buffers until the server's push thread blocks inside its write, holding
+/// an unacked batch. Then every socket is cut. The blocked write must fail
+/// (not wedge the shutdown), ack nothing, and after the server returns on
+/// the same address the executor must resolve every future exactly once —
+/// the results the client never consumed included — with each trace linked.
+#[test]
+fn connection_killed_mid_push_batch_resolves_every_future_exactly_once() {
+    const RESULT_BYTES: usize = 1 << 20;
+    let mut seed = chaos_seed();
+    // Enough megabyte results to overflow everything between the push
+    // thread and the parked stream thread: the client's batch queue (8 + 2
+    // in hand) and whatever the kernel lets a loopback socket buffer.
+    let sysctl_max = |name: &str, fallback: usize| -> usize {
+        std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}"))
+            .ok()
+            .and_then(|s| s.split_whitespace().nth(2)?.parse().ok())
+            .unwrap_or(fallback)
+    };
+    let kernel_mib = (sysctl_max("tcp_rmem", 6 << 20) + sysctl_max("tcp_wmem", 4 << 20)) >> 20;
+    let tasks = kernel_mib + 10 + 8 + (mix(&mut seed) % 5) as usize;
+
+    let addr = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    let spec = TransportSpec {
+        listen_addr: addr.clone(),
+        ..fast_spec()
+    };
+    let svc = wire_service();
+    let server = WireServer::listen(&svc, spec.clone()).unwrap();
+    let (_, token) = svc.auth().login("transport-midbatch@test.org").unwrap();
+    let reg = svc
+        .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+        .unwrap();
+    let ex = Executor::over_wire(
+        vec![addr],
+        &token.0,
+        reg.endpoint_id,
+        ExecutorConfig {
+            retry: RetryPolicy::fixed(40, 50),
+            ..ExecutorConfig::default()
+        },
+        WireClientConfig {
+            // Catch-up first asks for every result in one response, which
+            // exceeds the frame ceiling here; it then asks task by task.
+            call_timeout: Duration::from_secs(1),
+            ..wire_cfg()
+        },
+    )
+    .unwrap();
+    let blob = PyFunction::new("def f(x):\n    return bytes([x]) * 1048576\n");
+    let futures: Vec<TaskFuture> = (0..tasks)
+        .map(|i| {
+            ex.submit(&blob, vec![Value::Int(i as i64)], Value::None)
+                .unwrap()
+        })
+        .collect();
+    let resolutions = observe(&futures);
+    // The first future to resolve parks the stream thread until released.
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let release_rx = Arc::new(std::sync::Mutex::new(Some(release_rx)));
+    for f in &futures {
+        let release_rx = Arc::clone(&release_rx);
+        f.on_done(move |_| {
+            if let Some(rx) = release_rx.lock().unwrap().take() {
+                let _ = rx.recv_timeout(Duration::from_secs(30));
+            }
+        });
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while svc.metrics().counter("cloud.tasks_submitted").get() < tasks as u64 {
+        assert!(Instant::now() < deadline, "submissions did not land");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drain_queue_with(&svc, &reg, tasks, |x| {
+        Value::Bytes(vec![x as u8; RESULT_BYTES])
+    });
+
+    // Wait for the pushes to stall with results still on the server: the
+    // stream queue holds deliveries that are neither pushed nor acked.
+    let stream_backlog = || -> (usize, usize) {
+        svc.broker()
+            .queue_names()
+            .iter()
+            .filter(|q| q.starts_with("stream."))
+            .map(|q| svc.broker().queue_stats(q).unwrap())
+            .fold((0, 0), |(r, u), st| (r + st.ready, u + st.unacked))
+    };
+    let frames_out = svc.metrics().counter("wire.frames_out");
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let mut seen = frames_out.get();
+    loop {
+        std::thread::sleep(Duration::from_millis(250));
+        let now = frames_out.get();
+        if now == seen && svc.metrics().counter("cloud.results_processed").get() == tasks as u64 {
+            break;
+        }
+        seen = now;
+        assert!(
+            Instant::now() < deadline,
+            "pushes never stalled: frames_out {now}, processed {}, backlog {:?}",
+            svc.metrics().counter("cloud.results_processed").get(),
+            stream_backlog()
+        );
+    }
+    let (ready, unacked) = stream_backlog();
+    assert!(
+        unacked >= 1,
+        "the push thread must be holding an unacked batch (ready {ready}, unacked {unacked})"
+    );
+    assert!(
+        resolutions.load(Ordering::SeqCst) <= 1,
+        "the stream thread is parked"
+    );
+
+    // Cut every socket mid-batch; the blocked write must not wedge this.
+    server.shutdown();
+    let server = WireServer::listen(&svc, spec).unwrap();
+    release_tx.send(()).unwrap();
+
+    for (i, f) in futures.iter().enumerate() {
+        let got = f.result_timeout(Duration::from_secs(30)).unwrap();
+        let Value::Bytes(b) = got else {
+            panic!("task {i}: unexpected result")
+        };
+        assert_eq!(b.len(), RESULT_BYTES, "task {i}");
+        assert!(
+            b.iter().all(|&x| x == i as u8),
+            "task {i} got another task's bytes"
+        );
+    }
+    assert_observed_exactly(&resolutions, tasks);
+    assert!(
+        ex.metrics().counter("sdk.stream_reconnects").get() >= 1
+            || ex.metrics().counter("sdk.wire_reconnects").get() >= 1,
+        "the cut must be visible as a reconnect"
+    );
+    assert_eq!(
+        svc.metrics()
+            .counter("cloud.duplicate_results_dropped")
+            .get(),
+        0
+    );
+    assert_traces_linked(&svc, tasks);
+    ex.close();
+    server.shutdown();
+    svc.shutdown();
+}
+
+/// Scenario 6 — a peer from before the packed bodies: its `Hello` says
+/// version 1, and it must be turned away at the handshake with a typed
+/// refusal rather than have its tree-form submits misparsed later.
+#[test]
+fn version_1_hello_gets_the_typed_refusal() {
+    let svc = wire_service();
+    let server = WireServer::listen(&svc, fast_spec()).unwrap();
+    let (_, token) = svc.auth().login("transport-v1@test.org").unwrap();
+    let transport = TcpTransport::connect(server.addr(), DEFAULT_MAX_FRAME).unwrap();
+    transport
+        .send(&Frame::new(
+            FrameType::Hello,
+            0,
+            Value::map([
+                ("version", Value::Int(1)),
+                ("token", Value::str(token.0)),
+                ("proto", Value::str("gcx-wire")),
+            ]),
+        ))
+        .unwrap();
+    let refusal = transport
+        .recv(Duration::from_secs(5))
+        .unwrap()
+        .expect("refusal frame");
+    assert_eq!(refusal.frame_type, FrameType::Response);
+    let err = error_from_value(refusal.payload.get("err").expect("typed refusal"));
+    assert!(
+        matches!(&err, gcx::core::error::GcxError::InvalidConfig(m) if m.contains("version")),
+        "got {err:?}"
+    );
+    assert_eq!(server.conn_count(), 0, "a refused peer holds no connection");
+    assert!(svc.metrics().counter("wire.handshake_failures").get() >= 1);
     server.shutdown();
     svc.shutdown();
 }
