@@ -1,6 +1,5 @@
 //! E10 · Multi-threaded submit/result throughput through the cloud hot
-//! path, comparing the sharded + batched-publish layout against the
-//! pre-refactor single-lock, per-message layout in one run.
+//! path (sharded state stores, one batched publish per endpoint).
 //!
 //! N client threads each drive their own endpoint: submit M tasks in
 //! batches of B through `WebService::submit_batch`, while a small pool of
@@ -12,8 +11,8 @@
 //! - a WAN-ish broker link (per-message latency, as the production AMQPS
 //!   wire behaves) — here batched publish amortizes the per-message charge,
 //!   the §III-A batching claim;
-//! - an instant link — isolating the lock-layout (shards vs single lock)
-//!   and per-message bookkeeping costs.
+//! - an instant link — isolating the service's own locking and
+//!   per-message bookkeeping costs.
 //!
 //! Emits `bench_results/BENCH_throughput.json`.
 //!
@@ -28,8 +27,8 @@
 //! with the inmem numbers and is reported separately as
 //! `bench_results/BENCH_throughput_tcp.json`).
 //!
-//! `--sweep` runs the payload plane's size sweep instead: the sharded
-//! layout on an instant link at 64 B / 4 KiB / 256 KiB argument payloads,
+//! `--sweep` runs the payload plane's size sweep instead: an instant
+//! link at 64 B / 4 KiB / 256 KiB argument payloads,
 //! each with a unique-bytes-per-task series and a 90%-duplicate series.
 //! Alongside tasks/s it reads the service's `payload.bytes_moved` and
 //! `blob.cas_hits/misses` counters, reporting the dedup win (bytes moved,
@@ -38,10 +37,7 @@
 //! Emits `bench_results/BENCH_payload_sweep.json`.
 //!
 //! Flags: `--threads N`, `--tasks M` (per thread), `--batch B`,
-//! `--layout both|baseline|sharded` (baseline forces the pre-refactor
-//! single-lock layout: `state_shards = 1`, per-message publish),
-//! `--transport inmem|tcp` (tcp runs the sharded layout only, over real
-//! sockets), `--sweep` (payload-size sweep, see above), `--smoke` (tiny
+//! `--transport inmem|tcp` (tcp runs over real sockets), `--sweep` (payload-size sweep, see above), `--smoke` (tiny
 //! parameters for CI), `--baseline <path>` compare this run's tasks/s
 //! against a committed baseline JSON and exit nonzero if any shared
 //! series drops below `--min-ratio` (default 0.25) of it — a loose
@@ -74,13 +70,6 @@ struct Params {
 }
 
 #[derive(Clone, Copy, PartialEq)]
-enum Layout {
-    Both,
-    Baseline,
-    Sharded,
-}
-
-#[derive(Clone, Copy, PartialEq)]
 enum Transport {
     Inmem,
     Tcp,
@@ -91,14 +80,13 @@ struct Gate {
     min_ratio: f64,
 }
 
-fn parse_args() -> (Params, Layout, Transport, Gate, bool) {
+fn parse_args() -> (Params, Transport, Gate, bool) {
     let mut p = Params {
         threads: 8,
         tasks_per_thread: 256,
         batch: 64,
         drains_per_endpoint: 4,
     };
-    let mut layout = Layout::Both;
     let mut transport = Transport::Inmem;
     let mut sweep = false;
     let mut gate = Gate {
@@ -123,15 +111,6 @@ fn parse_args() -> (Params, Layout, Transport, Gate, bool) {
             }
             "--batch" => {
                 p.batch = need(i).parse().expect("--batch");
-                i += 2;
-            }
-            "--layout" => {
-                layout = match need(i).as_str() {
-                    "both" => Layout::Both,
-                    "baseline" => Layout::Baseline,
-                    "sharded" => Layout::Sharded,
-                    other => panic!("unknown layout {other:?}"),
-                };
                 i += 2;
             }
             "--transport" => {
@@ -168,7 +147,7 @@ fn parse_args() -> (Params, Layout, Transport, Gate, bool) {
     }
     assert!(p.batch > 0 && p.threads > 0 && p.tasks_per_thread > 0);
     assert!(gate.min_ratio > 0.0 && gate.min_ratio <= 1.0);
-    (p, layout, transport, gate, sweep)
+    (p, transport, gate, sweep)
 }
 
 /// Pull `"key": <number>` out of a flat `JsonReport`-style file. Keeps
@@ -185,7 +164,7 @@ fn baseline_field(text: &str, key: &str) -> Option<f64> {
 
 /// Builds a task's argument list from (client thread, task index within
 /// that thread). The sweep uses this to control payload size and
-/// duplication; the layout comparison keeps the original tiny-int args.
+/// duplication; the link comparison keeps the original tiny-int args.
 type ArgsFn = dyn Fn(usize, usize) -> Vec<Value> + Send + Sync;
 
 struct RunStats {
@@ -198,17 +177,11 @@ struct RunStats {
     cas_misses: u64,
 }
 
-/// One full run.
-fn run_layout(baseline: bool, p: Params, link: LinkProfile, make_args: Arc<ArgsFn>) -> RunStats {
+/// One full in-process run.
+fn run_inmem(p: Params, link: LinkProfile, make_args: Arc<ArgsFn>) -> RunStats {
     let clock = SystemClock::shared();
     let broker = Broker::with_profile(MetricsRegistry::new(), clock.clone(), link);
     let cfg = CloudConfig {
-        state_shards: if baseline {
-            1
-        } else {
-            CloudConfig::default().state_shards
-        },
-        batch_publish: !baseline,
         result_processors: 4,
         heartbeat_timeout_ms: 600_000,
         ..CloudConfig::default()
@@ -319,12 +292,12 @@ fn run_layout(baseline: bool, p: Params, link: LinkProfile, make_args: Arc<ArgsF
 }
 
 /// Default argument factory: the original tiny-int payloads used by the
-/// layout comparison.
+/// link comparison.
 fn int_args() -> Arc<ArgsFn> {
     Arc::new(|_, k| vec![Value::Int(k as i64)])
 }
 
-/// The payload-plane sweep: sharded layout, instant link, payload sizes
+/// The payload-plane sweep: instant link, payload sizes
 /// 64 B / 4 KiB / 256 KiB, each as a unique-bytes series and a
 /// 90%-duplicate series. Reports tasks/s plus the dedup effect on
 /// `payload.bytes_moved`.
@@ -345,7 +318,7 @@ fn run_sweep(p: Params, report: &mut JsonReport) {
                 }
                 vec![Value::Bytes(body)]
             });
-            let stats = run_layout(false, p, LinkProfile::instant(), make_args);
+            let stats = run_inmem(p, LinkProfile::instant(), make_args);
             assert_eq!(stats.completed, total, "sweep {label}/{series}: lost tasks");
             if dup {
                 // 9 of 10 payloads repeat; each repeat must hit the CAS
@@ -465,8 +438,8 @@ fn wire_client_main(args: &[String]) -> ! {
     std::process::exit(0)
 }
 
-/// One full TCP run (sharded layout, instant broker link — the wire is the
-/// variable under test): returns (elapsed, completed tasks). The measured
+/// One full TCP run (instant broker link — the wire is the variable
+/// under test): returns (elapsed, completed tasks). The measured
 /// window spans child-process spawn to last exit, so process startup is
 /// part of the cost, as it is for any real out-of-process client fleet.
 fn run_tcp(p: Params) -> (Duration, u64) {
@@ -477,7 +450,6 @@ fn run_tcp(p: Params) -> (Duration, u64) {
         LinkProfile::instant(),
     );
     let cfg = CloudConfig {
-        batch_publish: true,
         result_processors: 4,
         heartbeat_timeout_ms: 600_000,
         ..CloudConfig::default()
@@ -584,7 +556,7 @@ fn main() {
     if argv.first().map(String::as_str) == Some("--wire-client") {
         wire_client_main(&argv[1..]);
     }
-    let (p, layout, transport, gate, sweep) = parse_args();
+    let (p, transport, gate, sweep) = parse_args();
     // Snapshot the baseline up front: the report below overwrites
     // `bench_results/BENCH_throughput.json`, which is the usual gate input.
     let baseline_text = gate.baseline.as_ref().map(|path| {
@@ -675,7 +647,7 @@ fn main() {
         "submit/result throughput: {} threads x {} tasks, batch {}",
         p.threads, p.tasks_per_thread, p.batch
     );
-    let mut table = Table::new(&["layout", "link", "elapsed_ms", "tasks/s"]);
+    let mut table = Table::new(&["link", "elapsed_ms", "tasks/s"]);
     let mut report = JsonReport::new("BENCH_throughput");
     report
         .num("threads", p.threads as u64)
@@ -684,52 +656,25 @@ fn main() {
         .num("total_tasks", total)
         .num("wan_latency_ms", 1);
 
+    // Series keep their `_sharded_` names so committed baselines stay
+    // comparable across the gate.
     let mut series: Vec<(String, f64)> = Vec::new();
-    let mut measure = |name: &str, baseline: bool, link: LinkProfile, link_name: &str| -> f64 {
-        let stats = run_layout(baseline, p, link, int_args());
-        assert_eq!(stats.completed, total, "{name}/{link_name}: lost tasks");
-        let elapsed = stats.elapsed;
-        let tps = total as f64 / elapsed.as_secs_f64();
+    for (link, link_name) in [(wan, "wan"), (LinkProfile::instant(), "instant")] {
+        let stats = run_inmem(p, link, int_args());
+        assert_eq!(stats.completed, total, "{link_name}: lost tasks");
+        let elapsed_ms = stats.elapsed.as_secs_f64() * 1000.0;
+        let tps = total as f64 / stats.elapsed.as_secs_f64();
         table.row(&[
-            name.to_string(),
             link_name.to_string(),
-            format!("{:.1}", elapsed.as_secs_f64() * 1000.0),
+            format!("{elapsed_ms:.1}"),
             format!("{tps:.0}"),
         ]);
-        report.float(
-            &format!("{link_name}_{name}_elapsed_ms"),
-            elapsed.as_secs_f64() * 1000.0,
-        );
-        report.float(&format!("{link_name}_{name}_tasks_per_sec"), tps);
-        series.push((format!("{link_name}_{name}_tasks_per_sec"), tps));
-        tps
-    };
-
-    let mut wan_speedup = None;
-    match layout {
-        Layout::Baseline => {
-            measure("baseline", true, wan, "wan");
-            measure("baseline", true, LinkProfile::instant(), "instant");
-        }
-        Layout::Sharded => {
-            measure("sharded", false, wan, "wan");
-            measure("sharded", false, LinkProfile::instant(), "instant");
-        }
-        Layout::Both => {
-            let base_wan = measure("baseline", true, wan, "wan");
-            let shard_wan = measure("sharded", false, wan, "wan");
-            let base_instant = measure("baseline", true, LinkProfile::instant(), "instant");
-            let shard_instant = measure("sharded", false, LinkProfile::instant(), "instant");
-            wan_speedup = Some(shard_wan / base_wan);
-            report.float("speedup", shard_wan / base_wan);
-            report.float("instant_speedup", shard_instant / base_instant);
-        }
+        report.float(&format!("{link_name}_sharded_elapsed_ms"), elapsed_ms);
+        report.float(&format!("{link_name}_sharded_tasks_per_sec"), tps);
+        series.push((format!("{link_name}_sharded_tasks_per_sec"), tps));
     }
 
     table.print();
-    if let Some(s) = wan_speedup {
-        println!("\n  sharded + batched publish vs single-lock baseline: {s:.2}x");
-    }
     let path = report
         .write_to(std::path::Path::new("bench_results"))
         .expect("write BENCH_throughput.json");
@@ -738,8 +683,7 @@ fn main() {
     // Perf-regression tripwire: every series present in both this run and
     // the committed baseline must hold at least `min_ratio` of the
     // baseline's tasks/s. The ratio is deliberately generous — it catches
-    // order-of-magnitude regressions (a lost lock-split, an accidental
-    // per-message publish), not CI-machine jitter.
+    // order-of-magnitude regressions, not CI-machine jitter.
     if let (Some(baseline_path), Some(text)) = (gate.baseline, baseline_text) {
         let mut compared = 0usize;
         let mut failed = false;
@@ -769,7 +713,7 @@ fn main() {
         }
         assert!(
             compared > 0,
-            "baseline {} shares no series with this run (layout mismatch?)",
+            "baseline {} shares no series with this run",
             baseline_path.display()
         );
         if failed {

@@ -1,114 +1,20 @@
-//! The S3 stand-in: content storage for large task inputs and results.
+//! The payload byte store: a content-addressed dedup cache for task
+//! arguments.
 //!
-//! "Large task inputs are stored in S3" (§II); anything over the payload
-//! limit (10 MB in production, §V) is rejected outright — that limit is
-//! what ProxyStore and Globus Transfer exist to route around.
+//! "Large task inputs are stored in S3" (§II); here they are interned once
+//! in [`CasStore`] and shipped as 16-byte references. Anything over the
+//! payload limit (10 MB in production, §V) is rejected outright — that
+//! limit is what ProxyStore and Globus Transfer exist to route around.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use bytes::Bytes;
-use gcx_core::error::{GcxError, GcxResult};
-use gcx_core::ids::Uuid;
 use gcx_core::metrics::{Counter, MetricsRegistry};
 use gcx_core::payload::{ContentHash, Payload};
-use parking_lot::{Mutex, RwLock};
-
-/// Identifies a stored object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlobId(pub Uuid);
-
-impl std::fmt::Display for BlobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "blob-{}", self.0)
-    }
-}
-
-impl std::str::FromStr for BlobId {
-    type Err = gcx_core::ids::ParseUuidError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let raw = s.strip_prefix("blob-").unwrap_or(s);
-        Ok(BlobId(raw.parse()?))
-    }
-}
+use parking_lot::Mutex;
 
 /// The payload limit the production service enforces (§V).
 pub const DEFAULT_PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
-
-/// An in-memory object store with a hard per-object size limit.
-#[derive(Clone)]
-pub struct BlobStore {
-    objects: Arc<RwLock<HashMap<BlobId, Bytes>>>,
-    limit: usize,
-    objects_put: Arc<Counter>,
-    bytes_put: Arc<Counter>,
-    objects_get: Arc<Counter>,
-    bytes_get: Arc<Counter>,
-}
-
-impl BlobStore {
-    /// A store enforcing `limit` bytes per object. Counters are resolved
-    /// once here so put/get never touch the registry lock.
-    pub fn new(limit: usize, metrics: MetricsRegistry) -> Self {
-        Self {
-            objects: Arc::new(RwLock::new(HashMap::new())),
-            limit,
-            objects_put: metrics.counter("s3.objects_put"),
-            bytes_put: metrics.counter("s3.bytes_put"),
-            objects_get: metrics.counter("s3.objects_get"),
-            bytes_get: metrics.counter("s3.bytes_get"),
-        }
-    }
-
-    /// The per-object size limit.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Store an object, returning its id. Fails with
-    /// [`GcxError::PayloadTooLarge`] above the limit.
-    pub fn put(&self, data: Bytes) -> GcxResult<BlobId> {
-        if data.len() > self.limit {
-            return Err(GcxError::PayloadTooLarge {
-                size: data.len(),
-                limit: self.limit,
-            });
-        }
-        let id = BlobId(Uuid::new_v4());
-        self.objects_put.inc();
-        self.bytes_put.add(data.len() as u64);
-        self.objects.write().insert(id, data);
-        Ok(id)
-    }
-
-    /// Fetch an object.
-    pub fn get(&self, id: BlobId) -> GcxResult<Bytes> {
-        let data = self
-            .objects
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| GcxError::Internal(format!("no such blob {id}")))?;
-        self.objects_get.inc();
-        self.bytes_get.add(data.len() as u64);
-        Ok(data)
-    }
-
-    /// Delete an object (results are evicted after retrieval).
-    pub fn delete(&self, id: BlobId) {
-        self.objects.write().remove(&id);
-    }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.objects.read().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.objects.read().is_empty()
-    }
-}
 
 /// Outcome of [`CasStore::intern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,65 +162,6 @@ impl CasInner {
 mod tests {
     use super::*;
     use gcx_core::value::Value;
-
-    fn store(limit: usize) -> BlobStore {
-        BlobStore::new(limit, MetricsRegistry::new())
-    }
-
-    #[test]
-    fn put_get_roundtrip() {
-        let s = store(1024);
-        let id = s.put(Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(&s.get(id).unwrap()[..], b"hello");
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn limit_enforced_exactly() {
-        let s = store(10);
-        s.put(Bytes::from(vec![0u8; 10])).unwrap();
-        let err = s.put(Bytes::from(vec![0u8; 11])).unwrap_err();
-        assert!(matches!(
-            err,
-            GcxError::PayloadTooLarge {
-                size: 11,
-                limit: 10
-            }
-        ));
-    }
-
-    #[test]
-    fn missing_blob_errors() {
-        let s = store(10);
-        assert!(s.get(BlobId(Uuid::new_v4())).is_err());
-    }
-
-    #[test]
-    fn delete_evicts() {
-        let s = store(100);
-        let id = s.put(Bytes::from_static(b"x")).unwrap();
-        s.delete(id);
-        assert!(s.get(id).is_err());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn blob_id_text_roundtrip() {
-        let id = BlobId(Uuid::new_v4());
-        let s = id.to_string();
-        assert!(s.starts_with("blob-"));
-        assert_eq!(s.parse::<BlobId>().unwrap(), id);
-    }
-
-    #[test]
-    fn metering() {
-        let m = MetricsRegistry::new();
-        let s = BlobStore::new(1024, m.clone());
-        let id = s.put(Bytes::from(vec![1u8; 100])).unwrap();
-        s.get(id).unwrap();
-        assert_eq!(m.counter("s3.bytes_put").get(), 100);
-        assert_eq!(m.counter("s3.bytes_get").get(), 100);
-    }
 
     #[test]
     fn cas_intern_hit_and_get() {

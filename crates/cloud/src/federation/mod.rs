@@ -276,7 +276,7 @@ impl Federation {
         };
         metrics.set_tracer(tracer.clone());
         let core = Arc::new(FedCore::new(&cfg));
-        let shared = SharedStores::new(cloud_cfg.state_shards, cloud_cfg.payload_limit, &metrics);
+        let shared = SharedStores::default();
         let now = clock.now_ms();
         // Seed membership and the ring before spawning any replica, so the
         // first submit already routes correctly.

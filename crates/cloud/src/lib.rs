@@ -10,8 +10,9 @@
 //!   `gcx-auth` and metered;
 //! - per-endpoint **task queues** and a shared **result queue** on the
 //!   `gcx-mq` broker, with AMQPS-style credentials per endpoint;
-//! - an S3-like [`blob::BlobStore`] holding large task inputs and results,
-//!   enforcing the **10 MB payload limit** (§V);
+//! - a content-addressed payload cache ([`blob::CasStore`]) that ships
+//!   repeated and large task inputs as 16-byte references, under the
+//!   **10 MB payload limit** (§V);
 //! - a [`service::ResultProcessor`] pool that consumes results, updates the
 //!   task database, and feeds per-user **result streams** (the push channel
 //!   behind the executor interface, §III-A);
@@ -31,7 +32,7 @@ pub mod records;
 pub mod service;
 pub mod usage;
 
-pub use blob::{BlobId, BlobStore, CasStore, Intern};
+pub use blob::{CasStore, Intern};
 pub use federation::{Federation, FederationConfig, HashRing, ReplicaDirectory, ReplicaId};
 pub use records::{EndpointHealth, EndpointRecord, EndpointRegistration, MepStartRequest};
 pub use service::{

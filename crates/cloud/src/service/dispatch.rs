@@ -69,11 +69,13 @@ impl WebService {
     pub fn submit_batch(&self, token: &Token, specs: Vec<TaskSpec>) -> GcxResult<Vec<TaskId>> {
         let who = self.authenticate(token)?;
         self.admit_batch(who.identity.id, &specs)?;
-        let n = specs.len() as u64;
-        let out = self.submit_batch_admitted(&who, specs);
+        // In-flight charges the batch still holds; `submit_batch_admitted`
+        // hands back the ones it settles itself.
+        let mut held = specs.len() as u64;
+        let out = self.submit_batch_admitted(&who, specs, &mut held);
         if out.is_err() {
-            // The batch never landed: return its in-flight charge.
-            self.admission_release(who.identity.id, n);
+            // The batch never landed: return the rest of its charge.
+            self.admission_release(who.identity.id, held);
         }
         out
     }
@@ -82,6 +84,7 @@ impl WebService {
         &self,
         who: &gcx_auth::service::Introspection,
         specs: Vec<TaskSpec>,
+        held: &mut u64,
     ) -> GcxResult<Vec<TaskId>> {
         let mut bytes_in = 0usize;
         let now = self.inner.clock.now_ms();
@@ -164,40 +167,72 @@ impl WebService {
         let shipped = self.inner.clock.now_ms();
         let shipped_str = shipped.to_string();
         let mut ids = Vec::with_capacity(prepared.len());
+        // Records this call created — what a failed batch rolls back.
+        let mut installed = Vec::with_capacity(prepared.len());
+        let mut resent = 0u64;
         let mut by_endpoint: HashMap<EndpointId, Vec<Message>> = HashMap::new();
         for (spec, deliver_to, inline, stamp_submit) in prepared {
             let task_id = spec.task_id;
             let trace = spec.trace;
+            // Federation: only the task's ring owner installs the record,
+            // appends to the durable log, and ships to the endpoint queue.
+            // Any other replica forwards the deliverable spec to the owner
+            // and never touches its own task store.
+            let forward_to = self.fed().and_then(|fed| {
+                let owner = fed.owner(task_id.uuid()).unwrap_or(fed.replica);
+                (owner != fed.replica).then_some(owner)
+            });
+            if forward_to.is_none() {
+                // Task ids are client-chosen and a wire client resends a
+                // batch in place when its connection drops mid-call, so a
+                // submit must be idempotent on the id (the federation
+                // ingest already is): install only if absent.
+                let mut record = TaskRecord::new(spec.clone(), who.identity.id, now);
+                record.dispatched_at = Some(shipped);
+                let mut record = Some(record);
+                let holder = self.inner.tasks.update_or_insert_with(
+                    task_id,
+                    || record.take().expect("taken at most once"),
+                    |rec| rec.owner,
+                );
+                if record.is_some() {
+                    if holder != who.identity.id {
+                        let e = GcxError::Forbidden(format!(
+                            "task id {task_id} belongs to another identity"
+                        ));
+                        self.roll_back_batch(&installed, &e, shipped);
+                        return Err(e);
+                    }
+                    // Already accepted: acknowledge, ship and count nothing.
+                    self.admission_release(who.identity.id, 1);
+                    *held -= 1;
+                    resent += 1;
+                    ids.push(task_id);
+                    continue;
+                }
+                installed.push(task_id);
+            }
             self.inner.usage.record_task(now);
             if stamp_submit {
                 self.inner
                     .tracer
                     .record_span(trace.as_ref(), "submit", now, shipped);
             }
-            // Federation: only the task's ring owner installs the record,
-            // appends to the durable log, and ships to the endpoint queue.
-            // Any other replica forwards the deliverable spec to the owner
-            // and never touches its own task store.
-            if let Some(fed) = self.fed() {
-                let owner = fed.owner(task_id.uuid()).unwrap_or(fed.replica);
-                if owner != fed.replica {
-                    let mut wire_spec = spec;
-                    wire_spec.endpoint_id = deliver_to;
-                    self.fed_forward_submit(owner, &wire_spec, who.identity.id, now)?;
-                    // The owning replica tracks this task's lifecycle; it
-                    // never flows through our local completion paths, so
-                    // drop its in-flight charge here.
-                    self.admission_release(who.identity.id, 1);
-                    ids.push(task_id);
-                    continue;
-                }
+            if let Some(owner) = forward_to {
+                let mut wire_spec = spec;
+                wire_spec.endpoint_id = deliver_to;
+                self.fed_forward_submit(owner, &wire_spec, who.identity.id, now)?;
+                // The owning replica tracks this task's lifecycle; it
+                // never flows through our local completion paths, so
+                // drop its in-flight charge here.
+                self.admission_release(who.identity.id, 1);
+                *held -= 1;
+                ids.push(task_id);
+                continue;
             }
             if spec.deadline_ms.is_some() {
                 self.inner.admission.note_deadline_task();
             }
-            let mut record = TaskRecord::new(spec.clone(), who.identity.id, now);
-            record.dispatched_at = Some(shipped);
-            self.inner.tasks.insert(task_id, record);
             if self.fed().is_some() {
                 let mut wire_spec = spec.clone();
                 wire_spec.endpoint_id = deliver_to;
@@ -231,7 +266,7 @@ impl WebService {
             by_endpoint.entry(deliver_to).or_default().push(message);
             ids.push(task_id);
         }
-        self.inner.m.tasks_submitted.add(ids.len() as u64);
+        self.inner.m.tasks_submitted.add(ids.len() as u64 - resent);
 
         let ship = || -> GcxResult<()> {
             for (deliver_to, messages) in by_endpoint {
@@ -240,48 +275,16 @@ impl WebService {
                     .credentials
                     .get_cloned(&deliver_to)
                     .ok_or(GcxError::EndpointNotFound(deliver_to))?;
-                let queue = task_queue_name(deliver_to);
-                if self.inner.cfg.batch_publish {
-                    self.inner
-                        .broker
-                        .publish_batch(&queue, messages, Some(&credential))?;
-                } else {
-                    for message in messages {
-                        self.inner
-                            .broker
-                            .publish(&queue, message, Some(&credential))?;
-                    }
-                }
+                self.inner.broker.publish_batch(
+                    &task_queue_name(deliver_to),
+                    messages,
+                    Some(&credential),
+                )?;
             }
             Ok(())
         };
         if let Err(e) = ship() {
-            // The caller sees a whole-batch error (typically a bounded
-            // queue's typed `QueueFull` pushback), so no record from this
-            // batch may linger as a live orphan: fail everything that is
-            // still non-terminal with the same retryable error. Messages
-            // that did ship before the failure produce results that land
-            // on these terminal records and are dropped as duplicates.
-            let failed = TaskResult::retryable_err(e.to_string());
-            let flight = self.inner.metrics.flight();
-            for id in &ids {
-                self.inner.tasks.update(id, |rec| {
-                    if let Some(rec) = rec {
-                        if !rec.state.is_terminal() {
-                            let _ = rec.complete(failed.clone(), shipped);
-                        }
-                    }
-                });
-                flight.record(
-                    shipped,
-                    "cloud.dispatch",
-                    "batch_rollback",
-                    format!("task={id} err={e}"),
-                );
-            }
-            if matches!(e, GcxError::QueueFull { .. }) {
-                flight.trigger(shipped, "queue_full");
-            }
+            self.roll_back_batch(&installed, &e, shipped);
             return Err(e);
         }
         self.inner
@@ -289,6 +292,35 @@ impl WebService {
             .submit_ms
             .record(self.inner.clock.now_ms().saturating_sub(now));
         Ok(ids)
+    }
+
+    /// The caller sees a whole-batch error (typically a bounded queue's
+    /// typed `QueueFull` pushback), so no record the batch installed may
+    /// linger as a live orphan: fail everything that is still non-terminal
+    /// with the same retryable error. Messages that did ship before the
+    /// failure produce results that land on these terminal records and are
+    /// dropped as duplicates.
+    fn roll_back_batch(&self, installed: &[TaskId], e: &GcxError, at: u64) {
+        let failed = TaskResult::retryable_err(e.to_string());
+        let flight = self.inner.metrics.flight();
+        for id in installed {
+            self.inner.tasks.update(id, |rec| {
+                if let Some(rec) = rec {
+                    if !rec.state.is_terminal() {
+                        let _ = rec.complete(failed.clone(), at);
+                    }
+                }
+            });
+            flight.record(
+                at,
+                "cloud.dispatch",
+                "batch_rollback",
+                format!("task={id} err={e}"),
+            );
+        }
+        if matches!(e, GcxError::QueueFull { .. }) {
+            flight.trigger(at, "queue_full");
+        }
     }
 
     /// Resolve a CAS payload reference for an endpoint session: the dedup
@@ -731,6 +763,61 @@ mod tests {
                 .ready,
             50
         );
+        svc.shutdown();
+    }
+
+    /// Task ids are client-chosen and a wire client resends a batch in
+    /// place after a connection cut, so the same batch may arrive twice.
+    #[test]
+    fn resubmitting_a_batch_is_idempotent_on_task_id() {
+        use super::super::{AdmissionConfig, CloudConfig};
+        use gcx_core::clock::SystemClock;
+
+        let clock = SystemClock::shared();
+        let svc = WebService::new(
+            CloudConfig {
+                admission: AdmissionConfig::enabled(),
+                ..CloudConfig::default()
+            },
+            gcx_auth::AuthService::new(clock.clone()),
+            gcx_mq::Broker::with_profile(
+                gcx_core::metrics::MetricsRegistry::new(),
+                clock.clone(),
+                gcx_mq::LinkProfile::instant(),
+            ),
+            clock,
+        );
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let specs: Vec<TaskSpec> = (0..8)
+            .map(|_| TaskSpec::new(fid, reg.endpoint_id))
+            .collect();
+        let first = svc.submit_batch(&token, specs.clone()).unwrap();
+        let again = svc.submit_batch(&token, specs.clone()).unwrap();
+        assert_eq!(first, again, "the resend is acknowledged with the same ids");
+        let queued = || {
+            let stats = svc.broker().queue_stats(&task_queue_name(reg.endpoint_id));
+            stats.unwrap().ready
+        };
+        let submitted = svc.metrics().counter("cloud.tasks_submitted");
+        let charged = svc.metrics().gauge("cloud.admission_inflight");
+        assert_eq!(queued(), 8, "one queue message per task");
+        assert_eq!(submitted.get(), 8, "counted once");
+        assert_eq!(charged.get(), 8, "one admission charge per task");
+
+        // Someone else's id is refused typed, and the record stays theirs.
+        let before = svc.task_record(first[0]).unwrap();
+        let mallory = login(&svc, "mallory@x.y");
+        let e = svc.submit_batch(&mallory, specs).unwrap_err();
+        assert!(matches!(e, GcxError::Forbidden(_)), "{e:?}");
+        let after = svc.task_record(first[0]).unwrap();
+        assert_eq!((after.owner, after.state), (before.owner, before.state));
+        assert_eq!((queued(), submitted.get(), charged.get()), (8, 8, 8));
         svc.shutdown();
     }
 

@@ -14,9 +14,7 @@
 //! - `session` — [`EndpointSession`], the agent's live connection.
 //!
 //! Every id-keyed store rides a [`ShardedMap`], so unrelated submits,
-//! results, and status polls contend only on their own shard; set
-//! [`CloudConfig::state_shards`] to 1 to force the old single-lock layout
-//! (the throughput benchmark's baseline).
+//! results, and status polls contend only on their own shard.
 
 mod admission;
 mod api;
@@ -52,7 +50,7 @@ use gcx_core::ShardedMap;
 use gcx_mq::Broker;
 use parking_lot::{Mutex, RwLock};
 
-use crate::blob::{BlobStore, CasStore, DEFAULT_PAYLOAD_LIMIT};
+use crate::blob::{CasStore, DEFAULT_PAYLOAD_LIMIT};
 use crate::federation::FedMembership;
 use crate::records::EndpointRecord;
 use crate::usage::UsageMeter;
@@ -107,17 +105,6 @@ pub struct CloudConfig {
     /// is dead-lettered and failed with a retryable error instead of cycling
     /// through endpoints forever.
     pub max_task_deliveries: u32,
-    /// Shard count for the id-keyed state stores (tasks, endpoints,
-    /// functions, streams). Rounded up to a power of two; 1 degenerates to
-    /// a single lock per store — the pre-sharding layout, kept selectable
-    /// so benchmarks can measure the difference in one binary.
-    pub state_shards: usize,
-    /// Ship each submit batch to its endpoint queue with one
-    /// [`gcx_mq::Broker::publish_batch`] call (one queue lock, one link
-    /// charge, one consumer wake per endpoint). `false` publishes per task
-    /// — the pre-batching layout, kept selectable for the same reason as
-    /// `state_shards`.
-    pub batch_publish: bool,
     /// Tracing limits (sampling, retention, event buffering). The service
     /// installs a [`Tracer`] built from this on its metrics registry, which
     /// the broker, engines, and SDK resolve it from — set `sample_every` to
@@ -150,8 +137,6 @@ impl Default for CloudConfig {
             rest_link: gcx_mq::LinkProfile::instant(),
             heartbeat_timeout_ms: 30_000,
             max_task_deliveries: 3,
-            state_shards: gcx_core::sharded::DEFAULT_SHARDS,
-            batch_publish: true,
             trace: TraceConfig::default(),
             admission: AdmissionConfig::default(),
             task_queue_depth: 0,
@@ -231,11 +216,11 @@ pub(crate) type UepMap = Arc<RwLock<HashMap<(EndpointId, IdentityId, u64), Endpo
 
 /// The metadata stores a federation shares across replicas — the stand-in
 /// for the production service's replicated config database (functions,
-/// endpoints, credentials, result streams, blobs, usage). The task hot
+/// endpoints, credentials, result streams, usage). The task hot
 /// path (`CloudInner::tasks`) deliberately stays per-replica
 /// shared-nothing; *that* is what the consistent-hash ring partitions.
 /// A standalone service builds a private set.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct SharedStores {
     pub(crate) functions: Arc<ShardedMap<FunctionId, FunctionRecord>>,
     pub(crate) endpoints: Arc<ShardedMap<EndpointId, EndpointRecord>>,
@@ -244,31 +229,13 @@ pub(crate) struct SharedStores {
     pub(crate) streams: Arc<ShardedMap<IdentityId, Vec<(String, String)>>>,
     pub(crate) stream_counter: Arc<AtomicU64>,
     pub(crate) spawn_pending: Arc<RwLock<HashSet<EndpointId>>>,
-    pub(crate) blobs: BlobStore,
     pub(crate) usage: UsageMeter,
-}
-
-impl SharedStores {
-    pub(crate) fn new(shards: usize, payload_limit: usize, metrics: &MetricsRegistry) -> Self {
-        Self {
-            functions: Arc::new(ShardedMap::new(shards)),
-            endpoints: Arc::new(ShardedMap::new(shards)),
-            credentials: Arc::new(ShardedMap::new(shards)),
-            ueps: Arc::new(RwLock::new(HashMap::new())),
-            streams: Arc::new(ShardedMap::new(shards)),
-            stream_counter: Arc::new(AtomicU64::new(0)),
-            spawn_pending: Arc::new(RwLock::new(HashSet::new())),
-            blobs: BlobStore::new(payload_limit, metrics.clone()),
-            usage: UsageMeter::new(),
-        }
-    }
 }
 
 pub(super) struct CloudInner {
     pub(super) cfg: CloudConfig,
     pub(super) auth: AuthService,
     pub(super) broker: Broker,
-    pub(super) blobs: BlobStore,
     /// Content-addressed payload dedup cache. Per-replica: CAS references
     /// are only shipped by a standalone service (`fed.is_none()`) — a
     /// federation's replicas don't share this cache, so its tasks always
@@ -310,7 +277,7 @@ pub struct WebService {
 }
 
 impl WebService {
-    /// Bring up the service (auth, broker, blob store, result processors).
+    /// Bring up the service (auth, broker, payload cache, result processors).
     pub fn new(cfg: CloudConfig, auth: AuthService, broker: Broker, clock: SharedClock) -> Self {
         Self::build(cfg, auth, broker, clock, None, None, None)
     }
@@ -357,10 +324,8 @@ impl WebService {
         broker
             .declare_queue(DEAD_TASKS_QUEUE, Some("cloud-results"))
             .expect("fresh broker");
-        let shards = cfg.state_shards;
         let m = CloudMetrics::resolve(&metrics);
-        let shared =
-            shared.unwrap_or_else(|| SharedStores::new(shards, cfg.payload_limit, &metrics));
+        let shared = shared.unwrap_or_default();
         // The registry is shared with the broker (and, when the harness
         // wires it so, the endpoint engines), so installing the tracer here
         // makes one collector visible to every layer of the envelope path.
@@ -381,7 +346,6 @@ impl WebService {
             cfg,
             auth,
             broker,
-            blobs: shared.blobs.clone(),
             cas,
             usage: shared.usage.clone(),
             clock,
@@ -391,7 +355,7 @@ impl WebService {
             functions: shared.functions,
             endpoints: shared.endpoints,
             credentials: shared.credentials,
-            tasks: ShardedMap::new(shards),
+            tasks: ShardedMap::with_default_shards(),
             ueps: shared.ueps,
             streams: shared.streams,
             stream_counter: shared.stream_counter,
@@ -477,11 +441,6 @@ impl WebService {
     /// The usage meter (Fig. 2 data).
     pub fn usage(&self) -> &UsageMeter {
         &self.inner.usage
-    }
-
-    /// The blob store.
-    pub fn blobs(&self) -> &BlobStore {
-        &self.inner.blobs
     }
 
     /// The content-addressed payload dedup cache (tests/benches inspect

@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
 use gcx_core::error::GcxResult;
 use gcx_core::function::FunctionRecord;
 use gcx_core::ids::{EndpointId, FunctionId, TaskId};
@@ -11,7 +10,6 @@ use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_mq::{Consumer, Message};
 
 use super::{WebService, RESULT_QUEUE};
-use crate::blob::BlobId;
 use gcx_core::error::GcxError;
 
 /// An endpoint agent's live session with the web service.
@@ -171,11 +169,6 @@ impl EndpointSession {
             .functions
             .get_cloned(&id)
             .ok_or(GcxError::FunctionNotFound(id))
-    }
-
-    /// Fetch a blob (staged large input).
-    pub fn fetch_blob(&self, id: BlobId) -> GcxResult<Bytes> {
-        self.cloud.inner.blobs.get(id)
     }
 
     /// The queue credential (handed to respawned agents).

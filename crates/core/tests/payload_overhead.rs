@@ -9,7 +9,9 @@
 //!    formats re-encodes nothing (the codec encode counter stands still).
 //!
 //! Lives in its own integration-test binary because it swaps in a counting
-//! `#[global_allocator]`, which must not leak into other tests.
+//! `#[global_allocator]`, which must not leak into other tests — and is one
+//! `#[test]`, because the allocation and encode counters are process-wide:
+//! a sibling test running on another thread would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +47,12 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
+fn payload_plane_overhead() {
+    payload_clone_and_slice_are_allocation_free();
+    wire_roundtrip_performs_zero_reencodes();
+    ref_message_carries_no_payload_bytes();
+}
+
 fn payload_clone_and_slice_are_allocation_free() {
     let payload = Payload::encode_args(&[Value::Bytes(vec![7u8; 4096])], &Value::None);
     let allocs = allocations_in(|| {
@@ -61,7 +69,6 @@ fn payload_clone_and_slice_are_allocation_free() {
     );
 }
 
-#[test]
 fn wire_roundtrip_performs_zero_reencodes() {
     let mut spec = TaskSpec::new(FunctionId::random(), EndpointId::random());
     spec.set_args(vec![Value::Bytes(vec![3u8; 4096])], Value::None);
@@ -90,7 +97,6 @@ fn wire_roundtrip_performs_zero_reencodes() {
     );
 }
 
-#[test]
 fn ref_message_carries_no_payload_bytes() {
     let mut spec = TaskSpec::new(FunctionId::random(), EndpointId::random());
     spec.set_args(vec![Value::Bytes(vec![5u8; 256 * 1024])], Value::None);

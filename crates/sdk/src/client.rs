@@ -13,69 +13,36 @@ use gcx_cloud::{CancelOutcome, ReplicaDirectory, WebService};
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
 use gcx_core::ids::{EndpointId, FunctionId, TaskId};
-use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_core::value::Value;
 
 use crate::functions::Function;
 use crate::link::Link;
 
-/// Redirect/rotation budget per operation for federated clients: how many
-/// `NotOwner` redirects or `ReplicaUnavailable` rotations one call may
-/// follow before failing with [`GcxError::RedirectsExhausted`].
-pub const DEFAULT_MAX_REDIRECTS: u32 = 8;
-
-/// Default backoff between `ReplicaUnavailable` rotations: exponential from
-/// 2 ms capped at 100 ms, deterministic (no jitter) so federated tests
-/// replay identically.
-fn default_rotation_backoff() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: DEFAULT_MAX_REDIRECTS + 1,
-        base_ms: 2,
-        max_ms: 100,
-        jitter: 0.0,
-        seed: 0,
-    }
-}
-
-/// A polling client bound to one user token. Against a federated cloud
-/// ([`Client::federated`]) the client follows [`GcxError::NotOwner`]
-/// redirects to the task's owning replica and rotates away from dead or
-/// partitioned replicas under a capped backoff. Over the wire
-/// ([`Client::over_wire`]) the same recovery rides the framed transport:
-/// redirects arrive as typed error frames and retarget the connection.
+/// A polling client bound to one user token. Reaching the replica that owns
+/// a task — redirects, rotation away from dead replicas, the union of a
+/// batch poll across ownership shards — is the [`Link`]'s job, in-process
+/// ([`Client::federated`]) and over the wire ([`Client::over_wire`]) alike.
 pub struct Client {
     link: Link,
     token: Token,
-    directory: Option<ReplicaDirectory>,
-    max_redirects: u32,
-    rotation_backoff: RetryPolicy,
 }
 
 impl Client {
     /// Create a client against a standalone service.
     pub fn new(cloud: WebService, token: Token) -> Self {
         Self {
-            link: Link::Local(cloud),
+            link: Link::local(cloud),
             token,
-            directory: None,
-            max_redirects: DEFAULT_MAX_REDIRECTS,
-            rotation_backoff: default_rotation_backoff(),
         }
     }
 
     /// Create a client against a federation, bootstrapping from any live
     /// replica in `directory`.
     pub fn federated(directory: ReplicaDirectory, token: Token) -> GcxResult<Self> {
-        let cloud = directory
-            .any_live()
-            .ok_or_else(|| GcxError::Transient("no live replica in the federation".into()))?;
         Ok(Self {
-            link: Link::Local(cloud),
+            link: Link::federated(directory)?,
             token,
-            directory: Some(directory),
-            max_redirects: DEFAULT_MAX_REDIRECTS,
-            rotation_backoff: default_rotation_backoff(),
         })
     }
 
@@ -89,22 +56,7 @@ impl Client {
         Ok(Self {
             link: Link::connect(addrs, token, cfg)?,
             token: Token(token.to_string()),
-            directory: None,
-            max_redirects: DEFAULT_MAX_REDIRECTS,
-            rotation_backoff: default_rotation_backoff(),
         })
-    }
-
-    /// Override the per-operation redirect/rotation budget.
-    pub fn with_max_redirects(mut self, max_redirects: u32) -> Self {
-        self.max_redirects = max_redirects;
-        self
-    }
-
-    /// Override the backoff schedule used between replica rotations.
-    pub fn with_rotation_backoff(mut self, policy: RetryPolicy) -> Self {
-        self.rotation_backoff = policy;
-        self
     }
 
     /// The underlying link (local handle or wire connection).
@@ -122,64 +74,14 @@ impl Client {
         self.link.close();
     }
 
-    /// Run `op` against the right replica: start at the bootstrap handle,
-    /// follow `NotOwner` redirects to the owner, and rotate (with capped
-    /// exponential backoff) away from replicas that answer
-    /// `ReplicaUnavailable`. At most [`Self::max_redirects`] hops; the
-    /// budget exhausting fails with [`GcxError::RedirectsExhausted`].
-    /// Wire links run the same loop inside [`crate::link::WireLink::call`],
-    /// so here they get a single direct call.
-    fn with_replica<T>(&self, op: impl Fn(&Link) -> GcxResult<T>) -> GcxResult<T> {
-        let (Link::Local(cloud), Some(dir)) = (&self.link, &self.directory) else {
-            return op(&self.link);
-        };
-        let mut svc = cloud.clone();
-        let mut redirects = 0u32;
-        loop {
-            let err = match op(&Link::Local(svc.clone())) {
-                Err(e @ (GcxError::NotOwner { .. } | GcxError::ReplicaUnavailable(_))) => e,
-                other => return other,
-            };
-            redirects += 1;
-            if redirects > self.max_redirects {
-                return Err(GcxError::RedirectsExhausted {
-                    redirects: redirects - 1,
-                    last: err.to_string(),
-                });
-            }
-            match err {
-                GcxError::NotOwner { owner } => {
-                    // The owner may itself be gone; the next round trips
-                    // over ReplicaUnavailable and rotates.
-                    match dir.get(owner) {
-                        Some(next) => svc = next,
-                        None => return Err(GcxError::ReplicaUnavailable(owner)),
-                    }
-                }
-                GcxError::ReplicaUnavailable(r) => {
-                    // Capped exponential backoff: gives a partitioned
-                    // federation a beat to elect new owners.
-                    std::thread::sleep(self.rotation_backoff.backoff(redirects));
-                    if let Some(next) = dir.next_live_after(r) {
-                        svc = next;
-                    }
-                    // No live replica right now: retry the same handle
-                    // under the remaining budget.
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
     /// Register a function, returning its immutable id.
     pub fn register_function(&self, function: &dyn Function) -> GcxResult<FunctionId> {
-        let body = function.body();
-        self.with_replica(|link| link.register_function(&self.token, body.clone()))
+        self.register_body(function.body())
     }
 
     /// Register a raw body.
     pub fn register_body(&self, body: FunctionBody) -> GcxResult<FunctionId> {
-        self.with_replica(|link| link.register_function(&self.token, body.clone()))
+        self.link.register_function(&self.token, body)
     }
 
     /// Submit one task (one REST request).
@@ -197,65 +99,20 @@ impl Client {
 
     /// Submit a task with full control over the spec.
     pub fn run_spec(&self, spec: TaskSpec) -> GcxResult<TaskId> {
-        self.with_replica(|link| link.submit_task(&self.token, spec.clone()))
+        self.link.submit_task(&self.token, spec)
     }
 
-    /// One status poll (one REST request), following ownership redirects.
+    /// One status poll (one REST request).
     pub fn task_status(&self, task: TaskId) -> GcxResult<(TaskState, Option<TaskResult>)> {
-        self.with_replica(|link| link.task_status(&self.token, task))
+        self.link.task_status(&self.token, task)
     }
 
-    /// Cancel a task (best effort), following ownership redirects. Returns
-    /// what actually happened: cancelling a task that already finished is a
-    /// typed no-op ([`CancelOutcome::AlreadyTerminal`]), not an error, and
-    /// the landed result is left intact.
+    /// Cancel a task (best effort). Returns what actually happened:
+    /// cancelling a task that already finished is a typed no-op
+    /// ([`CancelOutcome::AlreadyTerminal`]), not an error, and the landed
+    /// result is left intact.
     pub fn cancel(&self, task: TaskId) -> GcxResult<CancelOutcome> {
-        self.with_replica(|link| link.cancel_task(&self.token, task))
-    }
-
-    /// One batch status poll. Federated clouds shard the task store by
-    /// ownership, and a batch poll silently skips tasks the queried replica
-    /// does not own — so a federated client unions the answers from every
-    /// live replica.
-    fn batch_status(
-        &self,
-        ids: &[TaskId],
-    ) -> GcxResult<Vec<(TaskId, TaskState, Option<TaskResult>)>> {
-        let Some(dir) = &self.directory else {
-            let mut out = self.link.task_status_batch(&self.token, ids)?;
-            // A wire link to a federation only answers for the connected
-            // replica's shard; union per task via redirect-following polls.
-            if matches!(self.link, Link::Wire(_)) && out.len() < ids.len() {
-                let answered: std::collections::HashSet<TaskId> =
-                    out.iter().map(|(id, _, _)| *id).collect();
-                for id in ids.iter().filter(|id| !answered.contains(id)) {
-                    if let Ok((state, result)) = self.link.task_status(&self.token, *id) {
-                        out.push((*id, state, result));
-                    }
-                }
-            }
-            return Ok(out);
-        };
-        let mut out = Vec::new();
-        let mut last_err = None;
-        for r in dir.live() {
-            let Some(svc) = dir.get(r) else { continue };
-            match svc.task_status_batch(&self.token, ids) {
-                Ok(part) => out.extend(part),
-                // A replica dying between live() and the call is routine
-                // under chaos; its tasks surface from whoever adopts them.
-                Err(e @ (GcxError::ReplicaUnavailable(_) | GcxError::NotOwner { .. })) => {
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if out.is_empty() {
-            if let Some(e) = last_err {
-                return Err(e);
-            }
-        }
-        Ok(out)
+        self.link.cancel_task(&self.token, task)
     }
 
     /// Poll a whole batch of tasks in one REST request until all complete,
@@ -275,7 +132,7 @@ impl Client {
                 .filter(|t| !done.contains_key(t))
                 .copied()
                 .collect();
-            for (id, state, result) in self.batch_status(&remaining)? {
+            for (id, state, result) in self.link.task_status_batch(&self.token, &remaining)? {
                 if state.is_terminal() {
                     let outcome = result
                         .ok_or_else(|| GcxError::Internal("terminal task without result".into()))
@@ -409,94 +266,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, GcxError::Timeout(_)));
         svc.shutdown();
-    }
-}
-
-#[cfg(test)]
-mod federated_tests {
-    use super::*;
-    use crate::functions::PyFunction;
-    use gcx_auth::AuthPolicy;
-    use gcx_cloud::Federation;
-    use gcx_core::clock::SystemClock;
-    use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
-
-    #[test]
-    fn federated_client_follows_ownership_redirects() {
-        let fed = Federation::new(2, SystemClock::shared());
-        let dir = fed.directory();
-        let r0 = dir.get(0).unwrap();
-        let (_, token) = fed.auth().login("fed@site.org").unwrap();
-        let reg = r0
-            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
-            .unwrap();
-        let config = EndpointConfig::from_yaml(
-            "engine:\n  type: GlobusComputeEngine\n  workers_per_node: 4\n",
-        )
-        .unwrap();
-        let agent = EndpointAgent::start(
-            &r0,
-            reg.endpoint_id,
-            &reg.queue_credential,
-            &config,
-            AgentEnv::local(SystemClock::shared()),
-        )
-        .unwrap();
-
-        // The client bootstraps from replica 0 but task ownership is spread
-        // across the ring: roughly half of these polls answer NotOwner and
-        // the client must follow the redirect.
-        let client = Client::federated(dir.clone(), token).unwrap();
-        let fid = client
-            .register_function(&PyFunction::new("def f(x):\n    return x * 2\n"))
-            .unwrap();
-        let ids: Vec<TaskId> = (0..16)
-            .map(|i| {
-                client
-                    .run(fid, reg.endpoint_id, vec![Value::Int(i)], Value::None)
-                    .unwrap()
-            })
-            .collect();
-        for (i, id) in ids.iter().enumerate() {
-            let v = client
-                .get_result(*id, Duration::from_millis(5), Duration::from_secs(15))
-                .unwrap();
-            assert_eq!(v, Value::Int(i as i64 * 2));
-        }
-        // Both replicas own some of 16 random task ids (P(all on one) ≈
-        // 2^-15), so the redirect path demonstrably ran: asking the wrong
-        // replica directly is an error, yet the client resolved every task.
-        let owners: std::collections::HashSet<u32> = ids
-            .iter()
-            .map(|t| fed.owner_of(t.uuid()).unwrap())
-            .collect();
-        assert_eq!(owners.len(), 2, "tasks spread across both replicas");
-        // Batch polling must union across replicas: one replica alone only
-        // knows its own shard.
-        let results = client
-            .get_batch_results(&ids, Duration::from_millis(5), Duration::from_secs(15))
-            .unwrap();
-        for (i, r) in results.into_iter().enumerate() {
-            assert_eq!(r.unwrap(), Value::Int(i as i64 * 2));
-        }
-        agent.stop();
-        fed.shutdown();
-    }
-
-    #[test]
-    fn dead_federation_yields_typed_redirects_exhausted() {
-        let fed = Federation::new(2, SystemClock::shared());
-        let dir = fed.directory();
-        let (_, token) = fed.auth().login("fed@site.org").unwrap();
-        let client = Client::federated(dir, token).unwrap().with_max_redirects(3);
-        fed.kill(0);
-        fed.kill(1);
-        let err = client.task_status(TaskId::random()).unwrap_err();
-        assert!(
-            matches!(err, GcxError::RedirectsExhausted { redirects: 3, .. }),
-            "expected RedirectsExhausted after the rotation budget, got {err:?}"
-        );
-        fed.shutdown();
     }
 }
 

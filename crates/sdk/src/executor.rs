@@ -42,9 +42,8 @@ use gcx_core::respec::ResourceSpec;
 use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec};
 use gcx_core::value::Value;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::client::DEFAULT_MAX_REDIRECTS;
 use crate::functions::Function;
 use crate::future::TaskFuture;
 use crate::link::{Link, ResultFeed};
@@ -60,9 +59,6 @@ pub struct ExecutorConfig {
     /// of tasks that fail with retryable errors, and reconnection of the
     /// result stream after a broker failure.
     pub retry: RetryPolicy,
-    /// Federated only: how many replica rotations one recovery episode may
-    /// make before failing with [`GcxError::RedirectsExhausted`].
-    pub max_redirects: u32,
 }
 
 impl Default for ExecutorConfig {
@@ -71,7 +67,6 @@ impl Default for ExecutorConfig {
             batch_window: Duration::from_millis(20),
             max_batch: 128,
             retry: RetryPolicy::default(),
-            max_redirects: DEFAULT_MAX_REDIRECTS,
         }
     }
 }
@@ -94,16 +89,9 @@ struct Inflight {
 }
 
 struct ExecutorShared {
-    /// The link the executor currently talks through — an in-process
-    /// service handle or a wire connection. Standalone executors never swap
-    /// it; local-federated ones rotate it away from a dead or partitioned
-    /// replica via [`ExecutorShared::rotate_replica`] (wire links rotate
-    /// internally).
-    link: RwLock<Link>,
-    /// Replica discovery when the cloud is federated.
-    directory: Option<ReplicaDirectory>,
-    /// Rotation cap per recovery episode (see [`ExecutorConfig`]).
-    max_redirects: u32,
+    /// How the executor reaches the service; the link itself follows
+    /// redirects and rotates away from dead replicas.
+    link: Link,
     token: Token,
     /// Futures awaiting results, keyed by the task id of the *latest*
     /// submission attempt.
@@ -119,39 +107,12 @@ struct ExecutorShared {
     /// Hot-path counters, resolved once at construction.
     tasks_resubmitted: Arc<Counter>,
     stream_reconnects: Arc<Counter>,
-    replica_rotations: Arc<Counter>,
     /// Retries whose backoff was stretched by a server `retry_after_ms`
     /// hint (admission-control rejections and queue-full backpressure).
     overload_backoffs: Arc<Counter>,
     /// The service's tracer (shared via the metrics registry); disabled
     /// tracers make every span call a no-op.
     tracer: gcx_core::trace::Tracer,
-}
-
-impl ExecutorShared {
-    /// The current link (cheap: an `Arc` clone either way).
-    fn link(&self) -> Link {
-        self.link.read().clone()
-    }
-
-    /// Replica `from` stopped answering: swap the handle to the next live
-    /// replica after it, ring order. Returns `false` when not federated or
-    /// when no replica is live right now (the caller keeps retrying the old
-    /// handle under its remaining budget). Wire links rotate internally and
-    /// never reach here.
-    fn rotate_replica(&self, from: u32) -> bool {
-        let Some(dir) = &self.directory else {
-            return false;
-        };
-        match dir.next_live_after(from) {
-            Some(next) => {
-                *self.link.write() = Link::Local(next);
-                self.replica_rotations.inc();
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// How long [`Executor::close`] waits for results of already-flushed tasks
@@ -180,19 +141,15 @@ impl Executor {
     }
 
     /// Create an executor against a federation, bootstrapping from any live
-    /// replica in `directory`. The executor rotates its replica (up to
-    /// [`ExecutorConfig::max_redirects`] hops per recovery episode) when the
-    /// one it talks to dies or partitions.
+    /// replica in `directory`; its link moves on when the replica it talks
+    /// to dies or partitions.
     pub fn federated(
         directory: ReplicaDirectory,
         token: Token,
         endpoint_id: EndpointId,
         cfg: ExecutorConfig,
     ) -> GcxResult<Self> {
-        let cloud = directory
-            .any_live()
-            .ok_or_else(|| GcxError::Transient("no live replica in the federation".into()))?;
-        Self::build(Link::Local(cloud), token, endpoint_id, cfg, Some(directory))
+        Self::build(Link::federated(directory)?, token, endpoint_id, cfg)
     }
 
     /// Create an executor with explicit batching configuration.
@@ -202,15 +159,13 @@ impl Executor {
         endpoint_id: EndpointId,
         cfg: ExecutorConfig,
     ) -> GcxResult<Self> {
-        Self::build(Link::Local(cloud), token, endpoint_id, cfg, None)
+        Self::build(Link::local(cloud), token, endpoint_id, cfg)
     }
 
     /// Create an executor over the wire: real framed transport to one or
     /// more wire-server addresses (`addrs[i]` = replica `i`'s listener).
     /// The result stream arrives as server-push frames; connection loss is
-    /// recovered by reconnect + resubscribe under [`ExecutorConfig::retry`],
-    /// and `NotOwner` redirects retarget the connection to the owning
-    /// replica's address.
+    /// recovered by reconnect + resubscribe under [`ExecutorConfig::retry`].
     pub fn over_wire(
         addrs: Vec<String>,
         token: &str,
@@ -219,7 +174,7 @@ impl Executor {
         wire_cfg: gcx_cloud::WireClientConfig,
     ) -> GcxResult<Self> {
         let link = Link::connect(addrs, token, wire_cfg)?;
-        Self::build(link, Token(token.to_string()), endpoint_id, cfg, None)
+        Self::build(link, Token(token.to_string()), endpoint_id, cfg)
     }
 
     fn build(
@@ -227,20 +182,16 @@ impl Executor {
         token: Token,
         endpoint_id: EndpointId,
         cfg: ExecutorConfig,
-        directory: Option<ReplicaDirectory>,
     ) -> GcxResult<Self> {
         // Open the result feed up front; failures surface now.
         let stream = link.open_stream(&token)?;
         let registry = link.metrics();
         let tasks_resubmitted = registry.counter("sdk.tasks_resubmitted");
         let stream_reconnects = registry.counter("sdk.stream_reconnects");
-        let replica_rotations = registry.counter("sdk.replica_rotations");
         let overload_backoffs = registry.counter("sdk.overload_backoffs");
         let tracer = registry.tracer();
         let shared = Arc::new(ExecutorShared {
-            link: RwLock::new(link),
-            directory,
-            max_redirects: cfg.max_redirects,
+            link,
             token,
             inflight: Mutex::new(HashMap::new()),
             pending: Mutex::new(Vec::new()),
@@ -249,7 +200,6 @@ impl Executor {
             shutdown: AtomicBool::new(false),
             tasks_resubmitted,
             stream_reconnects,
-            replica_rotations,
             overload_backoffs,
             tracer,
         });
@@ -355,7 +305,7 @@ impl Executor {
         }
         let id = self
             .shared
-            .link()
+            .link
             .register_function(&self.shared.token, body)?;
         self.shared.registered.lock().insert(hash, id);
         Ok(id)
@@ -370,14 +320,14 @@ impl Executor {
     /// service's registry for a local link, the link's own for a wire
     /// client (a separate OS process has no service registry to share).
     pub fn metrics(&self) -> gcx_core::metrics::MetricsRegistry {
-        self.shared.link().metrics()
+        self.shared.link.metrics()
     }
 
     /// The connected service's SLO health document — assembled in-process
     /// for a local link, fetched with a `Health` wire frame otherwise.
     /// `Ok(None)` means the wire peer predates the health capability.
     pub fn health(&self) -> GcxResult<Option<gcx_core::health::HealthDoc>> {
-        self.shared.link().health()
+        self.shared.link.health()
     }
 
     /// Cancel a submitted task (best effort, like `Future.cancel()`): the
@@ -389,17 +339,7 @@ impl Executor {
             return Ok(false);
         }
         let task_id = future.task_id();
-        let first = self.shared.link().cancel_task(&self.shared.token, task_id);
-        // Federated: the task record lives on its ring owner; follow one
-        // NotOwner redirect there.
-        let outcome = match (first, self.shared.directory.as_ref()) {
-            (Err(GcxError::NotOwner { owner }), Some(dir)) => match dir.get(owner) {
-                Some(next) => next.cancel_task(&self.shared.token, task_id),
-                None => Err(GcxError::ReplicaUnavailable(owner)),
-            },
-            (r, _) => r,
-        };
-        match outcome {
+        match self.shared.link.cancel_task(&self.shared.token, task_id) {
             Ok(CancelOutcome::Cancelled) => {
                 self.shared.inflight.lock().remove(&task_id);
                 future.resolve(Err(GcxError::Cancelled(task_id)));
@@ -440,7 +380,7 @@ impl Executor {
             let _ = h.join();
         }
         // Wire links say Goodbye and drop the connection; local is a no-op.
-        self.shared.link().close();
+        self.shared.link.close();
     }
 }
 
@@ -487,7 +427,7 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
         };
         if !flush.is_empty() {
             let specs: Vec<TaskSpec> = flush.iter().map(|p| p.spec.clone()).collect();
-            match shared.link().submit_batch(&shared.token, &specs) {
+            match shared.link.submit_batch(&shared.token, &specs) {
                 Ok(_) => {
                     if shared.tracer.enabled() {
                         // Submit leg: submit() call → batch accepted by the
@@ -504,13 +444,6 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
                     }
                 }
                 Err(e) => {
-                    // A dead or partitioned replica rejected the batch:
-                    // rotate the handle now, so the resubmissions
-                    // (ReplicaUnavailable is retryable) flush to a live
-                    // replica after their backoff.
-                    if let GcxError::ReplicaUnavailable(r) = &e {
-                        shared.rotate_replica(*r);
-                    }
                     // The whole batch was rejected: fail (or, for retryable
                     // rejections, resubmit) each task.
                     for p in &flush {
@@ -565,18 +498,18 @@ fn stream_loop(shared: &ExecutorShared, retry: &RetryPolicy, mut stream: ResultF
 }
 
 /// The result feed broke (broker restart, queue deleted, replica death, or
-/// a severed wire connection). Reopen it under the retry policy's backoff,
-/// then catch up on any results that were published while we were
-/// disconnected with one batched status call. Against a local federation, a
-/// `ReplicaUnavailable` answer rotates the executor to the next live
-/// replica; wire links reconnect and rotate internally. Rotations are
-/// capped at `max_redirects` per episode, after which every inflight future
-/// fails with [`GcxError::RedirectsExhausted`]. Returns `None` once a
-/// budget is exhausted (all inflight futures are failed first) or at
-/// shutdown.
+/// a severed wire connection). Reopen it under the retry policy's backoff
+/// (the link moves to a live replica on its own), then catch up on any
+/// results that were published while we were disconnected with one batched
+/// status call. Returns `None` once the budget is exhausted (all inflight
+/// futures are failed first) or at shutdown.
+///
+/// Kept out of line: inlined into `stream_loop` it cost `svc_inmem` 1.5% of
+/// its tasks/s (EXPERIMENTS.md, PR 13).
+#[cold]
+#[inline(never)]
 fn reconnect_stream(shared: &ExecutorShared, retry: &RetryPolicy) -> Option<ResultFeed> {
     let mut attempt = 0u32;
-    let mut rotations = 0u32;
     loop {
         attempt += 1;
         if !retry.allows(attempt) {
@@ -594,74 +527,26 @@ fn reconnect_stream(shared: &ExecutorShared, retry: &RetryPolicy) -> Option<Resu
         if shared.shutdown.load(Ordering::SeqCst) && shared.inflight.lock().is_empty() {
             return None;
         }
-        match shared.link().open_stream(&shared.token) {
-            Ok(stream) => {
-                shared.stream_reconnects.inc();
-                catch_up(shared, retry);
-                return Some(stream);
-            }
-            Err(GcxError::ReplicaUnavailable(r)) if shared.directory.is_some() => {
-                rotations += 1;
-                if rotations > shared.max_redirects {
-                    let err = GcxError::RedirectsExhausted {
-                        redirects: rotations - 1,
-                        last: format!("replica {r} is unavailable"),
-                    };
-                    let mut inflight = shared.inflight.lock();
-                    for (_, inf) in inflight.drain() {
-                        inf.future.resolve(Err(err.clone()));
-                    }
-                    return None;
-                }
-                // A rotation does not consume the reconnect budget: the next
-                // iteration retries against the new replica.
-                shared.rotate_replica(r);
-                attempt = attempt.saturating_sub(1);
-            }
-            Err(_) => continue,
+        if let Ok(stream) = shared.link.open_stream(&shared.token) {
+            shared.stream_reconnects.inc();
+            catch_up(shared, retry);
+            return Some(stream);
         }
     }
 }
 
 /// After a reconnect, resolve (or resubmit) every inflight task that reached
 /// a terminal state while the stream was down — its result went to the dead
-/// queue and will never be streamed again. Federated clouds shard the task
-/// store by ownership and a non-owner skips tasks it does not hold, so the
-/// catch-up unions the answers from every live replica.
+/// queue and will never be streamed again.
 fn catch_up(shared: &ExecutorShared, retry: &RetryPolicy) {
     let ids: Vec<TaskId> = shared.inflight.lock().keys().copied().collect();
     if ids.is_empty() {
         return;
     }
-    let mut statuses = Vec::new();
-    match &shared.directory {
-        None => {
-            let link = shared.link();
-            if let Ok(part) = link.task_status_batch(&shared.token, &ids) {
-                statuses = part;
-            }
-            // A wire link to a federation only answers for the connected
-            // replica's shard; fill the gaps per task — single status calls
-            // follow `NotOwner` redirects to the owner.
-            if matches!(link, Link::Wire(_)) && statuses.len() < ids.len() {
-                let answered: std::collections::HashSet<TaskId> =
-                    statuses.iter().map(|(id, _, _)| *id).collect();
-                for id in ids.iter().filter(|id| !answered.contains(id)) {
-                    if let Ok((state, result)) = link.task_status(&shared.token, *id) {
-                        statuses.push((*id, state, result));
-                    }
-                }
-            }
-        }
-        Some(dir) => {
-            for r in dir.live() {
-                let Some(svc) = dir.get(r) else { continue };
-                if let Ok(part) = svc.task_status_batch(&shared.token, &ids) {
-                    statuses.extend(part);
-                }
-            }
-        }
-    }
+    let statuses = shared
+        .link
+        .task_status_batch(&shared.token, &ids)
+        .unwrap_or_default();
     for (task_id, state, result) in statuses {
         if state.is_terminal() {
             if let Some(result) = result {
@@ -1025,7 +910,6 @@ mod tests {
             token.clone(),
             reg.endpoint_id,
             ExecutorConfig::default(),
-            None,
         )
         .unwrap();
 
@@ -1279,6 +1163,78 @@ mod tests {
         );
         ex.close();
         agent.stop();
+        fed.shutdown();
+    }
+
+    /// A cancel whose `NotOwner` redirect names a replica that has just
+    /// died keeps following until the survivor has adopted the task. (The
+    /// executor used to follow exactly one hop and surface
+    /// `ReplicaUnavailable`.)
+    #[test]
+    fn federated_cancel_outlives_a_dead_owner() {
+        // A virtual clock: the handover happens exactly when this test says.
+        let vclock = gcx_core::clock::VirtualClock::new();
+        let fed = gcx_cloud::Federation::new(2, vclock.clone());
+        let dir = fed.directory();
+        let (_, token) = fed.auth().login("fed@site.org").unwrap();
+        // Nobody serves the endpoint: submitted tasks stay cancellable.
+        let ep = dir
+            .get(0)
+            .unwrap()
+            .register_endpoint(&token, "idle", false, AuthPolicy::open(), None)
+            .unwrap()
+            .endpoint_id;
+        // Bootstraps on replica 0; find a task replica 1 owns and wait for
+        // the forwarded submit to land there.
+        let ex =
+            Executor::federated(dir.clone(), token.clone(), ep, ExecutorConfig::default()).unwrap();
+        let f = PyFunction::new("def f():\n    return 1\n");
+        let mut others = Vec::new();
+        let fut = loop {
+            let fut = ex.submit(&f, vec![], Value::None).unwrap();
+            if fed.owner_of(fut.task_id().uuid()) == Some(1) {
+                break fut;
+            }
+            others.push(fut);
+        };
+        let r1 = dir.get(1).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while r1.task_status(&token, fut.task_id()).is_err() {
+            assert!(Instant::now() < deadline, "task never reached its owner");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+
+        fed.kill(1);
+        let requests = fed.metrics().counter("api.requests");
+        let before = requests.get();
+        let returned = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Hand replica 1's tasks over only once replica 0 has
+                // answered the cancel with `NotOwner { 1 }` three times:
+                // the cancel's next hop is a 64 ms backoff on the dead
+                // owner, so the handover is long finished when it asks
+                // replica 0 again (mid-handover the new owner would answer
+                // `TaskNotFound`).
+                while requests.get() < before + 3 {
+                    if returned.load(Ordering::SeqCst) {
+                        return; // gave up before the third hop
+                    }
+                    std::thread::yield_now();
+                }
+                vclock.advance(31_000);
+                fed.heartbeat_all();
+                assert_eq!(fed.check_replicas(), 1, "replica 1 declared dead");
+            });
+            let outcome = ex.cancel(&fut);
+            returned.store(true, Ordering::SeqCst);
+            assert!(outcome.unwrap(), "the survivor adopted and cancelled it");
+        });
+        // Nothing left in flight for close() to wait out.
+        for other in &others {
+            assert!(ex.cancel(other).unwrap());
+        }
+        ex.close();
         fed.shutdown();
     }
 

@@ -1,20 +1,21 @@
-//! `Link` — the SDK's view of the service boundary.
+//! `Link` — the SDK's view of the service boundary, and the one place that
+//! knows how a request reaches the right replica.
 //!
-//! Historically every SDK object held an `Arc` straight into the
-//! [`WebService`]; "talking to the cloud" was a method call. The wire layer
-//! makes the boundary real, and `Link` is the seam that lets both worlds
-//! coexist:
-//!
-//! - [`Link::Local`] wraps the in-process service handle. Single-process
-//!   tests, benches, and the federated recovery machinery (which rotates
-//!   between replica *handles*) run exactly as before.
+//! - [`Link::Local`] calls the in-process service handle. Against a
+//!   federation it also holds the [`ReplicaDirectory`] of handles it may
+//!   move to.
 //! - [`Link::Wire`] speaks the framed protocol over a
 //!   [`Transport`](gcx_core::wire::Transport) — localhost TCP for real
-//!   OS-process clients, in-memory pipes for tests. Connection loss
-//!   surfaces as retryable errors; [`WireLink`] reconnects under a backoff
-//!   policy, follows typed [`GcxError::NotOwner`] redirects to the owning
-//!   replica's address, and rotates to the next address when a replica
-//!   stops answering.
+//!   OS-process clients, in-memory pipes for tests — and holds the replica
+//!   address list it may redial.
+//!
+//! Every operation on either arm runs under one follow loop: a typed
+//! [`GcxError::NotOwner`] redirect retargets the link to the owning replica,
+//! a replica that stops answering (`ReplicaUnavailable`, or a lost wire
+//! connection) is retried and then rotated away from under a capped
+//! backoff, and a spent budget fails typed with
+//! [`GcxError::RedirectsExhausted`]. `Client` and `Executor` call the link
+//! and never see a directory, an address list, or which arm they are on.
 //!
 //! Result delivery is unified by [`ResultFeed`]: a broker consumer on the
 //! local path, a server-push [`WireStream`] on the wire path, one `next()`
@@ -25,7 +26,8 @@ use std::time::Duration;
 
 use gcx_auth::Token;
 use gcx_cloud::{
-    CancelOutcome, ResultStream, WebService, WireClient, WireClientConfig, WireStream,
+    CancelOutcome, ReplicaDirectory, ResultStream, WebService, WireClient, WireClientConfig,
+    WireStream,
 };
 use gcx_core::clock::SystemClock;
 use gcx_core::error::{GcxError, GcxResult};
@@ -36,11 +38,22 @@ use gcx_core::metrics::MetricsRegistry;
 use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_core::trace::{TraceConfig, Tracer};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-/// Redirect/rotation budget per wire operation, mirroring the local
-/// federated client's budget.
-pub const DEFAULT_WIRE_REDIRECTS: u32 = 8;
+/// How many redirects and rotations one operation may follow before it
+/// fails with [`GcxError::RedirectsExhausted`].
+const REDIRECT_BUDGET: u32 = 8;
+
+/// Wait before hop `n` leaves a replica that stopped answering: exponential
+/// from 2 ms capped at 100 ms (the whole budget is under half a second),
+/// no jitter, so federated tests replay identically.
+const ROTATION_BACKOFF: RetryPolicy = RetryPolicy {
+    max_attempts: REDIRECT_BUDGET + 1,
+    base_ms: 2,
+    max_ms: 100,
+    jitter: 0.0,
+    seed: 0,
+};
 
 /// The client-process-local registry a wire link runs on. A separate OS
 /// process has no service registry to share, so the link brings its own —
@@ -53,38 +66,169 @@ fn wire_registry() -> MetricsRegistry {
     registry
 }
 
-fn default_wire_backoff() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: DEFAULT_WIRE_REDIRECTS + 1,
-        base_ms: 2,
-        max_ms: 100,
-        jitter: 0.0,
-        seed: 0,
-    }
-}
-
 /// How the SDK reaches the service: an in-process handle or a wire
-/// connection. Cheap to clone (both arms are `Arc`s underneath).
+/// connection. Cheap to clone (both arms are `Arc`s).
 #[derive(Clone)]
 pub enum Link {
     /// Direct in-process calls into the service.
-    Local(WebService),
+    Local(Arc<LocalLink>),
     /// Framed transport to a wire server (TCP or in-memory).
     Wire(Arc<WireLink>),
 }
 
+/// An in-process service handle plus the replica handles it may move to.
+pub struct LocalLink {
+    current: RwLock<WebService>,
+    /// `None` for a standalone service: nowhere to go, errors surface as-is.
+    directory: Option<ReplicaDirectory>,
+}
+
+impl LocalLink {
+    /// Swap the handle, if there is somewhere to go.
+    fn move_to(&self, next: Option<WebService>) -> bool {
+        next.map(|svc| *self.current.write() = svc).is_some()
+    }
+}
+
+/// Where one attempt of an operation goes: a snapshot of the link's current
+/// replica.
+enum Target {
+    Local(WebService),
+    Wire(WireClient),
+}
+
+impl Target {
+    fn submit_batch(&self, token: &Token, specs: &[TaskSpec]) -> GcxResult<Vec<TaskId>> {
+        match self {
+            Target::Local(svc) => svc.submit_batch(token, specs.to_vec()),
+            Target::Wire(c) => c.submit_batch(specs),
+        }
+    }
+}
+
 impl Link {
+    /// A link to a standalone in-process service.
+    pub(crate) fn local(cloud: WebService) -> Self {
+        Link::Local(Arc::new(LocalLink {
+            current: RwLock::new(cloud),
+            directory: None,
+        }))
+    }
+
+    /// A link to an in-process federation, starting at any live replica.
+    pub(crate) fn federated(directory: ReplicaDirectory) -> GcxResult<Self> {
+        let cloud = directory
+            .any_live()
+            .ok_or_else(|| GcxError::Transient("no live replica in the federation".into()))?;
+        Ok(Link::Local(Arc::new(LocalLink {
+            current: RwLock::new(cloud),
+            directory: Some(directory),
+        })))
+    }
+
     /// Dial a wire server (or the first reachable of several federated
     /// replica addresses, index = replica id).
     pub fn connect(addrs: Vec<String>, token: &str, cfg: WireClientConfig) -> GcxResult<Self> {
         Ok(Link::Wire(WireLink::connect(addrs, token, cfg)?))
     }
 
+    /// The replica handles an in-process federated link may move between.
+    fn directory(&self) -> Option<&ReplicaDirectory> {
+        match self {
+            Link::Local(l) => l.directory.as_ref(),
+            Link::Wire(_) => None,
+        }
+    }
+
+    fn target(&self) -> Target {
+        match self {
+            Link::Local(l) => Target::Local(l.current.read().clone()),
+            Link::Wire(w) => Target::Wire(w.client()),
+        }
+    }
+
+    /// Whether `err` means "ask another replica" on this link. A lost wire
+    /// connection surfaces as `Transient`; in-process there is no
+    /// connection to lose. A link with nowhere to go (standalone service,
+    /// in-memory wire link) follows nothing.
+    fn follows(&self, err: &GcxError) -> bool {
+        let elsewhere = matches!(
+            err,
+            GcxError::NotOwner { .. } | GcxError::ReplicaUnavailable(_)
+        );
+        match self {
+            Link::Local(l) => elsewhere && l.directory.is_some(),
+            Link::Wire(w) => {
+                (elsewhere || matches!(err, GcxError::Transient(_))) && !w.addrs.is_empty()
+            }
+        }
+    }
+
+    /// Point the link at replica `owner`, as a `NotOwner` redirect asks.
+    fn retarget(&self, owner: u32) -> bool {
+        match self {
+            Link::Local(l) => l.move_to(self.directory().and_then(|dir| dir.get(owner))),
+            Link::Wire(w) => w.redial(owner as usize).is_ok(),
+        }
+    }
+
+    /// Replica `failed` (the current one on the wire arm) stopped
+    /// answering: move to the next live replica in ring order. Nothing
+    /// live right now keeps the old target, to be retried under the
+    /// caller's remaining budget.
+    fn rotate(&self, failed: Option<u32>) {
+        let moved = match self {
+            Link::Local(l) => l.move_to(
+                self.directory()
+                    .zip(failed)
+                    .and_then(|(dir, r)| dir.next_live_after(r)),
+            ),
+            // A lost connection to a replica that is still up just redials.
+            Link::Wire(w) => {
+                let current = w.conn.read().0;
+                w.redial(current).is_err() && w.rotate()
+            }
+        };
+        if moved {
+            self.metrics().counter("sdk.replica_rotations").inc();
+        }
+    }
+
+    /// Run `op` against the right replica: follow `NotOwner` redirects to
+    /// the owner, back off and rotate away from a replica that stopped
+    /// answering — at most [`REDIRECT_BUDGET`] hops, then
+    /// [`GcxError::RedirectsExhausted`].
+    fn follow<T>(&self, op: impl Fn(&Target) -> GcxResult<T>) -> GcxResult<T> {
+        let mut hops = 0u32;
+        loop {
+            let err = match op(&self.target()) {
+                Err(e) if self.follows(&e) => e,
+                other => return other,
+            };
+            hops += 1;
+            if hops > REDIRECT_BUDGET {
+                return Err(GcxError::RedirectsExhausted {
+                    redirects: REDIRECT_BUDGET,
+                    last: err.to_string(),
+                });
+            }
+            let failed = match err {
+                GcxError::NotOwner { owner } if self.retarget(owner) => continue,
+                // The owner itself is gone: whoever adopts its tasks will
+                // answer once the federation has handed them over.
+                GcxError::NotOwner { owner: r } | GcxError::ReplicaUnavailable(r) => Some(r),
+                _ => None,
+            };
+            std::thread::sleep(ROTATION_BACKOFF.backoff(hops));
+            self.rotate(failed);
+        }
+    }
+
     /// The metrics registry SDK-side counters should live on: the service's
     /// own registry in-process, a client-local registry over the wire.
     pub fn metrics(&self) -> MetricsRegistry {
         match self {
-            Link::Local(svc) => svc.metrics().clone(),
+            Link::Local(l) => l.current.read().metrics().clone(),
             Link::Wire(w) => w.metrics.clone(),
         }
     }
@@ -93,38 +237,43 @@ impl Link {
     /// fetched with a `Health` frame over the wire (`Ok(None)` when the
     /// server predates the health capability).
     pub fn health(&self) -> GcxResult<Option<HealthDoc>> {
-        match self {
-            Link::Local(svc) => Ok(Some(svc.health_doc())),
-            Link::Wire(w) => w.health(),
+        match self.target() {
+            Target::Local(svc) => Ok(Some(svc.health_doc())),
+            Target::Wire(c) => c.health(),
         }
     }
 
     pub fn register_function(&self, token: &Token, body: FunctionBody) -> GcxResult<FunctionId> {
-        match self {
-            Link::Local(svc) => svc.register_function(token, body),
-            Link::Wire(w) => w.call(|c| c.register_function(&body)),
-        }
+        self.follow(|at| match at {
+            Target::Local(svc) => svc.register_function(token, body.clone()),
+            Target::Wire(c) => c.register_function(&body),
+        })
     }
 
-    /// Submit one task. Over the wire this is a batch of one — the wire
-    /// protocol only has the batch verb.
+    /// Submit one task: a batch of one (the wire protocol only has the
+    /// batch verb).
     pub fn submit_task(&self, token: &Token, spec: TaskSpec) -> GcxResult<TaskId> {
-        match self {
-            Link::Local(svc) => svc.submit_task(token, spec),
-            Link::Wire(w) => {
-                let specs = [spec];
-                w.call(|c| c.submit_batch(&specs))?
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| GcxError::Internal("submit_batch returned no ids".into()))
-            }
-        }
+        let specs = [spec];
+        self.follow(|at| at.submit_batch(token, &specs))?
+            .pop()
+            .ok_or_else(|| GcxError::Internal("submit_batch returned no ids".into()))
     }
 
+    /// Submit a batch. In-process the batch is never retried here — the
+    /// executor resubmits under fresh task ids, its one resubmission
+    /// mechanism — but a replica that answered `ReplicaUnavailable` is
+    /// rotated away from before the error is returned, so the resubmission
+    /// lands on a live one.
     pub fn submit_batch(&self, token: &Token, specs: &[TaskSpec]) -> GcxResult<Vec<TaskId>> {
         match self {
-            Link::Local(svc) => svc.submit_batch(token, specs.to_vec()),
-            Link::Wire(w) => w.call(|c| c.submit_batch(specs)),
+            Link::Local(_) => {
+                let out = self.target().submit_batch(token, specs);
+                if let Err(GcxError::ReplicaUnavailable(r)) = &out {
+                    self.rotate(Some(*r));
+                }
+                out
+            }
+            Link::Wire(_) => self.follow(|at| at.submit_batch(token, specs)),
         }
     }
 
@@ -133,63 +282,97 @@ impl Link {
         token: &Token,
         id: TaskId,
     ) -> GcxResult<(TaskState, Option<TaskResult>)> {
-        match self {
-            Link::Local(svc) => svc.task_status(token, id),
-            Link::Wire(w) => w.call(|c| c.task_status(id)),
-        }
+        self.follow(|at| match at {
+            Target::Local(svc) => svc.task_status(token, id),
+            Target::Wire(c) => c.task_status(id),
+        })
     }
 
-    /// One batch status poll. Over the wire against a federation this only
-    /// answers for tasks the connected replica owns (same sharding rule as
-    /// asking one replica directly); callers union per-task via
-    /// [`Link::task_status`], which follows redirects.
+    /// One batch status poll, answering for every id the link can reach. A
+    /// federation shards the task store by ownership and a replica skips
+    /// tasks it does not hold, so the answer is a union: in-process, one
+    /// batch call per live replica; over the wire, the connected replica's
+    /// shard plus one redirect-following [`Link::task_status`] per gap
+    /// (which also covers a batch answer too large for one frame).
     pub fn task_status_batch(
         &self,
         token: &Token,
         ids: &[TaskId],
     ) -> GcxResult<Vec<(TaskId, TaskState, Option<TaskResult>)>> {
-        match self {
-            Link::Local(svc) => svc.task_status_batch(token, ids),
-            Link::Wire(w) => w.call(|c| c.task_status_batch(ids)),
+        let mut out = Vec::new();
+        let mut last_err = None;
+        match self.directory() {
+            Some(dir) => {
+                for svc in dir.live().into_iter().filter_map(|r| dir.get(r)) {
+                    match svc.task_status_batch(token, ids) {
+                        Ok(part) => out.extend(part),
+                        // A replica dying between live() and the call is
+                        // routine under chaos; its tasks surface from
+                        // whoever adopts them.
+                        Err(e) if self.follows(&e) => last_err = Some(e),
+                        Err(e) => return Err(e),
+                    }
+                }
+            }
+            None => {
+                let whole = self.follow(|at| match at {
+                    Target::Local(svc) => svc.task_status_batch(token, ids),
+                    Target::Wire(c) => c.task_status_batch(ids),
+                });
+                match whole {
+                    Ok(part) => out = part,
+                    Err(e) => last_err = Some(e),
+                }
+            }
+        }
+        if matches!(self, Link::Wire(_)) && out.len() < ids.len() {
+            let answered: std::collections::HashSet<TaskId> =
+                out.iter().map(|(id, _, _)| *id).collect();
+            for id in ids.iter().filter(|id| !answered.contains(id)) {
+                if let Ok((state, result)) = self.task_status(token, *id) {
+                    out.push((*id, state, result));
+                }
+            }
+        }
+        match last_err {
+            Some(e) if out.is_empty() => Err(e),
+            _ => Ok(out),
         }
     }
 
     pub fn cancel_task(&self, token: &Token, id: TaskId) -> GcxResult<CancelOutcome> {
-        match self {
-            Link::Local(svc) => svc.cancel_task(token, id),
-            Link::Wire(w) => w.call(|c| c.cancel_task(id)),
-        }
+        self.follow(|at| match at {
+            Target::Local(svc) => svc.cancel_task(token, id),
+            Target::Wire(c) => c.cancel_task(id),
+        })
     }
 
     /// Open the result feed: a broker consumer locally, a server-push
     /// subscription over the wire.
     pub fn open_stream(&self, token: &Token) -> GcxResult<ResultFeed> {
-        match self {
-            Link::Local(svc) => Ok(ResultFeed::Local(svc.open_result_stream(token)?)),
-            Link::Wire(w) => Ok(ResultFeed::Wire(w.call(|c| c.open_stream())?)),
-        }
+        self.follow(|at| match at {
+            Target::Local(svc) => svc.open_result_stream(token).map(ResultFeed::Local),
+            Target::Wire(c) => c.open_stream().map(ResultFeed::Wire),
+        })
     }
 
     /// Tear down the link (closes the wire connection; a no-op locally).
     pub fn close(&self) {
         if let Link::Wire(w) = self {
-            w.client.read().close();
+            w.client().close();
         }
     }
 }
 
-/// A wire connection plus the recovery state around it: the address list
-/// (replica index → address), the current connection, and the redirect /
-/// rotation loop every operation runs under.
+/// A wire connection plus the replica addresses it may redial.
 pub struct WireLink {
+    /// Replica index → listener address. Empty for a link wrapped around an
+    /// in-memory transport: nothing to redial, errors surface as-is.
     addrs: Vec<String>,
     token: String,
     cfg: WireClientConfig,
-    max_redirects: u32,
-    backoff: RetryPolicy,
-    client: RwLock<WireClient>,
-    /// Index into `addrs` of the replica currently connected.
-    cur: Mutex<usize>,
+    /// The current connection and the index into `addrs` it was dialed at.
+    conn: RwLock<(usize, WireClient)>,
     /// Client-process-local registry (`sdk.*` counters land here when there
     /// is no in-process service).
     metrics: MetricsRegistry,
@@ -211,10 +394,7 @@ impl WireLink {
                         addrs,
                         token: token.to_string(),
                         cfg,
-                        max_redirects: DEFAULT_WIRE_REDIRECTS,
-                        backoff: default_wire_backoff(),
-                        client: RwLock::new(client),
-                        cur: Mutex::new(i),
+                        conn: RwLock::new((i, client)),
                         metrics,
                     }));
                 }
@@ -231,28 +411,14 @@ impl WireLink {
             addrs: Vec::new(),
             token: String::new(),
             cfg,
-            max_redirects: DEFAULT_WIRE_REDIRECTS,
-            backoff: default_wire_backoff(),
-            client: RwLock::new(client),
-            cur: Mutex::new(0),
+            conn: RwLock::new((0, client)),
             metrics: wire_registry(),
         })
     }
 
     /// The current connection (an `Arc` clone).
     pub fn client(&self) -> WireClient {
-        self.client.read().clone()
-    }
-
-    /// Replica index reported by the connected server's handshake.
-    pub fn replica(&self) -> u32 {
-        self.client.read().replica()
-    }
-
-    /// SLO health document of the connected replica. `Ok(None)` when the
-    /// server predates the health capability.
-    pub fn health(&self) -> GcxResult<Option<HealthDoc>> {
-        self.client.read().health()
+        self.conn.read().1.clone()
     }
 
     /// Swap in a fresh connection to `addrs[idx]`.
@@ -267,11 +433,7 @@ impl WireLink {
             self.cfg.clone(),
             &self.metrics,
         )?;
-        let old = {
-            let mut cur = self.cur.lock();
-            *cur = idx;
-            std::mem::replace(&mut *self.client.write(), fresh)
-        };
+        let (_, old) = std::mem::replace(&mut *self.conn.write(), (idx, fresh));
         old.close();
         self.metrics.counter("sdk.wire_reconnects").inc();
         self.metrics.flight().record(
@@ -283,71 +445,14 @@ impl WireLink {
         Ok(())
     }
 
-    /// Reconnect to the replica we were talking to.
-    pub fn reconnect(&self) -> GcxResult<()> {
-        let idx = *self.cur.lock();
-        self.redial(idx)
-    }
-
-    /// Run `op` against the right replica: follow typed `NotOwner` redirect
-    /// frames to the owner's address, reconnect after connection loss, and
-    /// rotate to the next address when a replica stays unreachable — at
-    /// most `max_redirects` hops under capped exponential backoff, then
-    /// [`GcxError::RedirectsExhausted`].
-    pub fn call<T>(&self, op: impl Fn(&WireClient) -> GcxResult<T>) -> GcxResult<T> {
-        let mut hops = 0u32;
-        loop {
-            let client = self.client();
-            let err = match op(&client) {
-                Err(
-                    e @ (GcxError::NotOwner { .. }
-                    | GcxError::ReplicaUnavailable(_)
-                    | GcxError::Transient(_)),
-                ) => e,
-                other => return other,
-            };
-            hops += 1;
-            if hops > self.max_redirects || self.addrs.is_empty() {
-                if self.addrs.is_empty() {
-                    // Nothing to redial (in-memory link): surface as-is.
-                    return Err(err);
-                }
-                return Err(GcxError::RedirectsExhausted {
-                    redirects: hops - 1,
-                    last: err.to_string(),
-                });
-            }
-            match err {
-                GcxError::NotOwner { owner } => {
-                    // The federation redirect, carried as a typed wire
-                    // frame: reconnect to the owner's listener.
-                    if self.redial(owner as usize).is_err() {
-                        std::thread::sleep(self.backoff.backoff(hops));
-                        self.rotate();
-                    }
-                }
-                _ => {
-                    // Connection lost or replica down: try the same replica
-                    // again, then rotate through the rest of the ring.
-                    std::thread::sleep(self.backoff.backoff(hops));
-                    if self.reconnect().is_err() {
-                        self.rotate();
-                    }
-                }
-            }
-        }
-    }
-
     /// Best-effort move to the next address in ring order, steering away
     /// from replicas whose health plane self-reports `Unhealthy`. If every
     /// reachable replica is unhealthy, the first reachable one wins anyway
-    /// (a degraded service beats no service).
-    fn rotate(&self) {
+    /// (a degraded service beats no service). Returns whether the link
+    /// holds a fresh connection.
+    fn rotate(&self) -> bool {
         let n = self.addrs.len();
-        if n == 0 {
-            return;
-        }
-        let start = *self.cur.lock();
+        let start = self.conn.read().0;
         let mut unhealthy_fallback: Option<usize> = None;
         for step in 1..=n {
             let idx = (start + step) % n;
@@ -355,7 +460,7 @@ impl WireLink {
                 continue;
             }
             let unhealthy = matches!(
-                self.client.read().health(),
+                self.client().health(),
                 Ok(Some(doc)) if doc.status == HealthStatus::Unhealthy
             );
             if unhealthy {
@@ -364,14 +469,9 @@ impl WireLink {
                 unhealthy_fallback.get_or_insert(idx);
                 continue;
             }
-            self.metrics.counter("sdk.replica_rotations").inc();
-            return;
+            return true;
         }
-        if let Some(idx) = unhealthy_fallback {
-            if self.redial(idx).is_ok() {
-                self.metrics.counter("sdk.replica_rotations").inc();
-            }
-        }
+        unhealthy_fallback.is_some_and(|idx| self.redial(idx).is_ok())
     }
 }
 
@@ -603,69 +703,164 @@ mod tests {
         client.close();
     }
 
-    #[test]
-    fn wire_client_follows_notowner_redirects_across_replica_listeners() {
-        let fed = Federation::new(2, SystemClock::shared());
-        let dir = fed.directory();
-        let r0 = dir.get(0).unwrap();
-        let r1 = dir.get(1).unwrap();
-        let server0 = WireServer::listen(&r0, spec()).unwrap();
-        let server1 = WireServer::listen(&r1, spec()).unwrap();
-        let (_, token) = fed.auth().login("wirefed@site.org").unwrap();
-        let reg = r0
-            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
-            .unwrap();
-        let config = EndpointConfig::from_yaml(
-            "engine:\n  type: GlobusComputeEngine\n  workers_per_node: 4\n",
-        )
-        .unwrap();
-        let agent = EndpointAgent::start(
-            &r0,
-            reg.endpoint_id,
-            &reg.queue_credential,
-            &config,
-            AgentEnv::local(SystemClock::shared()),
-        )
-        .unwrap();
+    /// A 2-replica federation with a listener per replica (`addrs[i]` =
+    /// replica `i`), reachable through either arm of [`Link`]. Nobody
+    /// serves the endpoint: submitted tasks stay buffered and cancellable.
+    struct Fed2 {
+        fed: Federation,
+        servers: Vec<WireServer>,
+        token: Token,
+        ep: EndpointId,
+    }
 
-        // addrs[i] = replica i's listener; the client bootstraps on 0.
-        let client = Client::over_wire(
-            vec![server0.addr().to_string(), server1.addr().to_string()],
-            &token.0,
-            wire_cfg(),
-        )
-        .unwrap();
-        let fid = client
-            .register_function(&PyFunction::new("def f(x):\n    return x * 2\n"))
-            .unwrap();
-        // Random task ids spread ownership across both replicas, so some
-        // submissions and polls MUST cross a NotOwner redirect frame.
-        let ids: Vec<TaskId> = (0..16)
-            .map(|i| {
-                client
-                    .run(fid, reg.endpoint_id, vec![Value::Int(i)], Value::None)
-                    .unwrap()
-            })
+    #[derive(Clone, Copy, Debug)]
+    enum Arm {
+        Directory,
+        Wire,
+    }
+
+    impl Fed2 {
+        fn new() -> Self {
+            let fed = Federation::new(2, SystemClock::shared());
+            let dir = fed.directory();
+            let servers = (0..2)
+                .map(|r| WireServer::listen(&dir.get(r).unwrap(), spec()).unwrap())
+                .collect();
+            let (_, token) = fed.auth().login("fed@site.org").unwrap();
+            let ep = dir
+                .get(0)
+                .unwrap()
+                .register_endpoint(&token, "idle", false, AuthPolicy::open(), None)
+                .unwrap()
+                .endpoint_id;
+            Self {
+                fed,
+                servers,
+                token,
+                ep,
+            }
+        }
+
+        /// Both arms bootstrap on replica 0.
+        fn link(&self, arm: Arm) -> Link {
+            match arm {
+                Arm::Directory => Link::federated(self.fed.directory()).unwrap(),
+                Arm::Wire => Link::connect(
+                    self.servers.iter().map(|s| s.addr().to_string()).collect(),
+                    &self.token.0,
+                    wire_cfg(),
+                )
+                .unwrap(),
+            }
+        }
+
+        /// Submit a task whose ring owner is `owner` and wait until that
+        /// replica holds it (a forwarded submit lands asynchronously).
+        fn submit_owned_by(&self, link: &Link, fid: FunctionId, owner: u32) -> TaskId {
+            let spec = loop {
+                let spec = TaskSpec::new(fid, self.ep);
+                if self.fed.owner_of(spec.task_id.uuid()) == Some(owner) {
+                    break spec;
+                }
+            };
+            let id = link.submit_task(&self.token, spec).unwrap();
+            let holder = self.fed.directory().get(owner).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while holder.task_status(&self.token, id).is_err() {
+                assert!(std::time::Instant::now() < deadline, "submit never landed");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            id
+        }
+
+        fn shutdown(self) {
+            for server in &self.servers {
+                server.shutdown();
+            }
+            self.fed.shutdown();
+        }
+    }
+
+    fn noop() -> FunctionBody {
+        FunctionBody::pyfn("def f():\n    return 1\n")
+    }
+
+    /// Owners alternate and the link stays where its last call ended, so
+    /// each status after the first crosses a `NotOwner` redirect (submits
+    /// never do: a non-owner forwards them).
+    fn redirects_reach_the_owner(arm: Arm) {
+        let stack = Fed2::new();
+        let link = stack.link(arm);
+        let fid = link.register_function(&stack.token, noop()).unwrap();
+        let ids: Vec<TaskId> = (0..8)
+            .map(|i| stack.submit_owned_by(&link, fid, i % 2))
             .collect();
         for (i, id) in ids.iter().enumerate() {
-            let v = client
-                .get_result(*id, Duration::from_millis(5), Duration::from_secs(15))
-                .unwrap();
-            assert_eq!(v, Value::Int(i as i64 * 2));
+            let other = stack.fed.directory().get(1 - i as u32 % 2).unwrap();
+            assert!(matches!(
+                other.task_status(&stack.token, *id),
+                Err(GcxError::NotOwner { .. })
+            ));
+            let status = link.task_status(&stack.token, *id);
+            assert!(status.is_ok(), "{arm:?}: {status:?}");
         }
-        let owners: std::collections::HashSet<u32> = ids
-            .iter()
-            .map(|t| fed.owner_of(t.uuid()).unwrap())
-            .collect();
-        assert_eq!(owners.len(), 2, "tasks spread across both replicas");
+        // One replica alone only knows its own shard; the batch poll
+        // answers for all of them.
+        let batch = link.task_status_batch(&stack.token, &ids).unwrap();
+        assert_eq!(batch.len(), ids.len(), "{arm:?}: union of both shards");
+        for id in &ids[..2] {
+            let outcome = link.cancel_task(&stack.token, *id);
+            assert_eq!(outcome.unwrap(), CancelOutcome::Cancelled, "{arm:?}");
+        }
+        if let Arm::Wire = arm {
+            assert!(
+                link.metrics().counter("sdk.wire_reconnects").get() >= 7,
+                "every redirect retargets the connection"
+            );
+        }
+        link.close();
+        stack.shutdown();
+    }
+
+    fn survivor_serves_after_the_current_replica_dies(arm: Arm) {
+        let stack = Fed2::new();
+        let link = stack.link(arm);
+        stack.fed.kill(0);
+        let fid = link.register_function(&stack.token, noop()).unwrap();
+        let id = stack.submit_owned_by(&link, fid, 1);
+        assert!(link.task_status(&stack.token, id).is_ok());
         assert!(
-            client.link().metrics().counter("sdk.wire_reconnects").get() >= 1,
-            "a NotOwner redirect must have retargeted the connection"
+            link.metrics().counter("sdk.replica_rotations").get() >= 1,
+            "{arm:?}: the link must have rotated away from the dead replica"
         );
-        client.close();
-        agent.stop();
-        server0.shutdown();
-        server1.shutdown();
-        fed.shutdown();
+        link.close();
+        stack.shutdown();
+    }
+
+    fn dead_federation_exhausts_the_budget_typed(arm: Arm) {
+        let stack = Fed2::new();
+        let link = stack.link(arm);
+        stack.fed.kill(0);
+        stack.fed.kill(1);
+        let err = link
+            .task_status(&stack.token, TaskId::random())
+            .unwrap_err();
+        assert!(
+            matches!(err, GcxError::RedirectsExhausted { redirects: 8, .. }),
+            "{arm:?}: expected RedirectsExhausted after the budget, got {err:?}"
+        );
+        link.close();
+        stack.shutdown();
+    }
+
+    /// The same scenarios through both arms: how a request reaches the
+    /// right replica is one mechanism, whatever carries it.
+    #[test]
+    fn both_arms_follow_redirects_rotate_and_give_up_typed() {
+        for arm in [Arm::Directory, Arm::Wire] {
+            redirects_reach_the_owner(arm);
+            survivor_serves_after_the_current_replica_dies(arm);
+            dead_federation_exhausts_the_budget_typed(arm);
+        }
     }
 }

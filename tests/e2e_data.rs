@@ -211,7 +211,8 @@ fn inline_vs_offload_vs_proxy_byte_accounting() {
     );
     ex.close();
 
-    // Proxied payload: neither the queue nor S3 sees the body.
+    // Proxied payload: neither the queue nor the service's payload cache
+    // sees the body — only the small proxy reference.
     let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
     let store = InMemoryStore::new("mem", MetricsRegistry::new());
     let pex = ProxyExecutor::new(
@@ -224,11 +225,16 @@ fn inline_vs_offload_vs_proxy_byte_accounting() {
         },
     );
     metrics.reset_counters();
+    let cached_before = stack.cloud.cas().total_bytes();
     let fut = pex
         .submit(&f, vec![Value::Bytes(vec![0u8; 1024 * 1024])], Value::None)
         .unwrap();
     assert_eq!(pex.result(&fut).unwrap(), Value::Int(1024 * 1024));
     assert!(metrics.counter("mq.bytes_published").get() < 10 * 1024);
-    assert_eq!(metrics.counter("s3.bytes_put").get(), 0);
+    assert!(metrics.counter("payload.bytes_moved").get() < 10 * 1024);
+    assert!(
+        stack.cloud.cas().total_bytes() - cached_before < 10 * 1024,
+        "the service interned the proxy reference, not the body"
+    );
     pex.close();
 }
