@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use gcx_core::clock::SharedClock;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
@@ -180,6 +180,7 @@ pub struct CoreConfig {
     pub clock: SharedClock,
 }
 
+#[derive(Default)]
 struct CoreShared {
     queued: AtomicUsize,
     running: AtomicUsize,
@@ -237,32 +238,16 @@ impl CoreEngine {
         validate: Option<Validator>,
     ) -> Self {
         let (tx, rx) = channel;
-        let shared = Arc::new(CoreShared {
-            queued: AtomicUsize::new(0),
-            running: AtomicUsize::new(0),
-            capacity: AtomicUsize::new(0),
-            blocks: AtomicUsize::new(0),
-            nodes_lost: AtomicU64::new(0),
-            redispatches: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let core = ExecCore {
-            kind: cfg.kind,
-            max_retries: cfg.max_retries,
+        let shared = Arc::new(CoreShared::default());
+        let core = ExecCore::new(
+            &cfg,
             policy,
             table,
-            counters: CoreCounters::new(&metrics, cfg.kind),
             metrics,
             events,
-            shared: Arc::clone(&shared),
+            Arc::clone(&shared),
             rx,
-            backlog: VecDeque::new(),
-            in_flight: HashMap::new(),
-            launch_seq: 0,
-            clock: cfg.clock.clone(),
-            deadlines_present: false,
-            next_deadline_sweep_ms: 0,
-        };
+        );
         let driver = std::thread::Builder::new()
             .name(cfg.thread_name.into())
             .spawn(move || core.run())
@@ -330,6 +315,10 @@ impl Drop for CoreEngine {
     }
 }
 
+/// How long an idle driver waits on its channel before it runs the block
+/// poll, deadline sweep and scale-out again. Messages do not wait for it.
+const HOUSEKEEPING_INTERVAL: Duration = Duration::from_micros(500);
+
 struct InFlight {
     task: CoreTask,
     assignment: Assignment,
@@ -362,6 +351,34 @@ struct ExecCore<P: SchedPolicy> {
 }
 
 impl<P: SchedPolicy> ExecCore<P> {
+    fn new(
+        cfg: &CoreConfig,
+        policy: P,
+        table: Option<BlockTable>,
+        metrics: MetricsRegistry,
+        events: Sender<EngineEvent>,
+        shared: Arc<CoreShared>,
+        rx: Receiver<CoreMsg>,
+    ) -> Self {
+        Self {
+            kind: cfg.kind,
+            max_retries: cfg.max_retries,
+            policy,
+            table,
+            counters: CoreCounters::new(&metrics, cfg.kind),
+            metrics,
+            events,
+            shared,
+            rx,
+            backlog: VecDeque::new(),
+            in_flight: HashMap::new(),
+            launch_seq: 0,
+            clock: cfg.clock.clone(),
+            deadlines_present: false,
+            next_deadline_sweep_ms: 0,
+        }
+    }
+
     fn run(mut self) {
         loop {
             // Shut down promptly even with launches in flight: their
@@ -373,17 +390,7 @@ impl<P: SchedPolicy> ExecCore<P> {
 
             while let Ok(msg) = self.rx.try_recv() {
                 progressed = true;
-                match msg {
-                    CoreMsg::Submit(task) => {
-                        self.emit(EngineEvent::State(
-                            task.task.spec.task_id,
-                            TaskState::WaitingForNodes,
-                        ));
-                        self.deadlines_present |= task.expires_at_ms.is_some();
-                        self.backlog.push_back(*task);
-                    }
-                    CoreMsg::Finished { launch_id, outcome } => self.finish(launch_id, outcome),
-                }
+                self.on_msg(msg);
             }
 
             progressed |= self.kill_expired();
@@ -401,7 +408,21 @@ impl<P: SchedPolicy> ExecCore<P> {
             self.publish_gauges();
 
             if !progressed {
-                std::thread::sleep(Duration::from_micros(500));
+                // Nothing to do until a message arrives: block on the
+                // channel so a `Submit` or `Finished` is handled the moment
+                // it is sent. The timeout only bounds how late the block
+                // poll, deadline sweep and scale-out above may run.
+                match self.rx.recv_timeout(HOUSEKEEPING_INTERVAL) {
+                    Ok(msg) => self.on_msg(msg),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    // No sender is left, so no message can ever arrive (the
+                    // engine handle holds one until it has joined this
+                    // thread): keep the housekeeping cadence without
+                    // spinning on the dead channel.
+                    Err(RecvTimeoutError::Disconnected) => {
+                        std::thread::sleep(HOUSEKEEPING_INTERVAL);
+                    }
+                }
             }
         }
         // Shutdown ordering: stop the workers first (policies join live
@@ -410,6 +431,20 @@ impl<P: SchedPolicy> ExecCore<P> {
         self.policy.shutdown();
         if let Some(table) = &mut self.table {
             table.shutdown();
+        }
+    }
+
+    fn on_msg(&mut self, msg: CoreMsg) {
+        match msg {
+            CoreMsg::Submit(task) => {
+                self.emit(EngineEvent::State(
+                    task.task.spec.task_id,
+                    TaskState::WaitingForNodes,
+                ));
+                self.deadlines_present |= task.expires_at_ms.is_some();
+                self.backlog.push_back(*task);
+            }
+            CoreMsg::Finished { launch_id, outcome } => self.finish(launch_id, outcome),
         }
     }
 
@@ -801,5 +836,81 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         s
     } else {
         "<non-string panic payload>"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcx_core::clock::SystemClock;
+
+    /// Never launches anything; counts the driver's passes (each one
+    /// publishes the capacity gauge once).
+    struct CountPasses(Arc<AtomicU64>);
+
+    impl SchedPolicy for CountPasses {
+        fn capacity(&self) -> usize {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            0
+        }
+        fn try_launch(&mut self, _: u64, _: &CoreTask) -> LaunchDecision {
+            LaunchDecision::NoCapacity
+        }
+        fn shutdown(&mut self) {}
+    }
+
+    /// utime + stime of the calling thread where the kernel reports them,
+    /// in `USER_HZ` ticks (10 ms on Linux).
+    fn thread_cpu_ticks() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        // Fields after the parenthesised thread name; utime and stime are
+        // the 14th and 15th of the line, 12th and 13th after the name.
+        let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+        let utime: u64 = fields.next()?.parse().ok()?;
+        let stime: u64 = fields.next()?.parse().ok()?;
+        Some(utime + stime)
+    }
+
+    /// `recv_timeout` on a channel with no sender left returns at once, so
+    /// a driver that treated `Disconnected` like `Timeout` would spin.
+    #[test]
+    fn a_driver_with_no_sender_left_does_not_spin() {
+        const WATCHED: Duration = Duration::from_millis(50);
+        let passes = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = crossbeam_channel::unbounded::<CoreMsg>();
+        let (events, _events_rx) = crossbeam_channel::unbounded();
+        let shared = Arc::new(CoreShared::default());
+        let core = ExecCore::new(
+            &CoreConfig {
+                kind: EngineKind::Thread,
+                max_retries: 0,
+                thread_name: "unused",
+                clock: SystemClock::shared(),
+            },
+            CountPasses(Arc::clone(&passes)),
+            None,
+            MetricsRegistry::new(),
+            events,
+            Arc::clone(&shared),
+            rx,
+        );
+        drop(tx);
+        let driver = std::thread::spawn(move || {
+            core.run();
+            thread_cpu_ticks()
+        });
+        std::thread::sleep(WATCHED);
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let cpu_ticks = driver.join().expect("driver exits on shutdown");
+
+        // One pass per housekeeping interval is 100 in the watched 50 ms;
+        // a spinning driver makes hundreds of thousands.
+        let passes = passes.load(Ordering::Relaxed);
+        assert!(passes < 1_000, "{passes} passes in {WATCHED:?}");
+        // Spinning for the watched 50 ms is 5 ticks of CPU; idling is 0,
+        // or 1 when a tick happens to land on a wake-up.
+        if let Some(ticks) = cpu_ticks {
+            assert!(ticks <= 2, "driver burned {ticks} ticks in {WATCHED:?}");
+        }
     }
 }
