@@ -95,6 +95,10 @@ struct LegOutcome {
     elapsed: Duration,
     adopted: u64,
     duplicates_dropped: u64,
+    /// The two places a second result can legitimately come from
+    /// (FAULTS.md, replica runbook); their sum bounds `duplicates_dropped`.
+    republished: u64,
+    redelivered: u64,
 }
 
 /// Submit `n` tasks in batches, rotating across `bindings`; a binding that
@@ -276,14 +280,21 @@ fn run_leg(replicas: usize, chaos: bool, p: &Params) -> LegOutcome {
         processed, p.tasks as u64,
         "replicas={replicas} chaos={chaos}: completions must be exactly-once"
     );
+    let count = |name: &str| fed.metrics().counter(name).get();
     let outcome = LegOutcome {
         elapsed,
-        adopted: fed.metrics().counter("fed.tasks_adopted").get(),
-        duplicates_dropped: fed
-            .metrics()
-            .counter("cloud.duplicate_results_dropped")
-            .get(),
+        adopted: count("fed.tasks_adopted"),
+        duplicates_dropped: count("cloud.duplicate_results_dropped"),
+        republished: count("fed.tasks_republished"),
+        redelivered: count("mq.redeliveries"),
     };
+    assert!(
+        outcome.duplicates_dropped <= outcome.republished + outcome.redelivered,
+        "replicas={replicas} chaos={chaos}: {} duplicates from {} republished + {} requeued",
+        outcome.duplicates_dropped,
+        outcome.republished,
+        outcome.redelivered
+    );
 
     stop.store(true, Ordering::Relaxed);
     for d in drain_handles {
@@ -306,6 +317,8 @@ fn main() {
         "tasks/s",
         "adopted",
         "dup results dropped",
+        "republished",
+        "requeued",
     ]);
     let mut report = JsonReport::new("BENCH_federation");
     report
@@ -322,6 +335,8 @@ fn main() {
             format!("{clean_tps:.0}"),
             clean.adopted.to_string(),
             clean.duplicates_dropped.to_string(),
+            clean.republished.to_string(),
+            clean.redelivered.to_string(),
         ]);
         report.float(&format!("clean_r{replicas}_tasks_per_sec"), clean_tps);
         report.float(
@@ -339,12 +354,22 @@ fn main() {
                 format!("{chaos_tps:.0}"),
                 chaos.adopted.to_string(),
                 chaos.duplicates_dropped.to_string(),
+                chaos.republished.to_string(),
+                chaos.redelivered.to_string(),
             ]);
             report.float(&format!("chaos_r{replicas}_tasks_per_sec"), chaos_tps);
             report.num(&format!("chaos_r{replicas}_tasks_adopted"), chaos.adopted);
             report.num(
                 &format!("chaos_r{replicas}_duplicates_dropped"),
                 chaos.duplicates_dropped,
+            );
+            report.num(
+                &format!("chaos_r{replicas}_tasks_republished"),
+                chaos.republished,
+            );
+            report.num(
+                &format!("chaos_r{replicas}_redeliveries"),
+                chaos.redelivered,
             );
         }
     }

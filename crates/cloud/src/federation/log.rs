@@ -12,28 +12,27 @@
 //! adopt; `Done` entries carry the result so completions survive the
 //! owner's death.
 
-use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::{IdentityId, TaskId};
 use gcx_core::task::{TaskRecord, TaskResult, TaskSpec};
-use gcx_core::value::Value;
 
 use super::ring::ReplicaId;
 
 /// Credential guarding the federation-internal queues (rpc + task log).
-pub(crate) const FED_CRED: &str = "fed-internal";
+pub const FED_CRED: &str = "fed-internal";
 
 /// The replica-to-replica RPC queue: forwarded submits/results/state
 /// reports addressed to `replica`.
-pub(crate) fn fed_rpc_queue(replica: ReplicaId) -> String {
+pub fn fed_rpc_queue(replica: ReplicaId) -> String {
     format!("fed.rpc.{}", replica.0)
 }
 
 /// The durable task log owned by `replica`.
-pub(crate) fn fed_log_queue(replica: ReplicaId) -> String {
+pub fn fed_log_queue(replica: ReplicaId) -> String {
     format!("fed.tasklog.{}", replica.0)
 }
 
-/// One durable task-log entry.
+/// One durable task-log entry. Its byte form is laid out in
+/// [`super::envelope`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskLogEntry {
     /// The writing replica became responsible for this task (fresh submit,
@@ -53,86 +52,6 @@ pub enum TaskLogEntry {
     /// so a handover replay keeps the task dead instead of resurrecting and
     /// re-running it after its deadline.
     Expired { task_id: TaskId },
-}
-
-impl TaskLogEntry {
-    /// Pack to the wire form used on `fed.tasklog.<r>`.
-    pub fn to_value(&self) -> Value {
-        match self {
-            TaskLogEntry::Open {
-                spec,
-                owner,
-                submitted_at,
-            } => Value::map([
-                ("kind", Value::str("open")),
-                ("spec", spec.to_value()),
-                ("owner", Value::str(owner.to_string())),
-                ("submitted_at", Value::Int(*submitted_at as i64)),
-            ]),
-            TaskLogEntry::Done { task_id, result } => Value::map([
-                ("kind", Value::str("done")),
-                ("task_id", Value::str(task_id.to_string())),
-                ("result", result.to_value()),
-            ]),
-            TaskLogEntry::Moved { task_id } => Value::map([
-                ("kind", Value::str("moved")),
-                ("task_id", Value::str(task_id.to_string())),
-            ]),
-            TaskLogEntry::Expired { task_id } => Value::map([
-                ("kind", Value::str("expired")),
-                ("task_id", Value::str(task_id.to_string())),
-            ]),
-        }
-    }
-
-    /// Decode the wire form.
-    pub fn from_value(v: &Value) -> GcxResult<Self> {
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| GcxError::Codec("task-log entry missing 'kind'".into()))?;
-        let task_id = |v: &Value| -> GcxResult<TaskId> {
-            v.get("task_id")
-                .and_then(Value::as_str)
-                .ok_or_else(|| GcxError::Codec("task-log entry missing 'task_id'".into()))?
-                .parse()
-                .map_err(|e| GcxError::Codec(format!("task-log bad task_id: {e}")))
-        };
-        match kind {
-            "open" => Ok(TaskLogEntry::Open {
-                spec: Box::new(TaskSpec::from_value(
-                    v.get("spec")
-                        .ok_or_else(|| GcxError::Codec("open entry missing 'spec'".into()))?,
-                )?),
-                owner: IdentityId(
-                    v.get("owner")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| GcxError::Codec("open entry missing 'owner'".into()))?
-                        .parse()
-                        .map_err(|e| GcxError::Codec(format!("open entry bad owner: {e}")))?,
-                ),
-                submitted_at: v
-                    .get("submitted_at")
-                    .and_then(Value::as_int)
-                    .unwrap_or(0)
-                    .max(0) as u64,
-            }),
-            "done" => Ok(TaskLogEntry::Done {
-                task_id: task_id(v)?,
-                result: TaskResult::from_value(
-                    v.get("result")
-                        .ok_or_else(|| GcxError::Codec("done entry missing 'result'".into()))?,
-                )?,
-            }),
-            "moved" => Ok(TaskLogEntry::Moved {
-                task_id: task_id(v)?,
-            }),
-            "expired" => Ok(TaskLogEntry::Expired {
-                task_id: task_id(v)?,
-            }),
-            other => Err(GcxError::Codec(format!("unknown task-log kind '{other}'"))),
-        }
-    }
 }
 
 /// Fold a drained log into the records a surviving replica must adopt:
@@ -181,6 +100,7 @@ pub fn replay(entries: &[TaskLogEntry], now: u64) -> Vec<TaskRecord> {
 mod tests {
     use super::*;
     use gcx_core::ids::{EndpointId, FunctionId};
+    use gcx_core::value::Value;
 
     fn spec() -> TaskSpec {
         TaskSpec::new(FunctionId::random(), EndpointId::random())
@@ -203,7 +123,7 @@ mod tests {
             TaskLogEntry::Expired { task_id: s.task_id },
         ];
         for e in &entries {
-            assert_eq!(&TaskLogEntry::from_value(&e.to_value()).unwrap(), e);
+            assert_eq!(&TaskLogEntry::decode(&e.encode().unwrap()).unwrap(), e);
         }
     }
 

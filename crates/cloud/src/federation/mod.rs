@@ -34,6 +34,7 @@
 //! owner sweeps it for liveness, so a dead endpoint is requeued once, not
 //! once per replica.
 
+pub mod envelope;
 pub mod log;
 pub mod ring;
 
@@ -42,17 +43,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use gcx_auth::AuthService;
 use gcx_core::clock::SharedClock;
-use gcx_core::codec;
-use gcx_core::ids::Uuid;
+use gcx_core::error::GcxResult;
+use gcx_core::ids::{TaskId, Uuid};
 use gcx_core::metrics::{Counter, MetricsRegistry};
 use gcx_core::trace::{EventLevel, Tracer};
-use gcx_core::value::Value;
-use gcx_mq::{Broker, FaultPlan, ReplicaAction};
+use gcx_mq::{Broker, FaultPlan, Message, ReplicaAction};
 use parking_lot::{Mutex, RwLock};
 
 use crate::service::{CloudConfig, SharedStores, WebService};
+use envelope::{Body, Envelope};
 use log::{fed_log_queue, fed_rpc_queue, FED_CRED};
 pub use ring::{HashRing, ReplicaId, DEFAULT_VNODES};
 
@@ -147,6 +149,76 @@ impl FedCore {
             .get(&replica)
             .map(|m| m.partitioned_until > now)
             .unwrap_or(false)
+    }
+
+    /// Put `env` on `to`'s rpc queue.
+    pub(crate) fn send(&self, broker: &Broker, to: ReplicaId, env: &Envelope) -> GcxResult<()> {
+        broker.publish(
+            &fed_rpc_queue(to),
+            Message::new(env.encode()?),
+            Some(FED_CRED),
+        )
+    }
+
+    /// Decide, under the current ring, where each part of `env` goes. The
+    /// part `me` owns is handed back for the caller to act on. Every other
+    /// part — the sender held a stale ring, or the addressee died — is sent
+    /// on to its owner with one more hop under the current epoch; a submit
+    /// batch whose ring moved under it splits, one envelope per owner. Past
+    /// `max_forward_hops` a part is dropped and counted instead, the
+    /// backstop against ownership flapping. The live rpc loop (`me` = the
+    /// receiver) and the death handover (`me` = nobody) both route here.
+    /// Also returns whether anything was sent on.
+    pub(crate) fn route(
+        &self,
+        broker: &Broker,
+        env: Envelope,
+        me: Option<ReplicaId>,
+    ) -> (Option<Body>, bool) {
+        // With no survivors on the ring, better to act than to drop work.
+        let owner_of = |id: TaskId| self.owner_of(id.uuid()).or(me);
+        let parts: Vec<(ReplicaId, Body)> = match env.body {
+            Body::Submit(from, specs) => {
+                let mut groups: BTreeMap<ReplicaId, Vec<_>> = BTreeMap::new();
+                for spec in specs {
+                    if let Some(owner) = owner_of(spec.task_id) {
+                        groups.entry(owner).or_default().push(spec);
+                    }
+                }
+                let submit = |(owner, specs)| (owner, Body::Submit(from, specs));
+                groups.into_iter().map(submit).collect()
+            }
+            body => {
+                let owner = body.routing_id().and_then(owner_of);
+                owner.map(|owner| (owner, body)).into_iter().collect()
+            }
+        };
+        let metrics = broker.metrics();
+        let (epoch, hop) = (self.epoch(), env.hop + 1);
+        let (mut mine, mut sent_on) = (None, false);
+        for (owner, body) in parts {
+            if Some(owner) == me {
+                mine = Some(body);
+            } else if hop > self.max_forward_hops as u64 {
+                metrics.counter("fed.hops_exhausted").inc();
+                let tracer = metrics.tracer();
+                tracer.event(EventLevel::Error, "fed.hops_exhausted", || {
+                    let task = body.routing_id().map(|t| t.to_string());
+                    vec![
+                        ("task_id", task.unwrap_or_default()),
+                        ("hops", hop.to_string()),
+                    ]
+                });
+            } else {
+                if env.epoch < epoch {
+                    metrics.counter("fed.stale_epoch_rejected").inc();
+                }
+                sent_on |= self
+                    .send(broker, owner, &Envelope { epoch, hop, body })
+                    .is_ok();
+            }
+        }
+        (mine, sent_on)
     }
 }
 
@@ -796,7 +868,7 @@ fn handover(
     // Replay the durable task log: adopt orphans, preserve results.
     let entries: Vec<log::TaskLogEntry> = drain_queue(broker, &fed_log_queue(dead))
         .iter()
-        .filter_map(|v| log::TaskLogEntry::from_value(v).ok())
+        .filter_map(|body| log::TaskLogEntry::decode(body).ok())
         .collect();
     let records = log::replay(&entries, now);
     let adopted = records.len();
@@ -815,8 +887,8 @@ fn handover(
     tasks_adopted.add(adopted as u64);
     // Re-route rpc envelopes addressed to the corpse.
     let pending = drain_queue(broker, &fed_rpc_queue(dead));
-    for v in &pending {
-        if reroute_envelope(core, broker, v) {
+    for body in &pending {
+        if Envelope::decode(body).is_ok_and(|env| core.route(broker, env, None).1) {
             envelopes_rerouted.inc();
         }
     }
@@ -847,57 +919,18 @@ fn handover(
     true
 }
 
-/// Drain every ready message off `queue`, decoded. The consumer is
-/// dropped afterwards, so anything that arrives later stays put.
-fn drain_queue(broker: &Broker, queue: &str) -> Vec<Value> {
+/// Drain every ready message body off `queue`. The consumer is dropped
+/// afterwards, so anything that arrives later stays put.
+fn drain_queue(broker: &Broker, queue: &str) -> Vec<Bytes> {
     let Ok(consumer) = broker.consume(queue, Some(FED_CRED), 0) else {
         return Vec::new();
     };
     let mut out = Vec::new();
     while let Ok(Some(d)) = consumer.next(Duration::from_millis(5)) {
-        if let Ok(v) = codec::decode(&d.message.body) {
-            out.push(v);
-        }
         let _ = consumer.ack(d.tag);
+        out.push(d.message.body);
     }
     out
-}
-
-/// Re-address one orphaned rpc envelope to the current owner of its key,
-/// bumping the hop count and refreshing the epoch. Returns false when the
-/// envelope is undeliverable (hop cap, no owner, malformed).
-fn reroute_envelope(core: &Arc<FedCore>, broker: &Broker, v: &Value) -> bool {
-    let key: Option<Uuid> = match v.get("kind").and_then(Value::as_str) {
-        Some("submit") => v
-            .get("spec")
-            .and_then(|s| s.get("task_id"))
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse().ok()),
-        Some("result") | Some("state") => v
-            .get("task_id")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse().ok()),
-        _ => None,
-    };
-    let Some(key) = key else { return false };
-    let Some(owner) = core.owner_of(key) else {
-        return false;
-    };
-    let hop = v.get("hop").and_then(Value::as_int).unwrap_or(0) + 1;
-    if hop > core.max_forward_hops as i64 {
-        broker.metrics().counter("fed.hops_exhausted").inc();
-        return false;
-    }
-    let mut m = v.as_map().cloned().unwrap_or_default();
-    m.insert("hop".into(), Value::Int(hop));
-    m.insert("epoch".into(), Value::Int(core.epoch() as i64));
-    broker
-        .publish(
-            &fed_rpc_queue(owner),
-            gcx_mq::Message::new(codec::encode(&Value::Map(m))),
-            Some(FED_CRED),
-        )
-        .is_ok()
 }
 
 #[cfg(test)]
@@ -906,6 +939,7 @@ mod tests {
     use gcx_auth::AuthPolicy;
     use gcx_core::clock::SystemClock;
     use gcx_core::function::FunctionBody;
+    use gcx_core::ids::{EndpointId, FunctionId};
     use gcx_core::task::{TaskResult, TaskSpec, TaskState};
     use std::time::Duration;
 
@@ -985,6 +1019,178 @@ mod tests {
         );
         // Both paths were exercised.
         assert!(fed.metrics().counter("fed.submits_forwarded").get() > 0);
+        fed.shutdown();
+    }
+
+    // ---- a task owned here behaves the same however it got here ----------
+
+    fn wait_until(limit: Duration, mut ok: impl FnMut() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + limit;
+        while std::time::Instant::now() < deadline {
+            if ok() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        ok()
+    }
+
+    /// Two replicas on the real clock (so the expiry monitor runs), one
+    /// function, one endpoint with no agent connected.
+    fn two_replicas(
+        cloud_cfg: CloudConfig,
+        heartbeat_timeout_ms: u64,
+    ) -> (Federation, gcx_auth::Token, FunctionId, EndpointId) {
+        let clock = SystemClock::shared();
+        let fed = Federation::with_parts(
+            FederationConfig {
+                replicas: 2,
+                heartbeat_timeout_ms,
+                ..FederationConfig::default()
+            },
+            cloud_cfg,
+            AuthService::new(clock.clone()),
+            Broker::with_profile(
+                MetricsRegistry::new(),
+                clock.clone(),
+                gcx_mq::LinkProfile::instant(),
+            ),
+            clock,
+        );
+        let r0 = fed.replica(0).unwrap();
+        let token = fed.auth().login("u@x.y").unwrap().1;
+        let fid = r0
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let ep = r0
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap()
+            .endpoint_id;
+        (fed, token, fid, ep)
+    }
+
+    fn spec_owned_by(fed: &Federation, owner: u32, fid: FunctionId, ep: EndpointId) -> TaskSpec {
+        loop {
+            let s = TaskSpec::new(fid, ep);
+            if fed.owner_of(s.task_id.uuid()) == Some(owner) {
+                return s;
+            }
+        }
+    }
+
+    fn cancelled(svc: &WebService, id: TaskId) -> bool {
+        svc.task_record(id)
+            .is_ok_and(|r| r.state == TaskState::Cancelled)
+    }
+
+    fn logged_expired(fed: &Federation, replica: u32, id: TaskId) -> bool {
+        drain_queue(fed.broker(), &fed_log_queue(ReplicaId(replica)))
+            .iter()
+            .filter_map(|body| log::TaskLogEntry::decode(body).ok())
+            .any(|e| e == log::TaskLogEntry::Expired { task_id: id })
+    }
+
+    #[test]
+    fn forwarded_deadline_task_expires_at_its_owner() {
+        let (fed, token, fid, ep) = two_replicas(CloudConfig::default(), 30_000);
+        let r0 = fed.replica(0).unwrap();
+        let r1 = fed.replica(1).unwrap();
+        // The locally-owned control and the forwarded task, both via r0.
+        let mut control = spec_owned_by(&fed, 0, fid, ep);
+        control.deadline_ms = Some(50);
+        let mut forwarded = spec_owned_by(&fed, 1, fid, ep);
+        forwarded.deadline_ms = Some(50);
+        let control = r0.submit_task(&token, control).unwrap();
+        let forwarded = r0.submit_task(&token, forwarded).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(1), || cancelled(&r0, control)),
+            "control: the locally-owned deadline task must expire"
+        );
+        assert!(
+            wait_until(Duration::from_secs(1), || cancelled(&r1, forwarded)),
+            "forwarded deadline task still {:?} at its owner after 1 s",
+            r1.task_record(forwarded).map(|r| r.state)
+        );
+        let rec = r1.task_record(forwarded).unwrap();
+        assert!(rec.result.as_ref().is_some_and(TaskResult::is_deadline_err));
+        assert!(logged_expired(&fed, 1, forwarded), "no Expired tombstone");
+        fed.shutdown();
+    }
+
+    #[test]
+    fn adopted_deadline_task_expires_at_its_new_owner() {
+        let (fed, token, fid, ep) = two_replicas(CloudConfig::default(), 100);
+        let r0 = fed.replica(0).unwrap();
+        let r1 = fed.replica(1).unwrap();
+        let mut spec = spec_owned_by(&fed, 1, fid, ep);
+        spec.deadline_ms = Some(400);
+        let id = r1.submit_task(&token, spec).unwrap();
+        fed.kill(1);
+        assert!(
+            wait_until(Duration::from_secs(2), || r0.task_record(id).is_ok()),
+            "the survivor must adopt the dead owner's task"
+        );
+        assert!(
+            wait_until(Duration::from_millis(1500), || cancelled(&r0, id)),
+            "adopted deadline task still {:?} at its new owner",
+            r0.task_record(id).map(|r| r.state)
+        );
+        let rec = r0.task_record(id).unwrap();
+        assert!(rec.result.as_ref().is_some_and(TaskResult::is_deadline_err));
+        assert!(logged_expired(&fed, 0, id), "no Expired tombstone");
+        fed.shutdown();
+    }
+
+    #[test]
+    fn forwarded_submit_into_a_full_queue_fails_typed() {
+        let cfg = CloudConfig {
+            task_queue_depth: 2,
+            ..CloudConfig::default()
+        };
+        let (fed, token, fid, ep) = two_replicas(cfg, 30_000);
+        let r0 = fed.replica(0).unwrap();
+        let r1 = fed.replica(1).unwrap();
+        let queue = format!("tasks.{ep}");
+        let stream = r0.open_result_stream(&token).unwrap();
+        for _ in 0..2 {
+            r0.submit_task(&token, spec_owned_by(&fed, 0, fid, ep))
+                .unwrap();
+        }
+        // Control: the local path refuses a third task typed.
+        assert!(matches!(
+            r0.submit_task(&token, spec_owned_by(&fed, 0, fid, ep)),
+            Err(gcx_core::GcxError::QueueFull { .. })
+        ));
+        // The forwarded path has already said Ok when the owner finds the
+        // queue full; the failure must come back as the task's result. Two
+        // rounds: the rpc loop keeps serving after the first.
+        for round in 0..2 {
+            let id = r0
+                .submit_task(&token, spec_owned_by(&fed, 1, fid, ep))
+                .unwrap();
+            assert!(
+                wait_until(Duration::from_secs(1), || r1
+                    .task_record(id)
+                    .is_ok_and(|r| r.state.is_terminal())),
+                "round {round}: forwarded task is {:?} at its owner: a live orphan",
+                r1.task_record(id).map(|r| r.state)
+            );
+            let result = r1.task_record(id).unwrap().result.unwrap();
+            assert!(result.is_retryable_err(), "{result:?}");
+            assert!(
+                matches!(&result, TaskResult::Err(e) if e.contains(&queue)),
+                "the error must name the queue: {result:?}"
+            );
+            let d = stream
+                .consumer
+                .next(Duration::from_secs(1))
+                .unwrap()
+                .expect("the failure fans out to the submitter's stream");
+            let (got, streamed, _) = TaskResult::from_envelope(&d.message.body).unwrap();
+            assert_eq!((got, streamed), (id, result));
+            stream.consumer.ack(d.tag).unwrap();
+            assert_eq!(fed.broker().queue_stats(&queue).unwrap().ready, 2);
+        }
         fed.shutdown();
     }
 }

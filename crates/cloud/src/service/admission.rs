@@ -31,8 +31,7 @@ use super::WebService;
 
 /// Admission-control tunables. The config-file form is
 /// `gcx_config::AdmissionSpec` (schema-validated YAML); harnesses map it
-/// onto this struct field-for-field, mirroring how `FederationSpec` maps
-/// onto `FederationConfig`.
+/// onto this struct field-for-field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Master switch. Disabled preserves pre-admission behavior exactly.

@@ -2,12 +2,12 @@
 //! payload interning (content-addressed dedup), and the status-polling
 //! path.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use gcx_auth::{AuthPolicy, Token};
 use gcx_core::codec;
 use gcx_core::error::{GcxError, GcxResult};
-use gcx_core::ids::{EndpointId, TaskId};
+use gcx_core::ids::{EndpointId, IdentityId, TaskId};
 use gcx_core::payload::{ContentHash, Payload};
 use gcx_core::task::{TaskRecord, TaskResult, TaskSpec, TaskState};
 use gcx_core::value::Value;
@@ -15,6 +15,8 @@ use gcx_mq::Message;
 
 use super::{mep_queue_name, task_queue_name, WebService};
 use crate::blob::Intern;
+use crate::federation::envelope::{Body, Forwarded};
+use crate::federation::ReplicaId;
 use crate::records::{config_hash, EndpointRecord, MepStartRequest};
 
 /// Rough wire overhead of a binary task message beyond its payload bytes
@@ -45,6 +47,35 @@ pub enum CancelOutcome {
     Cancelled,
     /// The task had already reached this terminal state; nothing changed.
     AlreadyTerminal(TaskState),
+}
+
+/// A validated task on its way into a replica's task store and onto its
+/// endpoint's queue (see [`WebService::install_and_ship`]).
+pub(super) struct Accepted {
+    /// The spec as submitted; the task record keeps this.
+    pub(super) spec: TaskSpec,
+    /// The endpoint whose queue it ships to: `spec.endpoint_id`, or the
+    /// user endpoint a multi-user target resolved to.
+    pub(super) deliver_to: EndpointId,
+    /// Ship the payload bytes (`true`) or only their content hash, a CAS
+    /// reference.
+    pub(super) inline: bool,
+    /// The service has not seen this task's trace before: record the
+    /// server-side `submit` span.
+    pub(super) stamp_submit: bool,
+}
+
+impl Accepted {
+    /// A spec another replica already validated and resolved: it ships
+    /// where it says, payload inline, its `submit` span long recorded.
+    pub(super) fn as_resolved(spec: TaskSpec) -> Self {
+        Self {
+            deliver_to: spec.endpoint_id,
+            spec,
+            inline: true,
+            stamp_submit: false,
+        }
+    }
 }
 
 impl WebService {
@@ -88,12 +119,13 @@ impl WebService {
     ) -> GcxResult<Vec<TaskId>> {
         let mut bytes_in = 0usize;
         let now = self.inner.clock.now_ms();
+        let me = who.identity.id;
 
         // Validate everything before enqueueing anything (atomic batch).
         // The args payload was encoded once at the submit edge; here it is
         // only measured, hashed (already done), and interned — never
         // re-walked by the codec.
-        let mut prepared: Vec<(TaskSpec, EndpointId, bool, bool)> = Vec::with_capacity(specs.len());
+        let mut prepared: Vec<Accepted> = Vec::with_capacity(specs.len());
         for mut spec in specs {
             // SDK submissions arrive with a trace context already minted;
             // direct REST submissions get theirs here (subject to sampling)
@@ -156,118 +188,185 @@ impl WebService {
                     Intern::Uncacheable => true,
                 }
             };
-            prepared.push((spec, deliver_to, inline, stamp_submit));
+            prepared.push(Accepted {
+                spec,
+                deliver_to,
+                inline,
+                stamp_submit,
+            });
         }
 
         self.meter_api(bytes_in, prepared.len() * 36);
+        let ids: Vec<TaskId> = prepared.iter().map(|t| t.spec.task_id).collect();
 
-        // Everything below ships in this same call, so one "dispatched"
-        // stamp (taken after the REST link charge) serves the whole batch;
-        // it is also the queue-transit span's start, carried in a header.
+        // Federation: only a task's ring owner installs its record, appends
+        // to the durable log, and ships to the endpoint queue. Tasks owned
+        // elsewhere are set aside as deliverable specs, grouped by owner,
+        // and never touch this replica's task store.
+        let mut forwards: BTreeMap<ReplicaId, Vec<Accepted>> = BTreeMap::new();
+        if let Some(fed) = self.fed() {
+            let mut local = Vec::with_capacity(prepared.len());
+            for task in prepared {
+                match fed.owner(task.spec.task_id.uuid()) {
+                    Some(owner) if owner != fed.replica => {
+                        forwards.entry(owner).or_default().push(task)
+                    }
+                    _ => local.push(task),
+                }
+            }
+            prepared = local;
+        }
+
+        // Task ids are client-chosen and a wire client resends a batch in
+        // place when its connection drops mid-call, so a submit must be
+        // idempotent on the id: a task we already accepted from this caller
+        // is acknowledged again, and ships and counts nothing.
+        let mut resent = 0u64;
+        let (installed, shipped) =
+            self.install_and_ship(me, now, prepared, &mut |task_id, holder| {
+                if holder != me {
+                    return Err(GcxError::Forbidden(format!(
+                        "task id {task_id} belongs to another identity"
+                    )));
+                }
+                self.admission_release(me, 1);
+                *held -= 1;
+                resent += 1;
+                Ok(())
+            });
+        let forwarded = shipped.and_then(|()| {
+            for (owner, group) in forwards {
+                let forwarded_at = self.inner.clock.now_ms();
+                let mut specs = Vec::with_capacity(group.len());
+                for task in group {
+                    if task.stamp_submit {
+                        let tracer = &self.inner.tracer;
+                        tracer.record_span(task.spec.trace.as_ref(), "submit", now, forwarded_at);
+                    }
+                    let mut wire_spec = task.spec;
+                    wire_spec.endpoint_id = task.deliver_to;
+                    specs.push(wire_spec);
+                }
+                let n = specs.len() as u64;
+                let from = Forwarded {
+                    identity: me,
+                    submitted_at: now,
+                    forwarded_ms: forwarded_at,
+                };
+                self.fed_forward(owner, Body::Submit(from, specs))?;
+                // The owning replica tracks these tasks' lifecycle; they
+                // never flow through our local completion paths, so drop
+                // their in-flight charge here.
+                self.admission_release(me, n);
+                *held -= n;
+            }
+            Ok(())
+        });
+        if let Err(e) = forwarded {
+            self.roll_back_batch(&installed, &e);
+            return Err(e);
+        }
+        // Accepted: count what is new (a refused batch counts nothing).
+        let fresh = ids.len() as u64 - resent;
+        for _ in 0..fresh {
+            self.inner.usage.record_task(now);
+        }
+        self.inner.m.tasks_submitted.add(fresh);
+        self.inner
+            .m
+            .submit_ms
+            .record(self.inner.clock.now_ms().saturating_sub(now));
+        Ok(ids)
+    }
+
+    /// The queue message for a deliverable spec: the compact binary body
+    /// (one buffer fill, no `Value` tree — an inlined payload is memcpy'd
+    /// into the frame, a CAS reference ships only the content hash), plus,
+    /// for a traced task, headers that let the broker annotate the trace on
+    /// fault injection and the receiving session time the queue-transit leg
+    /// without decoding the body.
+    fn task_message(&self, spec: &TaskSpec, inline: bool, sent_ms: &str) -> Message {
+        let body = spec.to_message(inline);
+        match &spec.trace {
+            Some(ctx) => {
+                let mut headers = std::collections::BTreeMap::new();
+                headers.insert(gcx_mq::TRACE_HEADER.to_string(), ctx.encode());
+                headers.insert(gcx_mq::SENT_MS_HEADER.to_string(), sent_ms.to_string());
+                Message::with_headers(body, headers)
+            }
+            None => Message::new(body),
+        }
+    }
+
+    /// The one way a task gets into this replica, whoever validated it: the
+    /// front door ([`Self::submit_batch`]), another replica's front door (a
+    /// forwarded submit) or a dead owner's (an adopted open task). Installs
+    /// each record if its id is absent, notes deadlines for the expiry
+    /// sweep, appends the federation's `Open` log entry, and ships to each
+    /// target endpoint's queue with one batched publish.
+    ///
+    /// An id that is already held installs and ships nothing; `on_resident`
+    /// (given the id and the identity holding it) says whether that is fine
+    /// or stops the batch. Returns the ids installed here and whether
+    /// everything shipped — on an error, what to do with the installed
+    /// records is the caller's call (it knows whether anyone is still
+    /// waiting on an answer).
+    pub(super) fn install_and_ship(
+        &self,
+        identity: IdentityId,
+        submitted_at: u64,
+        tasks: Vec<Accepted>,
+        on_resident: &mut dyn FnMut(TaskId, IdentityId) -> GcxResult<()>,
+    ) -> (Vec<TaskId>, GcxResult<()>) {
+        // Everything ships in this same call, so one "dispatched" stamp
+        // (taken after the REST link charge) serves the whole batch; it is
+        // also the queue-transit span's start, carried in a header.
         let shipped = self.inner.clock.now_ms();
         let shipped_str = shipped.to_string();
-        let mut ids = Vec::with_capacity(prepared.len());
-        // Records this call created — what a failed batch rolls back.
-        let mut installed = Vec::with_capacity(prepared.len());
-        let mut resent = 0u64;
+        let mut installed = Vec::with_capacity(tasks.len());
         let mut by_endpoint: HashMap<EndpointId, Vec<Message>> = HashMap::new();
-        for (spec, deliver_to, inline, stamp_submit) in prepared {
+        for Accepted {
+            spec,
+            deliver_to,
+            inline,
+            stamp_submit,
+        } in tasks
+        {
             let task_id = spec.task_id;
-            let trace = spec.trace;
-            // Federation: only the task's ring owner installs the record,
-            // appends to the durable log, and ships to the endpoint queue.
-            // Any other replica forwards the deliverable spec to the owner
-            // and never touches its own task store.
-            let forward_to = self.fed().and_then(|fed| {
-                let owner = fed.owner(task_id.uuid()).unwrap_or(fed.replica);
-                (owner != fed.replica).then_some(owner)
-            });
-            if forward_to.is_none() {
-                // Task ids are client-chosen and a wire client resends a
-                // batch in place when its connection drops mid-call, so a
-                // submit must be idempotent on the id (the federation
-                // ingest already is): install only if absent.
-                let mut record = TaskRecord::new(spec.clone(), who.identity.id, now);
-                record.dispatched_at = Some(shipped);
-                let mut record = Some(record);
-                let holder = self.inner.tasks.update_or_insert_with(
-                    task_id,
-                    || record.take().expect("taken at most once"),
-                    |rec| rec.owner,
-                );
-                if record.is_some() {
-                    if holder != who.identity.id {
-                        let e = GcxError::Forbidden(format!(
-                            "task id {task_id} belongs to another identity"
-                        ));
-                        self.roll_back_batch(&installed, &e, shipped);
-                        return Err(e);
-                    }
-                    // Already accepted: acknowledge, ship and count nothing.
-                    self.admission_release(who.identity.id, 1);
-                    *held -= 1;
-                    resent += 1;
-                    ids.push(task_id);
-                    continue;
+            let mut record = TaskRecord::new(spec.clone(), identity, submitted_at);
+            record.dispatched_at = Some(shipped);
+            let mut record = Some(record);
+            let holder = self.inner.tasks.update_or_insert_with(
+                task_id,
+                || record.take().expect("taken at most once"),
+                |rec| rec.owner,
+            );
+            if record.is_some() {
+                if let Err(e) = on_resident(task_id, holder) {
+                    return (installed, Err(e));
                 }
-                installed.push(task_id);
-            }
-            self.inner.usage.record_task(now);
-            if stamp_submit {
-                self.inner
-                    .tracer
-                    .record_span(trace.as_ref(), "submit", now, shipped);
-            }
-            if let Some(owner) = forward_to {
-                let mut wire_spec = spec;
-                wire_spec.endpoint_id = deliver_to;
-                self.fed_forward_submit(owner, &wire_spec, who.identity.id, now)?;
-                // The owning replica tracks this task's lifecycle; it
-                // never flows through our local completion paths, so
-                // drop its in-flight charge here.
-                self.admission_release(who.identity.id, 1);
-                *held -= 1;
-                ids.push(task_id);
                 continue;
+            }
+            installed.push(task_id);
+            if stamp_submit {
+                let tracer = &self.inner.tracer;
+                tracer.record_span(spec.trace.as_ref(), "submit", submitted_at, shipped);
             }
             if spec.deadline_ms.is_some() {
                 self.inner.admission.note_deadline_task();
             }
-            if self.fed().is_some() {
-                let mut wire_spec = spec.clone();
-                wire_spec.endpoint_id = deliver_to;
-                self.fed_log_open(&wire_spec, who.identity.id, now);
-            }
-            // Build the compact binary body for the (possibly rewritten)
-            // endpoint's queue: one buffer fill, no `Value` tree. An
-            // inlined payload is memcpy'd into the frame; a CAS reference
-            // ships only the content hash.
             let mut wire_spec = spec;
             wire_spec.endpoint_id = deliver_to;
+            self.fed_log_open(&wire_spec, identity, submitted_at);
             if inline {
                 self.inner
                     .m
                     .payload_bytes_moved
                     .add(wire_spec.payload.len() as u64);
             }
-            let body = wire_spec.to_message(inline);
-            let message = match &trace {
-                Some(ctx) => {
-                    // Headers let the broker annotate the trace on fault
-                    // injection and the receiving session time the
-                    // queue-transit leg, without decoding the body.
-                    let mut headers = std::collections::BTreeMap::new();
-                    headers.insert(gcx_mq::TRACE_HEADER.to_string(), ctx.encode());
-                    headers.insert(gcx_mq::SENT_MS_HEADER.to_string(), shipped_str.clone());
-                    Message::with_headers(body, headers)
-                }
-                None => Message::new(body),
-            };
+            let message = self.task_message(&wire_spec, inline, &shipped_str);
             by_endpoint.entry(deliver_to).or_default().push(message);
-            ids.push(task_id);
         }
-        self.inner.m.tasks_submitted.add(ids.len() as u64 - resent);
-
         let ship = || -> GcxResult<()> {
             for (deliver_to, messages) in by_endpoint {
                 let credential = self
@@ -283,15 +382,7 @@ impl WebService {
             }
             Ok(())
         };
-        if let Err(e) = ship() {
-            self.roll_back_batch(&installed, &e, shipped);
-            return Err(e);
-        }
-        self.inner
-            .m
-            .submit_ms
-            .record(self.inner.clock.now_ms().saturating_sub(now));
-        Ok(ids)
+        (installed, ship())
     }
 
     /// The caller sees a whole-batch error (typically a bounded queue's
@@ -300,7 +391,8 @@ impl WebService {
     /// with the same retryable error. Messages that did ship before the
     /// failure produce results that land on these terminal records and are
     /// dropped as duplicates.
-    fn roll_back_batch(&self, installed: &[TaskId], e: &GcxError, at: u64) {
+    fn roll_back_batch(&self, installed: &[TaskId], e: &GcxError) {
+        let at = self.inner.clock.now_ms();
         let failed = TaskResult::retryable_err(e.to_string());
         let flight = self.inner.metrics.flight();
         for id in installed {

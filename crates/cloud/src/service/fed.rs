@@ -1,33 +1,41 @@
 //! Federation plumbing on the web service: the per-replica rpc loop,
-//! forwarding envelopes, durable task-log appends, and ownership
-//! adoption/rebalance helpers.
+//! forwarding, durable task-log appends, and ownership adoption/rebalance
+//! helpers.
 //!
-//! Envelope wire format (all maps): `kind` is `submit` | `result` |
-//! `state`; every envelope carries the sender's ownership `epoch` and a
-//! `hop` count. A receiver that is not the key's owner re-forwards with
-//! `hop + 1` (capped at the federation's `max_forward_hops`), counting
-//! stale-epoch traffic — this is how writes addressed to a replica that
-//! lost a range after a handover converge on the new owner instead of
-//! corrupting state on the stale one.
+//! What travels between replicas is an [`Envelope`] (bytes laid out in
+//! [`crate::federation::envelope`]): `submit` | `result` | `state`, each
+//! carrying the sender's ownership epoch and a hop count. A receiver that
+//! is not the key's owner passes it on through `FedCore::route` (one more
+//! hop, capped at the federation's `max_forward_hops`, stale epochs
+//! counted) — this is how writes addressed to a replica that lost a range
+//! after a handover converge on the new owner instead of corrupting state
+//! on the stale one.
+//!
+//! A task owned here gets in one way however it arrived: forwarded specs
+//! and a dead owner's open tasks go through the front door's
+//! `install_and_ship` (see `dispatch.rs`), so they get the same record,
+//! deadline bookkeeping, `Open` log entry and batched publish as a task
+//! submitted here.
 
 use std::time::Duration;
 
-use gcx_core::codec;
+use bytes::Bytes;
 use gcx_core::error::{GcxError, GcxResult};
-use gcx_core::ids::{EndpointId, IdentityId, TaskId};
-use gcx_core::task::{TaskRecord, TaskResult, TaskSpec, TaskState};
+use gcx_core::ids::{IdentityId, TaskId};
+use gcx_core::task::{TaskRecord, TaskResult, TaskSpec};
 use gcx_core::trace::EventLevel;
-use gcx_core::value::Value;
 use gcx_mq::Message;
 
-use super::{task_queue_name, WebService};
+use super::dispatch::Accepted;
+use super::WebService;
+use crate::federation::envelope::{open_entry, Body, Envelope};
 use crate::federation::log::{fed_log_queue, fed_rpc_queue, TaskLogEntry, FED_CRED};
 use crate::federation::{FedMembership, ReplicaId};
 
 /// An orphaned result (owner has no record yet — handover race) is
 /// requeued to the owner's own rpc queue this many times before being
 /// dropped as unrecoverable.
-const MAX_ORPHAN_RETRIES: i64 = 1000;
+const MAX_ORPHAN_RETRIES: u64 = 1000;
 
 impl WebService {
     /// This replica's index in its federation (`None` standalone).
@@ -55,12 +63,17 @@ impl WebService {
 
     // ---- durable task log ------------------------------------------------
 
-    fn fed_log_append(&self, replica: ReplicaId, entry: &TaskLogEntry) {
-        let _ = self.inner.broker.publish(
-            &fed_log_queue(replica),
-            Message::new(codec::encode(&entry.to_value())),
-            Some(FED_CRED),
-        );
+    /// Append to this replica's task log; standalone, `entry` is never
+    /// built.
+    fn fed_log_append(&self, entry: impl FnOnce() -> GcxResult<Bytes>) {
+        let Some(fed) = &self.inner.fed else { return };
+        if let Ok(body) = entry() {
+            let _ = self.inner.broker.publish(
+                &fed_log_queue(fed.replica),
+                Message::new(body),
+                Some(FED_CRED),
+            );
+        }
     }
 
     /// Append an `Open` entry for a task this replica just became
@@ -68,128 +81,51 @@ impl WebService {
     /// already rewritten to the resolved UEP where applicable), so a
     /// handover replay can republish it as-is.
     pub(super) fn fed_log_open(&self, wire_spec: &TaskSpec, owner: IdentityId, submitted_at: u64) {
-        if let Some(fed) = &self.inner.fed {
-            self.fed_log_append(
-                fed.replica,
-                &TaskLogEntry::Open {
-                    spec: Box::new(wire_spec.clone()),
-                    owner,
-                    submitted_at,
-                },
-            );
-        }
+        self.fed_log_append(|| open_entry(wire_spec, owner, submitted_at));
     }
 
     pub(super) fn fed_log_done(&self, task_id: TaskId, result: &TaskResult) {
-        if let Some(fed) = &self.inner.fed {
-            self.fed_log_append(
-                fed.replica,
-                &TaskLogEntry::Done {
-                    task_id,
-                    result: result.clone(),
-                },
-            );
-        }
+        self.fed_log_append(|| {
+            let result = result.clone();
+            TaskLogEntry::Done { task_id, result }.encode()
+        });
     }
 
     fn fed_log_moved(&self, task_id: TaskId) {
-        if let Some(fed) = &self.inner.fed {
-            self.fed_log_append(fed.replica, &TaskLogEntry::Moved { task_id });
-        }
+        self.fed_log_append(|| TaskLogEntry::Moved { task_id }.encode());
     }
 
     /// Expiry tombstone: keeps a deadline-expired task dead across a
     /// handover replay instead of resurrecting it past its deadline.
     pub(super) fn fed_log_expired(&self, task_id: TaskId) {
-        if let Some(fed) = &self.inner.fed {
-            self.fed_log_append(fed.replica, &TaskLogEntry::Expired { task_id });
-        }
+        self.fed_log_append(|| TaskLogEntry::Expired { task_id }.encode());
     }
 
     // ---- envelope senders ------------------------------------------------
 
-    fn fed_send(&self, to: ReplicaId, envelope: Value) -> GcxResult<()> {
-        self.inner.broker.publish(
-            &fed_rpc_queue(to),
-            Message::new(codec::encode(&envelope)),
-            Some(FED_CRED),
-        )
+    /// Send `body` to `to` under the current epoch, hop 0.
+    fn fed_send(&self, to: ReplicaId, body: Body) -> GcxResult<()> {
+        let fed = self.inner.fed.as_ref().expect("federated");
+        let env = Envelope {
+            epoch: fed.epoch(),
+            hop: 0,
+            body,
+        };
+        fed.core.send(&self.inner.broker, to, &env)
     }
 
-    /// Forward a validated submit to the task's owner. The wire spec has
-    /// its endpoint already resolved; the owner inserts the record,
-    /// appends `Open`, and ships to the endpoint queue.
-    pub(super) fn fed_forward_submit(
-        &self,
-        to: ReplicaId,
-        wire_spec: &TaskSpec,
-        identity: IdentityId,
-        submitted_at: u64,
-    ) -> GcxResult<()> {
-        let fed = self.inner.fed.as_ref().expect("federated");
-        self.inner.metrics.counter("fed.submits_forwarded").inc();
-        self.fed_send(
-            to,
-            Value::map([
-                ("kind", Value::str("submit")),
-                ("spec", wire_spec.to_value()),
-                ("owner", Value::str(identity.to_string())),
-                ("submitted_at", Value::Int(submitted_at as i64)),
-                ("forwarded_ms", Value::Int(self.inner.clock.now_ms() as i64)),
-                ("epoch", Value::Int(fed.epoch() as i64)),
-                ("hop", Value::Int(0)),
-            ]),
-        )
-    }
-
-    /// Forward a landed result to the task's owner (this replica's result
-    /// processor picked it off the shared result queue but does not own
-    /// the task).
-    pub(super) fn fed_forward_result(
-        &self,
-        to: ReplicaId,
-        task_id: TaskId,
-        result: &TaskResult,
-        sent_ms: Option<u64>,
-        retry: i64,
-    ) -> GcxResult<()> {
-        let fed = self.inner.fed.as_ref().expect("federated");
-        self.inner.metrics.counter("fed.results_forwarded").inc();
-        let mut fields = vec![
-            ("kind", Value::str("result")),
-            ("task_id", Value::str(task_id.to_string())),
-            ("result", result.to_value()),
-            ("epoch", Value::Int(fed.epoch() as i64)),
-            ("hop", Value::Int(0)),
-            ("retry", Value::Int(retry)),
-        ];
-        if let Some(sent) = sent_ms {
-            fields.push(("sent_ms", Value::Int(sent as i64)));
-        }
-        self.fed_send(to, Value::map(fields))
-    }
-
-    /// Forward an endpoint state report to the task's owner.
-    pub(super) fn fed_forward_state(
-        &self,
-        to: ReplicaId,
-        endpoint: EndpointId,
-        task_id: TaskId,
-        state: TaskState,
-    ) -> GcxResult<()> {
-        let fed = self.inner.fed.as_ref().expect("federated");
-        self.inner.metrics.counter("fed.state_forwarded").inc();
-        self.fed_send(
-            to,
-            Value::map([
-                ("kind", Value::str("state")),
-                ("task_id", Value::str(task_id.to_string())),
-                ("endpoint_id", Value::str(endpoint.to_string())),
-                ("state", Value::str(state.label())),
-                ("epoch", Value::Int(fed.epoch() as i64)),
-                ("hop", Value::Int(0)),
-            ]),
-        )
+    /// Forward to the owner what this replica accepted or picked up but
+    /// does not own: the validated specs of one `submit_batch` (endpoints
+    /// already resolved, one envelope per owner), a result off the shared
+    /// result queue, or an endpoint's state report. Counts *tasks*.
+    pub(super) fn fed_forward(&self, to: ReplicaId, body: Body) -> GcxResult<()> {
+        let (counter, tasks) = match &body {
+            Body::Submit(_, specs) => ("fed.submits_forwarded", specs.len()),
+            Body::Result { .. } => ("fed.results_forwarded", 1),
+            Body::State { .. } => ("fed.state_forwarded", 1),
+        };
+        self.inner.metrics.counter(counter).add(tasks as u64);
+        self.fed_send(to, body)
     }
 
     // ---- the rpc loop ----------------------------------------------------
@@ -224,7 +160,14 @@ impl WebService {
             }
             match consumer.next(Duration::from_millis(25)) {
                 Ok(Some(delivery)) => {
-                    let _ = self.fed_handle_envelope(&delivery.message);
+                    if let Err(e) = self.fed_handle_envelope(&fed, &delivery.message.body) {
+                        // Nothing to hand the failure to: a refused envelope
+                        // names no task we can trust.
+                        let tracer = &self.inner.tracer;
+                        tracer.event(EventLevel::Error, "fed.envelope_refused", || {
+                            vec![("error", e.to_string())]
+                        });
+                    }
                     let _ = consumer.ack(delivery.tag);
                 }
                 Ok(None) => {}
@@ -233,190 +176,71 @@ impl WebService {
         }
     }
 
-    fn fed_handle_envelope(&self, message: &Message) -> GcxResult<()> {
-        let v = codec::decode(&message.body)?;
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| GcxError::Codec("fed envelope missing 'kind'".into()))?;
-        match kind {
-            "submit" => {
-                let spec =
-                    TaskSpec::from_value(v.get("spec").ok_or_else(|| {
-                        GcxError::Codec("submit envelope missing 'spec'".into())
-                    })?)?;
-                let key = spec.task_id;
-                if !self.fed_is_mine(key) {
-                    return self.fed_reroute(&v, key);
+    /// Act on the part of a received envelope this replica owns; the rest
+    /// (the ring moved since it was addressed) is sent on by `route`.
+    fn fed_handle_envelope(&self, fed: &FedMembership, bytes: &Bytes) -> GcxResult<()> {
+        let env = Envelope::decode(bytes)?;
+        let (mine, _) = fed.core.route(&self.inner.broker, env, Some(fed.replica));
+        match mine {
+            None => Ok(()),
+            Some(Body::Submit(from, specs)) => {
+                let now = self.inner.clock.now_ms();
+                for spec in &specs {
+                    let tracer = &self.inner.tracer;
+                    tracer.record_span(spec.trace.as_ref(), "forward", from.forwarded_ms, now);
                 }
-                let identity = IdentityId(
-                    v.get("owner")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| GcxError::Codec("submit envelope missing 'owner'".into()))?
-                        .parse()
-                        .map_err(|e| GcxError::Codec(format!("bad owner: {e}")))?,
-                );
-                let submitted_at = v
-                    .get("submitted_at")
-                    .and_then(Value::as_int)
-                    .unwrap_or(0)
-                    .max(0) as u64;
-                let forwarded_ms = v.get("forwarded_ms").and_then(Value::as_int);
-                self.fed_ingest_submit(spec, identity, submitted_at, forwarded_ms)
+                let ingested = self.fed_ingest(from.identity, from.submitted_at, specs);
+                let counter = self.inner.metrics.counter("fed.submits_ingested");
+                counter.add(ingested as u64);
+                Ok(())
             }
-            "result" => {
-                let task_id: TaskId = envelope_task_id(&v)?;
-                if !self.fed_is_mine(task_id) {
-                    return self.fed_reroute(&v, task_id);
+            Some(Body::Result {
+                task_id,
+                result,
+                sent_ms,
+                retry,
+            }) => match self.finish_task_local(task_id, result.clone(), sent_ms) {
+                Err(GcxError::TaskNotFound(_)) => {
+                    self.fed_requeue_orphan_result(task_id, result, sent_ms, retry)
                 }
-                let result =
-                    TaskResult::from_value(v.get("result").ok_or_else(|| {
-                        GcxError::Codec("result envelope missing 'result'".into())
-                    })?)?;
-                let sent_ms = v
-                    .get("sent_ms")
-                    .and_then(Value::as_int)
-                    .map(|n| n.max(0) as u64);
-                let retry = v.get("retry").and_then(Value::as_int).unwrap_or(0);
-                match self.finish_task_local(task_id, result.clone(), sent_ms) {
-                    Err(GcxError::TaskNotFound(_)) => {
-                        self.fed_requeue_orphan_result(task_id, &result, sent_ms, retry)
-                    }
-                    other => {
-                        if other.is_ok() {
-                            self.inner.metrics.counter("fed.results_ingested").inc();
-                        }
-                        other
-                    }
+                Ok(()) => {
+                    self.inner.metrics.counter("fed.results_ingested").inc();
+                    Ok(())
                 }
-            }
-            "state" => {
-                let task_id: TaskId = envelope_task_id(&v)?;
-                if !self.fed_is_mine(task_id) {
-                    return self.fed_reroute(&v, task_id);
-                }
-                let endpoint = EndpointId(
-                    v.get("endpoint_id")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| {
-                            GcxError::Codec("state envelope missing 'endpoint_id'".into())
-                        })?
-                        .parse()
-                        .map_err(|e| GcxError::Codec(format!("bad endpoint_id: {e}")))?,
-                );
-                let state =
-                    state_from_label(v.get("state").and_then(Value::as_str).ok_or_else(|| {
-                        GcxError::Codec("state envelope missing 'state'".into())
-                    })?)?;
-                // A state report for a task we don't hold (handover race)
-                // is advisory: drop it, the result will still land.
-                match self.report_state_local(endpoint, task_id, state) {
-                    Err(GcxError::TaskNotFound(_)) => Ok(()),
-                    other => other,
-                }
-            }
-            other => Err(GcxError::Codec(format!("unknown fed envelope '{other}'"))),
+                Err(e) => Err(e),
+            },
+            // A state report for a task we don't hold (handover race) is
+            // advisory: drop it, the result will still land.
+            Some(Body::State {
+                task_id,
+                endpoint,
+                state,
+            }) => match self.report_state_local(endpoint, task_id, state) {
+                Err(GcxError::TaskNotFound(_)) => Ok(()),
+                other => other,
+            },
         }
     }
 
-    fn fed_is_mine(&self, task_id: TaskId) -> bool {
-        self.inner
-            .fed
-            .as_ref()
-            .map(|f| f.is_mine(task_id.uuid()))
-            .unwrap_or(true)
-    }
-
-    /// This envelope is not ours: bump the hop count, refresh the epoch,
-    /// and re-forward to the current owner (the sender held a stale ring).
-    fn fed_reroute(&self, v: &Value, key: TaskId) -> GcxResult<()> {
-        let Some(fed) = self.inner.fed.as_ref() else {
-            return Ok(());
-        };
-        let sent_epoch = v.get("epoch").and_then(Value::as_int).unwrap_or(0);
-        if (sent_epoch as u64) < fed.epoch() {
-            self.inner.metrics.counter("fed.stale_epoch_rejected").inc();
-        }
-        let hop = v.get("hop").and_then(Value::as_int).unwrap_or(0) + 1;
-        if hop > fed.core.max_forward_hops as i64 {
-            self.inner.metrics.counter("fed.hops_exhausted").inc();
-            self.inner
-                .tracer
-                .event(EventLevel::Error, "fed.hops_exhausted", || {
-                    vec![("task_id", key.to_string()), ("hops", hop.to_string())]
-                });
-            return Ok(());
-        }
-        let Some(owner) = fed.owner(key.uuid()) else {
-            return Ok(());
-        };
-        let mut m = v.as_map().cloned().unwrap_or_default();
-        m.insert("hop".into(), Value::Int(hop));
-        m.insert("epoch".into(), Value::Int(fed.epoch() as i64));
-        self.fed_send(owner, Value::Map(m))
-    }
-
-    /// Install a forwarded submit as the owner: record, `Open` log entry,
-    /// and shipment to the endpoint queue.
-    fn fed_ingest_submit(
-        &self,
-        spec: TaskSpec,
-        identity: IdentityId,
-        submitted_at: u64,
-        forwarded_ms: Option<i64>,
-    ) -> GcxResult<()> {
-        if self.inner.tasks.contains_key(&spec.task_id) {
-            return Ok(()); // duplicate forward
-        }
-        let now = self.inner.clock.now_ms();
-        self.inner.tracer.record_span(
-            spec.trace.as_ref(),
-            "forward",
-            forwarded_ms.map(|n| n.max(0) as u64).unwrap_or(now),
-            now,
-        );
-        let mut record = TaskRecord::new(spec.clone(), identity, submitted_at);
-        record.dispatched_at = Some(now);
-        self.inner.tasks.insert(spec.task_id, record);
-        self.fed_log_open(&spec, identity, submitted_at);
-        self.inner.metrics.counter("fed.submits_ingested").inc();
-        self.fed_ship_to_endpoint(&spec)
-    }
-
-    /// Publish a deliverable spec to its endpoint's task queue (same wire
-    /// shape as the dispatch path). If the endpoint's credential is gone
-    /// the task is failed with a retryable error instead of black-holing.
-    fn fed_ship_to_endpoint(&self, spec: &TaskSpec) -> GcxResult<()> {
-        let Some(credential) = self.inner.credentials.get_cloned(&spec.endpoint_id) else {
-            return self.finish_task_local(
-                spec.task_id,
-                TaskResult::retryable_err(format!(
-                    "endpoint {} unknown at owning replica",
-                    spec.endpoint_id
-                )),
-                None,
-            );
-        };
-        // Binary task-queue wire shape, always inline: the owning replica's
-        // CAS is not reachable from the endpoint's connected replica.
-        let body = spec.to_message(true);
-        let message = match &spec.trace {
-            Some(ctx) => {
-                let mut headers = std::collections::BTreeMap::new();
-                headers.insert(gcx_mq::TRACE_HEADER.to_string(), ctx.encode());
-                headers.insert(
-                    gcx_mq::SENT_MS_HEADER.to_string(),
-                    self.inner.clock.now_ms().to_string(),
-                );
-                Message::with_headers(body, headers)
+    /// Take in specs another replica validated — a forwarded submit, or a
+    /// dead owner's open task — through the front door's install-and-ship.
+    /// Whoever submitted them was told `Ok` long ago, so a ship failure
+    /// (a full queue, an endpoint whose credential is gone) cannot be an
+    /// error return: it lands as each task's retryable *result*, which
+    /// fans out to the submitter's streams like any other. Returns how many
+    /// tasks were new here (a repeated forward installs nothing).
+    fn fed_ingest(&self, identity: IdentityId, submitted_at: u64, specs: Vec<TaskSpec>) -> usize {
+        // Always inline: this replica's CAS is not reachable from the
+        // endpoint's connected replica.
+        let tasks = specs.into_iter().map(Accepted::as_resolved).collect();
+        let (installed, shipped) =
+            self.install_and_ship(identity, submitted_at, tasks, &mut |_, _| Ok(()));
+        if let Err(e) = shipped {
+            for id in &installed {
+                let _ = self.finish_task_local(*id, TaskResult::retryable_err(&e), None);
             }
-            None => Message::new(body),
-        };
-        self.inner.broker.publish(
-            &task_queue_name(spec.endpoint_id),
-            message,
-            Some(&credential),
-        )
+        }
+        installed.len()
     }
 
     /// A result arrived for a task we own but don't hold yet (its record
@@ -425,9 +249,9 @@ impl WebService {
     pub(super) fn fed_requeue_orphan_result(
         &self,
         task_id: TaskId,
-        result: &TaskResult,
+        result: TaskResult,
         sent_ms: Option<u64>,
-        retry: i64,
+        retry: u64,
     ) -> GcxResult<()> {
         let Some(fed) = self.inner.fed.as_ref() else {
             return Ok(());
@@ -455,30 +279,30 @@ impl WebService {
         // handover replay a chance to install the record before the next
         // attempt, instead of spinning hot on our own queue.
         std::thread::sleep(Duration::from_millis(1));
-        let mut fields = vec![
-            ("kind", Value::str("result")),
-            ("task_id", Value::str(task_id.to_string())),
-            ("result", result.to_value()),
-            ("epoch", Value::Int(fed.epoch() as i64)),
-            ("hop", Value::Int(0)),
-            ("retry", Value::Int(retry + 1)),
-        ];
-        if let Some(sent) = sent_ms {
-            fields.push(("sent_ms", Value::Int(sent as i64)));
-        }
-        self.fed_send(fed.replica, Value::map(fields))
+        self.fed_send(
+            fed.replica,
+            Body::Result {
+                task_id,
+                result,
+                sent_ms,
+                retry: retry + 1,
+            },
+        )
     }
 
     // ---- handover / rebalance hooks (called by `Federation`) -------------
 
     /// Adopt a task record replayed from another replica's log (death
-    /// handover) or shed by a live replica (rebalance). Appends the
-    /// matching log entries to *our* log so a second failure replays
-    /// correctly, and records a `handover` span on the task's trace.
-    /// `republish` reships open tasks to their endpoint queue (used on
-    /// death handover, where the old owner's publish may never have
-    /// happened — the possible duplicate delivery is made safe by
-    /// idempotent result ingestion).
+    /// handover) or shed by a live replica (rebalance), and record a
+    /// `handover` span on the task's trace.
+    ///
+    /// `republish` (death handover) treats an open task as new work: the
+    /// old owner's publish may never have happened and its delivery state
+    /// is gone, so the task goes through [`Self::fed_ingest`] — the possible
+    /// duplicate delivery is made safe by idempotent result ingestion.
+    /// Everything else is a record carried over as it stands (a terminal
+    /// one, or one a live replica already shipped), logged to *our* log so
+    /// a second failure replays correctly.
     pub(crate) fn fed_adopt_record(
         &self,
         incoming: TaskRecord,
@@ -489,12 +313,37 @@ impl WebService {
         let Some(fed) = self.inner.fed.clone() else {
             return;
         };
+        let trace = incoming.spec.trace;
+        let adopted = if republish && !incoming.state.is_terminal() {
+            let (owner, at) = (incoming.owner, incoming.submitted_at);
+            let fresh = self.fed_ingest(owner, at, vec![incoming.spec]) > 0;
+            if fresh {
+                self.inner.metrics.counter("fed.tasks_republished").inc();
+            }
+            fresh
+        } else {
+            self.fed_carry_over(incoming)
+        };
+        if !adopted {
+            return;
+        }
+        self.inner
+            .tracer
+            .record_span_annotated(trace.as_ref(), "handover", now, now, || {
+                vec![format!(
+                    "ownership moved {from} -> {} (epoch {})",
+                    fed.replica,
+                    fed.epoch()
+                )]
+            });
+    }
+
+    /// Install `incoming` as it stands unless we already hold something at
+    /// least as advanced: a terminal incoming record (a completion the dead
+    /// replica logged but nobody saw) beats a non-terminal resident one.
+    fn fed_carry_over(&self, incoming: TaskRecord) -> bool {
         let task_id = incoming.spec.task_id;
         let incoming_terminal = incoming.state.is_terminal();
-        let trace = incoming.spec.trace;
-        // Install unless we already hold something at least as advanced:
-        // a terminal incoming record (a completion the dead replica logged
-        // but nobody saw) beats a non-terminal resident one.
         let fresh = std::cell::Cell::new(false);
         let installed = self.inner.tasks.update_or_insert_with(
             task_id,
@@ -514,27 +363,17 @@ impl WebService {
             },
         );
         if !installed {
-            return;
+            return false;
         }
         self.fed_log_open(&incoming.spec, incoming.owner, incoming.submitted_at);
-        if incoming_terminal {
-            if let Some(result) = &incoming.result {
-                self.fed_log_done(task_id, result);
+        if !incoming_terminal {
+            if incoming.spec.deadline_ms.is_some() {
+                self.inner.admission.note_deadline_task();
             }
+        } else if let Some(result) = &incoming.result {
+            self.fed_log_done(task_id, result);
         }
-        self.inner
-            .tracer
-            .record_span_annotated(trace.as_ref(), "handover", now, now, || {
-                vec![format!(
-                    "ownership moved {from} -> {} (epoch {})",
-                    fed.replica,
-                    fed.epoch()
-                )]
-            });
-        if !incoming_terminal && republish {
-            self.inner.metrics.counter("fed.tasks_republished").inc();
-            let _ = self.fed_ship_to_endpoint(&incoming.spec);
-        }
+        true
     }
 
     /// Shed every task this replica no longer owns (after a ring change),
@@ -558,24 +397,4 @@ impl WebService {
         }
         moved
     }
-}
-
-fn envelope_task_id(v: &Value) -> GcxResult<TaskId> {
-    v.get("task_id")
-        .and_then(Value::as_str)
-        .ok_or_else(|| GcxError::Codec("fed envelope missing 'task_id'".into()))?
-        .parse()
-        .map_err(|e| GcxError::Codec(format!("bad task_id: {e}")))
-}
-
-fn state_from_label(label: &str) -> GcxResult<TaskState> {
-    Ok(match label {
-        "received" => TaskState::Received,
-        "waiting-for-nodes" => TaskState::WaitingForNodes,
-        "running" => TaskState::Running,
-        "success" => TaskState::Success,
-        "failed" => TaskState::Failed,
-        "cancelled" => TaskState::Cancelled,
-        other => return Err(GcxError::Codec(format!("unknown task state '{other}'"))),
-    })
 }

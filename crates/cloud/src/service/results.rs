@@ -12,6 +12,7 @@ use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_mq::{Consumer, Message};
 
 use super::{stream_queue_name, WebService, DEAD_TASKS_QUEUE, RESULT_QUEUE};
+use crate::federation::envelope::Body;
 
 impl WebService {
     // ---- result streaming (the executor path) ----------------------------
@@ -109,11 +110,17 @@ impl WebService {
         if let Some(fed) = self.fed() {
             let owner = fed.owner(task_id.uuid()).unwrap_or(fed.replica);
             if owner != fed.replica {
-                return self.fed_forward_result(owner, task_id, &result, sent_ms, 0);
+                let body = Body::Result {
+                    task_id,
+                    result,
+                    sent_ms,
+                    retry: 0,
+                };
+                return self.fed_forward(owner, body);
             }
             return match self.finish_task_local(task_id, result.clone(), sent_ms) {
                 Err(GcxError::TaskNotFound(_)) => {
-                    self.fed_requeue_orphan_result(task_id, &result, sent_ms, 0)
+                    self.fed_requeue_orphan_result(task_id, result, sent_ms, 0)
                 }
                 other => other,
             };
@@ -267,7 +274,12 @@ impl WebService {
         if let Some(fed) = self.fed() {
             let owner = fed.owner(task_id.uuid()).unwrap_or(fed.replica);
             if owner != fed.replica {
-                return self.fed_forward_state(owner, endpoint, task_id, state);
+                let body = Body::State {
+                    task_id,
+                    endpoint,
+                    state,
+                };
+                return self.fed_forward(owner, body);
             }
         }
         self.report_state_local(endpoint, task_id, state)

@@ -17,14 +17,12 @@
 //! conversion.
 
 pub mod admission;
-pub mod federation;
 pub mod schema;
 pub mod template;
 pub mod transport;
 pub mod yaml;
 
 pub use admission::AdmissionSpec;
-pub use federation::FederationSpec;
 pub use schema::Schema;
 pub use template::Template;
 pub use transport::TransportSpec;

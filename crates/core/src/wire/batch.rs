@@ -38,10 +38,17 @@ const SLICE_MIN: usize = 1024;
 /// Pack `specs` as the `submit_batch` request params.
 pub fn pack_specs(specs: &[TaskSpec]) -> GcxResult<Vec<u8>> {
     let mut out = Vec::with_capacity(specs.iter().map(|s| 128 + s.payload.len()).sum());
+    write_specs(specs, &mut out)?;
+    Ok(out)
+}
+
+/// Append the [`pack_specs`] body to `out` (a caller with its own header in
+/// front — the federation envelope — packs into one buffer this way).
+pub fn write_specs(specs: &[TaskSpec], out: &mut Vec<u8>) -> GcxResult<()> {
     for spec in specs {
         let at = out.len();
         out.extend_from_slice(&[0u8; 4]);
-        spec.write_message(true, &mut out);
+        spec.write_message(true, out);
         let size = out.len() - at - 4;
         let len = u32::try_from(size).map_err(|_| GcxError::PayloadTooLarge {
             size,
@@ -49,7 +56,7 @@ pub fn pack_specs(specs: &[TaskSpec]) -> GcxResult<Vec<u8>> {
         })?;
         out[at..at + 4].copy_from_slice(&len.to_be_bytes());
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decode `submit_batch` params received from a peer. A spec's payload is a

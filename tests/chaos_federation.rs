@@ -263,6 +263,23 @@ fn owner_replica_dies_mid_flight_tasks_hand_over_exactly_once() {
         0,
         "no result may be lost in the handover window"
     );
+    // ...and every dropped duplicate is accounted for. A second result for
+    // a task has two legitimate sources, both already counted: the death
+    // handover republished the open task (`fed.tasks_republished` — one
+    // extra delivery, so at most one extra result), or a delivery the
+    // victim held unacked (a result off the shared queue, a forwarded
+    // result envelope) was requeued by the broker and landed again at the
+    // adopter (`mq.redeliveries`). Anything beyond their sum would be a
+    // replay bug, not benign dedup (FAULTS.md, replica runbook).
+    let m = fed.metrics();
+    let duplicates = m.counter("cloud.duplicate_results_dropped").get();
+    let republished = m.counter("fed.tasks_republished").get();
+    let redelivered = m.counter("mq.redeliveries").get();
+    assert!(
+        duplicates <= republished + redelivered,
+        "{duplicates} duplicate results dropped, but only {republished} tasks were \
+         republished and {redelivered} deliveries requeued"
+    );
 
     // The handover is visible inside the task traces: at least one trace
     // carries a `handover` span, and every such trace links submit →
