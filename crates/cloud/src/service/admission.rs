@@ -251,7 +251,7 @@ impl WebService {
             *cur += n;
         }
         adm.ledger_note(who, n, 0);
-        self.inner.metrics.gauge("cloud.admission_inflight").add(n);
+        self.inner.m.admission_inflight.add(n);
         Ok(())
     }
 
@@ -271,7 +271,7 @@ impl WebService {
             }
         }
         drop(inflight);
-        self.inner.metrics.gauge("cloud.admission_inflight").sub(n);
+        self.inner.m.admission_inflight.sub(n);
     }
 
     /// The clock-driven overload sweep: expire every non-terminal task

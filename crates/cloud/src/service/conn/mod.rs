@@ -163,6 +163,7 @@ mod tests {
     use gcx_config::TransportSpec;
     use gcx_core::function::FunctionBody;
     use gcx_core::task::{TaskResult, TaskSpec, TaskState};
+    use gcx_core::trace::TraceContext;
     use gcx_core::wire::{FrameType, WIRE_VERSION};
     use std::collections::HashSet;
     use std::time::Duration;
@@ -495,6 +496,136 @@ mod tests {
             .expect_err("dead connection must error");
         assert!(matches!(err, GcxError::Transient(_)), "{err:?}");
         client.close();
+        svc.shutdown();
+    }
+
+    /// The spans of one finished task: no orphans, the root closed, and
+    /// every leg in `once` exactly once among the children.
+    fn assert_legs(tracer: &gcx_core::trace::Tracer, ctx: &TraceContext, once: &[&str]) {
+        let td = tracer.trace(ctx.trace_id).expect("the task's trace");
+        assert!(td.orphan_spans().is_empty(), "orphans in {td:?}");
+        assert_eq!(tracer.spans_overflowed(), 0);
+        let mut legs: Vec<&str> = td.children_of(td.root).iter().map(|s| s.name).collect();
+        legs.sort_unstable();
+        let mut once = once.to_vec();
+        once.sort_unstable();
+        assert_eq!(legs, once, "{td:?}");
+        assert_eq!(
+            td.spans.len(),
+            once.len() + 1,
+            "only the root has no parent"
+        );
+    }
+
+    /// Fails if a cheaper tracer got there by recording less: one task,
+    /// in process and over the wire, must leave every lifecycle leg exactly
+    /// once, linked to a closed root.
+    #[test]
+    fn traced_task_keeps_every_leg() {
+        use gcx_core::trace::{TraceConfig, Tracer};
+        let svc = service();
+        let token = login(&svc, "legs@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        // Run the endpoint's side of one task; `running` says whether it
+        // reports the Running state (which is what stamps `dispatch`).
+        let serve = |running: bool| {
+            let (spec, tag) = session.next_task(T).unwrap().unwrap();
+            if running {
+                session
+                    .report_state(spec.task_id, TaskState::Running)
+                    .unwrap();
+            }
+            // The root must visibly close after it opened (ms clock).
+            std::thread::sleep(Duration::from_millis(2));
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(Value::Int(1)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+            spec.trace.expect("tracing is on by default")
+        };
+        let closed_root = |tracer: &Tracer, ctx: &TraceContext| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            loop {
+                let td = tracer.trace(ctx.trace_id).expect("the task's trace");
+                let root = td.root_span().expect("a root").clone();
+                if td.spans_named("result").count() == 1 {
+                    assert!(root.end_ms > root.start_ms, "root left open: {root:?}");
+                    return;
+                }
+                assert!(std::time::Instant::now() < deadline, "no result span");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+
+        // In process, context minted by the front door.
+        let stream = svc.open_result_stream(&token).unwrap();
+        for running in [false, true] {
+            svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
+                .unwrap();
+            let ctx = serve(running);
+            closed_root(svc.tracer(), &ctx);
+            let mut legs = vec!["submit", "queue", "execute", "result"];
+            legs.extend(running.then_some("dispatch"));
+            assert_legs(svc.tracer(), &ctx, &legs);
+            let pushed = stream.consumer.next(T).unwrap().expect("pushed result");
+            assert_eq!(pushed.message.headers.trace, Some(ctx));
+            stream.consumer.ack(pushed.tag).unwrap();
+        }
+        drop(stream);
+
+        // Over the wire, context minted by the client as the SDK does: the
+        // server adopts it, and each side keeps its own wire legs.
+        let client_side = MetricsRegistry::new();
+        client_side.set_tracer(Tracer::new(
+            gcx_core::clock::SystemClock::shared(),
+            TraceConfig::default(),
+        ));
+        let server = WireServer::inmem(&svc, fast_spec());
+        let client = WireClient::over_with_registry(
+            server.connect_inmem(),
+            &token.0,
+            client_cfg(),
+            &client_side,
+        )
+        .unwrap();
+        let pushes = client.open_stream().unwrap();
+        let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+        let minted = client_side.tracer().start_trace("task").unwrap();
+        spec.trace = Some(minted);
+        client.submit_batch(&[spec]).unwrap();
+        assert_eq!(serve(true), minted);
+        closed_root(svc.tracer(), &minted);
+        assert_legs(
+            svc.tracer(),
+            &minted,
+            &[
+                "submit",
+                "queue",
+                "dispatch",
+                "execute",
+                "result",
+                "wire.decode",
+                "wire.queue",
+            ],
+        );
+        assert!(pushes.next(T).unwrap().is_some(), "pushed over the wire");
+        assert_legs(
+            &client_side.tracer(),
+            &minted,
+            &["wire.send", "wire.await", "wire.push"],
+        );
+
+        drop(pushes);
+        client.close();
+        server.shutdown();
         svc.shutdown();
     }
 }

@@ -12,7 +12,6 @@ use gcx_auth::Token;
 use gcx_config::TransportSpec;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
-use gcx_core::trace::TraceContext;
 use gcx_core::value::Value;
 use gcx_core::wire::batch;
 use gcx_core::wire::{
@@ -554,15 +553,7 @@ fn spawn_push_loop(
                     // Link each pushed result back to its originating trace:
                     // the envelope's context rides a queue header, and a
                     // trace-capable peer gets it beside the entry.
-                    let trace = if conn.peer_trace {
-                        delivery
-                            .message
-                            .headers
-                            .get(gcx_mq::TRACE_HEADER)
-                            .and_then(|s| TraceContext::decode(s))
-                    } else {
-                        None
-                    };
+                    let trace = delivery.message.headers.trace.filter(|_| conn.peer_trace);
                     let envelope = &delivery.message.body;
                     let entry = batch::push_entry_len(trace.is_some(), envelope.len());
                     if !tags.is_empty() && body.len() + entry > max_bytes {

@@ -60,9 +60,23 @@ pub(super) struct Accepted {
     /// Ship the payload bytes (`true`) or only their content hash, a CAS
     /// reference.
     pub(super) inline: bool,
-    /// The service has not seen this task's trace before: record the
-    /// server-side `submit` span.
-    pub(super) stamp_submit: bool,
+    /// Whether this replica still owes the trace its `submit` span.
+    pub(super) submit_leg: SubmitLeg,
+}
+
+/// The server-side `submit` span exists exactly once per trace and
+/// collector; this says what is left to do about it when the task ships.
+#[derive(Clone, Copy)]
+pub(super) enum SubmitLeg {
+    /// Nothing: another replica's front door took the task in.
+    Recorded,
+    /// The trace was minted by this call: record the span.
+    Owed,
+    /// The context came with the spec (an SDK minted it). Adopt it if this
+    /// collector has not seen it and record the span only then — a context
+    /// minted in process (shared collector) or re-sent by a resubmission
+    /// already has one.
+    OwedIfNew,
 }
 
 impl Accepted {
@@ -73,7 +87,7 @@ impl Accepted {
             deliver_to: spec.endpoint_id,
             spec,
             inline: true,
-            stamp_submit: false,
+            submit_leg: SubmitLeg::Recorded,
         }
     }
 }
@@ -129,24 +143,18 @@ impl WebService {
         for mut spec in specs {
             // SDK submissions arrive with a trace context already minted;
             // direct REST submissions get theirs here (subject to sampling)
-            // so the per-leg timeline exists either way.
-            let cloud_traced = spec.trace.is_none() && self.inner.tracer.enabled();
-            if cloud_traced {
+            // so the per-leg timeline exists either way. A context minted by
+            // a *remote* SDK (one that reached us over the wire) lives in a
+            // separate client-side collector; it is adopted when the task
+            // ships, so the server-side legs link into one trace here too.
+            let submit_leg = if spec.trace.is_some() {
+                SubmitLeg::OwedIfNew
+            } else if self.inner.tracer.enabled() {
                 spec.trace = self.inner.tracer.start_trace("task");
-            }
-            // A context minted by a *remote* SDK (one that reached us over
-            // the wire) lives in a separate client-side collector; adopt it
-            // so the server-side legs link into one trace here too.
-            // Adoption is idempotent — the in-process path (shared
-            // collector) and resubmissions of an already-seen trace return
-            // `false`, so exactly one server-side submit span exists per
-            // trace.
-            let adopted = !cloud_traced
-                && spec
-                    .trace
-                    .as_ref()
-                    .is_some_and(|ctx| self.inner.tracer.adopt_trace(ctx, "task"));
-            let stamp_submit = cloud_traced || adopted;
+                SubmitLeg::Owed
+            } else {
+                SubmitLeg::Recorded
+            };
             let payload_len = spec.payload.len();
             if payload_len > self.inner.cfg.payload_limit {
                 return Err(GcxError::PayloadTooLarge {
@@ -192,7 +200,7 @@ impl WebService {
                 spec,
                 deliver_to,
                 inline,
-                stamp_submit,
+                submit_leg,
             });
         }
 
@@ -239,10 +247,7 @@ impl WebService {
                 let forwarded_at = self.inner.clock.now_ms();
                 let mut specs = Vec::with_capacity(group.len());
                 for task in group {
-                    if task.stamp_submit {
-                        let tracer = &self.inner.tracer;
-                        tracer.record_span(task.spec.trace.as_ref(), "submit", now, forwarded_at);
-                    }
+                    self.stamp_submit(task.submit_leg, &task.spec, now, forwarded_at);
                     let mut wire_spec = task.spec;
                     wire_spec.endpoint_id = task.deliver_to;
                     specs.push(wire_spec);
@@ -268,9 +273,7 @@ impl WebService {
         }
         // Accepted: count what is new (a refused batch counts nothing).
         let fresh = ids.len() as u64 - resent;
-        for _ in 0..fresh {
-            self.inner.usage.record_task(now);
-        }
+        self.inner.usage.record_tasks(now, fresh);
         self.inner.m.tasks_submitted.add(fresh);
         self.inner
             .m
@@ -279,23 +282,32 @@ impl WebService {
         Ok(ids)
     }
 
+    /// Settle the server-side `submit` span (`start_ms` → `end_ms`) a task
+    /// is owed, in one visit to the collector.
+    fn stamp_submit(&self, leg: SubmitLeg, spec: &TaskSpec, start_ms: u64, end_ms: u64) {
+        let tracer = &self.inner.tracer;
+        match (leg, &spec.trace) {
+            (SubmitLeg::Owed, ctx) => tracer.record_span(ctx.as_ref(), "submit", start_ms, end_ms),
+            (SubmitLeg::OwedIfNew, Some(ctx)) => {
+                tracer.adopt_trace_with_span(ctx, "task", "submit", start_ms, end_ms);
+            }
+            _ => {}
+        }
+    }
+
     /// The queue message for a deliverable spec: the compact binary body
     /// (one buffer fill, no `Value` tree — an inlined payload is memcpy'd
     /// into the frame, a CAS reference ships only the content hash), plus,
     /// for a traced task, headers that let the broker annotate the trace on
     /// fault injection and the receiving session time the queue-transit leg
     /// without decoding the body.
-    fn task_message(&self, spec: &TaskSpec, inline: bool, sent_ms: &str) -> Message {
-        let body = spec.to_message(inline);
-        match &spec.trace {
-            Some(ctx) => {
-                let mut headers = std::collections::BTreeMap::new();
-                headers.insert(gcx_mq::TRACE_HEADER.to_string(), ctx.encode());
-                headers.insert(gcx_mq::SENT_MS_HEADER.to_string(), sent_ms.to_string());
-                Message::with_headers(body, headers)
-            }
-            None => Message::new(body),
-        }
+    fn task_message(&self, spec: &TaskSpec, inline: bool, sent_ms: u64) -> Message {
+        let headers = gcx_mq::Headers {
+            trace: spec.trace,
+            sent_ms: spec.trace.map(|_| sent_ms),
+            death_queue: None,
+        };
+        Message::with_headers(spec.to_message(inline), headers)
     }
 
     /// The one way a task gets into this replica, whoever validated it: the
@@ -322,14 +334,13 @@ impl WebService {
         // (taken after the REST link charge) serves the whole batch; it is
         // also the queue-transit span's start, carried in a header.
         let shipped = self.inner.clock.now_ms();
-        let shipped_str = shipped.to_string();
         let mut installed = Vec::with_capacity(tasks.len());
         let mut by_endpoint: HashMap<EndpointId, Vec<Message>> = HashMap::new();
         for Accepted {
             spec,
             deliver_to,
             inline,
-            stamp_submit,
+            submit_leg,
         } in tasks
         {
             let task_id = spec.task_id;
@@ -348,10 +359,7 @@ impl WebService {
                 continue;
             }
             installed.push(task_id);
-            if stamp_submit {
-                let tracer = &self.inner.tracer;
-                tracer.record_span(spec.trace.as_ref(), "submit", submitted_at, shipped);
-            }
+            self.stamp_submit(submit_leg, &spec, submitted_at, shipped);
             if spec.deadline_ms.is_some() {
                 self.inner.admission.note_deadline_task();
             }
@@ -364,7 +372,7 @@ impl WebService {
                     .payload_bytes_moved
                     .add(wire_spec.payload.len() as u64);
             }
-            let message = self.task_message(&wire_spec, inline, &shipped_str);
+            let message = self.task_message(&wire_spec, inline, shipped);
             by_endpoint.entry(deliver_to).or_default().push(message);
         }
         let ship = || -> GcxResult<()> {

@@ -119,12 +119,13 @@ impl WebService {
     /// already resolved, one envelope per owner), a result off the shared
     /// result queue, or an endpoint's state report. Counts *tasks*.
     pub(super) fn fed_forward(&self, to: ReplicaId, body: Body) -> GcxResult<()> {
+        let m = &self.inner.m;
         let (counter, tasks) = match &body {
-            Body::Submit(_, specs) => ("fed.submits_forwarded", specs.len()),
-            Body::Result { .. } => ("fed.results_forwarded", 1),
-            Body::State { .. } => ("fed.state_forwarded", 1),
+            Body::Submit(_, specs) => (&m.fed_submits_forwarded, specs.len()),
+            Body::Result { .. } => (&m.fed_results_forwarded, 1),
+            Body::State { .. } => (&m.fed_state_forwarded, 1),
         };
-        self.inner.metrics.counter(counter).add(tasks as u64);
+        counter.add(tasks as u64);
         self.fed_send(to, body)
     }
 
@@ -190,8 +191,7 @@ impl WebService {
                     tracer.record_span(spec.trace.as_ref(), "forward", from.forwarded_ms, now);
                 }
                 let ingested = self.fed_ingest(from.identity, from.submitted_at, specs);
-                let counter = self.inner.metrics.counter("fed.submits_ingested");
-                counter.add(ingested as u64);
+                self.inner.m.fed_submits_ingested.add(ingested as u64);
                 Ok(())
             }
             Some(Body::Result {
@@ -204,7 +204,7 @@ impl WebService {
                     self.fed_requeue_orphan_result(task_id, result, sent_ms, retry)
                 }
                 Ok(()) => {
-                    self.inner.metrics.counter("fed.results_ingested").inc();
+                    self.inner.m.fed_results_ingested.inc();
                     Ok(())
                 }
                 Err(e) => Err(e),
@@ -318,7 +318,7 @@ impl WebService {
             let (owner, at) = (incoming.owner, incoming.submitted_at);
             let fresh = self.fed_ingest(owner, at, vec![incoming.spec]) > 0;
             if fresh {
-                self.inner.metrics.counter("fed.tasks_republished").inc();
+                self.inner.m.fed_tasks_republished.inc();
             }
             fresh
         } else {

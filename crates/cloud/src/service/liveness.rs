@@ -148,7 +148,7 @@ impl WebService {
         let bar = timeout.saturating_mul(2);
         let mut dead: Vec<(gcx_core::ids::IdentityId, String)> = Vec::new();
         self.inner.streams.for_each(|identity, list| {
-            for (qname, _) in list {
+            for (qname, _) in list.iter() {
                 match self.inner.broker.queue_stats(qname) {
                     Ok(stats) if now.saturating_sub(stats.last_poll_ms) > bar => {
                         dead.push((*identity, qname.clone()));

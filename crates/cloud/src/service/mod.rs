@@ -42,7 +42,7 @@ use gcx_core::clock::SharedClock;
 use gcx_core::function::FunctionRecord;
 use gcx_core::health::{HealthDoc, SloPolicy, TenantHealth};
 use gcx_core::ids::{EndpointId, FunctionId, IdentityId, TaskId};
-use gcx_core::metrics::{Counter, Histogram, MetricsRegistry};
+use gcx_core::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use gcx_core::task::TaskRecord;
 use gcx_core::trace::{TraceConfig, Tracer};
 use gcx_core::GcxResult;
@@ -175,6 +175,13 @@ pub(super) struct CloudMetrics {
     /// reference moves ~0 payload bytes, so `payload.bytes_moved` versus
     /// `cloud.tasks_submitted × payload size` is the dedup win.
     pub(super) payload_bytes_moved: Arc<Counter>,
+    pub(super) admission_inflight: Arc<Gauge>,
+    pub(super) fed_submits_forwarded: Arc<Counter>,
+    pub(super) fed_results_forwarded: Arc<Counter>,
+    pub(super) fed_state_forwarded: Arc<Counter>,
+    pub(super) fed_submits_ingested: Arc<Counter>,
+    pub(super) fed_results_ingested: Arc<Counter>,
+    pub(super) fed_tasks_republished: Arc<Counter>,
     pub(super) roundtrip_ms: Arc<Histogram>,
     pub(super) result_transit_ms: Arc<Histogram>,
     pub(super) submit_ms: Arc<Histogram>,
@@ -204,12 +211,24 @@ impl CloudMetrics {
             submits_rejected_overload: registry.counter("cloud.submits_rejected_overload"),
             tasks_shed_brownout: registry.counter("cloud.tasks_shed_brownout"),
             payload_bytes_moved: registry.counter("payload.bytes_moved"),
+            admission_inflight: registry.gauge("cloud.admission_inflight"),
+            fed_submits_forwarded: registry.counter("fed.submits_forwarded"),
+            fed_results_forwarded: registry.counter("fed.results_forwarded"),
+            fed_state_forwarded: registry.counter("fed.state_forwarded"),
+            fed_submits_ingested: registry.counter("fed.submits_ingested"),
+            fed_results_ingested: registry.counter("fed.results_ingested"),
+            fed_tasks_republished: registry.counter("fed.tasks_republished"),
             roundtrip_ms: registry.histogram("cloud.task_roundtrip_ms"),
             result_transit_ms: registry.histogram("cloud.result_transit_ms"),
             submit_ms: registry.histogram("cloud.submit_ms"),
         }
     }
 }
+
+/// An identity's open result streams, (queue name, credential) each. The
+/// list is replaced on open/close and shared by reference with every
+/// result's fan-out.
+pub(crate) type StreamTargets = Arc<[(String, String)]>;
 
 /// (MEP id, user identity, config hash) → spawned user endpoint.
 pub(crate) type UepMap = Arc<RwLock<HashMap<(EndpointId, IdentityId, u64), EndpointId>>>;
@@ -226,7 +245,7 @@ pub(crate) struct SharedStores {
     pub(crate) endpoints: Arc<ShardedMap<EndpointId, EndpointRecord>>,
     pub(crate) credentials: Arc<ShardedMap<EndpointId, String>>,
     pub(crate) ueps: UepMap,
-    pub(crate) streams: Arc<ShardedMap<IdentityId, Vec<(String, String)>>>,
+    pub(crate) streams: Arc<ShardedMap<IdentityId, StreamTargets>>,
     pub(crate) stream_counter: Arc<AtomicU64>,
     pub(crate) spawn_pending: Arc<RwLock<HashSet<EndpointId>>>,
     pub(crate) usage: UsageMeter,
@@ -254,10 +273,9 @@ pub(super) struct CloudInner {
     /// (one entry per spawned UEP) and guarded by a read-then-write
     /// double-check, so it stays a plain map.
     pub(super) ueps: UepMap,
-    /// Open result streams per identity: (queue name, credential). Each
-    /// executor instance gets its own stream; results fan out to all of an
-    /// identity's streams.
-    pub(super) streams: Arc<ShardedMap<IdentityId, Vec<(String, String)>>>,
+    /// Open result streams per identity. Each executor instance gets its
+    /// own stream; results fan out to all of an identity's streams.
+    pub(super) streams: Arc<ShardedMap<IdentityId, StreamTargets>>,
     pub(super) stream_counter: Arc<AtomicU64>,
     /// UEPs with an outstanding Start Endpoint request (cleared on connect)
     /// — prevents a start-request storm while the agent boots.

@@ -3,6 +3,7 @@
 //! reports.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 use gcx_auth::Token;
@@ -28,11 +29,14 @@ impl WebService {
         let qname = stream_queue_name(who.identity.id, n);
         let cred = format!("stream-{}", who.identity.id);
         self.inner.broker.declare_queue(&qname, Some(&cred))?;
-        self.inner
-            .streams
-            .update_or_insert_with(who.identity.id, Vec::new, |list| {
-                list.push((qname.clone(), cred.clone()))
-            });
+        self.inner.streams.update_or_insert_with(
+            who.identity.id,
+            || Arc::from([]),
+            |list| {
+                let opened = (qname.clone(), cred.clone());
+                *list = list.iter().cloned().chain([opened]).collect();
+            },
+        );
         let consumer = self.inner.broker.consume(&qname, Some(&cred), 0)?;
         Ok(ResultStream {
             consumer,
@@ -47,7 +51,11 @@ impl WebService {
         // bytes) and fans out to nothing.
         self.inner.streams.update(&identity, |list| {
             if let Some(list) = list {
-                list.retain(|(q, _)| q != queue_name);
+                *list = list
+                    .iter()
+                    .filter(|(q, _)| q != queue_name)
+                    .cloned()
+                    .collect();
             }
         });
         let _ = self.inner.broker.delete_queue(queue_name);
@@ -179,33 +187,28 @@ impl WebService {
                 .result_transit_ms
                 .record(now.saturating_sub(sent));
         }
-        if let Some(ctx) = &trace {
-            let tracer = &self.inner.tracer;
-            tracer.record_span(Some(ctx), "result", sent_ms.unwrap_or(now), now);
-            tracer.end_trace(Some(ctx));
-        }
+        let tracer = &self.inner.tracer;
+        tracer.record_span_and_end(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
 
         // Push to all of the owner's open streams. The trace context rides
         // a queue header so the wire layer can stamp server-push Result
         // frames with the originating trace without decoding the body.
-        let targets: Vec<(String, String)> =
-            self.inner.streams.get_cloned(&owner).unwrap_or_default();
-        if !targets.is_empty() {
-            // Binary envelope shared across all streams: cloning a Message
-            // clones the refcounted Bytes, not the payload.
-            let body = result.to_envelope(task_id, None);
-            let headers = trace.as_ref().map(|ctx| {
-                let mut h = std::collections::BTreeMap::new();
-                h.insert(gcx_mq::TRACE_HEADER.to_string(), ctx.encode());
-                h
-            });
-            for (qname, cred) in targets {
-                let message = match &headers {
-                    Some(h) => Message::with_headers(body.clone(), h.clone()),
-                    None => Message::new(body.clone()),
-                };
-                let _ = self.inner.broker.publish(&qname, message, Some(&cred));
+        let targets = self.inner.streams.get_cloned(&owner);
+        if let Some(((last_queue, last_cred), rest)) =
+            targets.as_deref().and_then(<[_]>::split_last)
+        {
+            // One message for all streams: a clone bumps the body's
+            // refcount and copies the context; the last stream takes it.
+            let headers = gcx_mq::Headers {
+                trace,
+                ..Default::default()
+            };
+            let message = Message::with_headers(result.to_envelope(task_id, None), headers);
+            let broker = &self.inner.broker;
+            for (queue, cred) in rest {
+                let _ = broker.publish(queue, message.clone(), Some(cred));
             }
+            let _ = broker.publish(last_queue, message, Some(last_cred));
         }
         Ok(())
     }
@@ -239,9 +242,9 @@ impl WebService {
         let (spec, _) = TaskSpec::from_message(&message.body)?;
         let source = message
             .headers
-            .get(gcx_mq::DEATH_QUEUE_HEADER)
-            .cloned()
-            .unwrap_or_else(|| "<unknown>".into());
+            .death_queue
+            .as_deref()
+            .unwrap_or("<unknown>");
         self.inner.m.tasks_dead_lettered.inc();
         let tracer = &self.inner.tracer;
         tracer.annotate(spec.trace.as_ref(), || {
@@ -250,7 +253,7 @@ impl WebService {
         tracer.event(gcx_core::trace::EventLevel::Warn, "cloud.dead_task", || {
             vec![
                 ("task_id", spec.task_id.to_string()),
-                ("source", source.clone()),
+                ("source", source.to_string()),
             ]
         });
         self.finish_task(

@@ -58,12 +58,7 @@ impl EndpointSession {
                     // round-trips are visible in the timeline.
                     let tracer = &self.cloud.inner.tracer;
                     let now = tracer.now_ms();
-                    let sent = delivery
-                        .message
-                        .headers
-                        .get(gcx_mq::SENT_MS_HEADER)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(now);
+                    let sent = delivery.message.headers.sent_ms.unwrap_or(now);
                     let redelivered = delivery.message.redelivered;
                     let delivery_count = delivery.message.delivery_count;
                     tracer.record_span_annotated(Some(ctx), "queue", sent, now, || {

@@ -23,7 +23,15 @@ impl UsageMeter {
     /// Record one task invocation at `now` (clock ms since the meter's
     /// epoch).
     pub fn record_task(&self, now: TimeMs) {
-        *self.days.lock().entry(now / MS_PER_DAY).or_insert(0) += 1;
+        self.record_tasks(now, 1);
+    }
+
+    /// Record `n` task invocations at `now` with one lock round trip (an
+    /// accepted batch).
+    pub fn record_tasks(&self, now: TimeMs, n: u64) {
+        if n > 0 {
+            *self.days.lock().entry(now / MS_PER_DAY).or_insert(0) += n;
+        }
     }
 
     /// Total tasks ever recorded.
@@ -61,8 +69,10 @@ mod tests {
         m.record_task(MS_PER_DAY - 1);
         m.record_task(MS_PER_DAY);
         m.record_task(3 * MS_PER_DAY + 5);
-        assert_eq!(m.total(), 4);
-        assert_eq!(m.daily_series(), vec![(0, 2), (1, 1), (3, 1)]);
+        m.record_tasks(3 * MS_PER_DAY + 6, 128);
+        m.record_tasks(9 * MS_PER_DAY, 0);
+        assert_eq!(m.total(), 132);
+        assert_eq!(m.daily_series(), vec![(0, 2), (1, 1), (3, 129)]);
     }
 
     #[test]

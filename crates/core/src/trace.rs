@@ -101,13 +101,13 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// Compact wire form (`<trace-uuid>:<span-hex>`) for message headers
-    /// and the task-spec codec.
+    /// Text form (`<trace-uuid>:<span-hex>`) for the task-spec `Value`
+    /// tree. Queue messages and wire frames carry the context as a value.
     pub fn encode(&self) -> String {
         format!("{}:{}", self.trace_id, self.parent)
     }
 
-    /// Decode the wire form; `None` on any malformation (old peers, manual
+    /// Decode the text form; `None` on any malformation (old peers, manual
     /// payloads) so the envelope path degrades to "untraced", never errors.
     pub fn decode(s: &str) -> Option<Self> {
         let (t, p) = s.split_once(':')?;
@@ -182,7 +182,7 @@ pub struct SpanRecord {
     /// Parent span (`None` only for the root).
     pub parent: Option<SpanId>,
     /// Leg name ("submit", "queue", "dispatch", "execute", "result", ...).
-    pub name: String,
+    pub name: &'static str,
     /// Start, on the tracer's clock.
     pub start_ms: TimeMs,
     /// End, on the tracer's clock.
@@ -192,6 +192,18 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// A completed, unannotated child of `ctx.parent` with a fresh id.
+    fn child(ctx: &TraceContext, name: &'static str, start_ms: TimeMs, end_ms: TimeMs) -> Self {
+        Self {
+            id: SpanId::random(),
+            parent: Some(ctx.parent),
+            name,
+            start_ms,
+            end_ms,
+            annotations: Vec::new(),
+        }
+    }
+
     /// Span duration (saturating, so clock skew never underflows).
     pub fn duration_ms(&self) -> u64 {
         self.end_ms.saturating_sub(self.start_ms)
@@ -204,7 +216,7 @@ pub struct TraceData {
     /// The trace id.
     pub trace_id: TraceId,
     /// Label given at `start_trace` ("task", typically).
-    pub label: String,
+    pub label: &'static str,
     /// Root span id (also present in `spans` with `parent: None`).
     pub root: SpanId,
     /// All spans, in recording order.
@@ -261,11 +273,69 @@ pub struct LegStats {
 
 const SHARDS: usize = 16;
 const MAX_ANNOTATIONS: usize = 64;
+/// Span slots a trace is created with: the root plus the normal lifecycle
+/// (submit, queue, dispatch, execute, result and the four wire legs), so
+/// recording a leg never grows the block and evicting a trace frees one.
+const LIFECYCLE_SPANS: usize = 10;
 
 #[derive(Default)]
 struct Shard {
     traces: HashMap<TraceId, TraceData>,
     order: VecDeque<TraceId>,
+}
+
+impl Shard {
+    /// Create the entry for `trace_id` with its root span, evicting the
+    /// shard's oldest trace if the retention bound is reached.
+    fn open(
+        &mut self,
+        inner: &TracerInner,
+        trace_id: TraceId,
+        root: SpanId,
+        label: &'static str,
+        now: TimeMs,
+    ) -> &mut TraceData {
+        if self.order.len() >= inner.per_shard {
+            if let Some(old) = self.order.pop_front() {
+                self.traces.remove(&old);
+                inner.evicted.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.order.push_back(trace_id);
+        let mut spans = Vec::with_capacity(LIFECYCLE_SPANS);
+        spans.push(SpanRecord {
+            id: root,
+            parent: None,
+            name: label,
+            start_ms: now,
+            end_ms: now,
+            annotations: Vec::new(),
+        });
+        self.traces.entry(trace_id).or_insert(TraceData {
+            trace_id,
+            label,
+            root,
+            spans,
+        })
+    }
+}
+
+impl TraceData {
+    /// Store `span`, or count it against the per-trace cap.
+    fn push(&mut self, inner: &TracerInner, span: SpanRecord) {
+        if self.spans.len() >= inner.cfg.max_spans_per_trace {
+            inner.span_overflow.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.spans.push(span);
+        }
+    }
+
+    fn close_root(&mut self, now: TimeMs) {
+        let root = self.root;
+        if let Some(span) = self.spans.iter_mut().find(|s| s.id == root) {
+            span.end_ms = now;
+        }
+    }
 }
 
 struct SinkState {
@@ -299,7 +369,7 @@ pub struct Tracer(Option<Arc<TracerInner>>);
 pub struct ActiveSpan {
     ctx: TraceContext,
     id: SpanId,
-    name: String,
+    name: &'static str,
     start_ms: TimeMs,
     notes: Vec<String>,
 }
@@ -356,14 +426,18 @@ impl Tracer {
         self.0.as_ref().map_or(0, |i| i.clock.now_ms())
     }
 
+    fn shard_index(id: TraceId) -> usize {
+        (id.0 .0 as usize) % SHARDS
+    }
+
     fn shard(inner: &TracerInner, id: TraceId) -> &Mutex<Shard> {
-        &inner.shards[(id.0 .0 as usize) % SHARDS]
+        &inner.shards[Self::shard_index(id)]
     }
 
     /// Begin a new trace, subject to sampling. Returns the context the
     /// caller must thread through the task envelope; `None` means this
     /// submission is untraced and every downstream call will no-op.
-    pub fn start_trace(&self, label: &str) -> Option<TraceContext> {
+    pub fn start_trace(&self, label: &'static str) -> Option<TraceContext> {
         let inner = self.0.as_ref()?;
         let every = inner.cfg.sample_every;
         if every == 0 {
@@ -376,28 +450,9 @@ impl Tracer {
         let trace_id = TraceId::random();
         let root = SpanId::random();
         let now = inner.clock.now_ms();
-        let data = TraceData {
-            trace_id,
-            label: label.to_string(),
-            root,
-            spans: vec![SpanRecord {
-                id: root,
-                parent: None,
-                name: label.to_string(),
-                start_ms: now,
-                end_ms: now,
-                annotations: Vec::new(),
-            }],
-        };
-        let mut shard = Self::shard(inner, trace_id).lock();
-        if shard.order.len() >= inner.per_shard {
-            if let Some(old) = shard.order.pop_front() {
-                shard.traces.remove(&old);
-                inner.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.order.push_back(trace_id);
-        shard.traces.insert(trace_id, data);
+        Self::shard(inner, trace_id)
+            .lock()
+            .open(inner, trace_id, root, label, now);
         Some(TraceContext {
             trace_id,
             parent: root,
@@ -409,11 +464,34 @@ impl Tracer {
     /// under the context on this side of a wire land somewhere instead of
     /// being silently dropped (the collector only stores spans for traces
     /// it knows about). Returns `true` only when the entry was newly
-    /// created — callers use this to stamp once-per-trace legs (the
-    /// server-side `submit` span) without duplicating them when client and
-    /// server share one collector (the in-process path) or when a
-    /// resubmission re-sends an already-adopted context.
-    pub fn adopt_trace(&self, ctx: &TraceContext, label: &str) -> bool {
+    /// created.
+    pub fn adopt_trace(&self, ctx: &TraceContext, label: &'static str) -> bool {
+        self.adopt(ctx, label, None)
+    }
+
+    /// [`adopt_trace`](Self::adopt_trace) plus, only when the entry was
+    /// newly created, one child span — under the same lock and lookup.
+    /// This is how a once-per-trace leg (the server-side `submit` span) is
+    /// stamped without duplicating it when client and server share one
+    /// collector (the in-process path) or when a resubmission re-sends an
+    /// already-adopted context.
+    pub fn adopt_trace_with_span(
+        &self,
+        ctx: &TraceContext,
+        label: &'static str,
+        name: &'static str,
+        start_ms: TimeMs,
+        end_ms: TimeMs,
+    ) -> bool {
+        self.adopt(ctx, label, Some((name, start_ms, end_ms)))
+    }
+
+    fn adopt(
+        &self,
+        ctx: &TraceContext,
+        label: &'static str,
+        span: Option<(&'static str, TimeMs, TimeMs)>,
+    ) -> bool {
         let Some(inner) = self.0.as_ref() else {
             return false;
         };
@@ -422,29 +500,10 @@ impl Tracer {
         if shard.traces.contains_key(&ctx.trace_id) {
             return false;
         }
-        if shard.order.len() >= inner.per_shard {
-            if let Some(old) = shard.order.pop_front() {
-                shard.traces.remove(&old);
-                inner.evicted.fetch_add(1, Ordering::Relaxed);
-            }
+        let td = shard.open(inner, ctx.trace_id, ctx.parent, label, now);
+        if let Some((name, start_ms, end_ms)) = span {
+            td.push(inner, SpanRecord::child(ctx, name, start_ms, end_ms));
         }
-        shard.order.push_back(ctx.trace_id);
-        shard.traces.insert(
-            ctx.trace_id,
-            TraceData {
-                trace_id: ctx.trace_id,
-                label: label.to_string(),
-                root: ctx.parent,
-                spans: vec![SpanRecord {
-                    id: ctx.parent,
-                    parent: None,
-                    name: label.to_string(),
-                    start_ms: now,
-                    end_ms: now,
-                    annotations: Vec::new(),
-                }],
-            },
-        );
         true
     }
 
@@ -454,24 +513,74 @@ impl Tracer {
         };
         let mut shard = Self::shard(inner, ctx.trace_id).lock();
         if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-            if td.spans.len() >= inner.cfg.max_spans_per_trace {
-                inner.span_overflow.fetch_add(1, Ordering::Relaxed);
-            } else {
-                td.spans.push(span);
-            }
+            td.push(inner, span);
         }
     }
 
     /// Record a completed child span under `ctx`. No-op (and allocation
-    /// free) when the tracer is disabled or `ctx` is `None`.
+    /// free) when the tracer is disabled or `ctx` is `None`; allocation
+    /// free on an existing trace within its normal lifecycle.
     pub fn record_span(
         &self,
         ctx: Option<&TraceContext>,
-        name: &str,
+        name: &'static str,
         start_ms: TimeMs,
         end_ms: TimeMs,
-    ) -> Option<SpanId> {
-        self.record_span_annotated(ctx, name, start_ms, end_ms, Vec::new)
+    ) {
+        if let Some(ctx) = ctx.filter(|_| self.enabled()) {
+            self.push_span(ctx, SpanRecord::child(ctx, name, start_ms, end_ms));
+        }
+    }
+
+    /// Record one `name` span ending at `end_ms` per `(context, start)`
+    /// item, taking each collector shard's lock once for all of its items
+    /// rather than once per span — a flushed batch's `submit` legs.
+    pub fn record_spans(
+        &self,
+        name: &'static str,
+        end_ms: TimeMs,
+        items: &[(TraceContext, TimeMs)],
+    ) {
+        let Some(inner) = self.0.as_ref() else {
+            return;
+        };
+        let index = |ctx: &TraceContext| Self::shard_index(ctx.trace_id);
+        let present = items
+            .iter()
+            .fold(0u32, |mask, (ctx, _)| mask | 1 << index(ctx));
+        for (i, shard) in inner.shards.iter().enumerate() {
+            if present & (1 << i) == 0 {
+                continue;
+            }
+            let mut shard = shard.lock();
+            for (ctx, start_ms) in items.iter().filter(|(ctx, _)| index(ctx) == i) {
+                if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
+                    td.push(inner, SpanRecord::child(ctx, name, *start_ms, end_ms));
+                }
+            }
+        }
+    }
+
+    /// Record a completed child span and close the root span, under one
+    /// lock and lookup: the `result` leg and the end of its trace always
+    /// travel together. Closing is idempotent, as in
+    /// [`end_trace`](Self::end_trace).
+    pub fn record_span_and_end(
+        &self,
+        ctx: Option<&TraceContext>,
+        name: &'static str,
+        start_ms: TimeMs,
+        end_ms: TimeMs,
+    ) {
+        let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) else {
+            return;
+        };
+        let now = inner.clock.now_ms();
+        let mut shard = Self::shard(inner, ctx.trace_id).lock();
+        if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
+            td.push(inner, SpanRecord::child(ctx, name, start_ms, end_ms));
+            td.close_root(now);
+        }
     }
 
     /// Record a completed child span with annotations built lazily — the
@@ -479,7 +588,7 @@ impl Tracer {
     pub fn record_span_annotated(
         &self,
         ctx: Option<&TraceContext>,
-        name: &str,
+        name: &'static str,
         start_ms: TimeMs,
         end_ms: TimeMs,
         notes: impl FnOnce() -> Vec<String>,
@@ -492,7 +601,7 @@ impl Tracer {
             SpanRecord {
                 id,
                 parent: Some(ctx.parent),
-                name: name.to_string(),
+                name,
                 start_ms,
                 end_ms,
                 annotations: notes().into_iter().map(|n| (end_ms, n)).collect(),
@@ -502,13 +611,13 @@ impl Tracer {
     }
 
     /// Open a span starting now; time it with [`Tracer::finish`].
-    pub fn span(&self, ctx: Option<&TraceContext>, name: &str) -> Option<ActiveSpan> {
+    pub fn span(&self, ctx: Option<&TraceContext>, name: &'static str) -> Option<ActiveSpan> {
         let inner = self.0.as_ref()?;
         let ctx = *ctx?;
         Some(ActiveSpan {
             ctx,
             id: SpanId::random(),
-            name: name.to_string(),
+            name,
             start_ms: inner.clock.now_ms(),
             notes: Vec::new(),
         })
@@ -557,18 +666,6 @@ impl Tracer {
         }
     }
 
-    /// Annotate via the compact wire form carried in message headers —
-    /// how the broker, which never sees a decoded task, reaches the trace.
-    pub fn annotate_encoded(&self, encoded: Option<&str>, msg: impl FnOnce() -> String) {
-        if self.0.is_none() {
-            return;
-        }
-        let Some(ctx) = encoded.and_then(TraceContext::decode) else {
-            return;
-        };
-        self.annotate(Some(&ctx), msg);
-    }
-
     /// Close the root span (idempotent — re-deliveries after completion
     /// just move the end stamp forward).
     pub fn end_trace(&self, ctx: Option<&TraceContext>) {
@@ -581,10 +678,7 @@ impl Tracer {
         let now = inner.clock.now_ms();
         let mut shard = Self::shard(inner, ctx.trace_id).lock();
         if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-            let root = td.root;
-            if let Some(span) = td.spans.iter_mut().find(|s| s.id == root) {
-                span.end_ms = now;
-            }
+            td.close_root(now);
         }
     }
 
@@ -712,7 +806,7 @@ impl Tracer {
             for td in shard.lock().traces.values() {
                 for s in &td.spans {
                     by_name
-                        .entry(s.name.clone())
+                        .entry(s.name.to_string())
                         .or_default()
                         .push(s.duration_ms());
                 }
@@ -932,14 +1026,55 @@ mod tests {
     }
 
     #[test]
-    fn annotate_encoded_reaches_the_trace_through_the_wire_form() {
-        let (_vclock, t) = tracer();
-        let ctx = t.start_trace("task").unwrap();
-        let header = ctx.encode();
-        t.annotate_encoded(Some(&header), || "publish dropped".to_string());
-        t.annotate_encoded(Some("not-a-context"), || unreachable!());
-        t.annotate_encoded(None, || unreachable!());
-        let td = t.trace(ctx.trace_id).unwrap();
-        assert_eq!(td.root_span().unwrap().annotations[0].1, "publish dropped");
+    fn paired_visits_record_what_the_separate_calls_do() {
+        let (vclock, t) = tracer();
+        let remote = TraceContext {
+            trace_id: TraceId::random(),
+            parent: SpanId::random(),
+        };
+        // Adoption and the once-per-trace span travel together...
+        assert!(t.adopt_trace_with_span(&remote, "task", "submit", 0, 2));
+        // ...and a context this collector already holds gets neither.
+        assert!(!t.adopt_trace_with_span(&remote, "task", "submit", 0, 2));
+        let local = t.start_trace("task").unwrap();
+        assert!(!t.adopt_trace_with_span(&local, "task", "submit", 0, 2));
+        assert_eq!(t.trace(local.trace_id).unwrap().spans.len(), 1);
+
+        // One call per flushed batch; contexts the collector has never
+        // seen are skipped like `record_span` skips them.
+        let unknown = TraceContext {
+            trace_id: TraceId::random(),
+            parent: SpanId::random(),
+        };
+        t.record_spans("queue", 9, &[(remote, 2), (local, 3), (unknown, 4)]);
+        assert!(t.trace(unknown.trace_id).is_none());
+
+        vclock.advance(12);
+        t.record_span_and_end(Some(&remote), "result", 9, 12);
+        let td = t.trace(remote.trace_id).unwrap();
+        let legs: Vec<_> = td.spans.iter().map(|s| (s.name, s.start_ms)).collect();
+        assert_eq!(
+            legs,
+            [("task", 0), ("submit", 0), ("queue", 2), ("result", 9)]
+        );
+        assert_eq!(td.root_span().unwrap().end_ms, 12);
+        assert!(td.orphan_spans().is_empty());
+        let queue = t.trace(local.trace_id).unwrap();
+        let queue = queue.spans_named("queue").next().unwrap();
+        assert_eq!((queue.start_ms, queue.end_ms), (3, 9));
+
+        // The per-trace cap counts on these paths too.
+        let capped = Tracer::new(
+            vclock.clone(),
+            TraceConfig {
+                max_spans_per_trace: 1,
+                ..TraceConfig::default()
+            },
+        );
+        assert!(capped.adopt_trace_with_span(&remote, "task", "submit", 0, 1));
+        capped.record_spans("queue", 2, &[(remote, 1)]);
+        capped.record_span_and_end(Some(&remote), "result", 2, 3);
+        assert_eq!(capped.spans_overflowed(), 3);
+        assert_eq!(capped.trace(remote.trace_id).unwrap().spans.len(), 1);
     }
 }

@@ -1,10 +1,11 @@
 //! Overhead guard: a disabled or sampled-out span path must cost no heap
-//! allocation and construct no collector entry. This is what lets tracing
-//! default-on in the cloud service without moving the throughput numbers —
-//! untraced tasks pay a branch, not a malloc.
+//! allocation and construct no collector entry — untraced tasks pay a
+//! branch, not a malloc — and a traced task pays one allocation for its
+//! whole trace: the span block, sized for the normal lifecycle.
 //!
 //! Lives in its own integration-test binary because it swaps in a counting
-//! `#[global_allocator]`, which must not leak into other tests.
+//! `#[global_allocator]`, and is ONE `#[test]`: the counter is process-wide,
+//! so two tests running on parallel threads would count each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,6 +39,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 #[test]
+fn tracer_allocation_budget() {
+    disabled_tracer_path_is_allocation_free();
+    sampled_out_path_is_allocation_free_and_builds_no_entry();
+    wire_context_codec_is_allocation_free();
+    enabled_path_allocates_once_per_trace();
+}
+
 fn disabled_tracer_path_is_allocation_free() {
     let tracer = Tracer::disabled();
     // A context as it would arrive over the wire on a traced task whose
@@ -46,12 +54,13 @@ fn disabled_tracer_path_is_allocation_free() {
         trace_id: TraceId::random(),
         parent: SpanId::random(),
     };
-    let header = ctx.encode();
 
     let allocs = allocations_in(|| {
         for _ in 0..1000 {
             assert!(tracer.start_trace("task").is_none());
+            assert!(!tracer.adopt_trace_with_span(&ctx, "task", "submit", 0, 1));
             tracer.record_span(Some(&ctx), "queue", 0, 5);
+            tracer.record_spans("submit", 5, &[(ctx, 0)]);
             tracer.record_span_annotated(Some(&ctx), "retry", 0, 0, || {
                 vec![format!("attempt={}", 1)]
             });
@@ -59,7 +68,7 @@ fn disabled_tracer_path_is_allocation_free() {
             assert!(span.is_none());
             tracer.finish(span);
             tracer.annotate(Some(&ctx), || "never rendered".repeat(8));
-            tracer.annotate_encoded(Some(&header), || unreachable!());
+            tracer.record_span_and_end(Some(&ctx), "result", 0, 5);
             tracer.end_trace(Some(&ctx));
             tracer.event(EventLevel::Warn, "mq.fault.drop", || {
                 vec![("queue", "tasks.ep".to_string())]
@@ -70,7 +79,6 @@ fn disabled_tracer_path_is_allocation_free() {
     assert_eq!(tracer.trace_count(), 0);
 }
 
-#[test]
 fn sampled_out_path_is_allocation_free_and_builds_no_entry() {
     let clock: SharedClock = VirtualClock::new();
     let tracer = Tracer::new(
@@ -90,6 +98,7 @@ fn sampled_out_path_is_allocation_free_and_builds_no_entry() {
             tracer.record_span(ctx.as_ref(), "submit", 0, 1);
             tracer.finish(tracer.span(ctx.as_ref(), "worker"));
             tracer.annotate(ctx.as_ref(), || "never rendered".to_string());
+            tracer.record_span_and_end(ctx.as_ref(), "result", 0, 1);
             tracer.end_trace(ctx.as_ref());
         }
     });
@@ -97,7 +106,6 @@ fn sampled_out_path_is_allocation_free_and_builds_no_entry() {
     assert_eq!(tracer.trace_count(), 0, "no collector entry constructed");
 }
 
-#[test]
 fn wire_context_codec_is_allocation_free() {
     // The trace-context segment rides every traced frame; encoding it into
     // a frame buffer and decoding it back must be pure byte work. An
@@ -123,12 +131,44 @@ fn wire_context_codec_is_allocation_free() {
     assert_eq!(allocs, 0, "wire trace-context codec must never allocate");
 }
 
-#[test]
-fn enabled_path_does_record() {
-    // Sanity check that the guard above is measuring a real difference.
+fn enabled_path_allocates_once_per_trace() {
+    const TRACES: u64 = 1000;
+    const LEGS: [&str; 5] = ["submit", "queue", "dispatch", "execute", "result"];
     let clock: SharedClock = VirtualClock::new();
     let tracer = Tracer::new(clock, TraceConfig::default());
-    let ctx = tracer.start_trace("task");
-    tracer.record_span(ctx.as_ref(), "submit", 0, 1);
-    assert_eq!(tracer.trace_count(), 1);
+
+    // A whole lifecycle: the trace's span block, plus the collector's maps
+    // growing towards their retention bound (amortised).
+    let allocs = allocations_in(|| {
+        for _ in 0..TRACES {
+            let ctx = tracer.start_trace("task");
+            for leg in LEGS {
+                tracer.record_span(ctx.as_ref(), leg, 0, 1);
+            }
+            tracer.end_trace(ctx.as_ref());
+        }
+    });
+    assert_eq!(tracer.trace_count(), TRACES as usize, "it does record");
+    assert!(
+        allocs <= 2 * TRACES,
+        "{allocs} allocations for {TRACES} traced lifecycles (bound: 2 each)"
+    );
+
+    // Once its trace exists a span costs nothing, however it is recorded:
+    // here the four wire legs on top of the five above.
+    let ctx = tracer.start_trace("task").unwrap();
+    for leg in LEGS {
+        tracer.record_span(Some(&ctx), leg, 0, 1);
+    }
+    let allocs = allocations_in(|| {
+        tracer.record_span(Some(&ctx), "wire.decode", 0, 1);
+        tracer.record_spans("wire.queue", 1, &[(ctx, 0)]);
+        tracer.finish(tracer.span(Some(&ctx), "wire.send"));
+        tracer.record_span_and_end(Some(&ctx), "wire.await", 0, 1);
+        tracer.end_trace(Some(&ctx));
+    });
+    assert_eq!(allocs, 0, "spans on an existing trace must not allocate");
+    let td = tracer.trace(ctx.trace_id).unwrap();
+    assert_eq!(td.spans.len(), 10);
+    assert_eq!(tracer.spans_overflowed(), 0);
 }

@@ -1,7 +1,7 @@
 //! The broker: queues, publish/consume, acks, prefetch, credentials,
 //! metering.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,32 +10,48 @@ use bytes::Bytes;
 use gcx_core::clock::{SharedClock, SystemClock};
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::metrics::MetricsRegistry;
+use gcx_core::trace::TraceContext;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::fault::{FaultPlan, PublishOutcome};
 use crate::link::LinkProfile;
 
-/// Header added to dead-lettered messages naming the queue they died on.
-pub const DEATH_QUEUE_HEADER: &str = "x-death-queue";
+/// What a message carries beside its body, as values: nothing here is
+/// formatted to text or parsed back between publisher and consumer, and
+/// cloning it is a copy plus at most one refcount bump.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Headers {
+    /// The task's trace context. It lets the broker annotate the trace when
+    /// fault injection touches the message, without ever decoding the body.
+    pub trace: Option<TraceContext>,
+    /// The publisher's clock reading in ms; the consumer uses it as the
+    /// queue-transit span's start.
+    pub sent_ms: Option<u64>,
+    /// Set on a dead-lettered message: the queue it died on.
+    pub death_queue: Option<Arc<str>>,
+}
 
-/// Header carrying the compact [`TraceContext`] wire form
-/// (`<trace>:<span>`). It lets the broker annotate the task's trace when
-/// fault injection touches a message, without ever decoding the body.
-///
-/// [`TraceContext`]: gcx_core::trace::TraceContext
-pub const TRACE_HEADER: &str = "gcx-trace";
-
-/// Header carrying the publisher's clock reading in ms; the consumer uses
-/// it as the queue-transit span's start.
-pub const SENT_MS_HEADER: &str = "gcx-sent-ms";
+impl Headers {
+    /// Metered size: what each field cost as a `name: text` pair
+    /// (`gcx-trace`, `gcx-sent-ms`, `x-death-queue`; name + text + 4), so
+    /// byte counters and byte-bounded queues read as they always have.
+    fn wire_size(&self) -> usize {
+        // `<uuid>:<16 hex>` under a 9-byte name.
+        const TRACE: usize = 9 + 36 + 1 + 16 + 4;
+        let decimal_digits = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        self.trace.map_or(0, |_| TRACE)
+            + self.sent_ms.map_or(0, |ms| 11 + decimal_digits(ms) + 4)
+            + self.death_queue.as_ref().map_or(0, |q| 13 + q.len() + 4)
+    }
+}
 
 /// A queued message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Opaque payload (typically a `gcx_core::codec` envelope).
     pub body: Bytes,
-    /// Small string headers (routing metadata).
-    pub headers: BTreeMap<String, String>,
+    /// Routing and tracing metadata.
+    pub headers: Headers,
     /// True if this delivery follows an unacked predecessor (consumer died).
     pub redelivered: bool,
     /// How many times this message has been handed to a consumer; compared
@@ -46,16 +62,11 @@ pub struct Message {
 impl Message {
     /// A message with no headers.
     pub fn new(body: Bytes) -> Self {
-        Self {
-            body,
-            headers: BTreeMap::new(),
-            redelivered: false,
-            delivery_count: 0,
-        }
+        Self::with_headers(body, Headers::default())
     }
 
     /// A message with headers.
-    pub fn with_headers(body: Bytes, headers: BTreeMap<String, String>) -> Self {
+    pub fn with_headers(body: Bytes, headers: Headers) -> Self {
         Self {
             body,
             headers,
@@ -65,13 +76,7 @@ impl Message {
     }
 
     fn wire_size(&self) -> usize {
-        self.body.len()
-            + self
-                .headers
-                .iter()
-                .map(|(k, v)| k.len() + v.len() + 4)
-                .sum::<usize>()
-            + 8 // frame overhead
+        self.body.len() + self.headers.wire_size() + 8 // frame overhead
     }
 }
 
@@ -318,8 +323,8 @@ struct BrokerInner {
 
 impl BrokerInner {
     /// Record an injected fault (or dead-lettering) on the affected task's
-    /// trace — reached through the [`TRACE_HEADER`] wire form, since the
-    /// broker never decodes bodies — and in the structured event sink.
+    /// trace — reached through [`Headers::trace`], since the broker never
+    /// decodes bodies — and in the structured event sink.
     /// Fault paths are rare, so resolving the tracer from the registry per
     /// event is fine (and necessary: the cloud installs it on the shared
     /// registry after the broker is constructed).
@@ -328,13 +333,13 @@ impl BrokerInner {
         level: gcx_core::trace::EventLevel,
         event: &'static str,
         queue: &str,
-        trace_header: Option<&str>,
+        trace: Option<&TraceContext>,
     ) {
         let tracer = self.metrics.tracer();
         if !tracer.enabled() {
             return;
         }
-        tracer.annotate_encoded(trace_header, || format!("{event} on {queue}"));
+        tracer.annotate(trace, || format!("{event} on {queue}"));
         tracer.event(level, event, || vec![("queue", queue.to_string())]);
     }
 
@@ -346,13 +351,12 @@ impl BrokerInner {
             gcx_core::trace::EventLevel::Error,
             "mq.dead_letter",
             source,
-            msg.headers.get(TRACE_HEADER).map(String::as_str),
+            msg.headers.trace.as_ref(),
         );
         if let Some(dlq) = target {
             let q = self.queues.read().get(dlq).map(Arc::clone);
             if let Some(q) = q {
-                msg.headers
-                    .insert(DEATH_QUEUE_HEADER.to_string(), source.to_string());
+                msg.headers.death_queue = Some(Arc::from(source));
                 msg.redelivered = false;
                 msg.delivery_count = 0;
                 let mut st = q.state.lock();
@@ -515,6 +519,7 @@ impl Broker {
     ) -> GcxResult<()> {
         let q = self.get(queue, credential)?;
         let size = message.wire_size();
+        let trace = message.headers.trace;
         let fault = self.inner.fault.read().clone();
         let outcome = match &fault {
             Some(plan) => plan.on_publish(queue, self.inner.clock.now_ms()),
@@ -548,7 +553,7 @@ impl Broker {
                     gcx_core::trace::EventLevel::Warn,
                     "mq.fault.publish_drop",
                     queue,
-                    message.headers.get(TRACE_HEADER).map(String::as_str),
+                    trace.as_ref(),
                 );
                 return Ok(());
             }
@@ -570,15 +575,16 @@ impl Broker {
                     gcx_core::trace::EventLevel::Warn,
                     "mq.queue_full",
                     queue,
-                    message.headers.get(TRACE_HEADER).map(String::as_str),
+                    trace.as_ref(),
                 );
                 return Err(GcxError::QueueFull {
                     queue: q.name.clone(),
                 });
             }
-            for _ in 0..copies {
+            for _ in 1..copies {
                 q.push_ready_back(&mut st, message.clone());
             }
+            q.push_ready_back(&mut st, message);
             evicted = q.evict_over_bound(&mut st, &policy);
         }
         if !evicted.is_empty() {
@@ -595,7 +601,7 @@ impl Broker {
                 gcx_core::trace::EventLevel::Warn,
                 "mq.fault.duplicate",
                 queue,
-                message.headers.get(TRACE_HEADER).map(String::as_str),
+                trace.as_ref(),
             );
         }
         self.inner.m.messages_published.inc();
@@ -653,7 +659,7 @@ impl Broker {
                             gcx_core::trace::EventLevel::Warn,
                             "mq.fault.duplicate",
                             queue,
-                            message.headers.get(TRACE_HEADER).map(String::as_str),
+                            message.headers.trace.as_ref(),
                         );
                     }
                     surviving.push((message, 1 + extra_copies as u64));
@@ -665,7 +671,7 @@ impl Broker {
                         gcx_core::trace::EventLevel::Warn,
                         "mq.fault.publish_drop",
                         queue,
-                        message.headers.get(TRACE_HEADER).map(String::as_str),
+                        message.headers.trace.as_ref(),
                     );
                 }
             }
@@ -707,8 +713,7 @@ impl Broker {
                         queue,
                         surviving
                             .first()
-                            .and_then(|(m, _)| m.headers.get(TRACE_HEADER))
-                            .map(String::as_str),
+                            .and_then(|(m, _)| m.headers.trace.as_ref()),
                     );
                     return Err(GcxError::QueueFull {
                         queue: q.name.clone(),
@@ -859,12 +864,16 @@ impl Consumer {
                 if window_open && !partitioned {
                     if let Some(mut msg) = self.queue.pop_ready(&mut st) {
                         msg.delivery_count += 1;
-                        let policy = self.queue.policy.lock().clone();
-                        if policy.max_deliveries > 0 && msg.delivery_count > policy.max_deliveries {
-                            // Poisoned: over its delivery budget.
+                        // Poisoned (over its delivery budget)? Then where to.
+                        let dead_letter_to = {
+                            let policy = self.queue.policy.lock();
+                            (policy.max_deliveries > 0
+                                && msg.delivery_count > policy.max_deliveries)
+                                .then(|| policy.dead_letter_to.clone())
+                        };
+                        if let Some(target) = dead_letter_to {
                             drop(st);
-                            self.broker
-                                .dead_letter(&self.queue.name, &policy.dead_letter_to, msg);
+                            self.broker.dead_letter(&self.queue.name, &target, msg);
                             continue;
                         }
                         if let Some(plan) = &fault {
@@ -872,7 +881,7 @@ impl Consumer {
                                 // Delivery lost in transit: back of the queue,
                                 // attempt charged.
                                 msg.redelivered = true;
-                                let trace_hdr = msg.headers.get(TRACE_HEADER).cloned();
+                                let trace = msg.headers.trace;
                                 self.queue.push_ready_back(&mut st, msg);
                                 drop(st);
                                 self.broker.m.dropped.inc();
@@ -880,7 +889,7 @@ impl Consumer {
                                     gcx_core::trace::EventLevel::Warn,
                                     "mq.fault.deliver_drop",
                                     &self.queue.name,
-                                    trace_hdr.as_deref(),
+                                    trace.as_ref(),
                                 );
                                 continue;
                             }
@@ -1239,13 +1248,7 @@ mod tests {
         assert_eq!(b.metrics().counter("mq.dead_lettered").get(), 1);
         let dc = b.consume("dlq", None, 0).unwrap();
         let d = dc.next(T).unwrap().unwrap();
-        assert_eq!(
-            d.message
-                .headers
-                .get(DEATH_QUEUE_HEADER)
-                .map(String::as_str),
-            Some("q")
-        );
+        assert_eq!(d.message.headers.death_queue.as_deref(), Some("q"));
         assert_eq!(&d.message.body[..], b"poison");
         dc.ack(d.tag).unwrap();
     }
@@ -1495,13 +1498,7 @@ mod tests {
         let dc = b.consume("dlq", None, 0).unwrap();
         let d = dc.next(T).unwrap().unwrap();
         assert_eq!(&d.message.body[..], b"oldest");
-        assert_eq!(
-            d.message
-                .headers
-                .get(DEATH_QUEUE_HEADER)
-                .map(String::as_str),
-            Some("q")
-        );
+        assert_eq!(d.message.headers.death_queue.as_deref(), Some("q"));
         dc.ack(d.tag).unwrap();
         let c = b.consume("q", None, 0).unwrap();
         let d = c.next(T).unwrap().unwrap();
@@ -1570,16 +1567,96 @@ mod tests {
     fn headers_travel_with_message() {
         let b = Broker::new();
         b.declare_queue("q", None).unwrap();
-        let mut headers = BTreeMap::new();
-        headers.insert("task_id".to_string(), "abc".to_string());
-        b.publish(
-            "q",
-            Message::with_headers(Bytes::from_static(b"x"), headers.clone()),
-            None,
-        )
-        .unwrap();
+        let headers = Headers {
+            trace: Some(TraceContext {
+                trace_id: gcx_core::trace::TraceId::random(),
+                parent: gcx_core::trace::SpanId::random(),
+            }),
+            sent_ms: Some(1_700_000_000_123),
+            death_queue: None,
+        };
+        let sent = Message::with_headers(Bytes::from_static(b"x"), headers.clone());
+        // Metered as the `name: text` pairs these fields replaced.
+        assert_eq!(sent.wire_size(), 1 + 8 + (9 + 53 + 4) + (11 + 13 + 4));
+        b.publish("q", sent, None).unwrap();
         let c = b.consume("q", None, 0).unwrap();
         let d = c.next(T).unwrap().unwrap();
         assert_eq!(d.message.headers, headers);
+    }
+
+    /// The broker never decodes a body: every fault it injects must reach
+    /// the task's trace through the context the message carries.
+    #[test]
+    fn fault_annotation_reaches_the_trace_through_the_header() {
+        use crate::fault::{FaultDirection, FaultPlan, FaultRule};
+        use gcx_core::trace::{TraceConfig, Tracer};
+        let b = Broker::new();
+        let tracer = Tracer::new(SystemClock::shared(), TraceConfig::default());
+        b.metrics().set_tracer(tracer.clone());
+        b.declare_queue("q", None).unwrap();
+        let traced = |ctx: &TraceContext| {
+            let headers = Headers {
+                trace: Some(*ctx),
+                ..Headers::default()
+            };
+            Message::with_headers(Bytes::from_static(b"x"), headers)
+        };
+        let root_notes = |ctx: &TraceContext| -> Vec<String> {
+            let td = tracer.trace(ctx.trace_id).unwrap();
+            let notes = &td.root_span().unwrap().annotations;
+            notes.iter().map(|(_, n)| n.clone()).collect()
+        };
+
+        let dropped = tracer.start_trace("task").unwrap();
+        b.set_fault_plan(Some(FaultPlan::new(1).with_rule(FaultRule::drop(
+            "q",
+            FaultDirection::Publish,
+            1.0,
+        ))));
+        b.publish("q", traced(&dropped), None).unwrap();
+        assert_eq!(root_notes(&dropped), ["mq.fault.publish_drop on q"]);
+
+        let duplicated = tracer.start_trace("task").unwrap();
+        b.set_fault_plan(Some(
+            FaultPlan::new(1).with_rule(FaultRule::duplicate("q", 1.0)),
+        ));
+        b.publish("q", traced(&duplicated), None).unwrap();
+        assert_eq!(root_notes(&duplicated), ["mq.fault.duplicate on q"]);
+        let batched = tracer.start_trace("task").unwrap();
+        b.publish_batch("q", vec![traced(&batched)], None).unwrap();
+        assert_eq!(root_notes(&batched), ["mq.fault.duplicate on q"]);
+
+        // Every delivery attempt is lost until the budget runs out (0.999:
+        // 1.0 is a partition, which stops deliveries without a draw).
+        let undelivered = tracer.start_trace("task").unwrap();
+        b.declare_queue("d", None).unwrap();
+        b.declare_queue("dlq", None).unwrap();
+        b.set_queue_policy("d", QueuePolicy::dead_letter(2, "dlq"))
+            .unwrap();
+        b.publish("d", traced(&undelivered), None).unwrap();
+        b.set_fault_plan(Some(FaultPlan::new(1).with_rule(FaultRule::drop(
+            "d",
+            FaultDirection::Deliver,
+            0.999,
+        ))));
+        let c = b.consume("d", None, 0).unwrap();
+        assert!(c.next(Duration::from_millis(50)).unwrap().is_none());
+        assert_eq!(
+            root_notes(&undelivered),
+            [
+                "mq.fault.deliver_drop on d",
+                "mq.fault.deliver_drop on d",
+                "mq.dead_letter on d"
+            ]
+        );
+
+        b.set_fault_plan(None);
+        let refused = tracer.start_trace("task").unwrap();
+        b.set_queue_policy("q", QueuePolicy::bounded(1)).unwrap();
+        assert!(b.publish("q", traced(&refused), None).is_err());
+        assert_eq!(root_notes(&refused), ["mq.queue_full on q"]);
+
+        // A message with no context annotates nothing and breaks nothing.
+        assert!(b.publish("q", msg("plain"), None).is_err());
     }
 }

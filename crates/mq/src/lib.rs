@@ -27,8 +27,7 @@ pub mod fault;
 pub mod link;
 
 pub use broker::{
-    Broker, Consumer, Delivery, Message, OverflowPolicy, QueuePolicy, QueueStats,
-    DEATH_QUEUE_HEADER, SENT_MS_HEADER, TRACE_HEADER,
+    Broker, Consumer, Delivery, Headers, Message, OverflowPolicy, QueuePolicy, QueueStats,
 };
 pub use fault::{
     FaultDirection, FaultPlan, FaultRule, PublishOutcome, ReplicaAction, ReplicaFaultRule,

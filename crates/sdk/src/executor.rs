@@ -432,15 +432,12 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
                     if shared.tracer.enabled() {
                         // Submit leg: submit() call → batch accepted by the
                         // REST API (covers the coalescing window).
+                        let legs: Vec<_> = flush
+                            .iter()
+                            .filter_map(|p| Some((p.spec.trace?, p.submitted_ms)))
+                            .collect();
                         let now = shared.tracer.now_ms();
-                        for p in &flush {
-                            shared.tracer.record_span(
-                                p.spec.trace.as_ref(),
-                                "submit",
-                                p.submitted_ms,
-                                now,
-                            );
-                        }
+                        shared.tracer.record_spans("submit", now, &legs);
                     }
                 }
                 Err(e) => {

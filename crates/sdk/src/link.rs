@@ -663,12 +663,12 @@ mod tests {
         // stamped next to the submit span.
         let traces = m.tracer().traces();
         assert!(!traces.is_empty(), "wire submissions are traced");
-        let spans: Vec<String> = traces
+        let spans: Vec<&str> = traces
             .iter()
-            .flat_map(|t| t.spans.iter().map(|s| s.name.clone()))
+            .flat_map(|t| t.spans.iter().map(|s| s.name))
             .collect();
-        assert!(spans.iter().any(|s| s == "wire.send"), "spans: {spans:?}");
-        assert!(spans.iter().any(|s| s == "wire.await"), "spans: {spans:?}");
+        assert!(spans.contains(&"wire.send"), "spans: {spans:?}");
+        assert!(spans.contains(&"wire.await"), "spans: {spans:?}");
         // The health plane answers over the wire with an assessed document.
         let health = ex.health().unwrap().expect("peer speaks health");
         assert!(health.status != gcx_core::health::HealthStatus::Unhealthy);
