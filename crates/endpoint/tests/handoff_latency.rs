@@ -7,6 +7,9 @@
 //! again, in full, on `Finished`, which always lands just after the driver
 //! went back to sleep — with a 500 µs sleep that is a floor of 500 µs per
 //! task, twice the bound asserted here.
+//!
+//! The broker hop is held to the same standard: a waiter yields once before
+//! it parks, and that yield must not show on an idle system.
 
 use std::time::{Duration, Instant};
 
@@ -18,9 +21,11 @@ use gcx_core::task::TaskSpec;
 use gcx_core::value::Value;
 use gcx_endpoint::agent::build_engine;
 use gcx_endpoint::{AgentEnv, EndpointConfig, EngineEvent, ExecutableTask};
+use gcx_mq::{Broker, Message};
 
 const TASKS: usize = 200;
 const BOUND: Duration = Duration::from_micros(250);
+const BROKER_BOUND: Duration = Duration::from_micros(150);
 
 fn wait_done(events: &Receiver<EngineEvent>) {
     loop {
@@ -70,9 +75,46 @@ fn median_idle_task(engine_yaml: &str) -> Duration {
     took[TASKS / 2]
 }
 
-/// One test, so the two engines are timed one after the other.
+/// Median `publish` → delivery of [`TASKS`] single messages to a consumer
+/// parked in `next`: the broker hop is one condvar wake, and the yield a
+/// consumer makes before it parks is over long before the next publish.
+fn median_publish_to_parked_consumer() -> Duration {
+    let broker = Broker::new();
+    broker.declare_queue("q", None).unwrap();
+    let (tx, delivered) = unbounded();
+    let mut took: Vec<Duration> = std::thread::scope(|s| {
+        s.spawn(|| {
+            let consumer = broker.consume("q", None, 1).unwrap();
+            while let Ok(Some(d)) = consumer.next(Duration::from_secs(30)) {
+                tx.send(Instant::now()).unwrap();
+                consumer.ack(d.tag).unwrap();
+            }
+        });
+        let took = (0..TASKS)
+            .map(|_| {
+                // Let the consumer run dry and park.
+                std::thread::sleep(Duration::from_millis(1));
+                let from = Instant::now();
+                broker.publish("q", Message::new("m".into()), None).unwrap();
+                let at = delivered.recv_timeout(Duration::from_secs(30)).unwrap();
+                at.saturating_duration_since(from)
+            })
+            .collect();
+        broker.delete_queue("q").unwrap();
+        took
+    });
+    took.sort_unstable();
+    took[TASKS / 2]
+}
+
+/// One test, so the hops are timed one after the other.
 #[test]
 fn a_task_on_an_idle_engine_waits_for_no_timer() {
+    let median = median_publish_to_parked_consumer();
+    assert!(
+        median < BROKER_BOUND,
+        "median publish -> delivery {median:?} to a parked consumer, expected < {BROKER_BOUND:?}"
+    );
     for yaml in [
         "engine:\n  type: ThreadEngine\n  workers: 2\n",
         "engine:\n  type: GlobusComputeEngine\n  workers_per_node: 2\n",

@@ -844,6 +844,7 @@ impl Consumer {
         self.queue
             .last_poll_ms
             .store(self.broker.clock.now_ms(), Ordering::Relaxed);
+        let mut snoozed = false;
         loop {
             let fault = self.broker.fault.read().clone();
             // A hard partition blocks deliveries without consuming fault-plan
@@ -917,8 +918,18 @@ impl Consumer {
                     let mut remaining = deadline - now;
                     if partitioned {
                         remaining = remaining.min(Duration::from_millis(10));
+                    } else if !snoozed {
+                        // Run dry a few microseconds ahead of the producer?
+                        // Stay runnable for one scheduling turn before
+                        // parking: the next publish then finds no waiter and
+                        // makes no wake syscall.
+                        snoozed = true;
+                        drop(st);
+                        std::thread::yield_now();
+                        continue;
                     }
                     self.queue.cond.wait_for(&mut st, remaining);
+                    snoozed = false;
                     continue;
                 }
             }
@@ -965,12 +976,23 @@ impl Consumer {
         Ok(())
     }
 
+    /// Release `tag`'s slot in the prefetch window. Only a `next` blocked on
+    /// a full window has anything to learn from that, so only the release
+    /// that opens a full window notifies — everyone, because the queue's
+    /// other consumers park on the same condvar.
     fn forget_tag(&self, tag: u64) {
         let mut held = self.held_tags.lock();
         if let Some(pos) = held.iter().position(|t| *t == tag) {
             held.swap_remove(pos);
-            self.outstanding.fetch_sub(1, Ordering::AcqRel);
-            self.queue.cond.notify_one();
+            let was = self.outstanding.fetch_sub(1, Ordering::AcqRel);
+            drop(held);
+            if self.prefetch != 0 && was == self.prefetch {
+                // `next` reads the window under the state lock; passing
+                // through it orders this notify after that `next` is counted
+                // as a waiter.
+                drop(self.queue.state.lock());
+                self.queue.cond.notify_all();
+            }
         }
     }
 
@@ -1113,6 +1135,31 @@ mod tests {
         c.ack(d1.tag).unwrap();
         let d3 = c.next(T).unwrap().unwrap();
         assert_eq!(&d3.message.body[..], b"2");
+    }
+
+    #[test]
+    fn an_ack_that_opens_a_full_window_wakes_the_blocked_next() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        b.publish("q", msg("a"), None).unwrap();
+        b.publish("q", msg("b"), None).unwrap();
+        let c = b.consume("q", None, 1).unwrap();
+        let first = c.next(T).unwrap().unwrap();
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| {
+                let d = c.next(Duration::from_secs(5)).unwrap().unwrap();
+                (d, std::time::Instant::now())
+            });
+            // Long enough for `next` to find the window full and park.
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(!blocked.is_finished(), "window of 1 is full");
+            let acked = std::time::Instant::now();
+            c.ack(first.tag).unwrap();
+            let (d, resumed) = blocked.join().unwrap();
+            assert_eq!(&d.message.body[..], b"b");
+            let took = resumed.saturating_duration_since(acked);
+            assert!(took < Duration::from_millis(50), "resumed {took:?} after");
+        });
     }
 
     #[test]
