@@ -34,7 +34,6 @@ const EXPERIMENTS: &[&str] = &[
     "mep_scaling",
     "data_movement",
     "service_scale",
-    "throughput",
     "latency_breakdown",
     "overload_soak",
     "ablation_sandbox",

@@ -2,7 +2,8 @@
 //!
 //! The benchmark harness: one binary per paper figure/table/claim (see
 //! `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for recorded
-//! results), plus Criterion micro-benchmarks.
+//! results). Throughput, latency and the per-layer micro-timings are
+//! `gcxbench`'s (the repository's benchmark, a package of its own).
 //!
 //! Binaries (run with `cargo run --release -p gcx-bench --bin <name>`):
 //!
@@ -17,7 +18,6 @@
 //! | `mep_scaling`        | E7         | §IV/§VI spawn-on-demand, config-hash reuse  |
 //! | `data_movement`      | E8         | §V 10 MB limit / ProxyStore / Transfer      |
 //! | `service_scale`      | E9         | §I/§VI one service, many endpoints          |
-//! | `throughput`         | E10        | sharded + batched hot path vs single lock   |
 //! | `latency_breakdown`  | E11        | per-leg lifecycle latency from trace spans  |
 //! | `federation_scale`   | E12        | replicated cloud: throughput + chaos leg    |
 //! | `overload_soak`      | E13        | admission control vs unprotected meltdown   |

@@ -49,7 +49,7 @@ use gcx_core::clock::SharedClock;
 use gcx_core::error::GcxResult;
 use gcx_core::ids::{TaskId, Uuid};
 use gcx_core::metrics::{Counter, MetricsRegistry};
-use gcx_core::trace::{EventLevel, Tracer};
+use gcx_core::trace::Tracer;
 use gcx_mq::{Broker, FaultPlan, Message, ReplicaAction};
 use parking_lot::{Mutex, RwLock};
 
@@ -201,14 +201,13 @@ impl FedCore {
                 mine = Some(body);
             } else if hop > self.max_forward_hops as u64 {
                 metrics.counter("fed.hops_exhausted").inc();
-                let tracer = metrics.tracer();
-                tracer.event(EventLevel::Error, "fed.hops_exhausted", || {
-                    let task = body.routing_id().map(|t| t.to_string());
-                    vec![
-                        ("task_id", task.unwrap_or_default()),
-                        ("hops", hop.to_string()),
-                    ]
-                });
+                let task = body.routing_id().map(|t| t.to_string());
+                metrics.flight().record(
+                    metrics.tracer().now_ms(),
+                    "fed",
+                    "hops_exhausted",
+                    format!("task_id={} hops={hop}", task.unwrap_or_default()),
+                );
             } else {
                 if env.epoch < epoch {
                     metrics.counter("fed.stale_epoch_rejected").inc();
@@ -420,7 +419,6 @@ impl Federation {
         let stop = self.stop.clone();
         let replicas = self.replicas.clone();
         let broker = self.broker.clone();
-        let tracer = self.tracer.clone();
         let clock = self.clock.clone();
         let counters_dead = self.counters.replicas_dead.clone();
         let counters_adopted = self.counters.tasks_adopted.clone();
@@ -442,7 +440,6 @@ impl Federation {
                     &core,
                     &replicas,
                     &broker,
-                    &tracer,
                     clock.now_ms(),
                     &counters_dead,
                     &counters_adopted,
@@ -451,6 +448,12 @@ impl Federation {
             })
             .expect("spawn fed monitor");
         *self.monitor.lock() = Some(handle);
+    }
+
+    /// One membership event into the flight recorder.
+    fn record(&self, event: &'static str, detail: String) {
+        let flight = self.broker.metrics().flight();
+        flight.record(self.clock.now_ms(), "fed", event, detail);
     }
 
     /// The federation's ownership epoch (bumped on every membership change).
@@ -542,7 +545,6 @@ impl Federation {
             &self.core,
             &self.replicas,
             &self.broker,
-            &self.tracer,
             now,
             &self.counters.replicas_dead,
             &self.counters.tasks_adopted,
@@ -587,9 +589,7 @@ impl Federation {
             self.replicas.read().get(&rid).cloned()
         };
         self.counters.replica_kills.inc();
-        self.tracer.event(EventLevel::Warn, "fed.replica_kill", || {
-            vec![("replica", rid.to_string())]
-        });
+        self.record("replica_kill", format!("replica={rid}"));
         if let Some(svc) = svc {
             // Joins the replica's threads; dropped consumers requeue their
             // unacked deliveries (results, rpc envelopes) for survivors.
@@ -607,13 +607,10 @@ impl Federation {
             m.partitioned_until = until_ms;
         }
         self.counters.replica_partitions.inc();
-        self.tracer
-            .event(EventLevel::Warn, "fed.replica_partition", || {
-                vec![
-                    ("replica", rid.to_string()),
-                    ("until_ms", until_ms.to_string()),
-                ]
-            });
+        self.record(
+            "replica_partition",
+            format!("replica={rid} until_ms={until_ms}"),
+        );
     }
 
     /// Restart a killed replica: a fresh [`WebService`] under the same id
@@ -643,7 +640,6 @@ impl Federation {
                 &self.core,
                 &self.replicas,
                 &self.broker,
-                &self.tracer,
                 rid,
                 now,
                 &self.counters.replicas_dead,
@@ -670,10 +666,7 @@ impl Federation {
             m.last_heartbeat_ms = now;
         }
         self.counters.replica_restarts.inc();
-        self.tracer
-            .event(EventLevel::Info, "fed.replica_restart", || {
-                vec![("replica", rid.to_string())]
-            });
+        self.record("replica_restart", format!("replica={rid}"));
         self.rejoin(rid, now);
     }
 
@@ -694,13 +687,10 @@ impl Federation {
             self.core.ring.write().add(rid);
             self.core.epoch.fetch_add(1, Ordering::SeqCst);
         }
-        self.tracer
-            .event(EventLevel::Info, "fed.replica_rejoin", || {
-                vec![
-                    ("replica", rid.to_string()),
-                    ("epoch", self.core.epoch().to_string()),
-                ]
-            });
+        self.record(
+            "replica_rejoin",
+            format!("replica={rid} epoch={}", self.core.epoch()),
+        );
         let live: Vec<(ReplicaId, WebService)> = {
             let members = self.core.members.read();
             self.replicas
@@ -791,7 +781,6 @@ fn sweep_replicas(
     core: &Arc<FedCore>,
     replicas: &Arc<RwLock<BTreeMap<ReplicaId, WebService>>>,
     broker: &Broker,
-    tracer: &Tracer,
     now: u64,
     replicas_dead: &Counter,
     tasks_adopted: &Counter,
@@ -813,7 +802,6 @@ fn sweep_replicas(
             core,
             replicas,
             broker,
-            tracer,
             rid,
             now,
             replicas_dead,
@@ -835,7 +823,6 @@ fn handover(
     core: &Arc<FedCore>,
     replicas: &Arc<RwLock<BTreeMap<ReplicaId, WebService>>>,
     broker: &Broker,
-    tracer: &Tracer,
     dead: ReplicaId,
     now: u64,
     replicas_dead: &Counter,
@@ -856,12 +843,13 @@ fn handover(
         core.epoch.fetch_add(1, Ordering::SeqCst);
     }
     replicas_dead.inc();
-    tracer.event(EventLevel::Warn, "fed.replica_dead", || {
-        vec![
-            ("replica", dead.to_string()),
-            ("epoch", core.epoch().to_string()),
-        ]
-    });
+    let flight = broker.metrics().flight();
+    flight.record(
+        now,
+        "fed",
+        "replica_dead",
+        format!("replica={dead} epoch={}", core.epoch()),
+    );
     // A killed replica's threads were already joined (its consumers
     // requeued everything unacked); a partitioned-to-death replica keeps
     // running but is fenced by the ownership checks on every write path.
@@ -892,17 +880,8 @@ fn handover(
             envelopes_rerouted.inc();
         }
     }
-    tracer.event(EventLevel::Warn, "fed.handover", || {
-        vec![
-            ("replica", dead.to_string()),
-            ("log_entries", entries.len().to_string()),
-            ("adopted", adopted.to_string()),
-            ("rerouted", pending.len().to_string()),
-        ]
-    });
     // Black-box entry plus — on a handover *storm* (several dead replicas
     // in one process) — a one-shot dump for the postmortem.
-    let flight = broker.metrics().flight();
     flight.record(
         now,
         "fed",

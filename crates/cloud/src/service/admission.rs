@@ -19,7 +19,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
 
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::health::TenantHealth;
@@ -280,9 +279,10 @@ impl WebService {
     /// undispatched task), and flip brownout accordingly. Returns how many
     /// tasks were expired.
     ///
-    /// Called periodically by a background thread on a real clock; tests
-    /// on a virtual clock call it explicitly after advancing time —
-    /// exactly the [`WebService::check_liveness`] pattern.
+    /// Called periodically by the service's cold-path thread on a real
+    /// clock, and only while [`AdmissionState::sweep_needed`]; tests on a
+    /// virtual clock call it explicitly after advancing time — exactly the
+    /// [`WebService::check_liveness`] pattern.
     pub fn check_expiry(&self) -> usize {
         let now = self.inner.clock.now_ms();
         let mut expired: Vec<(TaskId, IdentityId)> = Vec::new();
@@ -322,11 +322,6 @@ impl WebService {
             // Tombstone: a handover replay must see this task as dead, not
             // re-open (and republish) it.
             self.fed_log_expired(id);
-            self.inner.tracer.event(
-                gcx_core::trace::EventLevel::Warn,
-                "cloud.task_expired",
-                || vec![("task", id.to_string())],
-            );
             self.inner.metrics.flight().record(
                 now,
                 "cloud.expiry",
@@ -353,38 +348,18 @@ impl WebService {
         let was = adm.brownout.swap(active, Ordering::Relaxed);
         if active && !was {
             self.inner.metrics.counter("cloud.brownout_entries").inc();
-            self.inner.tracer.event(
-                gcx_core::trace::EventLevel::Warn,
-                "cloud.brownout_enter",
-                || vec![("dispatch_lag_ms", oldest_wait_ms.to_string())],
-            );
-        } else if !active && was {
-            self.inner.tracer.event(
-                gcx_core::trace::EventLevel::Info,
-                "cloud.brownout_exit",
-                || vec![("dispatch_lag_ms", oldest_wait_ms.to_string())],
-            );
         }
-    }
-
-    /// Background expiry/brownout sweep (real clock only; virtual-clock
-    /// tests drive [`WebService::check_expiry`] explicitly). Skips the
-    /// scan entirely while nothing can expire and admission is off.
-    pub(super) fn expiry_monitor_loop(&self) {
-        const SWEEP_MS: u64 = 25;
-        loop {
-            let mut slept = 0u64;
-            while slept < SWEEP_MS {
-                if self.inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let slice = (SWEEP_MS - slept).min(25);
-                std::thread::sleep(Duration::from_millis(slice));
-                slept += slice;
-            }
-            if self.inner.admission.sweep_needed() {
-                self.check_expiry();
-            }
+        if active != was {
+            self.inner.metrics.flight().record(
+                self.inner.clock.now_ms(),
+                "cloud.admission",
+                if active {
+                    "brownout_enter"
+                } else {
+                    "brownout_exit"
+                },
+                format!("dispatch_lag_ms={oldest_wait_ms}"),
+            );
         }
     }
 }
@@ -514,6 +489,10 @@ mod tests {
         vclock.advance(400);
         assert_eq!(svc.check_expiry(), 0);
         vclock.advance(200);
+        // On a virtual clock the cold-path thread leaves the sweep to the
+        // test: several of its periods later nothing has expired.
+        std::thread::sleep(std::time::Duration::from_millis(80));
+        assert_eq!(svc.metrics().counter("cloud.tasks_expired").get(), 0);
         assert_eq!(svc.check_expiry(), 1);
         let rec = svc.task_record(id).unwrap();
         assert_eq!(rec.state, TaskState::Cancelled);
@@ -580,6 +559,15 @@ mod tests {
         svc.check_expiry();
         assert!(!svc.brownout_active());
         assert_eq!(svc.metrics().counter("cloud.brownout_entries").get(), 1);
+        let edges: Vec<&str> = svc
+            .metrics()
+            .flight()
+            .events()
+            .iter()
+            .filter(|e| e.component == "cloud.admission" && e.event.starts_with("brownout_e"))
+            .map(|e| e.event)
+            .collect();
+        assert_eq!(edges, ["brownout_enter", "brownout_exit"]);
         svc.shutdown();
     }
 

@@ -76,6 +76,17 @@ struct ServerInner {
     m: WireMetrics,
 }
 
+impl ServerInner {
+    /// Keep `handle` for `shutdown()` to join, and let go of every handle
+    /// whose connection has already ended — the list stays as long as the
+    /// connections that are open, not as long as the server's history.
+    fn retain_thread(&self, handle: std::thread::JoinHandle<()>) {
+        let mut threads = self.threads.lock();
+        threads.retain(|h| !h.is_finished());
+        threads.push(handle);
+    }
+}
+
 /// A listening wire endpoint for one [`WebService`].
 ///
 /// `listen` binds real localhost TCP; [`WireServer::connect_inmem`] attaches
@@ -156,7 +167,7 @@ impl WireServer {
             .name("gcx-wire-conn-inmem".into())
             .spawn(move || serve_conn(inner, transport))
             .expect("spawn wire conn");
-        self.inner.threads.lock().push(handle);
+        self.inner.retain_thread(handle);
         Arc::new(client_half)
     }
 
@@ -189,14 +200,11 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
                     Err(_) => continue,
                 };
                 let inner2 = inner.clone();
-                // Connection threads are detached from the accept loop's
-                // join list lock to avoid growth without bound; they exit on
-                // close/idle/shutdown and shutdown() closes every transport.
                 let handle = std::thread::Builder::new()
                     .name("gcx-wire-conn".into())
                     .spawn(move || serve_conn(inner2, transport));
                 if let Ok(h) = handle {
-                    inner.threads.lock().push(h);
+                    inner.retain_thread(h);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -590,4 +598,35 @@ fn spawn_push_loop(
             }
         })
         .expect("spawn wire push loop")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{WireClient, WireClientConfig};
+    use super::*;
+    use crate::service::testkit::{login, service};
+
+    /// A server that has said Goodbye to 300 clients holds the handles of
+    /// the connections still open (plus its accept loop), not 300.
+    #[test]
+    fn retained_thread_handles_follow_open_connections_not_history() {
+        let svc = service();
+        let token = login(&svc, "churn@x.y");
+        let server = WireServer::listen(&svc, TransportSpec::default()).unwrap();
+        let cfg = WireClientConfig::default;
+        for round in 0..300 {
+            let client = if round % 2 == 0 {
+                WireClient::over(server.connect_inmem(), &token.0, cfg()).unwrap()
+            } else {
+                WireClient::connect_tcp(server.addr(), &token.0, cfg()).unwrap()
+            };
+            client.close();
+            // A connection thread may still be unwinding when the next one
+            // is retained; a handful are, never one per round.
+            let retained = server.inner.threads.lock().len();
+            assert!(retained <= 8, "round {round}: {retained} handles retained");
+        }
+        server.shutdown();
+        svc.shutdown();
+    }
 }

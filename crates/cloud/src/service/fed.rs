@@ -23,7 +23,6 @@ use bytes::Bytes;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::{IdentityId, TaskId};
 use gcx_core::task::{TaskRecord, TaskResult, TaskSpec};
-use gcx_core::trace::EventLevel;
 use gcx_mq::Message;
 
 use super::dispatch::Accepted;
@@ -164,10 +163,12 @@ impl WebService {
                     if let Err(e) = self.fed_handle_envelope(&fed, &delivery.message.body) {
                         // Nothing to hand the failure to: a refused envelope
                         // names no task we can trust.
-                        let tracer = &self.inner.tracer;
-                        tracer.event(EventLevel::Error, "fed.envelope_refused", || {
-                            vec![("error", e.to_string())]
-                        });
+                        self.inner.metrics.flight().record(
+                            now,
+                            "fed",
+                            "envelope_refused",
+                            format!("error={e}"),
+                        );
                     }
                     let _ = consumer.ack(delivery.tag);
                 }
@@ -261,14 +262,12 @@ impl WebService {
                 .metrics
                 .counter("fed.orphan_results_dropped")
                 .inc();
-            self.inner
-                .tracer
-                .event(EventLevel::Error, "fed.orphan_result_dropped", || {
-                    vec![
-                        ("task_id", task_id.to_string()),
-                        ("retries", retry.to_string()),
-                    ]
-                });
+            self.inner.metrics.flight().record(
+                self.inner.clock.now_ms(),
+                "fed",
+                "orphan_result_dropped",
+                format!("task_id={task_id} retries={retry}"),
+            );
             return Ok(());
         }
         self.inner

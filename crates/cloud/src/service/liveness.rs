@@ -1,9 +1,6 @@
 //! Endpoint liveness: heartbeats, degradation reports, and the
 //! stale-endpoint sweep that requeues in-flight tasks.
 
-use std::sync::atomic::Ordering;
-use std::time::Duration;
-
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::EndpointId;
 
@@ -75,8 +72,9 @@ impl WebService {
     /// dead-lettered and failed instead). Returns how many endpoints were
     /// newly marked offline.
     ///
-    /// Called periodically by a background thread on a real clock; tests on
-    /// a virtual clock call it explicitly after advancing time.
+    /// Called periodically by the service's cold-path thread on a real
+    /// clock; tests on a virtual clock call it explicitly after advancing
+    /// time.
     pub fn check_liveness(&self) -> usize {
         let now = self.inner.clock.now_ms();
         let timeout = self.inner.cfg.heartbeat_timeout_ms;
@@ -118,15 +116,11 @@ impl WebService {
                 .recover_queue(&task_queue_name(id))
                 .unwrap_or(0);
             self.inner.m.retries.add(requeued as u64);
-            self.inner.tracer.event(
-                gcx_core::trace::EventLevel::Warn,
-                "cloud.endpoint_offline",
-                || {
-                    vec![
-                        ("endpoint", id.to_string()),
-                        ("requeued", requeued.to_string()),
-                    ]
-                },
+            self.inner.metrics.flight().record(
+                now,
+                "cloud.liveness",
+                "endpoint_offline",
+                format!("endpoint={id} requeued={requeued}"),
             );
         }
         self.reap_abandoned_streams(now, timeout);
@@ -163,29 +157,12 @@ impl WebService {
         for (identity, qname) in dead {
             self.close_result_stream(identity, &qname);
             self.inner.m.streams_reaped.inc();
-            self.inner.tracer.event(
-                gcx_core::trace::EventLevel::Warn,
-                "cloud.stream_reaped",
-                || vec![("queue", qname.clone())],
+            self.inner.metrics.flight().record(
+                now,
+                "cloud.liveness",
+                "stream_reaped",
+                format!("queue={qname}"),
             );
-        }
-    }
-
-    pub(super) fn liveness_monitor_loop(&self) {
-        // Sweep at a quarter of the timeout, sleeping in short slices so
-        // shutdown stays responsive.
-        let sweep_ms = (self.inner.cfg.heartbeat_timeout_ms / 4).max(25);
-        loop {
-            let mut slept = 0u64;
-            while slept < sweep_ms {
-                if self.inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let slice = (sweep_ms - slept).min(25);
-                std::thread::sleep(Duration::from_millis(slice));
-                slept += slice;
-            }
-            self.check_liveness();
         }
     }
 }
@@ -240,10 +217,22 @@ mod tests {
         // Fresh heartbeat (stamped at connect): nothing is stale yet.
         assert_eq!(svc.check_liveness(), 0);
 
-        // The agent freezes: no heartbeats while the timeout elapses.
+        // The agent freezes: no heartbeats while the timeout elapses. On a
+        // virtual clock nothing in the background sweeps — several periods
+        // of the cold-path thread later the endpoint is still connected,
+        // and the sweep driven by hand is the one that finds it.
         vclock.advance(1_500);
+        std::thread::sleep(std::time::Duration::from_millis(80));
+        assert!(svc.endpoint_record(reg.endpoint_id).unwrap().connected);
         assert_eq!(svc.check_liveness(), 1);
         assert!(!svc.endpoint_record(reg.endpoint_id).unwrap().connected);
+        // The sweep's event is in the one event ring, which the JSON
+        // exposition serves.
+        let json = svc.exposition_json();
+        assert!(
+            json.contains("\"component\":\"cloud.liveness\",\"event\":\"endpoint_offline\""),
+            "events array lacks the offline event: {json}"
+        );
         assert_eq!(svc.metrics().counter("cloud.endpoints_offline").get(), 1);
         assert_eq!(svc.metrics().counter("cloud.retries").get(), 1);
         let stats = svc

@@ -7,8 +7,9 @@
 //! - `dispatch` — task submission (single and batched), MEP→UEP
 //!   resolution, payload interning (CAS dedup), and the status-polling
 //!   path.
-//! - `results` — result streams, the result/dead-task processor loops,
-//!   and endpoint-side state reports.
+//! - `results` — result streams, the result-processor loop, the cold-path
+//!   loop (dead tasks, and the liveness and expiry sweeps when each is
+//!   due), and endpoint-side state reports.
 //! - `liveness` — heartbeats, degradation reports, and the stale-endpoint
 //!   sweep that requeues in-flight tasks.
 //! - `session` — [`EndpointSession`], the agent's live connection.
@@ -66,6 +67,9 @@ pub const RESULT_QUEUE: &str = "results.all";
 /// clients see a terminal state instead of a silent black hole.
 pub const DEAD_TASKS_QUEUE: &str = "dead.tasks";
 
+/// Threads draining [`RESULT_QUEUE`].
+const RESULT_PROCESSORS: usize = 2;
+
 pub(super) fn task_queue_name(ep: EndpointId) -> String {
     format!("tasks.{ep}")
 }
@@ -92,8 +96,6 @@ pub struct CloudConfig {
     /// always travel inline. LRU eviction keeps the cache under this
     /// bound; an evicted reference falls back to the task record.
     pub cas_cache_bytes: usize,
-    /// Result-processor threads.
-    pub result_processors: usize,
     /// Cost model of the client↔service REST link; charged (on the service
     /// clock) per request for the bytes it carries, so experiments see
     /// realistic upload/download time for payloads that ride REST.
@@ -133,7 +135,6 @@ impl Default for CloudConfig {
             payload_limit: DEFAULT_PAYLOAD_LIMIT,
             inline_threshold: 64 * 1024,
             cas_cache_bytes: 64 * 1024 * 1024,
-            result_processors: 2,
             rest_link: gcx_mq::LinkProfile::instant(),
             heartbeat_timeout_ms: 30_000,
             max_task_deliveries: 3,
@@ -384,7 +385,7 @@ impl WebService {
             processors: Mutex::new(Vec::new()),
         });
         let svc = Self { inner };
-        for i in 0..svc.inner.cfg.result_processors {
+        for i in 0..RESULT_PROCESSORS {
             let svc2 = svc.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("gcx-result-proc-{i}"))
@@ -395,9 +396,9 @@ impl WebService {
         {
             let svc2 = svc.clone();
             let handle = std::thread::Builder::new()
-                .name("gcx-dead-task-proc".into())
-                .spawn(move || svc2.dead_task_processor_loop())
-                .expect("spawn dead-task processor");
+                .name("gcx-cold-path".into())
+                .spawn(move || svc2.cold_path_loop())
+                .expect("spawn cold-path thread");
             svc.inner.processors.lock().push(handle);
         }
         if svc.inner.fed.is_some() {
@@ -406,25 +407,6 @@ impl WebService {
                 .name("gcx-fed-rpc".into())
                 .spawn(move || svc2.fed_rpc_loop())
                 .expect("spawn fed rpc loop");
-            svc.inner.processors.lock().push(handle);
-        }
-        // On a virtual clock liveness is driven explicitly by the test
-        // harness (`check_liveness`); a background thread would race the
-        // manually-advanced time.
-        if !svc.inner.clock.is_virtual() {
-            let svc2 = svc.clone();
-            let handle = std::thread::Builder::new()
-                .name("gcx-liveness".into())
-                .spawn(move || svc2.liveness_monitor_loop())
-                .expect("spawn liveness monitor");
-            svc.inner.processors.lock().push(handle);
-            // Deadline/TTL expiry and brownout share a finer-grained sweep;
-            // it no-ops while nothing can expire and admission is off.
-            let svc2 = svc.clone();
-            let handle = std::thread::Builder::new()
-                .name("gcx-expiry".into())
-                .spawn(move || svc2.expiry_monitor_loop())
-                .expect("spawn expiry monitor");
             svc.inner.processors.lock().push(handle);
         }
         svc
@@ -561,7 +543,7 @@ impl WebService {
     }
 
     /// The same snapshot as JSON: counters, histogram quantiles, trace leg
-    /// summaries, per-endpoint health, and the buffered event lines.
+    /// summaries, per-endpoint health, and the flight recorder's ring.
     pub fn exposition_json(&self) -> String {
         let mut body = gcx_core::expo::JsonBody::new();
         body.registry(&self.inner.metrics, &self.inner.tracer);
@@ -586,15 +568,15 @@ impl WebService {
         });
         endpoints.push(']');
         body.raw("endpoints", &endpoints);
-        let mut events = String::from("[");
-        for (i, line) in self.inner.tracer.events().iter().enumerate() {
-            if i > 0 {
-                events.push(',');
-            }
-            events.push_str(line);
-        }
-        events.push(']');
-        body.raw("events", &events);
+        let events: Vec<String> = self
+            .inner
+            .metrics
+            .flight()
+            .events()
+            .iter()
+            .map(|e| e.to_json())
+            .collect();
+        body.raw("events", &format!("[{}]", events.join(",")));
         body.raw("health", &self.health_doc().json());
         body.render()
     }

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gcx_auth::Token;
 use gcx_core::error::{GcxError, GcxResult};
@@ -14,6 +14,10 @@ use gcx_mq::{Consumer, Message};
 
 use super::{stream_queue_name, WebService, DEAD_TASKS_QUEUE, RESULT_QUEUE};
 use crate::federation::envelope::Body;
+
+/// How long a service loop blocks on an empty queue before it looks at the
+/// shutdown flag again.
+const STOP_NOTICE: Duration = Duration::from_millis(25);
 
 impl WebService {
     // ---- result streaming (the executor path) ----------------------------
@@ -73,7 +77,7 @@ impl WebService {
             Err(_) => return,
         };
         while !self.inner.shutdown.load(Ordering::SeqCst) {
-            match consumer.next(Duration::from_millis(25)) {
+            match consumer.next(STOP_NOTICE) {
                 Ok(Some(delivery)) => {
                     let _ = self.process_result(&delivery.message);
                     let _ = consumer.ack(delivery.tag);
@@ -213,27 +217,58 @@ impl WebService {
         Ok(())
     }
 
-    /// Drain [`DEAD_TASKS_QUEUE`]: each message there is a task whose
-    /// delivery budget ran out (poison task, or an endpoint that kept dying
-    /// mid-execution). Fail it with a *retryable* error so SDK-side retry
-    /// budgets can decide whether to resubmit.
-    pub(super) fn dead_task_processor_loop(&self) {
-        let consumer = match self
+    /// The service's one cold-path thread. It drains [`DEAD_TASKS_QUEUE`]:
+    /// each message there is a task whose delivery budget ran out (poison
+    /// task, or an endpoint that kept dying mid-execution), failed here
+    /// with a *retryable* error so SDK-side retry budgets can decide
+    /// whether to resubmit. That queue almost never has a message, so the
+    /// same loop carries the two periodic sweeps, each when it is due:
+    /// [`check_liveness`](Self::check_liveness) at a quarter of the
+    /// heartbeat timeout, and [`check_expiry`](Self::check_expiry) every
+    /// 25 ms while anything can expire or admission is on. On a virtual
+    /// clock it sweeps nothing: the harness drives both by hand, and a
+    /// background sweep would race the manually-advanced time.
+    pub(super) fn cold_path_loop(&self) {
+        const EXPIRY_EVERY: Duration = Duration::from_millis(25);
+        let liveness_every =
+            Duration::from_millis((self.inner.cfg.heartbeat_timeout_ms / 4).max(25));
+        let sweeps = !self.inner.clock.is_virtual();
+        // A refused or closed queue ends the draining, never the sweeps.
+        let mut dead_tasks = self
             .inner
             .broker
             .consume(DEAD_TASKS_QUEUE, Some("cloud-results"), 64)
-        {
-            Ok(c) => c,
-            Err(_) => return,
-        };
+            .ok();
+        let mut liveness_due = Instant::now() + liveness_every;
+        let mut expiry_due = Instant::now() + EXPIRY_EVERY;
         while !self.inner.shutdown.load(Ordering::SeqCst) {
-            match consumer.next(Duration::from_millis(25)) {
+            let mut wait = STOP_NOTICE;
+            if sweeps {
+                // Each sweep rests its full period after it returns.
+                if Instant::now() >= expiry_due {
+                    if self.inner.admission.sweep_needed() {
+                        self.check_expiry();
+                    }
+                    expiry_due = Instant::now() + EXPIRY_EVERY;
+                }
+                if Instant::now() >= liveness_due {
+                    self.check_liveness();
+                    liveness_due = Instant::now() + liveness_every;
+                }
+                let next_due = expiry_due.min(liveness_due);
+                wait = wait.min(next_due.saturating_duration_since(Instant::now()));
+            }
+            let Some(consumer) = &dead_tasks else {
+                std::thread::sleep(wait);
+                continue;
+            };
+            match consumer.next(wait) {
                 Ok(Some(delivery)) => {
                     let _ = self.fail_dead_task(&delivery.message);
                     let _ = consumer.ack(delivery.tag);
                 }
                 Ok(None) => {}
-                Err(_) => return, // queue closed
+                Err(_) => dead_tasks = None,
             }
         }
     }
@@ -250,12 +285,12 @@ impl WebService {
         tracer.annotate(spec.trace.as_ref(), || {
             format!("dead-lettered from {source}: delivery budget exhausted")
         });
-        tracer.event(gcx_core::trace::EventLevel::Warn, "cloud.dead_task", || {
-            vec![
-                ("task_id", spec.task_id.to_string()),
-                ("source", source.to_string()),
-            ]
-        });
+        self.inner.metrics.flight().record(
+            self.inner.clock.now_ms(),
+            "cloud.results",
+            "dead_task",
+            format!("task_id={} source={source}", spec.task_id),
+        );
         self.finish_task(
             spec.task_id,
             TaskResult::retryable_err(format!(

@@ -116,7 +116,6 @@ impl PromText {
         }
         self.gauge("trace.retained", &[], tracer.trace_count() as u64);
         self.gauge("trace.evicted", &[], tracer.traces_evicted());
-        self.gauge("trace.events_suppressed", &[], tracer.events_suppressed());
     }
 
     /// The rendered page.
@@ -227,7 +226,6 @@ impl JsonBody {
             legs.push('}');
             self.raw("trace_legs", &legs);
             self.num("traces_retained", tracer.trace_count() as u64);
-            self.num("events_suppressed", tracer.events_suppressed());
         }
     }
 

@@ -77,6 +77,6 @@ pub use retry::RetryPolicy;
 pub use sharded::ShardedMap;
 pub use shellres::ShellResult;
 pub use task::{TaskRecord, TaskResult, TaskSpec, TaskState};
-pub use trace::{EventLevel, SpanId, TraceConfig, TraceContext, TraceId, Tracer};
+pub use trace::{SpanId, TraceConfig, TraceContext, TraceId, Tracer};
 pub use value::Value;
 pub use wire::{Frame, FrameReader, FrameType, InMemTransport, TcpTransport, Transport};

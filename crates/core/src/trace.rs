@@ -1,6 +1,6 @@
-//! Task-lifecycle tracing: trace/span contexts, a lock-sharded in-memory
-//! collector with bounded retention, and a leveled, rate-limited JSON-lines
-//! event sink.
+//! Task-lifecycle tracing: trace/span contexts and a lock-sharded in-memory
+//! collector with bounded retention. (Cold-path *events* — faults,
+//! rejections, handovers — go to [`crate::flight`], the one event ring.)
 //!
 //! The paper's performance story (§V) decomposes task latency into legs —
 //! SDK submit, web-service buffering, queue transit, endpoint dispatch,
@@ -18,7 +18,7 @@
 //!    context) returns before allocating anything. Sampled-out submissions
 //!    simply never receive a context, so every downstream call no-ops.
 //! 2. **Dependency-free.** Spans live in plain `HashMap`s behind sharded
-//!    mutexes; events are pre-rendered JSON lines in a bounded ring.
+//!    mutexes.
 //! 3. **Bounded.** The collector retains at most `capacity` traces (oldest
 //!    evicted first) and at most `max_spans_per_trace` spans per trace, so
 //!    a soak run cannot grow without limit.
@@ -118,32 +118,7 @@ impl TraceContext {
     }
 }
 
-/// Event severity for the structured sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventLevel {
-    /// Diagnostic chatter.
-    Debug,
-    /// Normal lifecycle milestones.
-    Info,
-    /// Recoverable trouble (fault injected, retry fired).
-    Warn,
-    /// Lost work or broken invariants.
-    Error,
-}
-
-impl EventLevel {
-    /// Lowercase label used in rendered event lines.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EventLevel::Debug => "debug",
-            EventLevel::Info => "info",
-            EventLevel::Warn => "warn",
-            EventLevel::Error => "error",
-        }
-    }
-}
-
-/// Collector and sink limits.
+/// Collector limits.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Record every Nth submission (1 = all, 0 = none). Sampled-out
@@ -153,12 +128,6 @@ pub struct TraceConfig {
     pub capacity: usize,
     /// Maximum spans kept per trace (excess counted, not stored).
     pub max_spans_per_trace: usize,
-    /// Maximum retained rendered event lines.
-    pub event_buffer: usize,
-    /// Per-window event budget; excess events are counted as suppressed.
-    pub events_per_window: u64,
-    /// Rate-limit window length on the tracer's clock.
-    pub event_window_ms: u64,
 }
 
 impl Default for TraceConfig {
@@ -167,9 +136,6 @@ impl Default for TraceConfig {
             sample_every: 1,
             capacity: 4096,
             max_spans_per_trace: 512,
-            event_buffer: 1024,
-            events_per_window: 256,
-            event_window_ms: 1_000,
         }
     }
 }
@@ -338,12 +304,6 @@ impl TraceData {
     }
 }
 
-struct SinkState {
-    lines: VecDeque<String>,
-    window_start: TimeMs,
-    in_window: u64,
-}
-
 struct TracerInner {
     clock: SharedClock,
     cfg: TraceConfig,
@@ -351,9 +311,7 @@ struct TracerInner {
     submissions: AtomicU64,
     evicted: AtomicU64,
     span_overflow: AtomicU64,
-    suppressed: AtomicU64,
     shards: Vec<Mutex<Shard>>,
-    sink: Mutex<SinkState>,
 }
 
 /// Handle to the tracing subsystem. Cloning shares the collector. A
@@ -398,20 +356,13 @@ impl Tracer {
     /// An enabled tracer stamping spans from `clock`.
     pub fn new(clock: SharedClock, cfg: TraceConfig) -> Self {
         let per_shard = (cfg.capacity / SHARDS).max(1);
-        let start = clock.now_ms();
         Self(Some(Arc::new(TracerInner {
             clock,
             per_shard,
             submissions: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             span_overflow: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            sink: Mutex::new(SinkState {
-                lines: VecDeque::new(),
-                window_start: start,
-                in_window: 0,
-            }),
             cfg,
         })))
     }
@@ -682,66 +633,6 @@ impl Tracer {
         }
     }
 
-    /// Emit a structured event as one JSON line, subject to the per-window
-    /// rate limit. The field closure runs only for events that pass the
-    /// limit, so suppressed events cost two atomics and a short lock.
-    pub fn event(
-        &self,
-        level: EventLevel,
-        name: &str,
-        fields: impl FnOnce() -> Vec<(&'static str, String)>,
-    ) {
-        let Some(inner) = self.0.as_ref() else {
-            return;
-        };
-        let now = inner.clock.now_ms();
-        let mut sink = inner.sink.lock();
-        if now.saturating_sub(sink.window_start) >= inner.cfg.event_window_ms {
-            sink.window_start = now;
-            sink.in_window = 0;
-        }
-        if sink.in_window >= inner.cfg.events_per_window {
-            inner.suppressed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        sink.in_window += 1;
-        let mut line = String::with_capacity(96);
-        line.push_str("{\"ts\":");
-        line.push_str(&now.to_string());
-        line.push_str(",\"level\":\"");
-        line.push_str(level.label());
-        line.push_str("\",\"event\":\"");
-        line.push_str(&json_escape(name));
-        line.push('"');
-        for (k, v) in fields() {
-            line.push_str(",\"");
-            line.push_str(&json_escape(k));
-            line.push_str("\":\"");
-            line.push_str(&json_escape(&v));
-            line.push('"');
-        }
-        line.push('}');
-        if sink.lines.len() >= inner.cfg.event_buffer {
-            sink.lines.pop_front();
-        }
-        sink.lines.push_back(line);
-    }
-
-    /// Snapshot of the retained event lines, oldest first.
-    pub fn events(&self) -> Vec<String> {
-        self.0
-            .as_ref()
-            .map(|i| i.sink.lock().lines.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Events dropped by the rate limiter.
-    pub fn events_suppressed(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.suppressed.load(Ordering::Relaxed))
-    }
-
     /// Snapshot of one trace.
     pub fn trace(&self, id: TraceId) -> Option<TraceData> {
         let inner = self.0.as_ref()?;
@@ -919,8 +810,6 @@ mod tests {
         assert!(off.traces().is_empty());
         off.record_span(None, "x", 0, 1);
         off.finish(off.span(None, "x"));
-        off.event(EventLevel::Warn, "x", Vec::new);
-        assert!(off.events().is_empty());
     }
 
     #[test]
@@ -958,38 +847,6 @@ mod tests {
         }
         assert_eq!(t.trace(ctx.trace_id).unwrap().spans.len(), 3);
         assert_eq!(t.spans_overflowed(), 3);
-    }
-
-    #[test]
-    fn events_are_rendered_rate_limited_json_lines() {
-        let vclock = VirtualClock::new();
-        let clock: SharedClock = vclock.clone();
-        let t = Tracer::new(
-            clock,
-            TraceConfig {
-                events_per_window: 2,
-                event_window_ms: 100,
-                ..TraceConfig::default()
-            },
-        );
-        t.event(EventLevel::Warn, "mq.fault.drop", || {
-            vec![("queue", "tasks.ep".to_string())]
-        });
-        t.event(EventLevel::Info, "he\"llo", Vec::new);
-        t.event(EventLevel::Error, "suppressed", Vec::new);
-        assert_eq!(t.events_suppressed(), 1);
-        let events = t.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[0],
-            "{\"ts\":0,\"level\":\"warn\",\"event\":\"mq.fault.drop\",\"queue\":\"tasks.ep\"}"
-        );
-        assert!(events[1].contains("he\\\"llo"));
-
-        // A new window resets the budget.
-        vclock.advance(150);
-        t.event(EventLevel::Warn, "later", Vec::new);
-        assert_eq!(t.events().len(), 3);
     }
 
     #[test]

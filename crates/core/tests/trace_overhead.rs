@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gcx_core::clock::{SharedClock, VirtualClock};
-use gcx_core::trace::{EventLevel, SpanId, TraceConfig, TraceContext, TraceId, Tracer};
+use gcx_core::trace::{SpanId, TraceConfig, TraceContext, TraceId, Tracer};
 
 struct CountingAlloc;
 
@@ -70,9 +70,6 @@ fn disabled_tracer_path_is_allocation_free() {
             tracer.annotate(Some(&ctx), || "never rendered".repeat(8));
             tracer.record_span_and_end(Some(&ctx), "result", 0, 5);
             tracer.end_trace(Some(&ctx));
-            tracer.event(EventLevel::Warn, "mq.fault.drop", || {
-                vec![("queue", "tasks.ep".to_string())]
-            });
         }
     });
     assert_eq!(allocs, 0, "disabled tracer must never allocate");

@@ -176,17 +176,41 @@ pub struct EndpointAgent {
     pump_stop: Arc<AtomicBool>,
     puller: Option<std::thread::JoinHandle<()>>,
     pump: Option<std::thread::JoinHandle<()>>,
-    heartbeat: Option<std::thread::JoinHandle<()>>,
     engine: Arc<Mutex<Box<dyn Engine>>>,
     /// The environment's registry, kept so operators can scrape the agent
     /// (engine counters plus trace summaries). `None` for agents wired via
-    /// [`Self::run`]/[`Self::run_with`], which have no environment.
+    /// [`Self::run`], which have no environment.
     metrics: Option<MetricsRegistry>,
 }
 
 /// How long [`EndpointAgent::stop`] waits for in-flight tasks to drain
 /// before tearing the engine down anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long the puller blocks on an empty task queue before it looks at
+/// the stop flag again.
+const PULL_WAIT: Duration = Duration::from_millis(25);
+
+/// The agent's liveness beat, paced on the service clock and carried by
+/// the puller loop.
+struct Heartbeat {
+    clock: SharedClock,
+    interval_ms: u64,
+    next_ms: u64,
+}
+
+impl Heartbeat {
+    /// Beat if the service clock has reached the next beat (the first call
+    /// always does); returns the time left until the one after.
+    fn beat_if_due(&mut self, session: &EndpointSession) -> Duration {
+        let now = self.clock.now_ms();
+        if now >= self.next_ms {
+            let _ = session.heartbeat();
+            self.next_ms = now.saturating_add(self.interval_ms);
+        }
+        Duration::from_millis(self.next_ms - now)
+    }
+}
 
 impl EndpointAgent {
     /// Start an agent from a parsed configuration: connects to the cloud,
@@ -201,62 +225,36 @@ impl EndpointAgent {
         let session = cloud.connect_endpoint(endpoint_id, credential)?;
         let (events_tx, events_rx) = unbounded();
         let engine = build_engine(config, &env, events_tx)?;
-        let mut agent = Self::run_with(
-            session,
-            engine,
-            events_rx,
-            Some((env.clock.clone(), env.heartbeat_interval_ms)),
-        );
-        agent.metrics = Some(env.metrics.clone());
+        let heartbeat = Heartbeat {
+            clock: env.clock.clone(),
+            interval_ms: env.heartbeat_interval_ms,
+            next_ms: 0,
+        };
+        let mut agent = Self::launch(session, engine, events_rx, Some(heartbeat));
+        agent.metrics = Some(env.metrics);
         Ok(agent)
     }
 
     /// Wire an already-built engine to a session (used by tests and custom
-    /// deployments). No heartbeat thread — see [`Self::run_with`].
+    /// deployments). Such an agent does not heartbeat.
     pub fn run(
         session: EndpointSession,
         engine: Box<dyn Engine>,
         events: Receiver<EngineEvent>,
     ) -> Self {
-        Self::run_with(session, engine, events, None)
+        Self::launch(session, engine, events, None)
     }
 
-    /// Like [`Self::run`], optionally heartbeating the service every
-    /// `interval_ms` on the given clock so the liveness monitor knows this
-    /// agent is alive.
-    pub fn run_with(
+    fn launch(
         session: EndpointSession,
         engine: Box<dyn Engine>,
         events: Receiver<EngineEvent>,
-        heartbeat_cfg: Option<(SharedClock, u64)>,
+        mut heartbeat: Option<Heartbeat>,
     ) -> Self {
         let shutdown = Arc::new(AtomicBool::new(false));
         let pump_stop = Arc::new(AtomicBool::new(false));
         let session = Arc::new(session);
         let engine = Arc::new(Mutex::new(engine));
-
-        let heartbeat = heartbeat_cfg.map(|(clock, interval_ms)| {
-            let session = Arc::clone(&session);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("gcx-agent-heartbeat".into())
-                .spawn(move || loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let _ = session.heartbeat();
-                    // Pace on the *service* clock but wake on real time so
-                    // stop() never blocks on a stalled virtual clock.
-                    let next = clock.now_ms().saturating_add(interval_ms);
-                    while clock.now_ms() < next {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                })
-                .expect("spawn agent heartbeat")
-        });
 
         let puller = {
             let session = Arc::clone(&session);
@@ -266,7 +264,12 @@ impl EndpointAgent {
                 .name("gcx-agent-puller".into())
                 .spawn(move || {
                     while !shutdown.load(Ordering::SeqCst) {
-                        match session.next_task(Duration::from_millis(25)) {
+                        // The liveness beat rides this loop: a pull never
+                        // waits past the moment the next beat is due.
+                        let wait = heartbeat
+                            .as_mut()
+                            .map_or(PULL_WAIT, |hb| PULL_WAIT.min(hb.beat_if_due(&session)));
+                        match session.next_task(wait) {
                             Ok(Some((spec, tag))) => {
                                 let task_id = spec.task_id;
                                 // Best-effort cancellation: a task cancelled
@@ -357,7 +360,6 @@ impl EndpointAgent {
             pump_stop,
             puller: Some(puller),
             pump: Some(pump),
-            heartbeat,
             engine,
             metrics: None,
         }
@@ -426,9 +428,6 @@ impl EndpointAgent {
     fn stop_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.puller.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.heartbeat.take() {
             let _ = h.join();
         }
         // Drain: no new tasks are being pulled; wait for accepted work to
@@ -705,7 +704,7 @@ mod tests {
             .unwrap()
             .last_heartbeat_ms;
         assert!(first > 0, "stamped on connect");
-        // The heartbeat thread keeps pushing the stamp forward.
+        // The puller keeps pushing the stamp forward.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             if svc
@@ -722,6 +721,67 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        agent.stop();
+        svc.shutdown();
+    }
+
+    /// How many distinct heartbeat stamps the service records over `window`.
+    fn beats_in(svc: &WebService, id: gcx_core::ids::EndpointId, window: Duration) -> usize {
+        let until = std::time::Instant::now() + window;
+        let mut stamps = std::collections::BTreeSet::new();
+        while std::time::Instant::now() < until {
+            stamps.insert(svc.endpoint_record(id).unwrap().last_heartbeat_ms);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stamps.len()
+    }
+
+    /// The beat rides the puller, so it is on time only if the puller never
+    /// waits past it: parked on an empty queue (the task consumer has no
+    /// prefetch bound, so that is the one place it blocks) the pull's
+    /// timeout is cut to the time left, and with tasks streaming in every
+    /// turn of the loop looks at the clock.
+    #[test]
+    fn heartbeats_stay_on_time_while_the_puller_is_blocked_or_busy() {
+        const WINDOW: Duration = Duration::from_millis(300);
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("user@site.org").unwrap();
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let config =
+            EndpointConfig::from_yaml("engine:\n  type: ThreadEngine\n  workers: 2\n").unwrap();
+        let mut env = AgentEnv::local(SystemClock::shared());
+        env.heartbeat_interval_ms = 10;
+        let agent =
+            EndpointAgent::start(&svc, reg.endpoint_id, &reg.queue_credential, &config, env)
+                .unwrap();
+
+        let blocked = beats_in(&svc, reg.endpoint_id, WINDOW);
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let feeder = {
+            let (svc, token, stop) = (svc.clone(), token.clone(), Arc::clone(&stop));
+            let ep = reg.endpoint_id;
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let specs = (0..32).map(|_| TaskSpec::new(fid, ep)).collect();
+                    svc.submit_batch(&token, specs).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        };
+        let busy = beats_in(&svc, reg.endpoint_id, WINDOW);
+        stop.store(true, Ordering::SeqCst);
+        feeder.join().unwrap();
+
+        // A 10 ms beat makes 30 in the window. A puller that slept out its
+        // 25 ms pull timeout between looks at the clock would make 12.
+        assert!(blocked >= 18, "{blocked} beats while blocked on the queue");
+        assert!(busy >= 18, "{busy} beats while pulling");
         agent.stop();
         svc.shutdown();
     }

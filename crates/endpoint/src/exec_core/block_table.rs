@@ -81,7 +81,7 @@ impl BlockTable {
     /// Request one more block if under `max_blocks` and the supervisor's
     /// backoff gate is open. Returns whether a request was made.
     pub fn try_grow(&mut self) -> bool {
-        if self.running.len() + self.pending.len() >= self.shape.max_blocks as usize {
+        if !self.can_grow() {
             return false;
         }
         match self.supervisor.request_block(self.shape.nodes_per_block) {
@@ -91,6 +91,12 @@ impl BlockTable {
             }
             None => false,
         }
+    }
+
+    /// Whether the table is under `max_blocks`, so that only the
+    /// supervisor's backoff gate stands between a backlog and a request.
+    pub fn can_grow(&self) -> bool {
+        self.running.len() + self.pending.len() < self.shape.max_blocks as usize
     }
 
     /// Poll every tracked block once and fold the observations into

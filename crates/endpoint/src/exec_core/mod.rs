@@ -76,6 +76,9 @@ pub enum CoreMsg {
         /// What happened.
         outcome: LaunchOutcome,
     },
+    /// Carries nothing: [`CoreEngine::shutdown`] sends it so a driver
+    /// blocked with no timeout sees the shutdown flag now.
+    Wake,
 }
 
 /// How a launch ended, as reported by the executing side.
@@ -303,6 +306,7 @@ impl CoreEngine {
     /// Stop the driver (policy workers are joined, blocks cancelled).
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.tx.send(CoreMsg::Wake);
         if let Some(h) = self.driver.take() {
             let _ = h.join();
         }
@@ -315,9 +319,19 @@ impl Drop for CoreEngine {
     }
 }
 
-/// How long an idle driver waits on its channel before it runs the block
-/// poll, deadline sweep and scale-out again. Messages do not wait for it.
+/// The idle driver's wait while something transient is due soon: a pending
+/// block coming up, or a backlog waiting on the supervisor's backoff gate.
+/// Also the fixed cadence on a virtual clock, where time moves without a
+/// message. Messages never wait for it.
 const HOUSEKEEPING_INTERVAL: Duration = Duration::from_micros(500);
+
+/// The idle driver's wait while blocks are merely running: how late a node
+/// loss or a walltime kill on an otherwise quiet engine may be noticed.
+const BLOCK_POLL_INTERVAL: Duration = Duration::from_millis(10);
+
+/// How often a driver whose channel has no sender left looks at the
+/// shutdown flag when no other duty is due.
+const STOP_NOTICE_INTERVAL: Duration = Duration::from_millis(25);
 
 struct InFlight {
     task: CoreTask,
@@ -410,17 +424,21 @@ impl<P: SchedPolicy> ExecCore<P> {
             if !progressed {
                 // Nothing to do until a message arrives: block on the
                 // channel so a `Submit` or `Finished` is handled the moment
-                // it is sent. The timeout only bounds how late the block
-                // poll, deadline sweep and scale-out above may run.
-                match self.rx.recv_timeout(HOUSEKEEPING_INTERVAL) {
+                // it is sent, for no longer than the nearest due duty.
+                let wait = self.idle_wait();
+                let received = match wait {
+                    Some(wait) => self.rx.recv_timeout(wait),
+                    None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                };
+                match received {
                     Ok(msg) => self.on_msg(msg),
                     Err(RecvTimeoutError::Timeout) => {}
                     // No sender is left, so no message can ever arrive (the
                     // engine handle holds one until it has joined this
-                    // thread): keep the housekeeping cadence without
-                    // spinning on the dead channel.
+                    // thread): keep the cadence without spinning on the
+                    // dead channel.
                     Err(RecvTimeoutError::Disconnected) => {
-                        std::thread::sleep(HOUSEKEEPING_INTERVAL);
+                        std::thread::sleep(wait.unwrap_or(STOP_NOTICE_INTERVAL));
                     }
                 }
             }
@@ -434,6 +452,30 @@ impl<P: SchedPolicy> ExecCore<P> {
         }
     }
 
+    /// How long a pass that found nothing to do may block on the channel:
+    /// the time to the driver's nearest due duty, `None` when it has none
+    /// (no block to poll, no deadline to enforce, no scale-out to retry) and
+    /// only a message can give it work.
+    fn idle_wait(&self) -> Option<Duration> {
+        if self.clock.is_virtual() {
+            return Some(HOUSEKEEPING_INTERVAL);
+        }
+        let (pending, running, can_grow) = self
+            .table
+            .as_ref()
+            .map_or((0, 0, false), |t| (t.pending(), t.blocks(), t.can_grow()));
+        if pending > 0 || (can_grow && !self.backlog.is_empty()) {
+            return Some(HOUSEKEEPING_INTERVAL);
+        }
+        let block_poll = (running > 0).then_some(BLOCK_POLL_INTERVAL);
+        let holds_tasks = !self.backlog.is_empty() || !self.in_flight.is_empty();
+        let sweep = (self.deadlines_present && holds_tasks).then(|| {
+            let now = self.clock.now_ms();
+            Duration::from_millis(self.next_deadline_sweep_ms.saturating_sub(now).max(1))
+        });
+        [block_poll, sweep].into_iter().flatten().min()
+    }
+
     fn on_msg(&mut self, msg: CoreMsg) {
         match msg {
             CoreMsg::Submit(task) => {
@@ -445,6 +487,7 @@ impl<P: SchedPolicy> ExecCore<P> {
                 self.backlog.push_back(*task);
             }
             CoreMsg::Finished { launch_id, outcome } => self.finish(launch_id, outcome),
+            CoreMsg::Wake => {}
         }
     }
 
@@ -872,45 +915,61 @@ mod tests {
     }
 
     /// `recv_timeout` on a channel with no sender left returns at once, so
-    /// a driver that treated `Disconnected` like `Timeout` would spin.
+    /// a driver that treated `Disconnected` like `Timeout` would spin. With
+    /// a sender left, an engine that has no block, no deadline and no
+    /// backlog has no duty due: its driver blocks until a message, and a
+    /// bare shutdown flag is not one.
     #[test]
     fn a_driver_with_no_sender_left_does_not_spin() {
         const WATCHED: Duration = Duration::from_millis(50);
-        let passes = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = crossbeam_channel::unbounded::<CoreMsg>();
-        let (events, _events_rx) = crossbeam_channel::unbounded();
-        let shared = Arc::new(CoreShared::default());
-        let core = ExecCore::new(
-            &CoreConfig {
-                kind: EngineKind::Thread,
-                max_retries: 0,
-                thread_name: "unused",
-                clock: SystemClock::shared(),
-            },
-            CountPasses(Arc::clone(&passes)),
-            None,
-            MetricsRegistry::new(),
-            events,
-            Arc::clone(&shared),
-            rx,
-        );
-        drop(tx);
-        let driver = std::thread::spawn(move || {
-            core.run();
-            thread_cpu_ticks()
-        });
-        std::thread::sleep(WATCHED);
-        shared.shutdown.store(true, Ordering::SeqCst);
-        let cpu_ticks = driver.join().expect("driver exits on shutdown");
+        for keep_sender in [false, true] {
+            let passes = Arc::new(AtomicU64::new(0));
+            let (tx, rx) = crossbeam_channel::unbounded::<CoreMsg>();
+            let (events, _events_rx) = crossbeam_channel::unbounded();
+            let shared = Arc::new(CoreShared::default());
+            let core = ExecCore::new(
+                &CoreConfig {
+                    kind: EngineKind::Thread,
+                    max_retries: 0,
+                    thread_name: "unused",
+                    clock: SystemClock::shared(),
+                },
+                CountPasses(Arc::clone(&passes)),
+                None,
+                MetricsRegistry::new(),
+                events,
+                Arc::clone(&shared),
+                rx,
+            );
+            let tx = keep_sender.then_some(tx);
+            let driver = std::thread::spawn(move || {
+                core.run();
+                thread_cpu_ticks()
+            });
+            std::thread::sleep(WATCHED);
+            let watched_passes = passes.load(Ordering::Relaxed);
+            shared.shutdown.store(true, Ordering::SeqCst);
+            if let Some(tx) = &tx {
+                // The flag alone wakes nobody: the driver is still parked.
+                std::thread::sleep(STOP_NOTICE_INTERVAL * 2);
+                assert!(!driver.is_finished(), "an idle driver has no timeout");
+                assert!(tx.send(CoreMsg::Wake).is_ok());
+            }
+            let cpu_ticks = driver.join().expect("driver exits on shutdown");
 
-        // One pass per housekeeping interval is 100 in the watched 50 ms;
-        // a spinning driver makes hundreds of thousands.
-        let passes = passes.load(Ordering::Relaxed);
-        assert!(passes < 1_000, "{passes} passes in {WATCHED:?}");
-        // Spinning for the watched 50 ms is 5 ticks of CPU; idling is 0,
-        // or 1 when a tick happens to land on a wake-up.
-        if let Some(ticks) = cpu_ticks {
-            assert!(ticks <= 2, "driver burned {ticks} ticks in {WATCHED:?}");
+            if keep_sender {
+                // One pass at start-up, then parked.
+                assert!(watched_passes <= 2, "{watched_passes} passes idle");
+            } else {
+                // One pass per stop-notice interval is 2 in the watched
+                // 50 ms; a spinning driver makes hundreds of thousands.
+                assert!(watched_passes < 100, "{watched_passes} in {WATCHED:?}");
+            }
+            // Spinning for the watched 50 ms is 5 ticks of CPU; idling is 0,
+            // or 1 when a tick happens to land on a wake-up.
+            if let Some(ticks) = cpu_ticks {
+                assert!(ticks <= 2, "driver burned {ticks} ticks in {WATCHED:?}");
+            }
         }
     }
 }

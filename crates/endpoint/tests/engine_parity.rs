@@ -28,7 +28,10 @@ use gcx_endpoint::mpi_engine::MpiEngineConfig;
 use gcx_endpoint::provider::{
     BatchProvider, BlockEndReason, BlockHandle, BlockState, LocalProvider, Provider,
 };
-use gcx_endpoint::{Engine, EngineEvent, ExecutableTask, GlobusComputeEngine, GlobusMpiEngine};
+use gcx_endpoint::thread_engine::ThreadEngineConfig;
+use gcx_endpoint::{
+    Engine, EngineEvent, ExecutableTask, GlobusComputeEngine, GlobusMpiEngine, ThreadEngine,
+};
 use gcx_shell::Vfs;
 
 fn task(body: FunctionBody, spec: ResourceSpec, tag: u64) -> ExecutableTask {
@@ -54,6 +57,48 @@ fn wait_done(rx: &Receiver<EngineEvent>) -> TaskResult {
             Ok(_) => {}
             Err(_) => panic!("timed out waiting for a result"),
         }
+    }
+}
+
+/// An `htex` or `mpi` engine over `provider` on the system clock: one
+/// block of `nodes_per_block` nodes, one worker per node.
+fn start_engine(
+    kind: &str,
+    nodes_per_block: u32,
+    max_retries: u8,
+    provider: Arc<dyn Provider>,
+    events: crossbeam_channel::Sender<EngineEvent>,
+) -> Box<dyn Engine> {
+    match kind {
+        "htex" => Box::new(GlobusComputeEngine::start(
+            HtexConfig {
+                nodes_per_block,
+                max_blocks: 1,
+                workers_per_node: 1,
+                sandbox: false,
+                max_retries,
+            },
+            provider,
+            Vfs::new(),
+            SystemClock::shared(),
+            MetricsRegistry::new(),
+            events,
+            None,
+        )),
+        "mpi" => Box::new(GlobusMpiEngine::start(
+            MpiEngineConfig {
+                nodes_per_block,
+                max_retries,
+                ..Default::default()
+            },
+            provider,
+            Vfs::new(),
+            SystemClock::shared(),
+            MetricsRegistry::new(),
+            events,
+            None,
+        )),
+        other => panic!("unknown engine {other}"),
     }
 }
 
@@ -217,36 +262,7 @@ fn redispatch_budget_recovers_the_task_on_either_engine() {
         });
         let (tx, rx) = unbounded();
         let body = FunctionBody::pyfn("def f():\n    sleep(0.05)\n    return 7\n");
-        let mut e: Box<dyn Engine> = match kind {
-            "htex" => Box::new(GlobusComputeEngine::start(
-                HtexConfig {
-                    nodes_per_block: 1,
-                    max_blocks: 1,
-                    workers_per_node: 1,
-                    sandbox: false,
-                    max_retries: 1,
-                },
-                provider,
-                Vfs::new(),
-                SystemClock::shared(),
-                MetricsRegistry::new(),
-                tx,
-                None,
-            )),
-            _ => Box::new(GlobusMpiEngine::start(
-                MpiEngineConfig {
-                    nodes_per_block: 1,
-                    max_retries: 1,
-                    ..Default::default()
-                },
-                provider,
-                Vfs::new(),
-                SystemClock::shared(),
-                MetricsRegistry::new(),
-                tx,
-                None,
-            )),
-        };
+        let mut e = start_engine(kind, 1, 1, provider, tx);
         let spec = if kind == "mpi" {
             ResourceSpec::nodes(1)
         } else {
@@ -265,5 +281,188 @@ fn redispatch_budget_recovers_the_task_on_either_engine() {
             "engine {kind}: expected a recorded redispatch, status {st:?}"
         );
         e.shutdown();
+    }
+}
+
+/// A [`LocalProvider`] whose running blocks the test can degrade (one node
+/// leaves the census) or end at the walltime, whenever it says so.
+struct SwitchProvider {
+    inner: LocalProvider,
+    drop_first_node: std::sync::atomic::AtomicBool,
+    walltime_hit: std::sync::atomic::AtomicBool,
+}
+
+impl Provider for SwitchProvider {
+    fn submit_block(&self, n: u32) -> gcx_core::error::GcxResult<BlockHandle> {
+        self.inner.submit_block(n)
+    }
+    fn block_state(&self, b: BlockHandle) -> gcx_core::error::GcxResult<BlockState> {
+        use std::sync::atomic::Ordering::SeqCst;
+        Ok(match self.inner.block_state(b)? {
+            BlockState::Running(_) if self.walltime_hit.load(SeqCst) => {
+                BlockState::Done(BlockEndReason::Walltime)
+            }
+            BlockState::Running(mut nodes) if self.drop_first_node.load(SeqCst) => {
+                nodes.remove(0);
+                BlockState::Running(nodes)
+            }
+            other => other,
+        })
+    }
+    fn cancel_block(&self, b: BlockHandle) -> gcx_core::error::GcxResult<()> {
+        let _ = self.inner.cancel_block(b);
+        Ok(())
+    }
+    fn kind(&self) -> &'static str {
+        "switch"
+    }
+}
+
+/// The next block event within `within`, skipping task events.
+fn wait_block_event(rx: &Receiver<EngineEvent>, within: Duration) -> EngineEvent {
+    let deadline = std::time::Instant::now() + within;
+    loop {
+        match rx.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now())) {
+            Ok(ev @ (EngineEvent::BlockProvisioned { .. } | EngineEvent::BlockLost { .. })) => {
+                return ev
+            }
+            Ok(_) => {}
+            Err(_) => panic!("no block event within {within:?}"),
+        }
+    }
+}
+
+#[test]
+fn an_idle_engine_still_notices_what_happens_to_its_block() {
+    // On a real clock the driver sleeps until a message or its next due
+    // duty. With a block up and no task anywhere, the only thing that can
+    // show it a lost node or a walltime kill is its own block poll — no
+    // message comes. Both engines, same cadence, same events.
+    const NOTICED_WITHIN: Duration = Duration::from_millis(500);
+    use std::sync::atomic::Ordering::SeqCst;
+    for kind in ["htex", "mpi"] {
+        let provider = Arc::new(SwitchProvider {
+            inner: LocalProvider::new("host"),
+            drop_first_node: false.into(),
+            walltime_hit: false.into(),
+        });
+        let (tx, rx) = unbounded();
+        let mut e = start_engine(kind, 2, 1, provider.clone(), tx);
+        // Before its first task the engine holds no block and nothing wakes
+        // it; the task brings the block up (a pending block is polled at
+        // the short cadence) and completes.
+        std::thread::sleep(Duration::from_millis(30));
+        let spec = if kind == "mpi" {
+            ResourceSpec::nodes(1)
+        } else {
+            ResourceSpec::default()
+        };
+        let body = FunctionBody::pyfn("def f():\n    return 7\n");
+        e.submit(task(body, spec, 1)).unwrap();
+        assert!(
+            matches!(
+                wait_block_event(&rx, NOTICED_WITHIN),
+                EngineEvent::BlockProvisioned { nodes: 2 }
+            ),
+            "engine {kind}: block never came up"
+        );
+        assert_eq!(wait_done(&rx), TaskResult::ok(Value::Int(7)));
+
+        // Idle now. A node leaves the census...
+        std::thread::sleep(Duration::from_millis(30));
+        provider.drop_first_node.store(true, SeqCst);
+        match wait_block_event(&rx, NOTICED_WITHIN) {
+            EngineEvent::BlockLost { reason, nodes_lost } => {
+                assert_eq!((reason, nodes_lost), ("node-failure", 1), "engine {kind}");
+            }
+            other => panic!("engine {kind}: expected a node loss, got {other:?}"),
+        }
+        // ...and then the batch system ends the block at its walltime.
+        provider.walltime_hit.store(true, SeqCst);
+        match wait_block_event(&rx, NOTICED_WITHIN) {
+            EngineEvent::BlockLost { reason, .. } => assert_eq!(reason, "walltime", "{kind}"),
+            other => panic!("engine {kind}: expected a walltime loss, got {other:?}"),
+        }
+        e.shutdown();
+    }
+}
+
+#[test]
+fn a_deadline_on_an_otherwise_idle_engine_is_enforced_on_time() {
+    // One task, asleep far past its deadline, nothing else going on: no
+    // message arrives between the launch and the expiry, so the kill comes
+    // from the driver waking for its own next deadline sweep (at most 10 ms
+    // after the expiry), on every engine — the ThreadEngine has no block
+    // poll to ride.
+    const DEADLINE_MS: u64 = 60;
+    for kind in ["thread", "htex", "mpi"] {
+        let (tx, rx) = unbounded();
+        let provider = Arc::new(LocalProvider::new("host"));
+        let mut e: Box<dyn Engine> = match kind {
+            "thread" => Box::new(ThreadEngine::start(
+                ThreadEngineConfig {
+                    workers: 1,
+                    max_retries: 0,
+                },
+                Vfs::new(),
+                SystemClock::shared(),
+                MetricsRegistry::new(),
+                tx,
+                None,
+            )),
+            _ => start_engine(kind, 1, 0, provider, tx),
+        };
+        let (body, spec) = if kind == "mpi" {
+            (FunctionBody::mpi("sleep 0.5"), ResourceSpec::nodes(1))
+        } else {
+            (
+                FunctionBody::pyfn("def f():\n    sleep(0.5)\n    return 1\n"),
+                ResourceSpec::default(),
+            )
+        };
+        let mut doomed = task(body, spec, 1);
+        doomed.spec.deadline_ms = Some(DEADLINE_MS);
+        let submitted = std::time::Instant::now();
+        e.submit(doomed).unwrap();
+        let result = wait_done(&rx);
+        let took = submitted.elapsed();
+        assert!(result.is_deadline_err(), "engine {kind}: got {result:?}");
+        assert!(
+            took >= Duration::from_millis(DEADLINE_MS),
+            "engine {kind}: killed early, after {took:?}"
+        );
+        // Expiry + one sweep period + scheduling slack; the task itself
+        // would have run for 500 ms.
+        assert!(
+            took < Duration::from_millis(DEADLINE_MS + 10 + 90),
+            "engine {kind}: killed late, after {took:?}"
+        );
+        e.shutdown();
+    }
+}
+
+#[test]
+fn shutdown_of_an_idle_engine_does_not_wait_for_a_tick() {
+    // An idle driver is parked on its channel with no timeout (thread
+    // engine; any engine before its first block) — shutdown has to wake it
+    // with a message, or it would never return.
+    for kind in ["thread", "htex", "mpi"] {
+        let (tx, _rx) = unbounded();
+        let config = gcx_endpoint::EndpointConfig::from_yaml(match kind {
+            "thread" => "engine:\n  type: ThreadEngine\n  workers: 1\n",
+            "htex" => "engine:\n  type: GlobusComputeEngine\n",
+            _ => "engine:\n  type: GlobusMPIEngine\n",
+        })
+        .unwrap();
+        let env = gcx_endpoint::AgentEnv::local(SystemClock::shared());
+        let mut e = gcx_endpoint::agent::build_engine(&config, &env, tx).unwrap();
+        std::thread::sleep(Duration::from_millis(30)); // the driver is parked
+        let t = std::time::Instant::now();
+        e.shutdown();
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "idle {kind} engine took {took:?} to shut down"
+        );
     }
 }

@@ -196,7 +196,15 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Grow => { table.try_grow(); }
+                Op::Grow => {
+                    // A table that says it cannot grow never does: the
+                    // driver stops polling for the backoff gate on that
+                    // answer. (One that can may still be refused by the
+                    // provider — a submit failure armed by an earlier op.)
+                    let could = table.can_grow();
+                    let grew = table.try_grow();
+                    prop_assert!(could || !grew, "grew past max_blocks");
+                }
                 Op::FailNextSubmitThenGrow => {
                     provider.fail_next.store(1, Ordering::Relaxed);
                     // A failed submission must not leak a tracked block.

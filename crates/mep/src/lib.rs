@@ -98,7 +98,6 @@ pub struct MultiUserEndpoint {
     state: Arc<Mutex<MepState>>,
     shutdown: Arc<AtomicBool>,
     command_thread: Option<std::thread::JoinHandle<()>>,
-    reaper_thread: Option<std::thread::JoinHandle<()>>,
     metrics: MetricsRegistry,
 }
 
@@ -147,31 +146,18 @@ impl MultiUserEndpoint {
                             Ok(None) => {}
                             Err(_) => return,
                         }
+                        // Idle user endpoints are reaped on this loop's
+                        // own wake-ups: a command, or the 25 ms timeout.
+                        reap_idle(&state, idle_budget);
                     }
                 })
                 .map_err(|e| GcxError::Internal(format!("spawn mep: {e}")))?
-        };
-
-        let reaper_thread = {
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            let idle = idle_budget;
-            std::thread::Builder::new()
-                .name("gcx-mep-reaper".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(20));
-                        reap_idle(&state, idle);
-                    }
-                })
-                .map_err(|e| GcxError::Internal(format!("spawn reaper: {e}")))?
         };
 
         Ok(Self {
             state,
             shutdown,
             command_thread: Some(command_thread),
-            reaper_thread: Some(reaper_thread),
             metrics,
         })
     }
@@ -223,9 +209,6 @@ impl MultiUserEndpoint {
     fn stop_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.command_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.reaper_thread.take() {
             let _ = h.join();
         }
         let mut state = self.state.lock();

@@ -324,35 +324,23 @@ struct BrokerInner {
 impl BrokerInner {
     /// Record an injected fault (or dead-lettering) on the affected task's
     /// trace — reached through [`Headers::trace`], since the broker never
-    /// decodes bodies — and in the structured event sink.
+    /// decodes bodies — and in the flight recorder.
     /// Fault paths are rare, so resolving the tracer from the registry per
     /// event is fine (and necessary: the cloud installs it on the shared
     /// registry after the broker is constructed).
-    fn trace_fault(
-        &self,
-        level: gcx_core::trace::EventLevel,
-        event: &'static str,
-        queue: &str,
-        trace: Option<&TraceContext>,
-    ) {
-        let tracer = self.metrics.tracer();
-        if !tracer.enabled() {
-            return;
-        }
-        tracer.annotate(trace, || format!("{event} on {queue}"));
-        tracer.event(level, event, || vec![("queue", queue.to_string())]);
+    fn trace_fault(&self, event: &'static str, queue: &str, trace: Option<&TraceContext>) {
+        self.metrics
+            .tracer()
+            .annotate(trace, || format!("mq.{event} on {queue}"));
+        let flight = self.metrics.flight();
+        flight.record(self.clock.now_ms(), "mq", event, format!("queue={queue}"));
     }
 
     /// Route a poisoned message to its dead-letter queue, or discard it.
     /// Must be called without any queue state lock held.
     fn dead_letter(&self, source: &str, target: &Option<String>, mut msg: Message) {
         self.m.dead_lettered.inc();
-        self.trace_fault(
-            gcx_core::trace::EventLevel::Error,
-            "mq.dead_letter",
-            source,
-            msg.headers.trace.as_ref(),
-        );
+        self.trace_fault("dead_letter", source, msg.headers.trace.as_ref());
         if let Some(dlq) = target {
             let q = self.queues.read().get(dlq).map(Arc::clone);
             if let Some(q) = q {
@@ -549,12 +537,8 @@ impl Broker {
                 }
                 // Lost in transit after the publisher's confirm.
                 self.inner.m.dropped.inc();
-                self.inner.trace_fault(
-                    gcx_core::trace::EventLevel::Warn,
-                    "mq.fault.publish_drop",
-                    queue,
-                    trace.as_ref(),
-                );
+                self.inner
+                    .trace_fault("fault.publish_drop", queue, trace.as_ref());
                 return Ok(());
             }
         };
@@ -571,12 +555,7 @@ impl Broker {
             {
                 drop(st);
                 self.inner.m.queue_full_rejections.inc();
-                self.inner.trace_fault(
-                    gcx_core::trace::EventLevel::Warn,
-                    "mq.queue_full",
-                    queue,
-                    trace.as_ref(),
-                );
+                self.inner.trace_fault("queue_full", queue, trace.as_ref());
                 return Err(GcxError::QueueFull {
                     queue: q.name.clone(),
                 });
@@ -586,6 +565,10 @@ impl Broker {
             }
             q.push_ready_back(&mut st, message);
             evicted = q.evict_over_bound(&mut st, &policy);
+            // Counted before the lock is released: a consumer that takes
+            // the message must find it already counted as published.
+            self.inner.m.messages_published.inc();
+            self.inner.m.bytes_published.add(size as u64);
         }
         if !evicted.is_empty() {
             self.inner.m.overflow_dropped.add(evicted.len() as u64);
@@ -597,15 +580,9 @@ impl Broker {
         q.cond.notify_all();
         if copies > 1 {
             self.inner.m.duplicated.add(copies - 1);
-            self.inner.trace_fault(
-                gcx_core::trace::EventLevel::Warn,
-                "mq.fault.duplicate",
-                queue,
-                trace.as_ref(),
-            );
+            self.inner
+                .trace_fault("fault.duplicate", queue, trace.as_ref());
         }
-        self.inner.m.messages_published.inc();
-        self.inner.m.bytes_published.add(size as u64);
         Ok(())
     }
 
@@ -656,8 +633,7 @@ impl Broker {
                     surviving_size += size as u64;
                     if extra_copies > 0 {
                         self.inner.trace_fault(
-                            gcx_core::trace::EventLevel::Warn,
-                            "mq.fault.duplicate",
+                            "fault.duplicate",
                             queue,
                             message.headers.trace.as_ref(),
                         );
@@ -668,8 +644,7 @@ impl Broker {
                     extra_delay += extra_delay_ms;
                     dropped += 1;
                     self.inner.trace_fault(
-                        gcx_core::trace::EventLevel::Warn,
-                        "mq.fault.publish_drop",
+                        "fault.publish_drop",
                         queue,
                         message.headers.trace.as_ref(),
                     );
@@ -708,8 +683,7 @@ impl Broker {
                     drop(st);
                     self.inner.m.queue_full_rejections.add(accepted);
                     self.inner.trace_fault(
-                        gcx_core::trace::EventLevel::Warn,
-                        "mq.queue_full",
+                        "queue_full",
                         queue,
                         surviving
                             .first()
@@ -726,6 +700,9 @@ impl Broker {
                     q.push_ready_back(&mut st, message);
                 }
                 evicted = q.evict_over_bound(&mut st, &policy);
+                // As in `publish`: counted before a consumer can see them.
+                self.inner.m.messages_published.add(accepted);
+                self.inner.m.bytes_published.add(surviving_size);
             }
             if !evicted.is_empty() {
                 self.inner.m.overflow_dropped.add(evicted.len() as u64);
@@ -739,8 +716,6 @@ impl Broker {
         if duplicated > 0 {
             self.inner.m.duplicated.add(duplicated);
         }
-        self.inner.m.messages_published.add(accepted);
-        self.inner.m.bytes_published.add(surviving_size);
         Ok(())
     }
 
@@ -887,8 +862,7 @@ impl Consumer {
                                 drop(st);
                                 self.broker.m.dropped.inc();
                                 self.broker.trace_fault(
-                                    gcx_core::trace::EventLevel::Warn,
-                                    "mq.fault.deliver_drop",
+                                    "fault.deliver_drop",
                                     &self.queue.name,
                                     trace.as_ref(),
                                 );
