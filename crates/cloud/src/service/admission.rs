@@ -28,53 +28,9 @@ use parking_lot::Mutex;
 
 use super::WebService;
 
-/// Admission-control tunables. The config-file form is
-/// `gcx_config::AdmissionSpec` (schema-validated YAML); harnesses map it
-/// onto this struct field-for-field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Master switch. Disabled preserves pre-admission behavior exactly.
-    pub enabled: bool,
-    /// Steady-state submissions granted per tenant per second.
-    pub rate_per_sec: u64,
-    /// Token-bucket capacity: the largest burst one tenant may land at once.
-    pub burst: u64,
-    /// Maximum non-terminal tasks one tenant may have in the service;
-    /// `0` = unlimited.
-    pub max_inflight: u64,
-    /// Upper bound on the `retry_after_ms` hint in `Overloaded` rejections.
-    pub retry_after_cap_ms: u64,
-    /// Brownout trigger: oldest undispatched task waiting longer than this
-    /// puts the service in brownout. `0` disables brownout.
-    pub brownout_threshold_ms: u64,
-    /// During brownout only submissions with `priority >=` this are
-    /// admitted.
-    pub brownout_min_priority: i64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            rate_per_sec: 500,
-            burst: 1000,
-            max_inflight: 10_000,
-            retry_after_cap_ms: 5_000,
-            brownout_threshold_ms: 2_000,
-            brownout_min_priority: 0,
-        }
-    }
-}
-
-impl AdmissionConfig {
-    /// An enabled config with the default limits.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
+/// Admission-control tunables: the `admission:` block of the config file,
+/// as parsed and validated by `gcx-config`.
+pub use gcx_config::AdmissionSpec as AdmissionConfig;
 
 /// A lazily-refilled token bucket (tokens are task submissions).
 struct TokenBucket {

@@ -186,8 +186,10 @@ impl WebService {
             // repeat submission) or too large to ride the queue inline.
             // Federated replicas don't share the cache, so their tasks
             // always inline (the owning replica may be a different
-            // process).
-            let inline = if self.fed().is_some() {
+            // process). So does a payload no longer than the reference
+            // that would replace it: it can never ship smaller, and a
+            // cache entry costs far more than its bytes.
+            let inline = if self.fed().is_some() || payload_len <= size_of::<ContentHash>() {
                 true
             } else {
                 match self.inner.cas.intern(&spec.payload) {
@@ -772,6 +774,28 @@ mod tests {
             assert_eq!(a, args);
             session.ack_task(tag).unwrap();
         }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn arguments_no_longer_than_a_reference_are_never_interned() {
+        let svc = service();
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f(n):\n    return n\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        for n in 0..1_000 {
+            let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+            spec.set_args(vec![Value::Int(n)], Value::map([] as [(&str, Value); 0]));
+            assert!(spec.payload.len() <= size_of::<ContentHash>());
+            svc.submit_task(&token, spec).unwrap();
+        }
+        assert_eq!(svc.cas().len(), 0);
+        assert_eq!(svc.metrics().counter("blob.cas_misses").get(), 0);
+        assert_eq!(svc.metrics().counter("blob.cas_hits").get(), 0);
         svc.shutdown();
     }
 

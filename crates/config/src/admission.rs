@@ -16,7 +16,8 @@
 //! ```
 //!
 //! The spec is a plain data struct (this crate does not depend on
-//! `gcx-cloud`); the service copies it into its `CloudConfig`. Parsed
+//! `gcx-cloud`); the service takes it as it is, under the name
+//! `gcx_cloud::AdmissionConfig`, in `CloudConfig::admission`. Parsed
 //! specs are validated against [`AdmissionSpec::schema`] so a typo'd key
 //! or a zero bucket fails at load time, not under load.
 

@@ -1,17 +1,25 @@
 //! The broker: queues, publish/consume, acks, prefetch, credentials,
 //! metering.
+//!
+//! A queue has one lock. `Queue::state` guards everything that changes
+//! per message — the ready deque, the unacked deliveries, each consumer's
+//! prefetch window, the policy, the tag and publish counts — so `publish`,
+//! `next` and `ack` each take it once and nothing is kept in step across
+//! two locks. A delivery has one record, its `unacked` entry; whoever
+//! removes the entry (ack, nack, consumer drop, `recover_queue`) lowers the
+//! owning consumer's window in the same step.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use gcx_core::clock::{SharedClock, SystemClock};
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::metrics::MetricsRegistry;
 use gcx_core::trace::TraceContext;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::fault::{FaultPlan, PublishOutcome};
 use crate::link::LinkProfile;
@@ -105,22 +113,11 @@ pub struct QueueStats {
     pub last_poll_ms: u64,
 }
 
-/// What a bounded queue does with a publish that would exceed its capacity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Refuse the publish with a typed [`GcxError::QueueFull`] — the
-    /// publisher absorbs the backpressure. This is the default.
-    #[default]
-    RejectNew,
-    /// Accept the publish and evict the *oldest* ready messages to the
-    /// queue's dead-letter target (or drop them if it has none) until the
-    /// queue is back under its bound. Freshness wins over age.
-    DropOldestToDlq,
-}
-
 /// Redelivery limits and capacity bounds for a queue. The default policy
 /// (unlimited deliveries, no dead-letter queue, unbounded) matches plain
-/// AMQP.
+/// AMQP. A publish that would take a bounded queue over its capacity is
+/// refused with a typed [`GcxError::QueueFull`]: the publisher absorbs the
+/// backpressure.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueuePolicy {
     /// Maximum times a message may be handed to a consumer before it is
@@ -134,8 +131,6 @@ pub struct QueuePolicy {
     pub max_depth: usize,
     /// Maximum total wire bytes across ready messages; `0` = unbounded.
     pub max_bytes: usize,
-    /// What happens when a publish would exceed `max_depth`/`max_bytes`.
-    pub overflow: OverflowPolicy,
 }
 
 impl QueuePolicy {
@@ -148,7 +143,7 @@ impl QueuePolicy {
         }
     }
 
-    /// Cap the queue at `max_depth` ready messages (reject-new overflow).
+    /// Cap the queue at `max_depth` ready messages.
     pub fn bounded(max_depth: usize) -> Self {
         Self {
             max_depth,
@@ -162,46 +157,74 @@ impl QueuePolicy {
         self
     }
 
-    /// Choose what happens to publishes over the bound.
-    pub fn with_overflow(mut self, overflow: OverflowPolicy) -> Self {
-        self.overflow = overflow;
-        self
-    }
-
-    /// Route poisoned/evicted messages to `queue`.
-    pub fn with_dead_letter_to(mut self, queue: impl Into<String>) -> Self {
-        self.dead_letter_to = Some(queue.into());
-        self
-    }
-
     fn exhausted(&self, msg: &Message) -> bool {
         self.max_deliveries > 0 && msg.delivery_count >= self.max_deliveries
     }
-
-    fn is_bounded(&self) -> bool {
-        self.max_depth > 0 || self.max_bytes > 0
-    }
-
-    /// Would adding `add_msgs` messages totalling `add_bytes` exceed a bound?
-    fn would_overflow(&self, st: &QueueState, add_msgs: usize, add_bytes: usize) -> bool {
-        (self.max_depth > 0 && st.ready.len() + add_msgs > self.max_depth)
-            || (self.max_bytes > 0 && st.ready_bytes + add_bytes > self.max_bytes)
-    }
-
-    /// Is the queue currently over either bound?
-    fn over_bound(&self, st: &QueueState) -> bool {
-        (self.max_depth > 0 && st.ready.len() > self.max_depth)
-            || (self.max_bytes > 0 && st.ready_bytes > self.max_bytes)
-    }
 }
 
+/// One consumer's prefetch window: how many deliveries it may hold unacked
+/// (`0` = unlimited) and how many it holds now.
+struct Window {
+    prefetch: usize,
+    held: usize,
+}
+
+/// Everything about a queue that changes per message, under its one lock.
 struct QueueState {
     ready: VecDeque<Message>,
     /// Running total of `wire_size` across `ready` — kept so capacity checks
     /// and the bytes gauge never walk the deque.
     ready_bytes: usize,
-    unacked: HashMap<u64, Message>,
+    /// The only record of a delivery: tag → (its consumer's slot, message).
+    unacked: HashMap<u64, (usize, Message)>,
+    /// `windows[slot].held` counts the `unacked` entries of the consumer in
+    /// `slot`; [`QueueState::hold`] and [`QueueState::release`] are the only
+    /// writers of either.
+    windows: Vec<Window>,
+    /// Slots of dropped consumers, for `consume` to reuse.
+    free_slots: Vec<usize>,
+    policy: QueuePolicy,
+    next_tag: u64,
+    published: u64,
     closed: bool,
+}
+
+impl QueueState {
+    /// Would adding `add_msgs` messages totalling `add_bytes` exceed a bound?
+    fn would_overflow(&self, add_msgs: usize, add_bytes: usize) -> bool {
+        let QueuePolicy {
+            max_depth,
+            max_bytes,
+            ..
+        } = self.policy;
+        (max_depth > 0 && self.ready.len() + add_msgs > max_depth)
+            || (max_bytes > 0 && self.ready_bytes + add_bytes > max_bytes)
+    }
+
+    fn window_open(&self, slot: usize) -> bool {
+        let w = &self.windows[slot];
+        w.prefetch == 0 || w.held < w.prefetch
+    }
+
+    /// Record `msg` as delivered to the consumer in `slot`; returns its tag.
+    fn hold(&mut self, slot: usize, msg: Message) -> u64 {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.unacked.insert(tag, (slot, msg));
+        self.windows[slot].held += 1;
+        tag
+    }
+
+    /// Forget delivery `tag`, whoever asks. Returns its message and whether
+    /// that opened a prefetch window that was full — the one release a
+    /// `next` blocked on its window has anything to learn from.
+    fn release(&mut self, tag: u64) -> Option<(Message, bool)> {
+        let (slot, msg) = self.unacked.remove(&tag)?;
+        let w = &mut self.windows[slot];
+        let opened = w.held == w.prefetch;
+        w.held -= 1;
+        Some((msg, opened))
+    }
 }
 
 struct Queue {
@@ -209,12 +232,9 @@ struct Queue {
     credential: Option<String>,
     state: Mutex<QueueState>,
     cond: Condvar,
-    next_tag: AtomicU64,
-    published: AtomicU64,
     /// Broker-clock stamp of the latest `Consumer::next` on this queue
     /// (declare time until first poll); see [`QueueStats::last_poll_ms`].
     last_poll_ms: AtomicU64,
-    policy: Mutex<QueuePolicy>,
     /// `mq.depth.<queue>` — ready messages, kept in lockstep with `ready`.
     depth_gauge: Arc<gcx_core::metrics::Gauge>,
     /// `mq.bytes.<queue>` — ready wire bytes, kept in lockstep.
@@ -227,9 +247,13 @@ impl Queue {
         QueueStats {
             ready: st.ready.len(),
             unacked: st.unacked.len(),
-            published: self.published.load(Ordering::Relaxed),
+            published: st.published,
             last_poll_ms: self.last_poll_ms.load(Ordering::Relaxed),
         }
+    }
+
+    fn closed_error(&self) -> GcxError {
+        GcxError::Queue(format!("queue '{}' is closed", self.name))
     }
 
     /// Append to `ready`, maintaining the byte total and gauges. Every path
@@ -242,7 +266,7 @@ impl Queue {
         self.bytes_gauge.add(size as u64);
     }
 
-    /// Prepend to `ready` (requeue paths), maintaining totals and gauges.
+    /// Prepend to `ready` (the requeue path), maintaining totals and gauges.
     fn push_ready_front(&self, st: &mut QueueState, msg: Message) {
         let size = msg.wire_size();
         st.ready_bytes += size;
@@ -259,20 +283,6 @@ impl Queue {
         self.depth_gauge.sub(1);
         self.bytes_gauge.sub(size as u64);
         Some(msg)
-    }
-
-    /// Pop oldest ready messages until the queue is back under `policy`'s
-    /// bounds; returns the evicted messages (route them to the DLQ *after*
-    /// releasing the state lock).
-    fn evict_over_bound(&self, st: &mut QueueState, policy: &QueuePolicy) -> Vec<Message> {
-        let mut evicted = Vec::new();
-        while policy.over_bound(st) {
-            match self.pop_ready(st) {
-                Some(msg) => evicted.push(msg),
-                None => break,
-            }
-        }
-        evicted
     }
 }
 
@@ -291,7 +301,6 @@ struct MqMetrics {
     redeliveries: Arc<gcx_core::metrics::Counter>,
     acks: Arc<gcx_core::metrics::Counter>,
     queue_full_rejections: Arc<gcx_core::metrics::Counter>,
-    overflow_dropped: Arc<gcx_core::metrics::Counter>,
 }
 
 impl MqMetrics {
@@ -307,7 +316,6 @@ impl MqMetrics {
             redeliveries: registry.counter("mq.redeliveries"),
             acks: registry.counter("mq.acks"),
             queue_full_rejections: registry.counter("mq.queue_full_rejections"),
-            overflow_dropped: registry.counter("mq.overflow_dropped"),
         }
     }
 }
@@ -322,6 +330,11 @@ struct BrokerInner {
 }
 
 impl BrokerInner {
+    fn find(&self, name: &str) -> GcxResult<Arc<Queue>> {
+        let q = self.queues.read().get(name).cloned();
+        q.ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))
+    }
+
     /// Record an injected fault (or dead-lettering) on the affected task's
     /// trace — reached through [`Headers::trace`], since the broker never
     /// decodes bodies — and in the flight recorder.
@@ -341,27 +354,58 @@ impl BrokerInner {
     fn dead_letter(&self, source: &str, target: &Option<String>, mut msg: Message) {
         self.m.dead_lettered.inc();
         self.trace_fault("dead_letter", source, msg.headers.trace.as_ref());
-        if let Some(dlq) = target {
-            let q = self.queues.read().get(dlq).map(Arc::clone);
-            if let Some(q) = q {
-                msg.headers.death_queue = Some(Arc::from(source));
-                msg.redelivered = false;
-                msg.delivery_count = 0;
-                let mut st = q.state.lock();
-                if !st.closed {
-                    // The DLQ itself is exempt from capacity bounds: it is
-                    // the overflow valve, and bouncing between bounded
-                    // queues could recurse forever.
-                    q.push_ready_back(&mut st, msg);
-                    drop(st);
-                    q.published.fetch_add(1, Ordering::Relaxed);
-                    q.cond.notify_one();
-                    return;
-                }
+        if let Some(q) = target.as_ref().and_then(|dlq| self.find(dlq).ok()) {
+            msg.headers.death_queue = Some(Arc::from(source));
+            msg.redelivered = false;
+            msg.delivery_count = 0;
+            let mut st = q.state.lock();
+            if !st.closed {
+                // The DLQ itself is exempt from capacity bounds: it is
+                // the overflow valve, and bouncing between bounded
+                // queues could recurse forever.
+                q.push_ready_back(&mut st, msg);
+                st.published += 1;
+                drop(st);
+                q.cond.notify_one();
+                return;
             }
         }
         // No (usable) dead-letter queue: the message is gone.
         self.m.dropped.inc();
+    }
+
+    /// The one way a delivery goes back: each of `tags` still unacked is
+    /// released and marked redelivered, then dead-lettered if its delivery
+    /// budget is spent, else put at the head of `ready` — highest tag first,
+    /// so the head reads in original FIFO (ascending-tag) order. Wakes
+    /// every parked consumer; returns how many messages are ready again.
+    fn requeue(&self, q: &Queue, mut st: MutexGuard<'_, QueueState>, tags: &mut [u64]) -> usize {
+        tags.sort_unstable_by(|a, b| b.cmp(a));
+        let mut dead = Vec::new();
+        let mut requeued = 0;
+        for tag in tags {
+            let Some((mut msg, _)) = st.release(*tag) else {
+                continue;
+            };
+            msg.redelivered = true;
+            if st.policy.exhausted(&msg) {
+                dead.push(msg);
+            } else {
+                q.push_ready_front(&mut st, msg);
+                requeued += 1;
+            }
+        }
+        let target = if dead.is_empty() {
+            None
+        } else {
+            st.policy.dead_letter_to.clone()
+        };
+        drop(st);
+        for msg in dead {
+            self.dead_letter(&q.name, &target, msg);
+        }
+        q.cond.notify_all();
+        requeued
     }
 }
 
@@ -415,11 +459,7 @@ impl Broker {
 
     /// Set the redelivery policy for an existing queue.
     pub fn set_queue_policy(&self, name: &str, policy: QueuePolicy) -> GcxResult<()> {
-        let queues = self.inner.queues.read();
-        let q = queues
-            .get(name)
-            .ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))?;
-        *q.policy.lock() = policy;
+        self.inner.find(name)?.state.lock().policy = policy;
         Ok(())
     }
 
@@ -444,13 +484,15 @@ impl Broker {
                     ready: VecDeque::new(),
                     ready_bytes: 0,
                     unacked: HashMap::new(),
+                    windows: Vec::new(),
+                    free_slots: Vec::new(),
+                    policy: QueuePolicy::default(),
+                    next_tag: 1,
+                    published: 0,
                     closed: false,
                 }),
                 cond: Condvar::new(),
-                next_tag: AtomicU64::new(1),
-                published: AtomicU64::new(0),
                 last_poll_ms: AtomicU64::new(self.inner.clock.now_ms()),
-                policy: Mutex::new(QueuePolicy::default()),
                 depth_gauge: self.inner.metrics.gauge(&format!("mq.depth.{name}")),
                 bytes_gauge: self.inner.metrics.gauge(&format!("mq.bytes.{name}")),
             }),
@@ -480,16 +522,13 @@ impl Broker {
     }
 
     fn get(&self, name: &str, credential: Option<&str>) -> GcxResult<Arc<Queue>> {
-        let queues = self.inner.queues.read();
-        let q = queues
-            .get(name)
-            .ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))?;
+        let q = self.inner.find(name)?;
         if q.credential.is_some() && q.credential.as_deref() != credential {
             return Err(GcxError::Forbidden(format!(
                 "bad credential for queue '{name}'"
             )));
         }
-        Ok(Arc::clone(q))
+        Ok(q)
     }
 
     /// Publish a message. Blocks for the link cost (latency + size/bandwidth)
@@ -505,85 +544,7 @@ impl Broker {
         message: Message,
         credential: Option<&str>,
     ) -> GcxResult<()> {
-        let q = self.get(queue, credential)?;
-        let size = message.wire_size();
-        let trace = message.headers.trace;
-        let fault = self.inner.fault.read().clone();
-        let outcome = match &fault {
-            Some(plan) => plan.on_publish(queue, self.inner.clock.now_ms()),
-            None => PublishOutcome::Deliver {
-                extra_copies: 0,
-                extra_delay_ms: 0,
-            },
-        };
-        self.inner.link.charge(&self.inner.clock, size);
-        let copies = match outcome {
-            PublishOutcome::Deliver {
-                extra_copies,
-                extra_delay_ms,
-            } => {
-                if extra_delay_ms > 0 {
-                    self.inner
-                        .clock
-                        .sleep(Duration::from_millis(extra_delay_ms));
-                }
-                1 + extra_copies as u64
-            }
-            PublishOutcome::Drop { extra_delay_ms } => {
-                if extra_delay_ms > 0 {
-                    self.inner
-                        .clock
-                        .sleep(Duration::from_millis(extra_delay_ms));
-                }
-                // Lost in transit after the publisher's confirm.
-                self.inner.m.dropped.inc();
-                self.inner
-                    .trace_fault("fault.publish_drop", queue, trace.as_ref());
-                return Ok(());
-            }
-        };
-        let policy = q.policy.lock().clone();
-        let evicted;
-        {
-            let mut st = q.state.lock();
-            if st.closed {
-                return Err(GcxError::Queue(format!("queue '{}' is closed", q.name)));
-            }
-            if policy.is_bounded()
-                && policy.overflow == OverflowPolicy::RejectNew
-                && policy.would_overflow(&st, copies as usize, size * copies as usize)
-            {
-                drop(st);
-                self.inner.m.queue_full_rejections.inc();
-                self.inner.trace_fault("queue_full", queue, trace.as_ref());
-                return Err(GcxError::QueueFull {
-                    queue: q.name.clone(),
-                });
-            }
-            for _ in 1..copies {
-                q.push_ready_back(&mut st, message.clone());
-            }
-            q.push_ready_back(&mut st, message);
-            evicted = q.evict_over_bound(&mut st, &policy);
-            // Counted before the lock is released: a consumer that takes
-            // the message must find it already counted as published.
-            self.inner.m.messages_published.inc();
-            self.inner.m.bytes_published.add(size as u64);
-        }
-        if !evicted.is_empty() {
-            self.inner.m.overflow_dropped.add(evicted.len() as u64);
-            for msg in evicted {
-                self.inner.dead_letter(&q.name, &policy.dead_letter_to, msg);
-            }
-        }
-        q.published.fetch_add(copies, Ordering::Relaxed);
-        q.cond.notify_all();
-        if copies > 1 {
-            self.inner.m.duplicated.add(copies - 1);
-            self.inner
-                .trace_fault("fault.duplicate", queue, trace.as_ref());
-        }
-        Ok(())
+        self.admit(queue, [message], &mut [0], credential)
     }
 
     /// Publish a whole batch to one queue: one credential check, one link
@@ -604,20 +565,39 @@ impl Broker {
         if messages.is_empty() {
             return Ok(());
         }
+        let mut copies = vec![0u32; messages.len()];
+        self.admit(queue, messages, &mut copies, credential)
+    }
+
+    /// The one way a message gets into a queue; `publish` is the batch of
+    /// one. `copies` is the caller's scratch, one slot per message (on the
+    /// stack for a single publish): the first pass draws each message's
+    /// fate into it, the second enqueues that many copies.
+    fn admit<M>(
+        &self,
+        queue: &str,
+        messages: M,
+        copies: &mut [u32],
+        credential: Option<&str>,
+    ) -> GcxResult<()>
+    where
+        M: AsRef<[Message]> + IntoIterator<Item = Message>,
+    {
+        let inner = &*self.inner;
         let q = self.get(queue, credential)?;
-        let fault = self.inner.fault.read().clone();
-        let now = self.inner.clock.now_ms();
-        let mut total_size = 0usize;
-        let mut surviving_size = 0u64;
-        let mut extra_delay = 0u64;
-        let mut duplicated = 0u64;
-        let mut dropped = 0u64;
-        let mut surviving: Vec<(Message, u64)> = Vec::with_capacity(messages.len());
-        for message in messages {
+        let fault = inner.fault.read().clone();
+        // Bytes sent (every message), bytes metered as published (survivors,
+        // once each) and bytes headed for `ready` (survivors, each copy).
+        let (mut sent_bytes, mut published_bytes, mut ready_bytes) = (0, 0, 0);
+        let (mut accepted, mut total_copies, mut delay_ms) = (0u64, 0u64, 0u64);
+        // The first survivor's trace: where a refusal is annotated.
+        let mut first_trace = None;
+        for (message, n) in messages.as_ref().iter().zip(copies.iter_mut()) {
             let size = message.wire_size();
-            total_size += size;
+            let trace = message.headers.trace.as_ref();
+            sent_bytes += size;
             let outcome = match &fault {
-                Some(plan) => plan.on_publish(queue, now),
+                Some(plan) => plan.on_publish(queue, inner.clock.now_ms()),
                 None => PublishOutcome::Deliver {
                     extra_copies: 0,
                     extra_delay_ms: 0,
@@ -628,93 +608,66 @@ impl Broker {
                     extra_copies,
                     extra_delay_ms,
                 } => {
-                    extra_delay += extra_delay_ms;
-                    duplicated += extra_copies as u64;
-                    surviving_size += size as u64;
+                    delay_ms += extra_delay_ms;
+                    *n = 1 + extra_copies;
+                    if accepted == 0 {
+                        first_trace = message.headers.trace;
+                    }
+                    accepted += 1;
+                    total_copies += *n as u64;
+                    published_bytes += size;
+                    ready_bytes += size * *n as usize;
                     if extra_copies > 0 {
-                        self.inner.trace_fault(
-                            "fault.duplicate",
-                            queue,
-                            message.headers.trace.as_ref(),
-                        );
+                        inner.trace_fault("fault.duplicate", queue, trace);
                     }
-                    surviving.push((message, 1 + extra_copies as u64));
                 }
+                // Lost in transit after the publisher's confirm.
                 PublishOutcome::Drop { extra_delay_ms } => {
-                    extra_delay += extra_delay_ms;
-                    dropped += 1;
-                    self.inner.trace_fault(
-                        "fault.publish_drop",
-                        queue,
-                        message.headers.trace.as_ref(),
-                    );
+                    delay_ms += extra_delay_ms;
+                    inner.m.dropped.inc();
+                    inner.trace_fault("fault.publish_drop", queue, trace);
                 }
             }
         }
-        self.inner.link.charge(&self.inner.clock, total_size);
-        if extra_delay > 0 {
-            self.inner.clock.sleep(Duration::from_millis(extra_delay));
+        inner.link.charge(&inner.clock, sent_bytes);
+        if delay_ms > 0 {
+            inner.clock.sleep(Duration::from_millis(delay_ms));
         }
-        if dropped > 0 {
-            // Lost in transit after the publisher's confirm.
-            self.inner.m.dropped.add(dropped);
+        if accepted == 0 {
+            return Ok(());
         }
-        let copies_total: u64 = surviving.iter().map(|(_, c)| *c).sum();
-        let accepted = surviving.len() as u64;
-        if copies_total > 0 {
-            let policy = q.policy.lock().clone();
-            let batch_bytes: usize = surviving
-                .iter()
-                .map(|(m, c)| m.wire_size() * *c as usize)
-                .sum();
-            let evicted;
-            {
-                let mut st = q.state.lock();
-                if st.closed {
-                    return Err(GcxError::Queue(format!("queue '{}' is closed", q.name)));
-                }
-                // A rejected batch is all-or-nothing: either every surviving
-                // message fits under the bound or none is enqueued, matching
-                // the whole-batch error semantics of `submit_batch`.
-                if policy.is_bounded()
-                    && policy.overflow == OverflowPolicy::RejectNew
-                    && policy.would_overflow(&st, copies_total as usize, batch_bytes)
-                {
-                    drop(st);
-                    self.inner.m.queue_full_rejections.add(accepted);
-                    self.inner.trace_fault(
-                        "queue_full",
-                        queue,
-                        surviving
-                            .first()
-                            .and_then(|(m, _)| m.headers.trace.as_ref()),
-                    );
-                    return Err(GcxError::QueueFull {
-                        queue: q.name.clone(),
-                    });
-                }
-                for (message, copies) in surviving {
-                    for _ in 1..copies {
-                        q.push_ready_back(&mut st, message.clone());
-                    }
-                    q.push_ready_back(&mut st, message);
-                }
-                evicted = q.evict_over_bound(&mut st, &policy);
-                // As in `publish`: counted before a consumer can see them.
-                self.inner.m.messages_published.add(accepted);
-                self.inner.m.bytes_published.add(surviving_size);
+        let mut st = q.state.lock();
+        if st.closed {
+            return Err(q.closed_error());
+        }
+        // All-or-nothing: either every surviving message fits under the
+        // bound or none is enqueued, matching the whole-batch error
+        // semantics of `submit_batch`.
+        if st.would_overflow(total_copies as usize, ready_bytes) {
+            drop(st);
+            inner.m.queue_full_rejections.add(accepted);
+            inner.trace_fault("queue_full", queue, first_trace.as_ref());
+            return Err(GcxError::QueueFull {
+                queue: q.name.clone(),
+            });
+        }
+        for (message, n) in messages.into_iter().zip(copies.iter()) {
+            for _ in 1..*n {
+                q.push_ready_back(&mut st, message.clone());
             }
-            if !evicted.is_empty() {
-                self.inner.m.overflow_dropped.add(evicted.len() as u64);
-                for msg in evicted {
-                    self.inner.dead_letter(&q.name, &policy.dead_letter_to, msg);
-                }
+            if *n > 0 {
+                q.push_ready_back(&mut st, message);
             }
-            q.published.fetch_add(copies_total, Ordering::Relaxed);
-            q.cond.notify_all();
         }
-        if duplicated > 0 {
-            self.inner.m.duplicated.add(duplicated);
+        // Counted before the lock is released: a consumer that takes a
+        // message must find it already counted as published.
+        st.published += total_copies;
+        inner.m.messages_published.add(accepted);
+        inner.m.bytes_published.add(published_bytes as u64);
+        drop(st);
+        q.cond.notify_all();
+        if total_copies > accepted {
+            inner.m.duplicated.add(total_copies - accepted);
         }
         Ok(())
     }
@@ -728,22 +681,30 @@ impl Broker {
         prefetch: usize,
     ) -> GcxResult<Consumer> {
         let q = self.get(queue, credential)?;
+        let window = Window { prefetch, held: 0 };
+        let slot = {
+            let mut st = q.state.lock();
+            match st.free_slots.pop() {
+                Some(slot) => {
+                    st.windows[slot] = window;
+                    slot
+                }
+                None => {
+                    st.windows.push(window);
+                    st.windows.len() - 1
+                }
+            }
+        };
         Ok(Consumer {
             queue: q,
             broker: self.inner.clone(),
-            prefetch,
-            outstanding: Arc::new(AtomicUsize::new(0)),
-            held_tags: Mutex::new(Vec::new()),
+            slot,
         })
     }
 
     /// Stats for a queue.
     pub fn queue_stats(&self, name: &str) -> GcxResult<QueueStats> {
-        let queues = self.inner.queues.read();
-        queues
-            .get(name)
-            .map(|q| q.stats())
-            .ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))
+        Ok(self.inner.find(name)?.stats())
     }
 
     /// Names of all queues (sorted), for inspection.
@@ -759,40 +720,16 @@ impl Broker {
     /// heartbeating but its consumer handle was never dropped (process
     /// freeze, partition). Messages over their delivery budget are
     /// dead-lettered instead. Returns how many messages were requeued.
+    ///
+    /// A consumer that outlives this finds its prefetch window empty again
+    /// and its old tags unknown: it may receive what it once held, and a
+    /// late `ack` or `nack` of a recovered tag is an error that changes
+    /// nothing.
     pub fn recover_queue(&self, name: &str) -> GcxResult<usize> {
-        let q = {
-            let queues = self.inner.queues.read();
-            queues
-                .get(name)
-                .map(Arc::clone)
-                .ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))?
-        };
-        let policy = q.policy.lock().clone();
-        let mut dead = Vec::new();
-        let requeued;
-        {
-            let mut st = q.state.lock();
-            let mut tags: Vec<u64> = st.unacked.keys().copied().collect();
-            // Highest tag first: push_front restores ascending-tag FIFO order.
-            tags.sort_unstable_by(|a, b| b.cmp(a));
-            let mut count = 0;
-            for tag in tags {
-                let mut msg = st.unacked.remove(&tag).expect("tag just listed");
-                msg.redelivered = true;
-                if policy.exhausted(&msg) {
-                    dead.push(msg);
-                } else {
-                    q.push_ready_front(&mut st, msg);
-                    count += 1;
-                }
-            }
-            requeued = count;
-        }
-        for msg in dead {
-            self.inner.dead_letter(name, &policy.dead_letter_to, msg);
-        }
-        q.cond.notify_all();
-        Ok(requeued)
+        let q = self.inner.find(name)?;
+        let st = q.state.lock();
+        let mut tags: Vec<u64> = st.unacked.keys().copied().collect();
+        Ok(self.inner.requeue(&q, st, &mut tags))
     }
 }
 
@@ -800,9 +737,12 @@ impl Broker {
 pub struct Consumer {
     queue: Arc<Queue>,
     broker: Arc<BrokerInner>,
-    prefetch: usize,
-    outstanding: Arc<AtomicUsize>,
-    held_tags: Mutex<Vec<u64>>,
+    /// Index of this consumer's prefetch window in the queue's state.
+    slot: usize,
+}
+
+fn unknown_tag(tag: u64) -> GcxError {
+    GcxError::Queue(format!("unknown delivery tag {tag}"))
 }
 
 impl Consumer {
@@ -812,117 +752,100 @@ impl Consumer {
     /// Blocks while the prefetch window is full — backpressure exactly like
     /// an AMQP channel with `basic.qos`.
     pub fn next(&self, timeout: Duration) -> GcxResult<Option<Delivery>> {
+        let (q, broker) = (&*self.queue, &*self.broker);
         // On a virtual clock, waiting on real time would hang forever, so we
         // poll with yields instead of condvar timeouts in that mode.
-        let virtual_mode = self.broker.clock.is_virtual();
-        let deadline = std::time::Instant::now() + timeout;
-        self.queue
-            .last_poll_ms
-            .store(self.broker.clock.now_ms(), Ordering::Relaxed);
+        let virtual_mode = broker.clock.is_virtual();
+        let deadline = Instant::now() + timeout;
+        q.last_poll_ms
+            .store(broker.clock.now_ms(), Ordering::Relaxed);
         let mut snoozed = false;
         loop {
-            let fault = self.broker.fault.read().clone();
+            let fault = broker.fault.read().clone();
             // A hard partition blocks deliveries without consuming fault-plan
             // draws, so polling under a partition stays deterministic.
             let partitioned = fault
                 .as_ref()
-                .is_some_and(|p| p.blocks_deliveries(&self.queue.name, self.broker.clock.now_ms()));
-            {
-                let mut st = self.queue.state.lock();
-                if st.closed {
-                    return Err(GcxError::Queue(format!(
-                        "queue '{}' is closed",
-                        self.queue.name
-                    )));
-                }
-                let window_open =
-                    self.prefetch == 0 || self.outstanding.load(Ordering::Acquire) < self.prefetch;
-                if window_open && !partitioned {
-                    if let Some(mut msg) = self.queue.pop_ready(&mut st) {
-                        msg.delivery_count += 1;
-                        // Poisoned (over its delivery budget)? Then where to.
-                        let dead_letter_to = {
-                            let policy = self.queue.policy.lock();
-                            (policy.max_deliveries > 0
-                                && msg.delivery_count > policy.max_deliveries)
-                                .then(|| policy.dead_letter_to.clone())
-                        };
-                        if let Some(target) = dead_letter_to {
-                            drop(st);
-                            self.broker.dead_letter(&self.queue.name, &target, msg);
-                            continue;
-                        }
-                        if let Some(plan) = &fault {
-                            if plan.on_deliver(&self.queue.name, self.broker.clock.now_ms()) {
-                                // Delivery lost in transit: back of the queue,
-                                // attempt charged.
-                                msg.redelivered = true;
-                                let trace = msg.headers.trace;
-                                self.queue.push_ready_back(&mut st, msg);
-                                drop(st);
-                                self.broker.m.dropped.inc();
-                                self.broker.trace_fault(
-                                    "fault.deliver_drop",
-                                    &self.queue.name,
-                                    trace.as_ref(),
-                                );
-                                continue;
-                            }
-                        }
-                        let tag = self.queue.next_tag.fetch_add(1, Ordering::Relaxed);
-                        st.unacked.insert(tag, msg.clone());
+                .is_some_and(|p| p.blocks_deliveries(&q.name, broker.clock.now_ms()));
+            let mut st = q.state.lock();
+            if st.closed {
+                return Err(q.closed_error());
+            }
+            if st.window_open(self.slot) && !partitioned {
+                if let Some(mut msg) = q.pop_ready(&mut st) {
+                    msg.delivery_count += 1;
+                    let budget = st.policy.max_deliveries;
+                    if budget > 0 && msg.delivery_count > budget {
+                        // Poisoned: over its delivery budget.
+                        let target = st.policy.dead_letter_to.clone();
                         drop(st);
-                        self.outstanding.fetch_add(1, Ordering::AcqRel);
-                        self.held_tags.lock().push(tag);
-                        self.broker.m.messages_delivered.inc();
-                        self.broker.m.bytes_delivered.add(msg.wire_size() as u64);
-                        if msg.redelivered {
-                            self.broker.m.redeliveries.inc();
-                        }
-                        return Ok(Some(Delivery { tag, message: msg }));
-                    }
-                }
-                if !virtual_mode {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return Ok(None);
-                    }
-                    // Nothing notifies when a partition window closes, so
-                    // wait in short slices while one is active.
-                    let mut remaining = deadline - now;
-                    if partitioned {
-                        remaining = remaining.min(Duration::from_millis(10));
-                    } else if !snoozed {
-                        // Run dry a few microseconds ahead of the producer?
-                        // Stay runnable for one scheduling turn before
-                        // parking: the next publish then finds no waiter and
-                        // makes no wake syscall.
-                        snoozed = true;
-                        drop(st);
-                        std::thread::yield_now();
+                        broker.dead_letter(&q.name, &target, msg);
                         continue;
                     }
-                    self.queue.cond.wait_for(&mut st, remaining);
-                    snoozed = false;
-                    continue;
+                    let lost = fault
+                        .as_ref()
+                        .is_some_and(|p| p.on_deliver(&q.name, broker.clock.now_ms()));
+                    if lost {
+                        // Delivery lost in transit: back of the queue,
+                        // attempt charged.
+                        msg.redelivered = true;
+                        let trace = msg.headers.trace;
+                        q.push_ready_back(&mut st, msg);
+                        drop(st);
+                        broker.m.dropped.inc();
+                        broker.trace_fault("fault.deliver_drop", &q.name, trace.as_ref());
+                        continue;
+                    }
+                    let tag = st.hold(self.slot, msg.clone());
+                    drop(st);
+                    broker.m.messages_delivered.inc();
+                    broker.m.bytes_delivered.add(msg.wire_size() as u64);
+                    if msg.redelivered {
+                        broker.m.redeliveries.inc();
+                    }
+                    return Ok(Some(Delivery { tag, message: msg }));
                 }
             }
-            // Virtual mode: bounded spin against wall time.
-            if std::time::Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Ok(None);
             }
-            std::thread::yield_now();
+            if virtual_mode {
+                // Bounded spin against wall time.
+                drop(st);
+                std::thread::yield_now();
+                continue;
+            }
+            // Nothing notifies when a partition window closes, so
+            // wait in short slices while one is active.
+            let mut remaining = deadline - now;
+            if partitioned {
+                remaining = remaining.min(Duration::from_millis(10));
+            } else if !snoozed {
+                // Run dry a few microseconds ahead of the producer?
+                // Stay runnable for one scheduling turn before
+                // parking: the next publish then finds no waiter and
+                // makes no wake syscall.
+                snoozed = true;
+                drop(st);
+                std::thread::yield_now();
+                continue;
+            }
+            q.cond.wait_for(&mut st, remaining);
+            snoozed = false;
         }
     }
 
-    /// Acknowledge a delivery: the broker forgets the message.
+    /// Acknowledge a delivery: the broker forgets the message. Only a `next`
+    /// blocked on a full prefetch window has anything to learn from that, so
+    /// only the ack that opens a full window notifies — everyone, because
+    /// the queue's other consumers park on the same condvar.
     pub fn ack(&self, tag: u64) -> GcxResult<()> {
-        let mut st = self.queue.state.lock();
-        st.unacked
-            .remove(&tag)
-            .ok_or_else(|| GcxError::Queue(format!("unknown delivery tag {tag}")))?;
-        drop(st);
-        self.forget_tag(tag);
+        let released = self.queue.state.lock().release(tag);
+        let (_, opened) = released.ok_or_else(|| unknown_tag(tag))?;
+        if opened {
+            self.queue.cond.notify_all();
+        }
         self.broker.m.acks.inc();
         Ok(())
     }
@@ -930,44 +853,12 @@ impl Consumer {
     /// Negative-acknowledge: requeue the message (redelivered = true), or
     /// dead-letter it if it has exhausted the queue's delivery budget.
     pub fn nack(&self, tag: u64) -> GcxResult<()> {
-        let policy = self.queue.policy.lock().clone();
-        let mut st = self.queue.state.lock();
-        let mut msg = st
-            .unacked
-            .remove(&tag)
-            .ok_or_else(|| GcxError::Queue(format!("unknown delivery tag {tag}")))?;
-        msg.redelivered = true;
-        if policy.exhausted(&msg) {
-            drop(st);
-            self.broker
-                .dead_letter(&self.queue.name, &policy.dead_letter_to, msg);
-        } else {
-            self.queue.push_ready_front(&mut st, msg);
-            drop(st);
+        let st = self.queue.state.lock();
+        if !st.unacked.contains_key(&tag) {
+            return Err(unknown_tag(tag));
         }
-        self.forget_tag(tag);
-        self.queue.cond.notify_one();
+        self.broker.requeue(&self.queue, st, &mut [tag]);
         Ok(())
-    }
-
-    /// Release `tag`'s slot in the prefetch window. Only a `next` blocked on
-    /// a full window has anything to learn from that, so only the release
-    /// that opens a full window notifies — everyone, because the queue's
-    /// other consumers park on the same condvar.
-    fn forget_tag(&self, tag: u64) {
-        let mut held = self.held_tags.lock();
-        if let Some(pos) = held.iter().position(|t| *t == tag) {
-            held.swap_remove(pos);
-            let was = self.outstanding.fetch_sub(1, Ordering::AcqRel);
-            drop(held);
-            if self.prefetch != 0 && was == self.prefetch {
-                // `next` reads the window under the state lock; passing
-                // through it orders this notify after that `next` is counted
-                // as a waiter.
-                drop(self.queue.state.lock());
-                self.queue.cond.notify_all();
-            }
-        }
     }
 
     /// Current queue stats (for tests and backpressure decisions).
@@ -978,34 +869,20 @@ impl Consumer {
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        // Requeue everything we held but never acked — crash semantics.
-        let mut tags: Vec<u64> = std::mem::take(&mut *self.held_tags.lock());
-        if tags.is_empty() {
+        // Requeue everything we held but never acked — crash semantics. The
+        // slot is free for reuse once this lock is released, and by then
+        // nothing in `unacked` names it.
+        let mut st = self.queue.state.lock();
+        st.free_slots.push(self.slot);
+        if st.windows[self.slot].held == 0 {
             return;
         }
-        // Highest tag first so repeated push_front restores the original
-        // FIFO (ascending-tag) order, not HashMap iteration order.
-        tags.sort_unstable_by(|a, b| b.cmp(a));
-        let policy = self.queue.policy.lock().clone();
-        let mut dead = Vec::new();
-        {
-            let mut st = self.queue.state.lock();
-            for tag in tags {
-                if let Some(mut msg) = st.unacked.remove(&tag) {
-                    msg.redelivered = true;
-                    if policy.exhausted(&msg) {
-                        dead.push(msg);
-                    } else {
-                        self.queue.push_ready_front(&mut st, msg);
-                    }
-                }
-            }
-        }
-        for msg in dead {
-            self.broker
-                .dead_letter(&self.queue.name, &policy.dead_letter_to, msg);
-        }
-        self.queue.cond.notify_all();
+        let held = st
+            .unacked
+            .iter()
+            .filter(|(_, (slot, _))| *slot == self.slot);
+        let mut tags: Vec<u64> = held.map(|(tag, _)| *tag).collect();
+        self.broker.requeue(&self.queue, st, &mut tags);
     }
 }
 
@@ -1322,6 +1199,67 @@ mod tests {
         }
     }
 
+    /// A frozen-then-thawed consumer: `recover_queue` empties its prefetch
+    /// window along with its deliveries, so it receives again.
+    #[test]
+    fn recover_queue_reopens_a_live_consumers_window() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        b.publish("q", msg("m0"), None).unwrap();
+        b.publish("q", msg("m1"), None).unwrap();
+        let c = b.consume("q", None, 2).unwrap();
+        let stale: Vec<u64> = (0..2).map(|_| c.next(T).unwrap().unwrap().tag).collect();
+        assert!(c.next(Duration::from_millis(30)).unwrap().is_none());
+        assert_eq!(b.recover_queue("q").unwrap(), 2);
+        let fresh: Vec<Delivery> = (0..2).map(|_| c.next(T).unwrap().unwrap()).collect();
+        for (i, d) in fresh.iter().enumerate() {
+            assert!(d.message.redelivered);
+            assert_eq!(d.message.body, Bytes::from(format!("m{i}")));
+        }
+        // The window is full again, and a pre-recovery tag opens nothing.
+        for tag in stale {
+            assert!(c.ack(tag).is_err());
+            assert!(c.nack(tag).is_err());
+        }
+        assert_eq!(b.metrics().counter("mq.acks").get(), 0);
+        assert_eq!(c.stats().unacked, 2);
+        b.publish("q", msg("m2"), None).unwrap();
+        assert!(c.next(Duration::from_millis(30)).unwrap().is_none());
+        c.ack(fresh[0].tag).unwrap();
+        assert_eq!(&c.next(T).unwrap().unwrap().message.body[..], b"m2");
+    }
+
+    #[test]
+    fn dropping_one_of_two_consumers_returns_only_its_deliveries() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        for i in 0..6 {
+            b.publish("q", msg(&format!("m{i}")), None).unwrap();
+        }
+        let stays = b.consume("q", None, 0).unwrap();
+        let leaves = b.consume("q", None, 0).unwrap();
+        // Interleaved: `leaves` holds m1, m3, m5.
+        let mut kept = Vec::new();
+        for _ in 0..3 {
+            kept.push(stays.next(T).unwrap().unwrap().tag);
+            leaves.next(T).unwrap().unwrap();
+        }
+        drop(leaves);
+        let stats = b.queue_stats("q").unwrap();
+        assert_eq!((stats.ready, stats.unacked), (3, 3));
+        for tag in kept {
+            stays.ack(tag).unwrap();
+        }
+        // A consumer opened now may reuse the slot `leaves` gave back.
+        let c = b.consume("q", None, 1).unwrap();
+        for i in [1, 3, 5] {
+            let d = c.next(T).unwrap().unwrap();
+            assert!(d.message.redelivered);
+            assert_eq!(d.message.body, Bytes::from(format!("m{i}")));
+            c.ack(d.tag).unwrap();
+        }
+    }
+
     #[test]
     fn fault_plan_drops_publishes() {
         use crate::fault::{FaultDirection, FaultPlan, FaultRule};
@@ -1495,36 +1433,6 @@ mod tests {
         // A small message under the remaining byte budget still fails depth?
         // No depth bound here — but bytes are exhausted, so even 1 byte fails.
         assert!(b.publish("q", msg("x"), None).is_err());
-    }
-
-    #[test]
-    fn drop_oldest_overflow_evicts_to_dlq() {
-        let b = Broker::new();
-        b.declare_queue("q", None).unwrap();
-        b.declare_queue("dlq", None).unwrap();
-        b.set_queue_policy(
-            "q",
-            QueuePolicy::bounded(2)
-                .with_overflow(OverflowPolicy::DropOldestToDlq)
-                .with_dead_letter_to("dlq"),
-        )
-        .unwrap();
-        b.publish("q", msg("oldest"), None).unwrap();
-        b.publish("q", msg("mid"), None).unwrap();
-        b.publish("q", msg("newest"), None).unwrap();
-        // Newest wins; oldest was evicted to the DLQ.
-        assert_eq!(b.queue_stats("q").unwrap().ready, 2);
-        assert_eq!(b.queue_stats("dlq").unwrap().ready, 1);
-        assert_eq!(b.metrics().counter("mq.overflow_dropped").get(), 1);
-        let dc = b.consume("dlq", None, 0).unwrap();
-        let d = dc.next(T).unwrap().unwrap();
-        assert_eq!(&d.message.body[..], b"oldest");
-        assert_eq!(d.message.headers.death_queue.as_deref(), Some("q"));
-        dc.ack(d.tag).unwrap();
-        let c = b.consume("q", None, 0).unwrap();
-        let d = c.next(T).unwrap().unwrap();
-        assert_eq!(&d.message.body[..], b"mid");
-        c.ack(d.tag).unwrap();
     }
 
     #[test]

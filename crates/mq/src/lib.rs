@@ -26,9 +26,7 @@ pub mod broker;
 pub mod fault;
 pub mod link;
 
-pub use broker::{
-    Broker, Consumer, Delivery, Headers, Message, OverflowPolicy, QueuePolicy, QueueStats,
-};
+pub use broker::{Broker, Consumer, Delivery, Headers, Message, QueuePolicy, QueueStats};
 pub use fault::{
     FaultDirection, FaultPlan, FaultRule, PublishOutcome, ReplicaAction, ReplicaFaultRule,
 };

@@ -93,4 +93,42 @@ proptest! {
         prop_assert_eq!(work.unacked, 0);
         prop_assert_eq!(acked + dead, n as u64);
     }
+
+    /// One admit body: a seeded plan draws the same fates, in the same
+    /// order, whether N messages arrive as N publishes or as one batch — the
+    /// queue holds the same messages and every `mq.*` counter and gauge
+    /// reads the same.
+    #[test]
+    fn a_batch_admits_what_singles_admit(
+        seed in 0u64..10_000,
+        drop_p in 0.0f64..0.6,
+        dup_p in 0.0f64..0.6,
+        n in 1usize..24,
+    ) {
+        let run = |batched: bool| {
+            let b = Broker::new();
+            b.declare_queue("q", None).unwrap();
+            // Publish-side rules only, so reading the queue back draws nothing.
+            b.set_fault_plan(Some(
+                FaultPlan::new(seed)
+                    .with_rule(FaultRule::drop("q", FaultDirection::Publish, drop_p))
+                    .with_rule(FaultRule::duplicate("q", dup_p)),
+            ));
+            let messages = (0..n).map(|i| Message::new(Bytes::from(format!("m{i}"))));
+            if batched {
+                b.publish_batch("q", messages.collect(), None).unwrap();
+            } else {
+                messages.for_each(|m| b.publish("q", m, None).unwrap());
+            }
+            let published = b.queue_stats("q").unwrap().published;
+            let metrics = (b.metrics().counter_snapshot(), b.metrics().gauge_snapshot());
+            let c = b.consume("q", None, 0).unwrap();
+            let mut contents = Vec::new();
+            while let Some(d) = c.next(Duration::ZERO).unwrap() {
+                contents.push(d.message);
+            }
+            (contents, published, metrics)
+        };
+        prop_assert_eq!(run(false), run(true));
+    }
 }

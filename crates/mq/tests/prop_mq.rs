@@ -4,8 +4,66 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gcx_mq::{Broker, Message};
+use gcx_mq::{Broker, Message, QueuePolicy};
 use proptest::prelude::*;
+
+/// What `requeue_entry_points_agree` compares: the ready queue, head first,
+/// as (body, delivery count, redelivered), and the dead-lettered bodies.
+type Returned = (Vec<(Bytes, u32, bool)>, Vec<Bytes>);
+
+/// Deliver `n_msgs` messages to one consumer that follows `script` (0 = hold,
+/// 1 = ack, 2 = nack and take it again; hold once the script runs out), then
+/// put what it holds back through
+/// entry point `how`: 0 = `nack` each, newest first; 1 = drop the consumer;
+/// 2 = `recover_queue`.
+fn hold_then_return(how: u8, n_msgs: usize, budget: u32, script: &[u8]) -> Returned {
+    // One thread, nothing in flight: what is not ready now never will be.
+    let wait = Duration::ZERO;
+    let broker = Broker::new();
+    broker.declare_queue("q", None).unwrap();
+    broker.declare_queue("dead", None).unwrap();
+    broker
+        .set_queue_policy("q", QueuePolicy::dead_letter(budget, "dead"))
+        .unwrap();
+    for i in 0..n_msgs {
+        let body = Bytes::from(format!("m{i}"));
+        broker.publish("q", Message::new(body), None).unwrap();
+    }
+    let consumer = broker.consume("q", None, 0).unwrap();
+    let mut held = Vec::new();
+    let mut script = script.iter();
+    while let Some(d) = consumer.next(wait).unwrap() {
+        match script.next().unwrap_or(&0) {
+            0 => held.push(d.tag),
+            1 => consumer.ack(d.tag).unwrap(),
+            _ => consumer.nack(d.tag).unwrap(),
+        }
+    }
+    match how {
+        0 => held
+            .iter()
+            .rev()
+            .for_each(|tag| consumer.nack(*tag).unwrap()),
+        1 => drop(consumer),
+        _ => {
+            broker.recover_queue("q").unwrap();
+        }
+    }
+    let drain = |queue: &str| {
+        let reader = broker.consume(queue, None, 0).unwrap();
+        let mut seen = Vec::new();
+        while let Some(d) = reader.next(wait).unwrap() {
+            reader.ack(d.tag).unwrap();
+            seen.push(d.message);
+        }
+        seen
+    };
+    let ready = drain("q").into_iter();
+    let mut dead: Vec<Bytes> = drain("dead").into_iter().map(|m| m.body).collect();
+    dead.sort_by(|a, b| a[..].cmp(&b[..]));
+    let ready = ready.map(|m| (m.body, m.delivery_count, m.redelivered));
+    (ready.collect(), dead)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -113,5 +171,20 @@ proptest! {
             consumer.ack(tag).unwrap();
         }
         prop_assert_eq!(consumer.stats().unacked, 0);
+    }
+
+    /// One rule puts a delivery back, whichever way it is asked to: after
+    /// the same deliveries, nacking each held tag, dropping the consumer and
+    /// `recover_queue` leave the same ready order, the same delivery counts
+    /// and the same dead-lettered set under a delivery budget.
+    #[test]
+    fn requeue_entry_points_agree(
+        n_msgs in 1usize..24,
+        budget in 0u32..4,
+        script in prop::collection::vec(0u8..3, 0..40),
+    ) {
+        let nacked = hold_then_return(0, n_msgs, budget, &script);
+        prop_assert_eq!(&nacked, &hold_then_return(1, n_msgs, budget, &script));
+        prop_assert_eq!(&nacked, &hold_then_return(2, n_msgs, budget, &script));
     }
 }

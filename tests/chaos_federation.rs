@@ -15,8 +15,10 @@
 //! - `GCX_CHAOS_REPLICA_FAULT` — `replica_kill` (default) or
 //!   `replica_partition`, selecting how the owner replica fails.
 
+mod common;
+
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,17 +32,10 @@ use gcx::core::value::Value;
 use gcx::mq::{Broker, FaultPlan, LinkProfile, ReplicaFaultRule};
 use gcx::sdk::{Client, Executor, ExecutorConfig, PyFunction, TaskFuture};
 
+use common::{assert_observed_exactly, observe};
+
 fn chaos_seed() -> u64 {
-    std::env::var("GCX_CHAOS_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(0x0FED_5EED)
+    common::chaos_seed(0x0FED_5EED)
 }
 
 /// Which replica-level fault the headline scenario injects.
@@ -74,29 +69,6 @@ fn virtual_federation(
         clock,
     );
     (vclock, fed)
-}
-
-fn observe(futures: &[TaskFuture]) -> Arc<AtomicUsize> {
-    let resolutions = Arc::new(AtomicUsize::new(0));
-    for f in futures {
-        let r = Arc::clone(&resolutions);
-        f.on_done(move |_| {
-            r.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    resolutions
-}
-
-fn assert_observed_exactly(resolutions: &AtomicUsize, expect: usize) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while resolutions.load(Ordering::SeqCst) < expect && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        resolutions.load(Ordering::SeqCst),
-        expect,
-        "the SDK must observe each result exactly once"
-    );
 }
 
 fn answer(spec: &TaskSpec) -> TaskResult {

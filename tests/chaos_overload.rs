@@ -16,6 +16,8 @@
 //!   modes; with admission off the typed-rejection assertions relax to
 //!   "everything completes" (nothing is ever shed).
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,16 +36,7 @@ use gcx::mq::{Broker, LinkProfile};
 use gcx::sdk::{Client, Executor, ExecutorConfig, PyFunction};
 
 fn chaos_seed() -> u64 {
-    std::env::var("GCX_CHAOS_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(0xC4A0_5EED)
+    common::chaos_seed(0xC4A0_5EED)
 }
 
 fn admission_on() -> bool {
@@ -89,24 +82,15 @@ fn real_service(admission: AdmissionConfig) -> WebService {
     WebService::new(cfg, AuthService::new(clock.clone()), broker, clock)
 }
 
-/// The YAML `admission:` block is the operator's interface; the service
-/// takes a plain `AdmissionConfig`. The mapping is field-for-field — this
-/// pins it so a new knob cannot silently exist in one and not the other.
+/// The YAML `admission:` block is the operator's interface, and the type
+/// it parses into is the one the service takes: a new knob cannot exist in
+/// one and not the other.
 #[test]
 fn admission_spec_maps_field_for_field_onto_admission_config() {
-    let spec = AdmissionSpec::from_yaml(
+    let cfg: AdmissionConfig = AdmissionSpec::from_yaml(
         "admission:\n  enabled: true\n  rate_per_sec: 42\n  burst: 7\n  max_inflight: 3\n  retry_after_cap_ms: 900\n  brownout_threshold_ms: 1500\n  brownout_min_priority: 2\n",
     )
     .unwrap();
-    let cfg = AdmissionConfig {
-        enabled: spec.enabled,
-        rate_per_sec: spec.rate_per_sec,
-        burst: spec.burst,
-        max_inflight: spec.max_inflight,
-        retry_after_cap_ms: spec.retry_after_cap_ms,
-        brownout_threshold_ms: spec.brownout_threshold_ms,
-        brownout_min_priority: spec.brownout_min_priority,
-    };
     assert_eq!(
         cfg,
         AdmissionConfig {

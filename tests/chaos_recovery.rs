@@ -5,7 +5,9 @@
 //! reaches a terminal state (no hangs, no lost tasks) and the SDK observes
 //! each result exactly once (no duplicated side effects).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,6 +27,8 @@ use gcx::core::value::Value;
 use gcx::endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use gcx::mq::{Broker, FaultDirection, FaultPlan, FaultRule, LinkProfile};
 use gcx::sdk::{Executor, ExecutorConfig, MpiFunction, PyFunction, ShellFunction, TaskFuture};
+
+use common::{assert_observed_exactly, observe};
 
 /// The engine the generic chaos scenarios run on: `GCX_CHAOS_ENGINE` selects
 /// `GlobusComputeEngine` (default), `GlobusMPIEngine`, or `ThreadEngine` —
@@ -55,34 +59,6 @@ fn virtual_service(heartbeat_timeout_ms: u64) -> (Arc<VirtualClock>, WebService)
     );
     let svc = WebService::new(cfg, AuthService::new(clock.clone()), broker, clock);
     (vclock, svc)
-}
-
-/// Count every resolution the SDK observes; a duplicate delivery that
-/// re-resolved a future would be visible as `resolutions > futures`.
-fn observe(futures: &[TaskFuture]) -> Arc<AtomicUsize> {
-    let resolutions = Arc::new(AtomicUsize::new(0));
-    for f in futures {
-        let r = Arc::clone(&resolutions);
-        f.on_done(move |_| {
-            r.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    resolutions
-}
-
-/// Assert the SDK observed exactly `expect` resolutions. Completion
-/// callbacks fire just after `result()` waiters wake, so allow a short
-/// settling window before the count is final.
-fn assert_observed_exactly(resolutions: &AtomicUsize, expect: usize) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while resolutions.load(Ordering::SeqCst) < expect && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        resolutions.load(Ordering::SeqCst),
-        expect,
-        "the SDK must observe each result exactly once"
-    );
 }
 
 /// The headline scenario: an endpoint agent dies mid-workload — after
@@ -271,22 +247,8 @@ fn workload_completes_under_message_drops_and_duplicates() {
     svc.shutdown();
 }
 
-/// The chaos seed: `GCX_CHAOS_SEED` (decimal or `0x`-hex) when set, a fixed
-/// default otherwise. CI runs the suite under several fixed seeds; the
-/// probabilistic fault rules draw differently under each, so the recovery
-/// paths are exercised from different interleavings while the acceptance
-/// bar (100% completion, exactly-once) stays seed-independent.
 fn chaos_seed() -> u64 {
-    std::env::var("GCX_CHAOS_SEED")
-        .ok()
-        .and_then(|s| {
-            let s = s.trim().to_string();
-            match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(0xC4A0_5EED)
+    common::chaos_seed(0xC4A0_5EED)
 }
 
 /// The resource-fault headline scenario (ISSUE 2): a three-partition site

@@ -13,7 +13,9 @@
 //! `GCX_CHAOS_SEED`, then a fixed default) seeds the workload shape — task
 //! counts and fault points — so CI sweeps a matrix of cut points.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,19 +34,10 @@ use gcx::core::wire::{
 use gcx::mq::{Broker, LinkProfile};
 use gcx::sdk::{Executor, ExecutorConfig, Link, PyFunction, TaskFuture, WireClientConfig};
 
+use common::{assert_observed_exactly, observe};
+
 fn chaos_seed() -> u64 {
-    let parse = |s: String| {
-        let s = s.trim().to_string();
-        match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => s.parse().ok(),
-        }
-    };
-    std::env::var("GCX_CHAOS_TRANSPORT")
-        .ok()
-        .and_then(parse)
-        .or_else(|| std::env::var("GCX_CHAOS_SEED").ok().and_then(parse))
-        .unwrap_or(0x71A5_0011)
+    common::seed_from_env("GCX_CHAOS_TRANSPORT").unwrap_or_else(|| common::chaos_seed(0x71A5_0011))
 }
 
 /// Tiny deterministic generator (splitmix64) for seed-derived workload
@@ -91,31 +84,6 @@ fn wire_cfg() -> WireClientConfig {
         call_timeout: Duration::from_secs(5),
         ..WireClientConfig::default()
     }
-}
-
-/// Count every resolution the SDK observes; a duplicate delivery that
-/// re-resolved a future would show as `resolutions > futures`.
-fn observe(futures: &[TaskFuture]) -> Arc<AtomicUsize> {
-    let resolutions = Arc::new(AtomicUsize::new(0));
-    for f in futures {
-        let r = Arc::clone(&resolutions);
-        f.on_done(move |_| {
-            r.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    resolutions
-}
-
-fn assert_observed_exactly(resolutions: &AtomicUsize, expect: usize) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while resolutions.load(Ordering::SeqCst) < expect && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        resolutions.load(Ordering::SeqCst),
-        expect,
-        "the SDK must observe each result exactly once"
-    );
 }
 
 /// Every task trace must link submit → result with exactly one `result`
