@@ -1001,6 +1001,59 @@ mod tests {
         fed.shutdown();
     }
 
+    /// The `execute` leg is stamped where the result lands, so a task has
+    /// it whichever replica its endpoint's session is connected to — the
+    /// session's own replica holds the record of one task in three.
+    #[test]
+    fn every_task_has_one_execute_span_whichever_replica_serves_it() {
+        let fed = Federation::new(3, SystemClock::shared());
+        let r0 = fed.replica(0).unwrap();
+        let token = fed.auth().login("u@x.y").unwrap().1;
+        let fid = r0
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = r0
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let t = Duration::from_secs(2);
+        let mut traces = Vec::new();
+        for serving in 0..3 {
+            let session = fed
+                .replica(serving)
+                .unwrap()
+                .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+                .unwrap();
+            let specs = (0..3).map(|owner| spec_owned_by(&fed, owner, fid, reg.endpoint_id));
+            let ids = r0.submit_batch(&token, specs.collect()).unwrap();
+            for n in 0..ids.len() {
+                let (spec, tag) = session.next_task(t).unwrap().expect("task delivered");
+                if n % 2 == 0 {
+                    session
+                        .report_state(spec.task_id, TaskState::Running)
+                        .unwrap();
+                }
+                session
+                    .publish_result(spec.task_id, &TaskResult::ok(1.into()))
+                    .unwrap();
+                session.ack_task(tag).unwrap();
+                traces.push((serving, spec.trace.expect("tracing is on by default")));
+            }
+            for id in ids {
+                let owner = fed.replica(fed.owner_of(id.uuid()).unwrap()).unwrap();
+                let done = || owner.task_record(id).is_ok_and(|r| r.state.is_terminal());
+                assert!(wait_until(t, done), "task {id} never completed");
+            }
+        }
+        let read = fed.tracer().traces();
+        for (serving, ctx) in traces {
+            let td = read.iter().find(|td| td.trace_id == ctx.trace_id).unwrap();
+            let executes = td.spans_named("execute").count();
+            assert_eq!(executes, 1, "session on r{serving}: {td:?}");
+            assert!(td.orphan_spans().is_empty());
+        }
+        fed.shutdown();
+    }
+
     // ---- a task owned here behaves the same however it got here ----------
 
     fn wait_until(limit: Duration, mut ok: impl FnMut() -> bool) -> bool {

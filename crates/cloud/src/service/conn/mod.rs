@@ -575,6 +575,14 @@ mod tests {
             let mut legs = vec!["submit", "queue", "execute", "result"];
             legs.extend(running.then_some("dispatch"));
             assert_legs(svc.tracer(), &ctx, &legs);
+            // `execute` runs from the Running report (or, with none, from
+            // nothing) to the agent's publish stamp, where `result` starts.
+            let td = svc.tracer().trace(ctx.trace_id).unwrap();
+            let leg = |name| td.spans_named(name).next().unwrap();
+            assert_eq!(leg("execute").end_ms, leg("result").start_ms);
+            let started = running.then(|| leg("dispatch").end_ms);
+            let from = started.unwrap_or(leg("execute").end_ms);
+            assert_eq!(leg("execute").start_ms, from);
             let pushed = stream.consumer.next(T).unwrap().expect("pushed result");
             assert_eq!(pushed.message.headers.trace, Some(ctx));
             stream.consumer.ack(pushed.tag).unwrap();

@@ -164,22 +164,29 @@ impl WebService {
             }
             bytes_in += payload_len + SPEC_WIRE_OVERHEAD;
 
-            let target = self.endpoint_record(spec.endpoint_id)?;
-            target.policy.evaluate(&who.identity, who.auth_time, now)?;
-            if !self.inner.functions.contains_key(&spec.function_id) {
-                return Err(GcxError::FunctionNotFound(spec.function_id));
-            }
-            if !target.function_allowed(spec.function_id) {
-                return Err(GcxError::Forbidden(format!(
-                    "function {} is not in endpoint {}'s allowed list",
-                    spec.function_id, spec.endpoint_id
-                )));
-            }
+            // The target's policy and allowed list are checked where the
+            // record lives; only a multi-user endpoint's is copied out.
+            let function_known = self.inner.functions.contains_key(&spec.function_id);
+            let mep = self.inner.endpoints.with(&spec.endpoint_id, |target| {
+                let target = target.ok_or(GcxError::EndpointNotFound(spec.endpoint_id))?;
+                target.policy.evaluate(&who.identity, who.auth_time, now)?;
+                if !function_known {
+                    return Err(GcxError::FunctionNotFound(spec.function_id));
+                }
+                if !target.function_allowed(spec.function_id) {
+                    return Err(GcxError::Forbidden(format!(
+                        "function {} is not in endpoint {}'s allowed list",
+                        spec.function_id, spec.endpoint_id
+                    )));
+                }
+                Ok(target.multi_user.then(|| target.clone()))
+            })?;
             // Resolve MEP targets to a user endpoint (spawning if needed).
-            let deliver_to = if target.multi_user {
-                self.resolve_user_endpoint(&target, &who.identity, &spec.user_endpoint_config)?
-            } else {
-                spec.endpoint_id
+            let deliver_to = match &mep {
+                Some(mep) => {
+                    self.resolve_user_endpoint(mep, &who.identity, &spec.user_endpoint_config)?
+                }
+                None => spec.endpoint_id,
             };
             // Content-addressed dedup: intern the payload and ship a
             // 16-byte reference when the bytes are already cached (a

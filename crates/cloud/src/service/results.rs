@@ -153,19 +153,27 @@ impl WebService {
         let now = self.inner.clock.now_ms();
 
         // None = duplicate delivery of an already-terminal task.
-        let (owner, trace, submitted_at) = self.inner.tasks.update(&task_id, |rec| {
-            let rec = rec.ok_or(GcxError::TaskNotFound(task_id))?;
-            if rec.state.is_terminal() {
-                return Ok((None, rec.spec.trace, rec.submitted_at));
-            }
-            if rec.state == TaskState::Received || rec.state == TaskState::WaitingForNodes {
-                // The endpoint may complete so fast the Running report races
-                // behind the result.
-                rec.transition(TaskState::Running, now)?;
-            }
-            rec.complete(result.clone(), now)?;
-            Ok((Some(rec.owner), rec.spec.trace, rec.submitted_at))
-        })?;
+        let (owner, trace, submitted_at, started_at) =
+            self.inner.tasks.update(&task_id, |rec| {
+                let rec = rec.ok_or(GcxError::TaskNotFound(task_id))?;
+                if rec.state.is_terminal() {
+                    return Ok((None, rec.spec.trace, rec.submitted_at, None));
+                }
+                // As reported, before the catch-up below stamps its own.
+                let started_at = rec.started_at;
+                if rec.state == TaskState::Received || rec.state == TaskState::WaitingForNodes {
+                    // The endpoint may complete so fast the Running report races
+                    // behind the result.
+                    rec.transition(TaskState::Running, now)?;
+                }
+                rec.complete(result.clone(), now)?;
+                Ok((
+                    Some(rec.owner),
+                    rec.spec.trace,
+                    rec.submitted_at,
+                    started_at,
+                ))
+            })?;
         let Some(owner) = owner else {
             // Duplicate delivery after an endpoint retry — drop it.
             self.inner.m.duplicate_results_dropped.inc();
@@ -192,7 +200,14 @@ impl WebService {
                 .record(now.saturating_sub(sent));
         }
         let tracer = &self.inner.tracer;
-        tracer.record_span_and_end(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
+        if let Some(sent) = sent_ms {
+            // Execute leg: Running stamp → result published by the agent.
+            // Stamped here, where the record is open anyway — the session
+            // that published may sit on a replica that does not hold it.
+            tracer.record_span(trace.as_ref(), "execute", started_at.unwrap_or(sent), sent);
+        }
+        tracer.record_span(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
+        tracer.end_trace(trace.as_ref());
 
         // Push to all of the owner's open streams. The trace context rides
         // a queue header so the wire layer can stamp server-push Result

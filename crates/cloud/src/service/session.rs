@@ -136,20 +136,9 @@ impl EndpointSession {
         } else {
             result
         };
-        let tracer = &self.cloud.inner.tracer;
+        // The publish stamp rides the envelope: it ends the task's `execute`
+        // leg and starts its `result` leg where the result lands.
         let now = self.cloud.inner.clock.now_ms();
-        if tracer.enabled() {
-            // Execute leg: Running stamp → result published by the agent.
-            let mut traced = None;
-            self.cloud.inner.tasks.with(&task_id, |rec| {
-                if let Some(rec) = rec {
-                    traced = rec.spec.trace.map(|ctx| (ctx, rec.started_at));
-                }
-            });
-            if let Some((ctx, started_at)) = traced {
-                tracer.record_span(Some(&ctx), "execute", started_at.unwrap_or(now), now);
-            }
-        }
         self.cloud.inner.broker.publish(
             RESULT_QUEUE,
             Message::new(result.to_envelope(task_id, Some(now))),

@@ -52,16 +52,17 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 /// Heap allocations per task for the round trip, tracer at the product
-/// default. Today 13.3: the spec's payload and its record, the task message
+/// default. Today 11.2: the spec's payload and its record, the task message
 /// and the two result envelopes (a buffer and its refcount each), the
-/// decoded results, the trace's one span block. It was 53.3 when headers
+/// decoded results. It was 13.2 while every trace owned a span block and
+/// every submitted task cloned its endpoint's record, and 53.3 when headers
 /// were string maps and spans owned their names.
 const ALLOCS_PER_TASK: f64 = 24.0;
 
-/// What tracing every task may add per task over tracing none. Today 1.0:
-/// the span block (the collector's maps sit at their retention bound). It
-/// was 37.
-const TRACING_ALLOCS_PER_TASK: f64 = 3.0;
+/// What tracing every task may add per task over tracing none. Today 0.0:
+/// a span is an entry appended to its thread's ring (the warm-up grows
+/// the rings to their bound). It was 1.0 (the span block), and 37.
+const TRACING_ALLOCS_PER_TASK: f64 = 1.0;
 
 const BATCHES: usize = 16;
 const BATCH: usize = 128;
@@ -122,8 +123,8 @@ fn round_trip_allocations(trace: TraceConfig) -> f64 {
     };
 
     // Warm up past the trace collector's retention bound (4 096), so maps,
-    // queues and buffers are at their working size and every new trace
-    // evicts an old one, as in steady state.
+    // queues, buffers and the tracer's rings are at their working size and
+    // every new trace overwrites an old one, as in steady state.
     round_trip(2 * BATCHES + 2);
     let allocations = allocations_in(|| round_trip(BATCHES));
     drop(stream);

@@ -29,8 +29,8 @@
 //! - [`metrics`] — lightweight atomic counters and histograms used by the
 //!   benchmark harness to meter bytes over the wire, request counts, etc.
 //! - [`trace`] — task-lifecycle tracing: trace/span contexts carried
-//!   through the task envelope, a lock-sharded bounded collector, and a
-//!   leveled rate-limited JSON-lines event sink.
+//!   through the task envelope, and a bounded collector kept as a log of
+//!   per-thread rings that reads assemble.
 //! - [`expo`] — Prometheus-text and JSON exposition of metrics registries
 //!   and trace summaries.
 //! - [`flight`] — the black-box flight recorder: a bounded lock-sharded

@@ -1,35 +1,32 @@
-//! Task-lifecycle tracing: trace/span contexts and a lock-sharded in-memory
-//! collector with bounded retention. (Cold-path *events* — faults,
-//! rejections, handovers — go to [`crate::flight`], the one event ring.)
+//! Task-lifecycle tracing: trace/span contexts and an in-memory collector
+//! kept as a log. (Cold-path *events* — faults, rejections, handovers — go
+//! to [`crate::flight`], the one event ring.)
 //!
 //! The paper's performance story (§V) decomposes task latency into legs —
 //! SDK submit, web-service buffering, queue transit, endpoint dispatch,
-//! worker execution, result return. This module gives every task a causally
-//! linked timeline across all of those layers, in the spirit of Dapper-style
-//! low-overhead tracers: a root span is opened at submission, each leg is
-//! recorded as a child span stamped from the shared [`Clock`], and fault
-//! events (drops, redeliveries, dead-letters) land as annotations on the
-//! affected trace.
+//! worker execution, result return. Every task gets a causally linked
+//! timeline across those layers, Dapper-style: a root span opened at
+//! submission, each leg a child span stamped from the shared [`Clock`],
+//! fault events (drops, redeliveries, dead-letters) as annotations.
 //!
-//! Design constraints, in order:
-//!
-//! 1. **Zero cost when disabled.** A [`Tracer`] is an `Option<Arc<..>>`
-//!    inside; every operation on a disabled tracer (or with a `None`
-//!    context) returns before allocating anything. Sampled-out submissions
-//!    simply never receive a context, so every downstream call no-ops.
-//! 2. **Dependency-free.** Spans live in plain `HashMap`s behind sharded
-//!    mutexes.
-//! 3. **Bounded.** The collector retains at most `capacity` traces (oldest
-//!    evicted first) and at most `max_spans_per_trace` spans per trace, so
-//!    a soak run cannot grow without limit.
+//! 1. **Zero cost when disabled.** A [`Tracer`] is an `Option<Arc<..>>`;
+//!    a disabled tracer or a `None` context (what a sampled-out submission
+//!    gets) returns before doing anything.
+//! 2. **A write is an append.** Each thread owns a ring per tracer; a write
+//!    pushes one fixed-size entry to it — no shared lock, lookup or
+//!    allocation. Reads are rare, so they do the work: cut all rings at
+//!    once and assemble [`TraceData`] from the entries.
+//! 3. **Bounded, and whole.** Rings overwrite their oldest entries. A read
+//!    returns at most `capacity` traces of at most `max_spans_per_trace`
+//!    spans, and never one that an overwrite may have put a hole in.
 //!
 //! [`Clock`]: crate::clock::Clock
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -70,7 +67,7 @@ pub struct SpanId(pub u64);
 impl SpanId {
     /// A fresh random non-zero span id.
     pub fn random() -> Self {
-        Self((Uuid::new_v4().0 as u64) | 1)
+        Self(rand::RngCore::next_u64(&mut rand::thread_rng()) | 1)
     }
 }
 
@@ -121,12 +118,14 @@ impl TraceContext {
 /// Collector limits.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceConfig {
-    /// Record every Nth submission (1 = all, 0 = none). Sampled-out
-    /// submissions never get a context, so their whole path stays free.
+    /// Record every Nth submission of each submitting thread (1 = all,
+    /// 0 = none). Sampled-out submissions never get a context, so their
+    /// whole path stays free.
     pub sample_every: u64,
-    /// Maximum retained traces across all shards; oldest evicted first.
+    /// Most traces a read returns, the newest; it also sizes each
+    /// thread's ring.
     pub capacity: usize,
-    /// Maximum spans kept per trace (excess counted, not stored).
+    /// Most spans a read returns per trace (it counts the excess).
     pub max_spans_per_trace: usize,
 }
 
@@ -158,18 +157,6 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// A completed, unannotated child of `ctx.parent` with a fresh id.
-    fn child(ctx: &TraceContext, name: &'static str, start_ms: TimeMs, end_ms: TimeMs) -> Self {
-        Self {
-            id: SpanId::random(),
-            parent: Some(ctx.parent),
-            name,
-            start_ms,
-            end_ms,
-            annotations: Vec::new(),
-        }
-    }
-
     /// Span duration (saturating, so clock skew never underflows).
     pub fn duration_ms(&self) -> u64 {
         self.end_ms.saturating_sub(self.start_ms)
@@ -185,7 +172,7 @@ pub struct TraceData {
     pub label: &'static str,
     /// Root span id (also present in `spans` with `parent: None`).
     pub root: SpanId,
-    /// All spans, in recording order.
+    /// All spans: the root, then the rest by start stamp.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -237,81 +224,214 @@ pub struct LegStats {
     pub max_ms: u64,
 }
 
-const SHARDS: usize = 16;
-const MAX_ANNOTATIONS: usize = 64;
-/// Span slots a trace is created with: the root plus the normal lifecycle
-/// (submit, queue, dispatch, execute, result and the four wire legs), so
-/// recording a leg never grows the block and evicting a trace frees one.
-const LIFECYCLE_SPANS: usize = 10;
+/// Ring entries per trace of `TraceConfig::capacity`. Most threads write a
+/// task one or two, so their rings hold the newest `capacity` traces whole;
+/// the batcher's holds two thirds (`submit`, the adoption and its span). A
+/// longer ring reads little more and costs cache: 4 was 4 MiB heavier, no faster.
+const RING_ENTRIES_PER_TRACE: usize = 2;
+/// How often a ring reads the clock into a [`Kind::Stamp`] entry of its
+/// own — what lets a reader date what the ring has overwritten.
+const STAMP_EVERY: usize = 64;
 
+/// What one log entry says. A reader sorts a trace's entries in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    /// `start_trace`: `span` roots a trace minted here, labelled `name`.
+    Mint,
+    /// `adopt_trace*`: the same for a trace minted elsewhere.
+    Adopt,
+    /// A completed child span.
+    Span,
+    /// `adopt_trace_with_span`'s span: kept if the `Adopt` before it opened the trace.
+    SpanIfOpened,
+    /// `end_trace`: the root closed at `end_ms`.
+    End,
+    /// `annotate`: `notes` go on span `span`, stamped `end_ms`.
+    Note,
+    /// The ring's clock reading: all before it was pushed by `end_ms`.
+    Stamp,
+}
+
+/// One fixed-size log entry; `notes` is empty (and unallocated) unless the
+/// write carried annotations.
+#[derive(Debug, Clone)]
+struct Entry {
+    kind: Kind,
+    trace: TraceId,
+    span: SpanId,
+    parent: SpanId,
+    name: &'static str,
+    start_ms: TimeMs,
+    end_ms: TimeMs,
+    notes: Vec<String>,
+}
+
+impl Entry {
+    fn new(
+        kind: Kind,
+        ctx: &TraceContext,
+        span: SpanId,
+        name: &'static str,
+        start_ms: TimeMs,
+        end_ms: TimeMs,
+    ) -> Self {
+        Self {
+            kind,
+            trace: ctx.trace_id,
+            span,
+            parent: ctx.parent,
+            name,
+            start_ms,
+            end_ms,
+            notes: Vec::new(),
+        }
+    }
+
+    /// The span a `Mint`, `Adopt`, `Span` or `SpanIfOpened` entry records.
+    fn to_span(&self) -> SpanRecord {
+        let root = matches!(self.kind, Kind::Mint | Kind::Adopt);
+        let notes = self.notes.iter().map(|n| (self.end_ms, n.clone()));
+        SpanRecord {
+            id: self.span,
+            parent: (!root).then_some(self.parent),
+            name: self.name,
+            start_ms: self.start_ms,
+            end_ms: self.end_ms,
+            annotations: notes.collect(),
+        }
+    }
+}
+
+/// One thread's append-only log for one tracer: a vector grown lazily to
+/// the tracer's ring bound, then overwritten oldest first.
 #[derive(Default)]
-struct Shard {
-    traces: HashMap<TraceId, TraceData>,
-    order: VecDeque<TraceId>,
+struct Ring {
+    entries: Vec<Entry>,
+    /// Slot of the next push: the oldest entry's, once `wrapped`.
+    next: usize,
+    wrapped: bool,
+    /// `start_trace` calls this thread has made (sampling counts per thread).
+    submissions: u64,
 }
 
-impl Shard {
-    /// Create the entry for `trace_id` with its root span, evicting the
-    /// shard's oldest trace if the retention bound is reached.
-    fn open(
-        &mut self,
-        inner: &TracerInner,
-        trace_id: TraceId,
-        root: SpanId,
-        label: &'static str,
-        now: TimeMs,
-    ) -> &mut TraceData {
-        if self.order.len() >= inner.per_shard {
-            if let Some(old) = self.order.pop_front() {
-                self.traces.remove(&old);
-                inner.evicted.fetch_add(1, Ordering::Relaxed);
-            }
+impl Ring {
+    fn push(&mut self, tracer: &TracerInner, entry: Entry) {
+        if self.next.is_multiple_of(STAMP_EVERY) {
+            let stamp = Entry {
+                kind: Kind::Stamp,
+                end_ms: tracer.clock.now_ms(),
+                notes: Vec::new(),
+                ..entry
+            };
+            self.put(tracer.bound, stamp);
         }
-        self.order.push_back(trace_id);
-        let mut spans = Vec::with_capacity(LIFECYCLE_SPANS);
-        spans.push(SpanRecord {
-            id: root,
-            parent: None,
-            name: label,
-            start_ms: now,
-            end_ms: now,
-            annotations: Vec::new(),
-        });
-        self.traces.entry(trace_id).or_insert(TraceData {
-            trace_id,
-            label,
-            root,
-            spans,
-        })
+        self.put(tracer.bound, entry);
+    }
+
+    fn put(&mut self, bound: usize, entry: Entry) {
+        match self.entries.get_mut(self.next) {
+            Some(old) => (*old, self.wrapped) = (entry, true),
+            None => self.entries.push(entry),
+        }
+        self.next = (self.next + 1) & (bound - 1);
+    }
+
+    /// The entries still held, oldest first.
+    fn survivors(&self) -> impl Iterator<Item = &Entry> {
+        let (newer, older) = self.entries.split_at(self.next);
+        older.iter().chain(newer)
+    }
+
+    /// If this ring has overwritten anything: a time no earlier than the
+    /// last overwritten push — the oldest stamp it still holds.
+    fn horizon(&self) -> Option<TimeMs> {
+        let oldest = self.survivors().find(|e| e.kind == Kind::Stamp);
+        self.wrapped
+            .then(|| oldest.map_or(TimeMs::MAX, |e| e.end_ms))
     }
 }
 
-impl TraceData {
-    /// Store `span`, or count it against the per-trace cap.
-    fn push(&mut self, inner: &TracerInner, span: SpanRecord) {
-        if self.spans.len() >= inner.cfg.max_spans_per_trace {
-            inner.span_overflow.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.spans.push(span);
-        }
-    }
-
-    fn close_root(&mut self, now: TimeMs) {
-        let root = self.root;
-        if let Some(span) = self.spans.iter_mut().find(|s| s.id == root) {
-            span.end_ms = now;
-        }
-    }
+/// Every ring of one tracer. A reader holds this lock for its whole cut; a
+/// writer takes it once, to register its thread's ring.
+#[derive(Default)]
+struct Rings {
+    /// One per live thread that has written.
+    live: Vec<Arc<Mutex<Ring>>>,
+    /// What the rings of exited threads still held, in order of exit.
+    retired: Ring,
+    /// Horizon of what exited threads' rings had overwritten.
+    lost_before: Option<TimeMs>,
 }
 
 struct TracerInner {
     clock: SharedClock,
     cfg: TraceConfig,
-    per_shard: usize,
-    submissions: AtomicU64,
-    evicted: AtomicU64,
-    span_overflow: AtomicU64,
-    shards: Vec<Mutex<Shard>>,
+    /// Entries a ring holds before it overwrites; a power of two.
+    bound: usize,
+    rings: Mutex<Rings>,
+}
+
+/// The calling thread's rings, one per tracer it has written to. A held
+/// `Weak` keeps the tracer's address from being reused, so it is identity.
+struct ThreadRings(Vec<(Weak<TracerInner>, Arc<Mutex<Ring>>)>);
+
+thread_local! {
+    static RINGS: RefCell<ThreadRings> = const { RefCell::new(ThreadRings(Vec::new())) };
+}
+
+impl Drop for ThreadRings {
+    /// Thread exit: each ring's entries go to its tracer's retired ring,
+    /// so thread churn neither leaks rings nor loses spans.
+    fn drop(&mut self) {
+        for (tracer, ring) in self.0.drain(..) {
+            let Some(tracer) = tracer.upgrade() else {
+                continue;
+            };
+            let mut rings = tracer.rings.lock();
+            rings.live.retain(|r| !Arc::ptr_eq(r, &ring));
+            let ring = ring.lock();
+            rings.lost_before = rings.lost_before.max(ring.horizon());
+            for entry in ring.survivors().filter(|e| e.kind != Kind::Stamp) {
+                rings.retired.push(&tracer, entry.clone());
+            }
+        }
+    }
+}
+
+impl TracerInner {
+    /// Run `f` on the calling thread's ring, under that ring's own lock —
+    /// the only lock, lookup or shared memory on a write.
+    fn write<R>(self: &Arc<Self>, f: impl FnOnce(&mut Ring) -> R) -> R {
+        RINGS.with(|rings| {
+            let rings = &mut rings.borrow_mut().0;
+            let me = Arc::as_ptr(self);
+            let at = rings.iter().position(|(t, _)| t.as_ptr() == me);
+            let at = at.unwrap_or_else(|| {
+                // This thread's first write here; dead tracers' rings go.
+                rings.retain(|(t, _)| t.strong_count() > 0);
+                let ring = Arc::new(Mutex::new(Ring::default()));
+                self.rings.lock().live.push(ring.clone());
+                rings.push((Arc::downgrade(self), ring));
+                rings.len() - 1
+            });
+            let mut ring = rings[at].1.lock();
+            f(&mut ring)
+        })
+    }
+
+    fn push(self: &Arc<Self>, entry: Entry) {
+        self.write(|ring| ring.push(self, entry));
+    }
+}
+
+/// What a read assembles from one cut of the log.
+#[derive(Default)]
+struct View {
+    traces: Vec<TraceData>,
+    /// Traces the log still opens but a read no longer returns.
+    evicted: u64,
+    /// Spans beyond `max_spans_per_trace` in the returned traces.
+    overflowed: u64,
 }
 
 /// Handle to the tracing subsystem. Cloning shares the collector. A
@@ -324,25 +444,19 @@ pub struct Tracer(Option<Arc<TracerInner>>);
 /// from [`Tracer::span`], which returns `None` for untraced tasks — pass
 /// the `Option` straight back to `finish`.
 #[derive(Debug)]
-pub struct ActiveSpan {
-    ctx: TraceContext,
-    id: SpanId,
-    name: &'static str,
-    start_ms: TimeMs,
-    notes: Vec<String>,
-}
+pub struct ActiveSpan(Entry);
 
 impl ActiveSpan {
     /// Attach a note; stamped with the span's end time at `finish`.
     pub fn note(&mut self, msg: String) {
-        self.notes.push(msg);
+        self.0.notes.push(msg);
     }
 
     /// A child context parented to this span (for nested instrumentation).
     pub fn context(&self) -> TraceContext {
         TraceContext {
-            trace_id: self.ctx.trace_id,
-            parent: self.id,
+            trace_id: self.0.trace,
+            parent: self.0.span,
         }
     }
 }
@@ -355,15 +469,14 @@ impl Tracer {
 
     /// An enabled tracer stamping spans from `clock`.
     pub fn new(clock: SharedClock, cfg: TraceConfig) -> Self {
-        let per_shard = (cfg.capacity / SHARDS).max(1);
         Self(Some(Arc::new(TracerInner {
             clock,
-            per_shard,
-            submissions: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            span_overflow: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            // Room for the newest `capacity` traces, and for a stamp.
+            bound: (cfg.capacity * RING_ENTRIES_PER_TRACE)
+                .max(2 * STAMP_EVERY)
+                .next_power_of_two(),
             cfg,
+            rings: Mutex::default(),
         })))
     }
 
@@ -377,14 +490,6 @@ impl Tracer {
         self.0.as_ref().map_or(0, |i| i.clock.now_ms())
     }
 
-    fn shard_index(id: TraceId) -> usize {
-        (id.0 .0 as usize) % SHARDS
-    }
-
-    fn shard(inner: &TracerInner, id: TraceId) -> &Mutex<Shard> {
-        &inner.shards[Self::shard_index(id)]
-    }
-
     /// Begin a new trace, subject to sampling. Returns the context the
     /// caller must thread through the task envelope; `None` means this
     /// submission is untraced and every downstream call will no-op.
@@ -394,37 +499,39 @@ impl Tracer {
         if every == 0 {
             return None;
         }
-        let n = inner.submissions.fetch_add(1, Ordering::Relaxed);
-        if n % every != 0 {
-            return None;
-        }
-        let trace_id = TraceId::random();
-        let root = SpanId::random();
-        let now = inner.clock.now_ms();
-        Self::shard(inner, trace_id)
-            .lock()
-            .open(inner, trace_id, root, label, now);
-        Some(TraceContext {
-            trace_id,
-            parent: root,
+        inner.write(|ring| {
+            ring.submissions += 1;
+            if (ring.submissions - 1) % every != 0 {
+                return None;
+            }
+            let ctx = TraceContext {
+                trace_id: TraceId::random(),
+                parent: SpanId::random(),
+            };
+            let now = inner.clock.now_ms();
+            let root = Entry::new(Kind::Mint, &ctx, ctx.parent, label, now, now);
+            ring.push(inner, root);
+            Some(ctx)
         })
     }
 
-    /// Adopt a trace minted by a *remote* peer: idempotently create a
-    /// collector entry whose root span is `ctx.parent`, so spans recorded
-    /// under the context on this side of a wire land somewhere instead of
-    /// being silently dropped (the collector only stores spans for traces
-    /// it knows about). Returns `true` only when the entry was newly
-    /// created.
-    pub fn adopt_trace(&self, ctx: &TraceContext, label: &'static str) -> bool {
-        self.adopt(ctx, label, None)
+    /// Adopt a trace minted by a *remote* peer: open it here with
+    /// `ctx.parent` as its root span, so spans recorded under the context
+    /// on this side of a wire land somewhere (a read returns spans only
+    /// for traces the log opens). Idempotent: a reader lets one open win —
+    /// a mint over an adoption, an earlier adoption over a later.
+    pub fn adopt_trace(&self, ctx: &TraceContext, label: &'static str) {
+        if let Some(inner) = self.0.as_ref() {
+            let now = inner.clock.now_ms();
+            inner.push(Entry::new(Kind::Adopt, ctx, ctx.parent, label, now, now));
+        }
     }
 
-    /// [`adopt_trace`](Self::adopt_trace) plus, only when the entry was
-    /// newly created, one child span — under the same lock and lookup.
-    /// This is how a once-per-trace leg (the server-side `submit` span) is
-    /// stamped without duplicating it when client and server share one
-    /// collector (the in-process path) or when a resubmission re-sends an
+    /// [`adopt_trace`](Self::adopt_trace) plus one child span that a
+    /// reader keeps only if this adoption is the open that won. This is
+    /// how a once-per-trace leg (the server-side `submit` span) is stamped
+    /// without duplicating it when client and server share one collector
+    /// (the in-process path) or when a resubmission re-sends an
     /// already-adopted context.
     pub fn adopt_trace_with_span(
         &self,
@@ -433,44 +540,22 @@ impl Tracer {
         name: &'static str,
         start_ms: TimeMs,
         end_ms: TimeMs,
-    ) -> bool {
-        self.adopt(ctx, label, Some((name, start_ms, end_ms)))
-    }
-
-    fn adopt(
-        &self,
-        ctx: &TraceContext,
-        label: &'static str,
-        span: Option<(&'static str, TimeMs, TimeMs)>,
-    ) -> bool {
-        let Some(inner) = self.0.as_ref() else {
-            return false;
-        };
-        let now = inner.clock.now_ms();
-        let mut shard = Self::shard(inner, ctx.trace_id).lock();
-        if shard.traces.contains_key(&ctx.trace_id) {
-            return false;
-        }
-        let td = shard.open(inner, ctx.trace_id, ctx.parent, label, now);
-        if let Some((name, start_ms, end_ms)) = span {
-            td.push(inner, SpanRecord::child(ctx, name, start_ms, end_ms));
-        }
-        true
-    }
-
-    fn push_span(&self, ctx: &TraceContext, span: SpanRecord) {
-        let Some(inner) = self.0.as_ref() else {
-            return;
-        };
-        let mut shard = Self::shard(inner, ctx.trace_id).lock();
-        if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-            td.push(inner, span);
+    ) {
+        if let Some(inner) = self.0.as_ref() {
+            let now = inner.clock.now_ms();
+            let root = Entry::new(Kind::Adopt, ctx, ctx.parent, label, now, now);
+            let id = SpanId::random();
+            let span = Entry::new(Kind::SpanIfOpened, ctx, id, name, start_ms, end_ms);
+            inner.write(|ring| {
+                ring.push(inner, root);
+                ring.push(inner, span);
+            })
         }
     }
 
-    /// Record a completed child span under `ctx`. No-op (and allocation
-    /// free) when the tracer is disabled or `ctx` is `None`; allocation
-    /// free on an existing trace within its normal lifecycle.
+    /// Record a completed child span under `ctx`: one append to the calling
+    /// thread's ring. No-op when the tracer is disabled or `ctx` is `None`;
+    /// allocation free either way.
     pub fn record_span(
         &self,
         ctx: Option<&TraceContext>,
@@ -478,64 +563,11 @@ impl Tracer {
         start_ms: TimeMs,
         end_ms: TimeMs,
     ) {
-        if let Some(ctx) = ctx.filter(|_| self.enabled()) {
-            self.push_span(ctx, SpanRecord::child(ctx, name, start_ms, end_ms));
-        }
-    }
-
-    /// Record one `name` span ending at `end_ms` per `(context, start)`
-    /// item, taking each collector shard's lock once for all of its items
-    /// rather than once per span — a flushed batch's `submit` legs.
-    pub fn record_spans(
-        &self,
-        name: &'static str,
-        end_ms: TimeMs,
-        items: &[(TraceContext, TimeMs)],
-    ) {
-        let Some(inner) = self.0.as_ref() else {
-            return;
-        };
-        let index = |ctx: &TraceContext| Self::shard_index(ctx.trace_id);
-        let present = items
-            .iter()
-            .fold(0u32, |mask, (ctx, _)| mask | 1 << index(ctx));
-        for (i, shard) in inner.shards.iter().enumerate() {
-            if present & (1 << i) == 0 {
-                continue;
-            }
-            let mut shard = shard.lock();
-            for (ctx, start_ms) in items.iter().filter(|(ctx, _)| index(ctx) == i) {
-                if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-                    td.push(inner, SpanRecord::child(ctx, name, *start_ms, end_ms));
-                }
-            }
-        }
-    }
-
-    /// Record a completed child span and close the root span, under one
-    /// lock and lookup: the `result` leg and the end of its trace always
-    /// travel together. Closing is idempotent, as in
-    /// [`end_trace`](Self::end_trace).
-    pub fn record_span_and_end(
-        &self,
-        ctx: Option<&TraceContext>,
-        name: &'static str,
-        start_ms: TimeMs,
-        end_ms: TimeMs,
-    ) {
-        let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) else {
-            return;
-        };
-        let now = inner.clock.now_ms();
-        let mut shard = Self::shard(inner, ctx.trace_id).lock();
-        if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-            td.push(inner, SpanRecord::child(ctx, name, start_ms, end_ms));
-            td.close_root(now);
-        }
+        self.record_span_annotated(ctx, name, start_ms, end_ms, Vec::new);
     }
 
     /// Record a completed child span with annotations built lazily — the
-    /// closure runs only when the span will actually be stored.
+    /// closure runs only on an enabled tracer with a context.
     pub fn record_span_annotated(
         &self,
         ctx: Option<&TraceContext>,
@@ -544,184 +576,178 @@ impl Tracer {
         end_ms: TimeMs,
         notes: impl FnOnce() -> Vec<String>,
     ) -> Option<SpanId> {
-        self.0.as_ref()?;
-        let ctx = ctx?;
-        let id = SpanId::random();
-        self.push_span(
-            ctx,
-            SpanRecord {
-                id,
-                parent: Some(ctx.parent),
-                name,
-                start_ms,
-                end_ms,
-                annotations: notes().into_iter().map(|n| (end_ms, n)).collect(),
-            },
-        );
+        let (inner, ctx, id) = (self.0.as_ref()?, ctx?, SpanId::random());
+        let mut span = Entry::new(Kind::Span, ctx, id, name, start_ms, end_ms);
+        span.notes = notes();
+        inner.push(span);
         Some(id)
     }
 
     /// Open a span starting now; time it with [`Tracer::finish`].
     pub fn span(&self, ctx: Option<&TraceContext>, name: &'static str) -> Option<ActiveSpan> {
-        let inner = self.0.as_ref()?;
-        let ctx = *ctx?;
-        Some(ActiveSpan {
-            ctx,
-            id: SpanId::random(),
-            name,
-            start_ms: inner.clock.now_ms(),
-            notes: Vec::new(),
-        })
+        let now = self.0.as_ref()?.clock.now_ms();
+        let span = Entry::new(Kind::Span, ctx?, SpanId::random(), name, now, now);
+        Some(ActiveSpan(span))
     }
 
     /// Close and record an open span (no-op on `None`).
     pub fn finish(&self, span: Option<ActiveSpan>) {
-        let Some(inner) = self.0.as_ref() else {
-            return;
-        };
-        let Some(span) = span else {
-            return;
-        };
-        let end = inner.clock.now_ms();
-        self.push_span(
-            &span.ctx,
-            SpanRecord {
-                id: span.id,
-                parent: Some(span.ctx.parent),
-                name: span.name,
-                start_ms: span.start_ms,
-                end_ms: end,
-                annotations: span.notes.into_iter().map(|n| (end, n)).collect(),
-            },
-        );
+        if let (Some(inner), Some(ActiveSpan(mut span))) = (self.0.as_ref(), span) {
+            span.end_ms = inner.clock.now_ms();
+            inner.push(span);
+        }
     }
 
     /// Append a timestamped annotation to the span `ctx` points at (the
-    /// root, for task contexts). The message closure runs only when the
-    /// annotation will be stored.
+    /// root, for task contexts). The message closure runs only on an
+    /// enabled tracer with a context.
     pub fn annotate(&self, ctx: Option<&TraceContext>, msg: impl FnOnce() -> String) {
-        let Some(inner) = self.0.as_ref() else {
-            return;
-        };
-        let Some(ctx) = ctx else {
-            return;
-        };
-        let now = inner.clock.now_ms();
-        let mut shard = Self::shard(inner, ctx.trace_id).lock();
-        if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-            if let Some(span) = td.spans.iter_mut().find(|s| s.id == ctx.parent) {
-                if span.annotations.len() < MAX_ANNOTATIONS {
-                    span.annotations.push((now, msg()));
-                }
-            }
+        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
+            let now = inner.clock.now_ms();
+            let mut note = Entry::new(Kind::Note, ctx, ctx.parent, "", now, now);
+            note.notes.push(msg());
+            inner.push(note);
         }
     }
 
     /// Close the root span (idempotent — re-deliveries after completion
     /// just move the end stamp forward).
     pub fn end_trace(&self, ctx: Option<&TraceContext>) {
-        let Some(inner) = self.0.as_ref() else {
-            return;
-        };
-        let Some(ctx) = ctx else {
-            return;
-        };
-        let now = inner.clock.now_ms();
-        let mut shard = Self::shard(inner, ctx.trace_id).lock();
-        if let Some(td) = shard.traces.get_mut(&ctx.trace_id) {
-            td.close_root(now);
+        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
+            let now = inner.clock.now_ms();
+            inner.push(Entry::new(Kind::End, ctx, ctx.parent, "", now, now));
         }
     }
 
-    /// Snapshot of one trace.
+    /// Assemble what a read returns from one cut of the log: every write
+    /// that returned before the cut is in it, none that began after.
+    fn read(&self) -> View {
+        let Some(inner) = self.0.as_ref() else {
+            return View::default();
+        };
+        // The cut: all rings locked at once, entries copied out ring by
+        // ring. An adoption's span directly follows its `Adopt` here.
+        let mut log: Vec<Entry> = Vec::new();
+        let mut horizon;
+        {
+            let rings = inner.rings.lock();
+            let live: Vec<_> = rings.live.iter().map(|r| r.lock()).collect();
+            horizon = rings.lost_before;
+            for ring in live.iter().map(|r| &**r).chain([&rings.retired]) {
+                horizon = horizon.max(ring.horizon());
+                log.extend(ring.survivors().filter(|e| e.kind != Kind::Stamp).cloned());
+            }
+        }
+        // Group by trace, opens first — a mint before an adoption, an
+        // earlier adoption before a later: the first one opened the trace.
+        let mut by_trace: Vec<(usize, &Entry)> = log.iter().enumerate().collect();
+        by_trace.sort_unstable_by_key(|(i, e)| (e.trace, e.kind, e.start_ms, *i));
+        let (mut view, mut traces) = (View::default(), Vec::new());
+        for entries in by_trace.chunk_by(|a, b| a.1.trace == b.1.trace) {
+            let (opened, open) = entries[0];
+            if open.kind > Kind::Adopt {
+                continue; // spans of a trace nobody opened here
+            }
+            view.evicted += 1; // until it is returned
+            if horizon.is_some_and(|h| open.start_ms <= h) {
+                // Whole traces only: an entry of one opened this early
+                // may be among those some ring has overwritten.
+                continue;
+            }
+            let mut spans = vec![open.to_span()];
+            for &(i, e) in &entries[1..] {
+                match e.kind {
+                    Kind::Span => spans.push(e.to_span()),
+                    Kind::SpanIfOpened if i == opened + 1 => spans.push(e.to_span()),
+                    Kind::End => spans[0].end_ms = spans[0].end_ms.max(e.end_ms),
+                    Kind::Note => {
+                        if let Some(span) = spans.iter_mut().find(|s| s.id == e.span) {
+                            span.annotations.push((e.end_ms, e.notes[0].clone()));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            traces.push((open.start_ms, opened, spans));
+        }
+        // The newest `capacity`, each root first, then by start stamp; the
+        // span cap keeps the earliest.
+        traces.sort_unstable_by_key(|t| (t.0, t.1));
+        for (_, opened, mut spans) in
+            traces.split_off(traces.len().saturating_sub(inner.cfg.capacity))
+        {
+            spans[1..].sort_by_key(|s| s.start_ms);
+            let over = spans.len().saturating_sub(inner.cfg.max_spans_per_trace);
+            spans.truncate(spans.len() - over);
+            let (trace_id, label, root) = (log[opened].trace, log[opened].name, log[opened].span);
+            view.traces.push(TraceData {
+                trace_id,
+                label,
+                root,
+                spans,
+            });
+            view.evicted -= 1;
+            view.overflowed += over as u64;
+        }
+        view
+    }
+
+    /// Snapshot of one trace. Like every read this assembles the whole
+    /// log: poll it, do not call it in a loop over many ids.
     pub fn trace(&self, id: TraceId) -> Option<TraceData> {
-        let inner = self.0.as_ref()?;
-        Self::shard(inner, id).lock().traces.get(&id).cloned()
+        self.traces().into_iter().find(|td| td.trace_id == id)
     }
 
-    /// Snapshot of every retained trace (unordered across shards).
+    /// Snapshot of every retained trace (unordered).
     pub fn traces(&self) -> Vec<TraceData> {
-        let Some(inner) = self.0.as_ref() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for shard in &inner.shards {
-            out.extend(shard.lock().traces.values().cloned());
-        }
-        out
+        self.read().traces
     }
 
     /// Number of retained traces.
     pub fn trace_count(&self) -> usize {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.shards.iter().map(|s| s.lock().traces.len()).sum())
+        self.read().traces.len()
     }
 
-    /// Traces evicted by the retention bound.
+    /// Traces the log still opens that a read no longer returns: beyond
+    /// the newest `capacity`, or behind a ring's overwrite horizon.
     pub fn traces_evicted(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.evicted.load(Ordering::Relaxed))
+        self.read().evicted
     }
 
-    /// Spans dropped by the per-trace cap.
+    /// Spans of the retained traces dropped by the per-trace cap.
     pub fn spans_overflowed(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.span_overflow.load(Ordering::Relaxed))
+        self.read().overflowed
     }
 
     /// Durations (ms) of every retained span named `name`.
     pub fn leg_millis(&self, name: &str) -> Vec<u64> {
-        let Some(inner) = self.0.as_ref() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for shard in &inner.shards {
-            for td in shard.lock().traces.values() {
-                out.extend(td.spans_named(name).map(SpanRecord::duration_ms));
-            }
-        }
-        out
+        let traces = self.traces();
+        let spans = traces.iter().flat_map(|td| td.spans_named(name));
+        spans.map(SpanRecord::duration_ms).collect()
     }
 
     /// Duration statistics per leg name across every retained trace — the
     /// paper's per-leg decomposition table, computed from collected spans.
     pub fn leg_summary(&self) -> BTreeMap<String, LegStats> {
-        let Some(inner) = self.0.as_ref() else {
-            return BTreeMap::new();
-        };
-        let mut by_name: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for shard in &inner.shards {
-            for td in shard.lock().traces.values() {
-                for s in &td.spans {
-                    by_name
-                        .entry(s.name.to_string())
-                        .or_default()
-                        .push(s.duration_ms());
-                }
+        let mut by_name: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+        for td in self.traces() {
+            for s in &td.spans {
+                by_name.entry(s.name).or_default().push(s.duration_ms());
             }
         }
-        by_name
-            .into_iter()
-            .map(|(name, mut ds)| {
-                ds.sort_unstable();
-                let count = ds.len() as u64;
-                let sum: u64 = ds.iter().sum();
-                let at = |q: f64| ds[(((ds.len() - 1) as f64) * q).round() as usize];
-                (
-                    name,
-                    LegStats {
-                        count,
-                        mean_ms: sum as f64 / count as f64,
-                        p50_ms: at(0.5),
-                        p95_ms: at(0.95),
-                        max_ms: *ds.last().unwrap(),
-                    },
-                )
-            })
-            .collect()
+        let stats = |(name, mut ds): (&str, Vec<u64>)| {
+            ds.sort_unstable();
+            let at = |q: f64| ds[(((ds.len() - 1) as f64) * q).round() as usize];
+            let stats = LegStats {
+                count: ds.len() as u64,
+                mean_ms: ds.iter().sum::<u64>() as f64 / ds.len() as f64,
+                p50_ms: at(0.5),
+                p95_ms: at(0.95),
+                max_ms: at(1.0),
+            };
+            (name.to_string(), stats)
+        };
+        by_name.into_iter().map(stats).collect()
     }
 }
 
@@ -819,15 +845,19 @@ mod tests {
         let t = Tracer::new(
             clock,
             TraceConfig {
-                capacity: SHARDS, // one per shard
+                capacity: 16,
                 ..TraceConfig::default()
             },
         );
-        for _ in 0..SHARDS * 4 {
-            t.start_trace("task");
-        }
-        assert!(t.trace_count() <= SHARDS);
-        assert!(t.traces_evicted() >= (SHARDS * 2) as u64);
+        let minted: Vec<_> = (0..64).map(|_| t.start_trace("task").unwrap()).collect();
+        assert!(t.trace_count() <= 16);
+        assert!(t.traces_evicted() >= 32);
+        // What is kept is the newest.
+        let mut kept: Vec<_> = t.traces().iter().map(|td| td.trace_id).collect();
+        let mut newest: Vec<_> = minted[48..].iter().map(|ctx| ctx.trace_id).collect();
+        kept.sort_unstable();
+        newest.sort_unstable();
+        assert_eq!(kept, newest);
     }
 
     #[test]
@@ -861,9 +891,11 @@ mod tests {
         t.record_span(Some(&ctx), "early", 0, 1);
         assert!(t.trace(ctx.trace_id).is_none(), "unknown traces drop spans");
 
-        assert!(t.adopt_trace(&ctx, "task"), "first adoption creates entry");
-        assert!(!t.adopt_trace(&ctx, "task"), "re-adoption is a no-op");
-        vclock.advance(3);
+        t.adopt_trace(&ctx, "task");
+        vclock.advance(1);
+        t.adopt_trace(&ctx, "task");
+        assert_eq!(t.trace_count(), 1, "re-adoption is a no-op");
+        vclock.advance(2);
         t.record_span(Some(&ctx), "submit", 0, 3);
         t.end_trace(Some(&ctx));
 
@@ -871,15 +903,24 @@ mod tests {
         assert_eq!(td.root, ctx.parent);
         assert!(td.orphan_spans().is_empty());
         assert_eq!(td.spans_named("submit").count(), 1);
-        assert_eq!(td.root_span().unwrap().end_ms, 3);
+        let root = td.root_span().unwrap();
+        assert_eq!((root.start_ms, root.end_ms), (0, 3), "the first adoption's");
+        assert_eq!(td.spans.iter().filter(|s| s.parent.is_none()).count(), 1);
 
         // A locally-started trace must not be re-adopted (shared-collector
-        // in-process path): the entry already exists.
+        // in-process path): the mint stays its one root.
         let local = t.start_trace("task").unwrap();
-        assert!(!t.adopt_trace(&local, "task"));
+        vclock.advance(4);
+        t.adopt_trace(&local, "task");
+        let td = t.trace(local.trace_id).unwrap();
+        assert_eq!(td.spans.len(), 1);
+        assert_eq!(td.root_span().unwrap().start_ms, 3);
+        assert_eq!(t.trace_count(), 2);
 
         // Disabled tracers never adopt.
-        assert!(!Tracer::disabled().adopt_trace(&ctx, "task"));
+        let off = Tracer::disabled();
+        off.adopt_trace(&ctx, "task");
+        assert!(off.trace(ctx.trace_id).is_none());
     }
 
     #[test]
@@ -890,24 +931,27 @@ mod tests {
             parent: SpanId::random(),
         };
         // Adoption and the once-per-trace span travel together...
-        assert!(t.adopt_trace_with_span(&remote, "task", "submit", 0, 2));
+        t.adopt_trace_with_span(&remote, "task", "submit", 0, 2);
         // ...and a context this collector already holds gets neither.
-        assert!(!t.adopt_trace_with_span(&remote, "task", "submit", 0, 2));
+        t.adopt_trace_with_span(&remote, "task", "submit", 0, 2);
         let local = t.start_trace("task").unwrap();
-        assert!(!t.adopt_trace_with_span(&local, "task", "submit", 0, 2));
+        t.adopt_trace_with_span(&local, "task", "submit", 0, 2);
         assert_eq!(t.trace(local.trace_id).unwrap().spans.len(), 1);
+        assert_eq!(t.trace(remote.trace_id).unwrap().spans.len(), 2);
 
-        // One call per flushed batch; contexts the collector has never
-        // seen are skipped like `record_span` skips them.
+        // Contexts the collector has never seen open no trace.
         let unknown = TraceContext {
             trace_id: TraceId::random(),
             parent: SpanId::random(),
         };
-        t.record_spans("queue", 9, &[(remote, 2), (local, 3), (unknown, 4)]);
+        for (ctx, start_ms) in [(remote, 2), (local, 3), (unknown, 4)] {
+            t.record_span(Some(&ctx), "queue", start_ms, 9);
+        }
         assert!(t.trace(unknown.trace_id).is_none());
 
         vclock.advance(12);
-        t.record_span_and_end(Some(&remote), "result", 9, 12);
+        t.record_span(Some(&remote), "result", 9, 12);
+        t.end_trace(Some(&remote));
         let td = t.trace(remote.trace_id).unwrap();
         let legs: Vec<_> = td.spans.iter().map(|s| (s.name, s.start_ms)).collect();
         assert_eq!(
@@ -928,10 +972,60 @@ mod tests {
                 ..TraceConfig::default()
             },
         );
-        assert!(capped.adopt_trace_with_span(&remote, "task", "submit", 0, 1));
-        capped.record_spans("queue", 2, &[(remote, 1)]);
-        capped.record_span_and_end(Some(&remote), "result", 2, 3);
+        capped.adopt_trace_with_span(&remote, "task", "submit", 0, 1);
+        capped.record_span(Some(&remote), "queue", 1, 2);
+        capped.record_span(Some(&remote), "result", 2, 3);
+        capped.end_trace(Some(&remote));
         assert_eq!(capped.spans_overflowed(), 3);
         assert_eq!(capped.trace(remote.trace_id).unwrap().spans.len(), 1);
+    }
+
+    /// An adoption on another thread loses to the mint wherever the two
+    /// entries sit, and annotations from any thread land in time order.
+    #[test]
+    fn opens_and_notes_are_ordered_across_rings() {
+        let (vclock, t) = tracer();
+        let ctx = t.start_trace("task").unwrap();
+        vclock.advance(1);
+        let on_thread = |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        on_thread(&|| {
+            t.adopt_trace_with_span(&ctx, "task", "submit", 0, 1);
+            t.annotate(Some(&ctx), || "second".into());
+        });
+        vclock.advance(1);
+        t.annotate(Some(&ctx), || "third".into());
+        let td = t.trace(ctx.trace_id).unwrap();
+        assert_eq!(td.spans.len(), 1, "the mint won: {td:?}");
+        let notes: Vec<&str> = td.spans[0].annotations.iter().map(|a| &*a.1).collect();
+        assert_eq!(notes, ["second", "third"]);
+        let stamps: Vec<TimeMs> = td.spans[0].annotations.iter().map(|a| a.0).collect();
+        assert_eq!(stamps, [1, 2]);
+    }
+
+    /// Connection-thread churn: a thread's exit empties its ring into the
+    /// tracer's one retired ring and takes it off the registry.
+    #[test]
+    fn exited_threads_leave_their_spans_and_no_ring() {
+        let cfg = TraceConfig {
+            max_spans_per_trace: 1001,
+            ..TraceConfig::default()
+        };
+        let t = Tracer::new(VirtualClock::new(), cfg);
+        let ctx = t.start_trace("task").unwrap();
+        for _ in 0..1000 {
+            let t = t.clone();
+            let worker = std::thread::spawn(move || t.record_span(Some(&ctx), "leg", 0, 1));
+            worker.join().unwrap();
+        }
+        let inner = t.0.as_ref().unwrap();
+        assert_eq!(inner.rings.lock().live.len(), 1, "this thread's ring only");
+        let td = t.trace(ctx.trace_id).unwrap();
+        assert_eq!(td.spans_named("leg").count(), 1000);
+        assert!(td.orphan_spans().is_empty());
+        // A dropped tracer's rings go when their threads next register.
+        drop(t);
+        let (_, other) = tracer();
+        other.start_trace("task");
+        RINGS.with(|rings| assert_eq!(rings.borrow().0.len(), 1));
     }
 }

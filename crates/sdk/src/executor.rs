@@ -429,15 +429,12 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
             let specs: Vec<TaskSpec> = flush.iter().map(|p| p.spec.clone()).collect();
             match shared.link.submit_batch(&shared.token, &specs) {
                 Ok(_) => {
-                    if shared.tracer.enabled() {
-                        // Submit leg: submit() call → batch accepted by the
-                        // REST API (covers the coalescing window).
-                        let legs: Vec<_> = flush
-                            .iter()
-                            .filter_map(|p| Some((p.spec.trace?, p.submitted_ms)))
-                            .collect();
-                        let now = shared.tracer.now_ms();
-                        shared.tracer.record_spans("submit", now, &legs);
+                    // Submit leg: submit() call → batch accepted by the
+                    // REST API (covers the coalescing window).
+                    let tracer = &shared.tracer;
+                    let now = tracer.now_ms();
+                    for p in &flush {
+                        tracer.record_span(p.spec.trace.as_ref(), "submit", p.submitted_ms, now);
                     }
                 }
                 Err(e) => {
