@@ -568,7 +568,9 @@ impl WebService {
 
     /// Poll a task's status. This is the traditional REST path the executor
     /// interface replaces; every call is metered so benchmarks can compare
-    /// request counts and bytes against streaming.
+    /// request counts and bytes against streaming. A task whose result an
+    /// in-process executor confirmed taking has been retired, and answers
+    /// [`GcxError::TaskNotFound`] like an id never submitted.
     pub fn task_status(
         &self,
         token: &Token,
@@ -627,7 +629,8 @@ impl WebService {
     /// Cancelling a task that already reached a terminal state is an
     /// idempotent no-op — the existing state and result are left intact
     /// and the caller learns what it raced against via
-    /// [`CancelOutcome::AlreadyTerminal`].
+    /// [`CancelOutcome::AlreadyTerminal`] — or, once the record is retired
+    /// (see [`Self::task_status`]), [`GcxError::TaskNotFound`].
     pub fn cancel_task(&self, token: &Token, id: TaskId) -> GcxResult<CancelOutcome> {
         let who = self.authenticate(token)?;
         self.meter_api(36, 8);
@@ -665,7 +668,8 @@ impl WebService {
         })
     }
 
-    /// Full task record (internal/test use).
+    /// Full task record (internal/test use). [`GcxError::TaskNotFound`]
+    /// once retired (see [`Self::task_status`]).
     pub fn task_record(&self, id: TaskId) -> GcxResult<TaskRecord> {
         self.inner
             .tasks

@@ -8,8 +8,8 @@
 //!   resolution, payload interning (CAS dedup), and the status-polling
 //!   path.
 //! - `results` — result streams, the result-processor loop, the cold-path
-//!   loop (dead tasks, and the liveness and expiry sweeps when each is
-//!   due), and endpoint-side state reports.
+//!   loop (retiring taken results, dead tasks, and the liveness and expiry
+//!   sweeps when each is due), and endpoint-side state reports.
 //! - `liveness` — heartbeats, degradation reports, and the stale-endpoint
 //!   sweep that requeues in-flight tasks.
 //! - `session` — [`EndpointSession`], the agent's live connection.
@@ -177,6 +177,10 @@ pub(super) struct CloudMetrics {
     /// `cloud.tasks_submitted × payload size` is the dedup win.
     pub(super) payload_bytes_moved: Arc<Counter>,
     pub(super) admission_inflight: Arc<Gauge>,
+    /// Task records held: in flight, plus terminal results nobody has
+    /// confirmed taking. Each cold-path pass moves it by its own store's
+    /// change, so replicas sharing a registry read as their sum.
+    pub(super) tasks_resident: Arc<Gauge>,
     pub(super) fed_submits_forwarded: Arc<Counter>,
     pub(super) fed_results_forwarded: Arc<Counter>,
     pub(super) fed_state_forwarded: Arc<Counter>,
@@ -213,6 +217,7 @@ impl CloudMetrics {
             tasks_shed_brownout: registry.counter("cloud.tasks_shed_brownout"),
             payload_bytes_moved: registry.counter("payload.bytes_moved"),
             admission_inflight: registry.gauge("cloud.admission_inflight"),
+            tasks_resident: registry.gauge("cloud.tasks_resident"),
             fed_submits_forwarded: registry.counter("fed.submits_forwarded"),
             fed_results_forwarded: registry.counter("fed.results_forwarded"),
             fed_state_forwarded: registry.counter("fed.state_forwarded"),
@@ -270,6 +275,10 @@ pub(super) struct CloudInner {
     pub(super) endpoints: Arc<ShardedMap<EndpointId, EndpointRecord>>,
     pub(super) credentials: Arc<ShardedMap<EndpointId, String>>,
     pub(super) tasks: ShardedMap<TaskId, TaskRecord>,
+    /// Terminal tasks whose results an in-process executor confirmed it
+    /// holds, with the identity that confirmed: the cold-path loop retires
+    /// their records (see [`ResultStream::confirm`]).
+    pub(super) taken: Mutex<Vec<(TaskId, IdentityId)>>,
     /// (MEP id, user identity, config hash) → spawned user endpoint. Cold
     /// (one entry per spawned UEP) and guarded by a read-then-write
     /// double-check, so it stays a plain map.
@@ -375,6 +384,7 @@ impl WebService {
             endpoints: shared.endpoints,
             credentials: shared.credentials,
             tasks: ShardedMap::with_default_shards(),
+            taken: Mutex::new(Vec::new()),
             ueps: shared.ueps,
             streams: shared.streams,
             stream_counter: shared.stream_counter,

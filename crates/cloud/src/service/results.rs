@@ -143,7 +143,8 @@ impl WebService {
     /// The non-routing core of [`finish_task_traced`](Self::finish_task_traced):
     /// land the result on this replica's own task store. The single
     /// idempotency point for completions — a terminal record swallows any
-    /// later result for the same task.
+    /// later result for the same task, and a retired one (its result taken)
+    /// is [`GcxError::TaskNotFound`], which the processor drops.
     pub(super) fn finish_task_local(
         &self,
         task_id: TaskId,
@@ -237,8 +238,10 @@ impl WebService {
     /// task, or an endpoint that kept dying mid-execution), failed here
     /// with a *retryable* error so SDK-side retry budgets can decide
     /// whether to resubmit. That queue almost never has a message, so the
-    /// same loop carries the two periodic sweeps, each when it is due:
-    /// [`check_liveness`](Self::check_liveness) at a quarter of the
+    /// same loop carries the periodic duties. On every pass, on any clock,
+    /// it retires the records whose results were taken
+    /// ([`retire_taken`](Self::retire_taken)). Each when it is due, it
+    /// sweeps: [`check_liveness`](Self::check_liveness) at a quarter of the
     /// heartbeat timeout, and [`check_expiry`](Self::check_expiry) every
     /// 25 ms while anything can expire or admission is on. On a virtual
     /// clock it sweeps nothing: the harness drives both by hand, and a
@@ -256,7 +259,9 @@ impl WebService {
             .ok();
         let mut liveness_due = Instant::now() + liveness_every;
         let mut expiry_due = Instant::now() + EXPIRY_EVERY;
+        let (mut taken, mut resident) = (Vec::new(), 0);
         while !self.inner.shutdown.load(Ordering::SeqCst) {
+            self.retire_taken(&mut taken, &mut resident);
             let mut wait = STOP_NOTICE;
             if sweeps {
                 // Each sweep rests its full period after it returns.
@@ -286,6 +291,37 @@ impl WebService {
                 Err(_) => dead_tasks = None,
             }
         }
+        self.inner.m.tasks_resident.sub(resident);
+    }
+
+    /// Retire every record whose result an in-process executor confirmed
+    /// it holds ([`ResultStream::confirm`]), if the record is still the
+    /// confirming identity's and terminal, and move `cloud.tasks_resident`
+    /// to what the store holds now. The records are freed here, off the
+    /// task path. `taken` is the caller's spare list, swapped with the
+    /// marked one so that neither reallocates; `resident` is this store's
+    /// last reading.
+    fn retire_taken(&self, taken: &mut Vec<(TaskId, IdentityId)>, resident: &mut u64) {
+        std::mem::swap(&mut *self.inner.taken.lock(), taken);
+        let tasks = &self.inner.tasks;
+        for (id, identity) in taken.drain(..) {
+            // A terminal record never changes again, so the check still
+            // holds at the remove.
+            let retire = tasks.with(&id, |rec| {
+                rec.is_some_and(|rec| rec.owner == identity && rec.state.is_terminal())
+            });
+            if retire {
+                tasks.remove(&id);
+            }
+        }
+        let now = tasks.len() as u64;
+        let gauge = &self.inner.m.tasks_resident;
+        if now >= *resident {
+            gauge.add(now - *resident);
+        } else {
+            gauge.sub(*resident - now);
+        }
+        *resident = now;
     }
 
     fn fail_dead_task(&self, message: &Message) -> GcxResult<()> {
@@ -394,6 +430,18 @@ impl ResultStream {
     pub fn queue_name(&self) -> &str {
         &self.queue_name
     }
+
+    /// Confirm that the caller holds `task_id`'s result, delivered on this
+    /// stream, and was waiting for it: the cold-path loop's next pass
+    /// retires the record, and a later status query, cancel or
+    /// `task_record` answers [`GcxError::TaskNotFound`]. Only the
+    /// in-process executor confirms. A federated replica ignores it:
+    /// handover replay, adoption and redirect-resends need records.
+    pub fn confirm(&self, task_id: TaskId) {
+        if self.cloud.inner.fed.is_none() {
+            self.cloud.inner.taken.lock().push((task_id, self.identity));
+        }
+    }
 }
 
 impl Drop for ResultStream {
@@ -488,6 +536,63 @@ mod tests {
         assert_eq!(got_id, id);
         assert_eq!(result.ok_value(), Some(Value::str("pushed")));
         stream.consumer.ack(delivery.tag).unwrap();
+        svc.shutdown();
+    }
+
+    /// A confirm retires a record only if it is the confirming identity's
+    /// and terminal; anything else it names stays.
+    #[test]
+    fn confirm_retires_only_the_callers_terminal_tasks() {
+        let svc = service();
+        let alice = login(&svc, "alice@x.y");
+        let bob = login(&svc, "bob@x.y");
+        let fid = svc
+            .register_function(&alice, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&alice, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let run = |token: &Token| {
+            let id = svc
+                .submit_task(token, TaskSpec::new(fid, reg.endpoint_id))
+                .unwrap();
+            let (_, tag) = session.next_task(T).unwrap().unwrap();
+            session
+                .publish_result(id, &TaskResult::ok(Value::Int(1)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+            id
+        };
+        let (alice_stream, bob_stream) = (
+            svc.open_result_stream(&alice).unwrap(),
+            svc.open_result_stream(&bob).unwrap(),
+        );
+        let (done, bobs) = (run(&alice), run(&bob));
+        let open = svc
+            .submit_task(&alice, TaskSpec::new(fid, reg.endpoint_id))
+            .unwrap();
+        // Bob names Alice's finished task, Alice her unfinished one.
+        bob_stream.confirm(done);
+        alice_stream.confirm(open);
+        // Bob confirms his own finished task: that one goes.
+        let mine = run(&bob);
+        bob_stream.confirm(mine);
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while svc.task_record(mine).is_ok() {
+            assert!(std::time::Instant::now() < deadline, "never retired");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for id in [done, open, bobs] {
+            assert!(svc.task_record(id).is_ok(), "{id} was retired");
+        }
+        let resident = svc.metrics().gauge("cloud.tasks_resident");
+        while resident.get() != 3 {
+            assert!(std::time::Instant::now() < deadline, "no pass counted 3");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         svc.shutdown();
     }
 

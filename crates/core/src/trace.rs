@@ -238,7 +238,7 @@ const STAMP_EVERY: usize = 64;
 enum Kind {
     /// `start_trace`: `span` roots a trace minted here, labelled `name`.
     Mint,
-    /// `adopt_trace*`: the same for a trace minted elsewhere.
+    /// `adopt_trace_with_span`: the same for a trace minted elsewhere.
     Adopt,
     /// A completed child span.
     Span,
@@ -440,27 +440,6 @@ struct View {
 #[derive(Clone, Default)]
 pub struct Tracer(Option<Arc<TracerInner>>);
 
-/// An open span being timed; finish it with [`Tracer::finish`]. Obtained
-/// from [`Tracer::span`], which returns `None` for untraced tasks — pass
-/// the `Option` straight back to `finish`.
-#[derive(Debug)]
-pub struct ActiveSpan(Entry);
-
-impl ActiveSpan {
-    /// Attach a note; stamped with the span's end time at `finish`.
-    pub fn note(&mut self, msg: String) {
-        self.0.notes.push(msg);
-    }
-
-    /// A child context parented to this span (for nested instrumentation).
-    pub fn context(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.0.trace,
-            parent: self.0.span,
-        }
-    }
-}
-
 impl Tracer {
     /// The no-op tracer: never samples, never allocates.
     pub fn disabled() -> Self {
@@ -515,24 +494,16 @@ impl Tracer {
         })
     }
 
-    /// Adopt a trace minted by a *remote* peer: open it here with
+    /// Adopt a trace minted by a *remote* peer — open it here with
     /// `ctx.parent` as its root span, so spans recorded under the context
     /// on this side of a wire land somewhere (a read returns spans only
-    /// for traces the log opens). Idempotent: a reader lets one open win —
-    /// a mint over an adoption, an earlier adoption over a later.
-    pub fn adopt_trace(&self, ctx: &TraceContext, label: &'static str) {
-        if let Some(inner) = self.0.as_ref() {
-            let now = inner.clock.now_ms();
-            inner.push(Entry::new(Kind::Adopt, ctx, ctx.parent, label, now, now));
-        }
-    }
-
-    /// [`adopt_trace`](Self::adopt_trace) plus one child span that a
-    /// reader keeps only if this adoption is the open that won. This is
-    /// how a once-per-trace leg (the server-side `submit` span) is stamped
-    /// without duplicating it when client and server share one collector
-    /// (the in-process path) or when a resubmission re-sends an
-    /// already-adopted context.
+    /// for traces the log opens) — with one child span that a reader keeps
+    /// only if this adoption is the open that won. Idempotent: a reader
+    /// lets one open win, a mint over an adoption, an earlier adoption over
+    /// a later. This is how a once-per-trace leg (the server-side `submit`
+    /// span) is stamped without duplicating it when client and server share
+    /// one collector (the in-process path) or when a resubmission re-sends
+    /// an already-adopted context.
     pub fn adopt_trace_with_span(
         &self,
         ctx: &TraceContext,
@@ -581,21 +552,6 @@ impl Tracer {
         span.notes = notes();
         inner.push(span);
         Some(id)
-    }
-
-    /// Open a span starting now; time it with [`Tracer::finish`].
-    pub fn span(&self, ctx: Option<&TraceContext>, name: &'static str) -> Option<ActiveSpan> {
-        let now = self.0.as_ref()?.clock.now_ms();
-        let span = Entry::new(Kind::Span, ctx?, SpanId::random(), name, now, now);
-        Some(ActiveSpan(span))
-    }
-
-    /// Close and record an open span (no-op on `None`).
-    pub fn finish(&self, span: Option<ActiveSpan>) {
-        if let (Some(inner), Some(ActiveSpan(mut span))) = (self.0.as_ref(), span) {
-            span.end_ms = inner.clock.now_ms();
-            inner.push(span);
-        }
     }
 
     /// Append a timestamped annotation to the span `ctx` points at (the
@@ -719,13 +675,6 @@ impl Tracer {
         self.read().overflowed
     }
 
-    /// Durations (ms) of every retained span named `name`.
-    pub fn leg_millis(&self, name: &str) -> Vec<u64> {
-        let traces = self.traces();
-        let spans = traces.iter().flat_map(|td| td.spans_named(name));
-        spans.map(SpanRecord::duration_ms).collect()
-    }
-
     /// Duration statistics per leg name across every retained trace — the
     /// paper's per-leg decomposition table, computed from collected spans.
     pub fn leg_summary(&self) -> BTreeMap<String, LegStats> {
@@ -835,7 +784,7 @@ mod tests {
         assert!(off.start_trace("task").is_none());
         assert!(off.traces().is_empty());
         off.record_span(None, "x", 0, 1);
-        off.finish(off.span(None, "x"));
+        off.record_span_annotated(None, "x", 0, 1, || vec!["never".into()]);
     }
 
     #[test]
@@ -891,18 +840,19 @@ mod tests {
         t.record_span(Some(&ctx), "early", 0, 1);
         assert!(t.trace(ctx.trace_id).is_none(), "unknown traces drop spans");
 
-        t.adopt_trace(&ctx, "task");
+        t.adopt_trace_with_span(&ctx, "task", "submit", 0, 1);
         vclock.advance(1);
-        t.adopt_trace(&ctx, "task");
+        t.adopt_trace_with_span(&ctx, "task", "submit", 1, 2);
         assert_eq!(t.trace_count(), 1, "re-adoption is a no-op");
         vclock.advance(2);
-        t.record_span(Some(&ctx), "submit", 0, 3);
+        t.record_span(Some(&ctx), "queue", 1, 3);
         t.end_trace(Some(&ctx));
 
         let td = t.trace(ctx.trace_id).unwrap();
         assert_eq!(td.root, ctx.parent);
         assert!(td.orphan_spans().is_empty());
         assert_eq!(td.spans_named("submit").count(), 1);
+        assert_eq!(td.spans_named("queue").count(), 1);
         let root = td.root_span().unwrap();
         assert_eq!((root.start_ms, root.end_ms), (0, 3), "the first adoption's");
         assert_eq!(td.spans.iter().filter(|s| s.parent.is_none()).count(), 1);
@@ -911,7 +861,7 @@ mod tests {
         // in-process path): the mint stays its one root.
         let local = t.start_trace("task").unwrap();
         vclock.advance(4);
-        t.adopt_trace(&local, "task");
+        t.adopt_trace_with_span(&local, "task", "submit", 3, 7);
         let td = t.trace(local.trace_id).unwrap();
         assert_eq!(td.spans.len(), 1);
         assert_eq!(td.root_span().unwrap().start_ms, 3);
@@ -919,7 +869,7 @@ mod tests {
 
         // Disabled tracers never adopt.
         let off = Tracer::disabled();
-        off.adopt_trace(&ctx, "task");
+        off.adopt_trace_with_span(&ctx, "task", "submit", 0, 1);
         assert!(off.trace(ctx.trace_id).is_none());
     }
 

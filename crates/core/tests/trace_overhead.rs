@@ -65,9 +65,8 @@ fn disabled_tracer_path_is_allocation_free() {
             tracer.record_span_annotated(Some(&ctx), "retry", 0, 0, || {
                 vec![format!("attempt={}", 1)]
             });
-            let span = tracer.span(Some(&ctx), "worker");
+            let span = tracer.record_span_annotated(Some(&ctx), "worker", 0, 1, Vec::new);
             assert!(span.is_none());
-            tracer.finish(span);
             tracer.annotate(Some(&ctx), || "never rendered".repeat(8));
             tracer.record_span(Some(&ctx), "result", 0, 5);
             tracer.end_trace(Some(&ctx));
@@ -94,7 +93,7 @@ fn sampled_out_path_is_allocation_free_and_builds_no_entry() {
             assert!(ctx.is_none());
             // ...so the whole downstream path no-ops on `None`.
             tracer.record_span(ctx.as_ref(), "submit", 0, 1);
-            tracer.finish(tracer.span(ctx.as_ref(), "worker"));
+            tracer.record_span(ctx.as_ref(), "worker", 0, 1);
             tracer.annotate(ctx.as_ref(), || "never rendered".to_string());
             tracer.record_span(ctx.as_ref(), "result", 0, 1);
             tracer.end_trace(ctx.as_ref());
@@ -167,7 +166,7 @@ fn enabled_path_is_allocation_free_on_a_warm_ring() {
         tracer.adopt_trace_with_span(&ctx, "task", "submit", 0, 1);
         tracer.record_span(Some(&ctx), "wire.decode", 0, 1);
         tracer.record_span(Some(&ctx), "wire.queue", 0, 1);
-        tracer.finish(tracer.span(Some(&ctx), "wire.send"));
+        tracer.record_span(Some(&ctx), "wire.send", 0, 1);
         tracer.record_span(Some(&ctx), "wire.await", 0, 1);
         tracer.end_trace(Some(&ctx));
     });

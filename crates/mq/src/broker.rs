@@ -227,6 +227,13 @@ impl QueueState {
     }
 }
 
+/// Which end of `ready` a message joins.
+#[derive(Clone, Copy)]
+enum End {
+    Back,
+    Front,
+}
+
 struct Queue {
     name: String,
     credential: Option<String>,
@@ -256,21 +263,16 @@ impl Queue {
         GcxError::Queue(format!("queue '{}' is closed", self.name))
     }
 
-    /// Append to `ready`, maintaining the byte total and gauges. Every path
-    /// that grows `ready` must go through this (or `push_ready_front`).
-    fn push_ready_back(&self, st: &mut QueueState, msg: Message) {
+    /// Add to `ready` at `end` (the front only for a requeue), maintaining
+    /// the byte total and gauges. Every path that grows `ready` goes
+    /// through this.
+    fn push_ready(&self, st: &mut QueueState, end: End, msg: Message) {
         let size = msg.wire_size();
         st.ready_bytes += size;
-        st.ready.push_back(msg);
-        self.depth_gauge.add(1);
-        self.bytes_gauge.add(size as u64);
-    }
-
-    /// Prepend to `ready` (the requeue path), maintaining totals and gauges.
-    fn push_ready_front(&self, st: &mut QueueState, msg: Message) {
-        let size = msg.wire_size();
-        st.ready_bytes += size;
-        st.ready.push_front(msg);
+        match end {
+            End::Back => st.ready.push_back(msg),
+            End::Front => st.ready.push_front(msg),
+        }
         self.depth_gauge.add(1);
         self.bytes_gauge.add(size as u64);
     }
@@ -363,7 +365,7 @@ impl BrokerInner {
                 // The DLQ itself is exempt from capacity bounds: it is
                 // the overflow valve, and bouncing between bounded
                 // queues could recurse forever.
-                q.push_ready_back(&mut st, msg);
+                q.push_ready(&mut st, End::Back, msg);
                 st.published += 1;
                 drop(st);
                 q.cond.notify_one();
@@ -391,7 +393,7 @@ impl BrokerInner {
             if st.policy.exhausted(&msg) {
                 dead.push(msg);
             } else {
-                q.push_ready_front(&mut st, msg);
+                q.push_ready(&mut st, End::Front, msg);
                 requeued += 1;
             }
         }
@@ -653,10 +655,10 @@ impl Broker {
         }
         for (message, n) in messages.into_iter().zip(copies.iter()) {
             for _ in 1..*n {
-                q.push_ready_back(&mut st, message.clone());
+                q.push_ready(&mut st, End::Back, message.clone());
             }
             if *n > 0 {
-                q.push_ready_back(&mut st, message);
+                q.push_ready(&mut st, End::Back, message);
             }
         }
         // Counted before the lock is released: a consumer that takes a
@@ -790,7 +792,7 @@ impl Consumer {
                         // attempt charged.
                         msg.redelivered = true;
                         let trace = msg.headers.trace;
-                        q.push_ready_back(&mut st, msg);
+                        q.push_ready(&mut st, End::Back, msg);
                         drop(st);
                         broker.m.dropped.inc();
                         broker.trace_fault("fault.deliver_drop", &q.name, trace.as_ref());

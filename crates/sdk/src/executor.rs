@@ -17,7 +17,9 @@
 //!   [`ExecutorConfig::batch_window`] (or up to
 //!   [`ExecutorConfig::max_batch`]) into single `submit_batch` calls;
 //! - a result-stream thread consuming the user's AMQPS stream queue and
-//!   resolving futures as results arrive — zero polling.
+//!   resolving futures as results arrive — zero polling. In-process it
+//!   confirms each result it was waiting for, and a standalone service
+//!   then forgets that task (a later status query is `TaskNotFound`).
 //!
 //! The executor is also the client half of the recovery story: if the result
 //! stream breaks it reconnects under [`ExecutorConfig::retry`] backoff and
@@ -348,6 +350,9 @@ impl Executor {
             // Raced a result (or expiry): the terminal outcome stands and
             // reaches the future through the normal stream path.
             Ok(CancelOutcome::AlreadyTerminal(_)) => Ok(false),
+            // Raced a result this executor took since: the service retired
+            // the task once the future resolved.
+            Err(GcxError::TaskNotFound(_)) if future.done() => Ok(false),
             Err(GcxError::TaskNotFound(_)) => {
                 // Not yet flushed from the batcher: cancel locally.
                 let mut pending = self.shared.pending.lock();
@@ -457,7 +462,14 @@ fn stream_loop(shared: &ExecutorShared, retry: &RetryPolicy, mut stream: ResultF
     let mut grace: Option<Instant> = None;
     loop {
         match stream.next(Duration::from_millis(25)) {
-            Ok(Some((task_id, Ok(result)))) => complete_task(shared, retry, task_id, result),
+            Ok(Some((task_id, Ok(result)))) => {
+                // Taken: the service may forget the task. Only a result
+                // this executor was waiting for, so a result pushed to
+                // every stream of the identity retires nothing.
+                if complete_task(shared, retry, task_id, result) {
+                    stream.confirm(task_id);
+                }
+            }
             Ok(Some((task_id, Err(e)))) => {
                 // An envelope arrived for the task but its result would not
                 // parse: the future fails rather than hanging forever.
@@ -552,19 +564,21 @@ fn catch_up(shared: &ExecutorShared, retry: &RetryPolicy) {
 
 /// A terminal result arrived for `task_id`: resolve the future, unless the
 /// result is a *retryable* failure and the retry budget still allows a
-/// resubmission.
+/// resubmission. Returns whether `task_id` was in flight here.
 fn complete_task(
     shared: &ExecutorShared,
     retry: &RetryPolicy,
     task_id: TaskId,
     result: TaskResult,
-) {
+) -> bool {
     match result.into_result() {
         Err(e) if e.is_retryable() => fail_or_retry(shared, retry, task_id, e),
         outcome => {
-            if let Some(inf) = shared.inflight.lock().remove(&task_id) {
-                inf.future.resolve(outcome);
-            }
+            let Some(inf) = shared.inflight.lock().remove(&task_id) else {
+                return false;
+            };
+            inf.future.resolve(outcome);
+            true
         }
     }
 }
@@ -573,14 +587,19 @@ fn complete_task(
 /// allows another attempt, resubmit the task under a fresh id after the
 /// policy's backoff; otherwise resolve the future — with
 /// [`GcxError::RetriesExhausted`] when retries ran out, or the error itself
-/// when it is fatal.
-fn fail_or_retry(shared: &ExecutorShared, retry: &RetryPolicy, task_id: TaskId, err: GcxError) {
+/// when it is fatal. Returns whether `task_id` was in flight here.
+fn fail_or_retry(
+    shared: &ExecutorShared,
+    retry: &RetryPolicy,
+    task_id: TaskId,
+    err: GcxError,
+) -> bool {
     let Some(mut inf) = shared.inflight.lock().remove(&task_id) else {
-        return;
+        return false;
     };
     if !err.is_retryable() {
         inf.future.resolve(Err(err));
-        return;
+        return true;
     }
     if !retry.allows(inf.attempts) || shared.shutdown.load(Ordering::SeqCst) {
         shared.tracer.annotate(inf.spec.trace.as_ref(), || {
@@ -598,7 +617,7 @@ fn fail_or_retry(shared: &ExecutorShared, retry: &RetryPolicy, task_id: TaskId, 
             }
         };
         inf.future.resolve(Err(last));
-        return;
+        return true;
     }
     // Resubmit under a fresh task id: the old id's record is terminal on the
     // cloud side, so reusing it would let straggler duplicate deliveries of
@@ -630,6 +649,7 @@ fn fail_or_retry(shared: &ExecutorShared, retry: &RetryPolicy, task_id: TaskId, 
         .delayed
         .lock()
         .push((Instant::now() + backoff, pending));
+    true
 }
 
 #[cfg(test)]
@@ -884,6 +904,7 @@ mod tests {
     /// up (a slow `on_done` callback) while every result is published: the
     /// connection must hold the backlog, not drop it. (Pushes beyond a
     /// 1024-deep client channel used to be discarded, stranding futures.)
+    /// The service then keeps every record: nothing on the wire confirms.
     #[test]
     fn wire_executor_resolves_4096_outstanding_futures() {
         use crate::link::WireLink;
@@ -959,6 +980,16 @@ mod tests {
             );
         }
         assert_eq!(ex.inflight(), 0);
+        // A wire executor never confirms (its pushes were acked by socket
+        // writes, not receipt): every record outlives a few cold-path passes.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            svc.metrics().gauge("cloud.tasks_resident").get(),
+            TASKS as u64
+        );
+        for f in &futures {
+            assert!(svc.task_record(f.task_id()).unwrap().state.is_terminal());
+        }
         ex.close();
         server.shutdown();
         svc.shutdown();

@@ -515,6 +515,17 @@ impl ResultFeed {
             },
         }
     }
+
+    /// Say that the caller was waiting for `task_id`'s result, which `next`
+    /// just returned, and now holds it. In-process this is
+    /// [`ResultStream::confirm`], and a standalone service then forgets the
+    /// task. Over the wire it does nothing: the server's push loop acked
+    /// the push when it wrote it, and a write is not receipt.
+    pub fn confirm(&self, task_id: TaskId) {
+        if let ResultFeed::Local(stream) = self {
+            stream.confirm(task_id);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use gcx::auth::{AuthPolicy, AuthService};
 use gcx::batch::{
     BatchScheduler, ClusterSpec, PartitionSpec, ResourceFaultPlan, ResourceFaultRule,
 };
+use gcx::cloud::service::RESULT_QUEUE;
 use gcx::cloud::{CloudConfig, EndpointHealth, WebService};
 use gcx::core::clock::{SharedClock, SystemClock, VirtualClock};
 use gcx::core::error::GcxError;
@@ -127,6 +128,18 @@ fn killed_agent_mid_workload_tasks_reroute_and_complete() {
         .unwrap();
     // ...and here agent A stops making progress forever.
 
+    // Agent A's three results reach the executor, which confirms them, and
+    // the cold-path loop (wall-clock, on any clock) retires their records —
+    // the published-but-unacked task's among them.
+    let rerun = pulled[2].0.task_id;
+    while svc.task_record(rerun).is_ok() {
+        assert!(
+            Instant::now() < deadline,
+            "the confirmed record never retired"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     // The heartbeat goes stale; the liveness sweep declares the endpoint
     // offline and requeues its four unacked deliveries.
     vclock.advance(1_500);
@@ -163,14 +176,28 @@ fn killed_agent_mid_workload_tasks_reroute_and_complete() {
     }
     assert_eq!(ex.inflight(), 0);
     assert_observed_exactly(&resolutions, TASKS as usize);
-    // The published-but-unacked task ran twice; the cloud's idempotent
-    // result processing suppressed the duplicate before the SDK saw it.
-    assert_eq!(
-        svc.metrics()
-            .counter("cloud.duplicate_results_dropped")
-            .get(),
-        1
-    );
+    // The published-but-unacked task ran twice. Its record was retired
+    // before agent B reran it, so the second result is the unknown-task
+    // drop: the SDK never sees it, and it counts neither as processed nor
+    // as a duplicate. Wait until B has acked every delivery (it publishes
+    // first) and the processor has taken every result.
+    let drained = |queue: &str| {
+        let q = svc.broker().queue_stats(queue).unwrap();
+        q.ready == 0 && q.unacked == 0
+    };
+    let task_queue = format!("tasks.{}", reg.endpoint_id);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !(drained(&task_queue) && drained(RESULT_QUEUE)) {
+        assert!(Instant::now() < deadline, "agent B's results never drained");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let m = svc.metrics();
+    assert_eq!(m.counter("cloud.results_processed").get(), TASKS as u64);
+    assert_eq!(m.counter("cloud.duplicate_results_dropped").get(), 0);
+    assert!(matches!(
+        svc.task_record(rerun),
+        Err(GcxError::TaskNotFound(_))
+    ));
 
     ex.close();
     agent_b.stop();
