@@ -1,11 +1,12 @@
 //! The dialing side of the wire: a multiplexing client that issues typed
-//! requests over one connection, keeps it alive with heartbeats, and
-//! receives server-push result frames.
+//! requests over one connection, confirms the results it took, keeps the
+//! connection alive with heartbeats, and receives server-push result
+//! frames. One thread per connection reads it and beats.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
@@ -19,8 +20,8 @@ use gcx_core::trace::{TraceContext, Tracer};
 use gcx_core::value::Value;
 use gcx_core::wire::batch::{self, PushBatch};
 use gcx_core::wire::{
-    error_from_value, peer_caps, Frame, FrameType, TcpTransport, Transport, DEFAULT_MAX_FRAME,
-    WIRE_VERSION,
+    error_from_value, peer_caps, Frame, FrameType, PeerCaps, TcpTransport, Transport,
+    DEFAULT_MAX_FRAME, WIRE_VERSION,
 };
 use parking_lot::Mutex;
 
@@ -30,6 +31,10 @@ use super::{cancel_outcome_from_value, methods, status_entry_from_value, WireMet
 /// Push batches a subscription may hold undelivered before the demux thread
 /// blocks on it (each is at most one server wake-up's worth of results).
 const PUSH_QUEUE_BATCHES: usize = 8;
+
+/// How long the demux thread blocks before it looks at `closed`/`dead`
+/// again (sooner when a heartbeat falls due).
+const STOP_NOTICE: Duration = Duration::from_millis(50);
 
 /// Client-side knobs. The defaults suit tests and localhost benches; the
 /// SDK derives them from its `TransportSpec`.
@@ -75,10 +80,9 @@ struct Shared {
     /// client legs on traced submissions. No-ops when tracing is off.
     tracer: Tracer,
     /// Capabilities the server advertised in its HelloAck. Old servers
-    /// advertise nothing: we never send them trace-flagged frames or
-    /// Health probes.
-    peer_trace: bool,
-    peer_health: bool,
+    /// advertise nothing: we never send them trace-flagged frames, Health
+    /// probes or confirmations.
+    peer: PeerCaps,
 }
 
 impl Shared {
@@ -154,7 +158,7 @@ impl WireClient {
         let metrics = WireMetrics::resolve(registry);
         let tracer = registry.tracer();
         metrics.send_counted(&*transport, &Frame::hello(token))?;
-        let (replica, peer_trace, peer_health) = match transport.recv(cfg.call_timeout)? {
+        let (replica, peer) = match transport.recv(cfg.call_timeout)? {
             Some(ack) if ack.frame_type == FrameType::HelloAck => {
                 metrics.frames_in.inc();
                 let version = ack.payload.get("version").and_then(Value::as_int);
@@ -170,8 +174,7 @@ impl WireClient {
                     .and_then(Value::as_int)
                     .unwrap_or(0)
                     .max(0) as u32;
-                let (peer_trace, peer_health) = peer_caps(&ack.payload);
-                (replica, peer_trace, peer_health)
+                (replica, peer_caps(&ack.payload))
             }
             Some(f) if f.frame_type == FrameType::Response => {
                 // The server refused the handshake with a typed error.
@@ -206,31 +209,18 @@ impl WireClient {
             replica,
             metrics,
             tracer,
-            peer_trace,
-            peer_health,
+            peer,
         });
-        let mut threads = Vec::new();
-        {
+        let demux = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gcx-wire-demux".into())
-                    .spawn(move || demux_loop(shared))
-                    .expect("spawn wire demux"),
-            );
-        }
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gcx-wire-heartbeat".into())
-                    .spawn(move || heartbeat_loop(shared))
-                    .expect("spawn wire heartbeat"),
-            );
-        }
+            std::thread::Builder::new()
+                .name("gcx-wire-demux".into())
+                .spawn(move || demux_loop(shared))
+                .expect("spawn wire demux")
+        };
         Ok(Self {
             shared,
-            threads: Arc::new(Mutex::new(threads)),
+            threads: Arc::new(Mutex::new(vec![demux])),
         })
     }
 
@@ -242,13 +232,13 @@ impl WireClient {
     /// True when the server advertised the trace capability: our frames may
     /// carry a trace-context segment.
     pub fn peer_traces(&self) -> bool {
-        self.shared.peer_trace
+        self.shared.peer.trace
     }
 
     /// True when the server advertised the health capability and will answer
     /// [`WireClient::health`] probes.
     pub fn peer_health(&self) -> bool {
-        self.shared.peer_health
+        self.shared.peer.health
     }
 
     /// True once the connection has failed; calls will return retryable
@@ -299,7 +289,7 @@ impl WireClient {
         let traced = !ctxs.is_empty() && shared.tracer.enabled();
         let t0 = if traced { shared.tracer.now_ms() } else { 0 };
         let mut frame = Frame::request(corr, method, params);
-        if shared.peer_trace {
+        if shared.peer.trace {
             frame = frame.with_trace(ctxs.first().copied());
         }
         if let Err(e) = shared.metrics.send_counted(&*shared.transport, &frame) {
@@ -337,7 +327,7 @@ impl WireClient {
     /// version): the caller treats such replicas as opaque, not unhealthy.
     pub fn health(&self) -> GcxResult<Option<HealthDoc>> {
         let shared = &self.shared;
-        if !shared.peer_health {
+        if !shared.peer.health {
             return Ok(None);
         }
         if shared.dead.load(Ordering::SeqCst) {
@@ -362,6 +352,27 @@ impl WireClient {
             Err(RecvTimeoutError::Disconnected) => {
                 Err(GcxError::Transient("wire connection lost".into()))
             }
+        }
+    }
+
+    /// Tell the server this client holds these tasks' results: one
+    /// `Confirm` frame of packed ids, which nothing answers, and none at all
+    /// to a server that did not advertise the capability. A connection that
+    /// is already lost drops it, and the server keeps those records. The
+    /// caller must have no `submit_batch` of these ids outstanding: the
+    /// server may forget an id before a re-sent batch names it again.
+    pub fn confirm(&self, ids: &[TaskId]) {
+        let shared = &self.shared;
+        if !shared.peer.confirm || ids.is_empty() || self.is_dead() {
+            return;
+        }
+        let frame = Frame::new(FrameType::Confirm, 0, Value::Bytes(batch::pack_ids(ids)));
+        if shared
+            .metrics
+            .send_counted(&*shared.transport, &frame)
+            .is_err()
+        {
+            shared.mark_dead();
         }
     }
 
@@ -545,12 +556,18 @@ impl Drop for WireStream {
     }
 }
 
+/// The connection's one thread: route responses to their callers and
+/// pushes to their subscriptions, and send the heartbeat when it is due —
+/// its `recv` waits no longer than that.
 fn demux_loop(shared: Arc<Shared>) {
+    let mut beat_due = Instant::now() + shared.cfg.heartbeat_interval;
     loop {
         if shared.closed.load(Ordering::SeqCst) || shared.dead.load(Ordering::SeqCst) {
             return;
         }
-        match shared.transport.recv(Duration::from_millis(50)) {
+        beat_if_due(&shared, &mut beat_due);
+        let wait = STOP_NOTICE.min(beat_due.saturating_duration_since(Instant::now()));
+        match shared.transport.recv(wait) {
             Ok(Some(frame)) => match frame.frame_type {
                 FrameType::Response => {
                     shared.metrics.frames_in.inc();
@@ -583,7 +600,8 @@ fn demux_loop(shared: Arc<Shared>) {
                     };
                     let tx = shared.subs.lock().get(&frame.corr_id).cloned();
                     if let Some(tx) = tx {
-                        deliver_push(&shared, &tx, PushBatch::new(Bytes::from(body)));
+                        let batch = PushBatch::new(Bytes::from(body));
+                        deliver_push(&shared, &tx, batch, &mut beat_due);
                     }
                 }
                 FrameType::HeartbeatAck => {
@@ -591,10 +609,8 @@ fn demux_loop(shared: Arc<Shared>) {
                 }
                 FrameType::Heartbeat => {
                     shared.metrics.frames_in.inc();
-                    let _ = shared.metrics.send_counted(
-                        &*shared.transport,
-                        &Frame::new(FrameType::HeartbeatAck, frame.corr_id, Value::None),
-                    );
+                    let ack = Frame::new(FrameType::HeartbeatAck, frame.corr_id, Value::None);
+                    send_liveness(&shared, &ack);
                 }
                 FrameType::Goodbye => {
                     shared.mark_dead();
@@ -620,45 +636,53 @@ fn demux_loop(shared: Arc<Shared>) {
 /// subscription's queue is full. A pushed result is never dropped: a slow
 /// consumer stops this thread reading the socket, so the kernel buffers, the
 /// server's push thread and finally the stream queue hold the backlog. The
-/// wait ends early only when the stream is dropped or the connection goes.
-fn deliver_push(shared: &Shared, tx: &Sender<PushBatch>, mut batch: PushBatch) {
+/// wait ends early only when the stream is dropped or the connection goes,
+/// and it keeps the heartbeat going: a stalled subscriber stalls its own
+/// connection, and the server must not reap it for that.
+fn deliver_push(
+    shared: &Shared,
+    tx: &Sender<PushBatch>,
+    mut batch: PushBatch,
+    beat_due: &mut Instant,
+) {
     loop {
-        match tx.send_timeout(batch, Duration::from_millis(50)) {
+        let wait = STOP_NOTICE.min(beat_due.saturating_duration_since(Instant::now()));
+        match tx.send_timeout(batch, wait) {
             Ok(()) | Err(SendTimeoutError::Disconnected(_)) => return,
             Err(SendTimeoutError::Timeout(back)) => {
                 if shared.closed.load(Ordering::SeqCst) || shared.dead.load(Ordering::SeqCst) {
                     return;
                 }
+                beat_if_due(shared, beat_due);
                 batch = back;
             }
         }
     }
 }
 
-fn heartbeat_loop(shared: Arc<Shared>) {
-    let slice = Duration::from_millis(25);
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < shared.cfg.heartbeat_interval {
-            if shared.closed.load(Ordering::SeqCst) || shared.dead.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(slice);
-            waited += slice;
-        }
-        let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
-        if shared
-            .metrics
-            .send_counted(
-                &*shared.transport,
-                &Frame::new(FrameType::Heartbeat, corr, Value::None),
-            )
-            .is_err()
-        {
+/// Send a `Heartbeat` if one is due, and set when the next one is.
+fn beat_if_due(shared: &Shared, due: &mut Instant) {
+    let now = Instant::now();
+    if now < *due {
+        return;
+    }
+    *due = now + shared.cfg.heartbeat_interval;
+    let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
+    send_liveness(shared, &Frame::new(FrameType::Heartbeat, corr, Value::None));
+}
+
+/// Send a frame that only shows the server this side is alive, from the
+/// demux thread: skipped while another writer holds the connection (that
+/// writer's frame shows it too), so the one reader never waits on a write
+/// that needs the reader to read first.
+fn send_liveness(shared: &Shared, frame: &Frame) {
+    match shared.transport.try_send(frame) {
+        Ok(true) => shared.metrics.frames_out.inc(),
+        Ok(false) => {}
+        Err(_) => {
             if !shared.closed.load(Ordering::SeqCst) {
                 shared.mark_dead();
             }
-            return;
         }
     }
 }

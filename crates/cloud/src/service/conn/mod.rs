@@ -8,9 +8,13 @@
 //!   (localhost TCP or in-memory pipes), authenticates each with a
 //!   versioned `Hello` handshake, multiplexes concurrent requests by
 //!   correlation id, answers heartbeats, and reaps idle connections;
-//! - [`WireClient`] is the matching dialer: a demux reader thread routes
+//! - [`WireClient`] is the matching dialer: one demux thread routes
 //!   responses to pending calls and server-push frames to subscriptions,
-//!   while a heartbeat thread keeps the connection alive;
+//!   and sends the heartbeat that keeps the connection alive when it is
+//!   due;
+//! - a client that took a pushed result it was waiting for says so with a
+//!   `Confirm` frame (packed ids, no answer), and a standalone service
+//!   forgets those tasks ([`WebService::confirm_taken`](super::WebService::confirm_taken));
 //! - result delivery is **server push**: a client opens a stream once and
 //!   the server forwards the `(task_id, result)` envelopes that are ready
 //!   at each wake-up as one `Push` frame — the wire replacement for handing
@@ -432,7 +436,7 @@ mod tests {
             ..TransportSpec::default()
         };
         let server = WireServer::inmem(&svc, spec);
-        // Handshake by hand so no heartbeat thread keeps the link alive.
+        // Handshake by hand so no client heartbeat keeps the link alive.
         let transport = server.connect_inmem();
         transport.send(&Frame::hello(token.0.clone())).unwrap();
         let ack = transport
@@ -475,6 +479,71 @@ mod tests {
         std::thread::sleep(Duration::from_millis(900));
         assert_eq!(server.conn_count(), 1);
         assert!(!client.is_dead());
+        client.close();
+        server.shutdown();
+        svc.shutdown();
+    }
+
+    /// A subscriber that stops reading stalls its own connection: the demux
+    /// thread waits to hand it a batch instead of reading. That thread also
+    /// sends the heartbeat, and must keep sending it while it waits, or the
+    /// server would reap a healthy slow reader for silence.
+    #[test]
+    fn a_stalled_subscriber_keeps_its_connection() {
+        const RESULTS: usize = 12; // more push batches than the client queues
+        let svc = service();
+        let token = login(&svc, "stalled@x.y");
+        let spec = TransportSpec {
+            heartbeat_interval_ms: 50,
+            idle_timeout_ms: 300,
+            ..TransportSpec::default()
+        };
+        let server = WireServer::inmem(&svc, spec);
+        let cfg = WireClientConfig {
+            heartbeat_interval: Duration::from_millis(50),
+            ..client_cfg()
+        };
+        let client = WireClient::over(server.connect_inmem(), &token.0, cfg).unwrap();
+        let fid = client
+            .register_function(&FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let stream = client.open_stream().unwrap();
+        let specs: Vec<TaskSpec> = (0..RESULTS)
+            .map(|_| TaskSpec::new(fid, reg.endpoint_id))
+            .collect();
+        let ids: HashSet<_> = client.submit_batch(&specs).unwrap().into_iter().collect();
+        // One result per push frame, none read.
+        let pushed = svc.metrics().counter("wire.frames_out");
+        for _ in 0..RESULTS {
+            let before = pushed.get();
+            let (spec, tag) = session.next_task(T).unwrap().unwrap();
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(Value::Int(1)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while pushed.get() == before {
+                assert!(std::time::Instant::now() < deadline, "never pushed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Three idle timeouts with the demux thread stuck on the stream.
+        std::thread::sleep(Duration::from_millis(900));
+        assert_eq!(server.conn_count(), 1, "a stalled subscriber was reaped");
+        assert!(!client.is_dead());
+        let mut got = HashSet::new();
+        while got.len() < RESULTS {
+            let (id, _) = stream.next(T).unwrap().expect("every result arrives");
+            assert!(got.insert(id), "{id} delivered twice");
+        }
+        assert_eq!(got, ids);
+        drop(stream);
         client.close();
         server.shutdown();
         svc.shutdown();

@@ -1,8 +1,9 @@
 //! The cloud side of the wire: accept loop, per-connection handshake and
-//! demux, request dispatch, and server-push result streaming.
+//! demux, request dispatch, result confirmations, and server-push result
+//! streaming.
 
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -103,9 +104,6 @@ impl WireServer {
     pub fn listen(svc: &WebService, spec: TransportSpec) -> GcxResult<Self> {
         let listener = TcpListener::bind(&spec.listen_addr)
             .map_err(|e| GcxError::Transient(format!("bind {}: {e}", spec.listen_addr)))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| GcxError::Transient(format!("set_nonblocking: {e}")))?;
         let addr = listener
             .local_addr()
             .map_err(|e| GcxError::Transient(format!("local_addr: {e}")))?
@@ -178,7 +176,23 @@ impl WireServer {
 
     /// Stop accepting, close every connection, and join all threads.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
+        // A listening server's accept loop blocks in `accept`: one loopback
+        // connect wakes it to see the flag. Only on the first call — the
+        // address may belong to another listener by a second.
+        if first {
+            if let Ok(mut addr) = self.inner.addr.parse::<SocketAddr>() {
+                if addr.ip().is_unspecified() {
+                    let loopback: IpAddr = if addr.is_ipv4() {
+                        Ipv4Addr::LOCALHOST.into()
+                    } else {
+                        Ipv6Addr::LOCALHOST.into()
+                    };
+                    addr.set_ip(loopback);
+                }
+                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            }
+        }
         let conns: Vec<Arc<Conn>> = self.inner.conns.lock().values().cloned().collect();
         for conn in conns {
             conn.transport.close();
@@ -190,9 +204,15 @@ impl WireServer {
     }
 }
 
+/// Block in `accept` until a peer dials; [`WireServer::shutdown`] dials
+/// once itself to end the loop.
 fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let transport = match TcpTransport::new(stream, inner.spec.max_frame_size as usize)
                 {
@@ -207,9 +227,7 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
                     inner.retain_thread(h);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors, say: give the host a moment.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -249,12 +267,29 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
                             &Frame::new(FrameType::Health, frame.corr_id, doc.to_value()),
                         );
                     }
+                    FrameType::Confirm => {
+                        // The peer holds these results. `confirm_taken`
+                        // retires only the peer's own terminal tasks, so a
+                        // well-formed lie costs nothing; a malformed body is
+                        // a violation.
+                        let ids = match &frame.payload {
+                            Value::Bytes(body) => batch::unpack_ids(body).ok(),
+                            _ => None,
+                        };
+                        let Some(ids) = ids else {
+                            protocol_violation(&inner, &conn, "confirm body is not whole ids");
+                            break;
+                        };
+                        let _ = inner.svc.confirm_taken(&token, &ids);
+                    }
                     FrameType::Goodbye => break,
-                    // A client must not send server-side frame types;
-                    // treat it as a protocol violation and drop the
-                    // connection (the framing boundary is still intact, but
-                    // the peer is confused).
-                    _ => break,
+                    // A client must not send server-side frame types; drop
+                    // the connection (the framing boundary is still intact,
+                    // but the peer is confused).
+                    other => {
+                        protocol_violation(&inner, &conn, &format!("client sent {other:?}"));
+                        break;
+                    }
                 }
             }
             Ok(None) => {
@@ -287,6 +322,16 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
 
 fn now_ms(inner: &Arc<ServerInner>) -> u64 {
     inner.svc.inner.clock.now_ms()
+}
+
+/// Record why the connection is being dropped for a frame it must not send.
+fn protocol_violation(inner: &Arc<ServerInner>, conn: &Conn, what: &str) {
+    inner.svc.metrics().flight().record(
+        now_ms(inner),
+        "wire.server",
+        "protocol_violation",
+        format!("conn={} peer={} {what}", conn.id, conn.transport.peer()),
+    );
 }
 
 /// Run the versioned hello handshake. Returns the registered connection
@@ -344,7 +389,7 @@ fn handshake(
     let replica = inner.svc.fed().map(|f| f.replica.0).unwrap_or(0);
     // Old clients never send a `caps` key: they see no flagged frames and
     // no Health pushes, and simply ignore the server's own advertisement.
-    let (peer_trace, _peer_health) = peer_caps(&hello.payload);
+    let peer_trace = peer_caps(&hello.payload).trace;
     let ack = Frame::new(
         FrameType::HelloAck,
         hello.corr_id,

@@ -569,7 +569,7 @@ impl WebService {
     /// Poll a task's status. This is the traditional REST path the executor
     /// interface replaces; every call is metered so benchmarks can compare
     /// request counts and bytes against streaming. A task whose result an
-    /// in-process executor confirmed taking has been retired, and answers
+    /// executor confirmed taking has been retired, and answers
     /// [`GcxError::TaskNotFound`] like an id never submitted.
     pub fn task_status(
         &self,

@@ -275,9 +275,10 @@ pub(super) struct CloudInner {
     pub(super) endpoints: Arc<ShardedMap<EndpointId, EndpointRecord>>,
     pub(super) credentials: Arc<ShardedMap<EndpointId, String>>,
     pub(super) tasks: ShardedMap<TaskId, TaskRecord>,
-    /// Terminal tasks whose results an in-process executor confirmed it
-    /// holds, with the identity that confirmed: the cold-path loop retires
-    /// their records (see [`ResultStream::confirm`]).
+    /// Tasks whose results an executor confirmed it holds, with the
+    /// identity that confirmed: the cold-path loop retires the records
+    /// that are that identity's and terminal (see
+    /// [`WebService::confirm_taken`]).
     pub(super) taken: Mutex<Vec<(TaskId, IdentityId)>>,
     /// (MEP id, user identity, config hash) → spawned user endpoint. Cold
     /// (one entry per spawned UEP) and guarded by a read-then-write

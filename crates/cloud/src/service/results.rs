@@ -65,6 +65,25 @@ impl WebService {
         let _ = self.inner.broker.delete_queue(queue_name);
     }
 
+    /// The caller holds these tasks' results and was waiting for them: the
+    /// cold-path loop's next pass retires each record that is still the
+    /// caller's and terminal ([`retire_taken`](Self::retire_taken)), and a
+    /// later status query, cancel or `task_record` answers
+    /// [`GcxError::TaskNotFound`]. The one entry point for both links: an
+    /// in-process call, or a wire `Confirm` frame. The caller must have no
+    /// submit of these ids outstanding (the SDK's batcher confirms between
+    /// its own calls). A federated replica ignores it: handover replay,
+    /// adoption and redirect-resends need records.
+    pub fn confirm_taken(&self, token: &Token, ids: &[TaskId]) -> GcxResult<()> {
+        if self.inner.fed.is_some() || ids.is_empty() {
+            return Ok(());
+        }
+        let identity = self.authenticate(token)?.identity.id;
+        let mut taken = self.inner.taken.lock();
+        taken.extend(ids.iter().map(|id| (*id, identity)));
+        Ok(())
+    }
+
     // ---- result processing -----------------------------------------------
 
     pub(super) fn result_processor_loop(&self) {
@@ -294,8 +313,8 @@ impl WebService {
         self.inner.m.tasks_resident.sub(resident);
     }
 
-    /// Retire every record whose result an in-process executor confirmed
-    /// it holds ([`ResultStream::confirm`]), if the record is still the
+    /// Retire every record whose result an executor confirmed it holds
+    /// ([`confirm_taken`](Self::confirm_taken)), if the record is still the
     /// confirming identity's and terminal, and move `cloud.tasks_resident`
     /// to what the store holds now. The records are freed here, off the
     /// task path. `taken` is the caller's spare list, swapped with the
@@ -430,18 +449,6 @@ impl ResultStream {
     pub fn queue_name(&self) -> &str {
         &self.queue_name
     }
-
-    /// Confirm that the caller holds `task_id`'s result, delivered on this
-    /// stream, and was waiting for it: the cold-path loop's next pass
-    /// retires the record, and a later status query, cancel or
-    /// `task_record` answers [`GcxError::TaskNotFound`]. Only the
-    /// in-process executor confirms. A federated replica ignores it:
-    /// handover replay, adoption and redirect-resends need records.
-    pub fn confirm(&self, task_id: TaskId) {
-        if self.cloud.inner.fed.is_none() {
-            self.cloud.inner.taken.lock().push((task_id, self.identity));
-        }
-    }
 }
 
 impl Drop for ResultStream {
@@ -566,20 +573,20 @@ mod tests {
             session.ack_task(tag).unwrap();
             id
         };
-        let (alice_stream, bob_stream) = (
-            svc.open_result_stream(&alice).unwrap(),
-            svc.open_result_stream(&bob).unwrap(),
-        );
         let (done, bobs) = (run(&alice), run(&bob));
         let open = svc
             .submit_task(&alice, TaskSpec::new(fid, reg.endpoint_id))
             .unwrap();
-        // Bob names Alice's finished task, Alice her unfinished one.
-        bob_stream.confirm(done);
-        alice_stream.confirm(open);
+        // Bob names Alice's finished task, Alice her unfinished one and an
+        // id nobody submitted.
+        svc.confirm_taken(&bob, &[done]).unwrap();
+        svc.confirm_taken(&alice, &[open, TaskId::random()])
+            .unwrap();
+        // A token that does not authenticate confirms nothing.
+        assert!(svc.confirm_taken(&Token("forged".into()), &[bobs]).is_err());
         // Bob confirms his own finished task: that one goes.
         let mine = run(&bob);
-        bob_stream.confirm(mine);
+        svc.confirm_taken(&bob, &[mine]).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while svc.task_record(mine).is_ok() {
             assert!(std::time::Instant::now() < deadline, "never retired");

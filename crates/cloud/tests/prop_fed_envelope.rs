@@ -407,12 +407,14 @@ proptest! {
 
         // The owner's rpc queue is served in order by one loop: once the
         // honest marker behind the lie has landed, the lie has been handled.
+        // Landed means published to the endpoint's queue: the record is
+        // installed (and the log appended) before the task ships.
         let (log, queue, gauge) = peer.footprint(OWNER);
         let marker = peer.spec(OWNER, vec![7]);
         peer.send(OWNER, bytes);
         peer.send(OWNER, peer.submit(0, std::slice::from_ref(&marker)));
         prop_assert!(
-            wait_until(|| peer.holds(OWNER, marker.task_id)),
+            wait_until(|| peer.holds(OWNER, marker.task_id) && peer.footprint(OWNER).1 > queue),
             "the rpc loop stopped serving after {:?}", lie
         );
         for spec in &all {
@@ -493,8 +495,15 @@ fn a_batch_whose_ring_moved_is_split_per_current_owner() {
         [before[0] + 1, before[1] + 1, before[2] + 1],
         "ours, then one envelope per other owner — not one per task"
     );
+    // Counted once `fed_ingest` returns, after the records appear.
     let m = peer.fed.metrics();
-    assert_eq!(m.counter("fed.submits_ingested").get(), specs.len() as u64);
+    let ingested = m.counter("fed.submits_ingested");
+    assert!(
+        wait_until(|| ingested.get() == specs.len() as u64),
+        "{} of {} ingested",
+        ingested.get(),
+        specs.len()
+    );
     assert_eq!(m.counter("fed.hops_exhausted").get(), 0);
     peer.fed.shutdown();
 }

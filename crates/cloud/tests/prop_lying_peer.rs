@@ -13,19 +13,26 @@
 //! the forged hash), no task accepted, no admission charge left behind, and
 //! the connection — whose server thread must not have panicked — still
 //! serving the honest request that follows.
+//!
+//! The same client may also say which results it holds (`Confirm`). That
+//! claim is checked where it is acted on: a record is retired only if it is
+//! the confirming identity's and terminal, so a confirm naming someone
+//! else's results, the peer's own unfinished task or ids nobody submitted
+//! retires nothing; a body that is not whole ids drops that connection and
+//! no other.
 
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
-use gcx_auth::{AuthPolicy, AuthService};
-use gcx_cloud::{AdmissionConfig, CloudConfig, WebService, WireServer};
+use gcx_auth::{AuthPolicy, AuthService, Token};
+use gcx_cloud::{AdmissionConfig, CloudConfig, EndpointSession, WebService, WireServer};
 use gcx_config::TransportSpec;
 use gcx_core::clock::SystemClock;
 use gcx_core::error::GcxError;
 use gcx_core::function::FunctionBody;
-use gcx_core::ids::{EndpointId, FunctionId};
+use gcx_core::ids::{EndpointId, FunctionId, TaskId};
 use gcx_core::payload::{ContentHash, Payload};
-use gcx_core::task::TaskSpec;
+use gcx_core::task::{TaskResult, TaskSpec};
 use gcx_core::value::Value;
 use gcx_core::wire::{batch, error_from_value, Frame, FrameType, InMemTransport, Transport};
 use gcx_mq::Broker;
@@ -36,15 +43,16 @@ use proptest::prelude::*;
 /// every case: a lie must not cost the *next* request anything either.
 struct Peer {
     svc: WebService,
-    transport: std::sync::Arc<InMemTransport>,
+    server: WireServer,
+    transport: Arc<InMemTransport>,
+    token: Token,
     fid: FunctionId,
     ep: EndpointId,
     corr: u64,
 }
 
-fn peer() -> &'static Mutex<Peer> {
-    static PEER: OnceLock<Mutex<Peer>> = OnceLock::new();
-    PEER.get_or_init(|| {
+impl Peer {
+    fn new() -> Self {
         let clock = SystemClock::shared();
         let svc = WebService::new(
             CloudConfig {
@@ -76,21 +84,18 @@ fn peer() -> &'static Mutex<Peer> {
                 ..TransportSpec::default()
             },
         );
-        let transport = server.connect_inmem();
-        transport.send(&Frame::hello(token.0)).unwrap();
-        let ack = transport.recv(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(ack.frame_type, FrameType::HelloAck);
-        Mutex::new(Peer {
+        let transport = handshake(&server, &token);
+        Peer {
             svc,
+            server,
             transport,
+            token,
             fid,
             ep: reg.endpoint_id,
             corr: 0,
-        })
-    })
-}
+        }
+    }
 
-impl Peer {
     /// An honest packed body carrying one spec per payload.
     fn honest(&self, payloads: &[Vec<u8>]) -> Vec<u8> {
         let specs: Vec<TaskSpec> = payloads.iter().map(|p| self.spec(p.clone())).collect();
@@ -138,6 +143,21 @@ impl Peer {
             m.gauge("cloud.admission_inflight").get(),
         )
     }
+}
+
+/// A connection to `server` whose handshake is done by hand, so nothing
+/// but the test ever writes on it.
+fn handshake(server: &WireServer, token: &Token) -> Arc<InMemTransport> {
+    let transport = server.connect_inmem();
+    transport.send(&Frame::hello(token.0.clone())).unwrap();
+    let ack = transport.recv(Duration::from_secs(5)).unwrap().unwrap();
+    assert_eq!(ack.frame_type, FrameType::HelloAck);
+    transport
+}
+
+fn peer() -> &'static Mutex<Peer> {
+    static PEER: OnceLock<Mutex<Peer>> = OnceLock::new();
+    PEER.get_or_init(|| Mutex::new(Peer::new()))
 }
 
 /// How the peer lies about the victim entry of its batch.
@@ -242,4 +262,164 @@ proptest! {
         prop_assert_eq!(peer.footprint().2, untouched.2 + 1);
         prop_assert_eq!(peer.footprint().3, untouched.3 + 1);
     }
+}
+
+fn wait_until(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
+}
+
+/// The confirm cases' service: a [`Peer`] whose endpoint nobody serves
+/// (its tasks stay open), one more endpoint served task by task, and a
+/// second identity with finished tasks of its own.
+struct Confirmer {
+    peer: Peer,
+    served: EndpointId,
+    session: EndpointSession,
+    victim: Token,
+    victim_fid: FunctionId,
+}
+
+impl Confirmer {
+    fn new() -> Self {
+        let peer = Peer::new();
+        let svc = &peer.svc;
+        let reg = svc
+            .register_endpoint(&peer.token, "served", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let (_, victim) = svc.auth().login("victim@test.org").unwrap();
+        let victim_fid = svc
+            .register_function(&victim, FunctionBody::pyfn("def g():\n    return 2\n"))
+            .unwrap();
+        Self {
+            served: reg.endpoint_id,
+            session,
+            victim,
+            victim_fid,
+            peer,
+        }
+    }
+
+    /// A task of `token`'s, run to its terminal state.
+    fn finished(&self, token: &Token, fid: FunctionId) -> TaskId {
+        let svc = &self.peer.svc;
+        let id = svc
+            .submit_task(token, TaskSpec::new(fid, self.served))
+            .unwrap();
+        let (spec, tag) = self
+            .session
+            .next_task(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        assert_eq!(spec.task_id, id);
+        self.session
+            .publish_result(id, &TaskResult::ok(Value::Int(1)))
+            .unwrap();
+        self.session.ack_task(tag).unwrap();
+        assert!(wait_until(|| svc
+            .task_record(id)
+            .is_ok_and(|r| r.state.is_terminal())));
+        id
+    }
+
+    fn confirm(&self, body: Value) {
+        let frame = Frame::new(FrameType::Confirm, 0, body);
+        self.peer.transport.send(&frame).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_lying_confirm_retires_only_the_peers_own_results(
+        theirs in 0usize..4,
+        own_open in any::<bool>(),
+        unknown in 0usize..4,
+        at in any::<usize>(),
+    ) {
+        static CONFIRMER: OnceLock<Mutex<Confirmer>> = OnceLock::new();
+        let c = CONFIRMER.get_or_init(|| Mutex::new(Confirmer::new()));
+        let c = c.lock().unwrap_or_else(|e| e.into_inner());
+        let svc = &c.peer.svc;
+
+        // Somebody else's finished tasks, and the peer's own open one.
+        let mut held: Vec<TaskId> = (0..theirs)
+            .map(|_| c.finished(&c.victim, c.victim_fid))
+            .collect();
+        if own_open {
+            let open = TaskSpec::new(c.peer.fid, c.peer.ep);
+            held.push(svc.submit_task(&c.peer.token, open).unwrap());
+        }
+        let mut named = held.clone();
+        named.extend((0..unknown).map(|_| TaskId::random()));
+        // One true claim among the lies: the peer's own finished task.
+        let mine = c.finished(&c.peer.token, c.peer.fid);
+        named.insert(at % (named.len() + 1), mine);
+
+        let inflight = svc.metrics().gauge("cloud.admission_inflight");
+        let charged = inflight.get();
+        c.confirm(Value::Bytes(batch::pack_ids(&named)));
+        // One body is retired in one pass: once the true claim is gone,
+        // every lie beside it has been judged.
+        prop_assert!(
+            wait_until(|| matches!(svc.task_record(mine), Err(GcxError::TaskNotFound(_)))),
+            "the peer's own result was never retired"
+        );
+        for id in &held {
+            prop_assert!(svc.task_record(*id).is_ok(), "a lying confirm retired {id}");
+        }
+        prop_assert_eq!(inflight.get(), charged, "a confirm moved the admission gauge");
+    }
+}
+
+/// A confirm body that is not whole ids is a protocol violation: that
+/// connection is dropped, the flight recorder says why, and every other
+/// connection is still served.
+#[test]
+fn a_malformed_confirm_drops_only_its_own_connection() {
+    let mut peer = Peer::new();
+    let bodies = [
+        Value::Bytes(vec![0u8; 17]),
+        Value::Bytes(vec![0u8; 15]),
+        Value::Int(16),
+    ];
+    for body in &bodies {
+        let liar = handshake(&peer.server, &peer.token);
+        let open = peer.server.conn_count();
+        liar.send(&Frame::new(FrameType::Confirm, 0, body.clone()))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match liar.recv(Duration::from_millis(50)) {
+                Err(_) => break,
+                Ok(None) => assert!(Instant::now() < deadline, "{body:?}: still open"),
+                Ok(Some(frame)) => panic!("{body:?}: the server answered {frame:?}"),
+            }
+        }
+        assert!(wait_until(|| peer.server.conn_count() == open - 1));
+        // The peer's own connection still serves an honest submit.
+        let honest = peer.honest(&[vec![1, 2, 3]]);
+        assert!(peer.submit(honest).is_ok(), "{body:?} cost a bystander");
+    }
+    let violations = peer
+        .svc
+        .metrics()
+        .flight()
+        .events()
+        .into_iter()
+        .filter(|e| e.event == "protocol_violation")
+        .count();
+    assert_eq!(violations, bodies.len());
+    peer.server.shutdown();
+    peer.svc.shutdown();
 }

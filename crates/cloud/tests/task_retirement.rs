@@ -1,8 +1,8 @@
-//! A task record has an end: once the in-process executor that submitted a
-//! task confirms it holds the result, the cold-path loop retires the
-//! record, and the service then answers `TaskNotFound` for that id. Nothing
-//! else confirms — a polling client, a wire executor (pinned in the SDK's
-//! executor tests), a `catch_up`
+//! A task record has an end: once the executor that submitted a task
+//! confirms it holds the result, the cold-path loop retires the record, and
+//! the service then answers `TaskNotFound` for that id. These cases drive
+//! the in-process executor; the wire executor's are pinned in the SDK's
+//! executor tests. Nothing else confirms — a polling client, a `catch_up`
 //! resolution and every federated replica keep today's records — and a
 //! retired id is never sent again, so no tombstone is kept.
 
@@ -204,8 +204,7 @@ fn a_polling_client_beside_an_executor_still_reads_every_result() {
 }
 
 /// (c) A federation never retires: handover replay, adoption and
-/// redirect-resends need records. (That a wire executor keeps its records
-/// too is pinned by the SDK's `wire_executor_resolves_4096_outstanding_futures`.)
+/// redirect-resends need records.
 #[test]
 fn federations_keep_their_records() {
     let fed = Federation::new(3, SystemClock::shared());

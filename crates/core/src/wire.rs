@@ -86,10 +86,12 @@ pub const TRACE_FLAG: u8 = 0x80;
 pub const TRACE_CTX_LEN: usize = 25;
 
 /// Capability strings a peer may advertise in `Hello`/`HelloAck` under the
-/// `caps` key. Senders must not emit trace-flagged frames or `Health`
-/// requests to a peer that did not advertise the matching capability.
+/// `caps` key. Senders must not emit trace-flagged frames, `Health`
+/// requests or `Confirm` frames to a peer that did not advertise the
+/// matching capability.
 pub const CAP_TRACE: &str = "trace";
 pub const CAP_HEALTH: &str = "health";
+pub const CAP_CONFIRM: &str = "confirm";
 
 /// Frame type tags. The numeric values are wire format — append, never
 /// renumber.
@@ -118,6 +120,11 @@ pub enum FrameType {
     /// the server answers with a `Health` frame carrying the SLO document
     /// (see `gcx_core::health`). Gated on the [`CAP_HEALTH`] capability.
     Health = 9,
+    /// Client → server: the client holds these tasks' results, so a
+    /// standalone service may forget them. The payload is the packed
+    /// 16-byte task ids ([`batch::pack_ids`]); nothing answers it. Gated on
+    /// the [`CAP_CONFIRM`] capability.
+    Confirm = 10,
 }
 
 impl FrameType {
@@ -134,6 +141,7 @@ impl FrameType {
             7 => FrameType::HeartbeatAck,
             8 => FrameType::Goodbye,
             9 => FrameType::Health,
+            10 => FrameType::Confirm,
             other => return Err(GcxError::Codec(format!("unknown frame type tag {other}"))),
         })
     }
@@ -211,25 +219,41 @@ impl Frame {
 
 /// This build's capability advertisement for `Hello`/`HelloAck` payloads.
 pub fn caps_value() -> Value {
-    Value::List(vec![Value::str(CAP_TRACE), Value::str(CAP_HEALTH)])
+    Value::List(vec![
+        Value::str(CAP_TRACE),
+        Value::str(CAP_HEALTH),
+        Value::str(CAP_CONFIRM),
+    ])
+}
+
+/// What a peer advertised in its `Hello`/`HelloAck`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PeerCaps {
+    /// It reads trace-flagged frames ([`CAP_TRACE`]).
+    pub trace: bool,
+    /// It answers `Health` probes ([`CAP_HEALTH`]).
+    pub health: bool,
+    /// It reads `Confirm` frames ([`CAP_CONFIRM`]).
+    pub confirm: bool,
 }
 
 /// Read the peer's advertised capabilities from a `Hello`/`HelloAck`
 /// payload. A missing or malformed `caps` key means an older peer: no
-/// capabilities, so no flagged frames and no `Health` requests toward it.
-pub fn peer_caps(payload: &Value) -> (bool, bool) {
-    let mut trace = false;
-    let mut health = false;
+/// capabilities, so no flagged frames, `Health` requests or `Confirm`
+/// frames toward it.
+pub fn peer_caps(payload: &Value) -> PeerCaps {
+    let mut caps = PeerCaps::default();
     if let Some(Value::List(items)) = payload.get("caps") {
         for item in items {
             match item.as_str() {
-                Some(c) if c == CAP_TRACE => trace = true,
-                Some(c) if c == CAP_HEALTH => health = true,
+                Some(CAP_TRACE) => caps.trace = true,
+                Some(CAP_HEALTH) => caps.health = true,
+                Some(CAP_CONFIRM) => caps.confirm = true,
                 _ => {}
             }
         }
     }
-    (trace, health)
+    caps
 }
 
 /// Append the 25-byte trace-context segment to `out`. Writes within the
@@ -719,6 +743,13 @@ pub trait Transport: Send + Sync {
     /// Serialize and send one frame. Errors are connection-fatal.
     fn send(&self, frame: &Frame) -> GcxResult<()>;
 
+    /// [`Transport::send`], unless another writer holds the connection:
+    /// then `Ok(false)` and nothing is sent. For a frame whose only job is
+    /// to show the peer this side is alive, sent by the connection's reader
+    /// — which must never wait behind a write the peer is not reading,
+    /// since the peer may be waiting on the reader to read.
+    fn try_send(&self, frame: &Frame) -> GcxResult<bool>;
+
     /// Wait up to `timeout` for the next frame. `Ok(None)` means the
     /// timeout elapsed with the connection still healthy; `Err` means the
     /// connection is dead (closed, reset, or a framing violation).
@@ -818,18 +849,30 @@ impl TcpTransport {
     }
 }
 
-impl Transport for TcpTransport {
-    fn send(&self, frame: &Frame) -> GcxResult<()> {
+impl TcpTransport {
+    fn send_locked(&self, buf: &mut Vec<u8>, frame: &Frame) -> GcxResult<()> {
         if self.closed.load(Ordering::Acquire) {
             return Err(GcxError::Transient("connection closed".into()));
         }
-        let mut buf = self.writer.lock();
-        send_via(&mut buf, frame, self.max_frame, |bytes| {
+        send_via(buf, frame, self.max_frame, |bytes| {
             (&self.stream).write_all(bytes).map_err(|e| {
                 self.closed.store(true, Ordering::Release);
                 GcxError::Transient(format!("tcp send: {e}"))
             })
         })
+    }
+}
+
+impl Transport for TcpTransport {
+    fn send(&self, frame: &Frame) -> GcxResult<()> {
+        self.send_locked(&mut self.writer.lock(), frame)
+    }
+
+    fn try_send(&self, frame: &Frame) -> GcxResult<bool> {
+        let Some(mut buf) = self.writer.try_lock() else {
+            return Ok(false);
+        };
+        self.send_locked(&mut buf, frame).map(|()| true)
     }
 
     fn recv(&self, timeout: Duration) -> GcxResult<Option<Frame>> {
@@ -990,6 +1033,16 @@ impl Transport for InMemTransport {
         })
     }
 
+    fn try_send(&self, frame: &Frame) -> GcxResult<bool> {
+        let Some(mut buf) = self.writer.try_lock() else {
+            return Ok(false);
+        };
+        send_via(&mut buf, frame, self.max_frame, |bytes| {
+            self.out.write(bytes)
+        })
+        .map(|()| true)
+    }
+
     fn recv(&self, timeout: Duration) -> GcxResult<Option<Frame>> {
         let deadline = Instant::now() + timeout;
         let mut reader = self.reader.lock();
@@ -1129,6 +1182,7 @@ mod tests {
             (FrameType::HeartbeatAck, 7),
             (FrameType::Goodbye, 0),
             (FrameType::Health, 11),
+            (FrameType::Confirm, 0),
         ] {
             let f = Frame::new(ty, corr, Value::map([("k", Value::Int(9))]));
             assert_eq!(roundtrip(&f), f);
@@ -1221,12 +1275,27 @@ mod tests {
 
     #[test]
     fn hello_advertises_caps_and_old_payloads_have_none() {
+        let all = PeerCaps {
+            trace: true,
+            health: true,
+            confirm: true,
+        };
         let hello = Frame::hello("tok");
-        assert_eq!(peer_caps(&hello.payload), (true, true));
+        assert_eq!(peer_caps(&hello.payload), all);
         let old = Value::map([("version", Value::Int(WIRE_VERSION))]);
-        assert_eq!(peer_caps(&old), (false, false));
-        let partial = Value::map([("caps", Value::List(vec![Value::str("trace")]))]);
-        assert_eq!(peer_caps(&partial), (true, false));
+        assert_eq!(peer_caps(&old), PeerCaps::default());
+        // A peer from before the confirm capability.
+        let partial = Value::map([(
+            "caps",
+            Value::List(vec![Value::str("trace"), Value::str("health")]),
+        )]);
+        assert_eq!(
+            peer_caps(&partial),
+            PeerCaps {
+                confirm: false,
+                ..all
+            }
+        );
     }
 
     #[test]

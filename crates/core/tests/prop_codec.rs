@@ -144,6 +144,7 @@ fn frame_type_strategy() -> impl Strategy<Value = FrameType> {
         Just(FrameType::HeartbeatAck),
         Just(FrameType::Goodbye),
         Just(FrameType::Health),
+        Just(FrameType::Confirm),
     ]
 }
 
@@ -263,13 +264,13 @@ proptest! {
     }
 
     /// Garbage type tags — anything whose assigned-tag bits (the low 7,
-    /// since the high bit is the trace flag) fall outside 1..=9 — are a
+    /// since the high bit is the trace flag) fall outside 1..=10 — are a
     /// typed error even when length and payload are perfectly valid.
     #[test]
     fn garbage_type_tags_are_typed_errors(f in frame_strategy(), raw in any::<u8>()) {
-        // Shift assigned tag bits (1..=9) into the unassigned 10..=18 band,
+        // Shift assigned tag bits (1..=10) into the unassigned 11..=20 band,
         // preserving the trace-flag bit; everything else passes through.
-        let tag = if (1..=9).contains(&(raw & 0x7F)) { raw + 9 } else { raw };
+        let tag = if (1..=10).contains(&(raw & 0x7F)) { raw + 10 } else { raw };
         let mut bytes = encode_frame(&f, TEST_MAX_FRAME).unwrap();
         bytes[4] = tag; // the type tag sits right after the u32 prefix
         let mut reader = FrameReader::new(TEST_MAX_FRAME);

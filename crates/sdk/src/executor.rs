@@ -17,9 +17,10 @@
 //!   [`ExecutorConfig::batch_window`] (or up to
 //!   [`ExecutorConfig::max_batch`]) into single `submit_batch` calls;
 //! - a result-stream thread consuming the user's AMQPS stream queue and
-//!   resolving futures as results arrive — zero polling. In-process it
-//!   confirms each result it was waiting for, and a standalone service
-//!   then forgets that task (a later status query is `TaskNotFound`).
+//!   resolving futures as results arrive — zero polling. Each result it was
+//!   waiting for is confirmed, by the batching thread between its own
+//!   submit calls and on either link, and a standalone service then
+//!   forgets that task (a later status query is `TaskNotFound`).
 //!
 //! The executor is also the client half of the recovery story: if the result
 //! stream breaks it reconnects under [`ExecutorConfig::retry`] backoff and
@@ -103,6 +104,10 @@ struct ExecutorShared {
     /// Resubmissions serving out their backoff; the batcher promotes each to
     /// `pending` once its instant arrives.
     delayed: Mutex<Vec<(Instant, PendingSubmit)>>,
+    /// Results the stream thread took while waiting for them, for the
+    /// batcher to confirm between its own submit calls. `None` once the
+    /// batcher has exited: the stream thread then confirms them itself.
+    taken: Mutex<Option<Vec<TaskId>>>,
     /// Content-hash → registered function id (on-the-fly dedup).
     registered: Mutex<HashMap<u64, FunctionId>>,
     shutdown: AtomicBool,
@@ -198,6 +203,7 @@ impl Executor {
             inflight: Mutex::new(HashMap::new()),
             pending: Mutex::new(Vec::new()),
             delayed: Mutex::new(Vec::new()),
+            taken: Mutex::new(Some(Vec::new())),
             registered: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             tasks_resubmitted,
@@ -396,7 +402,9 @@ impl Drop for Executor {
 }
 
 fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
+    let mut confirming = Vec::new();
     loop {
+        send_confirms(shared, &mut confirming);
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
         // Promote resubmissions whose backoff has elapsed (all of them at
         // shutdown, so nothing is stranded in the delay queue).
@@ -451,10 +459,29 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
                 }
             }
         } else if shutting_down {
+            // No call of ours is outstanding any more: what the stream
+            // thread takes from here on it confirms itself.
+            let last = shared.taken.lock().take().unwrap_or_default();
+            shared.link.confirm(&shared.token, &last);
             return;
         } else {
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+}
+
+/// Confirm the results the stream thread took since the last pass. Called
+/// only between this thread's own submit calls, so every id it confirms
+/// was carried by a call that has returned: the wire link, which re-sends
+/// a batch only while its call is outstanding, never names a retired id
+/// again. `confirming` is a spare list, swapped with the shared one.
+fn send_confirms(shared: &ExecutorShared, confirming: &mut Vec<TaskId>) {
+    if let Some(taken) = shared.taken.lock().as_mut() {
+        std::mem::swap(taken, confirming);
+    }
+    if !confirming.is_empty() {
+        shared.link.confirm(&shared.token, confirming);
+        confirming.clear();
     }
 }
 
@@ -467,7 +494,14 @@ fn stream_loop(shared: &ExecutorShared, retry: &RetryPolicy, mut stream: ResultF
                 // this executor was waiting for, so a result pushed to
                 // every stream of the identity retires nothing.
                 if complete_task(shared, retry, task_id, result) {
-                    stream.confirm(task_id);
+                    let mut taken = shared.taken.lock();
+                    match taken.as_mut() {
+                        Some(taken) => taken.push(task_id),
+                        None => {
+                            drop(taken);
+                            shared.link.confirm(&shared.token, &[task_id]);
+                        }
+                    }
                 }
             }
             Ok(Some((task_id, Err(e)))) => {
@@ -904,9 +938,15 @@ mod tests {
     /// up (a slow `on_done` callback) while every result is published: the
     /// connection must hold the backlog, not drop it. (Pushes beyond a
     /// 1024-deep client channel used to be discarded, stranding futures.)
-    /// The service then keeps every record: nothing on the wire confirms.
+    /// Every result taken is confirmed, so the service then forgets every
+    /// task — over an in-memory connection and over TCP alike.
     #[test]
     fn wire_executor_resolves_4096_outstanding_futures() {
+        wire_backlog_resolves_and_retires(false);
+        wire_backlog_resolves_and_retires(true);
+    }
+
+    fn wire_backlog_resolves_and_retires(tcp: bool) {
         use crate::link::WireLink;
         use gcx_cloud::{WireClient, WireClientConfig, WireServer};
         use gcx_config::TransportSpec;
@@ -917,10 +957,17 @@ mod tests {
         let reg = svc
             .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
             .unwrap();
-        let server = WireServer::inmem(&svc, TransportSpec::default());
         let wire_cfg = WireClientConfig::default();
-        let client = WireClient::over(server.connect_inmem(), &token.0, wire_cfg.clone()).unwrap();
-        let link = Link::Wire(WireLink::over(client, wire_cfg));
+        let (server, link) = if tcp {
+            let server = WireServer::listen(&svc, TransportSpec::default()).unwrap();
+            let addrs = vec![server.addr().to_string()];
+            (server, Link::connect(addrs, &token.0, wire_cfg).unwrap())
+        } else {
+            let server = WireServer::inmem(&svc, TransportSpec::default());
+            let client =
+                WireClient::over(server.connect_inmem(), &token.0, wire_cfg.clone()).unwrap();
+            (server, Link::Wire(WireLink::over(client, wire_cfg)))
+        };
         let ex = Executor::build(
             link,
             token.clone(),
@@ -976,23 +1023,222 @@ mod tests {
             assert_eq!(
                 f.result_timeout(Duration::from_secs(30)).unwrap(),
                 Value::Int(i as i64 + 1),
-                "future {i} of {TASKS} stranded"
+                "future {i} of {TASKS} stranded (tcp: {tcp})"
             );
         }
         assert_eq!(ex.inflight(), 0);
-        // A wire executor never confirms (its pushes were acked by socket
-        // writes, not receipt): every record outlives a few cold-path passes.
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(
-            svc.metrics().gauge("cloud.tasks_resident").get(),
-            TASKS as u64
-        );
+        // Confirmed over the wire: a cold-path pass retires every record.
+        let resident = svc.metrics().gauge("cloud.tasks_resident");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while resident.get() != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "tcp: {tcp}: {} records still held",
+                resident.get()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         for f in &futures {
-            assert!(svc.task_record(f.task_id()).unwrap().state.is_terminal());
+            assert!(matches!(
+                svc.task_status(&token, f.task_id()),
+                Err(GcxError::TaskNotFound(_))
+            ));
         }
         ex.close();
         server.shutdown();
         svc.shutdown();
+    }
+
+    /// The far half of an in-memory pair, standing in for the wire server:
+    /// its HelloAck, advertising `caps`, is already in the pipe, so a client
+    /// handshakes without a thread on this side. The stub reads the
+    /// client's `Hello` first.
+    fn stub_server(
+        caps: &[&str],
+    ) -> (
+        Arc<dyn gcx_core::wire::Transport>,
+        gcx_core::wire::InMemTransport,
+    ) {
+        use gcx_core::wire::{Frame, FrameType, InMemTransport, Transport, WIRE_VERSION};
+        let (client, server) = InMemTransport::pair(gcx_core::wire::DEFAULT_MAX_FRAME);
+        let caps = Value::List(caps.iter().map(|c| Value::str(*c)).collect());
+        let ack = Value::map([("version", Value::Int(WIRE_VERSION)), ("caps", caps)]);
+        server
+            .send(&Frame::new(FrameType::HelloAck, 0, ack))
+            .unwrap();
+        (Arc::new(client), server)
+    }
+
+    fn quiet_wire_cfg() -> gcx_cloud::WireClientConfig {
+        gcx_cloud::WireClientConfig {
+            // No heartbeat inside a test: every frame out is the test's.
+            heartbeat_interval: Duration::from_secs(3600),
+            ..gcx_cloud::WireClientConfig::default()
+        }
+    }
+
+    /// A confirmation is one `Confirm` frame of packed ids to a server that
+    /// advertised the capability, and nothing at all to one that did not.
+    #[test]
+    fn wire_executor_link_confirms_only_to_a_capable_server() {
+        use crate::link::WireLink;
+        use gcx_cloud::WireClient;
+        use gcx_core::metrics::MetricsRegistry;
+        use gcx_core::wire::{batch, FrameType, Transport, CAP_CONFIRM, CAP_HEALTH, CAP_TRACE};
+
+        let token = Token("stub".into());
+        let ids = [TaskId::random(), TaskId::random()];
+        for caps in [
+            &[CAP_TRACE, CAP_HEALTH][..],
+            &[CAP_TRACE, CAP_HEALTH, CAP_CONFIRM],
+        ] {
+            let capable = caps.contains(&CAP_CONFIRM);
+            let (transport, server) = stub_server(caps);
+            let registry = MetricsRegistry::new();
+            let client =
+                WireClient::over_with_registry(transport, &token.0, quiet_wire_cfg(), &registry)
+                    .unwrap();
+            let link = Link::Wire(WireLink::over(client, quiet_wire_cfg()));
+            let frames_out = registry.counter("wire.frames_out");
+            let before = frames_out.get();
+            link.confirm(&token, &ids);
+            assert_eq!(frames_out.get(), before + capable as u64, "caps {caps:?}");
+            let hello = server.recv(Duration::from_secs(5)).unwrap().unwrap();
+            assert_eq!(hello.frame_type, FrameType::Hello);
+            let next = server.recv(Duration::from_millis(50)).unwrap();
+            match next {
+                Some(frame) if capable => {
+                    assert_eq!(frame.frame_type, FrameType::Confirm);
+                    let Value::Bytes(body) = frame.payload else {
+                        panic!("a confirm body is packed ids")
+                    };
+                    assert_eq!(batch::unpack_ids(&body).unwrap(), ids);
+                }
+                None if !capable => {}
+                other => panic!("caps {caps:?}: the server read {other:?}"),
+            }
+            link.close();
+        }
+    }
+
+    /// Why the batcher sends the confirmations: a push can beat the answer
+    /// to its own `submit_batch`, and the wire link re-sends a batch while
+    /// its call is outstanding, so a confirm sent then could let a re-sent
+    /// batch run a retired task again. A stub server pushes every result of
+    /// a batch and answers the submit only once the futures have resolved:
+    /// no `Confirm` may arrive before that answer, and one must after it.
+    #[test]
+    fn wire_executor_confirms_only_after_its_submit_returns() {
+        use crate::link::WireLink;
+        use gcx_cloud::WireClient;
+        use gcx_core::wire::{
+            batch, Frame, FrameType, Transport, CAP_CONFIRM, CAP_HEALTH, CAP_TRACE,
+        };
+
+        const TASKS: usize = 4;
+        let (transport, server) = stub_server(&[CAP_TRACE, CAP_HEALTH, CAP_CONFIRM]);
+        let (resolved_tx, resolved_rx) = crossbeam_channel::bounded::<()>(1);
+        let (report_tx, report_rx) = crossbeam_channel::bounded(1);
+        let stub = std::thread::spawn(move || {
+            let (mut stream, mut answered, mut early) = (0, false, 0);
+            let mut confirmed: Vec<TaskId> = Vec::new();
+            // A confirm read before the submit is answered was sent before.
+            let mut on_confirm = |frame: Frame, answered: bool| {
+                let Value::Bytes(body) = frame.payload else {
+                    panic!("a confirm body is packed ids")
+                };
+                early += usize::from(!answered);
+                confirmed.extend(batch::unpack_ids(&body).unwrap());
+                if confirmed.len() == TASKS {
+                    let _ = report_tx.send((early, confirmed.clone()));
+                }
+            };
+            while let Ok(Some(frame)) = server.recv(Duration::from_secs(10)) {
+                let corr = frame.corr_id;
+                match frame.frame_type {
+                    FrameType::Confirm => on_confirm(frame, answered),
+                    FrameType::Request => {
+                        let method = frame.payload.get("method").and_then(Value::as_str);
+                        let reply = match method.unwrap() {
+                            "open_stream" => {
+                                stream = corr;
+                                Value::map([("stream", Value::Int(corr as i64))])
+                            }
+                            "register_function" => {
+                                Value::map([("id", Value::str(FunctionId::random().to_string()))])
+                            }
+                            "submit_batch" => {
+                                let Some(Value::Bytes(body)) = frame.payload.get("params") else {
+                                    panic!("a submit body is packed specs")
+                                };
+                                let specs = batch::unpack_specs(&body.clone().into()).unwrap();
+                                let mut push = Vec::new();
+                                for spec in &specs {
+                                    let result = TaskResult::ok(Value::Int(7));
+                                    let envelope = result.to_envelope(spec.task_id, None);
+                                    batch::write_push_entry(&mut push, None, &envelope);
+                                }
+                                let push = Frame::new(FrameType::Push, stream, Value::Bytes(push));
+                                server.send(&push).unwrap();
+                                // Taken while the call is outstanding; then
+                                // room for many batcher passes.
+                                resolved_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                                std::thread::sleep(Duration::from_millis(50));
+                                while let Ok(Some(frame)) = server.recv(Duration::ZERO) {
+                                    if frame.frame_type == FrameType::Confirm {
+                                        on_confirm(frame, false);
+                                    }
+                                }
+                                let ids: Vec<TaskId> = specs.iter().map(|s| s.task_id).collect();
+                                answered = true;
+                                Value::Bytes(batch::pack_ids(&ids))
+                            }
+                            _ => Value::map([] as [(&str, Value); 0]),
+                        };
+                        server.send(&Frame::response_ok(corr, reply)).unwrap();
+                    }
+                    FrameType::Goodbye => break,
+                    _ => {}
+                }
+            }
+        });
+
+        let token = Token("stub".into());
+        let client = WireClient::over(transport, &token.0, quiet_wire_cfg()).unwrap();
+        let link = Link::Wire(WireLink::over(client, quiet_wire_cfg()));
+        let ex = Executor::build(
+            link,
+            token,
+            EndpointId::random(),
+            ExecutorConfig {
+                // One batch, flushed when the last task joins it.
+                batch_window: Duration::from_secs(60),
+                max_batch: TASKS,
+                ..ExecutorConfig::default()
+            },
+        )
+        .unwrap();
+        let f = PyFunction::new("def f():\n    return 7\n");
+        let futures: Vec<TaskFuture> = (0..TASKS)
+            .map(|_| ex.submit(&f, vec![], Value::None).unwrap())
+            .collect();
+        for fut in &futures {
+            assert_eq!(
+                fut.result_timeout(Duration::from_secs(10)).unwrap(),
+                Value::Int(7)
+            );
+        }
+        resolved_tx.send(()).unwrap();
+        let (early, mut confirmed) = report_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the taken results are confirmed once the submit returns");
+        assert_eq!(early, 0, "a confirm crossed an outstanding submit");
+        confirmed.sort();
+        let mut submitted: Vec<TaskId> = futures.iter().map(TaskFuture::task_id).collect();
+        submitted.sort();
+        assert_eq!(confirmed, submitted);
+        ex.close();
+        stub.join().unwrap();
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! Result delivery is unified by [`ResultFeed`]: a broker consumer on the
 //! local path, a server-push [`WireStream`] on the wire path, one `next()`
-//! loop in the executor either way.
+//! loop in the executor either way. Its receipt is one verb on both arms,
+//! [`Link::confirm`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -356,6 +357,23 @@ impl Link {
         })
     }
 
+    /// Say that the caller holds these tasks' results and was waiting for
+    /// them; a standalone service then forgets the tasks
+    /// ([`WebService::confirm_taken`]). In-process that is the call; over
+    /// the wire it is one `Confirm` frame, sent only to a server that
+    /// advertised the capability. Nothing answers, and nothing is retried:
+    /// an unconfirmed result only keeps its record. The caller must have
+    /// no submit of these ids outstanding — the wire arm re-sends a batch
+    /// while its call is, and the server may already have forgotten them.
+    pub fn confirm(&self, token: &Token, ids: &[TaskId]) {
+        match self {
+            Link::Local(l) => {
+                let _ = l.current.read().confirm_taken(token, ids);
+            }
+            Link::Wire(w) => w.client().confirm(ids),
+        }
+    }
+
     /// Tear down the link (closes the wire connection; a no-op locally).
     pub fn close(&self) {
         if let Link::Wire(w) = self {
@@ -513,17 +531,6 @@ impl ResultFeed {
                 Ok(None) => Ok(None),
                 Err(e) => Err(e),
             },
-        }
-    }
-
-    /// Say that the caller was waiting for `task_id`'s result, which `next`
-    /// just returned, and now holds it. In-process this is
-    /// [`ResultStream::confirm`], and a standalone service then forgets the
-    /// task. Over the wire it does nothing: the server's push loop acked
-    /// the push when it wrote it, and a write is not receipt.
-    pub fn confirm(&self, task_id: TaskId) {
-        if let ResultFeed::Local(stream) = self {
-            stream.confirm(task_id);
         }
     }
 }
@@ -711,6 +718,66 @@ mod tests {
         for (i, r) in results.into_iter().enumerate() {
             assert_eq!(r.unwrap(), Value::Int(i as i64 + 5));
         }
+        client.close();
+    }
+
+    /// A polling client over the wire shares its identity, and so the
+    /// result fan-out, with a wire executor: the executor confirms only the
+    /// results it was waiting for, so its own tasks are forgotten and the
+    /// client's stay to be polled.
+    #[test]
+    fn polling_client_beside_a_wire_executor_still_reads_its_results() {
+        let stack = WireStack::new();
+        let addrs = vec![stack.server.addr().to_string()];
+        let ex = Executor::over_wire(
+            addrs.clone(),
+            &stack.token,
+            stack.ep,
+            ExecutorConfig::default(),
+            wire_cfg(),
+        )
+        .unwrap();
+        let client = Client::over_wire(addrs, &stack.token, wire_cfg()).unwrap();
+        let f = PyFunction::new("def f(x):\n    return x + 5\n");
+        let fid = client.register_function(&f).unwrap();
+        let polled: Vec<TaskId> = (0..8)
+            .map(|i| {
+                client
+                    .run(fid, stack.ep, vec![Value::Int(i)], Value::None)
+                    .unwrap()
+            })
+            .collect();
+        let futures: Vec<_> = (0..32)
+            .map(|i| ex.submit(&f, vec![Value::Int(i)], Value::None).unwrap())
+            .collect();
+        for (i, fut) in futures.iter().enumerate() {
+            assert_eq!(
+                fut.result_timeout(Duration::from_secs(15)).unwrap(),
+                Value::Int(i as i64 + 5)
+            );
+        }
+        let resident = stack.svc.metrics().gauge("cloud.tasks_resident");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while resident.get() != polled.len() as u64 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} records held, want the client's {}",
+                resident.get(),
+                polled.len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let results = client
+            .get_batch_results(&polled, Duration::from_millis(5), Duration::from_secs(15))
+            .unwrap();
+        for (i, r) in results.into_iter().enumerate() {
+            assert_eq!(r.unwrap(), Value::Int(i as i64 + 5));
+        }
+        for id in &polled {
+            let (state, _) = client.task_status(*id).unwrap();
+            assert_eq!(state, TaskState::Success);
+        }
+        ex.close();
         client.close();
     }
 

@@ -110,6 +110,38 @@ fn assert_traces_linked(svc: &WebService, tasks: usize) {
     }
 }
 
+/// Once the executor has closed (its batcher's last pass confirmed what was
+/// pending), what the service still holds is exactly what no confirmation
+/// reached: a result `catch_up` polled, or one whose `Confirm` went out on a
+/// connection the cut had already killed. `cloud.tasks_resident` settles on
+/// the records that still answer, each of them terminal.
+fn assert_resident_is_what_was_never_confirmed(svc: &WebService, futures: &[TaskFuture]) {
+    let held = || {
+        futures
+            .iter()
+            .filter(|f| match svc.task_record(f.task_id()) {
+                Ok(record) => {
+                    assert!(record.state.is_terminal(), "{:?}", record.state);
+                    true
+                }
+                Err(_) => false,
+            })
+            .count() as u64
+    };
+    let resident = svc.metrics().gauge("cloud.tasks_resident");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while resident.get() != held() {
+        assert!(
+            Instant::now() < deadline,
+            "tasks_resident {} never settled on the {} unconfirmed records",
+            resident.get(),
+            held()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(resident.get() <= futures.len() as u64);
+}
+
 fn drain_queue(svc: &WebService, reg: &gcx::cloud::EndpointRegistration, n: usize) {
     drain_queue_with(svc, reg, n, |x| Value::Int(x * 2));
 }
@@ -353,6 +385,7 @@ fn server_partition_mid_stream_executor_reconnects_exactly_once() {
         );
     }
     ex.close();
+    assert_resident_is_what_was_never_confirmed(&svc, &futures);
     server.shutdown();
     svc.shutdown();
 }
@@ -658,6 +691,7 @@ fn connection_killed_mid_push_batch_resolves_every_future_exactly_once() {
     );
     assert_traces_linked(&svc, tasks);
     ex.close();
+    assert_resident_is_what_was_never_confirmed(&svc, &futures);
     server.shutdown();
     svc.shutdown();
 }
