@@ -472,8 +472,11 @@ mod tests {
         let id = svc.submit_task(&token, spec).unwrap();
         vclock.advance(200);
         // The result lands just before the sweep runs.
-        svc.finish_task_local(id, TaskResult::ok(gcx_core::value::Value::Int(7)), None)
+        let mut fan_out = crate::service::results::FanOut::default();
+        let result = TaskResult::ok(gcx_core::value::Value::Int(7));
+        svc.finish_task_local(id, result, None, &mut fan_out)
             .unwrap();
+        fan_out.flush(svc.broker());
         assert_eq!(svc.check_expiry(), 0, "terminal record is left untouched");
         let rec = svc.task_record(id).unwrap();
         assert_eq!(rec.state, TaskState::Success);

@@ -40,12 +40,18 @@ const PUSH_BATCH_MAX_BYTES: usize = 1 << 20;
 /// connection as `Push` frames until stopped or the queue dies.
 struct Subscription {
     stop: Arc<AtomicBool>,
+    /// The stream's queue, where the push thread parks.
+    queue: String,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Subscription {
-    fn shut(&mut self) {
+    /// Stop the push thread and wait for it. Deleting the stream's queue
+    /// wakes a thread parked on it at once; the thread's `ResultStream`
+    /// then closes the rest of the stream.
+    fn shut(&mut self, svc: &WebService) {
         self.stop.store(true, Ordering::SeqCst);
+        let _ = svc.broker().delete_queue(&self.queue);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -312,7 +318,7 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
     // deletes the stream queues), then the registry entry and the socket.
     let mut subs = std::mem::take(&mut *conn.subs.lock());
     for sub in subs.values_mut() {
-        sub.shut();
+        sub.shut(&inner.svc);
     }
     inner.conns.lock().remove(&conn.id);
     inner.m.conns_open.sub(1);
@@ -536,12 +542,14 @@ fn dispatch_method(
         }
         methods::OPEN_STREAM => {
             let stream = svc.open_result_stream(token)?;
+            let queue = stream.queue_name().to_string();
             let stop = Arc::new(AtomicBool::new(false));
             let handle = spawn_push_loop(inner.clone(), conn.clone(), corr, stream, stop.clone());
             conn.subs.lock().insert(
                 corr,
                 Subscription {
                     stop,
+                    queue,
                     handle: Some(handle),
                 },
             );
@@ -553,8 +561,9 @@ fn dispatch_method(
                 .and_then(Value::as_int)
                 .ok_or_else(|| GcxError::Codec("close_stream: missing stream".into()))?
                 as u64;
-            if let Some(mut sub) = conn.subs.lock().remove(&stream_corr) {
-                sub.shut();
+            let closing = conn.subs.lock().remove(&stream_corr);
+            if let Some(mut sub) = closing {
+                sub.shut(svc);
             }
             Ok(Value::map([] as [(&str, Value); 0]))
         }
@@ -565,13 +574,14 @@ fn dispatch_method(
 }
 
 /// Forward the subscription's stream queue to the connection as `Push`
-/// frames, one per wake-up: the first delivery is waited for, whatever else
-/// is already ready rides along (up to the batch ceilings), the batch goes
-/// out in one write, and only then is every delivery of it acked. A failed
-/// write acks none of them — the deliveries stay with the queue, exactly as
-/// a single unacked result did. With one result outstanding the batch is
-/// that one result and nothing waits. The loop ends when the subscription is
-/// closed, the connection dies, or the stream queue disappears (liveness
+/// frames, one per wake-up: one take waits for the first delivery and
+/// brings whatever else is already ready (up to the result ceiling), as
+/// many as fit the byte ceiling go out in one write, and only then are they
+/// acked, with one ack. A failed write acks none of them — the deliveries
+/// stay with the queue, exactly as a single unacked result did. What did
+/// not fit leads the next batch. With one result outstanding the batch is
+/// that one result and nothing waits. The loop ends when the subscription
+/// is closed, the connection dies, or the stream queue disappears (liveness
 /// reaping, shutdown).
 fn spawn_push_loop(
     inner: Arc<ServerInner>,
@@ -585,24 +595,29 @@ fn spawn_push_loop(
         .spawn(move || {
             let max_bytes = PUSH_BATCH_MAX_BYTES.min(inner.spec.max_frame_size as usize / 2);
             // Reused across batches: the payload buffer (lent to the frame
-            // for the send and taken back) and the tags awaiting the write.
+            // for the send and taken back), the deliveries taken and not yet
+            // sent, and the tags of those the write carries.
             let mut body: Vec<u8> = Vec::new();
+            let mut taken = Vec::new();
             let mut tags: Vec<u64> = Vec::new();
-            // A ready delivery that did not fit the previous batch.
-            let mut carried = None;
             while !stop.load(Ordering::SeqCst) && !inner.shutdown.load(Ordering::SeqCst) {
-                let mut next = carried.take();
-                if next.is_none() {
-                    match stream.consumer.next(Duration::from_millis(50)) {
-                        Ok(Some(delivery)) => next = Some(delivery),
-                        Ok(None) => continue,
-                        // Queue deleted (stream reaped or broker gone).
-                        Err(_) => return,
-                    }
+                // Deliveries that did not fit the previous batch wait for
+                // nothing: top them up with what is ready now.
+                let wait = if taken.is_empty() {
+                    Duration::from_millis(50)
+                } else {
+                    Duration::ZERO
+                };
+                let room = PUSH_BATCH_MAX_RESULTS - taken.len();
+                // An error is the queue deleted (stream reaped or broker gone).
+                if stream.consumer.next_batch(wait, room, &mut taken).is_err() {
+                    return;
+                }
+                if taken.is_empty() {
+                    continue;
                 }
                 body.clear();
-                tags.clear();
-                while let Some(delivery) = next.take() {
+                for delivery in &taken {
                     // Link each pushed result back to its originating trace:
                     // the envelope's context rides a queue header, and a
                     // trace-capable peer gets it beside the entry.
@@ -610,7 +625,6 @@ fn spawn_push_loop(
                     let envelope = &delivery.message.body;
                     let entry = batch::push_entry_len(trace.is_some(), envelope.len());
                     if !tags.is_empty() && body.len() + entry > max_bytes {
-                        carried = Some(delivery);
                         break;
                     }
                     // The stream queue carries the binary result envelope;
@@ -618,11 +632,6 @@ fn spawn_push_loop(
                     // no codec re-walk). The client validates on decode.
                     batch::write_push_entry(&mut body, trace.as_ref(), envelope);
                     tags.push(delivery.tag);
-                    if tags.len() < PUSH_BATCH_MAX_RESULTS {
-                        // Only what is ready now; a dead queue ends the loop
-                        // on the next blocking `next`.
-                        next = stream.consumer.next(Duration::ZERO).ok().flatten();
-                    }
                 }
                 let frame = Frame::new(FrameType::Push, corr, Value::Bytes(body));
                 let sent = inner.m.send_counted(conn.transport.as_ref(), &frame);
@@ -637,9 +646,9 @@ fn spawn_push_loop(
                     // stop pushing.
                     return;
                 }
-                for tag in tags.drain(..) {
-                    let _ = stream.consumer.ack(tag);
-                }
+                let _ = stream.consumer.ack_batch(&tags);
+                taken.drain(..tags.len());
+                tags.clear();
             }
         })
         .expect("spawn wire push loop")

@@ -26,6 +26,7 @@ use gcx_core::task::{TaskRecord, TaskResult, TaskSpec};
 use gcx_mq::Message;
 
 use super::dispatch::Accepted;
+use super::results::FanOut;
 use super::WebService;
 use crate::federation::envelope::{open_entry, Body, Envelope};
 use crate::federation::log::{fed_log_queue, fed_rpc_queue, TaskLogEntry, FED_CRED};
@@ -147,6 +148,7 @@ impl WebService {
                 Ok(c) => c,
                 Err(_) => return,
             };
+        let mut fan_out = FanOut::default();
         while !self
             .inner
             .shutdown
@@ -160,7 +162,10 @@ impl WebService {
             }
             match consumer.next(Duration::from_millis(25)) {
                 Ok(Some(delivery)) => {
-                    if let Err(e) = self.fed_handle_envelope(&fed, &delivery.message.body) {
+                    let handled =
+                        self.fed_handle_envelope(&fed, &delivery.message.body, &mut fan_out);
+                    fan_out.flush(&self.inner.broker);
+                    if let Err(e) = handled {
                         // Nothing to hand the failure to: a refused envelope
                         // names no task we can trust.
                         self.inner.metrics.flight().record(
@@ -179,8 +184,14 @@ impl WebService {
     }
 
     /// Act on the part of a received envelope this replica owns; the rest
-    /// (the ring moved since it was addressed) is sent on by `route`.
-    fn fed_handle_envelope(&self, fed: &FedMembership, bytes: &Bytes) -> GcxResult<()> {
+    /// (the ring moved since it was addressed) is sent on by `route`. What
+    /// lands leaves its fan-out in `fan_out`.
+    fn fed_handle_envelope(
+        &self,
+        fed: &FedMembership,
+        bytes: &Bytes,
+        fan_out: &mut FanOut,
+    ) -> GcxResult<()> {
         let env = Envelope::decode(bytes)?;
         let (mine, _) = fed.core.route(&self.inner.broker, env, Some(fed.replica));
         match mine {
@@ -191,7 +202,7 @@ impl WebService {
                     let tracer = &self.inner.tracer;
                     tracer.record_span(spec.trace.as_ref(), "forward", from.forwarded_ms, now);
                 }
-                let ingested = self.fed_ingest(from.identity, from.submitted_at, specs);
+                let ingested = self.fed_ingest(from.identity, from.submitted_at, specs, fan_out);
                 self.inner.m.fed_submits_ingested.add(ingested as u64);
                 Ok(())
             }
@@ -200,7 +211,7 @@ impl WebService {
                 result,
                 sent_ms,
                 retry,
-            }) => match self.finish_task_local(task_id, result.clone(), sent_ms) {
+            }) => match self.finish_task_local(task_id, result.clone(), sent_ms, fan_out) {
                 Err(GcxError::TaskNotFound(_)) => {
                     self.fed_requeue_orphan_result(task_id, result, sent_ms, retry)
                 }
@@ -230,7 +241,13 @@ impl WebService {
     /// error return: it lands as each task's retryable *result*, which
     /// fans out to the submitter's streams like any other. Returns how many
     /// tasks were new here (a repeated forward installs nothing).
-    fn fed_ingest(&self, identity: IdentityId, submitted_at: u64, specs: Vec<TaskSpec>) -> usize {
+    fn fed_ingest(
+        &self,
+        identity: IdentityId,
+        submitted_at: u64,
+        specs: Vec<TaskSpec>,
+        fan_out: &mut FanOut,
+    ) -> usize {
         // Always inline: this replica's CAS is not reachable from the
         // endpoint's connected replica.
         let tasks = specs.into_iter().map(Accepted::as_resolved).collect();
@@ -238,7 +255,8 @@ impl WebService {
             self.install_and_ship(identity, submitted_at, tasks, &mut |_, _| Ok(()));
         if let Err(e) = shipped {
             for id in &installed {
-                let _ = self.finish_task_local(*id, TaskResult::retryable_err(&e), None);
+                let failed = TaskResult::retryable_err(&e);
+                let _ = self.finish_task_local(*id, failed, None, fan_out);
             }
         }
         installed.len()
@@ -315,7 +333,9 @@ impl WebService {
         let trace = incoming.spec.trace;
         let adopted = if republish && !incoming.state.is_terminal() {
             let (owner, at) = (incoming.owner, incoming.submitted_at);
-            let fresh = self.fed_ingest(owner, at, vec![incoming.spec]) > 0;
+            let mut fan_out = FanOut::default();
+            let fresh = self.fed_ingest(owner, at, vec![incoming.spec], &mut fan_out) > 0;
+            fan_out.flush(&self.inner.broker);
             if fresh {
                 self.inner.m.fed_tasks_republished.inc();
             }

@@ -10,14 +10,59 @@ use gcx_auth::Token;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::{EndpointId, IdentityId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
-use gcx_mq::{Consumer, Message};
+use gcx_mq::{Broker, Consumer, Message};
 
-use super::{stream_queue_name, WebService, DEAD_TASKS_QUEUE, RESULT_QUEUE};
+use super::{stream_queue_name, StreamTargets, WebService, DEAD_TASKS_QUEUE, RESULT_QUEUE};
 use crate::federation::envelope::Body;
 
 /// How long a service loop blocks on an empty queue before it looks at the
 /// shutdown flag again.
 const STOP_NOTICE: Duration = Duration::from_millis(25);
+
+/// Most results a result processor takes per wake-up: its prefetch window.
+const PROCESSOR_TAKE: usize = 64;
+
+/// Results landed and not yet published to their owners' streams, in
+/// arrival order: each one's stream list and the one message all of those
+/// streams get. Whoever lands results owns one and flushes it; the buffers
+/// are kept for the owner's lifetime.
+#[derive(Default)]
+pub(super) struct FanOut {
+    landed: Vec<(StreamTargets, Message)>,
+    /// One stream's share of a flush, lent to `publish_batch` as a drain.
+    batch: Vec<Message>,
+}
+
+impl FanOut {
+    /// Publish everything landed: one `publish_batch` per stream per run of
+    /// results that share a stream list (one run per take when a single
+    /// identity's results arrive together), so each stream receives its
+    /// results in arrival order.
+    pub(super) fn flush(&mut self, broker: &Broker) {
+        while let Some((targets, _)) = self.landed.first() {
+            let targets = targets.clone();
+            let run = self
+                .landed
+                .iter()
+                .take_while(|(t, _)| Arc::ptr_eq(t, &targets))
+                .count();
+            // Never empty: `finish_task_local` lands nothing for no streams.
+            let Some(((last_queue, last_cred), rest)) = targets.split_last() else {
+                self.landed.drain(..run);
+                continue;
+            };
+            for (queue, cred) in rest {
+                let copies = self.landed[..run].iter().map(|(_, m)| m.clone());
+                self.batch.extend(copies);
+                let _ = broker.publish_batch(queue, self.batch.drain(..), Some(cred));
+            }
+            // The last stream takes the messages themselves.
+            self.batch
+                .extend(self.landed.drain(..run).map(|(_, message)| message));
+            let _ = broker.publish_batch(last_queue, self.batch.drain(..), Some(last_cred));
+        }
+    }
+}
 
 impl WebService {
     // ---- result streaming (the executor path) ----------------------------
@@ -86,46 +131,61 @@ impl WebService {
 
     // ---- result processing -----------------------------------------------
 
+    /// A result processor: per wake-up it takes what is ready (up to its
+    /// prefetch), lands each result, publishes the take's fan-out once per
+    /// stream, and only then acks the whole take. A processor that dies
+    /// mid-take leaves every result of it unacked, for another to land.
     pub(super) fn result_processor_loop(&self) {
-        let consumer = match self
-            .inner
-            .broker
-            .consume(RESULT_QUEUE, Some("cloud-results"), 64)
-        {
-            Ok(c) => c,
-            Err(_) => return,
-        };
+        let consumer =
+            match self
+                .inner
+                .broker
+                .consume(RESULT_QUEUE, Some("cloud-results"), PROCESSOR_TAKE)
+            {
+                Ok(c) => c,
+                Err(_) => return,
+            };
+        let (mut taken, mut tags, mut fan_out) = (Vec::new(), Vec::new(), FanOut::default());
         while !self.inner.shutdown.load(Ordering::SeqCst) {
-            match consumer.next(STOP_NOTICE) {
-                Ok(Some(delivery)) => {
-                    let _ = self.process_result(&delivery.message);
-                    let _ = consumer.ack(delivery.tag);
+            match consumer.next_batch(STOP_NOTICE, PROCESSOR_TAKE, &mut taken) {
+                Ok(_) => {
+                    for delivery in taken.drain(..) {
+                        let _ = self.process_result(&delivery.message, &mut fan_out);
+                        tags.push(delivery.tag);
+                    }
+                    fan_out.flush(&self.inner.broker);
+                    let _ = consumer.ack_batch(&tags);
+                    tags.clear();
                 }
-                Ok(None) => {}
                 Err(_) => return, // queue closed
             }
         }
     }
 
-    fn process_result(&self, message: &Message) -> GcxResult<()> {
+    fn process_result(&self, message: &Message, fan_out: &mut FanOut) -> GcxResult<()> {
         // Binary result envelope: the payload bytes inside are sliced out
         // of the message body, never re-decoded through the codec.
         let (task_id, result, sent_ms) = TaskResult::from_envelope(&message.body)?;
-        self.finish_task_traced(task_id, result, sent_ms)
+        self.finish_task_traced(task_id, result, sent_ms, fan_out)
     }
 
     /// Land a task's result: state transitions, metrics, and fan-out to the
-    /// owner's open result streams. Idempotent — exactly one caller wins per
-    /// task id; later results for a terminal task are counted and dropped,
-    /// which is what makes endpoint-side retries safe (a redelivered task
-    /// may legitimately produce its result twice).
+    /// owner's open result streams, published before this returns.
+    /// Idempotent — exactly one caller wins per task id; later results for
+    /// a terminal task are counted and dropped, which is what makes
+    /// endpoint-side retries safe (a redelivered task may legitimately
+    /// produce its result twice).
     pub(super) fn finish_task(&self, task_id: TaskId, result: TaskResult) -> GcxResult<()> {
-        self.finish_task_traced(task_id, result, None)
+        let mut fan_out = FanOut::default();
+        let landed = self.finish_task_traced(task_id, result, None, &mut fan_out);
+        fan_out.flush(&self.inner.broker);
+        landed
     }
 
-    /// [`finish_task`](Self::finish_task) plus the result-leg span:
-    /// `sent_ms` is the agent's publish stamp carried in the envelope, so
-    /// the span covers result-queue transit and processor pickup.
+    /// [`finish_task`](Self::finish_task) plus the result-leg span, its
+    /// fan-out left in `fan_out` for the caller to flush: `sent_ms` is the
+    /// agent's publish stamp carried in the envelope, so the span covers
+    /// result-queue transit and processor pickup.
     ///
     /// Federated routing: any replica's result processor can pick a result
     /// off the shared queue, but only the task's ring owner may land it —
@@ -137,6 +197,7 @@ impl WebService {
         task_id: TaskId,
         result: TaskResult,
         sent_ms: Option<u64>,
+        fan_out: &mut FanOut,
     ) -> GcxResult<()> {
         if let Some(fed) = self.fed() {
             let owner = fed.owner(task_id.uuid()).unwrap_or(fed.replica);
@@ -149,26 +210,28 @@ impl WebService {
                 };
                 return self.fed_forward(owner, body);
             }
-            return match self.finish_task_local(task_id, result.clone(), sent_ms) {
+            return match self.finish_task_local(task_id, result.clone(), sent_ms, fan_out) {
                 Err(GcxError::TaskNotFound(_)) => {
                     self.fed_requeue_orphan_result(task_id, result, sent_ms, 0)
                 }
                 other => other,
             };
         }
-        self.finish_task_local(task_id, result, sent_ms)
+        self.finish_task_local(task_id, result, sent_ms, fan_out)
     }
 
     /// The non-routing core of [`finish_task_traced`](Self::finish_task_traced):
-    /// land the result on this replica's own task store. The single
-    /// idempotency point for completions — a terminal record swallows any
-    /// later result for the same task, and a retired one (its result taken)
-    /// is [`GcxError::TaskNotFound`], which the processor drops.
+    /// land the result on this replica's own task store and append its
+    /// stream message to `fan_out`. The single idempotency point for
+    /// completions — a terminal record swallows any later result for the
+    /// same task, and a retired one (its result taken) is
+    /// [`GcxError::TaskNotFound`], which the processor drops.
     pub(super) fn finish_task_local(
         &self,
         task_id: TaskId,
         result: TaskResult,
         sent_ms: Option<u64>,
+        fan_out: &mut FanOut,
     ) -> GcxResult<()> {
         let now = self.inner.clock.now_ms();
 
@@ -229,25 +292,19 @@ impl WebService {
         tracer.record_span(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
         tracer.end_trace(trace.as_ref());
 
-        // Push to all of the owner's open streams. The trace context rides
-        // a queue header so the wire layer can stamp server-push Result
-        // frames with the originating trace without decoding the body.
+        // For all of the owner's open streams: one message, whose clones
+        // bump the body's refcount and copy the context. The trace context
+        // rides a queue header so the wire layer can stamp server-push
+        // Result frames with the originating trace without decoding the
+        // body.
         let targets = self.inner.streams.get_cloned(&owner);
-        if let Some(((last_queue, last_cred), rest)) =
-            targets.as_deref().and_then(<[_]>::split_last)
-        {
-            // One message for all streams: a clone bumps the body's
-            // refcount and copies the context; the last stream takes it.
+        if let Some(targets) = targets.filter(|t| !t.is_empty()) {
             let headers = gcx_mq::Headers {
                 trace,
                 ..Default::default()
             };
             let message = Message::with_headers(result.to_envelope(task_id, None), headers);
-            let broker = &self.inner.broker;
-            for (queue, cred) in rest {
-                let _ = broker.publish(queue, message.clone(), Some(cred));
-            }
-            let _ = broker.publish(last_queue, message, Some(last_cred));
+            fan_out.landed.push((targets, message));
         }
         Ok(())
     }

@@ -276,6 +276,14 @@ impl MetricsRegistry {
         Arc::clone(w.entry(name.to_string()).or_default())
     }
 
+    /// Unregister the gauge named `name`, for a gauge that names something
+    /// that is gone (a deleted queue). Holders of its handle keep a gauge
+    /// no snapshot lists; a later [`gauge`](Self::gauge) call under the
+    /// name registers a fresh one.
+    pub fn remove_gauge(&self, name: &str) {
+        self.inner.gauges.write().remove(name);
+    }
+
     /// Snapshot of all gauge values, sorted by name.
     pub fn gauge_snapshot(&self) -> BTreeMap<String, u64> {
         self.inner
@@ -501,5 +509,20 @@ mod tests {
         assert_eq!(r.gauge("depth").get(), 5);
         assert_eq!(r.gauge_snapshot().get("depth"), Some(&5));
         assert!(!r.gauge_snapshot().contains_key("missing"));
+    }
+
+    #[test]
+    fn a_removed_gauge_leaves_the_snapshot_and_comes_back_fresh() {
+        let r = MetricsRegistry::new();
+        let held = r.gauge("depth");
+        held.add(3);
+        r.remove_gauge("depth");
+        assert!(!r.gauge_snapshot().contains_key("depth"));
+        held.add(1);
+        assert!(
+            r.gauge_snapshot().is_empty(),
+            "a held handle registers nothing"
+        );
+        assert_eq!(r.gauge("depth").get(), 0);
     }
 }

@@ -3,14 +3,16 @@
 //!
 //! A queue has one lock. `Queue::state` guards everything that changes
 //! per message — the ready deque, the unacked deliveries, each consumer's
-//! prefetch window, the policy, the tag and publish counts — so `publish`,
-//! `next` and `ack` each take it once and nothing is kept in step across
-//! two locks. A delivery has one record, its `unacked` entry; whoever
-//! removes the entry (ack, nack, consumer drop, `recover_queue`) lowers the
-//! owning consumer's window in the same step.
+//! prefetch window, the policy, the tag and publish counts — so a publish,
+//! a take and an ack each take it once, whatever number of messages they
+//! carry, and nothing is kept in step across two locks. A delivery has one
+//! record, its `unacked` entry; whoever removes the entry (ack, nack,
+//! consumer drop, `recover_queue`) lowers the owning consumer's window in
+//! the same step.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -169,6 +171,28 @@ struct Window {
     held: usize,
 }
 
+/// `unacked`'s hasher. Its keys are delivery tags the broker counts out
+/// itself, never a client's choice, so one multiply by 2⁶⁴/φ spreads them
+/// over the table and SipHash's flood resistance would buy nothing.
+#[derive(Default)]
+struct TagHasher(u64);
+
+impl Hasher for TagHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Everything about a queue that changes per message, under its one lock.
 struct QueueState {
     ready: VecDeque<Message>,
@@ -176,7 +200,7 @@ struct QueueState {
     /// and the bytes gauge never walk the deque.
     ready_bytes: usize,
     /// The only record of a delivery: tag → (its consumer's slot, message).
-    unacked: HashMap<u64, (usize, Message)>,
+    unacked: HashMap<u64, (usize, Message), BuildHasherDefault<TagHasher>>,
     /// `windows[slot].held` counts the `unacked` entries of the consumer in
     /// `slot`; [`QueueState::hold`] and [`QueueState::release`] are the only
     /// writers of either.
@@ -329,12 +353,25 @@ struct BrokerInner {
     clock: SharedClock,
     link: LinkProfile,
     fault: RwLock<Option<Arc<FaultPlan>>>,
+    /// Whether `fault` holds a plan; written under its write lock. Only
+    /// chaos tests install one, so a publish or a take reads this flag and
+    /// never the lock.
+    fault_on: AtomicBool,
 }
 
 impl BrokerInner {
     fn find(&self, name: &str) -> GcxResult<Arc<Queue>> {
         let q = self.queues.read().get(name).cloned();
         q.ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))
+    }
+
+    /// The installed fault plan, if any. A plan installed from another
+    /// thread is seen by the next publish or take that starts after it.
+    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        if !self.fault_on.load(Ordering::Acquire) {
+            return None;
+        }
+        self.fault.read().clone()
     }
 
     /// Record an injected fault (or dead-lettering) on the affected task's
@@ -379,8 +416,10 @@ impl BrokerInner {
     /// The one way a delivery goes back: each of `tags` still unacked is
     /// released and marked redelivered, then dead-lettered if its delivery
     /// budget is spent, else put at the head of `ready` — highest tag first,
-    /// so the head reads in original FIFO (ascending-tag) order. Wakes
-    /// every parked consumer; returns how many messages are ready again.
+    /// so the head reads in original FIFO (ascending-tag) order. A deleted
+    /// queue takes nothing back: its deliveries are released and go with
+    /// it. Wakes every parked consumer; returns how many messages are ready
+    /// again.
     fn requeue(&self, q: &Queue, mut st: MutexGuard<'_, QueueState>, tags: &mut [u64]) -> usize {
         tags.sort_unstable_by(|a, b| b.cmp(a));
         let mut dead = Vec::new();
@@ -389,6 +428,9 @@ impl BrokerInner {
             let Some((mut msg, _)) = st.release(*tag) else {
                 continue;
             };
+            if st.closed {
+                continue;
+            }
             msg.redelivered = true;
             if st.policy.exhausted(&msg) {
                 dead.push(msg);
@@ -444,6 +486,7 @@ impl Broker {
                 clock,
                 link,
                 fault: RwLock::new(None),
+                fault_on: AtomicBool::new(false),
             }),
         }
     }
@@ -454,9 +497,12 @@ impl Broker {
     }
 
     /// Install (or with `None`, remove) a fault-injection plan. Applies to
-    /// every publish and delivery from this point on.
+    /// every publish and take that starts from this point on; a take
+    /// already in progress keeps the plan it started with.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *self.inner.fault.write() = plan.map(Arc::new);
+        let mut slot = self.inner.fault.write();
+        self.inner.fault_on.store(plan.is_some(), Ordering::Release);
+        *slot = plan.map(Arc::new);
     }
 
     /// Set the redelivery policy for an existing queue.
@@ -485,7 +531,7 @@ impl Broker {
                 state: Mutex::new(QueueState {
                     ready: VecDeque::new(),
                     ready_bytes: 0,
-                    unacked: HashMap::new(),
+                    unacked: HashMap::default(),
                     windows: Vec::new(),
                     free_slots: Vec::new(),
                     policy: QueuePolicy::default(),
@@ -502,18 +548,25 @@ impl Broker {
         Ok(())
     }
 
-    /// Delete a queue, waking all consumers (they see `closed`).
+    /// Delete a queue, waking all consumers (they see `closed`). Its
+    /// `mq.depth.*` / `mq.bytes.*` gauges leave the registry with it.
     pub fn delete_queue(&self, name: &str) -> GcxResult<()> {
-        let q = self
-            .inner
-            .queues
-            .write()
-            .remove(name)
-            .ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))?;
+        let q = {
+            let mut queues = self.inner.queues.write();
+            let q = queues
+                .remove(name)
+                .ok_or_else(|| GcxError::Queue(format!("no such queue '{name}'")))?;
+            // Under the map's lock, as `declare_queue` registers them: a
+            // queue declared again under this name gets gauges of its own.
+            let metrics = &self.inner.metrics;
+            metrics.remove_gauge(&format!("mq.depth.{name}"));
+            metrics.remove_gauge(&format!("mq.bytes.{name}"));
+            q
+        };
         {
             let mut st = q.state.lock();
             st.closed = true;
-            // Zero the gauges so a deleted queue doesn't report phantom depth.
+            // Zero the gauges for whoever still holds them.
             q.depth_gauge.sub(st.ready.len() as u64);
             q.bytes_gauge.sub(st.ready_bytes as u64);
             st.ready.clear();
@@ -546,55 +599,54 @@ impl Broker {
         message: Message,
         credential: Option<&str>,
     ) -> GcxResult<()> {
-        self.admit(queue, [message], &mut [0], credential)
+        self.admit(queue, [message], credential)
     }
 
     /// Publish a whole batch to one queue: one credential check, one link
     /// charge for the combined size, one queue-lock acquisition, and one
     /// consumer wake — versus `messages.len()` of each with per-message
     /// [`Broker::publish`]. This is the broker half of the SDK's batched
-    /// submit path.
+    /// submit path and of the result processor's fan-out. `messages` may
+    /// be a `Vec` or a `Drain` of a buffer the caller keeps.
     ///
     /// Fault-plan draws still happen per message, so a batch consumes
     /// exactly the same deterministic sequence of outcomes as the same
     /// messages published one at a time.
-    pub fn publish_batch(
-        &self,
-        queue: &str,
-        messages: Vec<Message>,
-        credential: Option<&str>,
-    ) -> GcxResult<()> {
-        if messages.is_empty() {
-            return Ok(());
-        }
-        let mut copies = vec![0u32; messages.len()];
-        self.admit(queue, messages, &mut copies, credential)
-    }
-
-    /// The one way a message gets into a queue; `publish` is the batch of
-    /// one. `copies` is the caller's scratch, one slot per message (on the
-    /// stack for a single publish): the first pass draws each message's
-    /// fate into it, the second enqueues that many copies.
-    fn admit<M>(
+    pub fn publish_batch<M>(
         &self,
         queue: &str,
         messages: M,
-        copies: &mut [u32],
         credential: Option<&str>,
     ) -> GcxResult<()>
     where
         M: AsRef<[Message]> + IntoIterator<Item = Message>,
     {
+        if messages.as_ref().is_empty() {
+            return Ok(());
+        }
+        self.admit(queue, messages, credential)
+    }
+
+    /// The one way a message gets into a queue; `publish` is the batch of
+    /// one. The first pass draws each message's fate, the second enqueues
+    /// that many copies of it. Without a fault plan every message is one
+    /// copy and nothing is drawn or kept between the passes.
+    fn admit<M>(&self, queue: &str, messages: M, credential: Option<&str>) -> GcxResult<()>
+    where
+        M: AsRef<[Message]> + IntoIterator<Item = Message>,
+    {
         let inner = &*self.inner;
         let q = self.get(queue, credential)?;
-        let fault = inner.fault.read().clone();
+        let fault = inner.fault_plan();
+        // Each message's copy count under a plan; empty without one.
+        let mut copies = Vec::new();
         // Bytes sent (every message), bytes metered as published (survivors,
         // once each) and bytes headed for `ready` (survivors, each copy).
         let (mut sent_bytes, mut published_bytes, mut ready_bytes) = (0, 0, 0);
         let (mut accepted, mut total_copies, mut delay_ms) = (0u64, 0u64, 0u64);
         // The first survivor's trace: where a refusal is annotated.
         let mut first_trace = None;
-        for (message, n) in messages.as_ref().iter().zip(copies.iter_mut()) {
+        for message in messages.as_ref() {
             let size = message.wire_size();
             let trace = message.headers.trace.as_ref();
             sent_bytes += size;
@@ -605,30 +657,35 @@ impl Broker {
                     extra_delay_ms: 0,
                 },
             };
-            match outcome {
+            let n = match outcome {
                 PublishOutcome::Deliver {
                     extra_copies,
                     extra_delay_ms,
                 } => {
                     delay_ms += extra_delay_ms;
-                    *n = 1 + extra_copies;
+                    let n = 1 + extra_copies;
                     if accepted == 0 {
                         first_trace = message.headers.trace;
                     }
                     accepted += 1;
-                    total_copies += *n as u64;
+                    total_copies += n as u64;
                     published_bytes += size;
-                    ready_bytes += size * *n as usize;
+                    ready_bytes += size * n as usize;
                     if extra_copies > 0 {
                         inner.trace_fault("fault.duplicate", queue, trace);
                     }
+                    n
                 }
                 // Lost in transit after the publisher's confirm.
                 PublishOutcome::Drop { extra_delay_ms } => {
                     delay_ms += extra_delay_ms;
                     inner.m.dropped.inc();
                     inner.trace_fault("fault.publish_drop", queue, trace);
+                    0
                 }
+            };
+            if fault.is_some() {
+                copies.push(n);
             }
         }
         inner.link.charge(&inner.clock, sent_bytes);
@@ -653,11 +710,13 @@ impl Broker {
                 queue: q.name.clone(),
             });
         }
-        for (message, n) in messages.into_iter().zip(copies.iter()) {
-            for _ in 1..*n {
+        let mut copies = copies.into_iter();
+        for message in messages {
+            let n = copies.next().unwrap_or(1);
+            for _ in 1..n {
                 q.push_ready(&mut st, End::Back, message.clone());
             }
-            if *n > 0 {
+            if n > 0 {
                 q.push_ready(&mut st, End::Back, message);
             }
         }
@@ -748,12 +807,47 @@ fn unknown_tag(tag: u64) -> GcxError {
 }
 
 impl Consumer {
-    /// Receive the next message, waiting up to `timeout`. Returns
-    /// `Ok(None)` on timeout, `Err` if the queue was deleted.
+    /// Receive the next message, waiting up to `timeout`: the take of one.
+    /// Returns `Ok(None)` on timeout, `Err` if the queue was deleted.
     ///
     /// Blocks while the prefetch window is full — backpressure exactly like
     /// an AMQP channel with `basic.qos`.
     pub fn next(&self, timeout: Duration) -> GcxResult<Option<Delivery>> {
+        let mut taken = None;
+        self.take(timeout, 1, &mut |d| taken = Some(d))?;
+        Ok(taken)
+    }
+
+    /// Take what is ready, up to `max` deliveries, appended to `out`;
+    /// returns how many. Waits up to `timeout` for the first exactly as
+    /// [`next`](Self::next) does, then keeps taking under the same lock
+    /// while messages are ready and the prefetch window is open — it never
+    /// waits to fill the batch. `Ok(0)` on timeout, `Err` if the queue was
+    /// deleted.
+    ///
+    /// A take of `k` hands out what `k` successive `next(Duration::ZERO)`
+    /// calls would, in the same order: each message is counted, checked
+    /// against its delivery budget and (under a fault plan) drawn for as
+    /// it would be there.
+    pub fn next_batch(
+        &self,
+        timeout: Duration,
+        max: usize,
+        out: &mut Vec<Delivery>,
+    ) -> GcxResult<usize> {
+        if max == 0 {
+            return Ok(0);
+        }
+        self.take(timeout, max, &mut |d| out.push(d))
+    }
+
+    /// The one take body; `out` receives each delivery under the lock.
+    fn take(
+        &self,
+        timeout: Duration,
+        max: usize,
+        out: &mut impl FnMut(Delivery),
+    ) -> GcxResult<usize> {
         let (q, broker) = (&*self.queue, &*self.broker);
         // On a virtual clock, waiting on real time would hang forever, so we
         // poll with yields instead of condvar timeouts in that mode.
@@ -763,7 +857,7 @@ impl Consumer {
             .store(broker.clock.now_ms(), Ordering::Relaxed);
         let mut snoozed = false;
         loop {
-            let fault = broker.fault.read().clone();
+            let fault = broker.fault_plan();
             // A hard partition blocks deliveries without consuming fault-plan
             // draws, so polling under a partition stays deterministic.
             let partitioned = fault
@@ -773,44 +867,67 @@ impl Consumer {
             if st.closed {
                 return Err(q.closed_error());
             }
-            if st.window_open(self.slot) && !partitioned {
-                if let Some(mut msg) = q.pop_ready(&mut st) {
-                    msg.delivery_count += 1;
-                    let budget = st.policy.max_deliveries;
-                    if budget > 0 && msg.delivery_count > budget {
-                        // Poisoned: over its delivery budget.
-                        let target = st.policy.dead_letter_to.clone();
-                        drop(st);
-                        broker.dead_letter(&q.name, &target, msg);
-                        continue;
-                    }
-                    let lost = fault
-                        .as_ref()
-                        .is_some_and(|p| p.on_deliver(&q.name, broker.clock.now_ms()));
-                    if lost {
-                        // Delivery lost in transit: back of the queue,
-                        // attempt charged.
-                        msg.redelivered = true;
-                        let trace = msg.headers.trace;
-                        q.push_ready(&mut st, End::Back, msg);
-                        drop(st);
-                        broker.m.dropped.inc();
-                        broker.trace_fault("fault.deliver_drop", &q.name, trace.as_ref());
-                        continue;
-                    }
-                    let tag = st.hold(self.slot, msg.clone());
-                    drop(st);
-                    broker.m.messages_delivered.inc();
-                    broker.m.bytes_delivered.add(msg.wire_size() as u64);
-                    if msg.redelivered {
-                        broker.m.redeliveries.inc();
-                    }
-                    return Ok(Some(Delivery { tag, message: msg }));
+            let (mut taken, mut bytes, mut redelivered) = (0, 0, 0);
+            // Set aside for once the lock is down: messages over their
+            // delivery budget, and the traces of deliveries the fault plan
+            // lost (back in `ready` already, attempt charged).
+            let (mut poisoned, mut lost) = (Vec::new(), Vec::new());
+            while taken < max && !partitioned && st.window_open(self.slot) {
+                let Some(mut msg) = q.pop_ready(&mut st) else {
+                    break;
+                };
+                msg.delivery_count += 1;
+                let budget = st.policy.max_deliveries;
+                if budget > 0 && msg.delivery_count > budget {
+                    poisoned.push(msg);
+                    continue;
                 }
+                let lost_now = fault
+                    .as_ref()
+                    .is_some_and(|p| p.on_deliver(&q.name, broker.clock.now_ms()));
+                if lost_now {
+                    msg.redelivered = true;
+                    lost.push(msg.headers.trace);
+                    q.push_ready(&mut st, End::Back, msg);
+                    continue;
+                }
+                bytes += msg.wire_size() as u64;
+                redelivered += u64::from(msg.redelivered);
+                let tag = st.hold(self.slot, msg.clone());
+                out(Delivery { tag, message: msg });
+                taken += 1;
+            }
+            if taken > 0 || !poisoned.is_empty() || !lost.is_empty() {
+                let target = if poisoned.is_empty() {
+                    None
+                } else {
+                    st.policy.dead_letter_to.clone()
+                };
+                drop(st);
+                if taken > 0 {
+                    broker.m.messages_delivered.add(taken as u64);
+                    broker.m.bytes_delivered.add(bytes);
+                    if redelivered > 0 {
+                        broker.m.redeliveries.add(redelivered);
+                    }
+                }
+                // A message is lost before it is poisoned, so its trace
+                // reads in the order the events happened.
+                for trace in lost {
+                    broker.m.dropped.inc();
+                    broker.trace_fault("fault.deliver_drop", &q.name, trace.as_ref());
+                }
+                for msg in poisoned {
+                    broker.dead_letter(&q.name, &target, msg);
+                }
+                if taken > 0 {
+                    return Ok(taken);
+                }
+                continue;
             }
             let now = Instant::now();
             if now >= deadline {
-                return Ok(None);
+                return Ok(0);
             }
             if virtual_mode {
                 // Bounded spin against wall time.
@@ -838,18 +955,41 @@ impl Consumer {
         }
     }
 
-    /// Acknowledge a delivery: the broker forgets the message. Only a `next`
-    /// blocked on a full prefetch window has anything to learn from that, so
-    /// only the ack that opens a full window notifies — everyone, because
-    /// the queue's other consumers park on the same condvar.
+    /// Acknowledge a delivery: the ack of one.
     pub fn ack(&self, tag: u64) -> GcxResult<()> {
-        let released = self.queue.state.lock().release(tag);
-        let (_, opened) = released.ok_or_else(|| unknown_tag(tag))?;
+        self.ack_batch(&[tag])
+    }
+
+    /// Acknowledge deliveries under one lock: the broker forgets each
+    /// message. Only a take blocked on a full prefetch window has anything
+    /// to learn from that, so the batch notifies only if it opened a full
+    /// window — and then everyone, because the queue's other consumers park
+    /// on the same condvar. An unknown tag changes nothing and is reported
+    /// after the known ones are released. An empty batch takes no lock.
+    pub fn ack_batch(&self, tags: &[u64]) -> GcxResult<()> {
+        if tags.is_empty() {
+            return Ok(());
+        }
+        let (mut acked, mut opened, mut unknown) = (0, false, None);
+        {
+            let mut st = self.queue.state.lock();
+            for &tag in tags {
+                match st.release(tag) {
+                    Some((_, opened_window)) => {
+                        acked += 1;
+                        opened |= opened_window;
+                    }
+                    None => {
+                        unknown.get_or_insert(tag);
+                    }
+                }
+            }
+        }
         if opened {
             self.queue.cond.notify_all();
         }
-        self.broker.m.acks.inc();
-        Ok(())
+        self.broker.m.acks.add(acked);
+        unknown.map_or(Ok(()), |tag| Err(unknown_tag(tag)))
     }
 
     /// Negative-acknowledge: requeue the message (redelivered = true), or
@@ -1013,6 +1153,148 @@ mod tests {
             let took = resumed.saturating_duration_since(acked);
             assert!(took < Duration::from_millis(50), "resumed {took:?} after");
         });
+    }
+
+    #[test]
+    fn a_take_returns_what_is_ready_without_waiting_to_fill() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        for i in 0..3 {
+            b.publish("q", msg(&format!("m{i}")), None).unwrap();
+        }
+        let c = b.consume("q", None, 0).unwrap();
+        let mut taken = Vec::new();
+        let start = Instant::now();
+        assert_eq!(
+            c.next_batch(Duration::from_secs(5), 64, &mut taken)
+                .unwrap(),
+            3
+        );
+        assert!(start.elapsed() < Duration::from_secs(1), "waited to fill");
+        let bodies: Vec<&[u8]> = taken.iter().map(|d| &d.message.body[..]).collect();
+        assert_eq!(bodies, [b"m0", b"m1", b"m2"]);
+        // A take appends, and an empty queue times out with nothing.
+        assert_eq!(c.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 0);
+        assert_eq!(taken.len(), 3);
+        assert_eq!(c.stats().unacked, 3);
+        assert_eq!(b.metrics().counter("mq.messages_delivered").get(), 3);
+    }
+
+    #[test]
+    fn a_take_stops_at_a_full_prefetch_window() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        for i in 0..5 {
+            b.publish("q", msg(&format!("{i}")), None).unwrap();
+        }
+        let c = b.consume("q", None, 2).unwrap();
+        let mut taken = Vec::new();
+        assert_eq!(c.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 2);
+        assert_eq!(c.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 0);
+        c.ack(taken[0].tag).unwrap();
+        assert_eq!(c.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 1);
+        assert_eq!(&taken[2].message.body[..], b"2");
+        assert_eq!(c.stats().ready, 2);
+    }
+
+    /// A take goes on past a message it dead-letters, as the singles it
+    /// stands for would: stopping there would let an action on what it did
+    /// take reorder what follows. (Without a fault plan a message meets its
+    /// budget in a take only if the budget was lowered while it waited;
+    /// `prop_fault::a_take_draws_what_singles_draw` covers lost deliveries.)
+    #[test]
+    fn a_take_goes_on_past_a_dead_lettered_message() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        b.declare_queue("dlq", None).unwrap();
+        for body in ["a", "b", "c"] {
+            b.publish("q", msg(body), None).unwrap();
+        }
+        let c = b.consume("q", None, 0).unwrap();
+        let mut taken = Vec::new();
+        c.next_batch(T, 2, &mut taken).unwrap();
+        let (a, bee) = (taken.remove(0), taken.remove(0));
+        c.nack(a.tag).unwrap();
+        let a = c.next(T).unwrap().unwrap();
+        c.nack(a.tag).unwrap();
+        c.nack(bee.tag).unwrap(); // ready: b (1 delivery), a (2), c
+        b.set_queue_policy("q", QueuePolicy::dead_letter(2, "dlq"))
+            .unwrap();
+        assert_eq!(c.next_batch(Duration::ZERO, 3, &mut taken).unwrap(), 2);
+        let bodies: Vec<&[u8]> = taken.iter().map(|d| &d.message.body[..]).collect();
+        assert_eq!(bodies, [b"b", b"c"]);
+        assert_eq!(b.queue_stats("dlq").unwrap().ready, 1);
+    }
+
+    #[test]
+    fn a_take_on_a_deleted_queue_errors() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        b.publish("q", msg("x"), None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        b.delete_queue("q").unwrap();
+        assert!(c.next_batch(Duration::ZERO, 8, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn a_plan_installed_mid_run_is_seen_by_the_next_take() {
+        use crate::fault::{FaultDirection, FaultRule};
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        for i in 0..4 {
+            b.publish("q", msg(&format!("{i}")), None).unwrap();
+        }
+        let c = b.consume("q", None, 0).unwrap();
+        let mut taken = Vec::new();
+        assert_eq!(c.next_batch(Duration::ZERO, 1, &mut taken).unwrap(), 1);
+        // A partition, installed from another thread, blocks the next take.
+        let b2 = b.clone();
+        std::thread::spawn(move || {
+            let plan =
+                FaultPlan::new(1).with_rule(FaultRule::drop("q", FaultDirection::Deliver, 1.0));
+            b2.set_fault_plan(Some(plan));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(c.next_batch(Duration::ZERO, 8, &mut taken).unwrap(), 0);
+        b.set_fault_plan(None);
+        assert_eq!(c.next_batch(Duration::ZERO, 8, &mut taken).unwrap(), 3);
+    }
+
+    #[test]
+    fn an_ack_batch_with_an_unknown_tag_releases_the_known_ones() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        for i in 0..3 {
+            b.publish("q", msg(&format!("{i}")), None).unwrap();
+        }
+        let c = b.consume("q", None, 0).unwrap();
+        let mut taken = Vec::new();
+        c.next_batch(T, 8, &mut taken).unwrap();
+        let mut tags: Vec<u64> = taken.iter().map(|d| d.tag).collect();
+        tags.insert(1, 999);
+        let err = c.ack_batch(&tags).unwrap_err();
+        assert!(err.to_string().contains("999"), "{err}");
+        assert_eq!(c.stats().unacked, 0);
+        assert_eq!(b.metrics().counter("mq.acks").get(), 3);
+        assert!(c.ack_batch(&[]).is_ok());
+    }
+
+    #[test]
+    fn a_requeue_into_a_deleted_queue_drops_the_messages() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        b.publish("q", msg("held"), None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        let d = c.next(T).unwrap().unwrap();
+        let depth = b.metrics().gauge("mq.depth.q");
+        b.delete_queue("q").unwrap();
+        assert!(!b.metrics().gauge_snapshot().contains_key("mq.depth.q"));
+        assert!(!b.metrics().gauge_snapshot().contains_key("mq.bytes.q"));
+        c.nack(d.tag).unwrap();
+        drop(c);
+        assert_eq!(depth.get(), 0, "phantom depth on a deleted queue");
+        assert_eq!(b.metrics().counter("mq.dead_lettered").get(), 0);
     }
 
     #[test]

@@ -80,4 +80,38 @@ fn a_notify_reaches_the_kernel_only_when_a_consumer_is_parked() {
         assert_eq!(parked.join().unwrap(), Some(msg(77).body));
     });
     assert_eq!(notifies_forwarded() - before, 1, "one publish, one parked");
+
+    // A 64-message take and its one ack, nobody asleep: no wake at all.
+    let wide = broker.consume(Q, None, 64).unwrap();
+    let mut taken = Vec::new();
+    let before = notifies_forwarded();
+    broker
+        .publish_batch(Q, (0..64).map(msg).collect::<Vec<_>>(), None)
+        .unwrap();
+    assert_eq!(wide.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 64);
+    let tags: Vec<u64> = taken.drain(..).map(|d| d.tag).collect();
+    wide.ack_batch(&tags).unwrap();
+    assert_eq!(
+        notifies_forwarded() - before,
+        0,
+        "a batch with nobody parked"
+    );
+
+    // An `ack_batch` that opens a full window wakes the `next` blocked on
+    // it, once.
+    broker
+        .publish_batch(Q, (0..65).map(msg).collect::<Vec<_>>(), None)
+        .unwrap();
+    assert_eq!(wide.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 64);
+    let tags: Vec<u64> = taken.drain(..).map(|d| d.tag).collect();
+    let before = notifies_forwarded();
+    thread::scope(|s| {
+        let blocked = s.spawn(|| wide.next(Duration::from_secs(5)).unwrap());
+        thread::sleep(Duration::from_millis(200));
+        assert!(!blocked.is_finished(), "a window of 64 is full");
+        wide.ack_batch(&tags).unwrap();
+        let d = blocked.join().unwrap().expect("the 65th message");
+        assert_eq!(d.message.body, msg(64).body);
+    });
+    assert_eq!(notifies_forwarded() - before, 1, "one batch ack, one wake");
 }

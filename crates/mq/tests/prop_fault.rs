@@ -116,7 +116,7 @@ proptest! {
             ));
             let messages = (0..n).map(|i| Message::new(Bytes::from(format!("m{i}"))));
             if batched {
-                b.publish_batch("q", messages.collect(), None).unwrap();
+                b.publish_batch("q", messages.collect::<Vec<_>>(), None).unwrap();
             } else {
                 messages.for_each(|m| b.publish("q", m, None).unwrap());
             }
@@ -128,6 +128,67 @@ proptest! {
                 contents.push(d.message);
             }
             (contents, published, metrics)
+        };
+        prop_assert_eq!(run(false), run(true));
+    }
+
+    /// One take body: under a seeded plan that loses deliveries, a take of
+    /// `k` draws what `k` successive `next` calls draw — the same messages
+    /// come out in the same order with the same delivery counts, the same
+    /// ones are charged, lost and dead-lettered, and every `mq.*` counter
+    /// and gauge reads the same.
+    #[test]
+    fn a_take_draws_what_singles_draw(
+        seed in 0u64..10_000,
+        drop_p in 0.0f64..0.9,
+        dup_p in 0.0f64..0.5,
+        n in 1usize..24,
+        max_deliveries in 1u32..5,
+        ks in prop::collection::vec(1usize..8, 1..6),
+        nacks in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        let run = |batched: bool| {
+            let b = Broker::new();
+            b.declare_queue("work", None).unwrap();
+            b.declare_queue("dead", None).unwrap();
+            b.set_queue_policy("work", QueuePolicy::dead_letter(max_deliveries, "dead")).unwrap();
+            b.set_fault_plan(Some(
+                FaultPlan::new(seed)
+                    .with_rule(FaultRule::drop("work", FaultDirection::Deliver, drop_p))
+                    .with_rule(FaultRule::duplicate("work", dup_p)),
+            ));
+            for i in 0..n {
+                b.publish("work", Message::new(Bytes::from(format!("m{i}"))), None).unwrap();
+            }
+            let c = b.consume("work", None, 0).unwrap();
+            let (mut seen, mut taken, mut step) = (Vec::new(), Vec::new(), 0);
+            for round in 0..256 {
+                let k = ks[round % ks.len()];
+                if batched {
+                    c.next_batch(Duration::ZERO, k, &mut taken).unwrap();
+                } else {
+                    taken.extend((0..k).map_while(|_| c.next(Duration::ZERO).unwrap()));
+                }
+                if taken.is_empty() {
+                    break;
+                }
+                for d in taken.drain(..) {
+                    let m = &d.message;
+                    seen.push((m.body.clone(), m.redelivered, m.delivery_count));
+                    if nacks[step % nacks.len()] {
+                        c.nack(d.tag).unwrap();
+                    } else {
+                        c.ack(d.tag).unwrap();
+                    }
+                    step += 1;
+                }
+            }
+            let stats = ["work", "dead"].map(|q| {
+                let s = b.queue_stats(q).unwrap();
+                (s.ready, s.unacked, s.published)
+            });
+            let metrics = (b.metrics().counter_snapshot(), b.metrics().gauge_snapshot());
+            (seen, stats, metrics)
         };
         prop_assert_eq!(run(false), run(true));
     }

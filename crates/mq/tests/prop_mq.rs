@@ -4,12 +4,84 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gcx_mq::{Broker, Message, QueuePolicy};
+use gcx_mq::{Broker, Message, QueuePolicy, QueueStats};
 use proptest::prelude::*;
 
 /// What `requeue_entry_points_agree` compares: the ready queue, head first,
 /// as (body, delivery count, redelivered), and the dead-lettered bodies.
 type Returned = (Vec<(Bytes, u32, bool)>, Vec<Bytes>);
+
+/// What `a_take_is_the_singles_take` compares: every delivery in order as
+/// (body, redelivered, delivery count); then both queues' stats, less the
+/// poll stamp; then every counter and gauge.
+type Drained = (
+    Vec<(Bytes, bool, u32)>,
+    Vec<QueueStats>,
+    BTreeMap<String, u64>,
+    BTreeMap<String, u64>,
+);
+
+/// Publish `n_msgs` messages and drain them in rounds: a consumer with
+/// `prefetch` takes `ks[round]` (cycled) as one `next_batch` (`batched`) or
+/// as up to that many `next` calls, then acts on each delivery by `script`
+/// (cycled): 0 = ack, 1 = nack, 2 = hold, 3 = hold and drop the consumer
+/// after the round (a fresh one takes over). Stops at an empty take.
+fn drain(
+    batched: bool,
+    n_msgs: usize,
+    budget: u32,
+    prefetch: usize,
+    ks: &[usize],
+    script: &[u8],
+) -> Drained {
+    const ROUNDS: usize = 64;
+    let broker = Broker::new();
+    broker.declare_queue("q", None).unwrap();
+    broker.declare_queue("dead", None).unwrap();
+    broker
+        .set_queue_policy("q", QueuePolicy::dead_letter(budget, "dead"))
+        .unwrap();
+    for i in 0..n_msgs {
+        let body = Bytes::from(format!("m{i}"));
+        broker.publish("q", Message::new(body), None).unwrap();
+    }
+    let mut consumer = broker.consume("q", None, prefetch).unwrap();
+    let (mut seen, mut taken, mut step) = (Vec::new(), Vec::new(), 0);
+    for round in 0..ROUNDS {
+        let k = ks[round % ks.len()];
+        if batched {
+            consumer.next_batch(Duration::ZERO, k, &mut taken).unwrap();
+        } else {
+            let singles = (0..k).map_while(|_| consumer.next(Duration::ZERO).unwrap());
+            taken.extend(singles);
+        }
+        if taken.is_empty() {
+            break;
+        }
+        let mut crash = false;
+        for d in taken.drain(..) {
+            let m = &d.message;
+            seen.push((m.body.clone(), m.redelivered, m.delivery_count));
+            match script[step % script.len()] {
+                0 => consumer.ack(d.tag).unwrap(),
+                1 => consumer.nack(d.tag).unwrap(),
+                2 => {}
+                _ => crash = true,
+            }
+            step += 1;
+        }
+        if crash {
+            consumer = broker.consume("q", None, prefetch).unwrap();
+        }
+    }
+    drop(consumer);
+    let stats = ["q", "dead"].map(|q| QueueStats {
+        last_poll_ms: 0,
+        ..broker.queue_stats(q).unwrap()
+    });
+    let m = broker.metrics();
+    (seen, stats.into(), m.counter_snapshot(), m.gauge_snapshot())
+}
 
 /// Deliver `n_msgs` messages to one consumer that follows `script` (0 = hold,
 /// 1 = ack, 2 = nack and take it again; hold once the script runs out), then
@@ -186,5 +258,22 @@ proptest! {
         let nacked = hold_then_return(0, n_msgs, budget, &script);
         prop_assert_eq!(&nacked, &hold_then_return(1, n_msgs, budget, &script));
         prop_assert_eq!(&nacked, &hold_then_return(2, n_msgs, budget, &script));
+    }
+
+    /// One take body: a take of `k` is `k` successive `next` calls. Under
+    /// any mix of acks, nacks, holds, consumer drops, prefetch windows and
+    /// delivery budgets, draining by `next_batch` hands out the same
+    /// deliveries in the same order, and leaves the same queue stats,
+    /// counters and gauges, as draining by `next`.
+    #[test]
+    fn a_take_is_the_singles_take(
+        n_msgs in 1usize..24,
+        budget in 0u32..4,
+        prefetch in 0usize..6,
+        ks in prop::collection::vec(1usize..8, 1..6),
+        script in prop::collection::vec(0u8..4, 1..40),
+    ) {
+        let singles = drain(false, n_msgs, budget, prefetch, &ks, &script);
+        prop_assert_eq!(singles, drain(true, n_msgs, budget, prefetch, &ks, &script));
     }
 }

@@ -39,6 +39,7 @@ use gcx_core::metrics::MetricsRegistry;
 use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_core::trace::{TraceConfig, Tracer};
+use gcx_mq::Delivery;
 use parking_lot::RwLock;
 
 /// How many redirects and rotations one operation may follow before it
@@ -352,7 +353,13 @@ impl Link {
     /// subscription over the wire.
     pub fn open_stream(&self, token: &Token) -> GcxResult<ResultFeed> {
         self.follow(|at| match at {
-            Target::Local(svc) => svc.open_result_stream(token).map(ResultFeed::Local),
+            Target::Local(svc) => svc
+                .open_result_stream(token)
+                .map(|stream| ResultFeed::Local {
+                    stream,
+                    taken: Vec::new(),
+                    tags: Vec::new(),
+                }),
             Target::Wire(c) => c.open_stream().map(ResultFeed::Wire),
         })
     }
@@ -493,11 +500,22 @@ impl WireLink {
     }
 }
 
+/// Most results the local feed takes off its stream queue at once.
+const FEED_TAKE: usize = 64;
+
 /// A live result subscription, local or wire. `next` yields
 /// `(task_id, parsed result)` pairs; an `Err` from `next` means the feed
 /// itself broke and must be reopened.
 pub enum ResultFeed {
-    Local(ResultStream),
+    /// A broker consumer on the stream queue. `next` takes what is ready,
+    /// acks the whole take at once and serves it from `taken` (newest
+    /// first, so each is a `pop`); both buffers live as long as the feed.
+    Local {
+        stream: ResultStream,
+        taken: Vec<Delivery>,
+        tags: Vec<u64>,
+    },
+    /// Server push: batches arrive whole in `Push` frames.
     Wire(WireStream),
 }
 
@@ -514,8 +532,18 @@ impl ResultFeed {
         timeout: Duration,
     ) -> GcxResult<Option<(TaskId, GcxResult<TaskResult>)>> {
         match self {
-            ResultFeed::Local(stream) => {
-                let Some(delivery) = stream.consumer.next(timeout)? else {
+            ResultFeed::Local {
+                stream,
+                taken,
+                tags,
+            } => {
+                if taken.is_empty() && stream.consumer.next_batch(timeout, FEED_TAKE, taken)? > 0 {
+                    tags.extend(taken.iter().map(|d| d.tag));
+                    let _ = stream.consumer.ack_batch(tags);
+                    tags.clear();
+                    taken.reverse();
+                }
+                let Some(delivery) = taken.pop() else {
                     return Ok(None);
                 };
                 // Binary envelope; the result payload is a zero-copy slice
@@ -523,7 +551,6 @@ impl ResultFeed {
                 let parsed = TaskResult::from_envelope(&delivery.message.body)
                     .ok()
                     .map(|(id, result, _sent_ms)| (id, Ok(result)));
-                let _ = stream.consumer.ack(delivery.tag);
                 Ok(parsed)
             }
             ResultFeed::Wire(stream) => match stream.next(timeout) {
