@@ -19,6 +19,14 @@ use crate::federation::envelope::Body;
 /// shutdown flag again.
 const STOP_NOTICE: Duration = Duration::from_millis(25);
 
+/// How soon the next retire pass comes after one that found confirmed
+/// results. The records confirmed between passes wait in the task store:
+/// at ≈ 300k tasks/s a 25 ms gap let them pass ≈ 10k, where its shards
+/// double (≈ +7 MiB). Passes are not free either: one every 5 ms added
+/// 5–11% to that workload's median latency on a 2-vCPU host, one every
+/// 15 ms ≈ 3.5% (EXPERIMENTS.md W9).
+const RETIRE_BUSY: Duration = Duration::from_millis(15);
+
 /// Most results a result processor takes per wake-up: its prefetch window.
 const PROCESSOR_TAKE: usize = 64;
 
@@ -316,7 +324,8 @@ impl WebService {
     /// whether to resubmit. That queue almost never has a message, so the
     /// same loop carries the periodic duties. On every pass, on any clock,
     /// it retires the records whose results were taken
-    /// ([`retire_taken`](Self::retire_taken)). Each when it is due, it
+    /// ([`retire_taken`](Self::retire_taken)); a pass that found any brings
+    /// the next one forward to [`RETIRE_BUSY`]. Each when it is due, it
     /// sweeps: [`check_liveness`](Self::check_liveness) at a quarter of the
     /// heartbeat timeout, and [`check_expiry`](Self::check_expiry) every
     /// 25 ms while anything can expire or admission is on. On a virtual
@@ -337,8 +346,11 @@ impl WebService {
         let mut expiry_due = Instant::now() + EXPIRY_EVERY;
         let (mut taken, mut resident) = (Vec::new(), 0);
         while !self.inner.shutdown.load(Ordering::SeqCst) {
-            self.retire_taken(&mut taken, &mut resident);
-            let mut wait = STOP_NOTICE;
+            let mut wait = if self.retire_taken(&mut taken, &mut resident) {
+                RETIRE_BUSY
+            } else {
+                STOP_NOTICE
+            };
             if sweeps {
                 // Each sweep rests its full period after it returns.
                 if Instant::now() >= expiry_due {
@@ -376,9 +388,10 @@ impl WebService {
     /// to what the store holds now. The records are freed here, off the
     /// task path. `taken` is the caller's spare list, swapped with the
     /// marked one so that neither reallocates; `resident` is this store's
-    /// last reading.
-    fn retire_taken(&self, taken: &mut Vec<(TaskId, IdentityId)>, resident: &mut u64) {
+    /// last reading. Returns whether anything had been confirmed.
+    fn retire_taken(&self, taken: &mut Vec<(TaskId, IdentityId)>, resident: &mut u64) -> bool {
         std::mem::swap(&mut *self.inner.taken.lock(), taken);
+        let confirmed = !taken.is_empty();
         let tasks = &self.inner.tasks;
         for (id, identity) in taken.drain(..) {
             // A terminal record never changes again, so the check still
@@ -398,6 +411,7 @@ impl WebService {
             gauge.sub(*resident - now);
         }
         *resident = now;
+        confirmed
     }
 
     fn fail_dead_task(&self, message: &Message) -> GcxResult<()> {

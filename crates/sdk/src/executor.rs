@@ -15,7 +15,9 @@
 //!   registers once);
 //! - a batching thread coalescing submissions within
 //!   [`ExecutorConfig::batch_window`] (or up to
-//!   [`ExecutorConfig::max_batch`]) into single `submit_batch` calls;
+//!   [`ExecutorConfig::max_batch`]) into single `submit_batch` calls; the
+//!   submit that fills a batch wakes it, anything shorter waits for its
+//!   1 ms tick;
 //! - a result-stream thread consuming the user's AMQPS stream queue and
 //!   resolving futures as results arrive — zero polling. Each result it was
 //!   waiting for is confirmed, by the batching thread between its own
@@ -44,8 +46,9 @@ use gcx_core::metrics::Counter;
 use gcx_core::respec::ResourceSpec;
 use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec};
+use gcx_core::trace::TraceContext;
 use gcx_core::value::Value;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::functions::Function;
 use crate::future::TaskFuture;
@@ -82,6 +85,19 @@ struct PendingSubmit {
     submitted_ms: u64,
 }
 
+/// What the batcher keeps of a task whose spec it handed to the link: enough
+/// for the `submit` span, or for `fail_or_retry` if the batch is refused.
+struct Shipped {
+    task_id: TaskId,
+    trace: Option<TraceContext>,
+    submitted_ms: u64,
+}
+
+/// How often the batcher looks for what no push announces: a partial batch
+/// whose window ran out, a lone task under a zero window, a resubmission
+/// whose backoff is over, and taken results to confirm.
+const TICK: Duration = Duration::from_millis(1);
+
 /// A submitted task the stream thread is still waiting on. The spec is kept
 /// so a retryable failure can be resubmitted without involving the caller.
 struct Inflight {
@@ -101,6 +117,12 @@ struct ExecutorShared {
     inflight: Mutex<HashMap<TaskId, Inflight>>,
     /// Submissions not yet flushed.
     pending: Mutex<Vec<PendingSubmit>>,
+    /// The batcher parks on `pending` between passes. Notified under the
+    /// `pending` lock by the push that brings it to `full` and by `close()`.
+    batch_ready: Condvar,
+    /// `max_batch`, at least 1: a request's ceiling, and the length at
+    /// which a push wakes the batcher.
+    full: usize,
     /// Resubmissions serving out their backoff; the batcher promotes each to
     /// `pending` once its instant arrives.
     delayed: Mutex<Vec<(Instant, PendingSubmit)>>,
@@ -202,6 +224,8 @@ impl Executor {
             token,
             inflight: Mutex::new(HashMap::new()),
             pending: Mutex::new(Vec::new()),
+            batch_ready: Condvar::new(),
+            full: cfg.max_batch.max(1),
             delayed: Mutex::new(Vec::new()),
             taken: Mutex::new(Some(Vec::new())),
             registered: Mutex::new(HashMap::new()),
@@ -302,6 +326,11 @@ impl Executor {
             spec,
             enqueued_at: Instant::now(),
         });
+        // The push that fills a batch ships it now: a load unless the
+        // batcher is parked. A shorter batch waits for the batcher's tick.
+        if pending.len() == self.shared.full {
+            self.shared.batch_ready.notify_one();
+        }
         Ok(future)
     }
 
@@ -384,6 +413,12 @@ impl Executor {
 
     fn close_inner(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Under the lock the batcher re-reads the flag with before it
+        // parks, so it is either parked now or sees the flag.
+        {
+            let _pending = self.shared.pending.lock();
+            self.shared.batch_ready.notify_one();
+        }
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
@@ -401,8 +436,14 @@ impl Drop for Executor {
     }
 }
 
+/// One pass: confirm what was taken, promote what served its backoff, then
+/// ship a batch if one is due — `pending` holds `max_batch`, its oldest
+/// entry has waited `batch_window`, or the executor is closing. With nothing
+/// due it parks on `pending` for a tick; the push that fills a batch and
+/// `close()` cut the park short.
 fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
     let mut confirming = Vec::new();
+    let mut shipped: Vec<Shipped> = Vec::new();
     loop {
         send_confirms(shared, &mut confirming);
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
@@ -422,52 +463,64 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
                 }
             }
         }
-        let flush: Vec<PendingSubmit> = {
+        let specs: Vec<TaskSpec> = {
             let mut pending = shared.pending.lock();
-            let should_flush = !pending.is_empty()
+            let due = !pending.is_empty()
                 && (shutting_down
-                    || pending.len() >= cfg.max_batch
+                    || pending.len() >= shared.full
                     || pending
                         .first()
                         .is_some_and(|p| p.enqueued_at.elapsed() >= cfg.batch_window));
-            if should_flush {
-                // One REST request carries at most max_batch tasks.
-                let n = pending.len().min(cfg.max_batch.max(1));
-                pending.drain(..n).collect()
-            } else {
-                Vec::new()
+            if !due {
+                if shutting_down {
+                    break;
+                }
+                // Re-read under the lock `close()` notifies under: a flag
+                // set since the top of the pass means no park.
+                if !shared.shutdown.load(Ordering::SeqCst) {
+                    shared.batch_ready.wait_for(&mut pending, TICK);
+                }
+                continue;
             }
+            // One REST request carries at most max_batch tasks. The specs
+            // move to the link; the batcher keeps what it needs of each.
+            let n = pending.len().min(shared.full);
+            shipped.clear();
+            pending
+                .drain(..n)
+                .map(|p| {
+                    shipped.push(Shipped {
+                        task_id: p.spec.task_id,
+                        trace: p.spec.trace,
+                        submitted_ms: p.submitted_ms,
+                    });
+                    p.spec
+                })
+                .collect()
         };
-        if !flush.is_empty() {
-            let specs: Vec<TaskSpec> = flush.iter().map(|p| p.spec.clone()).collect();
-            match shared.link.submit_batch(&shared.token, &specs) {
-                Ok(_) => {
-                    // Submit leg: submit() call → batch accepted by the
-                    // REST API (covers the coalescing window).
-                    let tracer = &shared.tracer;
-                    let now = tracer.now_ms();
-                    for p in &flush {
-                        tracer.record_span(p.spec.trace.as_ref(), "submit", p.submitted_ms, now);
-                    }
-                }
-                Err(e) => {
-                    // The whole batch was rejected: fail (or, for retryable
-                    // rejections, resubmit) each task.
-                    for p in &flush {
-                        fail_or_retry(shared, &cfg.retry, p.spec.task_id, e.clone());
-                    }
+        match shared.link.submit_batch(&shared.token, specs) {
+            Ok(_) => {
+                // Submit leg: submit() call → batch accepted by the REST
+                // API (covers the coalescing window).
+                let tracer = &shared.tracer;
+                let now = tracer.now_ms();
+                for s in &shipped {
+                    tracer.record_span(s.trace.as_ref(), "submit", s.submitted_ms, now);
                 }
             }
-        } else if shutting_down {
-            // No call of ours is outstanding any more: what the stream
-            // thread takes from here on it confirms itself.
-            let last = shared.taken.lock().take().unwrap_or_default();
-            shared.link.confirm(&shared.token, &last);
-            return;
-        } else {
-            std::thread::sleep(Duration::from_millis(1));
+            Err(e) => {
+                // The whole batch was rejected: fail (or, for retryable
+                // rejections, resubmit) each task.
+                for s in &shipped {
+                    fail_or_retry(shared, &cfg.retry, s.task_id, e.clone());
+                }
+            }
         }
     }
+    // No call of ours is outstanding any more: what the stream thread takes
+    // from here on it confirms itself.
+    let last = shared.taken.lock().take().unwrap_or_default();
+    shared.link.confirm(&shared.token, &last);
 }
 
 /// Confirm the results the stream thread took since the last pass. Called

@@ -22,6 +22,7 @@
 //! loop in the executor either way. Its receipt is one verb on both arms,
 //! [`Link::confirm`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -261,21 +262,29 @@ impl Link {
             .ok_or_else(|| GcxError::Internal("submit_batch returned no ids".into()))
     }
 
-    /// Submit a batch. In-process the batch is never retried here — the
-    /// executor resubmits under fresh task ids, its one resubmission
-    /// mechanism — but a replica that answered `ReplicaUnavailable` is
-    /// rotated away from before the error is returned, so the resubmission
-    /// lands on a live one.
-    pub fn submit_batch(&self, token: &Token, specs: &[TaskSpec]) -> GcxResult<Vec<TaskId>> {
+    /// Submit a batch. Given by value, the specs move into the in-process
+    /// service; a borrowed batch is cloned there. The wire arm only lends
+    /// them to the follow loop, which packs them afresh for each re-send.
+    /// In-process the batch is never retried here — the executor resubmits
+    /// under fresh task ids, its one resubmission mechanism — but a replica
+    /// that answered `ReplicaUnavailable` is rotated away from before the
+    /// error is returned, so the resubmission lands on a live one.
+    pub fn submit_batch<'a>(
+        &self,
+        token: &Token,
+        specs: impl Into<Cow<'a, [TaskSpec]>>,
+    ) -> GcxResult<Vec<TaskId>> {
+        let specs = specs.into();
         match self {
-            Link::Local(_) => {
-                let out = self.target().submit_batch(token, specs);
+            Link::Local(l) => {
+                let svc = l.current.read().clone();
+                let out = svc.submit_batch(token, specs.into_owned());
                 if let Err(GcxError::ReplicaUnavailable(r)) = &out {
                     self.rotate(Some(*r));
                 }
                 out
             }
-            Link::Wire(_) => self.follow(|at| at.submit_batch(token, specs)),
+            Link::Wire(_) => self.follow(|at| at.submit_batch(token, &specs)),
         }
     }
 
