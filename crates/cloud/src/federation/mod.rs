@@ -39,9 +39,9 @@ pub mod log;
 pub mod ring;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use gcx_auth::AuthService;
@@ -51,7 +51,7 @@ use gcx_core::ids::{TaskId, Uuid};
 use gcx_core::metrics::{Counter, MetricsRegistry};
 use gcx_core::trace::Tracer;
 use gcx_mq::{Broker, FaultPlan, Message, ReplicaAction};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::service::{CloudConfig, SharedStores, WebService};
 use envelope::{Body, Envelope};
@@ -302,8 +302,36 @@ pub struct Federation {
     /// Watermark for scripted replica-fault actions (see
     /// [`Federation::apply_fault_actions`]).
     fault_watermark: Mutex<u64>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<MonitorStop>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+/// The monitor's stop flag, paired with the condvar its wait for the next
+/// sweep parks on, so a stop wakes it at once.
+#[derive(Default)]
+struct MonitorStop {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl MonitorStop {
+    fn stop(&self) {
+        *self.stopped.lock() = true;
+        self.wake.notify_all();
+    }
+
+    /// Park until `deadline` or a stop; true once stopped.
+    fn wait_until(&self, deadline: Instant) -> bool {
+        let mut stopped = self.stopped.lock();
+        while !*stopped {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            self.wake.wait_for(&mut stopped, left);
+        }
+        *stopped
+    }
 }
 
 impl Federation {
@@ -403,7 +431,7 @@ impl Federation {
             cloud_cfg,
             shared,
             fault_watermark: Mutex::new(0),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::default(),
             monitor: Mutex::new(None),
         };
         // On a virtual clock the test harness drives `check_replicas`
@@ -423,18 +451,12 @@ impl Federation {
         let counters_dead = self.counters.replicas_dead.clone();
         let counters_adopted = self.counters.tasks_adopted.clone();
         let counters_rerouted = self.counters.envelopes_rerouted.clone();
-        let sweep_ms = (self.cfg.heartbeat_timeout_ms / 4).max(25);
+        let sweep = Duration::from_millis((self.cfg.heartbeat_timeout_ms / 4).max(25));
         let handle = std::thread::Builder::new()
             .name("gcx-fed-monitor".into())
             .spawn(move || loop {
-                let mut slept = 0u64;
-                while slept < sweep_ms {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let slice = (sweep_ms - slept).min(25);
-                    std::thread::sleep(Duration::from_millis(slice));
-                    slept += slice;
+                if stop.wait_until(Instant::now() + sweep) {
+                    return;
                 }
                 sweep_replicas(
                     &core,
@@ -744,7 +766,7 @@ impl Federation {
 
     /// Stop the monitor and shut every live replica down.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         if let Some(h) = self.monitor.lock().take() {
             let _ = h.join();
         }
@@ -766,7 +788,7 @@ impl Federation {
 
 impl Drop for Federation {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         if let Some(h) = self.monitor.lock().take() {
             let _ = h.join();
         }

@@ -20,8 +20,7 @@ use gcx_core::trace::{TraceContext, Tracer};
 use gcx_core::value::Value;
 use gcx_core::wire::batch::{self, PushBatch};
 use gcx_core::wire::{
-    error_from_value, peer_caps, Frame, FrameType, PeerCaps, TcpTransport, Transport,
-    DEFAULT_MAX_FRAME, WIRE_VERSION,
+    error_from_value, Frame, FrameType, TcpTransport, Transport, DEFAULT_MAX_FRAME, WIRE_VERSION,
 };
 use parking_lot::Mutex;
 
@@ -79,10 +78,6 @@ struct Shared {
     /// Tracer from the caller's registry; stamps `wire.send`/`wire.await`
     /// client legs on traced submissions. No-ops when tracing is off.
     tracer: Tracer,
-    /// Capabilities the server advertised in its HelloAck. Old servers
-    /// advertise nothing: we never send them trace-flagged frames, Health
-    /// probes or confirmations.
-    peer: PeerCaps,
 }
 
 impl Shared {
@@ -158,7 +153,7 @@ impl WireClient {
         let metrics = WireMetrics::resolve(registry);
         let tracer = registry.tracer();
         metrics.send_counted(&*transport, &Frame::hello(token))?;
-        let (replica, peer) = match transport.recv(cfg.call_timeout)? {
+        let replica = match transport.recv(cfg.call_timeout)? {
             Some(ack) if ack.frame_type == FrameType::HelloAck => {
                 metrics.frames_in.inc();
                 let version = ack.payload.get("version").and_then(Value::as_int);
@@ -168,13 +163,11 @@ impl WireClient {
                         "wire version mismatch: server {version:?}, client {WIRE_VERSION}"
                     )));
                 }
-                let replica = ack
-                    .payload
+                ack.payload
                     .get("replica")
                     .and_then(Value::as_int)
                     .unwrap_or(0)
-                    .max(0) as u32;
-                (replica, peer_caps(&ack.payload))
+                    .max(0) as u32
             }
             Some(f) if f.frame_type == FrameType::Response => {
                 // The server refused the handshake with a typed error.
@@ -209,7 +202,6 @@ impl WireClient {
             replica,
             metrics,
             tracer,
-            peer,
         });
         let demux = {
             let shared = shared.clone();
@@ -227,18 +219,6 @@ impl WireClient {
     /// Replica index from the handshake (0 for a standalone service).
     pub fn replica(&self) -> u32 {
         self.shared.replica
-    }
-
-    /// True when the server advertised the trace capability: our frames may
-    /// carry a trace-context segment.
-    pub fn peer_traces(&self) -> bool {
-        self.shared.peer.trace
-    }
-
-    /// True when the server advertised the health capability and will answer
-    /// [`WireClient::health`] probes.
-    pub fn peer_health(&self) -> bool {
-        self.shared.peer.health
     }
 
     /// True once the connection has failed; calls will return retryable
@@ -268,30 +248,35 @@ impl WireClient {
 
     /// One request/response cycle, multiplexed by correlation id.
     pub fn call(&self, method: &str, params: Value) -> GcxResult<Value> {
-        self.call_traced(method, params, &[])
+        self.call_traced(method, params, &[], |_| {})
     }
 
-    /// Like [`WireClient::call`], but stamping the client's wire legs —
-    /// `wire.send` (serialize + hand to the transport) and `wire.await`
-    /// (in flight until the response is demuxed) — onto each trace context
-    /// in `ctxs`. The request frame carries the first context so the server
-    /// can link its own legs even before decoding the payload. With an
-    /// empty `ctxs` (or tracing disabled) this costs nothing beyond the
-    /// plain call.
-    fn call_traced(&self, method: &str, params: Value, ctxs: &[TraceContext]) -> GcxResult<Value> {
+    /// The client's one correlation-id round trip: [`WireClient::call`],
+    /// but stamping the client's wire legs — `wire.send` (serialize + hand
+    /// to the transport) and `wire.await` (in flight until the response is
+    /// demuxed) — onto each trace context in `ctxs` (the server links its
+    /// own legs from the contexts inside the packed specs). With an empty
+    /// `ctxs` (or tracing disabled) this costs nothing beyond the plain
+    /// call. `before_send` runs with the call's correlation id before the
+    /// request goes out, for a subscription that must be registered first.
+    fn call_traced(
+        &self,
+        method: &str,
+        params: Value,
+        ctxs: &[TraceContext],
+        before_send: impl FnOnce(u64),
+    ) -> GcxResult<Value> {
         let shared = &self.shared;
         if shared.dead.load(Ordering::SeqCst) {
             return Err(GcxError::Transient("wire connection lost".into()));
         }
         let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
+        before_send(corr);
         let (tx, rx) = bounded(1);
         shared.pending.lock().insert(corr, tx);
         let traced = !ctxs.is_empty() && shared.tracer.enabled();
         let t0 = if traced { shared.tracer.now_ms() } else { 0 };
-        let mut frame = Frame::request(corr, method, params);
-        if shared.peer.trace {
-            frame = frame.with_trace(ctxs.first().copied());
-        }
+        let frame = Frame::request(corr, method, params);
         if let Err(e) = shared.metrics.send_counted(&*shared.transport, &frame) {
             shared.pending.lock().remove(&corr);
             shared.mark_dead();
@@ -322,48 +307,21 @@ impl WireClient {
         }
     }
 
-    /// Probe the server's SLO health plane with a `Health` frame.
-    /// `Ok(None)` when the peer predates the health capability (old wire
-    /// version): the caller treats such replicas as opaque, not unhealthy.
-    pub fn health(&self) -> GcxResult<Option<HealthDoc>> {
-        let shared = &self.shared;
-        if !shared.peer.health {
-            return Ok(None);
-        }
-        if shared.dead.load(Ordering::SeqCst) {
-            return Err(GcxError::Transient("wire connection lost".into()));
-        }
-        let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        shared.pending.lock().insert(corr, tx);
-        let frame = Frame::new(FrameType::Health, corr, Value::None);
-        if let Err(e) = shared.metrics.send_counted(&*shared.transport, &frame) {
-            shared.pending.lock().remove(&corr);
-            shared.mark_dead();
-            return Err(e);
-        }
-        match rx.recv_timeout(shared.cfg.call_timeout) {
-            Ok(Ok(doc)) => Ok(HealthDoc::from_value(&doc)),
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => {
-                shared.pending.lock().remove(&corr);
-                Err(GcxError::Timeout("no response to health probe".into()))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(GcxError::Transient("wire connection lost".into()))
-            }
-        }
+    /// The server's SLO health document, through the `health` method.
+    pub fn health(&self) -> GcxResult<HealthDoc> {
+        let doc = self.call(methods::HEALTH, Value::None)?;
+        HealthDoc::from_value(&doc)
+            .ok_or_else(|| GcxError::Codec("health: malformed health document".into()))
     }
 
     /// Tell the server this client holds these tasks' results: one
-    /// `Confirm` frame of packed ids, which nothing answers, and none at all
-    /// to a server that did not advertise the capability. A connection that
-    /// is already lost drops it, and the server keeps those records. The
-    /// caller must have no `submit_batch` of these ids outstanding: the
+    /// `Confirm` frame of packed ids, which nothing answers. A connection
+    /// that is already lost drops it, and the server keeps those records.
+    /// The caller must have no `submit_batch` of these ids outstanding: the
     /// server may forget an id before a re-sent batch names it again.
     pub fn confirm(&self, ids: &[TaskId]) {
         let shared = &self.shared;
-        if !shared.peer.confirm || ids.is_empty() || self.is_dead() {
+        if ids.is_empty() || self.is_dead() {
             return;
         }
         let frame = Frame::new(FrameType::Confirm, 0, Value::Bytes(batch::pack_ids(ids)));
@@ -394,7 +352,7 @@ impl WireClient {
     pub fn submit_batch(&self, specs: &[TaskSpec]) -> GcxResult<Vec<TaskId>> {
         let ctxs: Vec<TraceContext> = specs.iter().filter_map(|s| s.trace).collect();
         let params = Value::Bytes(batch::pack_specs(specs)?);
-        match self.call_traced(methods::SUBMIT_BATCH, params, &ctxs)? {
+        match self.call_traced(methods::SUBMIT_BATCH, params, &ctxs, |_| {})? {
             Value::Bytes(ids) => batch::unpack_ids(&ids),
             other => Err(GcxError::Codec(format!(
                 "submit_batch: ids must be packed bytes, got {}",
@@ -447,43 +405,21 @@ impl WireClient {
     /// as `Push` frames demuxed into the returned handle; drop it (or let
     /// the connection die) to end the subscription.
     pub fn open_stream(&self) -> GcxResult<WireStream> {
-        let shared = &self.shared;
-        if shared.dead.load(Ordering::SeqCst) {
-            return Err(GcxError::Transient("wire connection lost".into()));
-        }
-        let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
         // Register the push channel BEFORE the request is sent: the first
         // pushed result may race the open_stream response.
         let (push_tx, push_rx) = bounded(PUSH_QUEUE_BATCHES);
-        shared.subs.lock().insert(corr, push_tx);
-        let (tx, rx) = bounded(1);
-        shared.pending.lock().insert(corr, tx);
-        let send = shared.metrics.send_counted(
-            &*shared.transport,
-            &Frame::request(
-                corr,
-                methods::OPEN_STREAM,
-                Value::map([] as [(&str, Value); 0]),
-            ),
+        let mut corr = 0;
+        let opened = self.call_traced(
+            methods::OPEN_STREAM,
+            Value::map([] as [(&str, Value); 0]),
+            &[],
+            |c| {
+                corr = c;
+                self.shared.subs.lock().insert(c, push_tx);
+            },
         );
-        if let Err(e) = send {
-            shared.pending.lock().remove(&corr);
-            shared.subs.lock().remove(&corr);
-            shared.mark_dead();
-            return Err(e);
-        }
-        let resp = match rx.recv_timeout(shared.cfg.call_timeout) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => {
-                shared.pending.lock().remove(&corr);
-                Err(GcxError::Timeout("no response to open_stream".into()))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(GcxError::Transient("wire connection lost".into()))
-            }
-        };
-        if let Err(e) = resp {
-            shared.subs.lock().remove(&corr);
+        if let Err(e) = opened {
+            self.shared.subs.lock().remove(&corr);
             return Err(e);
         }
         Ok(WireStream {
@@ -583,14 +519,6 @@ fn demux_loop(shared: Arc<Shared>) {
                         let _ = tx.send(result);
                     }
                 }
-                FrameType::Health => {
-                    // Health responses echo the probe's correlation id with
-                    // the document as the raw payload (no ok/err envelope).
-                    shared.metrics.frames_in.inc();
-                    if let Some(tx) = shared.pending.lock().remove(&frame.corr_id) {
-                        let _ = tx.send(Ok(frame.payload));
-                    }
-                }
                 FrameType::Push => {
                     shared.metrics.frames_in.inc();
                     let Value::Bytes(body) = frame.payload else {
@@ -603,14 +531,6 @@ fn demux_loop(shared: Arc<Shared>) {
                         let batch = PushBatch::new(Bytes::from(body));
                         deliver_push(&shared, &tx, batch, &mut beat_due);
                     }
-                }
-                FrameType::HeartbeatAck => {
-                    shared.metrics.frames_in.inc();
-                }
-                FrameType::Heartbeat => {
-                    shared.metrics.frames_in.inc();
-                    let ack = Frame::new(FrameType::HeartbeatAck, frame.corr_id, Value::None);
-                    send_liveness(&shared, &ack);
                 }
                 FrameType::Goodbye => {
                     shared.mark_dead();
@@ -660,23 +580,18 @@ fn deliver_push(
     }
 }
 
-/// Send a `Heartbeat` if one is due, and set when the next one is.
+/// Send a `Heartbeat` if one is due, and set when the next one is. Skipped
+/// while another writer holds the connection (that writer's frame shows the
+/// server this side is alive too), so the one reader never waits on a write
+/// that needs the reader to read first.
 fn beat_if_due(shared: &Shared, due: &mut Instant) {
     let now = Instant::now();
     if now < *due {
         return;
     }
     *due = now + shared.cfg.heartbeat_interval;
-    let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
-    send_liveness(shared, &Frame::new(FrameType::Heartbeat, corr, Value::None));
-}
-
-/// Send a frame that only shows the server this side is alive, from the
-/// demux thread: skipped while another writer holds the connection (that
-/// writer's frame shows it too), so the one reader never waits on a write
-/// that needs the reader to read first.
-fn send_liveness(shared: &Shared, frame: &Frame) {
-    match shared.transport.try_send(frame) {
+    let beat = Frame::new(FrameType::Heartbeat, 0, Value::None);
+    match shared.transport.try_send(&beat) {
         Ok(true) => shared.metrics.frames_out.inc(),
         Ok(false) => {}
         Err(_) => {

@@ -7,11 +7,11 @@
 //! - [`WireServer`] accepts [`gcx_core::wire::Transport`] connections
 //!   (localhost TCP or in-memory pipes), authenticates each with a
 //!   versioned `Hello` handshake, multiplexes concurrent requests by
-//!   correlation id, answers heartbeats, and reaps idle connections;
+//!   correlation id, and reaps connections whose heartbeats stop;
 //! - [`WireClient`] is the matching dialer: one demux thread routes
 //!   responses to pending calls and server-push frames to subscriptions,
 //!   and sends the heartbeat that keeps the connection alive when it is
-//!   due;
+//!   due (heartbeats go one way: nothing answers them);
 //! - a client that took a pushed result it was waiting for says so with a
 //!   `Confirm` frame (packed ids, no answer), and a standalone service
 //!   forgets those tasks ([`WebService::confirm_taken`](super::WebService::confirm_taken));
@@ -56,6 +56,8 @@ pub(crate) mod methods {
     pub const CANCEL_TASK: &str = "cancel_task";
     pub const OPEN_STREAM: &str = "open_stream";
     pub const CLOSE_STREAM: &str = "close_stream";
+    /// The replica's SLO health document (`gcx_core::health::HealthDoc`).
+    pub const HEALTH: &str = "health";
 }
 
 /// Pre-resolved handles for the wire metrics, one registry lookup each at

@@ -15,9 +15,7 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
 use gcx_core::value::Value;
 use gcx_core::wire::batch;
-use gcx_core::wire::{
-    caps_value, peer_caps, Frame, FrameType, InMemTransport, TcpTransport, Transport, WIRE_VERSION,
-};
+use gcx_core::wire::{Frame, FrameType, InMemTransport, TcpTransport, Transport, WIRE_VERSION};
 use parking_lot::Mutex;
 
 use super::super::WebService;
@@ -66,10 +64,6 @@ struct Conn {
     /// task-clock.
     last_seen: Mutex<Instant>,
     subs: Mutex<HashMap<u64, Subscription>>,
-    /// Whether the peer advertised the `trace` capability in its Hello —
-    /// only then may server-push frames carry the trace-context segment
-    /// (an old peer would choke on the flagged tag).
-    peer_trace: bool,
 }
 
 struct ServerInner {
@@ -255,23 +249,10 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
                 inner.m.frames_in.inc();
                 *conn.last_seen.lock() = Instant::now();
                 match frame.frame_type {
-                    FrameType::Heartbeat => {
-                        let _ = inner.m.send_counted(
-                            transport.as_ref(),
-                            &Frame::new(FrameType::HeartbeatAck, frame.corr_id, Value::None),
-                        );
-                    }
+                    // Its arrival, stamped above, is all a beat says.
+                    FrameType::Heartbeat => {}
                     FrameType::Request => {
                         handle_request(&inner, &conn, &token, frame.corr_id, frame.payload);
-                    }
-                    FrameType::Health => {
-                        // The SLO health plane over the wire: answer with
-                        // this replica's machine-readable health document.
-                        let doc = inner.svc.health_doc();
-                        let _ = inner.m.send_counted(
-                            transport.as_ref(),
-                            &Frame::new(FrameType::Health, frame.corr_id, doc.to_value()),
-                        );
                     }
                     FrameType::Confirm => {
                         // The peer holds these results. `confirm_taken`
@@ -393,9 +374,6 @@ fn handshake(
     }
     let id = inner.conn_seq.fetch_add(1, Ordering::Relaxed);
     let replica = inner.svc.fed().map(|f| f.replica.0).unwrap_or(0);
-    // Old clients never send a `caps` key: they see no flagged frames and
-    // no Health pushes, and simply ignore the server's own advertisement.
-    let peer_trace = peer_caps(&hello.payload).trace;
     let ack = Frame::new(
         FrameType::HelloAck,
         hello.corr_id,
@@ -403,7 +381,6 @@ fn handshake(
             ("version", Value::Int(WIRE_VERSION)),
             ("replica", Value::Int(replica as i64)),
             ("session", Value::Int(id as i64)),
-            ("caps", caps_value()),
         ]),
     );
     let conn = Arc::new(Conn {
@@ -411,7 +388,6 @@ fn handshake(
         transport: transport.clone(),
         last_seen: Mutex::new(Instant::now()),
         subs: Mutex::new(HashMap::new()),
-        peer_trace,
     });
     // Registered before the ack goes out: a peer holding a HelloAck is a
     // connection the server already counts.
@@ -567,6 +543,7 @@ fn dispatch_method(
             }
             Ok(Value::map([] as [(&str, Value); 0]))
         }
+        methods::HEALTH => Ok(svc.health_doc().to_value()),
         other => Err(GcxError::InvalidConfig(format!(
             "unknown wire method '{other}'"
         ))),
@@ -619,9 +596,9 @@ fn spawn_push_loop(
                 body.clear();
                 for delivery in &taken {
                     // Link each pushed result back to its originating trace:
-                    // the envelope's context rides a queue header, and a
-                    // trace-capable peer gets it beside the entry.
-                    let trace = delivery.message.headers.trace.filter(|_| conn.peer_trace);
+                    // the envelope's context rides a queue header, and the
+                    // peer gets it beside the entry.
+                    let trace = delivery.message.headers.trace;
                     let envelope = &delivery.message.body;
                     let entry = batch::push_entry_len(trace.is_some(), envelope.len());
                     if !tags.is_empty() && body.len() + entry > max_bytes {

@@ -38,11 +38,6 @@ use crate::federation::{FedMembership, ReplicaId};
 const MAX_ORPHAN_RETRIES: u64 = 1000;
 
 impl WebService {
-    /// This replica's index in its federation (`None` standalone).
-    pub fn replica_index(&self) -> Option<u32> {
-        self.inner.fed.as_ref().map(|f| f.replica.0)
-    }
-
     pub(super) fn fed(&self) -> Option<&FedMembership> {
         self.inner.fed.as_ref()
     }

@@ -469,8 +469,8 @@ impl WebService {
     /// The replica's machine-readable health document: submit p99 versus
     /// target, overload-rejection ratio, brownout state, handover count,
     /// and heartbeat staleness, with the [`SloPolicy`]-derived three-state
-    /// verdict. Served through both expositions and the `Health` wire
-    /// frame so clients route on data instead of timeouts.
+    /// verdict. Served through both expositions and the `health` wire
+    /// method so clients route on data instead of timeouts.
     pub fn health_doc(&self) -> HealthDoc {
         let now = self.inner.clock.now_ms();
         let slo = &self.inner.cfg.slo;

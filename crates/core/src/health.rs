@@ -6,7 +6,7 @@
 //! signals — submit p99 versus its target, overload-rejection ratio,
 //! brownout state, handover count, heartbeat staleness — into one
 //! [`HealthDoc`] with a three-state verdict, served through both metric
-//! expositions and the `Health` wire frame so wire clients and the
+//! expositions and the `health` wire method so wire clients and the
 //! federated SDK can route away from degraded replicas using data instead
 //! of timeouts.
 //!
@@ -172,7 +172,7 @@ impl HealthDoc {
         self
     }
 
-    /// Wire form (for the `Health` frame payload).
+    /// Wire form (the `health` method's response).
     pub fn to_value(&self) -> Value {
         Value::map([
             ("replica", Value::Int(self.replica as i64)),

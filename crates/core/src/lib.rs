@@ -36,8 +36,8 @@
 //! - [`flight`] — the black-box flight recorder: a bounded lock-sharded
 //!   ring of recent lifecycle/fault events, dumped on failure.
 //! - [`health`] — the SLO health plane: per-replica [`health::HealthDoc`]
-//!   with a three-state verdict, served via expositions and the `Health`
-//!   wire frame.
+//!   with a three-state verdict, served via expositions and the `health`
+//!   wire method.
 //! - [`sharded`] — the N-way sharded concurrent map the cloud service's
 //!   state stores run on.
 //! - [`wire`] — length-prefixed binary framing of the codec and the

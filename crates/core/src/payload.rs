@@ -180,11 +180,6 @@ impl Payload {
         &self.bytes
     }
 
-    /// Consume into the underlying bytes view.
-    pub fn into_bytes(self) -> Bytes {
-        self.bytes
-    }
-
     /// Length of the encoded bytes.
     pub fn len(&self) -> usize {
         self.bytes.len()

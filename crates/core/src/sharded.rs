@@ -8,9 +8,7 @@
 //! traffic across `N` independent `RwLock<HashMap>` shards, so unrelated
 //! identities proceed in parallel.
 //!
-//! `ShardedMap::new(1)` degenerates to exactly the old single-lock layout —
-//! the throughput benchmark uses that to measure the pre-refactor baseline
-//! in the same binary.
+//! `ShardedMap::new(1)` degenerates to exactly the old single-lock layout.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

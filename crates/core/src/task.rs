@@ -132,7 +132,7 @@ impl TaskSpec {
     /// Serialize to the compact binary message body used on mq task queues.
     ///
     /// Unlike [`TaskSpec::to_value`] this never builds a `Value` tree: raw
-    /// UUID bytes, varint scalars, the shared 25-byte trace segment, and the
+    /// UUID bytes, varint scalars, the 25-byte trace context, and the
     /// payload bytes appended verbatim. With `inline_payload = false` only
     /// the content hash and length travel (a CAS reference — the consumer
     /// resolves the bytes from the dedup store, see `gcx-cloud`).

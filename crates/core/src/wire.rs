@@ -6,10 +6,10 @@
 //! fiction. A frame here is a real byte sequence:
 //!
 //! ```text
-//! +----------------+-----------+------------------+-----------------+------------------+
-//! | u32 BE length  | u8 type   | u64 BE corr id   | trace context   | payload bytes    |
-//! | (type..payload)| tag+flags | (multiplex key)  | (25 B, optional)| (codec-encoded)  |
-//! +----------------+-----------+------------------+-----------------+------------------+
+//! +----------------+-----------+------------------+------------------+
+//! | u32 BE length  | u8 type   | u64 BE corr id   | payload bytes    |
+//! | (type..payload)| tag       | (multiplex key)  | (codec-encoded)  |
+//! +----------------+-----------+------------------+------------------+
 //! ```
 //!
 //! The length prefix counts everything after itself (tag + correlation id +
@@ -20,15 +20,9 @@
 //! existing codec — the wire layer adds framing, never a second
 //! serialization format.
 //!
-//! The high bit of the type byte ([`TRACE_FLAG`]) marks an optional
-//! fixed-size trace-context segment between the correlation id and the
-//! payload: 16 bytes of trace id, 8 bytes of span id, and one flags byte
-//! whose low bit is the sampling decision. Senders only set the flag after
-//! the peer advertised the `trace` capability in its `Hello`/`HelloAck`
-//! (old peers never see flagged frames), and a malformed segment inside a
-//! well-framed body degrades to a typed error *without* poisoning the
-//! stream — the length prefix was honored, so the frame boundary is still
-//! trustworthy.
+//! Trace contexts ride inside the per-task bodies, never in the frame: each
+//! packed spec carries its own, and so does each pushed result entry
+//! ([`encode_trace_ctx`] / [`decode_trace_ctx`]).
 //!
 //! Two [`Transport`] implementations exist: [`TcpTransport`] over a real
 //! `std::net::TcpStream` (localhost benchmarking with true OS-process
@@ -63,10 +57,13 @@ use crate::ids::{EndpointId, FunctionId, TaskId, Uuid};
 use crate::trace::{SpanId, TraceContext, TraceId};
 use crate::value::Value;
 
-/// Version carried in the `Hello` frame; bumped on incompatible changes.
-/// Version 2 changed the bodies of `submit_batch` (request and response) and
-/// `Push` to the packed forms in [`batch`]; the frame layout is unchanged.
-pub const WIRE_VERSION: i64 = 2;
+/// Version carried in the `Hello` frame; bumped on incompatible changes,
+/// and a peer of any other version is refused at the handshake. Version 2
+/// changed the bodies of `submit_batch` (request and response) and `Push` to
+/// the packed forms in [`batch`]. Version 3 dropped the frame-level trace
+/// segment, the capability lists, the `Health` frame (now a request method)
+/// and the heartbeat answer, retiring tags 7 and 9.
+pub const WIRE_VERSION: i64 = 3;
 
 /// Default ceiling on a single frame's length field (16 MiB) — comfortably
 /// above the service's 10 MB payload limit, small enough that a corrupt or
@@ -76,25 +73,13 @@ pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 /// Bytes of frame header after the length prefix: 1 (type) + 8 (corr id).
 pub const FRAME_HEADER: usize = 9;
 
-/// High bit of the type byte: set when a fixed-size trace-context segment
-/// follows the correlation id. The low 7 bits remain the frame-type tag, so
-/// flagged frames from a trace-capable peer still carry an ordinary tag.
-pub const TRACE_FLAG: u8 = 0x80;
-
-/// Size of the optional trace-context segment: 16 (trace uuid, u128 BE) +
-/// 8 (span id, u64 BE) + 1 (flags; bit 0 = sampled).
+/// Size of an encoded trace context: 16 (trace uuid, u128 BE) + 8 (span id,
+/// u64 BE) + 1 (flags; bit 0 = sampled).
 pub const TRACE_CTX_LEN: usize = 25;
 
-/// Capability strings a peer may advertise in `Hello`/`HelloAck` under the
-/// `caps` key. Senders must not emit trace-flagged frames, `Health`
-/// requests or `Confirm` frames to a peer that did not advertise the
-/// matching capability.
-pub const CAP_TRACE: &str = "trace";
-pub const CAP_HEALTH: &str = "health";
-pub const CAP_CONFIRM: &str = "confirm";
-
 /// Frame type tags. The numeric values are wire format — append, never
-/// renumber.
+/// renumber, never reuse. Tags 7 (`HeartbeatAck`) and 9 (`Health`) were
+/// retired in version 3 and decode as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FrameType {
@@ -110,20 +95,14 @@ pub enum FrameType {
     /// Server → client push on a subscription; corr id names the
     /// subscription's original `Request`.
     Push = 5,
-    /// Liveness probe (either direction); payload is the sender's clock.
+    /// Client → server liveness beat for the server's idle reaper; nothing
+    /// answers it.
     Heartbeat = 6,
-    /// Answer to a `Heartbeat`, echoing its corr id.
-    HeartbeatAck = 7,
     /// Orderly close: no further frames follow from the sender.
     Goodbye = 8,
-    /// Health-document exchange: a client sends an empty `Health` request,
-    /// the server answers with a `Health` frame carrying the SLO document
-    /// (see `gcx_core::health`). Gated on the [`CAP_HEALTH`] capability.
-    Health = 9,
     /// Client → server: the client holds these tasks' results, so a
     /// standalone service may forget them. The payload is the packed
-    /// 16-byte task ids ([`batch::pack_ids`]); nothing answers it. Gated on
-    /// the [`CAP_CONFIRM`] capability.
+    /// 16-byte task ids ([`batch::pack_ids`]); nothing answers it.
     Confirm = 10,
 }
 
@@ -138,26 +117,19 @@ impl FrameType {
             4 => FrameType::Response,
             5 => FrameType::Push,
             6 => FrameType::Heartbeat,
-            7 => FrameType::HeartbeatAck,
             8 => FrameType::Goodbye,
-            9 => FrameType::Health,
             10 => FrameType::Confirm,
             other => return Err(GcxError::Codec(format!("unknown frame type tag {other}"))),
         })
     }
 }
 
-/// One framed message: a type tag, a correlation id, an optional trace
-/// context, and a codec payload.
+/// One framed message: a type tag, a correlation id, and a codec payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     pub frame_type: FrameType,
     pub corr_id: u64,
     pub payload: Value,
-    /// Trace context carried in the optional 25-byte wire segment. `None`
-    /// for unflagged frames and for flagged frames whose sampled bit was
-    /// clear. Only stamped toward peers that advertised [`CAP_TRACE`].
-    pub trace: Option<TraceContext>,
 }
 
 impl Frame {
@@ -166,19 +138,10 @@ impl Frame {
             frame_type,
             corr_id,
             payload,
-            trace: None,
         }
     }
 
-    /// Attach a trace context; the frame will be encoded with the
-    /// [`TRACE_FLAG`] bit set and the 25-byte context segment.
-    pub fn with_trace(mut self, ctx: Option<TraceContext>) -> Self {
-        self.trace = ctx;
-        self
-    }
-
-    /// The client's connection opener. Advertises this build's capability
-    /// set; peers that predate the `caps` key simply ignore it.
+    /// The client's connection opener.
     pub fn hello(token: impl Into<String>) -> Self {
         Frame::new(
             FrameType::Hello,
@@ -187,7 +150,6 @@ impl Frame {
                 ("version", Value::Int(WIRE_VERSION)),
                 ("token", Value::str(token)),
                 ("proto", Value::str("gcx-wire")),
-                ("caps", caps_value()),
             ]),
         )
     }
@@ -217,65 +179,26 @@ impl Frame {
     }
 }
 
-/// This build's capability advertisement for `Hello`/`HelloAck` payloads.
-pub fn caps_value() -> Value {
-    Value::List(vec![
-        Value::str(CAP_TRACE),
-        Value::str(CAP_HEALTH),
-        Value::str(CAP_CONFIRM),
-    ])
-}
-
-/// What a peer advertised in its `Hello`/`HelloAck`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerCaps {
-    /// It reads trace-flagged frames ([`CAP_TRACE`]).
-    pub trace: bool,
-    /// It answers `Health` probes ([`CAP_HEALTH`]).
-    pub health: bool,
-    /// It reads `Confirm` frames ([`CAP_CONFIRM`]).
-    pub confirm: bool,
-}
-
-/// Read the peer's advertised capabilities from a `Hello`/`HelloAck`
-/// payload. A missing or malformed `caps` key means an older peer: no
-/// capabilities, so no flagged frames, `Health` requests or `Confirm`
-/// frames toward it.
-pub fn peer_caps(payload: &Value) -> PeerCaps {
-    let mut caps = PeerCaps::default();
-    if let Some(Value::List(items)) = payload.get("caps") {
-        for item in items {
-            match item.as_str() {
-                Some(CAP_TRACE) => caps.trace = true,
-                Some(CAP_HEALTH) => caps.health = true,
-                Some(CAP_CONFIRM) => caps.confirm = true,
-                _ => {}
-            }
-        }
-    }
-    caps
-}
-
-/// Append the 25-byte trace-context segment to `out`. Writes within the
-/// buffer's existing capacity when the caller pre-reserved it — the
-/// sampled-out and tracing-disabled send paths stay zero-alloc (pinned by
-/// `trace_overhead.rs`).
+/// Append a trace context's 25 bytes to `out` (a packed task message or a
+/// pushed result entry). Writes within the buffer's existing capacity when
+/// the caller pre-reserved it — the sampled-out and tracing-disabled send
+/// paths stay zero-alloc (pinned by `trace_overhead.rs`).
 pub fn encode_trace_ctx(ctx: &TraceContext, out: &mut Vec<u8>) {
     out.extend_from_slice(&ctx.trace_id.0 .0.to_be_bytes());
     out.extend_from_slice(&ctx.parent.0.to_be_bytes());
     out.push(1); // bit 0: sampled
 }
 
-/// Parse a 25-byte trace-context segment.
+/// Parse a 25-byte trace context.
 ///
 /// A cleared sampled bit or a zero span id decodes to `Ok(None)` — the
-/// sender flagged the frame but deliberately (or emptily) carried no
-/// sampled context; that is a context-absent frame, not an error. Only a
-/// segment that cannot be read at all is a typed error.
+/// sender deliberately (or emptily) carried no sampled context; that is a
+/// context-absent entry, not an error. Only bytes that cannot be read at
+/// all are a typed error.
 pub fn decode_trace_ctx(seg: &[u8]) -> GcxResult<Option<TraceContext>> {
     if seg.len() < TRACE_CTX_LEN {
         return Err(GcxError::Codec(format!(
-            "trace context segment of {} bytes is shorter than {TRACE_CTX_LEN}",
+            "trace context of {} bytes is shorter than {TRACE_CTX_LEN}",
             seg.len()
         )));
     }
@@ -310,15 +233,8 @@ pub fn encode_frame(frame: &Frame, max_frame: usize) -> GcxResult<Vec<u8>> {
 pub fn encode_frame_into(frame: &Frame, max_frame: usize, out: &mut Vec<u8>) -> GcxResult<()> {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    let mut tag = frame.frame_type as u8;
-    if frame.trace.is_some() {
-        tag |= TRACE_FLAG;
-    }
-    out.push(tag);
+    out.push(frame.frame_type as u8);
     out.extend_from_slice(&frame.corr_id.to_be_bytes());
-    if let Some(ctx) = &frame.trace {
-        encode_trace_ctx(ctx, out);
-    }
     codec::encode_to(&frame.payload, out);
     let body_len = out.len() - start - 4;
     match u32::try_from(body_len) {
@@ -344,35 +260,11 @@ pub fn decode_frame_body(body: &[u8]) -> GcxResult<Frame> {
             body.len()
         )));
     }
-    let flagged = body[0] & TRACE_FLAG != 0;
-    let frame_type = FrameType::from_tag(body[0] & !TRACE_FLAG)?;
+    let frame_type = FrameType::from_tag(body[0])?;
     let mut corr = [0u8; 8];
-    corr.copy_from_slice(&body[1..9]);
-    let (trace, payload_at) = if flagged {
-        if body.len() < FRAME_HEADER + TRACE_CTX_LEN {
-            // The payload offset is unknowable without a full segment, so
-            // this frame is unusable — but see `FrameReader::next_frame`:
-            // the framing was honored, so the stream is not poisoned.
-            return Err(GcxError::Codec(format!(
-                "trace-flagged frame body of {} bytes cannot hold the \
-                 {TRACE_CTX_LEN}-byte context segment",
-                body.len()
-            )));
-        }
-        (
-            decode_trace_ctx(&body[FRAME_HEADER..FRAME_HEADER + TRACE_CTX_LEN])?,
-            FRAME_HEADER + TRACE_CTX_LEN,
-        )
-    } else {
-        (None, FRAME_HEADER)
-    };
-    let payload = codec::decode(&body[payload_at..])?;
-    Ok(Frame {
-        frame_type,
-        corr_id: u64::from_be_bytes(corr),
-        payload,
-        trace,
-    })
+    corr.copy_from_slice(&body[1..FRAME_HEADER]);
+    let payload = codec::decode(&body[FRAME_HEADER..])?;
+    Ok(Frame::new(frame_type, u64::from_be_bytes(corr), payload))
 }
 
 /// Incremental frame parser over an arbitrary byte stream.
@@ -509,33 +401,15 @@ impl FrameReader {
             return Ok(None);
         }
         let start = self.pos + 4;
-        let res = decode_frame_body(&self.buf[start..start + body_len]);
-        match res {
+        match decode_frame_body(&self.buf[start..start + body_len]) {
             Ok(frame) => {
                 self.consume(start + body_len);
                 Ok(Some(frame))
             }
-            Err(err) => {
-                // A trace-flagged frame with a recognized tag but a body too
-                // short for the context segment is a per-frame defect, not a
-                // framing violation: the length prefix was honored and we
-                // consumed exactly one frame, so later frames remain
-                // parseable. Surface the typed error without poisoning.
-                let tag = self.buf[start];
-                let recoverable = tag & TRACE_FLAG != 0
-                    && FrameType::from_tag(tag & !TRACE_FLAG).is_ok()
-                    && body_len < FRAME_HEADER + TRACE_CTX_LEN;
-                if recoverable {
-                    self.consume(start + body_len);
-                    Err(err)
-                } else {
-                    // The framing itself was sound (we consumed exactly one
-                    // frame's bytes) but the contents are garbage; poison
-                    // — a peer producing undecodable frames is not
-                    // trustworthy.
-                    Err(self.poison(err))
-                }
-            }
+            // The framing itself was sound but the contents are garbage (an
+            // unknown tag, an undecodable payload): poison — a peer
+            // producing undecodable frames is not trustworthy.
+            Err(err) => Err(self.poison(err)),
         }
     }
 
@@ -1179,9 +1053,7 @@ mod tests {
             (FrameType::Response, 42),
             (FrameType::Push, u64::MAX),
             (FrameType::Heartbeat, 7),
-            (FrameType::HeartbeatAck, 7),
             (FrameType::Goodbye, 0),
-            (FrameType::Health, 11),
             (FrameType::Confirm, 0),
         ] {
             let f = Frame::new(ty, corr, Value::map([("k", Value::Int(9))]));
@@ -1189,41 +1061,12 @@ mod tests {
         }
     }
 
-    fn some_ctx() -> TraceContext {
-        TraceContext {
+    #[test]
+    fn unsampled_trace_context_decodes_absent() {
+        let ctx = TraceContext {
             trace_id: TraceId(Uuid(0x1234_5678_9abc_def0_0fed_cba9_8765_4321)),
             parent: SpanId(0xdead_beef_cafe_f00d),
-        }
-    }
-
-    #[test]
-    fn trace_context_roundtrips_on_every_type() {
-        let ctx = some_ctx();
-        for ty in [
-            FrameType::Request,
-            FrameType::Response,
-            FrameType::Push,
-            FrameType::Health,
-        ] {
-            let f = Frame::new(ty, 42, Value::map([("k", Value::Int(9))])).with_trace(Some(ctx));
-            let got = roundtrip(&f);
-            assert_eq!(got, f);
-            assert_eq!(got.trace, Some(ctx));
-        }
-    }
-
-    #[test]
-    fn trace_segment_costs_exactly_its_wire_size() {
-        let bare = Frame::request(1, "m", Value::Int(1));
-        let traced = bare.clone().with_trace(Some(some_ctx()));
-        let bare_bytes = encode_frame(&bare, DEFAULT_MAX_FRAME).unwrap();
-        let traced_bytes = encode_frame(&traced, DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(traced_bytes.len(), bare_bytes.len() + TRACE_CTX_LEN);
-    }
-
-    #[test]
-    fn unsampled_trace_segment_decodes_context_absent() {
-        let ctx = some_ctx();
+        };
         let mut seg = Vec::new();
         encode_trace_ctx(&ctx, &mut seg);
         assert_eq!(seg.len(), TRACE_CTX_LEN);
@@ -1237,65 +1080,6 @@ mod tests {
             *b = 0;
         }
         assert_eq!(decode_trace_ctx(&seg).unwrap(), None);
-    }
-
-    #[test]
-    fn truncated_trace_segment_errors_without_poisoning() {
-        let traced = Frame::request(7, "m", Value::Int(1)).with_trace(Some(some_ctx()));
-        let bytes = encode_frame(&traced, DEFAULT_MAX_FRAME).unwrap();
-        // Rebuild the frame with the body chopped to header size: flagged
-        // tag, valid masked type, but no room for the context segment.
-        let short_body = &bytes[4..4 + FRAME_HEADER];
-        let mut cut = Vec::new();
-        cut.extend_from_slice(&(short_body.len() as u32).to_be_bytes());
-        cut.extend_from_slice(short_body);
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-        reader.feed(&cut);
-        assert!(matches!(
-            reader.next_frame().unwrap_err(),
-            GcxError::Codec(_)
-        ));
-        // The stream is NOT poisoned: a well-formed frame still parses.
-        let ok = Frame::request(8, "m", Value::Int(2));
-        reader.feed(&encode_frame(&ok, DEFAULT_MAX_FRAME).unwrap());
-        assert_eq!(reader.next_frame().unwrap().unwrap(), ok);
-    }
-
-    #[test]
-    fn flagged_garbage_tag_still_poisons() {
-        let f = Frame::hello("tok");
-        let mut bytes = encode_frame(&f, DEFAULT_MAX_FRAME).unwrap();
-        bytes[4] = 0xEE; // flag bit set, masked tag 0x6E: still unknown
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-        reader.feed(&bytes);
-        assert!(reader.next_frame().is_err());
-        reader.feed(&encode_frame(&f, DEFAULT_MAX_FRAME).unwrap());
-        assert!(reader.next_frame().is_err(), "stream must stay poisoned");
-    }
-
-    #[test]
-    fn hello_advertises_caps_and_old_payloads_have_none() {
-        let all = PeerCaps {
-            trace: true,
-            health: true,
-            confirm: true,
-        };
-        let hello = Frame::hello("tok");
-        assert_eq!(peer_caps(&hello.payload), all);
-        let old = Value::map([("version", Value::Int(WIRE_VERSION))]);
-        assert_eq!(peer_caps(&old), PeerCaps::default());
-        // A peer from before the confirm capability.
-        let partial = Value::map([(
-            "caps",
-            Value::List(vec![Value::str("trace"), Value::str("health")]),
-        )]);
-        assert_eq!(
-            peer_caps(&partial),
-            PeerCaps {
-                confirm: false,
-                ..all
-            }
-        );
     }
 
     #[test]
@@ -1326,17 +1110,26 @@ mod tests {
         assert!(reader.next_frame().is_err());
     }
 
+    /// Garbage, the version-2 trace flag on a valid tag, and the retired
+    /// tags 7 and 9 are all unknown types: a typed error that poisons.
     #[test]
     fn garbage_type_tag_is_typed() {
         let f = Frame::hello("tok");
-        let mut bytes = encode_frame(&f, DEFAULT_MAX_FRAME).unwrap();
-        bytes[4] = 0xEE; // corrupt the type tag
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
-        reader.feed(&bytes);
-        assert!(matches!(
-            reader.next_frame().unwrap_err(),
-            GcxError::Codec(_)
-        ));
+        for tag in [0xEE, 0x80 | FrameType::Request as u8, 7, 9] {
+            let mut bytes = encode_frame(&f, DEFAULT_MAX_FRAME).unwrap();
+            bytes[4] = tag; // corrupt the type tag
+            let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+            reader.feed(&bytes);
+            assert!(matches!(
+                reader.next_frame().unwrap_err(),
+                GcxError::Codec(_)
+            ));
+            reader.feed(&encode_frame(&f, DEFAULT_MAX_FRAME).unwrap());
+            assert!(
+                reader.next_frame().is_err(),
+                "tag {tag}: must stay poisoned"
+            );
+        }
     }
 
     #[test]

@@ -141,11 +141,16 @@ fn frame_type_strategy() -> impl Strategy<Value = FrameType> {
         Just(FrameType::Response),
         Just(FrameType::Push),
         Just(FrameType::Heartbeat),
-        Just(FrameType::HeartbeatAck),
         Just(FrameType::Goodbye),
-        Just(FrameType::Health),
         Just(FrameType::Confirm),
     ]
+}
+
+/// Every type byte no frame type owns: 0, the retired 7 (`HeartbeatAck`)
+/// and 9 (`Health`), the unassigned rest of the low half, and every tag
+/// with the high bit set (version 2's trace flag on any tag).
+fn unknown_tag_strategy() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0u8), Just(7), Just(9), 11u8..=0x7F, 0x80u8..=0xFF]
 }
 
 /// Arbitrary trace contexts (span ids are never zero on the wire — zero is
@@ -157,18 +162,9 @@ fn trace_ctx_strategy() -> impl Strategy<Value = TraceContext> {
     })
 }
 
-/// Frames with and without a trace-context segment, so every stream-level
-/// property (split survival, truncation patience, corruption safety) also
-/// covers the trace-flagged wire form — including round-trip identity of
-/// the context itself.
 fn frame_strategy() -> impl Strategy<Value = Frame> {
-    (
-        frame_type_strategy(),
-        any::<u64>(),
-        tree_strategy(),
-        prop::option::of(trace_ctx_strategy()),
-    )
-        .prop_map(|(t, corr, payload, trace)| Frame::new(t, corr, payload).with_trace(trace))
+    (frame_type_strategy(), any::<u64>(), tree_strategy())
+        .prop_map(|(t, corr, payload)| Frame::new(t, corr, payload))
 }
 
 /// A representative sample of typed errors that must survive the wire —
@@ -263,67 +259,23 @@ proptest! {
         prop_assert!(matches!(reader.next_frame(), Err(GcxError::Codec(_))));
     }
 
-    /// Garbage type tags — anything whose assigned-tag bits (the low 7,
-    /// since the high bit is the trace flag) fall outside 1..=10 — are a
-    /// typed error even when length and payload are perfectly valid.
+    /// Unknown type tags — high-bit tags and the retired 7 and 9 among them
+    /// — are a typed error even when length and payload are perfectly
+    /// valid, and they poison the reader: a valid frame fed afterwards
+    /// still errors.
     #[test]
-    fn garbage_type_tags_are_typed_errors(f in frame_strategy(), raw in any::<u8>()) {
-        // Shift assigned tag bits (1..=10) into the unassigned 11..=20 band,
-        // preserving the trace-flag bit; everything else passes through.
-        let tag = if (1..=10).contains(&(raw & 0x7F)) { raw + 10 } else { raw };
+    fn garbage_type_tags_are_typed_errors(
+        f in frame_strategy(),
+        tag in unknown_tag_strategy(),
+        next in frame_strategy(),
+    ) {
         let mut bytes = encode_frame(&f, TEST_MAX_FRAME).unwrap();
         bytes[4] = tag; // the type tag sits right after the u32 prefix
         let mut reader = FrameReader::new(TEST_MAX_FRAME);
         reader.feed(&bytes);
         prop_assert!(matches!(reader.next_frame(), Err(GcxError::Codec(_))));
-    }
-
-    /// A trace-flagged frame whose body is too short to hold the 25-byte
-    /// context segment is a typed error — but NOT a poisoning one: the
-    /// length prefix was honored, so the reader consumes the bad frame and
-    /// the next valid frame (traced or not) parses intact.
-    #[test]
-    fn truncated_trace_segments_error_without_poisoning(
-        corr in any::<u64>(),
-        ctx in trace_ctx_strategy(),
-        keep in FRAME_HEADER..(FRAME_HEADER + TRACE_CTX_LEN),
-        next in frame_strategy(),
-    ) {
-        let traced = Frame::new(FrameType::Request, corr, Value::None).with_trace(Some(ctx));
-        let full = encode_frame(&traced, TEST_MAX_FRAME).unwrap();
-        // Re-frame a strict prefix of the body under a truthful length.
-        let mut bytes = (keep as u32).to_be_bytes().to_vec();
-        bytes.extend_from_slice(&full[4..4 + keep]);
-        let mut reader = FrameReader::new(TEST_MAX_FRAME);
-        reader.feed(&bytes);
+        reader.feed(&encode_frame(&next, TEST_MAX_FRAME).unwrap());
         prop_assert!(matches!(reader.next_frame(), Err(GcxError::Codec(_))));
-        reader.feed(&encode_frame(&next, TEST_MAX_FRAME).unwrap());
-        prop_assert_eq!(reader.next_frame().unwrap(), Some(next));
-        prop_assert_eq!(reader.buffered(), 0);
-    }
-
-    /// Flipping any byte inside the trace-context segment never panics and
-    /// never poisons the stream: the frame still decodes — with an absent
-    /// or merely different context — and the following frame is untouched.
-    #[test]
-    fn corrupted_trace_segments_never_poison_a_valid_stream(
-        corr in any::<u64>(),
-        ctx in trace_ctx_strategy(),
-        pos in 0usize..TRACE_CTX_LEN,
-        x in 1u8..=255,
-        next in frame_strategy(),
-    ) {
-        let traced = Frame::new(FrameType::Push, corr, Value::None).with_trace(Some(ctx));
-        let mut bytes = encode_frame(&traced, TEST_MAX_FRAME).unwrap();
-        // The segment sits after the u32 prefix and the 9-byte header.
-        bytes[4 + FRAME_HEADER + pos] ^= x;
-        let mut reader = FrameReader::new(TEST_MAX_FRAME);
-        reader.feed(&bytes);
-        let got = reader.next_frame().unwrap().expect("frame must decode");
-        prop_assert_eq!(got.frame_type, FrameType::Push);
-        prop_assert_eq!(got.corr_id, corr);
-        reader.feed(&encode_frame(&next, TEST_MAX_FRAME).unwrap());
-        prop_assert_eq!(reader.next_frame().unwrap(), Some(next));
     }
 
     /// Flipping any byte of a framed stream never panics or hangs the

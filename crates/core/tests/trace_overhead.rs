@@ -104,10 +104,11 @@ fn sampled_out_path_is_allocation_free_and_builds_no_entry() {
 }
 
 fn wire_context_codec_is_allocation_free() {
-    // The trace-context segment rides every traced frame; encoding it into
-    // a frame buffer and decoding it back must be pure byte work. An
-    // untraced frame (`None` context) writes no segment at all, so the
-    // sampled-out and tracing-disabled wire paths stay zero-alloc too.
+    // The 25-byte trace context rides every traced task message and pushed
+    // result entry; encoding it into a body buffer and decoding it back must
+    // be pure byte work. An untraced entry (`None` context) writes no
+    // context at all, so the sampled-out and tracing-disabled wire paths
+    // stay zero-alloc too.
     let ctx = TraceContext {
         trace_id: TraceId::random(),
         parent: SpanId::random(),

@@ -361,9 +361,8 @@ impl Executor {
     }
 
     /// The connected service's SLO health document — assembled in-process
-    /// for a local link, fetched with a `Health` wire frame otherwise.
-    /// `Ok(None)` means the wire peer predates the health capability.
-    pub fn health(&self) -> GcxResult<Option<gcx_core::health::HealthDoc>> {
+    /// for a local link, fetched with a `health` wire request otherwise.
+    pub fn health(&self) -> GcxResult<gcx_core::health::HealthDoc> {
         self.shared.link.health()
     }
 
@@ -1103,19 +1102,15 @@ mod tests {
     }
 
     /// The far half of an in-memory pair, standing in for the wire server:
-    /// its HelloAck, advertising `caps`, is already in the pipe, so a client
-    /// handshakes without a thread on this side. The stub reads the
-    /// client's `Hello` first.
-    fn stub_server(
-        caps: &[&str],
-    ) -> (
+    /// its HelloAck is already in the pipe, so a client handshakes without
+    /// a thread on this side. The stub reads the client's `Hello` first.
+    fn stub_server() -> (
         Arc<dyn gcx_core::wire::Transport>,
         gcx_core::wire::InMemTransport,
     ) {
         use gcx_core::wire::{Frame, FrameType, InMemTransport, Transport, WIRE_VERSION};
         let (client, server) = InMemTransport::pair(gcx_core::wire::DEFAULT_MAX_FRAME);
-        let caps = Value::List(caps.iter().map(|c| Value::str(*c)).collect());
-        let ack = Value::map([("version", Value::Int(WIRE_VERSION)), ("caps", caps)]);
+        let ack = Value::map([("version", Value::Int(WIRE_VERSION))]);
         server
             .send(&Frame::new(FrameType::HelloAck, 0, ack))
             .unwrap();
@@ -1130,48 +1125,35 @@ mod tests {
         }
     }
 
-    /// A confirmation is one `Confirm` frame of packed ids to a server that
-    /// advertised the capability, and nothing at all to one that did not.
+    /// A confirmation is one `Confirm` frame of packed ids.
     #[test]
     fn wire_executor_link_confirms_only_to_a_capable_server() {
         use crate::link::WireLink;
         use gcx_cloud::WireClient;
         use gcx_core::metrics::MetricsRegistry;
-        use gcx_core::wire::{batch, FrameType, Transport, CAP_CONFIRM, CAP_HEALTH, CAP_TRACE};
+        use gcx_core::wire::{batch, FrameType, Transport};
 
         let token = Token("stub".into());
         let ids = [TaskId::random(), TaskId::random()];
-        for caps in [
-            &[CAP_TRACE, CAP_HEALTH][..],
-            &[CAP_TRACE, CAP_HEALTH, CAP_CONFIRM],
-        ] {
-            let capable = caps.contains(&CAP_CONFIRM);
-            let (transport, server) = stub_server(caps);
-            let registry = MetricsRegistry::new();
-            let client =
-                WireClient::over_with_registry(transport, &token.0, quiet_wire_cfg(), &registry)
-                    .unwrap();
-            let link = Link::Wire(WireLink::over(client, quiet_wire_cfg()));
-            let frames_out = registry.counter("wire.frames_out");
-            let before = frames_out.get();
-            link.confirm(&token, &ids);
-            assert_eq!(frames_out.get(), before + capable as u64, "caps {caps:?}");
-            let hello = server.recv(Duration::from_secs(5)).unwrap().unwrap();
-            assert_eq!(hello.frame_type, FrameType::Hello);
-            let next = server.recv(Duration::from_millis(50)).unwrap();
-            match next {
-                Some(frame) if capable => {
-                    assert_eq!(frame.frame_type, FrameType::Confirm);
-                    let Value::Bytes(body) = frame.payload else {
-                        panic!("a confirm body is packed ids")
-                    };
-                    assert_eq!(batch::unpack_ids(&body).unwrap(), ids);
-                }
-                None if !capable => {}
-                other => panic!("caps {caps:?}: the server read {other:?}"),
-            }
-            link.close();
-        }
+        let (transport, server) = stub_server();
+        let registry = MetricsRegistry::new();
+        let client =
+            WireClient::over_with_registry(transport, &token.0, quiet_wire_cfg(), &registry)
+                .unwrap();
+        let link = Link::Wire(WireLink::over(client, quiet_wire_cfg()));
+        let frames_out = registry.counter("wire.frames_out");
+        let before = frames_out.get();
+        link.confirm(&token, &ids);
+        assert_eq!(frames_out.get(), before + 1);
+        let hello = server.recv(Duration::from_secs(5)).unwrap().unwrap();
+        assert_eq!(hello.frame_type, FrameType::Hello);
+        let frame = server.recv(Duration::from_secs(5)).unwrap().unwrap();
+        assert_eq!(frame.frame_type, FrameType::Confirm);
+        let Value::Bytes(body) = frame.payload else {
+            panic!("a confirm body is packed ids")
+        };
+        assert_eq!(batch::unpack_ids(&body).unwrap(), ids);
+        link.close();
     }
 
     /// Why the batcher sends the confirmations: a push can beat the answer
@@ -1184,12 +1166,10 @@ mod tests {
     fn wire_executor_confirms_only_after_its_submit_returns() {
         use crate::link::WireLink;
         use gcx_cloud::WireClient;
-        use gcx_core::wire::{
-            batch, Frame, FrameType, Transport, CAP_CONFIRM, CAP_HEALTH, CAP_TRACE,
-        };
+        use gcx_core::wire::{batch, Frame, FrameType, Transport};
 
         const TASKS: usize = 4;
-        let (transport, server) = stub_server(&[CAP_TRACE, CAP_HEALTH, CAP_CONFIRM]);
+        let (transport, server) = stub_server();
         let (resolved_tx, resolved_rx) = crossbeam_channel::bounded::<()>(1);
         let (report_tx, report_rx) = crossbeam_channel::bounded(1);
         let stub = std::thread::spawn(move || {

@@ -237,11 +237,10 @@ impl Link {
     }
 
     /// The service's SLO health document: assembled in-process locally,
-    /// fetched with a `Health` frame over the wire (`Ok(None)` when the
-    /// server predates the health capability).
-    pub fn health(&self) -> GcxResult<Option<HealthDoc>> {
+    /// fetched with a `health` request over the wire.
+    pub fn health(&self) -> GcxResult<HealthDoc> {
         match self.target() {
-            Target::Local(svc) => Ok(Some(svc.health_doc())),
+            Target::Local(svc) => Ok(svc.health_doc()),
             Target::Wire(c) => c.health(),
         }
     }
@@ -376,11 +375,11 @@ impl Link {
     /// Say that the caller holds these tasks' results and was waiting for
     /// them; a standalone service then forgets the tasks
     /// ([`WebService::confirm_taken`]). In-process that is the call; over
-    /// the wire it is one `Confirm` frame, sent only to a server that
-    /// advertised the capability. Nothing answers, and nothing is retried:
-    /// an unconfirmed result only keeps its record. The caller must have
-    /// no submit of these ids outstanding — the wire arm re-sends a batch
-    /// while its call is, and the server may already have forgotten them.
+    /// the wire it is one `Confirm` frame. Nothing answers, and nothing is
+    /// retried: an unconfirmed result only keeps its record. The caller
+    /// must have no submit of these ids outstanding — the wire arm re-sends
+    /// a batch while its call is, and the server may already have forgotten
+    /// them.
     pub fn confirm(&self, token: &Token, ids: &[TaskId]) {
         match self {
             Link::Local(l) => {
@@ -495,7 +494,7 @@ impl WireLink {
             }
             let unhealthy = matches!(
                 self.client().health(),
-                Ok(Some(doc)) if doc.status == HealthStatus::Unhealthy
+                Ok(doc) if doc.status == HealthStatus::Unhealthy
             );
             if unhealthy {
                 // Route away: remember it as a last resort and keep looking.
@@ -724,7 +723,7 @@ mod tests {
         assert!(spans.contains(&"wire.send"), "spans: {spans:?}");
         assert!(spans.contains(&"wire.await"), "spans: {spans:?}");
         // The health plane answers over the wire with an assessed document.
-        let health = ex.health().unwrap().expect("peer speaks health");
+        let health = ex.health().unwrap();
         assert!(health.status != gcx_core::health::HealthStatus::Unhealthy);
         ex.close();
     }

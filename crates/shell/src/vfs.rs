@@ -207,11 +207,6 @@ impl Vfs {
         tree.retain(|k, _| k != &path && !k.starts_with(&prefix));
         Ok(())
     }
-
-    /// Total number of nodes (for tests).
-    pub fn node_count(&self) -> usize {
-        self.inner.read().len()
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gcx_core::clock::SharedClock;
 use gcx_core::error::{GcxError, GcxResult};
@@ -28,7 +28,7 @@ use gcx_core::ids::TransferId;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_mq::LinkProfile;
 use gcx_shell::Vfs;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 /// Transfer chunk size (bytes). Real GridFTP pipelines much larger blocks;
 /// 256 KiB keeps simulated transfers observable.
@@ -57,13 +57,23 @@ struct TransferEndpoint {
     root: String,
 }
 
+/// A transfer's status, and the condvar a [`TransferService::wait`] parks on
+/// until it changes.
 struct TransferRecord {
-    status: TransferStatus,
+    status: Mutex<TransferStatus>,
+    changed: Condvar,
+}
+
+impl TransferRecord {
+    fn set(&self, status: TransferStatus) {
+        *self.status.lock() = status;
+        self.changed.notify_all();
+    }
 }
 
 struct ServiceInner {
     endpoints: RwLock<HashMap<String, TransferEndpoint>>,
-    transfers: RwLock<HashMap<TransferId, Arc<Mutex<TransferRecord>>>>,
+    transfers: RwLock<HashMap<TransferId, Arc<TransferRecord>>>,
     clock: SharedClock,
     link: LinkProfile,
     metrics: MetricsRegistry,
@@ -148,13 +158,14 @@ impl TransferService {
         let total = data.len();
 
         let id = TransferId::random();
-        let record = Arc::new(Mutex::new(TransferRecord {
-            status: TransferStatus::Active {
+        let record = Arc::new(TransferRecord {
+            status: Mutex::new(TransferStatus::Active {
                 bytes_done: 0,
                 bytes_total: total,
                 faults_retried: 0,
-            },
-        }));
+            }),
+            changed: Condvar::new(),
+        });
         self.inner.transfers.write().insert(id, Arc::clone(&record));
 
         let inner = Arc::clone(&self.inner);
@@ -166,37 +177,40 @@ impl TransferService {
         Ok(id)
     }
 
-    /// Current status.
-    pub fn status(&self, id: TransferId) -> GcxResult<TransferStatus> {
+    fn record(&self, id: TransferId) -> GcxResult<Arc<TransferRecord>> {
         self.inner
             .transfers
             .read()
             .get(&id)
-            .map(|r| r.lock().status.clone())
+            .cloned()
             .ok_or_else(|| GcxError::Internal(format!("no such transfer {id}")))
     }
 
-    /// Block (in wall time) until the transfer finishes or `timeout` passes.
+    /// Current status.
+    pub fn status(&self, id: TransferId) -> GcxResult<TransferStatus> {
+        Ok(self.record(id)?.status.lock().clone())
+    }
+
+    /// Block (in wall time) until the transfer finishes or `timeout` passes,
+    /// parked between status changes.
     pub fn wait(&self, id: TransferId, timeout: Duration) -> GcxResult<TransferStatus> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let status = self.status(id)?;
-            match status {
-                TransferStatus::Active { .. } => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(GcxError::Timeout(format!("transfer {id}")));
-                    }
-                    std::thread::yield_now();
-                }
-                done => return Ok(done),
+        let deadline = Instant::now() + timeout;
+        let record = self.record(id)?;
+        let mut status = record.status.lock();
+        while let TransferStatus::Active { .. } = *status {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(GcxError::Timeout(format!("transfer {id}")));
             }
+            record.changed.wait_for(&mut status, left);
         }
+        Ok(status.clone())
     }
 }
 
 fn run_transfer(
     inner: Arc<ServiceInner>,
-    record: Arc<Mutex<TransferRecord>>,
+    record: Arc<TransferRecord>,
     data: Vec<u8>,
     dst_vfs: Vfs,
     dst_full: String,
@@ -219,7 +233,7 @@ fn run_transfer(
 
     // Truncate any previous content, then append chunk by chunk.
     if dst_vfs.write(&dst_full, b"").is_err() {
-        record.lock().status = TransferStatus::Failed(format!("cannot write '{dst_full}'"));
+        record.set(TransferStatus::Failed(format!("cannot write '{dst_full}'")));
         return;
     }
 
@@ -238,9 +252,9 @@ fn run_transfer(
                 faults_retried += 1;
                 inner.metrics.counter("transfer.chunk_faults").inc();
                 if attempts > inner.max_chunk_retries {
-                    record.lock().status = TransferStatus::Failed(format!(
+                    record.set(TransferStatus::Failed(format!(
                         "chunk at offset {offset} failed after {attempts} attempts"
-                    ));
+                    )));
                     return;
                 }
                 continue;
@@ -248,7 +262,7 @@ fn run_transfer(
             break;
         }
         if dst_vfs.append(&dst_full, chunk).is_err() {
-            record.lock().status = TransferStatus::Failed(format!("write error at {offset}"));
+            record.set(TransferStatus::Failed(format!("write error at {offset}")));
             return;
         }
         offset = end;
@@ -256,16 +270,16 @@ fn run_transfer(
             .metrics
             .counter("transfer.bytes_moved")
             .add(chunk.len() as u64);
-        record.lock().status = TransferStatus::Active {
+        record.set(TransferStatus::Active {
             bytes_done: offset,
             bytes_total: total,
             faults_retried,
-        };
+        });
         if total == 0 {
             break;
         }
     }
-    record.lock().status = TransferStatus::Succeeded;
+    record.set(TransferStatus::Succeeded);
     inner.metrics.counter("transfer.succeeded").inc();
 }
 
@@ -404,5 +418,52 @@ mod tests {
         let status = svc.wait(id, Duration::from_secs(5)).unwrap();
         assert_eq!(status, TransferStatus::Succeeded);
         assert_eq!(clock.now_ms(), 2);
+    }
+
+    /// CPU time (user + system, in clock ticks) the calling thread has used.
+    fn thread_cpu_ticks() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        // Fields after the parenthesised thread name; utime and stime are
+        // the 14th and 15th of the line, 12th and 13th after the name.
+        let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+        let utime: u64 = fields.next()?.parse().ok()?;
+        let stime: u64 = fields.next()?.parse().ok()?;
+        Some(utime + stime)
+    }
+
+    /// A transfer stalled on its link (a virtual clock nobody advances)
+    /// leaves its waiter parked: the wait times out having used almost no
+    /// CPU, and the status change that ends a transfer still wakes it.
+    #[test]
+    fn wait_on_a_stalled_transfer_parks() {
+        use gcx_core::clock::VirtualClock;
+        let clock = VirtualClock::new();
+        let svc = TransferService::new(
+            clock.clone(),
+            LinkProfile::wan(0, 1000),
+            MetricsRegistry::new(),
+        );
+        let src = Vfs::new();
+        svc.register_endpoint("a", src.clone(), "/a").unwrap();
+        svc.register_endpoint("b", Vfs::new(), "/b").unwrap();
+        src.write("/a/f", &vec![0u8; 250_000]).unwrap();
+        let id = svc.submit("a", "f", "b", "f").unwrap();
+        clock.wait_for_sleepers(1);
+
+        let Some(before) = thread_cpu_ticks() else {
+            eprintln!("no /proc/thread-self/stat here, CPU time not counted");
+            return;
+        };
+        let started = Instant::now();
+        let waited = svc.wait(id, Duration::from_millis(300));
+        let ticks = thread_cpu_ticks().unwrap() - before;
+        assert!(matches!(waited, Err(GcxError::Timeout(_))), "{waited:?}");
+        // /proc counts in 10 ms ticks: 10% of one core is elapsed_ms / 100.
+        let budget = started.elapsed().as_millis() as u64 / 100;
+        assert!(ticks < budget, "{ticks} ticks of CPU, budget {budget}");
+
+        clock.advance(2);
+        let status = svc.wait(id, Duration::from_secs(5)).unwrap();
+        assert_eq!(status, TransferStatus::Succeeded);
     }
 }

@@ -696,38 +696,42 @@ fn connection_killed_mid_push_batch_resolves_every_future_exactly_once() {
     svc.shutdown();
 }
 
-/// Scenario 6 — a peer from before the packed bodies: its `Hello` says
-/// version 1, and it must be turned away at the handshake with a typed
-/// refusal rather than have its tree-form submits misparsed later.
+/// Scenario 6 — a peer from an older wire version must be turned away at
+/// the handshake with a typed refusal: a version-1 peer rather than have
+/// its tree-form submits misparsed later, a version-2 peer rather than
+/// send trace-flagged frames, `Health` probes or heartbeat answers that
+/// version 3 reads as unknown tags.
 #[test]
 fn version_1_hello_gets_the_typed_refusal() {
     let svc = wire_service();
     let server = WireServer::listen(&svc, fast_spec()).unwrap();
     let (_, token) = svc.auth().login("transport-v1@test.org").unwrap();
-    let transport = TcpTransport::connect(server.addr(), DEFAULT_MAX_FRAME).unwrap();
-    transport
-        .send(&Frame::new(
-            FrameType::Hello,
-            0,
-            Value::map([
-                ("version", Value::Int(1)),
-                ("token", Value::str(token.0)),
-                ("proto", Value::str("gcx-wire")),
-            ]),
-        ))
-        .unwrap();
-    let refusal = transport
-        .recv(Duration::from_secs(5))
-        .unwrap()
-        .expect("refusal frame");
-    assert_eq!(refusal.frame_type, FrameType::Response);
-    let err = error_from_value(refusal.payload.get("err").expect("typed refusal"));
-    assert!(
-        matches!(&err, gcx::core::error::GcxError::InvalidConfig(m) if m.contains("version")),
-        "got {err:?}"
-    );
-    assert_eq!(server.conn_count(), 0, "a refused peer holds no connection");
-    assert!(svc.metrics().counter("wire.handshake_failures").get() >= 1);
+    for version in [1, 2] {
+        let transport = TcpTransport::connect(server.addr(), DEFAULT_MAX_FRAME).unwrap();
+        transport
+            .send(&Frame::new(
+                FrameType::Hello,
+                0,
+                Value::map([
+                    ("version", Value::Int(version)),
+                    ("token", Value::str(token.0.clone())),
+                    ("proto", Value::str("gcx-wire")),
+                ]),
+            ))
+            .unwrap();
+        let refusal = transport
+            .recv(Duration::from_secs(5))
+            .unwrap()
+            .expect("refusal frame");
+        assert_eq!(refusal.frame_type, FrameType::Response);
+        let err = error_from_value(refusal.payload.get("err").expect("typed refusal"));
+        assert!(
+            matches!(&err, gcx::core::error::GcxError::InvalidConfig(m) if m.contains("version")),
+            "version {version}: got {err:?}"
+        );
+        assert_eq!(server.conn_count(), 0, "a refused peer holds no connection");
+    }
+    assert!(svc.metrics().counter("wire.handshake_failures").get() >= 2);
     server.shutdown();
     svc.shutdown();
 }

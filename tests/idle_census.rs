@@ -9,14 +9,14 @@
 //! an idle executor has no timer threads, wakes a few dozen times a second
 //! per loop to notice a stop flag (the executor's batcher a thousand: its
 //! batch tick), still runs a task the moment one arrives, and stops
-//! promptly.
+//! promptly; an idle federation's monitor waits for its next sweep.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gcx::auth::{AuthPolicy, ExpressionMapping, IdentityMapper};
-use gcx::cloud::{WebService, WireClient, WireClientConfig, WireServer};
+use gcx::cloud::{Federation, WebService, WireClient, WireClientConfig, WireServer};
 use gcx::config::{Template, TransportSpec};
 use gcx::core::clock::SystemClock;
 use gcx::core::function::FunctionBody;
@@ -152,8 +152,8 @@ fn an_idle_stack_sleeps_and_still_works() {
         );
         // Accept blocks; the server's connection thread and the client's
         // demux each look at their stop flag every 50 ms, and the demux
-        // beats once a second. Measured: 37–38/s on 3 threads. At the parent
-        // of this change: 173–175/s on 4 (a 10 ms accept poll and a
+        // beats once a second; nothing answers the beat. Measured: 36–37/s
+        // on 3 threads (173–175/s on 4 with a 10 ms accept poll and a
         // heartbeat thread in 25 ms slices).
         let wire_rate = per_second(&wire);
         assert!(
@@ -179,6 +179,26 @@ fn an_idle_stack_sleeps_and_still_works() {
     } else {
         eprintln!("idle_census: no /proc/self/task here, wake-ups not counted");
     }
+
+    // ---- an idle federation's monitor, in a window of its own: its
+    // replicas' threads share their names with the service row above ------
+    let fed = Federation::new(2, SystemClock::shared());
+    std::thread::sleep(Duration::from_millis(200));
+    if let (Some(before), watched) = (census(), Instant::now()) {
+        std::thread::sleep(Duration::from_secs(1));
+        let after = census().expect("/proc was readable a second ago");
+        let monitor = "gcx-fed-monitor";
+        let now = after.get(monitor).expect("the monitor thread runs").1;
+        let woke = now - before.get(monitor).map_or(0, |b| b.1);
+        let monitor_rate = woke as f64 / watched.elapsed().as_secs_f64();
+        // It parks until its next sweep (`heartbeat_timeout_ms / 4`, 7.5 s
+        // by default) or a stop. Measured: 0/s (40/s in 25 ms sleep slices).
+        assert!(
+            monitor_rate <= 5.0,
+            "an idle federation's monitor wakes {monitor_rate:.0}/s"
+        );
+    }
+    fed.shutdown();
 
     // ---- asleep is not deaf: a task to each engine kind completes --------
     let fid = cloud
