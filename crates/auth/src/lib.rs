@@ -4,15 +4,15 @@
 //!
 //! - [`service`] — identities, OAuth2-style bearer tokens with scopes and
 //!   expiry, token introspection;
-//! - [`policy`] — authentication policies enforced at the web service
+//! - `policy` — authentication policies enforced at the web service
 //!   (allowed/excluded identity domains, required identity provider,
 //!   session-recency requirements);
-//! - [`mapping`] — the identity-mapping engine multi-user endpoints use to
+//! - `mapping` — the identity-mapping engine multi-user endpoints use to
 //!   map a Globus identity onto a local account: expression mappings with
 //!   capture groups (Listing 8) and external-callout mappers.
 
-pub mod mapping;
-pub mod policy;
+pub(crate) mod mapping;
+pub(crate) mod policy;
 pub mod service;
 
 pub use mapping::{ExpressionMapping, IdentityMapper, MappingOutcome};

@@ -61,7 +61,7 @@ impl ExpressionMapping {
 }
 
 /// An external-callout mapping program.
-pub type CalloutFn = Arc<dyn Fn(&Identity) -> Option<String> + Send + Sync>;
+pub(crate) type CalloutFn = Arc<dyn Fn(&Identity) -> Option<String> + Send + Sync>;
 
 enum Mapper {
     Expression(ExpressionMapping, Regex),

@@ -16,14 +16,14 @@ use crate::service::Identity;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuthPolicy {
     /// If non-empty, the identity's domain must be one of these.
-    pub allowed_domains: Vec<String>,
+    pub(crate) allowed_domains: Vec<String>,
     /// The identity's domain must not be any of these.
-    pub excluded_domains: Vec<String>,
+    pub(crate) excluded_domains: Vec<String>,
     /// If set, the user must have authenticated with this identity provider
     /// in the current session.
-    pub required_idp: Option<String>,
+    pub(crate) required_idp: Option<String>,
     /// If set, the authentication must be more recent than this many ms.
-    pub max_session_age_ms: Option<u64>,
+    pub(crate) max_session_age_ms: Option<u64>,
 }
 
 impl AuthPolicy {

@@ -23,17 +23,17 @@ pub struct Identity {
     /// Full username, e.g. `kyle@uchicago.edu`.
     pub username: String,
     /// Display name.
-    pub display_name: String,
+    pub(crate) display_name: String,
 }
 
 impl Identity {
     /// The identity-provider domain (text after the last `@`).
-    pub fn domain(&self) -> &str {
+    pub(crate) fn domain(&self) -> &str {
         self.username.rsplit('@').next().unwrap_or("")
     }
 
     /// The local part (text before the first `@`).
-    pub fn local_part(&self) -> &str {
+    pub(crate) fn local_part(&self) -> &str {
         self.username.split('@').next().unwrap_or(&self.username)
     }
 }

@@ -25,9 +25,9 @@
 //! public call; a real deployment's scheduling loop is the endpoint
 //! provider's poll.
 
-pub mod sim;
+pub(crate) mod sim;
 
 pub use sim::{
-    BatchScheduler, ClusterSpec, FaultStats, JobInfo, JobRequest, JobState, NodeCensus,
-    PartitionSpec, ResourceFaultKind, ResourceFaultPlan, ResourceFaultRule,
+    BatchScheduler, ClusterSpec, JobRequest, JobState, PartitionSpec, ResourceFaultPlan,
+    ResourceFaultRule,
 };

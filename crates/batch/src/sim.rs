@@ -27,9 +27,9 @@ pub struct PartitionSpec {
     /// Node hostnames in this partition.
     pub nodes: Vec<String>,
     /// Maximum job walltime.
-    pub max_walltime_ms: u64,
+    pub(crate) max_walltime_ms: u64,
     /// Accounts allowed to submit (empty = all).
-    pub allowed_accounts: Vec<String>,
+    pub(crate) allowed_accounts: Vec<String>,
 }
 
 impl PartitionSpec {
@@ -106,8 +106,6 @@ impl JobState {
 /// A snapshot of one job.
 #[derive(Debug, Clone)]
 pub struct JobInfo {
-    /// Job id.
-    pub id: JobId,
     /// Current state.
     pub state: JobState,
     /// Assigned node hostnames (non-empty once running; shrinks when the
@@ -118,9 +116,9 @@ pub struct JobInfo {
     /// Start time (once running).
     pub started_at: Option<TimeMs>,
     /// End time (once terminal).
-    pub ended_at: Option<TimeMs>,
+    pub(crate) ended_at: Option<TimeMs>,
     /// Scheduler hold: ineligible to start before this time (fault plan).
-    pub held_until: Option<TimeMs>,
+    pub(crate) held_until: Option<TimeMs>,
     /// The request.
     pub request: JobRequest,
 }
@@ -131,7 +129,7 @@ pub struct JobInfo {
 
 /// What a fault rule does when it hits a job.
 #[derive(Debug, Clone)]
-pub enum ResourceFaultKind {
+pub(crate) enum ResourceFaultKind {
     /// Crash one node of the job `offset_ms` after it starts; the node
     /// stays down for `down_ms`, then rejoins the partition's free pool.
     NodeCrash {
@@ -160,12 +158,12 @@ pub struct ResourceFaultRule {
     /// Partition this rule applies to (empty = every partition).
     pub partition: String,
     /// Per-job probability that the rule hits.
-    pub probability: f64,
+    pub(crate) probability: f64,
     /// What happens on a hit.
-    pub kind: ResourceFaultKind,
+    pub(crate) kind: ResourceFaultKind,
     /// Half-open window `[from, to)`; the fault fires only if its fire
     /// time (or submission time, for holds) falls inside.
-    pub window: Option<(TimeMs, TimeMs)>,
+    pub(crate) window: Option<(TimeMs, TimeMs)>,
 }
 
 impl ResourceFaultRule {
@@ -247,7 +245,7 @@ pub struct FaultStats {
     /// Jobs killed for exceeding their walltime.
     pub jobs_timed_out: u64,
     /// Jobs that drew a scheduler hold at submission.
-    pub jobs_held: u64,
+    pub(crate) jobs_held: u64,
 }
 
 /// Per-partition node bookkeeping snapshot. The invariant the fault
@@ -435,7 +433,6 @@ impl BatchScheduler {
             id,
             Job {
                 info: JobInfo {
-                    id,
                     state: JobState::Pending,
                     nodes: Vec::new(),
                     submitted_at: now,
@@ -539,7 +536,7 @@ impl BatchScheduler {
 
     /// Run a scheduling pass explicitly (fault firing + walltime
     /// enforcement + dispatch).
-    pub fn tick(&self) {
+    pub(crate) fn tick(&self) {
         let mut st = self.state.lock();
         let now = self.clock.now_ms();
         Self::schedule_pass(&mut st, now);
@@ -553,12 +550,6 @@ impl BatchScheduler {
             .get(partition)
             .map(|p| p.free_nodes.len())
             .ok_or_else(|| GcxError::Scheduler(format!("no such partition '{partition}'")))
-    }
-
-    /// Number of pending jobs.
-    pub fn queue_depth(&self) -> usize {
-        self.tick();
-        self.state.lock().queue.len()
     }
 
     fn finish_job(
@@ -870,7 +861,6 @@ mod tests {
         let b = s.submit(req(2, 10_000)).unwrap();
         assert_eq!(s.status(a).unwrap().state, JobState::Running);
         assert_eq!(s.status(b).unwrap().state, JobState::Pending);
-        assert_eq!(s.queue_depth(), 1);
         // Complete a → b starts.
         s.complete(a).unwrap();
         clock.advance(1);

@@ -19,7 +19,7 @@ use gcx_core::value::Value;
 use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use gcx_mq::LinkProfile;
 use gcx_proxystore::{
-    resolve_value, ProxyCache, ProxyExecutor, ProxyPolicy, RemoteKvStore, StoreRegistry,
+    resolve_value, ObjectStore, ProxyCache, ProxyExecutor, ProxyPolicy, StoreRegistry,
 };
 use gcx_sdk::{Executor, PyFunction};
 
@@ -45,7 +45,7 @@ fn run(cache_capacity: usize) -> (Duration, u64, (u64, u64)) {
 
     // The store sits across a 1 Gbps link: re-fetches are visible.
     let store_metrics = MetricsRegistry::new();
-    let store = RemoteKvStore::new(
+    let store = ObjectStore::new(
         "model-store",
         LinkProfile::wan(2, 1000),
         clock,
@@ -66,7 +66,7 @@ fn run(cache_capacity: usize) -> (Duration, u64, (u64, u64)) {
     let infer = PyFunction::new("def infer(model, x):\n    return len(model) + x\n");
     // Proxy the model ONCE; every task receives the same tiny marker (the
     // ProxyStore pattern for shared read-only inputs).
-    let model_proxy = pex.proxy(&model).unwrap();
+    let model_proxy = pex.proxy(&model);
     let started = Instant::now();
     let futures: Vec<_> = (0..N_TASKS)
         .map(|i| {

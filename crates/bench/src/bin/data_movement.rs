@@ -21,8 +21,7 @@ use gcx_core::value::Value;
 use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use gcx_mq::{Broker, LinkProfile};
 use gcx_proxystore::{
-    resolve_value, InMemoryStore, ProxyCache, ProxyExecutor, ProxyPolicy, RemoteKvStore,
-    StoreRegistry,
+    resolve_value, ObjectStore, ProxyCache, ProxyExecutor, ProxyPolicy, StoreRegistry,
 };
 use gcx_sdk::{Executor, PyFunction, ShellFunction};
 use gcx_shell::Vfs;
@@ -136,7 +135,12 @@ fn main() {
         {
             let stack = Stack::new();
             let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
-            let store = InMemoryStore::new("site", MetricsRegistry::new());
+            let store = ObjectStore::new(
+                "site",
+                LinkProfile::instant(),
+                SystemClock::shared(),
+                MetricsRegistry::new(),
+            );
             let pex = ProxyExecutor::new(
                 ex,
                 store,
@@ -165,7 +169,7 @@ fn main() {
             let stack = Stack::new();
             let clock = SystemClock::shared();
             let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
-            let store = RemoteKvStore::new("wan-kv", WAN, clock, MetricsRegistry::new());
+            let store = ObjectStore::new("wan-kv", WAN, clock, MetricsRegistry::new());
             let pex = ProxyExecutor::new(
                 ex,
                 store,

@@ -161,14 +161,7 @@ fn run_stack(p: &Params, faulted: bool) -> RunOutcome {
         ..ExecutorConfig::default()
     };
     let (ex, server) = if p.tcp {
-        let server = WireServer::listen(
-            &svc,
-            TransportSpec {
-                heartbeat_interval_ms: 500,
-                ..TransportSpec::default()
-            },
-        )
-        .unwrap();
+        let server = WireServer::listen(&svc, TransportSpec::default()).unwrap();
         let ex = Executor::over_wire(
             vec![server.addr().to_string()],
             &token.0,

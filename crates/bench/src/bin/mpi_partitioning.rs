@@ -1,4 +1,4 @@
-//! E6 — §III-C.1: the `GlobusMPIEngine` "partition[s] a batch job
+//! E6 — §III-C.1: the `GlobusMPIEngine` "partition\[s\] a batch job
 //! dynamically based on user-defined function requirements" so multiple MPI
 //! applications run concurrently within a single batch job.
 //!

@@ -53,7 +53,7 @@ impl BenchStack {
     }
 
     /// Bring up a stack whose broker link has the given profile.
-    pub fn with_link(engine_yaml: &str, clock: SharedClock, link: LinkProfile) -> Self {
+    pub(crate) fn with_link(engine_yaml: &str, clock: SharedClock, link: LinkProfile) -> Self {
         let auth = gcx_auth::AuthService::new(clock.clone());
         let broker = Broker::with_profile(MetricsRegistry::new(), clock.clone(), link);
         let cloud = WebService::new(CloudConfig::default(), auth, broker, clock.clone());
@@ -70,25 +70,6 @@ impl BenchStack {
             AgentEnv::local(clock),
         )
         .unwrap();
-        Self {
-            cloud,
-            token,
-            endpoint: reg.endpoint_id,
-            agent: Some(agent),
-        }
-    }
-
-    /// Bring up with a custom environment (scheduler, vfs, transform).
-    pub fn with_env(engine_yaml: &str, env: AgentEnv, clock: SharedClock) -> Self {
-        let cloud = WebService::with_defaults(clock);
-        let (_, token) = cloud.auth().login("bench@gcx.dev").unwrap();
-        let reg = cloud
-            .register_endpoint(&token, "bench-ep", false, AuthPolicy::open(), None)
-            .unwrap();
-        let config = EndpointConfig::from_yaml(engine_yaml).unwrap();
-        let agent =
-            EndpointAgent::start(&cloud, reg.endpoint_id, &reg.queue_credential, &config, env)
-                .unwrap();
         Self {
             cloud,
             token,
@@ -193,7 +174,7 @@ impl JsonReport {
     }
 
     /// Render the object.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let body: Vec<String> = self
             .fields
             .iter()

@@ -14,7 +14,7 @@ use gcx_core::payload::{ContentHash, Payload};
 use parking_lot::Mutex;
 
 /// The payload limit the production service enforces (§V).
-pub const DEFAULT_PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
+pub(crate) const DEFAULT_PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
 
 /// Outcome of [`CasStore::intern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -84,7 +84,7 @@ pub enum Body {
 
 impl Body {
     /// The task this body is routed by (a submit batch's first).
-    pub fn routing_id(&self) -> Option<TaskId> {
+    pub(crate) fn routing_id(&self) -> Option<TaskId> {
         match self {
             Body::Submit(_, specs) => specs.first().map(|s| s.task_id),
             Body::Result { task_id, .. } | Body::State { task_id, .. } => Some(*task_id),

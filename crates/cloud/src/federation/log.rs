@@ -58,7 +58,7 @@ pub enum TaskLogEntry {
 /// every task that was opened and not moved away, with `Done` results
 /// installed as terminal state. Entries must be in append order (the
 /// broker preserves it).
-pub fn replay(entries: &[TaskLogEntry], now: u64) -> Vec<TaskRecord> {
+pub(crate) fn replay(entries: &[TaskLogEntry], now: u64) -> Vec<TaskRecord> {
     use std::collections::BTreeMap;
     let mut records: BTreeMap<TaskId, TaskRecord> = BTreeMap::new();
     for entry in entries {

@@ -36,7 +36,7 @@
 
 pub mod envelope;
 pub mod log;
-pub mod ring;
+pub(crate) mod ring;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -483,16 +483,6 @@ impl Federation {
         self.core.epoch()
     }
 
-    /// Number of configured replicas (live or not).
-    pub fn len(&self) -> usize {
-        self.replicas.read().len()
-    }
-
-    /// True when the federation was built with zero replicas.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.read().is_empty()
-    }
-
     /// A handle to replica `r` (whether or not it is live).
     pub fn replica(&self, r: u32) -> Option<WebService> {
         self.replicas.read().get(&ReplicaId(r)).cloned()
@@ -623,7 +613,7 @@ impl Federation {
     /// clock): it keeps running but cannot heartbeat or consume, so peers
     /// declare it dead if the partition outlives the heartbeat timeout.
     /// Heals automatically; the healed replica rejoins on the next sweep.
-    pub fn partition(&self, r: u32, until_ms: u64) {
+    pub(crate) fn partition(&self, r: u32, until_ms: u64) {
         let rid = ReplicaId(r);
         if let Some(m) = self.core.members.write().get_mut(&rid) {
             m.partitioned_until = until_ms;
@@ -1259,21 +1249,6 @@ pub struct ReplicaDirectory {
 }
 
 impl ReplicaDirectory {
-    /// Number of configured replicas.
-    pub fn len(&self) -> usize {
-        self.replicas.read().len()
-    }
-
-    /// True when the federation has no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.read().is_empty()
-    }
-
-    /// All replica ids, live or not, ascending.
-    pub fn replica_ids(&self) -> Vec<u32> {
-        self.replicas.read().keys().map(|r| r.0).collect()
-    }
-
     /// A handle to replica `r` (even if down — requests to a down replica
     /// fail with [`gcx_core::error::GcxError::ReplicaUnavailable`]).
     pub fn get(&self, r: u32) -> Option<WebService> {

@@ -35,7 +35,7 @@ pub const DEFAULT_VNODES: u32 = 128;
 /// Fold a 128-bit id onto the 64-bit ring. Both halves go through
 /// splitmix64 so ids that share a half (e.g. time-ordered uuids) still
 /// scatter.
-pub fn key_point(id: Uuid) -> u64 {
+pub(crate) fn key_point(id: Uuid) -> u64 {
     let raw = id.0;
     splitmix64((raw >> 64) as u64 ^ splitmix64(raw as u64))
 }
@@ -69,26 +69,6 @@ impl HashRing {
         }
     }
 
-    /// Current members, ascending.
-    pub fn members(&self) -> Vec<ReplicaId> {
-        self.members.iter().copied().collect()
-    }
-
-    /// Number of member replicas.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when no replica is in the ring.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// True if `replica` is currently a member.
-    pub fn contains(&self, replica: ReplicaId) -> bool {
-        self.members.contains(&replica)
-    }
-
     /// Add a replica's virtual nodes. Idempotent.
     pub fn add(&mut self, replica: ReplicaId) {
         if !self.members.insert(replica) {
@@ -111,7 +91,7 @@ impl HashRing {
 
     /// The replica owning ring position `point`, or `None` on an empty
     /// ring: the first point at or clockwise of `point`, wrapping.
-    pub fn owner_of_point(&self, point: u64) -> Option<ReplicaId> {
+    pub(crate) fn owner_of_point(&self, point: u64) -> Option<ReplicaId> {
         if self.points.is_empty() {
             return None;
         }
@@ -133,7 +113,7 @@ mod tests {
     #[test]
     fn empty_ring_owns_nothing() {
         let ring = HashRing::new(DEFAULT_VNODES);
-        assert!(ring.is_empty());
+        assert!(ring.members.is_empty());
         assert_eq!(ring.owner(Uuid::new_v4()), None);
     }
 
@@ -154,7 +134,7 @@ mod tests {
         assert_eq!(ring.points.len(), 8);
         ring.remove(ReplicaId(0));
         ring.remove(ReplicaId(0));
-        assert!(ring.is_empty());
+        assert!(ring.members.is_empty());
         assert_eq!(ring.points.len(), 0);
     }
 

@@ -13,11 +13,11 @@
 //! - a content-addressed payload cache ([`blob::CasStore`]) that ships
 //!   repeated and large task inputs as 16-byte references, under the
 //!   **10 MB payload limit** (§V);
-//! - a [`service::ResultProcessor`] pool that consumes results, updates the
+//! - a result-processor pool that consumes results, updates the
 //!   task database, and feeds per-user **result streams** (the push channel
 //!   behind the executor interface, §III-A);
-//! - [`usage::UsageMeter`] counting task invocations per day — the data
-//!   behind Fig. 2;
+//! - [`UsageMeter`], a standalone per-day task-invocation counter that
+//!   only the `fig2_usage` bench drives — the shape of Fig. 2;
 //! - multi-user endpoint routing: submissions to a MEP resolve (identity,
 //!   config-hash) → user endpoint, spawning one via the MEP's command queue
 //!   when needed (§IV-B);
@@ -26,15 +26,15 @@
 //!   failure handover with exactly-once result ingestion — the "highly
 //!   available" part of §II made concrete.
 
-pub mod blob;
+pub(crate) mod blob;
 pub mod federation;
-pub mod records;
+pub(crate) mod records;
 pub mod service;
-pub mod usage;
+pub(crate) mod usage;
 
 pub use blob::{CasStore, Intern};
 pub use federation::{Federation, FederationConfig, HashRing, ReplicaDirectory, ReplicaId};
-pub use records::{EndpointHealth, EndpointRecord, EndpointRegistration, MepStartRequest};
+pub use records::{EndpointHealth, EndpointRegistration, MepStartRequest};
 pub use service::{
     AdmissionConfig, CancelOutcome, CloudConfig, EndpointSession, ResultStream, WebService,
     WireClient, WireClientConfig, WireServer, WireStream,

@@ -10,24 +10,24 @@ use gcx_core::value::Value;
 #[derive(Debug, Clone)]
 pub struct EndpointRecord {
     /// The endpoint's id.
-    pub id: EndpointId,
+    pub(crate) id: EndpointId,
     /// The identity that registered it (user for single-user endpoints,
     /// administrator for multi-user endpoints).
     pub owner: IdentityId,
     /// Display name.
     pub name: String,
     /// True for administrator-deployed multi-user endpoints (§IV).
-    pub multi_user: bool,
+    pub(crate) multi_user: bool,
     /// For user endpoints spawned by a MEP: the parent MEP's id.
-    pub parent_mep: Option<EndpointId>,
+    pub(crate) parent_mep: Option<EndpointId>,
     /// Allowed-function list (§IV-A.4); `None` = all functions allowed.
-    pub allowed_functions: Option<Vec<FunctionId>>,
+    pub(crate) allowed_functions: Option<Vec<FunctionId>>,
     /// Cloud-enforced authentication policy (§IV-A.5).
-    pub policy: AuthPolicy,
+    pub(crate) policy: AuthPolicy,
     /// Registration time.
     pub registered_at: TimeMs,
     /// Whether the agent currently holds a session.
-    pub connected: bool,
+    pub(crate) connected: bool,
     /// When the agent last heartbeated (service clock); the liveness
     /// monitor marks the endpoint offline once this goes stale.
     pub last_heartbeat_ms: TimeMs,
@@ -35,7 +35,7 @@ pub struct EndpointRecord {
     /// nodes) and has not yet reported it re-provisioned. A degraded
     /// endpoint is still *alive* — it keeps heartbeating and is never
     /// marked offline by the liveness monitor on that basis alone.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
 }
 
 /// Coarse endpoint health as seen by the cloud, distinguishing "endpoint
@@ -54,7 +54,7 @@ pub enum EndpointHealth {
 
 impl EndpointRecord {
     /// Check the allowed-function list.
-    pub fn function_allowed(&self, f: FunctionId) -> bool {
+    pub(crate) fn function_allowed(&self, f: FunctionId) -> bool {
         match &self.allowed_functions {
             None => true,
             Some(list) => list.contains(&f),
@@ -69,10 +69,6 @@ pub struct EndpointRegistration {
     pub endpoint_id: EndpointId,
     /// Credential for the endpoint's broker queues.
     pub queue_credential: String,
-    /// Name of the endpoint's task queue.
-    pub task_queue: String,
-    /// Name of the shared result queue.
-    pub result_queue: String,
 }
 
 /// A *Start Endpoint* request delivered to a multi-user endpoint via its
@@ -84,11 +80,11 @@ pub struct MepStartRequest {
     /// The submitting user's identity.
     pub identity: IdentityId,
     /// The submitting user's username (for identity mapping).
-    pub username: String,
+    pub(crate) username: String,
     /// The user endpoint configuration (template variables).
     pub user_config: Value,
     /// Hash of the configuration (the (identity, hash) pair keys the UEP).
-    pub config_hash: u64,
+    pub(crate) config_hash: u64,
     /// The pre-registered user endpoint's id.
     pub uep_endpoint_id: EndpointId,
     /// Credential for the user endpoint's queues.
@@ -97,7 +93,7 @@ pub struct MepStartRequest {
 
 impl MepStartRequest {
     /// Pack for the command queue.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::map([
             ("identity", Value::str(self.identity.to_string())),
             ("username", Value::str(&self.username)),
@@ -148,7 +144,7 @@ impl MepStartRequest {
 /// a mapping between a hash of the configuration and the user endpoint that
 /// is spawned" (§IV-B); `Value::Map` is ordered, so the hash is insensitive
 /// to key insertion order.
-pub fn config_hash(config: &Value) -> u64 {
+pub(crate) fn config_hash(config: &Value) -> u64 {
     let encoded = gcx_core::codec::encode(config);
     let mut h: u64 = 0xcbf29ce484222325;
     for b in encoded.iter() {

@@ -236,7 +236,7 @@ impl WebService {
     /// tasks were expired.
     ///
     /// Called periodically by the service's cold-path thread on a real
-    /// clock, and only while [`AdmissionState::sweep_needed`]; tests on a
+    /// clock, and only while `AdmissionState::sweep_needed`; tests on a
     /// virtual clock call it explicitly after advancing time — exactly the
     /// [`WebService::check_liveness`] pattern.
     pub fn check_expiry(&self) -> usize {

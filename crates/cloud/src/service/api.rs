@@ -10,9 +10,7 @@ use gcx_core::function::{FunctionBody, FunctionRecord};
 use gcx_core::ids::{EndpointId, FunctionId};
 use gcx_mq::Consumer;
 
-use super::{
-    mep_queue_name, task_queue_name, EndpointSession, WebService, DEAD_TASKS_QUEUE, RESULT_QUEUE,
-};
+use super::{mep_queue_name, task_queue_name, EndpointSession, WebService, DEAD_TASKS_QUEUE};
 use crate::records::{EndpointRecord, EndpointRegistration};
 
 impl WebService {
@@ -96,8 +94,6 @@ impl WebService {
         Ok(EndpointRegistration {
             endpoint_id: id,
             queue_credential: credential,
-            task_queue: task_queue_name(id),
-            result_queue: RESULT_QUEUE.to_string(),
         })
     }
 
@@ -184,12 +180,7 @@ impl WebService {
             }
         });
         self.inner.spawn_pending.write().remove(&endpoint_id);
-        Ok(EndpointSession::new(
-            self.clone(),
-            endpoint_id,
-            credential.to_string(),
-            consumer,
-        ))
+        Ok(EndpointSession::new(self.clone(), endpoint_id, consumer))
     }
 
     /// Agent-side: consume the MEP command queue (start-endpoint requests).

@@ -216,14 +216,9 @@ impl WireClient {
         })
     }
 
-    /// Replica index from the handshake (0 for a standalone service).
-    pub fn replica(&self) -> u32 {
-        self.shared.replica
-    }
-
     /// True once the connection has failed; calls will return retryable
     /// errors until the owner reconnects.
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.shared.dead.load(Ordering::SeqCst)
     }
 
@@ -247,7 +242,7 @@ impl WireClient {
     }
 
     /// One request/response cycle, multiplexed by correlation id.
-    pub fn call(&self, method: &str, params: Value) -> GcxResult<Value> {
+    pub(crate) fn call(&self, method: &str, params: Value) -> GcxResult<Value> {
         self.call_traced(method, params, &[], |_| {})
     }
 

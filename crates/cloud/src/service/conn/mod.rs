@@ -49,15 +49,15 @@ use super::CancelOutcome;
 
 /// Wire method names (the `method` field of a `Request` frame).
 pub(crate) mod methods {
-    pub const REGISTER_FUNCTION: &str = "register_function";
-    pub const SUBMIT_BATCH: &str = "submit_batch";
-    pub const TASK_STATUS: &str = "task_status";
-    pub const TASK_STATUS_BATCH: &str = "task_status_batch";
-    pub const CANCEL_TASK: &str = "cancel_task";
-    pub const OPEN_STREAM: &str = "open_stream";
-    pub const CLOSE_STREAM: &str = "close_stream";
+    pub(crate) const REGISTER_FUNCTION: &str = "register_function";
+    pub(crate) const SUBMIT_BATCH: &str = "submit_batch";
+    pub(crate) const TASK_STATUS: &str = "task_status";
+    pub(crate) const TASK_STATUS_BATCH: &str = "task_status_batch";
+    pub(crate) const CANCEL_TASK: &str = "cancel_task";
+    pub(crate) const OPEN_STREAM: &str = "open_stream";
+    pub(crate) const CLOSE_STREAM: &str = "close_stream";
     /// The replica's SLO health document (`gcx_core::health::HealthDoc`).
-    pub const HEALTH: &str = "health";
+    pub(crate) const HEALTH: &str = "health";
 }
 
 /// Pre-resolved handles for the wire metrics, one registry lookup each at
@@ -176,7 +176,6 @@ mod tests {
 
     fn fast_spec() -> TransportSpec {
         TransportSpec {
-            heartbeat_interval_ms: 100,
             idle_timeout_ms: 1_000,
             ..TransportSpec::default()
         }
@@ -433,7 +432,6 @@ mod tests {
         let svc = service();
         let token = login(&svc, "idle@x.y");
         let spec = TransportSpec {
-            heartbeat_interval_ms: 50,
             idle_timeout_ms: 200,
             ..TransportSpec::default()
         };
@@ -463,7 +461,6 @@ mod tests {
         let svc = service();
         let token = login(&svc, "alive@x.y");
         let spec = TransportSpec {
-            heartbeat_interval_ms: 50,
             idle_timeout_ms: 300,
             ..TransportSpec::default()
         };
@@ -496,7 +493,6 @@ mod tests {
         let svc = service();
         let token = login(&svc, "stalled@x.y");
         let spec = TransportSpec {
-            heartbeat_interval_ms: 50,
             idle_timeout_ms: 300,
             ..TransportSpec::default()
         };

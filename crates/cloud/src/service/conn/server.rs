@@ -148,11 +148,6 @@ impl WireServer {
         &self.inner.addr
     }
 
-    /// The transport spec this server enforces.
-    pub fn spec(&self) -> &TransportSpec {
-        &self.inner.spec
-    }
-
     /// Open an in-memory connection to this server: the returned client
     /// half speaks the same framed protocol (handshake included) as a TCP
     /// peer would.

@@ -282,7 +282,6 @@ impl WebService {
         }
         // Accepted: count what is new (a refused batch counts nothing).
         let fresh = ids.len() as u64 - resent;
-        self.inner.usage.record_tasks(now, fresh);
         self.inner.m.tasks_submitted.add(fresh);
         self.inner
             .m
@@ -978,24 +977,6 @@ mod tests {
             assert_eq!(got.task_id, *expected);
             session.ack_task(tag).unwrap();
         }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn usage_meter_counts_submissions() {
-        let svc = service();
-        let token = login(&svc, "u@x.y");
-        let fid = svc
-            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
-            .unwrap();
-        let reg = svc
-            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
-            .unwrap();
-        for _ in 0..7 {
-            svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
-                .unwrap();
-        }
-        assert_eq!(svc.usage().total(), 7);
         svc.shutdown();
     }
 

@@ -10,7 +10,7 @@ use crate::records::EndpointHealth;
 impl WebService {
     /// Record a heartbeat from an endpoint agent. A heartbeat from an
     /// endpoint previously declared offline brings it back online.
-    pub fn heartbeat(&self, endpoint_id: EndpointId) -> GcxResult<()> {
+    pub(crate) fn heartbeat(&self, endpoint_id: EndpointId) -> GcxResult<()> {
         let now = self.inner.clock.now_ms();
         self.inner.endpoints.update(&endpoint_id, |rec| {
             let rec = rec.ok_or(GcxError::EndpointNotFound(endpoint_id))?;
@@ -23,7 +23,7 @@ impl WebService {
     /// An agent reports lost batch capacity (a dead block or crashed
     /// nodes): the endpoint is marked *degraded*, not offline — it is
     /// still alive and recovering on its own.
-    pub fn report_block_loss(&self, endpoint_id: EndpointId, reason: &str) -> GcxResult<()> {
+    pub(crate) fn report_block_loss(&self, endpoint_id: EndpointId, reason: &str) -> GcxResult<()> {
         self.inner.endpoints.update(&endpoint_id, |rec| {
             let rec = rec.ok_or(GcxError::EndpointNotFound(endpoint_id))?;
             rec.degraded = true;
@@ -41,7 +41,7 @@ impl WebService {
 
     /// An agent reports a running block again: capacity is back, the
     /// endpoint is no longer degraded.
-    pub fn report_block_recovery(&self, endpoint_id: EndpointId) -> GcxResult<()> {
+    pub(crate) fn report_block_recovery(&self, endpoint_id: EndpointId) -> GcxResult<()> {
         self.inner.endpoints.update(&endpoint_id, |rec| {
             let rec = rec.ok_or(GcxError::EndpointNotFound(endpoint_id))?;
             rec.degraded = false;

@@ -1,6 +1,6 @@
 //! The web service, decomposed by concern:
 //!
-//! - [`mod@self`] — configuration, shared state ([`CloudInner`]), service
+//! - [`mod@self`] — configuration, shared state (`CloudInner`), service
 //!   construction/shutdown, and the pre-resolved metric handles.
 //! - `api` — the authenticated REST surface: function registration,
 //!   endpoint registration/listing/status, agent connect.
@@ -54,7 +54,6 @@ use parking_lot::{Mutex, RwLock};
 use crate::blob::{CasStore, DEFAULT_PAYLOAD_LIMIT};
 use crate::federation::FedMembership;
 use crate::records::EndpointRecord;
-use crate::usage::UsageMeter;
 
 /// The scope required for Globus Compute API calls.
 pub const COMPUTE_SCOPE: &str = gcx_auth::service::COMPUTE_SCOPE;
@@ -65,7 +64,7 @@ pub const RESULT_QUEUE: &str = "results.all";
 /// Dead-letter queue for tasks whose delivery budget is exhausted. A
 /// service-side processor fails each such task with a retryable error so
 /// clients see a terminal state instead of a silent black hole.
-pub const DEAD_TASKS_QUEUE: &str = "dead.tasks";
+pub(crate) const DEAD_TASKS_QUEUE: &str = "dead.tasks";
 
 /// Threads draining [`RESULT_QUEUE`].
 const RESULT_PROCESSORS: usize = 2;
@@ -241,7 +240,7 @@ pub(crate) type UepMap = Arc<RwLock<HashMap<(EndpointId, IdentityId, u64), Endpo
 
 /// The metadata stores a federation shares across replicas — the stand-in
 /// for the production service's replicated config database (functions,
-/// endpoints, credentials, result streams, usage). The task hot
+/// endpoints, credentials, result streams). The task hot
 /// path (`CloudInner::tasks`) deliberately stays per-replica
 /// shared-nothing; *that* is what the consistent-hash ring partitions.
 /// A standalone service builds a private set.
@@ -254,7 +253,6 @@ pub(crate) struct SharedStores {
     pub(crate) streams: Arc<ShardedMap<IdentityId, StreamTargets>>,
     pub(crate) stream_counter: Arc<AtomicU64>,
     pub(crate) spawn_pending: Arc<RwLock<HashSet<EndpointId>>>,
-    pub(crate) usage: UsageMeter,
 }
 
 pub(super) struct CloudInner {
@@ -266,7 +264,6 @@ pub(super) struct CloudInner {
     /// federation's replicas don't share this cache, so its tasks always
     /// travel with the payload inline.
     pub(super) cas: CasStore,
-    pub(super) usage: UsageMeter,
     pub(super) clock: SharedClock,
     pub(super) metrics: MetricsRegistry,
     pub(super) tracer: Tracer,
@@ -376,7 +373,6 @@ impl WebService {
             auth,
             broker,
             cas,
-            usage: shared.usage.clone(),
             clock,
             metrics,
             tracer,
@@ -447,11 +443,6 @@ impl WebService {
     /// Metrics registry shared with the broker.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
-    }
-
-    /// The usage meter (Fig. 2 data).
-    pub fn usage(&self) -> &UsageMeter {
-        &self.inner.usage
     }
 
     /// The content-addressed payload dedup cache (tests/benches inspect

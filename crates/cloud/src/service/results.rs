@@ -120,7 +120,7 @@ impl WebService {
 
     /// The caller holds these tasks' results and was waiting for them: the
     /// cold-path loop's next pass retires each record that is still the
-    /// caller's and terminal ([`retire_taken`](Self::retire_taken)), and a
+    /// caller's and terminal (`retire_taken`), and a
     /// later status query, cancel or `task_record` answers
     /// [`GcxError::TaskNotFound`]. The one entry point for both links: an
     /// in-process call, or a wire `Confirm` frame. The caller must have no

@@ -16,28 +16,16 @@ use gcx_core::error::GcxError;
 pub struct EndpointSession {
     cloud: WebService,
     endpoint_id: EndpointId,
-    credential: String,
     tasks: Consumer,
 }
 
 impl EndpointSession {
-    pub(super) fn new(
-        cloud: WebService,
-        endpoint_id: EndpointId,
-        credential: String,
-        tasks: Consumer,
-    ) -> Self {
+    pub(super) fn new(cloud: WebService, endpoint_id: EndpointId, tasks: Consumer) -> Self {
         Self {
             cloud,
             endpoint_id,
-            credential,
             tasks,
         }
-    }
-
-    /// This session's endpoint id.
-    pub fn endpoint_id(&self) -> EndpointId {
-        self.endpoint_id
     }
 
     /// Pull the next task (blocking up to `timeout`). Returns the decoded
@@ -153,11 +141,6 @@ impl EndpointSession {
             .functions
             .get_cloned(&id)
             .ok_or(GcxError::FunctionNotFound(id))
-    }
-
-    /// The queue credential (handed to respawned agents).
-    pub fn credential(&self) -> &str {
-        &self.credential
     }
 }
 

@@ -23,25 +23,7 @@ impl UsageMeter {
     /// Record one task invocation at `now` (clock ms since the meter's
     /// epoch).
     pub fn record_task(&self, now: TimeMs) {
-        self.record_tasks(now, 1);
-    }
-
-    /// Record `n` task invocations at `now` with one lock round trip (an
-    /// accepted batch).
-    pub fn record_tasks(&self, now: TimeMs, n: u64) {
-        if n > 0 {
-            *self.days.lock().entry(now / MS_PER_DAY).or_insert(0) += n;
-        }
-    }
-
-    /// Total tasks ever recorded.
-    pub fn total(&self) -> u64 {
-        self.days.lock().values().sum()
-    }
-
-    /// Per-day series as `(day_index, count)`, sorted by day.
-    pub fn daily_series(&self) -> Vec<(u64, u64)> {
-        self.days.lock().iter().map(|(d, c)| (*d, *c)).collect()
+        *self.days.lock().entry(now / MS_PER_DAY).or_insert(0) += 1;
     }
 
     /// Per-day series with gaps filled as zero between the first and last
@@ -69,10 +51,7 @@ mod tests {
         m.record_task(MS_PER_DAY - 1);
         m.record_task(MS_PER_DAY);
         m.record_task(3 * MS_PER_DAY + 5);
-        m.record_tasks(3 * MS_PER_DAY + 6, 128);
-        m.record_tasks(9 * MS_PER_DAY, 0);
-        assert_eq!(m.total(), 132);
-        assert_eq!(m.daily_series(), vec![(0, 2), (1, 1), (3, 129)]);
+        assert_eq!(m.dense_daily_series(), vec![(0, 2), (1, 1), (2, 0), (3, 1)]);
     }
 
     #[test]
@@ -100,6 +79,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(m.total(), 4000);
+        let total: u64 = m.dense_daily_series().iter().map(|(_, n)| n).sum();
+        assert_eq!(total, 4000);
     }
 }

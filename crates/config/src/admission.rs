@@ -76,7 +76,7 @@ impl AdmissionSpec {
     }
 
     /// The validation schema for the `admission:` block.
-    pub fn schema() -> Schema {
+    pub(crate) fn schema() -> Schema {
         Schema::compile(&Value::map([
             ("type", Value::str("object")),
             ("additionalProperties", Value::Bool(false)),
@@ -116,7 +116,7 @@ impl AdmissionSpec {
 
     /// Build a spec from a parsed `admission:` block, validating against
     /// [`AdmissionSpec::schema`]. Absent keys fall back to the defaults.
-    pub fn from_value(v: &Value) -> GcxResult<Self> {
+    pub(crate) fn from_value(v: &Value) -> GcxResult<Self> {
         Self::schema().validate(v)?;
         let d = Self::default();
         let int = |key: &str, fallback: u64| -> u64 {

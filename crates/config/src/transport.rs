@@ -1,39 +1,19 @@
 //! Transport configuration for the cloud service's wire edge: the listen
-//! address, the connection heartbeat cadence, frame-size ceiling, and the
-//! connection-count cap. Administrators keep this in the same mini-YAML
-//! dialect as endpoint configs:
-//!
-//! ```yaml
-//! transport:
-//!   listen_addr: 127.0.0.1:0
-//!   heartbeat_interval_ms: 1000
-//!   idle_timeout_ms: 5000
-//!   max_frame_size: 16777216
-//!   max_connections: 1024
-//! ```
+//! address, the idle timeout, frame-size ceiling, and the connection-count
+//! cap.
 //!
 //! The spec is a plain data struct (this crate does not depend on
-//! `gcx-cloud`); the wire server copies it at listen time. Parsed specs
-//! are validated against [`TransportSpec::schema`] so a typo'd key or a
-//! heartbeat of zero fails at load time, not as a silent dead connection.
+//! `gcx-cloud`); the wire server copies it at listen time.
 
-use gcx_core::error::{GcxError, GcxResult};
-use gcx_core::value::Value;
-
-use crate::schema::Schema;
-use crate::yaml::parse_yaml;
-
-/// A parsed, validated transport spec for the service's wire edge.
+/// The transport spec for the service's wire edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportSpec {
     /// TCP listen address; port `0` asks the OS for an ephemeral port
     /// (the bound address is reported back by the server).
     pub listen_addr: String,
-    /// How often each side sends a heartbeat frame on an otherwise idle
-    /// connection.
-    pub heartbeat_interval_ms: u64,
-    /// A connection with no inbound frames (heartbeats included) for this
-    /// long is reaped: its pushes stop and its resources are released.
+    /// A connection with no inbound frames (the client's heartbeats
+    /// included) for this long is reaped: its pushes stop and its resources
+    /// are released.
     pub idle_timeout_ms: u64,
     /// Ceiling on one frame's length field, send and receive side both.
     pub max_frame_size: u64,
@@ -46,94 +26,10 @@ impl Default for TransportSpec {
     fn default() -> Self {
         Self {
             listen_addr: "127.0.0.1:0".into(),
-            heartbeat_interval_ms: 1_000,
             idle_timeout_ms: 5_000,
             max_frame_size: gcx_core::wire::DEFAULT_MAX_FRAME as u64,
             max_connections: 1_024,
         }
-    }
-}
-
-impl TransportSpec {
-    /// The validation schema for the `transport:` block.
-    pub fn schema() -> Schema {
-        Schema::compile(&Value::map([
-            ("type", Value::str("object")),
-            ("additionalProperties", Value::Bool(false)),
-            (
-                "properties",
-                Value::map([
-                    ("listen_addr", Value::map([("type", Value::str("string"))])),
-                    (
-                        "heartbeat_interval_ms",
-                        Value::map([("type", Value::str("integer")), ("minimum", Value::Int(1))]),
-                    ),
-                    (
-                        "idle_timeout_ms",
-                        Value::map([("type", Value::str("integer")), ("minimum", Value::Int(1))]),
-                    ),
-                    (
-                        "max_frame_size",
-                        Value::map([
-                            ("type", Value::str("integer")),
-                            // Must at least fit the frame header plus a
-                            // minimal payload.
-                            ("minimum", Value::Int(64)),
-                        ]),
-                    ),
-                    (
-                        "max_connections",
-                        Value::map([("type", Value::str("integer")), ("minimum", Value::Int(0))]),
-                    ),
-                ]),
-            ),
-        ]))
-        .expect("transport schema compiles")
-    }
-
-    /// Build a spec from a parsed `transport:` block, validating against
-    /// [`TransportSpec::schema`]. Absent keys fall back to the defaults.
-    pub fn from_value(v: &Value) -> GcxResult<Self> {
-        Self::schema().validate(v)?;
-        let d = Self::default();
-        let int = |key: &str, fallback: u64| -> u64 {
-            v.get(key)
-                .and_then(Value::as_int)
-                .map(|n| n.max(0) as u64)
-                .unwrap_or(fallback)
-        };
-        let spec = Self {
-            listen_addr: v
-                .get("listen_addr")
-                .and_then(Value::as_str)
-                .unwrap_or(&d.listen_addr)
-                .to_string(),
-            heartbeat_interval_ms: int("heartbeat_interval_ms", d.heartbeat_interval_ms),
-            idle_timeout_ms: int("idle_timeout_ms", d.idle_timeout_ms),
-            max_frame_size: int("max_frame_size", d.max_frame_size),
-            max_connections: int("max_connections", d.max_connections),
-        };
-        if spec.idle_timeout_ms <= spec.heartbeat_interval_ms {
-            return Err(GcxError::InvalidConfig(format!(
-                "idle_timeout_ms ({}) must exceed heartbeat_interval_ms ({}) or every \
-                 healthy connection is reaped between beats",
-                spec.idle_timeout_ms, spec.heartbeat_interval_ms
-            )));
-        }
-        Ok(spec)
-    }
-
-    /// Parse a YAML document and extract its `transport:` block (or treat
-    /// the whole document as the block when the key is absent but the
-    /// fields are top-level).
-    pub fn from_yaml(text: &str) -> GcxResult<Self> {
-        let doc = parse_yaml(text)?;
-        let block = match doc.get("transport") {
-            Some(b) => b,
-            None if doc.as_map().is_some() => &doc,
-            _ => return Err(GcxError::Parse("transport spec: expected a mapping".into())),
-        };
-        Self::from_value(block)
     }
 }
 
@@ -144,44 +40,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let d = TransportSpec::default();
-        assert!(d.idle_timeout_ms > d.heartbeat_interval_ms);
+        assert!(d.idle_timeout_ms > 0);
         assert!(d.max_frame_size >= 64);
-    }
-
-    #[test]
-    fn parses_nested_block() {
-        let spec = TransportSpec::from_yaml(
-            "transport:\n  listen_addr: 127.0.0.1:4199\n  heartbeat_interval_ms: 200\n  idle_timeout_ms: 900\n  max_frame_size: 65536\n  max_connections: 16\n",
-        )
-        .unwrap();
-        assert_eq!(
-            spec,
-            TransportSpec {
-                listen_addr: "127.0.0.1:4199".into(),
-                heartbeat_interval_ms: 200,
-                idle_timeout_ms: 900,
-                max_frame_size: 65536,
-                max_connections: 16,
-            }
-        );
-    }
-
-    #[test]
-    fn parses_top_level_fields() {
-        let spec = TransportSpec::from_yaml("max_connections: 3\n").unwrap();
-        assert_eq!(spec.max_connections, 3);
-        assert_eq!(
-            spec.heartbeat_interval_ms,
-            TransportSpec::default().heartbeat_interval_ms
-        );
-    }
-
-    #[test]
-    fn rejects_unknown_keys_and_inverted_timeouts() {
-        assert!(TransportSpec::from_yaml("transport:\n  listen_address: x\n").is_err());
-        assert!(TransportSpec::from_yaml(
-            "transport:\n  heartbeat_interval_ms: 500\n  idle_timeout_ms: 400\n"
-        )
-        .is_err());
     }
 }

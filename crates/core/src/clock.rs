@@ -7,7 +7,7 @@
 //! and drive time explicitly.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -65,8 +65,8 @@ struct VirtualState {
 
 /// A manually-advanced clock.
 ///
-/// `sleep` blocks until some other thread calls [`VirtualClock::advance`] (or
-/// [`VirtualClock::set`]) far enough. The sleeper count is exposed so a
+/// `sleep` blocks until some other thread calls [`VirtualClock::advance`]
+/// far enough. The sleeper count is exposed so a
 /// driver loop can advance time only when the simulation has quiesced.
 pub struct VirtualClock {
     state: Mutex<VirtualState>,
@@ -81,7 +81,7 @@ impl VirtualClock {
 
     /// A virtual clock starting at `start_ms` (e.g. a real epoch offset so
     /// simulated timestamps convert to calendar dates).
-    pub fn starting_at(start_ms: TimeMs) -> Arc<Self> {
+    pub(crate) fn starting_at(start_ms: TimeMs) -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(VirtualState {
                 now_ms: start_ms,
@@ -99,17 +99,8 @@ impl VirtualClock {
         self.cond.notify_all();
     }
 
-    /// Jump to an absolute time. Panics if that would move time backwards.
-    pub fn set(&self, now_ms: TimeMs) {
-        let mut st = self.state.lock();
-        assert!(now_ms >= st.now_ms, "virtual time may not move backwards");
-        st.now_ms = now_ms;
-        drop(st);
-        self.cond.notify_all();
-    }
-
     /// How many threads are currently blocked in `sleep`.
-    pub fn sleeper_count(&self) -> usize {
+    pub(crate) fn sleeper_count(&self) -> usize {
         self.state.lock().sleepers
     }
 
@@ -142,13 +133,6 @@ impl Clock for VirtualClock {
     }
 }
 
-/// Measure the wall-clock duration of `f` and return it with the result.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,16 +153,6 @@ mod tests {
         assert_eq!(c.now_ms(), 0);
         c.advance(250);
         assert_eq!(c.now_ms(), 250);
-        c.set(1_000);
-        assert_eq!(c.now_ms(), 1_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn virtual_clock_rejects_time_travel() {
-        let c = VirtualClock::new();
-        c.advance(10);
-        c.set(5);
     }
 
     #[test]
@@ -205,12 +179,5 @@ mod tests {
         let c = VirtualClock::new();
         c.sleep(Duration::ZERO);
         assert_eq!(c.now_ms(), 0);
-    }
-
-    #[test]
-    fn timed_measures() {
-        let (v, d) = timed(|| 42);
-        assert_eq!(v, 42);
-        assert!(d < Duration::from_secs(1));
     }
 }

@@ -19,22 +19,22 @@ use crate::error::{GcxError, GcxResult};
 use crate::value::Value;
 
 /// Format version emitted by [`encode`].
-pub const CODEC_VERSION: u8 = 1;
+pub(crate) const CODEC_VERSION: u8 = 1;
 
 /// Nesting depth limit: protects the decoder against stack exhaustion from
 /// hostile payloads.
 const MAX_DEPTH: usize = 64;
 
 mod tag {
-    pub const NONE: u8 = 0x00;
-    pub const FALSE: u8 = 0x01;
-    pub const TRUE: u8 = 0x02;
-    pub const INT: u8 = 0x03;
-    pub const FLOAT: u8 = 0x04;
-    pub const STR: u8 = 0x05;
-    pub const BYTES: u8 = 0x06;
-    pub const LIST: u8 = 0x07;
-    pub const MAP: u8 = 0x08;
+    pub(crate) const NONE: u8 = 0x00;
+    pub(crate) const FALSE: u8 = 0x01;
+    pub(crate) const TRUE: u8 = 0x02;
+    pub(crate) const INT: u8 = 0x03;
+    pub(crate) const FLOAT: u8 = 0x04;
+    pub(crate) const STR: u8 = 0x05;
+    pub(crate) const BYTES: u8 = 0x06;
+    pub(crate) const LIST: u8 = 0x07;
+    pub(crate) const MAP: u8 = 0x08;
 }
 
 /// Encode a value to its wire representation.
@@ -48,7 +48,7 @@ pub fn encode(v: &Value) -> Bytes {
 /// Append the wire representation of `v` to `out` — what [`encode`] would
 /// return, without the intermediate buffer. The frame encoder writes payloads
 /// straight into its (reused) write buffer through this.
-pub fn encode_to(v: &Value, out: &mut Vec<u8>) {
+pub(crate) fn encode_to(v: &Value, out: &mut Vec<u8>) {
     out.reserve(v.approx_size() + 1);
     out.push(CODEC_VERSION);
     encode_into(v, out);
@@ -241,12 +241,12 @@ pub fn read_varint(cur: &mut &[u8]) -> GcxResult<u64> {
 
 /// Zigzag-map a signed integer for varint encoding (public counterpart of
 /// the codec-internal mapping, shared by the binary task message format).
-pub fn zigzag_encode(i: i64) -> u64 {
+pub(crate) fn zigzag_encode(i: i64) -> u64 {
     zigzag(i)
 }
 
 /// Inverse of [`zigzag_encode`].
-pub fn zigzag_decode(u: u64) -> i64 {
+pub(crate) fn zigzag_decode(u: u64) -> i64 {
     unzigzag(u)
 }
 
@@ -271,7 +271,7 @@ fn put_varint<B: BufMut>(buf: &mut B, mut v: u64) {
 }
 
 /// Bytes [`write_varint`] emits for `v`.
-pub fn varint_size(mut v: u64) -> usize {
+pub(crate) fn varint_size(mut v: u64) -> usize {
     let mut n = 1;
     while v >= 0x80 {
         v >>= 7;

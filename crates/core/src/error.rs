@@ -163,19 +163,6 @@ impl GcxError {
             _ => None,
         }
     }
-
-    /// True if the failure was caused by the user's own input (won't succeed
-    /// on retry without changes).
-    pub fn is_user_error(&self) -> bool {
-        matches!(
-            self,
-            GcxError::Unauthenticated(_)
-                | GcxError::Forbidden(_)
-                | GcxError::PayloadTooLarge { .. }
-                | GcxError::InvalidConfig(_)
-                | GcxError::Parse(_)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -233,13 +220,5 @@ mod tests {
             Some(75)
         );
         assert_eq!(GcxError::Timeout("x".into()).retry_after_ms(), None);
-    }
-
-    #[test]
-    fn user_error_classification() {
-        assert!(GcxError::InvalidConfig("bad".into()).is_user_error());
-        assert!(GcxError::Parse("bad".into()).is_user_error());
-        assert!(!GcxError::Internal("bug".into()).is_user_error());
-        assert!(!GcxError::Timeout("slow".into()).is_user_error());
     }
 }

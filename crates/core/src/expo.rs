@@ -15,7 +15,7 @@ use crate::trace::{json_escape, Tracer};
 
 /// Map an internal dotted metric name ("cloud.tasks_submitted") to a valid
 /// Prometheus metric name ("gcx_cloud_tasks_submitted").
-pub fn prom_name(name: &str) -> String {
+pub(crate) fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
     out.push_str("gcx_");
     for c in name.chars() {
@@ -41,7 +41,7 @@ impl PromText {
     }
 
     /// One counter sample.
-    pub fn counter(&mut self, name: &str, value: u64) {
+    pub(crate) fn counter(&mut self, name: &str, value: u64) {
         let n = prom_name(name);
         let _ = writeln!(self.out, "# TYPE {n} counter");
         let _ = writeln!(self.out, "{n} {value}");
@@ -63,7 +63,7 @@ impl PromText {
     }
 
     /// One histogram: cumulative `le` buckets plus `_sum` and `_count`.
-    pub fn histogram(&mut self, name: &str, snap: &HistogramSnapshot) {
+    pub(crate) fn histogram(&mut self, name: &str, snap: &HistogramSnapshot) {
         let n = prom_name(name);
         let _ = writeln!(self.out, "# TYPE {n} histogram");
         let mut cumulative = 0u64;
@@ -235,21 +235,6 @@ impl JsonBody {
     }
 }
 
-/// Whole-registry Prometheus text page (counters, histograms, trace legs).
-pub fn prometheus_text(registry: &MetricsRegistry) -> String {
-    let mut page = PromText::new();
-    page.registry(registry);
-    page.trace_summary(&registry.tracer());
-    page.render()
-}
-
-/// Whole-registry JSON snapshot.
-pub fn json_snapshot(registry: &MetricsRegistry) -> String {
-    let mut body = JsonBody::new();
-    body.registry(registry, &registry.tracer());
-    body.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,7 +261,9 @@ mod tests {
         h.record(1);
         h.record(1);
         h.record(5);
-        let page = prometheus_text(&r);
+        let mut page = PromText::new();
+        page.registry(&r);
+        let page = page.render();
         assert!(page.contains("# TYPE gcx_cloud_tasks_submitted counter"));
         assert!(page.contains("gcx_cloud_tasks_submitted 3"));
         assert!(page.contains("# TYPE gcx_mq_publish_ms histogram"));
@@ -299,11 +286,16 @@ mod tests {
         vclock.advance(10);
         t.record_span(ctx.as_ref(), "queue", 0, 10);
 
-        let page = prometheus_text(&r);
+        let mut page = PromText::new();
+        page.registry(&r);
+        page.trace_summary(&t);
+        let page = page.render();
         assert!(page.contains("gcx_trace_leg_ms{leg=\"queue\",stat=\"p50\"} 10"));
         assert!(page.contains("gcx_trace_retained 1"));
 
-        let json = json_snapshot(&r);
+        let mut json = JsonBody::new();
+        json.registry(&r, &t);
+        let json = json.render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"trace_legs\":{"));
         assert!(json.contains("\"queue\":{\"count\":1"));
@@ -314,7 +306,9 @@ mod tests {
     fn json_snapshot_without_tracer_omits_trace_keys() {
         let r = MetricsRegistry::new();
         r.counter("a.b").inc();
-        let json = json_snapshot(&r);
+        let mut json = JsonBody::new();
+        json.registry(&r, &r.tracer());
+        let json = json.render();
         assert!(json.contains("\"a.b\":1"));
         assert!(!json.contains("trace_legs"));
     }

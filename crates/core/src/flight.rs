@@ -30,19 +30,19 @@ use crate::trace::json_escape;
 
 /// Number of independently-locked shards; recording threads spread across
 /// them so the recorder never serializes hot components behind one lock.
-pub const FLIGHT_SHARDS: usize = 8;
+pub(crate) const FLIGHT_SHARDS: usize = 8;
 
 /// Events retained per shard; the whole recorder holds at most
 /// `FLIGHT_SHARDS * EVENTS_PER_SHARD` of the most recent events.
-pub const EVENTS_PER_SHARD: usize = 128;
+pub(crate) const EVENTS_PER_SHARD: usize = 128;
 
 /// One recorded event. `seq` totally orders events across shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Global sequence number (monotonic across the whole recorder).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Wall/virtual-clock milliseconds supplied by the recording site.
-    pub ts_ms: u64,
+    pub(crate) ts_ms: u64,
     /// Which component recorded this (`"cloud.admission"`, `"fed"`, …).
     pub component: &'static str,
     /// Short machine-readable event name (`"queue_full"`, `"handover"`, …).
@@ -97,10 +97,6 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record one event. Cost: one atomic increment, one shard lock, one
     /// ring push (evicting the shard's oldest entry when full). Call sites
     /// are cold paths — faults, rejections, handovers, lifecycle edges —
@@ -135,11 +131,6 @@ impl FlightRecorder {
         }
         all.sort_by_key(|e| e.seq);
         all
-    }
-
-    /// Total events ever recorded (including ones the ring evicted).
-    pub fn recorded(&self) -> u64 {
-        self.inner.seq.load(Ordering::Relaxed)
     }
 
     /// The full ring as JSON lines (one event object per line, oldest
@@ -204,7 +195,7 @@ mod tests {
 
     #[test]
     fn records_and_orders_events_across_shards() {
-        let fr = FlightRecorder::new();
+        let fr = FlightRecorder::default();
         for i in 0..50u64 {
             fr.record(i, "test", "tick", format!("n={i}"));
         }
@@ -214,12 +205,11 @@ mod tests {
             assert_eq!(e.seq, i as u64);
             assert_eq!(e.ts_ms, i as u64);
         }
-        assert_eq!(fr.recorded(), 50);
     }
 
     #[test]
     fn ring_is_bounded_and_keeps_the_newest() {
-        let fr = FlightRecorder::new();
+        let fr = FlightRecorder::default();
         let total = (FLIGHT_SHARDS * EVENTS_PER_SHARD * 3) as u64;
         for i in 0..total {
             fr.record(i, "test", "tick", "");
@@ -229,12 +219,11 @@ mod tests {
         // The retained window is exactly the newest events.
         assert_eq!(events.first().unwrap().seq, total - events.len() as u64);
         assert_eq!(events.last().unwrap().seq, total - 1);
-        assert_eq!(fr.recorded(), total);
     }
 
     #[test]
     fn dump_is_json_lines_and_escapes() {
-        let fr = FlightRecorder::new();
+        let fr = FlightRecorder::default();
         fr.record(7, "cloud.admission", "queue_full", "queue=\"tasks\"\nnext");
         let dump = fr.dump();
         assert_eq!(dump.lines().count(), 1);
@@ -247,7 +236,7 @@ mod tests {
 
     #[test]
     fn trigger_fires_once_per_reason() {
-        let fr = FlightRecorder::new();
+        let fr = FlightRecorder::default();
         fr.record(1, "test", "boom", "");
         assert!(fr.trigger(2, "queue_full"));
         assert!(!fr.trigger(3, "queue_full"), "same reason must not re-fire");
@@ -260,7 +249,7 @@ mod tests {
 
     #[test]
     fn clones_share_one_ring() {
-        let fr = FlightRecorder::new();
+        let fr = FlightRecorder::default();
         let other = fr.clone();
         other.record(1, "test", "shared", "");
         assert_eq!(fr.events().len(), 1);

@@ -71,7 +71,7 @@ impl HealthStatus {
 
     /// Unknown strings degrade to `Degraded` — a peer whose health cannot
     /// be parsed should not be preferred, but is not provably shedding.
-    pub fn parse(s: &str) -> Self {
+    pub(crate) fn parse(s: &str) -> Self {
         match s {
             "ok" => HealthStatus::Ok,
             "unhealthy" => HealthStatus::Unhealthy,
@@ -89,7 +89,7 @@ pub struct TenantHealth {
     /// Tasks rejected (overload / quota / brownout) for this tenant.
     pub rejected: u64,
     /// `rejected / (admitted + rejected)` in permille.
-    pub reject_ratio_permille: u64,
+    pub(crate) reject_ratio_permille: u64,
 }
 
 impl TenantHealth {

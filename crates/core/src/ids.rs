@@ -23,7 +23,7 @@ impl Uuid {
 
     /// Generate a UUIDv4 from a caller-supplied RNG (for deterministic
     /// simulations).
-    pub fn from_rng<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
+    pub(crate) fn from_rng<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
         let mut b: [u8; 16] = rng.gen();
         // Set version (4) and variant (10xx) bits per RFC 4122.
         b[6] = (b[6] & 0x0F) | 0x40;
@@ -32,7 +32,7 @@ impl Uuid {
     }
 
     /// The nil UUID (all zeros). Useful as a sentinel in tests.
-    pub const fn nil() -> Self {
+    pub(crate) const fn nil() -> Self {
         Self(0)
     }
 
@@ -44,11 +44,6 @@ impl Uuid {
     /// Raw big-endian bytes.
     pub fn as_bytes(&self) -> [u8; 16] {
         self.0.to_be_bytes()
-    }
-
-    /// The version nibble (4 for values produced by [`Uuid::new_v4`]).
-    pub fn version(&self) -> u8 {
-        ((self.0 >> 76) & 0xF) as u8
     }
 }
 
@@ -186,8 +181,8 @@ mod tests {
     fn v4_version_and_variant_bits() {
         for _ in 0..64 {
             let u = Uuid::new_v4();
-            assert_eq!(u.version(), 4, "{u}");
             let b = u.as_bytes();
+            assert_eq!(b[6] >> 4, 4, "version nibble: {u}");
             assert_eq!(b[8] & 0xC0, 0x80, "variant bits must be 10xx: {u}");
         }
     }

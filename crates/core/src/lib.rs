@@ -33,12 +33,12 @@
 //!   per-thread rings that reads assemble.
 //! - [`expo`] — Prometheus-text and JSON exposition of metrics registries
 //!   and trace summaries.
-//! - [`flight`] — the black-box flight recorder: a bounded lock-sharded
+//! - `flight` — the black-box flight recorder: a bounded lock-sharded
 //!   ring of recent lifecycle/fault events, dumped on failure.
 //! - [`health`] — the SLO health plane: per-replica [`health::HealthDoc`]
 //!   with a three-state verdict, served via expositions and the `health`
 //!   wire method.
-//! - [`sharded`] — the N-way sharded concurrent map the cloud service's
+//! - `sharded` — the N-way sharded concurrent map the cloud service's
 //!   state stores run on.
 //! - [`wire`] — length-prefixed binary framing of the codec and the
 //!   [`wire::Transport`] trait (real localhost TCP and a byte-honest
@@ -49,7 +49,7 @@ pub mod clock;
 pub mod codec;
 pub mod error;
 pub mod expo;
-pub mod flight;
+pub(crate) mod flight;
 pub mod function;
 pub mod health;
 pub mod ids;
@@ -58,25 +58,12 @@ pub mod payload;
 pub mod relite;
 pub mod respec;
 pub mod retry;
-pub mod sharded;
+pub(crate) mod sharded;
 pub mod shellres;
 pub mod task;
 pub mod trace;
 pub mod value;
 pub mod wire;
 
-pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
 pub use error::{GcxError, GcxResult};
-pub use flight::{FlightEvent, FlightRecorder};
-pub use function::{FunctionBody, FunctionRecord};
-pub use health::{HealthDoc, HealthStatus, SloPolicy, TenantHealth};
-pub use ids::{BlockId, EndpointId, FunctionId, IdentityId, JobId, TaskId, Uuid};
-pub use payload::{ContentHash, Payload};
-pub use respec::ResourceSpec;
-pub use retry::RetryPolicy;
 pub use sharded::ShardedMap;
-pub use shellres::ShellResult;
-pub use task::{TaskRecord, TaskResult, TaskSpec, TaskState};
-pub use trace::{SpanId, TraceConfig, TraceContext, TraceId, Tracer};
-pub use value::Value;
-pub use wire::{Frame, FrameReader, FrameType, InMemTransport, TcpTransport, Transport};

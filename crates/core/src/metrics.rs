@@ -20,11 +20,6 @@ use crate::trace::Tracer;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// New counter at zero.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
     /// Add `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -41,7 +36,7 @@ impl Counter {
     }
 
     /// Reset to zero, returning the previous value.
-    pub fn reset(&self) -> u64 {
+    pub(crate) fn reset(&self) -> u64 {
         self.0.swap(0, Ordering::Relaxed)
     }
 }
@@ -51,11 +46,6 @@ impl Counter {
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// New gauge at zero.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
     /// Increase by `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -104,10 +94,10 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Number of buckets; the last one is open-ended.
-    pub const BUCKETS: usize = 32;
+    pub(crate) const BUCKETS: usize = 32;
 
     /// New empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
@@ -122,7 +112,7 @@ impl Histogram {
     /// The largest value bucket `i` can hold (inclusive): 0 for bucket 0,
     /// `2^i - 1` for the middle buckets, `u64::MAX` for the open-ended last
     /// bucket.
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
         if i == 0 {
             0
         } else if i >= Self::BUCKETS - 1 {
@@ -140,12 +130,12 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Mean of observations (0 if empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let c = self.count();
         if c == 0 {
             0.0
@@ -155,14 +145,14 @@ impl Histogram {
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Occupied buckets as `(inclusive upper bound, count)` pairs, in
     /// ascending bound order — the raw material for Prometheus-style
     /// cumulative `le` buckets without shipping 32 mostly-zero entries.
-    pub fn bucket_counts(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn bucket_counts(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -188,7 +178,7 @@ impl Histogram {
 
     /// Approximate quantile (upper bound of the bucket containing it).
     /// `q` in [0, 1].
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -208,23 +198,23 @@ impl Histogram {
 /// Point-in-time view of one histogram, as produced by
 /// [`Histogram::snapshot`] / [`MetricsRegistry::histogram_snapshot`].
 /// Quantiles are bucket upper bounds (same convention as
-/// [`Histogram::quantile`]); `buckets` lists only occupied buckets.
+/// `Histogram::quantile`); `buckets` lists only occupied buckets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,
     /// Sum of observations.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Mean observation (0 if empty).
     pub mean: f64,
     /// Median bound.
     pub p50: u64,
     /// 90th-percentile bound.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th-percentile bound.
     pub p99: u64,
     /// `(inclusive upper bound, count)` for each occupied bucket.
-    pub buckets: Vec<(u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64)>,
 }
 
 /// A named registry of counters and histograms shared by one component.
@@ -335,7 +325,7 @@ impl MetricsRegistry {
         self.inner.tracer.read().clone()
     }
 
-    /// The registry's flight recorder (see [`crate::flight`]). Cloning the
+    /// The registry's flight recorder (see `flight.rs`). Cloning the
     /// returned handle shares the ring with every other holder of this
     /// registry.
     pub fn flight(&self) -> FlightRecorder {
@@ -357,7 +347,7 @@ mod tests {
 
     #[test]
     fn counter_basics() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
@@ -367,7 +357,7 @@ mod tests {
 
     #[test]
     fn counter_is_thread_safe() {
-        let c = Arc::new(Counter::new());
+        let c = Arc::new(Counter::default());
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let c = Arc::clone(&c);
@@ -386,7 +376,7 @@ mod tests {
 
     #[test]
     fn gauge_saturates_at_zero() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(3);
         g.sub(5);
         assert_eq!(g.get(), 0);

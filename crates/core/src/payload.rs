@@ -69,12 +69,12 @@ impl ContentHash {
     }
 
     /// Raw big-endian bytes (for wire serialization).
-    pub fn to_bytes(self) -> [u8; 16] {
+    pub(crate) fn to_bytes(self) -> [u8; 16] {
         self.0.to_be_bytes()
     }
 
     /// Construct from raw big-endian bytes.
-    pub fn from_bytes(b: [u8; 16]) -> Self {
+    pub(crate) fn from_bytes(b: [u8; 16]) -> Self {
         Self(u128::from_be_bytes(b))
     }
 }
@@ -129,11 +129,6 @@ impl Payload {
         Self::from_bytes(Bytes::from(bytes))
     }
 
-    /// The empty payload (hash of zero bytes).
-    pub fn empty() -> Self {
-        Self::from_bytes(Bytes::new())
-    }
-
     /// Reassemble a payload from bytes and a hash **without verifying** that
     /// the hash matches. Used where the hash traveled alongside the bytes
     /// (wire decode) and by collision-safety tests to forge mismatches.
@@ -144,7 +139,7 @@ impl Payload {
 
     /// Decode the bytes back into a `Value`. Counted: the hot path must only
     /// do this at the consuming edge (worker execute, SDK result fetch).
-    pub fn decode(&self) -> GcxResult<Value> {
+    pub(crate) fn decode(&self) -> GcxResult<Value> {
         DECODES.fetch_add(1, Ordering::Relaxed);
         codec::decode(&self.bytes)
     }

@@ -408,11 +408,6 @@ impl Regex {
         })
     }
 
-    /// Number of capture groups in the pattern.
-    pub fn group_count(&self) -> usize {
-        self.n_groups
-    }
-
     /// Match the **entire** input (like `re.fullmatch`), returning captures
     /// on success.
     pub fn full_match(&self, text: &str) -> Option<Captures> {
@@ -499,7 +494,7 @@ mod tests {
     #[test]
     fn alternation_and_groups() {
         let re = Regex::new("(foo|bar)-(baz|qux)").unwrap();
-        assert_eq!(re.group_count(), 2);
+        assert_eq!(re.n_groups, 2);
         let c = re.full_match("bar-baz").unwrap();
         assert_eq!(c.groups[0].as_deref(), Some("bar"));
         assert_eq!(c.groups[1].as_deref(), Some("baz"));

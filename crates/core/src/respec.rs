@@ -54,11 +54,6 @@ impl ResourceSpec {
         }
     }
 
-    /// True when the user did not constrain anything.
-    pub fn is_empty(&self) -> bool {
-        self.num_nodes.is_none() && self.ranks_per_node.is_none() && self.num_ranks.is_none()
-    }
-
     /// Resolve the spec into a fully-determined [`NormalizedSpec`].
     ///
     /// Rules (matching Parsl's semantics):
@@ -125,7 +120,7 @@ impl ResourceSpec {
 
     /// Parse a spec out of a `Value::Map` shaped like the paper's Python
     /// dict (Listing 4). Unknown keys are rejected so typos fail loudly.
-    pub fn from_value(v: &Value) -> GcxResult<Self> {
+    pub(crate) fn from_value(v: &Value) -> GcxResult<Self> {
         let m = v.as_map().ok_or_else(|| {
             GcxError::InvalidConfig(format!(
                 "resource_specification must be a dict, got {}",
@@ -157,7 +152,7 @@ impl ResourceSpec {
     }
 
     /// Serialize back to the dict form (for shipping inside a task spec).
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         let mut pairs: Vec<(&str, Value)> = Vec::new();
         if let Some(n) = self.num_nodes {
             pairs.push(("num_nodes", Value::Int(n as i64)));

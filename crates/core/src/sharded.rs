@@ -18,7 +18,7 @@ use parking_lot::RwLock;
 /// Default shard count used by services that don't tune it. 32 comfortably
 /// exceeds the core counts we run on while keeping the idle footprint tiny
 /// (32 empty `HashMap`s).
-pub const DEFAULT_SHARDS: usize = 32;
+pub(crate) const DEFAULT_SHARDS: usize = 32;
 
 /// An N-way sharded `HashMap<K, V>` behind per-shard `RwLock`s.
 ///
@@ -36,7 +36,7 @@ pub struct ShardedMap<K, V> {
 impl<K: Hash + Eq, V> ShardedMap<K, V> {
     /// A map with `shards` shards. `shards` is rounded up to the next power
     /// of two (minimum 1) so selection is a mask, not a modulo.
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         Self {
             shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
@@ -44,14 +44,9 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         }
     }
 
-    /// A map with [`DEFAULT_SHARDS`] shards.
+    /// A map with `DEFAULT_SHARDS` shards.
     pub fn with_default_shards() -> Self {
         Self::new(DEFAULT_SHARDS)
-    }
-
-    /// The number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
@@ -231,10 +226,10 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedMap::<u64, ()>::new(0).shard_count(), 1);
-        assert_eq!(ShardedMap::<u64, ()>::new(1).shard_count(), 1);
-        assert_eq!(ShardedMap::<u64, ()>::new(3).shard_count(), 4);
-        assert_eq!(ShardedMap::<u64, ()>::new(32).shard_count(), 32);
+        assert_eq!(ShardedMap::<u64, ()>::new(0).shards.len(), 1);
+        assert_eq!(ShardedMap::<u64, ()>::new(1).shards.len(), 1);
+        assert_eq!(ShardedMap::<u64, ()>::new(3).shards.len(), 4);
+        assert_eq!(ShardedMap::<u64, ()>::new(32).shards.len(), 32);
     }
 
     #[test]
@@ -274,7 +269,7 @@ mod tests {
     #[test]
     fn single_shard_degenerates_to_one_lock() {
         let m: ShardedMap<u64, u64> = ShardedMap::new(1);
-        assert_eq!(m.shard_count(), 1);
+        assert_eq!(m.shards.len(), 1);
         for i in 0..100 {
             m.insert(i, i);
         }

@@ -31,11 +31,6 @@ pub struct ShellResult {
 }
 
 impl ShellResult {
-    /// True if the command exited successfully.
-    pub fn success(&self) -> bool {
-        self.returncode == 0
-    }
-
     /// True if the command was killed for exceeding its walltime.
     pub fn timed_out(&self) -> bool {
         self.returncode == WALLTIME_RETURNCODE
@@ -109,7 +104,6 @@ mod tests {
             cmd: "sleep 2".into(),
         };
         assert!(r.timed_out());
-        assert!(!r.success());
     }
 
     #[test]
@@ -122,7 +116,6 @@ mod tests {
         };
         let v = r.to_value();
         assert_eq!(ShellResult::from_value(&v).unwrap(), r);
-        assert!(r.success());
     }
 
     #[test]

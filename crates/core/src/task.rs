@@ -98,7 +98,7 @@ impl TaskSpec {
 
     /// Pack to a structured `Value`. Nothing on the task path uses this —
     /// queues, the wire, federation envelopes and the task log all carry
-    /// [`TaskSpec::write_message`] bodies — and nothing decodes it: it stays
+    /// `TaskSpec::write_message` bodies — and nothing decodes it: it stays
     /// only because `gcxbench`'s `core.wire.*_frame_batch128` probe frames it
     /// as the tree-shaped reference case (a benchmark-only change retires
     /// both). The payload bytes are copied into the `Value`.
@@ -145,7 +145,7 @@ impl TaskSpec {
     /// Append the [`TaskSpec::to_message`] body to `out` — the wire packs a
     /// whole submit batch into one buffer this way, with no per-task
     /// allocation.
-    pub fn write_message(&self, inline_payload: bool, out: &mut Vec<u8>) {
+    pub(crate) fn write_message(&self, inline_payload: bool, out: &mut Vec<u8>) {
         let payload_len = if inline_payload {
             self.payload.len()
         } else {
@@ -362,7 +362,7 @@ impl TaskState {
     }
 
     /// Whether `self → next` is a legal lifecycle transition.
-    pub fn can_transition_to(&self, next: TaskState) -> bool {
+    pub(crate) fn can_transition_to(&self, next: TaskState) -> bool {
         use TaskState::*;
         if self.is_terminal() {
             return false;
@@ -404,12 +404,12 @@ impl TaskState {
 /// Prefix marking a `TaskResult::Err` as infrastructure-caused and safe to
 /// retry (endpoint died, delivery dead-lettered). Kept inside the error
 /// string so it survives the wire codec unchanged.
-pub const RETRYABLE_MARKER: &str = "[retryable] ";
+pub(crate) const RETRYABLE_MARKER: &str = "[retryable] ";
 
 /// Prefix marking a `TaskResult::Err` as a deadline/TTL expiry. The marker
 /// is followed by the task id, so [`TaskResult::into_result`] can decode a
 /// typed [`GcxError::DeadlineExceeded`] on the far side of the wire.
-pub const DEADLINE_MARKER: &str = "[deadline] ";
+pub(crate) const DEADLINE_MARKER: &str = "[deadline] ";
 
 /// The outcome of a task: an encoded value or an error description.
 ///
@@ -644,7 +644,7 @@ pub struct TaskRecord {
     #[serde(default)]
     pub started_at: Option<TimeMs>,
     /// Completion timestamp, once terminal.
-    pub completed_at: Option<TimeMs>,
+    pub(crate) completed_at: Option<TimeMs>,
 }
 
 impl TaskRecord {

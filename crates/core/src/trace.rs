@@ -1,6 +1,6 @@
 //! Task-lifecycle tracing: trace/span contexts and an in-memory collector
 //! kept as a log. (Cold-path *events* — faults, rejections, handovers — go
-//! to [`crate::flight`], the one event ring.)
+//! to the flight recorder, the one event ring.)
 //!
 //! The paper's performance story (§V) decomposes task latency into legs —
 //! SDK submit, web-service buffering, queue transit, endpoint dispatch,
@@ -100,18 +100,8 @@ pub struct TraceContext {
 impl TraceContext {
     /// Text form (`<trace-uuid>:<span-hex>`) for the task-spec `Value`
     /// tree. Queue messages and wire frames carry the context as a value.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         format!("{}:{}", self.trace_id, self.parent)
-    }
-
-    /// Decode the text form; `None` on any malformation (old peers, manual
-    /// payloads) so the envelope path degrades to "untraced", never errors.
-    pub fn decode(s: &str) -> Option<Self> {
-        let (t, p) = s.split_once(':')?;
-        Some(Self {
-            trace_id: t.parse().ok()?,
-            parent: p.parse().ok()?,
-        })
     }
 }
 
@@ -143,7 +133,7 @@ impl Default for TraceConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// This span's id.
-    pub id: SpanId,
+    pub(crate) id: SpanId,
     /// Parent span (`None` only for the root).
     pub parent: Option<SpanId>,
     /// Leg name ("submit", "queue", "dispatch", "execute", "result", ...).
@@ -158,7 +148,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Span duration (saturating, so clock skew never underflows).
-    pub fn duration_ms(&self) -> u64 {
+    pub(crate) fn duration_ms(&self) -> u64 {
         self.end_ms.saturating_sub(self.start_ms)
     }
 }
@@ -169,7 +159,7 @@ pub struct TraceData {
     /// The trace id.
     pub trace_id: TraceId,
     /// Label given at `start_trace` ("task", typically).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Root span id (also present in `spans` with `parent: None`).
     pub root: SpanId,
     /// All spans: the root, then the rest by start stamp.
@@ -701,7 +691,7 @@ impl Tracer {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -726,18 +716,6 @@ mod tests {
         let vclock = VirtualClock::new();
         let clock: SharedClock = vclock.clone();
         (vclock, Tracer::new(clock, TraceConfig::default()))
-    }
-
-    #[test]
-    fn context_encode_roundtrip() {
-        let ctx = TraceContext {
-            trace_id: TraceId::random(),
-            parent: SpanId::random(),
-        };
-        assert_eq!(TraceContext::decode(&ctx.encode()), Some(ctx));
-        assert_eq!(TraceContext::decode("garbage"), None);
-        assert_eq!(TraceContext::decode("a:b"), None);
-        assert_eq!(TraceContext::decode(""), None);
     }
 
     #[test]

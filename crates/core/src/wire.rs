@@ -109,7 +109,7 @@ pub enum FrameType {
 impl FrameType {
     /// Decode a wire tag; unknown tags are a typed codec error (frames from
     /// a future protocol version are rejected, not misparsed).
-    pub fn from_tag(tag: u8) -> GcxResult<Self> {
+    pub(crate) fn from_tag(tag: u8) -> GcxResult<Self> {
         Ok(match tag {
             1 => FrameType::Hello,
             2 => FrameType::HelloAck,
@@ -230,7 +230,11 @@ pub fn encode_frame(frame: &Frame, max_frame: usize) -> GcxResult<Vec<u8>> {
 
 /// [`encode_frame`] appending to `out`, so a transport can serialize every
 /// frame into one retained write buffer. On error `out` is left as it was.
-pub fn encode_frame_into(frame: &Frame, max_frame: usize, out: &mut Vec<u8>) -> GcxResult<()> {
+pub(crate) fn encode_frame_into(
+    frame: &Frame,
+    max_frame: usize,
+    out: &mut Vec<u8>,
+) -> GcxResult<()> {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
     out.push(frame.frame_type as u8);
@@ -253,7 +257,7 @@ pub fn encode_frame_into(frame: &Frame, max_frame: usize, out: &mut Vec<u8>) -> 
 }
 
 /// Decode one frame body (the bytes *after* the length prefix).
-pub fn decode_frame_body(body: &[u8]) -> GcxResult<Frame> {
+pub(crate) fn decode_frame_body(body: &[u8]) -> GcxResult<Frame> {
     if body.len() < FRAME_HEADER {
         return Err(GcxError::Codec(format!(
             "frame body of {} bytes is shorter than the {FRAME_HEADER}-byte header",
@@ -347,7 +351,7 @@ impl FrameReader {
 
     /// Read once from `src` straight into the spare room — no intermediate
     /// chunk, no second copy. Returns the byte count (`0` = end of stream).
-    pub fn fill_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+    pub(crate) fn fill_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
         if self.poisoned.is_some() {
             return Err(std::io::ErrorKind::InvalidData.into());
         }
@@ -369,7 +373,7 @@ impl FrameReader {
     /// allocations. After the first few reads warm the buffer up, every
     /// subsequent byte should land here; the `wire.bytes_reused` counter
     /// surfaces this per connection.
-    pub fn bytes_reused(&self) -> u64 {
+    pub(crate) fn bytes_reused(&self) -> u64 {
         self.bytes_reused
     }
 
@@ -637,7 +641,7 @@ pub trait Transport: Send + Sync {
 
     /// Bytes this transport's frame reader landed in retained buffer
     /// capacity instead of fresh allocations (see
-    /// [`FrameReader::bytes_reused`]). Defaults to 0 for transports without
+    /// `FrameReader::bytes_reused`). Defaults to 0 for transports without
     /// a frame reader.
     fn bytes_reused(&self) -> u64 {
         0

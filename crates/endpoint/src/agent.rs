@@ -38,7 +38,7 @@ pub struct AgentEnv {
     /// The host filesystem.
     pub vfs: Vfs,
     /// The host clock.
-    pub clock: SharedClock,
+    pub(crate) clock: SharedClock,
     /// Metrics sink.
     pub metrics: MetricsRegistry,
     /// The site batch scheduler, when the provider needs one.
@@ -69,7 +69,7 @@ impl AgentEnv {
 }
 
 /// Build the provider named by the config.
-pub fn build_provider(spec: &ProviderSpec, env: &AgentEnv) -> GcxResult<Arc<dyn Provider>> {
+pub(crate) fn build_provider(spec: &ProviderSpec, env: &AgentEnv) -> GcxResult<Arc<dyn Provider>> {
     Ok(match spec {
         ProviderSpec::Local => Arc::new(LocalProvider::new(env.hostname.clone())),
         ProviderSpec::Slurm {
@@ -178,9 +178,8 @@ pub struct EndpointAgent {
     pump: Option<std::thread::JoinHandle<()>>,
     engine: Arc<Mutex<Box<dyn Engine>>>,
     /// The environment's registry, kept so operators can scrape the agent
-    /// (engine counters plus trace summaries). `None` for agents wired via
-    /// [`Self::run`], which have no environment.
-    metrics: Option<MetricsRegistry>,
+    /// (engine counters plus trace summaries).
+    metrics: MetricsRegistry,
 }
 
 /// How long [`EndpointAgent::stop`] waits for in-flight tasks to drain
@@ -222,6 +221,13 @@ impl EndpointAgent {
         config: &EndpointConfig,
         env: AgentEnv,
     ) -> GcxResult<Self> {
+        // A zero interval is due on every pass, so the puller would never
+        // block and would heartbeat the service in a loop.
+        if env.heartbeat_interval_ms == 0 {
+            return Err(GcxError::InvalidConfig(
+                "heartbeat_interval_ms must be positive".into(),
+            ));
+        }
         let session = cloud.connect_endpoint(endpoint_id, credential)?;
         let (events_tx, events_rx) = unbounded();
         let engine = build_engine(config, &env, events_tx)?;
@@ -230,26 +236,21 @@ impl EndpointAgent {
             interval_ms: env.heartbeat_interval_ms,
             next_ms: 0,
         };
-        let mut agent = Self::launch(session, engine, events_rx, Some(heartbeat));
-        agent.metrics = Some(env.metrics);
-        Ok(agent)
-    }
-
-    /// Wire an already-built engine to a session (used by tests and custom
-    /// deployments). Such an agent does not heartbeat.
-    pub fn run(
-        session: EndpointSession,
-        engine: Box<dyn Engine>,
-        events: Receiver<EngineEvent>,
-    ) -> Self {
-        Self::launch(session, engine, events, None)
+        Ok(Self::launch(
+            session,
+            engine,
+            events_rx,
+            heartbeat,
+            env.metrics,
+        ))
     }
 
     fn launch(
         session: EndpointSession,
         engine: Box<dyn Engine>,
         events: Receiver<EngineEvent>,
-        mut heartbeat: Option<Heartbeat>,
+        mut heartbeat: Heartbeat,
+        metrics: MetricsRegistry,
     ) -> Self {
         let shutdown = Arc::new(AtomicBool::new(false));
         let pump_stop = Arc::new(AtomicBool::new(false));
@@ -266,9 +267,7 @@ impl EndpointAgent {
                     while !shutdown.load(Ordering::SeqCst) {
                         // The liveness beat rides this loop: a pull never
                         // waits past the moment the next beat is due.
-                        let wait = heartbeat
-                            .as_mut()
-                            .map_or(PULL_WAIT, |hb| PULL_WAIT.min(hb.beat_if_due(&session)));
+                        let wait = PULL_WAIT.min(heartbeat.beat_if_due(&session));
                         match session.next_task(wait) {
                             Ok(Some((spec, tag))) => {
                                 let task_id = spec.task_id;
@@ -361,7 +360,7 @@ impl EndpointAgent {
             puller: Some(puller),
             pump: Some(pump),
             engine,
-            metrics: None,
+            metrics,
         }
     }
 
@@ -372,12 +371,9 @@ impl EndpointAgent {
 
     /// Prometheus-text exposition of the agent's registry: engine counters,
     /// histograms, engine load gauges, and (when a tracer is installed on
-    /// the registry) per-leg trace summaries. Empty when the agent was wired
-    /// without an environment.
+    /// the registry) per-leg trace summaries.
     pub fn exposition_prometheus(&self) -> String {
-        let Some(reg) = &self.metrics else {
-            return String::new();
-        };
+        let reg = &self.metrics;
         let mut p = gcx_core::expo::PromText::new();
         p.registry(reg);
         let st = self.engine_status();
@@ -402,9 +398,7 @@ impl EndpointAgent {
     /// JSON exposition of the same data (for dashboards and the bench
     /// harness).
     pub fn exposition_json(&self) -> String {
-        let Some(reg) = &self.metrics else {
-            return "{}".to_string();
-        };
+        let reg = &self.metrics;
         let mut j = gcx_core::expo::JsonBody::new();
         j.registry(reg, &reg.tracer());
         let st = self.engine_status();
@@ -419,7 +413,7 @@ impl EndpointAgent {
     }
 
     /// Graceful stop: quit pulling new tasks, let in-flight tasks finish
-    /// (bounded by [`DRAIN_TIMEOUT`]) with their results published, then
+    /// (bounded by `DRAIN_TIMEOUT`) with their results published, then
     /// shut the engine down and join all threads.
     pub fn stop(mut self) {
         self.stop_inner();
@@ -876,6 +870,29 @@ mod tests {
             Err(GcxError::InvalidConfig(_)) => {}
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("agent must not start without a scheduler"),
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn zero_heartbeat_interval_errors() {
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("u@x.y").unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let config = EndpointConfig::from_yaml("engine:\n  type: ThreadEngine\n").unwrap();
+        let mut env = AgentEnv::local(SystemClock::shared());
+        env.heartbeat_interval_ms = 0;
+        let result =
+            EndpointAgent::start(&svc, reg.endpoint_id, &reg.queue_credential, &config, env);
+        match result {
+            Err(GcxError::InvalidConfig(_)) => {}
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(agent) => {
+                agent.stop();
+                panic!("an agent with a zero heartbeat interval must not start");
+            }
         }
         svc.shutdown();
     }

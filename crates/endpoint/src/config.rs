@@ -11,7 +11,7 @@ use gcx_shell::mpi::LauncherKind;
 
 /// Which provider provisions blocks.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ProviderSpec {
+pub(crate) enum ProviderSpec {
     /// On-host processes (no scheduler).
     Local,
     /// Slurm-like batch scheduler.
@@ -36,7 +36,7 @@ pub enum ProviderSpec {
 
 /// Which engine executes tasks.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EngineSpec {
+pub(crate) enum EngineSpec {
     /// The pilot-job engine (`GlobusComputeEngine`).
     GlobusCompute {
         /// Nodes per block.
@@ -71,9 +71,9 @@ pub enum EngineSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointConfig {
     /// Display name for registration/search.
-    pub display_name: String,
+    pub(crate) display_name: String,
     /// Engine selection and shape.
-    pub engine: EngineSpec,
+    pub(crate) engine: EngineSpec,
 }
 
 impl EndpointConfig {
@@ -83,7 +83,7 @@ impl EndpointConfig {
     }
 
     /// Parse from an already-parsed document.
-    pub fn from_value(doc: &Value) -> GcxResult<Self> {
+    pub(crate) fn from_value(doc: &Value) -> GcxResult<Self> {
         let display_name = doc
             .get("display_name")
             .and_then(Value::as_str)
@@ -208,7 +208,7 @@ fn parse_provider(doc: Option<&Value>) -> GcxResult<ProviderSpec> {
 }
 
 /// Parse `HH:MM:SS` walltime notation into milliseconds.
-pub fn parse_walltime(s: &str) -> GcxResult<u64> {
+pub(crate) fn parse_walltime(s: &str) -> GcxResult<u64> {
     let parts: Vec<&str> = s.split(':').collect();
     let nums: Option<Vec<u64>> = parts.iter().map(|p| p.parse::<u64>().ok()).collect();
     match nums.as_deref() {

@@ -25,7 +25,7 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// The metric-name prefix (and display label) for this engine kind.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EngineKind::Htex => "htex",
             EngineKind::Mpi => "mpi",
@@ -44,7 +44,7 @@ impl std::fmt::Display for EngineKind {
 /// execution. This is the hook `gcx-proxystore` uses to resolve transparent
 /// proxies inside the worker process (§V-B) without the endpoint crate
 /// depending on the proxy implementation.
-pub type ValueTransform = Arc<dyn Fn(Value) -> GcxResult<Value> + Send + Sync>;
+pub(crate) type ValueTransform = Arc<dyn Fn(Value) -> GcxResult<Value> + Send + Sync>;
 
 /// A task ready for execution: the spec plus its resolved function and the
 /// broker delivery tag (acked only after the result is published).
@@ -94,7 +94,7 @@ pub enum EngineEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStatus {
     /// Which engine implementation produced this status.
-    pub kind: EngineKind,
+    pub(crate) kind: EngineKind,
     /// Tasks queued inside the engine.
     pub queued: usize,
     /// Tasks currently executing.
@@ -102,10 +102,10 @@ pub struct EngineStatus {
     /// Total worker slots currently connected.
     pub capacity: usize,
     /// Provisioned blocks currently alive.
-    pub blocks: usize,
+    pub(crate) blocks: usize,
     /// Member nodes lost to crashes/preemption/walltime over the engine's
     /// lifetime.
-    pub nodes_lost_total: u64,
+    pub(crate) nodes_lost_total: u64,
     /// Tasks requeued after losing their resources, over the lifetime.
     pub redispatches_total: u64,
 }

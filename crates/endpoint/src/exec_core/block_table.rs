@@ -194,7 +194,7 @@ impl BlockTable {
     }
 
     /// Cancel every tracked block (shutdown path).
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         for block in self.pending.drain(..) {
             let _ = self.supervisor.provider().cancel_block(block);
         }
@@ -224,10 +224,5 @@ impl BlockTable {
             .iter()
             .find(|(b, _)| *b == block)
             .map(|(_, n)| n.as_slice())
-    }
-
-    /// The supervisor (stats access for expositions).
-    pub fn supervisor(&self) -> &BlockSupervisor {
-        &self.supervisor
     }
 }

@@ -5,7 +5,7 @@
 //! `GlobusComputeEngine` (pilot-job htex) and `GlobusMPIEngine` (dynamic
 //! node partitioning) — over one shared idea: a batch block's lifecycle
 //! (pending → running → lost/expired) with task recovery layered on top.
-//! [`ExecCore`] implements that shared idea exactly once. It owns:
+//! `ExecCore` implements that shared idea exactly once. It owns:
 //!
 //! - the task backlog and in-flight table (keyed by a per-launch id so a
 //!   zombie launch of a since-requeued task can never resolve the retry);
@@ -20,14 +20,14 @@
 //!   so shutdown-disconnect tolerance is uniform), redispatch trace legs,
 //!   and drain/shutdown ordering.
 //!
-//! What an engine *defines* is only its [`SchedPolicy`]: how capacity maps
+//! What an engine *defines* is only its `SchedPolicy`: how capacity maps
 //! to launches. `SlotPool` (htex) round-robins tasks into per-manager
 //! bounded channels; `NodePartitioner` (MPI) greedily packs node slices;
 //! `InlineSlots` (ThreadEngine) feeds in-process worker threads with no
 //! provider at all. Adding an engine means writing a policy, not another
 //! reap/recover/backoff loop.
 
-pub mod block_table;
+pub(crate) mod block_table;
 
 pub use block_table::{BlockEvent, BlockShape, BlockTable};
 
@@ -50,21 +50,21 @@ use crate::worker::WorkerContext;
 
 /// A task inside the core: the executable payload plus its retry count.
 #[derive(Debug, Clone)]
-pub struct CoreTask {
+pub(crate) struct CoreTask {
     /// The task as submitted.
-    pub task: ExecutableTask,
+    pub(crate) task: ExecutableTask,
     /// How many times it has been requeued after a resource loss.
-    pub retries: u8,
+    pub(crate) retries: u8,
     /// Absolute expiry on the engine's clock, stamped at submit from the
     /// spec's relative `deadline_ms`. A task past this instant is killed
     /// wherever it sits (backlog or in flight) and resolves with a typed
     /// deadline error.
-    pub expires_at_ms: Option<u64>,
+    pub(crate) expires_at_ms: Option<u64>,
 }
 
 /// Messages driving the core loop. Submissions come from the engine
 /// handle; `Finished` comes from whatever thread ran the launch.
-pub enum CoreMsg {
+pub(crate) enum CoreMsg {
     /// A newly submitted task.
     Submit(Box<CoreTask>),
     /// A launch completed (or failed retryably, e.g. a worker panic).
@@ -82,7 +82,7 @@ pub enum CoreMsg {
 }
 
 /// How a launch ended, as reported by the executing side.
-pub enum LaunchOutcome {
+pub(crate) enum LaunchOutcome {
     /// The task produced a result (success or a task-level error).
     Done(TaskResult),
     /// The launch itself failed (worker panic); requeue within the retry
@@ -93,15 +93,15 @@ pub enum LaunchOutcome {
 /// The resources one launch holds, recorded in the in-flight table so a
 /// block or node loss can be mapped back to the launches it killed.
 #[derive(Debug, Clone)]
-pub struct Assignment {
+pub(crate) struct Assignment {
     /// The block the launch runs on (`None` for blockless engines).
-    pub block: Option<BlockHandle>,
+    pub(crate) block: Option<BlockHandle>,
     /// The nodes the launch occupies.
     pub nodes: Vec<String>,
 }
 
 /// A policy's verdict on placing one queued task.
-pub enum LaunchDecision {
+pub(crate) enum LaunchDecision {
     /// Launched; the core records the assignment in its in-flight table.
     Launched(Assignment),
     /// No capacity right now — the task stays queued.
@@ -115,7 +115,7 @@ pub enum LaunchDecision {
 /// lifecycle, recovery, and bookkeeping callbacks arrive on the single
 /// core thread, so implementations need no internal locking for their
 /// scheduling state.
-pub trait SchedPolicy: Send + 'static {
+pub(crate) trait SchedPolicy: Send + 'static {
     /// Greedy packing: scan past queued tasks that do not fit and try
     /// later ones (dynamic partitioning). Strict-FIFO engines stop at the
     /// first task they cannot place.
@@ -168,19 +168,19 @@ pub trait SchedPolicy: Send + 'static {
 
 /// Submit-time validation hook run on the caller's thread (the MPI engine
 /// rejects malformed `resource_specification`s synchronously).
-pub type Validator = Arc<dyn Fn(&ExecutableTask) -> GcxResult<()> + Send + Sync>;
+pub(crate) type Validator = Arc<dyn Fn(&ExecutableTask) -> GcxResult<()> + Send + Sync>;
 
 /// Engine-wide construction parameters.
-pub struct CoreConfig {
+pub(crate) struct CoreConfig {
     /// Which engine this core drives (labels, metric prefixes).
-    pub kind: EngineKind,
+    pub(crate) kind: EngineKind,
     /// Requeues allowed per task after resource loss.
     pub max_retries: u8,
     /// Name for the core's driver thread.
-    pub thread_name: &'static str,
+    pub(crate) thread_name: &'static str,
     /// The engine's clock: stamps task expiry at submit and drives the
     /// deadline sweep.
-    pub clock: SharedClock,
+    pub(crate) clock: SharedClock,
 }
 
 #[derive(Default)]
@@ -216,7 +216,7 @@ impl CoreCounters {
 
 /// The non-generic engine handle: submit/status/shutdown over a running
 /// [`ExecCore`] driver thread. The public engines wrap this.
-pub struct CoreEngine {
+pub(crate) struct CoreEngine {
     kind: EngineKind,
     tx: Sender<CoreMsg>,
     shared: Arc<CoreShared>,
@@ -231,7 +231,7 @@ impl CoreEngine {
     /// `channel` is the core's message channel; the policy keeps the
     /// sender side to report `Finished` outcomes from its workers.
     /// `table` is `None` for engines that provision nothing.
-    pub fn start<P: SchedPolicy>(
+    pub(crate) fn start<P: SchedPolicy>(
         cfg: CoreConfig,
         policy: P,
         table: Option<BlockTable>,
@@ -267,7 +267,7 @@ impl CoreEngine {
 
     /// Queue a task (non-blocking). Runs the validator, if any, on the
     /// caller's thread so malformed tasks are rejected synchronously.
-    pub fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
+    pub(crate) fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(GcxError::ShuttingDown);
         }
@@ -291,7 +291,7 @@ impl CoreEngine {
     }
 
     /// Point-in-time load, including the lifetime parity counters.
-    pub fn status(&self) -> EngineStatus {
+    pub(crate) fn status(&self) -> EngineStatus {
         EngineStatus {
             kind: self.kind,
             queued: self.shared.queued.load(Ordering::SeqCst),
@@ -304,7 +304,7 @@ impl CoreEngine {
     }
 
     /// Stop the driver (policy workers are joined, blocks cancelled).
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let _ = self.tx.send(CoreMsg::Wake);
         if let Some(h) = self.driver.take() {
@@ -812,8 +812,8 @@ impl<P: SchedPolicy> ExecCore<P> {
 
 /// One task handed to a pool worker thread.
 pub(crate) struct WorkerMsg {
-    pub launch_id: u64,
-    pub task: ExecutableTask,
+    pub(crate) launch_id: u64,
+    pub(crate) task: ExecutableTask,
 }
 
 /// The worker loop shared by slot-based engines: execute under a panic

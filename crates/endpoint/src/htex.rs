@@ -12,7 +12,7 @@
 //! - the interchange is the shared [`ExecCore`](crate::exec_core) dispatch
 //!   loop; block lifecycle, lost-task recovery, and redispatch live there,
 //!   not here;
-//! - what this module defines is the [`SlotPool`] scheduling policy: a
+//! - what this module defines is the `SlotPool` scheduling policy: a
 //!   manager is one bounded channel per node (the single multiplexed
 //!   "connection"), behind which `workers_per_node` worker threads execute
 //!   tasks — the `htex.connections_opened` counter vs
@@ -68,7 +68,7 @@ impl Default for HtexConfig {
     }
 }
 
-/// The pilot-job engine: the shared core under a [`SlotPool`] policy.
+/// The pilot-job engine: the shared core under a `SlotPool` policy.
 pub struct GlobusComputeEngine {
     core: CoreEngine,
 }

@@ -3,14 +3,14 @@
 //! The Globus Compute Agent (§II "Endpoints"): the software a user or
 //! administrator deploys on a resource to expose it to the ecosystem.
 //!
-//! - [`config`] — endpoint configuration parsed from mini-YAML (Listing 5);
+//! - `config` — endpoint configuration parsed from mini-YAML (Listing 5);
 //! - [`provider`] — the Parsl *Provider* abstraction: obtain resources,
 //!   check status, release ([`provider::LocalProvider`] for on-host
 //!   processes, [`provider::BatchProvider`] over the `gcx-batch` scheduler
 //!   simulator, standing in for SlurmProvider/PBSProvider);
 //! - [`worker`] — task execution: mini-Python functions, `ShellFunction`s
 //!   (with sandboxing and walltime), stream capture;
-//! - [`engine`] — the engine abstraction and events;
+//! - `engine` — the engine abstraction and events;
 //! - [`exec_core`] — the shared execution core: the block-lifecycle state
 //!   machine ([`exec_core::BlockTable`]) and the generic dispatch loop every
 //!   engine runs on; engines define only a scheduling policy;
@@ -27,8 +27,8 @@
 //!   pull tasks, execute, return results/exceptions.
 
 pub mod agent;
-pub mod config;
-pub mod engine;
+pub(crate) mod config;
+pub(crate) mod engine;
 pub mod exec_core;
 pub mod htex;
 pub mod mpi_engine;
@@ -41,8 +41,4 @@ pub use config::EndpointConfig;
 pub use engine::{Engine, EngineEvent, EngineKind, EngineStatus, ExecutableTask};
 pub use htex::GlobusComputeEngine;
 pub use mpi_engine::GlobusMpiEngine;
-pub use provider::{
-    BatchProvider, BlockEndReason, BlockHandle, BlockState, BlockSupervisor, LocalProvider,
-    Provider, SupervisorStats,
-};
 pub use thread_engine::ThreadEngine;

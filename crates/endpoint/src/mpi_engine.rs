@@ -10,8 +10,8 @@
 //! job dynamically based on user-defined function requirements."
 //!
 //! Block lifecycle, partition-table repair around crashed nodes, and
-//! lost-task recovery live in the shared [`ExecCore`](crate::exec_core);
-//! what this module defines is the [`NodePartitioner`] policy. The engine
+//! lost-task recovery live in the shared [`exec_core`](crate::exec_core);
+//! what this module defines is the `NodePartitioner` policy. The engine
 //! holds one pilot block of `nodes_per_block` nodes and carves node subsets
 //! out of it per task according to the task's normalized
 //! `resource_specification`. Tasks whose requirement does not fit the
@@ -30,7 +30,6 @@ use crossbeam_channel::{unbounded, Sender};
 use gcx_core::clock::SharedClock;
 use gcx_core::error::GcxResult;
 use gcx_core::function::FunctionBody;
-use gcx_core::ids::TaskId;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_core::respec::NormalizedSpec;
 use gcx_core::shellres::ShellResult;
@@ -69,7 +68,7 @@ impl Default for MpiEngineConfig {
     }
 }
 
-/// The MPI engine: the shared core under a [`NodePartitioner`] policy.
+/// The MPI engine: the shared core under a `NodePartitioner` policy.
 pub struct GlobusMpiEngine {
     core: CoreEngine,
 }
@@ -353,15 +352,6 @@ fn run_mpi_task(
             ctx.execute(&task.spec, other)
         }
     }
-}
-
-/// Record a completed MPI task's placement for tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Placement {
-    /// Task id.
-    pub task_id: TaskId,
-    /// Nodes used.
-    pub nodes: Vec<String>,
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub enum BlockEndReason {
 
 impl BlockEndReason {
     /// Short human-readable label for events and logs.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             BlockEndReason::Completed => "completed",
             BlockEndReason::Cancelled => "cancelled",
@@ -162,7 +162,7 @@ impl BatchProvider {
 
     /// A PBSPro-flavoured provider (identical mechanics, different label —
     /// exactly the situation the Provider abstraction exists for).
-    pub fn pbs(
+    pub(crate) fn pbs(
         scheduler: BatchScheduler,
         partition: impl Into<String>,
         account: impl Into<String>,
@@ -175,11 +175,6 @@ impl BatchProvider {
             walltime_ms,
             flavor: "pbs",
         }
-    }
-
-    /// The underlying scheduler (tests use this to drive time).
-    pub fn scheduler(&self) -> &BatchScheduler {
-        &self.scheduler
     }
 }
 
@@ -224,25 +219,15 @@ impl Provider for BatchProvider {
 // Block supervision
 // ---------------------------------------------------------------------------
 
-/// Running totals kept by a [`BlockSupervisor`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Blocks (or parts of blocks) lost to walltime/preemption/node failure.
-    pub blocks_lost: u64,
-    /// Blocks requested *after* at least one loss — i.e. re-provisioned.
-    pub blocks_reprovisioned: u64,
-}
-
 struct SupervisorState {
     /// Consecutive losses since the last block reached Running.
     losses: u32,
     /// No submissions before this instant (backoff gate).
     next_submit_at: TimeMs,
-    stats: SupervisorStats,
 }
 
 /// Block-provisioning state machine shared by both engines: submissions go
-/// through [`request_block`](Self::request_block), which refuses to re-hit
+/// through `request_block`, which refuses to re-hit
 /// the scheduler until a capped exponential backoff (reset whenever a block
 /// reaches `Running`) has elapsed after each loss.
 pub struct BlockSupervisor {
@@ -258,7 +243,7 @@ impl BlockSupervisor {
     /// Default re-provisioning backoff: 250 ms doubling to a 4 s cap, with
     /// deterministic jitter. The attempt budget is irrelevant here — a
     /// supervisor retries for as long as its engine wants capacity.
-    pub fn default_backoff() -> RetryPolicy {
+    pub(crate) fn default_backoff() -> RetryPolicy {
         RetryPolicy {
             max_attempts: u32::MAX,
             base_ms: 250,
@@ -270,7 +255,7 @@ impl BlockSupervisor {
 
     /// Supervise `provider` for an engine of `kind`, emitting counters as
     /// `<kind>.blocks_lost` / `<kind>.blocks_reprovisioned`.
-    pub fn new(
+    pub(crate) fn new(
         provider: Arc<dyn Provider>,
         clock: SharedClock,
         metrics: MetricsRegistry,
@@ -279,7 +264,7 @@ impl BlockSupervisor {
         Self::with_backoff(provider, clock, metrics, kind, Self::default_backoff())
     }
 
-    /// As [`new`](Self::new) with an explicit backoff policy.
+    /// As `new`, with an explicit backoff policy.
     pub fn with_backoff(
         provider: Arc<dyn Provider>,
         clock: SharedClock,
@@ -296,20 +281,19 @@ impl BlockSupervisor {
             state: parking_lot::Mutex::new(SupervisorState {
                 losses: 0,
                 next_submit_at: 0,
-                stats: SupervisorStats::default(),
             }),
         }
     }
 
     /// The supervised provider (pass-through access for polling/cancel).
-    pub fn provider(&self) -> &Arc<dyn Provider> {
+    pub(crate) fn provider(&self) -> &Arc<dyn Provider> {
         &self.provider
     }
 
     /// Request a block, unless the backoff gate is closed — then `None`.
     /// A provider-side submission error also counts as a loss (so a broken
     /// scheduler is retried with backoff, not hammered).
-    pub fn request_block(&self, num_nodes: u32) -> Option<BlockHandle> {
+    pub(crate) fn request_block(&self, num_nodes: u32) -> Option<BlockHandle> {
         {
             let st = self.state.lock();
             if self.clock.now_ms() < st.next_submit_at {
@@ -321,9 +305,7 @@ impl BlockSupervisor {
                 self.metrics
                     .counter(&format!("{}.blocks_requested", self.kind.as_str()))
                     .inc();
-                let mut st = self.state.lock();
-                if st.losses > 0 {
-                    st.stats.blocks_reprovisioned += 1;
+                if self.state.lock().losses > 0 {
                     self.metrics
                         .counter(&format!("{}.blocks_reprovisioned", self.kind.as_str()))
                         .inc();
@@ -338,15 +320,14 @@ impl BlockSupervisor {
     }
 
     /// A block reached `Running`: the resource layer is healthy again.
-    pub fn note_running(&self) {
+    pub(crate) fn note_running(&self) {
         self.state.lock().losses = 0;
     }
 
     /// A block (pending or running) was lost. Arms the backoff gate.
-    pub fn note_lost(&self, reason: BlockEndReason) {
+    pub(crate) fn note_lost(&self, reason: BlockEndReason) {
         let mut st = self.state.lock();
         st.losses = st.losses.saturating_add(1);
-        st.stats.blocks_lost += 1;
         let wait = self.backoff.backoff_ms(st.losses);
         st.next_submit_at = self.clock.now_ms().saturating_add(wait);
         drop(st);
@@ -360,11 +341,6 @@ impl BlockSupervisor {
                 reason.as_str()
             ))
             .inc();
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> SupervisorStats {
-        self.state.lock().stats
     }
 }
 
@@ -458,10 +434,11 @@ mod tests {
         let sched = BatchScheduler::new(ClusterSpec::simple(1), clock.clone());
         let provider: Arc<dyn Provider> =
             Arc::new(BatchProvider::slurm(sched, "cpu", "acct", 60_000));
+        let metrics = MetricsRegistry::new();
         let sup = BlockSupervisor::with_backoff(
             provider,
             clock.clone(),
-            MetricsRegistry::new(),
+            metrics.clone(),
             EngineKind::Htex,
             RetryPolicy::fixed(u32::MAX, 1_000),
         );
@@ -478,8 +455,8 @@ mod tests {
         // Gate open again; the old block still holds the node, so release it.
         sup.provider().cancel_block(b).unwrap();
         assert!(sup.request_block(1).is_some());
-        assert_eq!(sup.stats().blocks_lost, 1);
-        assert_eq!(sup.stats().blocks_reprovisioned, 1);
+        assert_eq!(metrics.counter("htex.blocks_lost").get(), 1);
+        assert_eq!(metrics.counter("htex.blocks_reprovisioned").get(), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the instant link.
 //!
 //! The engine is the shared [`ExecCore`](crate::exec_core) under the
-//! [`InlineSlots`] policy with no [`BlockTable`](crate::exec_core::BlockTable)
+//! `InlineSlots` policy with no [`BlockTable`](crate::exec_core::BlockTable)
 //! at all: capacity is constant, nothing can be lost to the batch layer, and
 //! the only recovery path left is worker-panic redispatch — which it
 //! inherits from the core unchanged.
@@ -48,7 +48,7 @@ impl Default for ThreadEngineConfig {
     }
 }
 
-/// The in-process engine: the shared core under an [`InlineSlots`] policy.
+/// The in-process engine: the shared core under an `InlineSlots` policy.
 pub struct ThreadEngine {
     core: CoreEngine,
 }

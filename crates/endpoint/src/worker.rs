@@ -23,20 +23,20 @@ use gcx_shell::{format_command, ShellExecutor, Vfs};
 /// Fixed execution context of one worker.
 pub struct WorkerContext {
     /// The endpoint host's filesystem (shared across workers).
-    pub vfs: Vfs,
+    pub(crate) vfs: Vfs,
     /// The endpoint's clock.
-    pub clock: SharedClock,
+    pub(crate) clock: SharedClock,
     /// Hostname of the node this worker runs on.
-    pub hostname: String,
+    pub(crate) hostname: String,
     /// Endpoint working directory (default cwd for ShellFunctions).
-    pub endpoint_dir: String,
+    pub(crate) endpoint_dir: String,
     /// Create a unique per-task sandbox directory for ShellFunctions.
     pub sandbox: bool,
     /// pyfn execution limits.
-    pub limits: Limits,
+    pub(crate) limits: Limits,
     /// Optional transform applied to args/kwargs before execution (proxy
     /// resolution, §V-B).
-    pub resolver: Option<crate::engine::ValueTransform>,
+    pub(crate) resolver: Option<crate::engine::ValueTransform>,
 }
 
 impl WorkerContext {

@@ -24,7 +24,8 @@
 //!    user endpoint agent, which connects and drains its buffered tasks.
 //!
 //! Unauthorized identities (no mapping rule matches) get their buffered
-//! tasks failed with `Forbidden` rather than leaving them queued forever.
+//! tasks failed with a `PermissionError` rather than leaving them queued
+//! forever.
 //! Idle user endpoints are reaped ("once the submitted tasks are completed,
 //! the user endpoint is destroyed").
 
@@ -36,10 +37,8 @@ use std::time::{Duration, Instant};
 use gcx_auth::{IdentityMapper, MappingOutcome};
 use gcx_cloud::{MepStartRequest, WebService};
 use gcx_config::{Schema, Template};
-use gcx_core::clock::TimeMs;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::EndpointId;
-use gcx_core::metrics::MetricsRegistry;
 use gcx_core::task::TaskResult;
 use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use parking_lot::Mutex;
@@ -76,13 +75,9 @@ impl MepSetup {
 }
 
 /// A record of one spawned user endpoint.
-pub struct SpawnedEndpoint {
-    /// The user endpoint's id.
-    pub endpoint_id: EndpointId,
+struct SpawnedEndpoint {
     /// The local account it runs as.
-    pub local_user: String,
-    /// When it was spawned (MEP wall time).
-    pub started_at: TimeMs,
+    local_user: String,
     agent: Option<EndpointAgent>,
     last_busy: Instant,
 }
@@ -98,7 +93,6 @@ pub struct MultiUserEndpoint {
     state: Arc<Mutex<MepState>>,
     shutdown: Arc<AtomicBool>,
     command_thread: Option<std::thread::JoinHandle<()>>,
-    metrics: MetricsRegistry,
 }
 
 impl MultiUserEndpoint {
@@ -113,7 +107,6 @@ impl MultiUserEndpoint {
         setup: MepSetup,
     ) -> GcxResult<Self> {
         let commands = cloud.connect_mep_commands(mep_endpoint_id, credential)?;
-        let metrics = MetricsRegistry::new();
         let state = Arc::new(Mutex::new(MepState {
             spawned: HashMap::new(),
             denied: 0,
@@ -126,21 +119,17 @@ impl MultiUserEndpoint {
             let cloud = cloud.clone();
             let state = Arc::clone(&state);
             let shutdown = Arc::clone(&shutdown);
-            let metrics = metrics.clone();
             std::thread::Builder::new()
                 .name(format!("gcx-mep-{mep_endpoint_id}"))
                 .spawn(move || {
                     while !shutdown.load(Ordering::SeqCst) {
                         match commands.next(Duration::from_millis(25)) {
                             Ok(Some(delivery)) => {
-                                let outcome = gcx_core::codec::decode(&delivery.message.body)
+                                let _ = gcx_core::codec::decode(&delivery.message.body)
                                     .and_then(|v| MepStartRequest::from_value(&v))
                                     .and_then(|req| {
-                                        handle_start_request(&cloud, &setup, &state, &metrics, req)
+                                        handle_start_request(&cloud, &setup, &state, req)
                                     });
-                                if outcome.is_err() {
-                                    metrics.counter("mep.start_errors").inc();
-                                }
                                 let _ = commands.ack(delivery.tag);
                             }
                             Ok(None) => {}
@@ -158,13 +147,7 @@ impl MultiUserEndpoint {
             state,
             shutdown,
             command_thread: Some(command_thread),
-            metrics,
         })
-    }
-
-    /// Metrics (spawn counts, denials).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Number of currently live user endpoints.
@@ -248,7 +231,6 @@ fn handle_start_request(
     cloud: &WebService,
     setup: &MepSetup,
     state: &Arc<Mutex<MepState>>,
-    metrics: &MetricsRegistry,
     req: MepStartRequest,
 ) -> GcxResult<()> {
     // §IV-A.2: identity mapping decides authorization AND the local account.
@@ -257,7 +239,6 @@ fn handle_start_request(
         MappingOutcome::Local(user) => user,
         MappingOutcome::Denied => {
             state.lock().denied += 1;
-            metrics.counter("mep.denied").inc();
             // Fail the tasks already buffered for this UEP so users see the
             // denial instead of an eternal queue.
             fail_buffered_tasks(
@@ -276,7 +257,6 @@ fn handle_start_request(
     // §IV-A.3: validate, then render the admin template with the user config.
     if let Some(schema) = &setup.schema {
         if let Err(e) = schema.validate(&req.user_config) {
-            metrics.counter("mep.config_rejected").inc();
             fail_buffered_tasks(
                 cloud,
                 req.uep_endpoint_id,
@@ -289,7 +269,6 @@ fn handle_start_request(
     let rendered = match setup.template.render(&req.user_config) {
         Ok(text) => text,
         Err(e) => {
-            metrics.counter("mep.config_rejected").inc();
             fail_buffered_tasks(
                 cloud,
                 req.uep_endpoint_id,
@@ -310,7 +289,6 @@ fn handle_start_request(
         &config,
         env,
     )?;
-    metrics.counter("mep.uep_spawned").inc();
 
     let mut st = state.lock();
     st.total_spawned += 1;
@@ -318,9 +296,7 @@ fn handle_start_request(
     if let Some(prev) = st.spawned.insert(
         req.uep_endpoint_id,
         SpawnedEndpoint {
-            endpoint_id: req.uep_endpoint_id,
             local_user,
-            started_at: 0,
             agent: Some(agent),
             last_busy: Instant::now(),
         },
@@ -346,7 +322,7 @@ fn fail_buffered_tasks(cloud: &WebService, uep: EndpointId, credential: &str, me
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcx_auth::{AuthPolicy, ExpressionMapping};
+    use gcx_auth::{AuthPolicy, ExpressionMapping, Identity};
     use gcx_core::clock::SystemClock;
     use gcx_core::value::Value;
     use gcx_sdk::{Executor, PyFunction};
@@ -382,13 +358,20 @@ mod tests {
     }
 
     fn start_stack(schema: Option<Schema>) -> (WebService, EndpointId, MultiUserEndpoint) {
+        start_stack_with(setup_mapper(), schema)
+    }
+
+    fn start_stack_with(
+        mapper: IdentityMapper,
+        schema: Option<Schema>,
+    ) -> (WebService, EndpointId, MultiUserEndpoint) {
         let svc = WebService::with_defaults(SystemClock::shared());
         let (_, admin) = svc.auth().login("admin@uchicago.edu").unwrap();
         let reg = svc
             .register_endpoint(&admin, "cluster-mep", true, AuthPolicy::open(), None)
             .unwrap();
         let setup = MepSetup {
-            mapper: setup_mapper(),
+            mapper,
             template: Template::parse(TEMPLATE).unwrap(),
             schema,
             env_factory: Arc::new(|local_user: &str| {
@@ -418,6 +401,40 @@ mod tests {
         assert!(v.as_str().unwrap().starts_with("node-kyle"), "{v}");
         assert_eq!(mep.live_endpoints(), 1);
         assert_eq!(mep.local_users(), vec!["kyle"]);
+        ex.close();
+        mep.stop();
+        svc.shutdown();
+    }
+
+    /// §IV-A.2's external callout: the program's answer is the local
+    /// account the user endpoint runs as, and no answer refuses the task.
+    #[test]
+    fn external_callout_maps_or_refuses() {
+        let mut mapper = IdentityMapper::new();
+        mapper.add_callout(|id: &Identity| {
+            (id.username == "kyle@uchicago.edu").then(|| "kchard".to_string())
+        });
+        let (svc, mep_id, mep) = start_stack_with(mapper, None);
+        let f = PyFunction::new("def f():\n    return hostname()\n");
+
+        let (_, token) = svc.auth().login("kyle@uchicago.edu").unwrap();
+        let ex = Executor::new(svc.clone(), token, mep_id).unwrap();
+        let fut = ex.submit(&f, vec![], Value::None).unwrap();
+        let v = fut.result_timeout(Duration::from_secs(15)).unwrap();
+        assert!(v.as_str().unwrap().starts_with("node-kchard"), "{v}");
+        assert_eq!(mep.local_users(), vec!["kchard"]);
+        ex.close();
+
+        let (_, token) = svc.auth().login("eve@uchicago.edu").unwrap();
+        let ex = Executor::new(svc.clone(), token, mep_id).unwrap();
+        let fut = ex.submit(&f, vec![], Value::None).unwrap();
+        let err = fut.result_timeout(Duration::from_secs(15)).unwrap_err();
+        assert!(
+            matches!(&err, GcxError::Execution(m) if m.starts_with("PermissionError")),
+            "{err}"
+        );
+        assert_eq!(mep.denied(), 1);
+        assert_eq!(mep.total_spawned(), 1);
         ex.close();
         mep.stop();
         svc.shutdown();
@@ -525,7 +542,6 @@ mod tests {
         let fut = ex.submit(&f, vec![], Value::None).unwrap();
         let err = fut.result_timeout(Duration::from_secs(15)).unwrap_err();
         assert!(matches!(err, GcxError::Execution(m) if m.contains("configuration rejected")));
-        assert_eq!(mep.metrics().counter("mep.config_rejected").get(), 1);
         ex.close();
         mep.stop();
         svc.shutdown();

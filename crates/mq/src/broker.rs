@@ -65,7 +65,7 @@ pub struct Message {
     /// True if this delivery follows an unacked predecessor (consumer died).
     pub redelivered: bool,
     /// How many times this message has been handed to a consumer; compared
-    /// against [`QueuePolicy::max_deliveries`] to decide dead-lettering.
+    /// against the queue's `max_deliveries` policy to decide dead-lettering.
     pub delivery_count: u32,
 }
 
@@ -124,10 +124,10 @@ pub struct QueueStats {
 pub struct QueuePolicy {
     /// Maximum times a message may be handed to a consumer before it is
     /// dead-lettered instead of requeued; `0` = unlimited.
-    pub max_deliveries: u32,
+    pub(crate) max_deliveries: u32,
     /// Where poisoned messages go. `None` discards them (counted in
     /// `mq.dropped`).
-    pub dead_letter_to: Option<String>,
+    pub(crate) dead_letter_to: Option<String>,
     /// Maximum ready (undelivered) messages; `0` = unbounded. Unacked
     /// deliveries don't count — prefetch already bounds those.
     pub max_depth: usize,
@@ -143,20 +143,6 @@ impl QueuePolicy {
             dead_letter_to: Some(queue.into()),
             ..Self::default()
         }
-    }
-
-    /// Cap the queue at `max_depth` ready messages.
-    pub fn bounded(max_depth: usize) -> Self {
-        Self {
-            max_depth,
-            ..Self::default()
-        }
-    }
-
-    /// Also cap total ready bytes.
-    pub fn with_max_bytes(mut self, max_bytes: usize) -> Self {
-        self.max_bytes = max_bytes;
-        self
     }
 
     fn exhausted(&self, msg: &Message) -> bool {
@@ -1686,7 +1672,14 @@ mod tests {
     fn bounded_queue_rejects_new_at_depth() {
         let b = Broker::new();
         b.declare_queue("q", None).unwrap();
-        b.set_queue_policy("q", QueuePolicy::bounded(2)).unwrap();
+        b.set_queue_policy(
+            "q",
+            QueuePolicy {
+                max_depth: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         b.publish("q", msg("a"), None).unwrap();
         b.publish("q", msg("b"), None).unwrap();
         let err = b.publish("q", msg("c"), None).unwrap_err();
@@ -1706,8 +1699,14 @@ mod tests {
         let b = Broker::new();
         b.declare_queue("q", None).unwrap();
         let one = msg("0123456789").wire_size();
-        b.set_queue_policy("q", QueuePolicy::default().with_max_bytes(one * 2))
-            .unwrap();
+        b.set_queue_policy(
+            "q",
+            QueuePolicy {
+                max_bytes: one * 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         b.publish("q", msg("0123456789"), None).unwrap();
         b.publish("q", msg("0123456789"), None).unwrap();
         assert!(matches!(
@@ -1723,7 +1722,14 @@ mod tests {
     fn bounded_batch_is_all_or_nothing() {
         let b = Broker::new();
         b.declare_queue("q", None).unwrap();
-        b.set_queue_policy("q", QueuePolicy::bounded(3)).unwrap();
+        b.set_queue_policy(
+            "q",
+            QueuePolicy {
+                max_depth: 3,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         b.publish("q", msg("resident"), None).unwrap();
         let batch: Vec<Message> = (0..3).map(|i| msg(&format!("m{i}"))).collect();
         assert!(matches!(
@@ -1766,7 +1772,14 @@ mod tests {
     fn unacked_messages_do_not_count_against_depth_bound() {
         let b = Broker::new();
         b.declare_queue("q", None).unwrap();
-        b.set_queue_policy("q", QueuePolicy::bounded(1)).unwrap();
+        b.set_queue_policy(
+            "q",
+            QueuePolicy {
+                max_depth: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         b.publish("q", msg("a"), None).unwrap();
         let c = b.consume("q", None, 0).unwrap();
         let d = c.next(T).unwrap().unwrap();
@@ -1865,7 +1878,14 @@ mod tests {
 
         b.set_fault_plan(None);
         let refused = tracer.start_trace("task").unwrap();
-        b.set_queue_policy("q", QueuePolicy::bounded(1)).unwrap();
+        b.set_queue_policy(
+            "q",
+            QueuePolicy {
+                max_depth: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(b.publish("q", traced(&refused), None).is_err());
         assert_eq!(root_notes(&refused), ["mq.queue_full on q"]);
 

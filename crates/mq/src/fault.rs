@@ -52,18 +52,18 @@ impl FaultDirection {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRule {
     /// Applies to queues whose name starts with this prefix ("" = all).
-    pub queue_prefix: String,
+    pub(crate) queue_prefix: String,
     /// Which side of the broker misbehaves.
-    pub direction: FaultDirection,
+    pub(crate) direction: FaultDirection,
     /// Probability a message is dropped (`>= 1.0` = always, a partition).
-    pub drop_p: f64,
+    pub(crate) drop_p: f64,
     /// Probability a published message is enqueued twice.
-    pub duplicate_p: f64,
+    pub(crate) duplicate_p: f64,
     /// Extra latency charged to every matching publish, in ms.
-    pub extra_delay_ms: u64,
+    pub(crate) extra_delay_ms: u64,
     /// Active windows `[start_ms, end_ms)` on the broker clock; empty =
     /// always active.
-    pub windows: Vec<(u64, u64)>,
+    pub(crate) windows: Vec<(u64, u64)>,
 }
 
 impl FaultRule {
@@ -151,7 +151,7 @@ pub struct ReplicaFaultRule {
     /// Replica index the action applies to.
     pub replica: u32,
     /// When the action fires (broker clock, ms).
-    pub at_ms: u64,
+    pub(crate) at_ms: u64,
     /// What happens.
     pub action: ReplicaAction,
 }
@@ -187,7 +187,7 @@ impl ReplicaFaultRule {
 
 /// What the broker should do with one publish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PublishOutcome {
+pub(crate) enum PublishOutcome {
     /// Enqueue `1 + extra_copies` copies after charging `extra_delay_ms`.
     Deliver {
         extra_copies: u32,
@@ -241,16 +241,6 @@ impl FaultPlan {
         self
     }
 
-    /// The scripted rules.
-    pub fn rules(&self) -> &[FaultRule] {
-        &self.rules
-    }
-
-    /// The scripted replica actions.
-    pub fn replica_rules(&self) -> &[ReplicaFaultRule] {
-        &self.replica_rules
-    }
-
     /// Replica actions due in `(after_ms, now_ms]`, in schedule order. The
     /// federation driver polls this with a watermark so each action fires
     /// exactly once; draw-free, so polling never perturbs message faults.
@@ -285,7 +275,7 @@ impl FaultPlan {
     }
 
     /// Decide the fate of a publish to `queue` at `now_ms`.
-    pub fn on_publish(&self, queue: &str, now_ms: u64) -> PublishOutcome {
+    pub(crate) fn on_publish(&self, queue: &str, now_ms: u64) -> PublishOutcome {
         let mut extra_delay_ms = 0;
         let mut extra_copies = 0;
         let mut dropped = false;
@@ -312,7 +302,7 @@ impl FaultPlan {
     }
 
     /// True if a delivery popped from `queue` at `now_ms` should be lost.
-    pub fn on_deliver(&self, queue: &str, now_ms: u64) -> bool {
+    pub(crate) fn on_deliver(&self, queue: &str, now_ms: u64) -> bool {
         self.rules
             .iter()
             .filter(|r| r.direction.covers_deliver() && r.active(queue, now_ms))
@@ -322,7 +312,7 @@ impl FaultPlan {
     /// True if deliveries from `queue` are certainly blocked at `now_ms`
     /// (an active deliver-side rule with `drop_p >= 1.0`). Pure — consumers
     /// may poll it without consuming draws.
-    pub fn blocks_deliveries(&self, queue: &str, now_ms: u64) -> bool {
+    pub(crate) fn blocks_deliveries(&self, queue: &str, now_ms: u64) -> bool {
         self.rules
             .iter()
             .any(|r| r.direction.covers_deliver() && r.active(queue, now_ms) && r.drop_p >= 1.0)

@@ -22,12 +22,10 @@
 //! [`broker::QueuePolicy`] that dead-letters messages whose delivery budget
 //! is exhausted, so poisoned tasks surface instead of looping forever.
 
-pub mod broker;
-pub mod fault;
-pub mod link;
+pub(crate) mod broker;
+pub(crate) mod fault;
+pub(crate) mod link;
 
 pub use broker::{Broker, Consumer, Delivery, Headers, Message, QueuePolicy, QueueStats};
-pub use fault::{
-    FaultDirection, FaultPlan, FaultRule, PublishOutcome, ReplicaAction, ReplicaFaultRule,
-};
+pub use fault::{FaultDirection, FaultPlan, FaultRule, ReplicaAction, ReplicaFaultRule};
 pub use link::LinkProfile;

@@ -39,7 +39,7 @@ impl LinkProfile {
     }
 
     /// Time to move `bytes` across this link.
-    pub fn transfer_time_ms(&self, bytes: usize) -> u64 {
+    pub(crate) fn transfer_time_ms(&self, bytes: usize) -> u64 {
         let bw = match self.bytes_per_ms {
             Some(bpm) if bpm > 0 => (bytes as u64).div_ceil(bpm),
             _ => 0,

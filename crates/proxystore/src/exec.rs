@@ -14,7 +14,7 @@ use gcx_core::value::Value;
 use gcx_sdk::{Executor, Function, TaskFuture};
 
 use crate::proxy::{as_proxy, proxify, resolve_value, ProxyCache, StoreRegistry};
-use crate::store::Store;
+use crate::store::ObjectStore;
 
 /// When to proxy a value instead of shipping it through the cloud.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +38,7 @@ impl Default for ProxyPolicy {
 /// resolving proxied results on retrieval.
 pub struct ProxyExecutor {
     inner: Executor,
-    store: Arc<dyn Store>,
+    store: Arc<ObjectStore>,
     registry: StoreRegistry,
     policy: ProxyPolicy,
     client_cache: ProxyCache,
@@ -49,7 +49,7 @@ impl ProxyExecutor {
     /// registered in the worker-side registry for resolution).
     pub fn new(
         inner: Executor,
-        store: Arc<dyn Store>,
+        store: Arc<ObjectStore>,
         registry: StoreRegistry,
         policy: ProxyPolicy,
     ) -> Self {
@@ -72,8 +72,8 @@ impl ProxyExecutor {
     /// (the shared read-only input pattern: proxy the model once, pass the
     /// marker to every task). The returned marker is tiny and will not be
     /// re-proxied by the size policy.
-    pub fn proxy(&self, v: &Value) -> GcxResult<Value> {
-        proxify(v, &*self.store)
+    pub fn proxy(&self, v: &Value) -> Value {
+        proxify(v, &self.store)
     }
 
     /// Submit with automatic argument proxying. The returned future resolves
@@ -88,12 +88,12 @@ impl ProxyExecutor {
         let args = args
             .into_iter()
             .map(|v| self.maybe_proxy(v, &mut proxied_keys))
-            .collect::<GcxResult<Vec<_>>>()?;
+            .collect();
         let kwargs = match kwargs {
             Value::Map(m) => {
                 let mut out = std::collections::BTreeMap::new();
                 for (k, v) in m {
-                    out.insert(k, self.maybe_proxy(v, &mut proxied_keys)?);
+                    out.insert(k, self.maybe_proxy(v, &mut proxied_keys));
                 }
                 Value::Map(out)
             }
@@ -105,22 +105,22 @@ impl ProxyExecutor {
             let store = Arc::clone(&self.store);
             future.on_done(move |_| {
                 for key in &proxied_keys {
-                    let _ = store.evict(key);
+                    store.evict(key);
                 }
             });
         }
         Ok(future)
     }
 
-    fn maybe_proxy(&self, v: Value, keys: &mut Vec<String>) -> GcxResult<Value> {
+    fn maybe_proxy(&self, v: Value, keys: &mut Vec<String>) -> Value {
         if gcx_core::codec::encoded_size(&v) > self.policy.min_size {
-            let marker = proxify(&v, &*self.store)?;
+            let marker = proxify(&v, &self.store);
             if let Some((_, key, _)) = as_proxy(&marker) {
                 keys.push(key);
             }
-            Ok(marker)
+            marker
         } else {
-            Ok(v)
+            v
         }
     }
 
@@ -140,12 +140,12 @@ impl ProxyExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::InMemoryStore;
     use gcx_auth::AuthPolicy;
     use gcx_cloud::WebService;
     use gcx_core::clock::SystemClock;
     use gcx_core::metrics::MetricsRegistry;
     use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
+    use gcx_mq::LinkProfile;
     use gcx_sdk::PyFunction;
 
     /// Stand up cloud + endpoint with worker-side proxy resolution wired in.
@@ -165,7 +165,12 @@ mod tests {
             EndpointAgent::start(&svc, reg.endpoint_id, &reg.queue_credential, &config, env)
                 .unwrap();
         let ex = Executor::new(svc.clone(), token, reg.endpoint_id).unwrap();
-        let store = InMemoryStore::new("mem", MetricsRegistry::new());
+        let store = ObjectStore::new(
+            "mem",
+            LinkProfile::instant(),
+            SystemClock::shared(),
+            MetricsRegistry::new(),
+        );
         let pex = ProxyExecutor::new(
             ex,
             store,
@@ -206,7 +211,10 @@ mod tests {
         let f = PyFunction::new("def f(x):\n    return x + 1\n");
         let fut = pex.submit(&f, vec![Value::Int(1)], Value::None).unwrap();
         assert_eq!(pex.result(&fut).unwrap(), Value::Int(2));
-        assert!(pex.store.is_empty(), "nothing proxied for small args");
+        assert!(
+            pex.store.objects.read().is_empty(),
+            "nothing proxied for small args"
+        );
         agent.stop();
         svc.shutdown();
         pex.close();
@@ -229,7 +237,12 @@ mod tests {
             EndpointAgent::start(&svc, reg.endpoint_id, &reg.queue_credential, &config, env)
                 .unwrap();
         let ex = Executor::new(svc.clone(), token, reg.endpoint_id).unwrap();
-        let store = InMemoryStore::new("mem", MetricsRegistry::new());
+        let store = ObjectStore::new(
+            "mem",
+            LinkProfile::instant(),
+            SystemClock::shared(),
+            MetricsRegistry::new(),
+        );
         let pex = ProxyExecutor::new(
             ex,
             store.clone(),
@@ -246,7 +259,7 @@ mod tests {
         pex.result(&fut).unwrap();
         // Lifetime cleanup removed the proxied input.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while !store.is_empty() {
+        while !store.objects.read().is_empty() {
             assert!(std::time::Instant::now() < deadline, "input never evicted");
             std::thread::yield_now();
         }

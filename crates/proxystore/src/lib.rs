@@ -10,21 +10,21 @@
 //! results avoids transfer of large objects through the cloud service which
 //! improves task latency and circumvents the 10 MB payload limit."
 //!
-//! - [`store`] — the [`store::Store`] trait and backends: in-memory
-//!   (same-site object store), shared-filesystem (over the endpoint VFS),
-//!   and a remote KV store with a WAN cost model;
-//! - [`proxy`] — proxy markers embedded in [`gcx_core::Value`] payloads,
-//!   factories that resolve them against a [`proxy::StoreRegistry`], and the
+//! - `store` — [`ObjectStore`], the one store type: its link
+//!   profile makes it a same-site object store (`LinkProfile::instant()`) or
+//!   a remote KV store with a WAN cost model;
+//! - `proxy` — proxy markers embedded in [`gcx_core::value::Value`] payloads,
+//!   factories that resolve them against a [`StoreRegistry`], and the
 //!   worker-side cache ("objects reused by many tasks can be cached in the
 //!   worker process");
-//! - [`exec`] — [`exec::ProxyExecutor`], the executor wrapper that
+//! - `exec` — [`ProxyExecutor`], the executor wrapper that
 //!   "automatically proxies task arguments and results based on a
 //!   user-defined policy (e.g., object size)".
 
-pub mod exec;
-pub mod proxy;
-pub mod store;
+pub(crate) mod exec;
+pub(crate) mod proxy;
+pub(crate) mod store;
 
 pub use exec::{ProxyExecutor, ProxyPolicy};
-pub use proxy::{proxify, resolve_value, ProxyCache, StoreRegistry};
-pub use store::{InMemoryStore, RemoteKvStore, SharedFsStore, Store};
+pub use proxy::{resolve_value, ProxyCache, StoreRegistry};
+pub use store::ObjectStore;

@@ -20,16 +20,16 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::value::Value;
 use parking_lot::Mutex;
 
-use crate::store::Store;
+use crate::store::ObjectStore;
 
 /// Marker key identifying a proxy inside a payload.
-pub const PROXY_MARKER: &str = "__gcx_proxy__";
+pub(crate) const PROXY_MARKER: &str = "__gcx_proxy__";
 
 /// The registry mapping store names to live backends (one per process, like
 /// ProxyStore's global store registry).
 #[derive(Clone, Default)]
 pub struct StoreRegistry {
-    stores: Arc<Mutex<HashMap<String, Arc<dyn Store>>>>,
+    stores: Arc<Mutex<HashMap<String, Arc<ObjectStore>>>>,
 }
 
 impl StoreRegistry {
@@ -39,12 +39,12 @@ impl StoreRegistry {
     }
 
     /// Register a backend under its name.
-    pub fn register(&self, store: Arc<dyn Store>) {
+    pub(crate) fn register(&self, store: Arc<ObjectStore>) {
         self.stores.lock().insert(store.name().to_string(), store);
     }
 
     /// Look up a backend.
-    pub fn get(&self, name: &str) -> GcxResult<Arc<dyn Store>> {
+    pub(crate) fn get(&self, name: &str) -> GcxResult<Arc<ObjectStore>> {
         self.stores
             .lock()
             .get(name)
@@ -54,22 +54,22 @@ impl StoreRegistry {
 }
 
 /// Replace `value` with a proxy marker after storing its encoded bytes.
-pub fn proxify(value: &Value, store: &dyn Store) -> GcxResult<Value> {
+pub(crate) fn proxify(value: &Value, store: &ObjectStore) -> Value {
     let encoded = codec::encode(value);
     let size = encoded.len();
-    let key = store.put(encoded)?;
-    Ok(Value::map([(
+    let key = store.put(encoded);
+    Value::map([(
         PROXY_MARKER,
         Value::map([
             ("store", Value::str(store.name())),
             ("key", Value::str(key)),
             ("size", Value::Int(size as i64)),
         ]),
-    )]))
+    )])
 }
 
 /// If `value` is a proxy marker, return `(store, key, size)`.
-pub fn as_proxy(value: &Value) -> Option<(String, String, usize)> {
+pub(crate) fn as_proxy(value: &Value) -> Option<(String, String, usize)> {
     let inner = value.get(PROXY_MARKER)?;
     Some((
         inner.get("store")?.as_str()?.to_string(),
@@ -87,19 +87,21 @@ pub struct ProxyCache {
 }
 
 struct CacheInner {
-    entries: HashMap<String, Value>,
-    order: Vec<String>,
+    /// Each object with the tick of its last use.
+    entries: HashMap<String, (Value, u64)>,
+    tick: u64,
     hits: u64,
     misses: u64,
 }
 
 impl ProxyCache {
-    /// A cache holding up to `capacity` resolved objects (LRU by insertion).
+    /// A cache holding up to `capacity` resolved objects, evicting the least
+    /// recently used.
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: Arc::new(Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                order: Vec::new(),
+                tick: 0,
                 hits: 0,
                 misses: 0,
             })),
@@ -109,8 +111,12 @@ impl ProxyCache {
 
     fn get(&self, key: &str) -> Option<Value> {
         let mut inner = self.inner.lock();
-        match inner.entries.get(key).cloned() {
-            Some(v) => {
+        inner.tick += 1;
+        let tick = inner.tick;
+        match inner.entries.get_mut(key) {
+            Some((v, used)) => {
+                *used = tick;
+                let v = v.clone();
                 inner.hits += 1;
                 Some(v)
             }
@@ -127,14 +133,18 @@ impl ProxyCache {
         }
         let mut inner = self.inner.lock();
         if inner.entries.len() >= self.capacity && !inner.entries.contains_key(&key) {
-            if let Some(oldest) = inner.order.first().cloned() {
-                inner.entries.remove(&oldest);
-                inner.order.remove(0);
+            let lru = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| k.clone());
+            if let Some(lru) = lru {
+                inner.entries.remove(&lru);
             }
         }
-        if inner.entries.insert(key.clone(), value).is_none() {
-            inner.order.push(key);
-        }
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.entries.insert(key, (value, tick));
     }
 
     /// (hits, misses) so far.
@@ -184,12 +194,22 @@ pub fn resolve_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::InMemoryStore;
+    use gcx_core::clock::SystemClock;
     use gcx_core::metrics::MetricsRegistry;
+    use gcx_mq::LinkProfile;
 
-    fn setup() -> (StoreRegistry, Arc<InMemoryStore>) {
+    fn mem_store(metrics: MetricsRegistry) -> Arc<ObjectStore> {
+        ObjectStore::new(
+            "mem",
+            LinkProfile::instant(),
+            SystemClock::shared(),
+            metrics,
+        )
+    }
+
+    fn setup() -> (StoreRegistry, Arc<ObjectStore>) {
         let registry = StoreRegistry::new();
-        let store = InMemoryStore::new("mem", MetricsRegistry::new());
+        let store = mem_store(MetricsRegistry::new());
         registry.register(store.clone());
         (registry, store)
     }
@@ -198,7 +218,7 @@ mod tests {
     fn proxify_resolve_roundtrip() {
         let (registry, store) = setup();
         let big = Value::Bytes(vec![42u8; 4096]);
-        let proxy = proxify(&big, &*store).unwrap();
+        let proxy = proxify(&big, &store);
         assert!(as_proxy(&proxy).is_some());
         assert!(proxy.approx_size() < 256, "marker stays tiny");
         let cache = ProxyCache::new(4);
@@ -209,8 +229,8 @@ mod tests {
     #[test]
     fn nested_proxies_resolve() {
         let (registry, store) = setup();
-        let a = proxify(&Value::Int(1), &*store).unwrap();
-        let b = proxify(&Value::str("two"), &*store).unwrap();
+        let a = proxify(&Value::Int(1), &store);
+        let b = proxify(&Value::str("two"), &store);
         let payload = Value::map([("a", a), ("rest", Value::List(vec![b, Value::Int(3)]))]);
         let cache = ProxyCache::new(4);
         let resolved = resolve_value(&payload, &registry, &cache).unwrap();
@@ -225,9 +245,9 @@ mod tests {
     fn cache_hits_avoid_store_reads() {
         let metrics = MetricsRegistry::new();
         let registry = StoreRegistry::new();
-        let store = InMemoryStore::new("mem", metrics.clone());
+        let store = mem_store(metrics.clone());
         registry.register(store.clone());
-        let proxy = proxify(&Value::Bytes(vec![0u8; 1000]), &*store).unwrap();
+        let proxy = proxify(&Value::Bytes(vec![0u8; 1000]), &store);
         let cache = ProxyCache::new(4);
         for _ in 0..5 {
             resolve_value(&proxy, &registry, &cache).unwrap();
@@ -242,7 +262,7 @@ mod tests {
     #[test]
     fn zero_capacity_cache_disables_caching() {
         let (registry, store) = setup();
-        let proxy = proxify(&Value::Int(5), &*store).unwrap();
+        let proxy = proxify(&Value::Int(5), &store);
         let cache = ProxyCache::new(0);
         resolve_value(&proxy, &registry, &cache).unwrap();
         resolve_value(&proxy, &registry, &cache).unwrap();
@@ -255,9 +275,9 @@ mod tests {
     fn cache_evicts_oldest() {
         let (registry, store) = setup();
         let cache = ProxyCache::new(2);
-        let p1 = proxify(&Value::Int(1), &*store).unwrap();
-        let p2 = proxify(&Value::Int(2), &*store).unwrap();
-        let p3 = proxify(&Value::Int(3), &*store).unwrap();
+        let p1 = proxify(&Value::Int(1), &store);
+        let p2 = proxify(&Value::Int(2), &store);
+        let p3 = proxify(&Value::Int(3), &store);
         resolve_value(&p1, &registry, &cache).unwrap();
         resolve_value(&p2, &registry, &cache).unwrap();
         resolve_value(&p3, &registry, &cache).unwrap(); // evicts p1
@@ -267,10 +287,25 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_keeps_the_object_cached() {
+        let (registry, store) = setup();
+        let cache = ProxyCache::new(2);
+        let shared = proxify(&Value::Int(0), &store);
+        let a = proxify(&Value::Int(1), &store);
+        let b = proxify(&Value::Int(2), &store);
+        resolve_value(&shared, &registry, &cache).unwrap();
+        resolve_value(&a, &registry, &cache).unwrap();
+        resolve_value(&shared, &registry, &cache).unwrap(); // hit
+        resolve_value(&b, &registry, &cache).unwrap(); // evicts a, not shared
+        resolve_value(&shared, &registry, &cache).unwrap();
+        assert_eq!(cache.stats(), (2, 3));
+    }
+
+    #[test]
     fn missing_store_is_an_error() {
         let registry = StoreRegistry::new();
-        let store = InMemoryStore::new("mem", MetricsRegistry::new());
-        let proxy = proxify(&Value::Int(1), &*store).unwrap();
+        let store = mem_store(MetricsRegistry::new());
+        let proxy = proxify(&Value::Int(1), &store);
         let cache = ProxyCache::new(4);
         assert!(resolve_value(&proxy, &registry, &cache).is_err());
     }

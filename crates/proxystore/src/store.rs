@@ -1,11 +1,13 @@
-//! Storage backends for proxied objects.
+//! The object store proxies resolve against.
 //!
 //! "Proxies can leverage many communication channels and storage systems to
 //! fit the specific deployment. For example, TCP, RDMA, object stores, and
 //! shared file systems can be used when the client and workers are located
-//! within the same site" (§V-B). Each backend reports its transfer cost
-//! through the same clock-charging [`LinkProfile`] the broker uses, so the
-//! data-movement experiment compares like with like.
+//! within the same site" (§V-B). Here the deployment is a cost model: every
+//! put and get pays the store's [`LinkProfile`] on the component clock, the
+//! same charge the broker uses, so the data-movement experiment compares
+//! like with like. `LinkProfile::instant()` is an object store colocated
+//! with the client and workers; a WAN profile is a remote key-value store.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,168 +18,19 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::Uuid;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_mq::LinkProfile;
-use gcx_shell::Vfs;
 use parking_lot::RwLock;
 
-/// Key of a stored object.
-pub type ObjectKey = String;
-
-/// A storage backend proxies resolve against.
-pub trait Store: Send + Sync {
-    /// Store an object, returning its key.
-    fn put(&self, data: Bytes) -> GcxResult<ObjectKey>;
-
-    /// Fetch an object.
-    fn get(&self, key: &str) -> GcxResult<Bytes>;
-
-    /// Evict an object (lifetime management, §V-B's "clean up proxied
-    /// objects based on the lifetimes of the tasks").
-    fn evict(&self, key: &str) -> GcxResult<()>;
-
-    /// The registered store name proxies embed.
-    fn name(&self) -> &str;
-
-    /// Number of live objects.
-    fn len(&self) -> usize;
-
-    /// True when no objects are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-fn fresh_key() -> ObjectKey {
-    format!("obj-{}", Uuid::new_v4())
-}
-
-/// An in-memory object store colocated with the client/workers (Redis on
-/// the login node, effectively): near-zero cost.
-pub struct InMemoryStore {
+/// A named object store behind a link.
+pub struct ObjectStore {
     name: String,
-    objects: RwLock<HashMap<ObjectKey, Bytes>>,
-    metrics: MetricsRegistry,
-}
-
-impl InMemoryStore {
-    /// A store named `name`.
-    pub fn new(name: impl Into<String>, metrics: MetricsRegistry) -> Arc<Self> {
-        Arc::new(Self {
-            name: name.into(),
-            objects: RwLock::new(HashMap::new()),
-            metrics,
-        })
-    }
-}
-
-impl Store for InMemoryStore {
-    fn put(&self, data: Bytes) -> GcxResult<ObjectKey> {
-        let key = fresh_key();
-        self.metrics
-            .counter("proxystore.bytes_put")
-            .add(data.len() as u64);
-        self.objects.write().insert(key.clone(), data);
-        Ok(key)
-    }
-
-    fn get(&self, key: &str) -> GcxResult<Bytes> {
-        let data = self
-            .objects
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| GcxError::Internal(format!("no such object '{key}'")))?;
-        self.metrics
-            .counter("proxystore.bytes_get")
-            .add(data.len() as u64);
-        Ok(data)
-    }
-
-    fn evict(&self, key: &str) -> GcxResult<()> {
-        self.objects.write().remove(key);
-        Ok(())
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.objects.read().len()
-    }
-}
-
-/// A store on the site's shared filesystem: objects are files in the
-/// endpoint host's VFS, so workers read them without any network hop.
-pub struct SharedFsStore {
-    name: String,
-    vfs: Vfs,
-    dir: String,
-    metrics: MetricsRegistry,
-}
-
-impl SharedFsStore {
-    /// A store writing under `dir` on `vfs`.
-    pub fn new(
-        name: impl Into<String>,
-        vfs: Vfs,
-        dir: impl Into<String>,
-        metrics: MetricsRegistry,
-    ) -> GcxResult<Arc<Self>> {
-        let dir = dir.into();
-        vfs.mkdir_p(&dir)?;
-        Ok(Arc::new(Self {
-            name: name.into(),
-            vfs,
-            dir,
-            metrics,
-        }))
-    }
-}
-
-impl Store for SharedFsStore {
-    fn put(&self, data: Bytes) -> GcxResult<ObjectKey> {
-        let key = fresh_key();
-        self.metrics
-            .counter("proxystore.bytes_put")
-            .add(data.len() as u64);
-        self.vfs.write(&format!("{}/{key}", self.dir), &data)?;
-        Ok(key)
-    }
-
-    fn get(&self, key: &str) -> GcxResult<Bytes> {
-        let data = self.vfs.read(&format!("{}/{key}", self.dir))?;
-        self.metrics
-            .counter("proxystore.bytes_get")
-            .add(data.len() as u64);
-        Ok(Bytes::from(data))
-    }
-
-    fn evict(&self, key: &str) -> GcxResult<()> {
-        let _ = self.vfs.remove(&format!("{}/{key}", self.dir));
-        Ok(())
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.vfs.list(&self.dir).map(|l| l.len()).unwrap_or(0)
-    }
-}
-
-/// A remote key-value store (Redis across the WAN, or the peer-to-peer
-/// relay): every operation pays the link cost on the component clock.
-pub struct RemoteKvStore {
-    name: String,
-    objects: RwLock<HashMap<ObjectKey, Bytes>>,
+    pub(crate) objects: RwLock<HashMap<String, Bytes>>,
     link: LinkProfile,
     clock: SharedClock,
     metrics: MetricsRegistry,
 }
 
-impl RemoteKvStore {
-    /// A store behind `link`.
+impl ObjectStore {
+    /// A store named `name` whose every transfer pays `link` on `clock`.
     pub fn new(
         name: impl Into<String>,
         link: LinkProfile,
@@ -192,20 +45,20 @@ impl RemoteKvStore {
             metrics,
         })
     }
-}
 
-impl Store for RemoteKvStore {
-    fn put(&self, data: Bytes) -> GcxResult<ObjectKey> {
+    /// Store an object, returning its key.
+    pub(crate) fn put(&self, data: Bytes) -> String {
         self.link.charge(&self.clock, data.len());
-        let key = fresh_key();
+        let key = format!("obj-{}", Uuid::new_v4());
         self.metrics
             .counter("proxystore.bytes_put")
             .add(data.len() as u64);
         self.objects.write().insert(key.clone(), data);
-        Ok(key)
+        key
     }
 
-    fn get(&self, key: &str) -> GcxResult<Bytes> {
+    /// Fetch an object.
+    pub(crate) fn get(&self, key: &str) -> GcxResult<Bytes> {
         let data = self
             .objects
             .read()
@@ -219,17 +72,15 @@ impl Store for RemoteKvStore {
         Ok(data)
     }
 
-    fn evict(&self, key: &str) -> GcxResult<()> {
+    /// Evict an object (lifetime management, §V-B's "clean up proxied
+    /// objects based on the lifetimes of the tasks").
+    pub(crate) fn evict(&self, key: &str) {
         self.objects.write().remove(key);
-        Ok(())
     }
 
-    fn name(&self) -> &str {
+    /// The registered store name proxies embed.
+    pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.objects.read().len()
     }
 }
 
@@ -238,40 +89,27 @@ mod tests {
     use super::*;
     use gcx_core::clock::{Clock, SystemClock, VirtualClock};
 
-    fn exercise(store: &dyn Store) {
-        let key = store.put(Bytes::from_static(b"payload")).unwrap();
-        assert_eq!(&store.get(&key).unwrap()[..], b"payload");
-        assert_eq!(store.len(), 1);
-        store.evict(&key).unwrap();
-        assert!(store.get(&key).is_err());
-        assert!(store.is_empty());
-    }
-
     #[test]
-    fn in_memory_store() {
-        let s = InMemoryStore::new("mem", MetricsRegistry::new());
-        exercise(&*s);
+    fn instant_store_roundtrip() {
+        let s = ObjectStore::new(
+            "mem",
+            LinkProfile::instant(),
+            SystemClock::shared(),
+            MetricsRegistry::new(),
+        );
+        let key = s.put(Bytes::from_static(b"payload"));
+        assert_eq!(&s.get(&key).unwrap()[..], b"payload");
+        assert_eq!(s.objects.read().len(), 1);
+        s.evict(&key);
+        assert!(s.get(&key).is_err());
+        assert!(s.objects.read().is_empty());
         assert_eq!(s.name(), "mem");
     }
 
     #[test]
-    fn shared_fs_store() {
-        let vfs = Vfs::new();
-        let s =
-            SharedFsStore::new("fs", vfs.clone(), "/proxystore", MetricsRegistry::new()).unwrap();
-        let key = s.put(Bytes::from_static(b"on disk")).unwrap();
-        assert!(
-            vfs.exists(&format!("/proxystore/{key}")),
-            "object is a real file"
-        );
-        s.evict(&key).unwrap();
-        exercise(&*s);
-    }
-
-    #[test]
-    fn remote_kv_store_charges_link() {
+    fn wan_store_charges_link() {
         let clock = VirtualClock::new();
-        let s = RemoteKvStore::new(
+        let s = ObjectStore::new(
             "wan",
             LinkProfile::wan(10, 1000), // 10 ms + 125 KB/ms
             clock.clone(),
@@ -280,7 +118,7 @@ mod tests {
         // put: 10 ms latency + 1 ms transfer = 11 ms.
         let h = {
             let s = Arc::clone(&s);
-            std::thread::spawn(move || s.put(Bytes::from(vec![0u8; 125_000])).unwrap())
+            std::thread::spawn(move || s.put(Bytes::from(vec![0u8; 125_000])))
         };
         clock.wait_for_sleepers(1);
         clock.advance(11);
@@ -301,12 +139,16 @@ mod tests {
     #[test]
     fn metrics_account_bytes() {
         let m = MetricsRegistry::new();
-        let s = InMemoryStore::new("mem", m.clone());
-        let key = s.put(Bytes::from(vec![0u8; 64])).unwrap();
+        let s = ObjectStore::new(
+            "mem",
+            LinkProfile::instant(),
+            SystemClock::shared(),
+            m.clone(),
+        );
+        let key = s.put(Bytes::from(vec![0u8; 64]));
         s.get(&key).unwrap();
         s.get(&key).unwrap();
         assert_eq!(m.counter("proxystore.bytes_put").get(), 64);
         assert_eq!(m.counter("proxystore.bytes_get").get(), 128);
-        let _ = SystemClock.now_ms();
     }
 }

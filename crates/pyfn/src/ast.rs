@@ -3,23 +3,23 @@
 /// A parsed module: an ordered list of top-level statements (typically one
 /// or more `def`s).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Module {
+pub(crate) struct Module {
     /// Top-level statements.
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt>,
 }
 
 /// Function parameter: a name with an optional default expression.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub(crate) struct Param {
     /// Parameter name.
     pub name: String,
     /// Default value expression, if any.
-    pub default: Option<Expr>,
+    pub(crate) default: Option<Expr>,
 }
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `def name(params): body`
     Def {
         name: String,
@@ -64,7 +64,7 @@ pub enum Stmt {
 
 /// Assignment targets.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AssignTarget {
+pub(crate) enum AssignTarget {
     /// `x = ...`
     Name(String),
     /// `xs[i] = ...` / `d['k'] = ...`
@@ -73,7 +73,7 @@ pub enum AssignTarget {
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     Add,
     Sub,
     Mul,
@@ -97,14 +97,14 @@ pub enum BinOp {
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
+pub(crate) enum UnOp {
     Neg,
     Not,
 }
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Literal `None`/bool/int/float/str.
     NoneLit,
     Bool(bool),

@@ -10,11 +10,11 @@ use crate::interp::{Limits, PyError};
 /// Result of a method call: possibly-updated receiver plus the return value.
 /// The interpreter writes the receiver back when it names a variable, which
 /// gives Python-style in-place mutation for `xs.append(…)` and friends.
-pub struct MethodOutcome {
+pub(crate) struct MethodOutcome {
     /// The (possibly mutated) receiver.
-    pub receiver: Value,
+    pub(crate) receiver: Value,
     /// The method's return value.
-    pub ret: Value,
+    pub(crate) ret: Value,
 }
 
 fn type_err(msg: impl Into<String>) -> PyError {
@@ -27,7 +27,7 @@ fn value_err(msg: impl Into<String>) -> PyError {
 
 /// Invoke a builtin function. Returns `None` when `name` is not a builtin
 /// (the interpreter then looks for a user-defined function).
-pub fn call_builtin(
+pub(crate) fn call_builtin(
     name: &str,
     args: &[Value],
     host: &mut dyn Host,
@@ -320,7 +320,7 @@ fn one<'a>(args: &'a [Value], name: &str) -> Result<&'a Value, PyError> {
 
 /// Python-style comparison for ordering. `None` when the types are not
 /// mutually orderable.
-pub fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+pub(crate) fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     use std::cmp::Ordering;
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
@@ -343,7 +343,11 @@ pub fn compare(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
 }
 
 /// Invoke a method on a receiver value.
-pub fn call_method(recv: Value, method: &str, args: &[Value]) -> Result<MethodOutcome, PyError> {
+pub(crate) fn call_method(
+    recv: Value,
+    method: &str,
+    args: &[Value],
+) -> Result<MethodOutcome, PyError> {
     match recv {
         Value::Str(s) => str_method(s, method, args),
         Value::List(l) => list_method(l, method, args),
@@ -525,7 +529,7 @@ fn dict_method(
 }
 
 /// Convert a possibly-negative Python index into a checked vector index.
-pub fn normalize_index(i: i64, len: usize) -> Option<usize> {
+pub(crate) fn normalize_index(i: i64, len: usize) -> Option<usize> {
     let len = len as i64;
     let idx = if i < 0 { i + len } else { i };
     if (0..len).contains(&idx) {

@@ -5,10 +5,9 @@
 //! deterministic), randomness, and stdout capture. The SDK-side convenience
 //! [`CapturingHost`] buffers printed lines for tests.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use gcx_core::clock::{SharedClock, SystemClock};
+use gcx_core::clock::SharedClock;
 
 /// Host services available to an executing program.
 pub trait Host {
@@ -30,13 +29,13 @@ pub trait Host {
     }
 }
 
-/// Host backed by a [`Clock`] and a seeded RNG.
+/// Host backed by a [`SharedClock`] and a seeded RNG.
 pub struct SystemHost {
     clock: SharedClock,
     rng_state: u64,
     hostname: String,
     /// Captured stdout lines.
-    pub stdout: Vec<String>,
+    pub(crate) stdout: Vec<String>,
 }
 
 impl SystemHost {
@@ -48,11 +47,6 @@ impl SystemHost {
             hostname: hostname.into(),
             stdout: Vec::new(),
         }
-    }
-
-    /// Host over the real system clock.
-    pub fn system(seed: u64) -> Self {
-        Self::new(Arc::new(SystemClock), seed, "localhost")
     }
 }
 
@@ -89,9 +83,9 @@ impl Host for SystemHost {
 #[derive(Default)]
 pub struct CapturingHost {
     /// Total seconds of sleep requested.
-    pub slept: f64,
+    pub(crate) slept: f64,
     /// Captured stdout lines.
-    pub stdout: Vec<String>,
+    pub(crate) stdout: Vec<String>,
     rng_state: u64,
 }
 
@@ -116,12 +110,13 @@ impl Host for CapturingHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcx_core::clock::VirtualClock;
+    use gcx_core::clock::{SystemClock, VirtualClock};
+    use std::sync::Arc;
 
     #[test]
     fn system_host_rand_is_deterministic_and_in_range() {
-        let mut a = SystemHost::system(42);
-        let mut b = SystemHost::system(42);
+        let mut a = SystemHost::new(SystemClock::shared(), 42, "localhost");
+        let mut b = SystemHost::new(SystemClock::shared(), 42, "localhost");
         for _ in 0..100 {
             let x = a.rand();
             assert_eq!(x, b.rand());
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn zero_seed_does_not_break_rng() {
-        let mut h = SystemHost::system(0);
+        let mut h = SystemHost::new(SystemClock::shared(), 0, "localhost");
         let x = h.rand();
         let y = h.rand();
         assert_ne!(x, y);

@@ -49,14 +49,14 @@ impl Default for Limits {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PyError {
     /// Error class name (`TypeError`, `ValueError`, …).
-    pub kind: String,
+    pub(crate) kind: String,
     /// Human-readable message.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl PyError {
     /// Construct an error.
-    pub fn new(kind: impl Into<String>, msg: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: impl Into<String>, msg: impl Into<String>) -> Self {
         Self {
             kind: kind.into(),
             msg: msg.into(),
@@ -81,7 +81,7 @@ enum Flow {
 }
 
 /// The interpreter, bound to a module and a host.
-pub struct Interp<'a> {
+pub(crate) struct Interp<'a> {
     functions: HashMap<&'a str, (&'a [Param], &'a [Stmt])>,
     host: &'a mut dyn Host,
     limits: Limits,
@@ -93,7 +93,7 @@ type PyResult<T> = Result<T, PyError>;
 
 impl<'a> Interp<'a> {
     /// Build an interpreter over `module`.
-    pub fn new(module: &'a Module, host: &'a mut dyn Host, limits: Limits) -> Self {
+    pub(crate) fn new(module: &'a Module, host: &'a mut dyn Host, limits: Limits) -> Self {
         let mut functions = HashMap::new();
         for stmt in &module.stmts {
             if let Stmt::Def { name, params, body } = stmt {
@@ -110,7 +110,7 @@ impl<'a> Interp<'a> {
     }
 
     /// Call a module-level function by name.
-    pub fn call_function(
+    pub(crate) fn call_function(
         &mut self,
         name: &str,
         args: Vec<Value>,

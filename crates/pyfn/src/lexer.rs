@@ -9,16 +9,16 @@ use std::fmt;
 
 /// A lexical token with its source line (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Token kind and payload.
-    pub kind: Tok,
+    pub(crate) kind: Tok,
     /// 1-based source line.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     // Layout
     Indent,
     Dedent,
@@ -95,7 +95,7 @@ impl fmt::Display for Tok {
 }
 
 /// Tokenize `source`. Errors are formatted messages with line numbers.
-pub fn lex(source: &str) -> Result<Vec<Token>, String> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, String> {
     let mut tokens = Vec::new();
     let mut indents: Vec<usize> = vec![0];
     let mut paren_depth = 0usize;

@@ -17,28 +17,32 @@
 //!     return fib(n - 1) + fib(n - 2)
 //! ```
 //!
-//! - [`lexer`] — indentation-aware tokenizer (INDENT/DEDENT like CPython's).
-//! - [`ast`] — expression and statement trees.
-//! - [`parser`] — recursive descent to [`ast::Module`].
-//! - [`interp`] — tree-walking evaluator with scopes, a step budget (no
+//! - `lexer` — indentation-aware tokenizer (INDENT/DEDENT like CPython's).
+//! - `ast` — expression and statement trees.
+//! - `parser` — recursive descent to an `ast::Module`.
+//! - `interp` — tree-walking evaluator with scopes, a step budget (no
 //!   runaway tasks), a recursion limit, and Python-ish error messages.
-//! - [`builtins`] — `len`, `str`, `range`, `sorted`, `print`, `sleep`, …
-//! - [`host`] — the [`host::Host`] trait through which programs reach the
+//! - `builtins` — `len`, `str`, `range`, `sorted`, `print`, `sleep`, …
+//! - `host` — the `Host` trait through which programs reach the
 //!   outside world (clock sleeps, RNG, stdout capture), so workers can run
 //!   functions deterministically under a virtual clock.
 //!
-//! Values are [`gcx_core::Value`], so arguments and results round-trip
+//! Values are [`gcx_core::value::Value`], so arguments and results round-trip
 //! through the task codec unchanged.
 
-pub mod ast;
-pub mod builtins;
-pub mod host;
-pub mod interp;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod ast;
+pub(crate) mod builtins;
+pub(crate) mod host;
+pub(crate) mod interp;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 
-pub use host::{CapturingHost, Host, SystemHost};
-pub use interp::{Interp, Limits, PyError};
+pub use host::CapturingHost;
+pub(crate) use host::Host;
+pub use host::SystemHost;
+pub(crate) use interp::Interp;
+pub use interp::Limits;
+pub(crate) use interp::PyError;
 
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::value::Value;
@@ -48,7 +52,6 @@ use gcx_core::value::Value;
 #[derive(Debug, Clone)]
 pub struct Program {
     module: ast::Module,
-    source: String,
 }
 
 impl Program {
@@ -56,19 +59,11 @@ impl Program {
     pub fn compile(source: &str) -> GcxResult<Self> {
         let tokens = lexer::lex(source).map_err(GcxError::Parse)?;
         let module = parser::parse(tokens).map_err(GcxError::Parse)?;
-        Ok(Self {
-            module,
-            source: source.to_string(),
-        })
-    }
-
-    /// The original source text.
-    pub fn source(&self) -> &str {
-        &self.source
+        Ok(Self { module })
     }
 
     /// Names of the functions defined at module top level, in order.
-    pub fn function_names(&self) -> Vec<&str> {
+    pub(crate) fn function_names(&self) -> Vec<&str> {
         self.module
             .stmts
             .iter()
@@ -98,7 +93,7 @@ impl Program {
     }
 
     /// Call a named function.
-    pub fn call(
+    pub(crate) fn call(
         &self,
         name: &str,
         args: Vec<Value>,

@@ -27,7 +27,7 @@ use crate::ast::*;
 use crate::lexer::{Tok, Token};
 
 /// Parse a token stream produced by [`crate::lexer::lex`].
-pub fn parse(tokens: Vec<Token>) -> Result<Module, String> {
+pub(crate) fn parse(tokens: Vec<Token>) -> Result<Module, String> {
     let mut p = Parser { tokens, pos: 0 };
     let mut stmts = Vec::new();
     while !p.check(&Tok::EndOfFile) {

@@ -11,7 +11,7 @@
 //!   submissions within a time window to avoid per-task REST requests, and
 //!   holds an AMQPS result-stream connection that resolves futures the
 //!   moment results reach the service — no polling;
-//! - [`functions`] — [`functions::ShellFunction`] (§III-B) and
+//! - `functions` — [`functions::ShellFunction`] (§III-B) and
 //!   [`functions::MpiFunction`] (§III-C) plus plain mini-Python functions.
 //!
 //! ```no_run
@@ -26,15 +26,15 @@
 //! # }
 //! ```
 
-pub mod client;
-pub mod executor;
-pub mod functions;
-pub mod future;
-pub mod link;
+pub(crate) mod client;
+pub(crate) mod executor;
+pub(crate) mod functions;
+pub(crate) mod future;
+pub(crate) mod link;
 
 pub use client::Client;
 pub use executor::{Executor, ExecutorConfig};
 pub use functions::{Function, MpiFunction, PyFunction, ShellFunction};
 pub use future::TaskFuture;
 pub use gcx_cloud::{CancelOutcome, WireClientConfig};
-pub use link::{Link, ResultFeed, WireLink};
+pub use link::{Link, WireLink};

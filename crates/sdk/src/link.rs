@@ -229,7 +229,7 @@ impl Link {
 
     /// The metrics registry SDK-side counters should live on: the service's
     /// own registry in-process, a client-local registry over the wire.
-    pub fn metrics(&self) -> MetricsRegistry {
+    pub(crate) fn metrics(&self) -> MetricsRegistry {
         match self {
             Link::Local(l) => l.current.read().metrics().clone(),
             Link::Wire(w) => w.metrics.clone(),
@@ -238,7 +238,7 @@ impl Link {
 
     /// The service's SLO health document: assembled in-process locally,
     /// fetched with a `health` request over the wire.
-    pub fn health(&self) -> GcxResult<HealthDoc> {
+    pub(crate) fn health(&self) -> GcxResult<HealthDoc> {
         match self.target() {
             Target::Local(svc) => Ok(svc.health_doc()),
             Target::Wire(c) => c.health(),
@@ -254,7 +254,7 @@ impl Link {
 
     /// Submit one task: a batch of one (the wire protocol only has the
     /// batch verb).
-    pub fn submit_task(&self, token: &Token, spec: TaskSpec) -> GcxResult<TaskId> {
+    pub(crate) fn submit_task(&self, token: &Token, spec: TaskSpec) -> GcxResult<TaskId> {
         let specs = [spec];
         self.follow(|at| at.submit_batch(token, &specs))?
             .pop()
@@ -350,7 +350,7 @@ impl Link {
         }
     }
 
-    pub fn cancel_task(&self, token: &Token, id: TaskId) -> GcxResult<CancelOutcome> {
+    pub(crate) fn cancel_task(&self, token: &Token, id: TaskId) -> GcxResult<CancelOutcome> {
         self.follow(|at| match at {
             Target::Local(svc) => svc.cancel_task(token, id),
             Target::Wire(c) => c.cancel_task(id),
@@ -380,7 +380,7 @@ impl Link {
     /// must have no submit of these ids outstanding — the wire arm re-sends
     /// a batch while its call is, and the server may already have forgotten
     /// them.
-    pub fn confirm(&self, token: &Token, ids: &[TaskId]) {
+    pub(crate) fn confirm(&self, token: &Token, ids: &[TaskId]) {
         match self {
             Link::Local(l) => {
                 let _ = l.current.read().confirm_taken(token, ids);
@@ -414,7 +414,11 @@ pub struct WireLink {
 impl WireLink {
     /// Dial the first reachable address. `addrs[i]` must be replica `i`'s
     /// listener for `NotOwner` retargeting to route correctly.
-    pub fn connect(addrs: Vec<String>, token: &str, cfg: WireClientConfig) -> GcxResult<Arc<Self>> {
+    pub(crate) fn connect(
+        addrs: Vec<String>,
+        token: &str,
+        cfg: WireClientConfig,
+    ) -> GcxResult<Arc<Self>> {
         if addrs.is_empty() {
             return Err(GcxError::InvalidConfig("wire link needs an address".into()));
         }
@@ -450,7 +454,7 @@ impl WireLink {
     }
 
     /// The current connection (an `Arc` clone).
-    pub fn client(&self) -> WireClient {
+    pub(crate) fn client(&self) -> WireClient {
         self.conn.read().1.clone()
     }
 
@@ -594,7 +598,6 @@ mod tests {
 
     fn spec() -> TransportSpec {
         TransportSpec {
-            heartbeat_interval_ms: 100,
             idle_timeout_ms: 1_000,
             ..TransportSpec::default()
         }

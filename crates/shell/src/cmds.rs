@@ -13,34 +13,34 @@ use gcx_core::clock::{SharedClock, TimeMs};
 use crate::vfs::{normalize, Vfs};
 
 /// Execution context handed to each builtin.
-pub struct CmdCtx<'a> {
+pub(crate) struct CmdCtx<'a> {
     /// The endpoint host's filesystem.
-    pub vfs: &'a Vfs,
+    pub(crate) vfs: &'a Vfs,
     /// The endpoint's clock (virtual in simulations).
-    pub clock: &'a SharedClock,
+    pub(crate) clock: &'a SharedClock,
     /// Environment variables.
-    pub env: &'a BTreeMap<String, String>,
+    pub(crate) env: &'a BTreeMap<String, String>,
     /// Working directory (absolute).
-    pub cwd: &'a str,
+    pub(crate) cwd: &'a str,
     /// Standard input (from a pipe or `<` redirect).
-    pub stdin: &'a str,
+    pub(crate) stdin: &'a str,
     /// Absolute deadline (clock ms); commands that wait must not sleep past
     /// it.
-    pub deadline: Option<TimeMs>,
+    pub(crate) deadline: Option<TimeMs>,
 }
 
 /// Result of one builtin invocation.
-pub struct CmdOut {
+pub(crate) struct CmdOut {
     /// Exit code.
-    pub code: i32,
+    pub(crate) code: i32,
     /// Standard output.
-    pub stdout: String,
+    pub(crate) stdout: String,
     /// Standard error.
-    pub stderr: String,
+    pub(crate) stderr: String,
     /// Set by `exit`: terminate the whole command line.
-    pub hard_exit: bool,
+    pub(crate) hard_exit: bool,
     /// Set when the command hit the walltime deadline.
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
 }
 
 impl CmdOut {
@@ -76,7 +76,7 @@ impl CmdOut {
 }
 
 /// Run a builtin. `argv[0]` is the command name.
-pub fn run(argv: &[String], ctx: &CmdCtx<'_>) -> CmdOut {
+pub(crate) fn run(argv: &[String], ctx: &CmdCtx<'_>) -> CmdOut {
     let name = argv[0].as_str();
     let args = &argv[1..];
     match name {

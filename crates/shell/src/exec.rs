@@ -34,7 +34,7 @@ pub struct ExecOutcome {
     /// Accumulated standard error.
     pub stderr: String,
     /// True when the walltime deadline killed execution.
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
 }
 
 /// A shell bound to one endpoint host (filesystem + clock).
@@ -54,16 +54,6 @@ impl ShellExecutor {
     /// Create a shell over a filesystem and clock.
     pub fn new(vfs: Vfs, clock: SharedClock) -> Self {
         Self { vfs, clock }
-    }
-
-    /// The underlying filesystem.
-    pub fn vfs(&self) -> &Vfs {
-        &self.vfs
-    }
-
-    /// The clock.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
     }
 
     /// Run a command line.
@@ -328,10 +318,7 @@ mod tests {
         let sh = shell();
         sh.run("echo line1 > /out.txt", &env(), "/", None).unwrap();
         sh.run("echo line2 >> /out.txt", &env(), "/", None).unwrap();
-        assert_eq!(
-            sh.vfs().read_to_string("/out.txt").unwrap(),
-            "line1\nline2\n"
-        );
+        assert_eq!(sh.vfs.read_to_string("/out.txt").unwrap(), "line1\nline2\n");
         let out = sh.run("wc -l < /out.txt", &env(), "/", None).unwrap();
         assert_eq!(out.stdout, "2\n");
         // Redirected output does not appear on stdout.
@@ -342,10 +329,10 @@ mod tests {
     #[test]
     fn cwd_resolution() {
         let sh = shell();
-        sh.vfs().mkdir_p("/work").unwrap();
+        sh.vfs.mkdir_p("/work").unwrap();
         sh.run("echo data > rel.txt", &env(), "/work", None)
             .unwrap();
-        assert!(sh.vfs().exists("/work/rel.txt"));
+        assert!(sh.vfs.exists("/work/rel.txt"));
         let out = sh.run("cat rel.txt", &env(), "/work", None).unwrap();
         assert_eq!(out.stdout, "data\n");
         assert!(sh.run("echo x", &env(), "/nope", None).is_err());

@@ -12,25 +12,24 @@
 //!   reproducible.
 //!
 //! Modules:
-//! - [`vfs`] — a thread-safe in-memory filesystem (one per endpoint host);
+//! - `vfs` — a thread-safe in-memory filesystem (one per endpoint host);
 //! - [`words`] — command-line tokenization (quotes, escapes), `$VAR` /
 //!   `${VAR}` expansion, and the `{placeholder}` formatting that
 //!   `ShellFunction` applies to its command template at invocation time;
-//! - [`cmds`] — the builtin command set (`echo`, `sleep`, `hostname`,
+//! - `cmds` — the builtin command set (`echo`, `sleep`, `hostname`,
 //!   `cat`, `grep`, `wc`, `seq`, `head`, `tail`, `ls`, `mkdir`, `rm`,
 //!   `touch`, `env`, `pwd`, `true`, `false`, `exit`);
-//! - [`exec`] — the interpreter: pipelines, `&&` / `||` / `;` sequencing,
+//! - `exec` — the interpreter: pipelines, `&&` / `||` / `;` sequencing,
 //!   redirects, cwd, environment, and cooperative walltime enforcement;
 //! - [`mpi`] — the simulated MPI launcher: expands `$PARSL_MPI_PREFIX` and
 //!   runs one rank per allocated slot with `RANK`/`SIZE`/`HOSTNAME` set.
 
-pub mod cmds;
-pub mod exec;
+pub(crate) mod cmds;
+pub(crate) mod exec;
 pub mod mpi;
-pub mod vfs;
+pub(crate) mod vfs;
 pub mod words;
 
-pub use exec::{ExecOutcome, ShellExecutor};
-pub use mpi::{MpiLaunchPlan, MpiLauncher};
+pub use exec::ShellExecutor;
 pub use vfs::Vfs;
 pub use words::format_command;

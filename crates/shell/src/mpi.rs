@@ -1,6 +1,6 @@
 //! The simulated MPI launcher.
 //!
-//! `MPIFunction` commands are "automatically prefix[ed] with
+//! `MPIFunction` commands are "automatically prefix\[ed\] with
 //! `$PARSL_MPI_PREFIX` which resolves to an appropriate MPI launcher prefix
 //! (e.g., `mpiexec -n 4 -host <NODE1, NODE2>`)" (§III-C.1). The engine
 //! resolves the prefix from the task's normalized resource specification and
@@ -73,7 +73,7 @@ impl MpiLaunchPlan {
     }
 
     /// The node each rank lands on (cyclic distribution).
-    pub fn node_of_rank(&self, rank: u32) -> &str {
+    pub(crate) fn node_of_rank(&self, rank: u32) -> &str {
         &self.nodes[rank as usize % self.nodes.len()]
     }
 }

@@ -25,7 +25,7 @@ pub struct Vfs {
 
 /// Normalize a path: make absolute (relative to `cwd`), resolve `.`/`..`,
 /// strip duplicate slashes.
-pub fn normalize(path: &str, cwd: &str) -> String {
+pub(crate) fn normalize(path: &str, cwd: &str) -> String {
     let joined = if path.starts_with('/') {
         path.to_string()
     } else {
@@ -153,20 +153,15 @@ impl Vfs {
     }
 
     /// Is the path a directory?
-    pub fn is_dir(&self, path: &str) -> bool {
+    pub(crate) fn is_dir(&self, path: &str) -> bool {
         matches!(
             self.inner.read().get(&normalize(path, "/")),
             Some(Node::Dir)
         )
     }
 
-    /// File size in bytes.
-    pub fn size(&self, path: &str) -> GcxResult<usize> {
-        Ok(self.read(path)?.len())
-    }
-
     /// Immediate children of a directory (names only, sorted).
-    pub fn list(&self, path: &str) -> GcxResult<Vec<String>> {
+    pub(crate) fn list(&self, path: &str) -> GcxResult<Vec<String>> {
         let path = normalize(path, "/");
         let tree = self.inner.read();
         if !matches!(tree.get(&path), Some(Node::Dir)) {
@@ -192,7 +187,7 @@ impl Vfs {
     }
 
     /// Remove a file, or a directory and its contents (recursive).
-    pub fn remove(&self, path: &str) -> GcxResult<()> {
+    pub(crate) fn remove(&self, path: &str) -> GcxResult<()> {
         let path = normalize(path, "/");
         if path == "/" {
             return Err(GcxError::Execution("cannot remove '/'".into()));
@@ -230,7 +225,6 @@ mod tests {
         fs.mkdir_p("/work/task1").unwrap();
         fs.write("/work/task1/out.txt", b"hello").unwrap();
         assert_eq!(fs.read_to_string("/work/task1/out.txt").unwrap(), "hello");
-        assert_eq!(fs.size("/work/task1/out.txt").unwrap(), 5);
         assert!(fs.exists("/work/task1"));
         assert!(fs.is_dir("/work"));
         assert!(!fs.is_dir("/work/task1/out.txt"));

@@ -32,7 +32,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 /// Transfer chunk size (bytes). Real GridFTP pipelines much larger blocks;
 /// 256 KiB keeps simulated transfers observable.
-pub const CHUNK_SIZE: usize = 256 * 1024;
+pub(crate) const CHUNK_SIZE: usize = 256 * 1024;
 
 /// How a transfer is doing.
 #[derive(Debug, Clone, PartialEq, Eq)]

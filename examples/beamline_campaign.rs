@@ -18,7 +18,7 @@ use gcx::core::value::Value;
 use gcx::endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use gcx::mq::LinkProfile;
 use gcx::proxystore::{
-    resolve_value, InMemoryStore, ProxyCache, ProxyExecutor, ProxyPolicy, StoreRegistry,
+    resolve_value, ObjectStore, ProxyCache, ProxyExecutor, ProxyPolicy, StoreRegistry,
 };
 use gcx::sdk::{Executor, PyFunction, ShellFunction};
 use gcx::shell::Vfs;
@@ -67,7 +67,12 @@ fn main() {
         .unwrap();
 
     // ProxyStore for large results back to the client.
-    let store = InMemoryStore::new("campaign-store", MetricsRegistry::new());
+    let store = ObjectStore::new(
+        "campaign-store",
+        LinkProfile::instant(),
+        clock.clone(),
+        MetricsRegistry::new(),
+    );
     let ex = Executor::new(cloud.clone(), token, reg.endpoint_id).unwrap();
     let pex = ProxyExecutor::new(ex, store, registry, ProxyPolicy::default());
 

@@ -72,7 +72,6 @@ fn wire_service() -> WebService {
 
 fn fast_spec() -> TransportSpec {
     TransportSpec {
-        heartbeat_interval_ms: 100,
         idle_timeout_ms: 1_000,
         ..TransportSpec::default()
     }

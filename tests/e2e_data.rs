@@ -12,7 +12,7 @@ use gcx::core::value::Value;
 use gcx::endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use gcx::mq::LinkProfile;
 use gcx::proxystore::{
-    resolve_value, InMemoryStore, ProxyCache, ProxyExecutor, ProxyPolicy, StoreRegistry,
+    resolve_value, ObjectStore, ProxyCache, ProxyExecutor, ProxyPolicy, StoreRegistry,
 };
 use gcx::sdk::{Executor, PyFunction, ShellFunction};
 use gcx::shell::Vfs;
@@ -72,7 +72,12 @@ impl Drop for DataStack {
 fn proxystore_roundtrip_with_worker_cache() {
     let stack = DataStack::new();
     let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
-    let store = InMemoryStore::new("mem", MetricsRegistry::new());
+    let store = ObjectStore::new(
+        "mem",
+        LinkProfile::instant(),
+        SystemClock::shared(),
+        MetricsRegistry::new(),
+    );
     let pex = ProxyExecutor::new(
         ex,
         store.clone(),
@@ -114,7 +119,12 @@ fn proxied_results_avoid_the_payload_limit() {
 
     // ProxyStore executor: the marker is tiny, the task succeeds.
     let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
-    let store = InMemoryStore::new("mem", MetricsRegistry::new());
+    let store = ObjectStore::new(
+        "mem",
+        LinkProfile::instant(),
+        SystemClock::shared(),
+        MetricsRegistry::new(),
+    );
     let pex = ProxyExecutor::new(ex, store, stack.registry.clone(), ProxyPolicy::default());
     let fut = pex.submit(&f, vec![big], Value::None).unwrap();
     assert_eq!(pex.result(&fut).unwrap(), Value::Int(11 * 1024 * 1024));
@@ -214,7 +224,12 @@ fn inline_vs_offload_vs_proxy_byte_accounting() {
     // Proxied payload: neither the queue nor the service's payload cache
     // sees the body — only the small proxy reference.
     let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
-    let store = InMemoryStore::new("mem", MetricsRegistry::new());
+    let store = ObjectStore::new(
+        "mem",
+        LinkProfile::instant(),
+        SystemClock::shared(),
+        MetricsRegistry::new(),
+    );
     let pex = ProxyExecutor::new(
         ex,
         store,
