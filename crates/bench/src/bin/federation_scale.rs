@@ -185,7 +185,6 @@ fn run_leg(replicas: usize, chaos: bool, p: &Params) -> LegOutcome {
         FederationConfig {
             replicas,
             heartbeat_timeout_ms: 400,
-            ..FederationConfig::default()
         },
         CloudConfig {
             heartbeat_timeout_ms: 600_000,

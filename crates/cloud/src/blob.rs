@@ -13,8 +13,19 @@ use gcx_core::metrics::{Counter, MetricsRegistry};
 use gcx_core::payload::{ContentHash, Payload};
 use parking_lot::Mutex;
 
-/// The payload limit the production service enforces (§V).
-pub(crate) const DEFAULT_PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
+/// The payload limit the production service enforces (§V), on every task
+/// submission, function body and result.
+pub(crate) const PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
+
+/// Payloads above this never ride the queues inline ("large task inputs
+/// are stored in S3", §II): they are interned in the [`CasStore`] and ship
+/// as a 16-byte reference.
+pub(crate) const INLINE_THRESHOLD: usize = 64 * 1024;
+
+/// Byte cap of the service's [`CasStore`]. Interned payloads above the cap
+/// — or whose hash slot collides — always travel inline; an evicted
+/// reference falls back to the task record.
+pub(crate) const CAS_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
 /// Outcome of [`CasStore::intern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

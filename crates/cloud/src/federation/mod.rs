@@ -56,30 +56,27 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::service::{CloudConfig, SharedStores, WebService};
 use envelope::{Body, Envelope};
 use log::{fed_log_queue, fed_rpc_queue, FED_CRED};
-pub use ring::{HashRing, ReplicaId, DEFAULT_VNODES};
+pub use ring::{HashRing, ReplicaId};
 
-/// Federation tunables (ring shape + replica liveness).
+/// Forwarded envelopes are dropped (and counted) after this many
+/// replica-to-replica hops — the backstop against ownership flapping.
+pub const MAX_FORWARD_HOPS: u64 = 4;
+
+/// Federation tunables (size + replica liveness).
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// Number of replicas to launch.
     pub replicas: usize,
-    /// Virtual nodes per replica on the ring.
-    pub vnodes: u32,
     /// A replica that has not heartbeated for this long is declared dead
     /// and its ownership ranges are handed over.
     pub heartbeat_timeout_ms: u64,
-    /// Forwarded envelopes are dropped (and counted) after this many
-    /// replica-to-replica hops — the backstop against ownership flapping.
-    pub max_forward_hops: u32,
 }
 
 impl Default for FederationConfig {
     fn default() -> Self {
         Self {
             replicas: 2,
-            vnodes: DEFAULT_VNODES,
             heartbeat_timeout_ms: 30_000,
-            max_forward_hops: 4,
         }
     }
 }
@@ -100,7 +97,6 @@ pub(crate) struct MemberState {
 /// share with every replica (no service handles in here — the handle map
 /// lives on [`Federation`] to keep `CloudInner` cycle-free).
 pub(crate) struct FedCore {
-    pub(crate) max_forward_hops: u32,
     heartbeat_timeout_ms: u64,
     ring: RwLock<HashRing>,
     epoch: AtomicU64,
@@ -110,9 +106,8 @@ pub(crate) struct FedCore {
 impl FedCore {
     fn new(cfg: &FederationConfig) -> Self {
         Self {
-            max_forward_hops: cfg.max_forward_hops,
             heartbeat_timeout_ms: cfg.heartbeat_timeout_ms,
-            ring: RwLock::new(HashRing::new(cfg.vnodes)),
+            ring: RwLock::new(HashRing::default()),
             epoch: AtomicU64::new(0),
             members: RwLock::new(BTreeMap::new()),
         }
@@ -165,7 +160,7 @@ impl FedCore {
     /// part — the sender held a stale ring, or the addressee died — is sent
     /// on to its owner with one more hop under the current epoch; a submit
     /// batch whose ring moved under it splits, one envelope per owner. Past
-    /// `max_forward_hops` a part is dropped and counted instead, the
+    /// [`MAX_FORWARD_HOPS`] a part is dropped and counted instead, the
     /// backstop against ownership flapping. The live rpc loop (`me` = the
     /// receiver) and the death handover (`me` = nobody) both route here.
     /// Also returns whether anything was sent on.
@@ -199,7 +194,7 @@ impl FedCore {
         for (owner, body) in parts {
             if Some(owner) == me {
                 mine = Some(body);
-            } else if hop > self.max_forward_hops as u64 {
+            } else if hop > MAX_FORWARD_HOPS {
                 metrics.counter("fed.hops_exhausted").inc();
                 let task = body.routing_id().map(|t| t.to_string());
                 metrics.flight().record(
@@ -1090,7 +1085,6 @@ mod tests {
             FederationConfig {
                 replicas: 2,
                 heartbeat_timeout_ms,
-                ..FederationConfig::default()
             },
             cloud_cfg,
             AuthService::new(clock.clone()),

@@ -1,7 +1,7 @@
 //! The consistent-hash ring that assigns ownership of id-keyed resources
 //! (tasks, endpoints, functions) to cloud replicas.
 //!
-//! Each replica contributes `vnodes` points to a 64-bit ring; a key is
+//! Each replica contributes `VNODES` points to a 64-bit ring; a key is
 //! owned by the replica whose point is the first at or clockwise of the
 //! key's hash. Virtual nodes keep the load spread tight (the funcX fabric
 //! papers' federation argument assumes roughly even task placement), and
@@ -27,10 +27,10 @@ impl fmt::Display for ReplicaId {
     }
 }
 
-/// Default virtual-node count per replica. 128 points keeps the max/min
-/// load ratio under ~2 for small clusters (see `prop_ring` tests) while
-/// membership changes stay O(vnodes · log points).
-pub const DEFAULT_VNODES: u32 = 128;
+/// Virtual nodes per replica. 128 points keeps the max/min load ratio
+/// under ~2 for small clusters (see `prop_ring` tests) while membership
+/// changes stay O(vnodes · log points).
+const VNODES: u32 = 128;
 
 /// Fold a 128-bit id onto the 64-bit ring. Both halves go through
 /// splitmix64 so ids that share a half (e.g. time-ordered uuids) still
@@ -49,32 +49,22 @@ fn vnode_point(replica: ReplicaId, vnode: u32) -> u64 {
     splitmix64(((replica.0 as u64) << 32 | vnode as u64).wrapping_add(RING_SALT))
 }
 
-/// A consistent-hash ring with virtual nodes.
-#[derive(Debug, Clone)]
+/// A consistent-hash ring with virtual nodes; `default()` is the empty
+/// ring, whose future members each contribute `VNODES` points.
+#[derive(Debug, Clone, Default)]
 pub struct HashRing {
-    vnodes: u32,
     /// Sorted ring points: (position, owner).
     points: Vec<(u64, ReplicaId)>,
     members: BTreeSet<ReplicaId>,
 }
 
 impl HashRing {
-    /// An empty ring whose future members each contribute `vnodes` points
-    /// (0 is clamped to 1).
-    pub fn new(vnodes: u32) -> Self {
-        Self {
-            vnodes: vnodes.max(1),
-            points: Vec::new(),
-            members: BTreeSet::new(),
-        }
-    }
-
     /// Add a replica's virtual nodes. Idempotent.
     pub fn add(&mut self, replica: ReplicaId) {
         if !self.members.insert(replica) {
             return;
         }
-        for v in 0..self.vnodes {
+        for v in 0..VNODES {
             let p = (vnode_point(replica, v), replica);
             let at = self.points.partition_point(|q| *q < p);
             self.points.insert(at, p);
@@ -112,14 +102,14 @@ mod tests {
 
     #[test]
     fn empty_ring_owns_nothing() {
-        let ring = HashRing::new(DEFAULT_VNODES);
+        let ring = HashRing::default();
         assert!(ring.members.is_empty());
         assert_eq!(ring.owner(Uuid::new_v4()), None);
     }
 
     #[test]
     fn single_member_owns_everything() {
-        let mut ring = HashRing::new(DEFAULT_VNODES);
+        let mut ring = HashRing::default();
         ring.add(ReplicaId(3));
         for _ in 0..64 {
             assert_eq!(ring.owner(Uuid::new_v4()), Some(ReplicaId(3)));
@@ -128,10 +118,10 @@ mod tests {
 
     #[test]
     fn add_remove_are_idempotent() {
-        let mut ring = HashRing::new(8);
+        let mut ring = HashRing::default();
         ring.add(ReplicaId(0));
         ring.add(ReplicaId(0));
-        assert_eq!(ring.points.len(), 8);
+        assert_eq!(ring.points.len(), VNODES as usize);
         ring.remove(ReplicaId(0));
         ring.remove(ReplicaId(0));
         assert!(ring.members.is_empty());
@@ -141,7 +131,7 @@ mod tests {
     #[test]
     fn ownership_is_deterministic_across_instances() {
         let build = || {
-            let mut r = HashRing::new(DEFAULT_VNODES);
+            let mut r = HashRing::default();
             r.add(ReplicaId(0));
             r.add(ReplicaId(1));
             r.add(ReplicaId(2));
@@ -156,7 +146,7 @@ mod tests {
 
     #[test]
     fn leave_only_moves_keys_owned_by_the_leaver() {
-        let mut ring = HashRing::new(DEFAULT_VNODES);
+        let mut ring = HashRing::default();
         for r in 0..4 {
             ring.add(ReplicaId(r));
         }

@@ -28,9 +28,46 @@ use parking_lot::Mutex;
 
 use super::WebService;
 
-/// Admission-control tunables: the `admission:` block of the config file,
-/// as parsed and validated by `gcx-config`.
-pub use gcx_config::AdmissionSpec as AdmissionConfig;
+/// Admission-control tunables: per-tenant token-bucket rate limits,
+/// in-flight quotas, and the brownout threshold that starts shedding
+/// low-priority traffic when dispatch lags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AdmissionConfig {
+    /// Master switch. When `false` every submit is admitted (the default,
+    /// preserving pre-admission behavior).
+    pub enabled: bool,
+    /// Steady-state tokens (task submissions) granted per tenant per second.
+    pub rate_per_sec: u64,
+    /// Bucket capacity: the largest burst a tenant may submit at once.
+    pub burst: u64,
+    /// Maximum non-terminal tasks a single tenant may have in the service
+    /// at once; `0` = unlimited.
+    pub max_inflight: u64,
+    /// Upper bound on the `retry_after_ms` hint returned with a typed
+    /// `Overloaded` rejection.
+    pub retry_after_cap_ms: u64,
+    /// Brownout trigger: when the oldest undispatched task has waited
+    /// longer than this, the service starts shedding low-priority traffic.
+    /// `0` disables brownout.
+    pub brownout_threshold_ms: u64,
+    /// During brownout only tasks with `priority >=` this value are
+    /// admitted; everything below is shed with a typed `Overloaded`.
+    pub brownout_min_priority: i64,
+}
+
+impl Default for AdmissionConfig {
+    fn default() -> Self {
+        Self {
+            enabled: false,
+            rate_per_sec: 500,
+            burst: 1000,
+            max_inflight: 10_000,
+            retry_after_cap_ms: 5_000,
+            brownout_threshold_ms: 2_000,
+            brownout_min_priority: 0,
+        }
+    }
+}
 
 /// A lazily-refilled token bucket (tokens are task submissions).
 struct TokenBucket {

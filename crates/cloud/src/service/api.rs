@@ -11,6 +11,7 @@ use gcx_core::ids::{EndpointId, FunctionId};
 use gcx_mq::Consumer;
 
 use super::{mep_queue_name, task_queue_name, EndpointSession, WebService, DEAD_TASKS_QUEUE};
+use crate::blob::PAYLOAD_LIMIT;
 use crate::records::{EndpointRecord, EndpointRegistration};
 
 impl WebService {
@@ -20,10 +21,10 @@ impl WebService {
     pub fn register_function(&self, token: &Token, body: FunctionBody) -> GcxResult<FunctionId> {
         let who = self.authenticate(token)?;
         let encoded = codec::encode(&body.to_value());
-        if encoded.len() > self.inner.cfg.payload_limit {
+        if encoded.len() > PAYLOAD_LIMIT {
             return Err(GcxError::PayloadTooLarge {
                 size: encoded.len(),
-                limit: self.inner.cfg.payload_limit,
+                limit: PAYLOAD_LIMIT,
             });
         }
         self.meter_api(encoded.len(), 36);
@@ -205,14 +206,13 @@ impl WebService {
 
     /// Give every endpoint task queue the service-wide delivery budget, with
     /// exhausted deliveries routed to [`DEAD_TASKS_QUEUE`], plus the
-    /// configured depth/byte bounds (0 = unbounded, the default). Bounded
-    /// queues reject new publishes with a typed [`GcxError::QueueFull`]
-    /// rather than growing without limit under overload.
+    /// configured depth bound (0 = unbounded, the default). A bounded queue
+    /// rejects new publishes with a typed [`GcxError::QueueFull`] rather
+    /// than growing without limit under overload.
     pub(super) fn apply_task_queue_policy(&self, id: EndpointId) -> GcxResult<()> {
         let mut policy =
             gcx_mq::QueuePolicy::dead_letter(self.inner.cfg.max_task_deliveries, DEAD_TASKS_QUEUE);
         policy.max_depth = self.inner.cfg.task_queue_depth;
-        policy.max_bytes = self.inner.cfg.task_queue_bytes;
         self.inner
             .broker
             .set_queue_policy(&task_queue_name(id), policy)

@@ -35,8 +35,8 @@ const PUSH_QUEUE_BATCHES: usize = 8;
 /// again (sooner when a heartbeat falls due).
 const STOP_NOTICE: Duration = Duration::from_millis(50);
 
-/// Client-side knobs. The defaults suit tests and localhost benches; the
-/// SDK derives them from its `TransportSpec`.
+/// Client-side knobs. The defaults suit tests and localhost benches. The
+/// frame ceiling is `DEFAULT_MAX_FRAME`, the same as the server's.
 #[derive(Debug, Clone)]
 pub struct WireClientConfig {
     /// Cadence of client→server heartbeat frames.
@@ -45,8 +45,6 @@ pub struct WireClientConfig {
     /// `Timeout` (the connection stays usable — a late response is
     /// discarded by correlation id).
     pub call_timeout: Duration,
-    /// Frame-size ceiling, mirroring the server's.
-    pub max_frame_size: usize,
 }
 
 impl Default for WireClientConfig {
@@ -54,7 +52,6 @@ impl Default for WireClientConfig {
         Self {
             heartbeat_interval: Duration::from_millis(1_000),
             call_timeout: Duration::from_secs(10),
-            max_frame_size: DEFAULT_MAX_FRAME,
         }
     }
 }
@@ -128,7 +125,7 @@ impl WireClient {
         cfg: WireClientConfig,
         registry: &MetricsRegistry,
     ) -> GcxResult<Self> {
-        let transport = Arc::new(TcpTransport::connect(addr, cfg.max_frame_size)?);
+        let transport = Arc::new(TcpTransport::connect(addr, DEFAULT_MAX_FRAME)?);
         Self::over_with_registry(transport, token, cfg, registry)
     }
 

@@ -185,7 +185,6 @@ mod tests {
         WireClientConfig {
             heartbeat_interval: Duration::from_millis(100),
             call_timeout: Duration::from_secs(5),
-            ..WireClientConfig::default()
         }
     }
 

@@ -15,7 +15,9 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
 use gcx_core::value::Value;
 use gcx_core::wire::batch;
-use gcx_core::wire::{Frame, FrameType, InMemTransport, TcpTransport, Transport, WIRE_VERSION};
+use gcx_core::wire::{
+    Frame, FrameType, InMemTransport, TcpTransport, Transport, DEFAULT_MAX_FRAME, WIRE_VERSION,
+};
 use parking_lot::Mutex;
 
 use super::super::WebService;
@@ -28,7 +30,7 @@ use super::{
 const RECV_SLICE: Duration = Duration::from_millis(50);
 
 /// Ceilings on one `Push` frame: results per batch, and payload bytes per
-/// batch (far under any sane `max_frame_size`; a lone larger envelope still
+/// batch (far under the frame ceiling; a lone larger envelope still
 /// travels, as a batch of one). A batch is whatever is ready at wake-up up
 /// to these — the push thread never waits to fill one.
 const PUSH_BATCH_MAX_RESULTS: usize = 256;
@@ -152,8 +154,7 @@ impl WireServer {
     /// half speaks the same framed protocol (handshake included) as a TCP
     /// peer would.
     pub fn connect_inmem(&self) -> Arc<InMemTransport> {
-        let (client_half, server_half) =
-            InMemTransport::pair(self.inner.spec.max_frame_size as usize);
+        let (client_half, server_half) = InMemTransport::pair(DEFAULT_MAX_FRAME);
         let inner = self.inner.clone();
         let transport: Arc<dyn Transport> = Arc::new(server_half);
         let handle = std::thread::Builder::new()
@@ -209,8 +210,7 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
         }
         match accepted {
             Ok((stream, _)) => {
-                let transport = match TcpTransport::new(stream, inner.spec.max_frame_size as usize)
-                {
+                let transport = match TcpTransport::new(stream, DEFAULT_MAX_FRAME) {
                     Ok(t) => Arc::new(t) as Arc<dyn Transport>,
                     Err(_) => continue,
                 };
@@ -565,7 +565,6 @@ fn spawn_push_loop(
     std::thread::Builder::new()
         .name("gcx-wire-push".into())
         .spawn(move || {
-            let max_bytes = PUSH_BATCH_MAX_BYTES.min(inner.spec.max_frame_size as usize / 2);
             // Reused across batches: the payload buffer (lent to the frame
             // for the send and taken back), the deliveries taken and not yet
             // sent, and the tags of those the write carries.
@@ -596,7 +595,7 @@ fn spawn_push_loop(
                     let trace = delivery.message.headers.trace;
                     let envelope = &delivery.message.body;
                     let entry = batch::push_entry_len(trace.is_some(), envelope.len());
-                    if !tags.is_empty() && body.len() + entry > max_bytes {
+                    if !tags.is_empty() && body.len() + entry > PUSH_BATCH_MAX_BYTES {
                         break;
                     }
                     // The stream queue carries the binary result envelope;

@@ -14,7 +14,7 @@ use gcx_core::value::Value;
 use gcx_mq::Message;
 
 use super::{mep_queue_name, task_queue_name, WebService};
-use crate::blob::Intern;
+use crate::blob::{Intern, INLINE_THRESHOLD, PAYLOAD_LIMIT};
 use crate::federation::envelope::{Body, Forwarded};
 use crate::federation::ReplicaId;
 use crate::records::{config_hash, EndpointRecord, MepStartRequest};
@@ -156,10 +156,10 @@ impl WebService {
                 SubmitLeg::Recorded
             };
             let payload_len = spec.payload.len();
-            if payload_len > self.inner.cfg.payload_limit {
+            if payload_len > PAYLOAD_LIMIT {
                 return Err(GcxError::PayloadTooLarge {
                     size: payload_len,
-                    limit: self.inner.cfg.payload_limit,
+                    limit: PAYLOAD_LIMIT,
                 });
             }
             bytes_in += payload_len + SPEC_WIRE_OVERHEAD;
@@ -201,7 +201,7 @@ impl WebService {
             } else {
                 match self.inner.cas.intern(&spec.payload) {
                     Intern::Hit => false,
-                    Intern::Stored => payload_len <= self.inner.cfg.inline_threshold,
+                    Intern::Stored => payload_len <= INLINE_THRESHOLD,
                     Intern::Uncacheable => true,
                 }
             };
@@ -910,7 +910,10 @@ mod tests {
         let clock = SystemClock::shared();
         let svc = WebService::new(
             CloudConfig {
-                admission: AdmissionConfig::enabled(),
+                admission: AdmissionConfig {
+                    enabled: true,
+                    ..AdmissionConfig::default()
+                },
                 ..CloudConfig::default()
             },
             gcx_auth::AuthService::new(clock.clone()),

@@ -6,7 +6,7 @@
 //! [`crate::federation::envelope`]): `submit` | `result` | `state`, each
 //! carrying the sender's ownership epoch and a hop count. A receiver that
 //! is not the key's owner passes it on through `FedCore::route` (one more
-//! hop, capped at the federation's `max_forward_hops`, stale epochs
+//! hop, capped at the federation's `MAX_FORWARD_HOPS`, stale epochs
 //! counted) — this is how writes addressed to a replica that lost a range
 //! after a handover converge on the new owner instead of corrupting state
 //! on the stale one.

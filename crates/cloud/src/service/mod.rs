@@ -41,7 +41,7 @@ use std::sync::Arc;
 use gcx_auth::{AuthService, Token};
 use gcx_core::clock::SharedClock;
 use gcx_core::function::FunctionRecord;
-use gcx_core::health::{HealthDoc, SloPolicy, TenantHealth};
+use gcx_core::health::{HealthDoc, TenantHealth, HEARTBEAT_STALE_MS};
 use gcx_core::ids::{EndpointId, FunctionId, IdentityId, TaskId};
 use gcx_core::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use gcx_core::task::TaskRecord;
@@ -51,7 +51,7 @@ use gcx_core::ShardedMap;
 use gcx_mq::Broker;
 use parking_lot::{Mutex, RwLock};
 
-use crate::blob::{CasStore, DEFAULT_PAYLOAD_LIMIT};
+use crate::blob::{CasStore, CAS_CACHE_BYTES};
 use crate::federation::FedMembership;
 use crate::records::EndpointRecord;
 
@@ -84,17 +84,6 @@ pub(super) fn stream_queue_name(identity: IdentityId, n: u64) -> String {
 /// Tunables for the web service.
 #[derive(Debug, Clone)]
 pub struct CloudConfig {
-    /// Hard payload limit per task submission / result (10 MB, §V).
-    pub payload_limit: usize,
-    /// Payloads above this never ride the queues inline ("large task
-    /// inputs are stored in S3", §II): they are interned in the
-    /// content-addressed dedup cache and ship as a 16-byte reference.
-    pub inline_threshold: usize,
-    /// Byte cap of the content-addressed payload cache ([`CasStore`]).
-    /// Interned payloads above the cap — or whose hash slot collides —
-    /// always travel inline. LRU eviction keeps the cache under this
-    /// bound; an evicted reference falls back to the task record.
-    pub cas_cache_bytes: usize,
     /// Cost model of the client↔service REST link; charged (on the service
     /// clock) per request for the bytes it carries, so experiments see
     /// realistic upload/download time for payloads that ride REST.
@@ -120,28 +109,17 @@ pub struct CloudConfig {
     /// (the pre-bounding behavior). Publishes over the bound surface as a
     /// typed retryable [`gcx_core::GcxError::QueueFull`].
     pub task_queue_depth: usize,
-    /// Bound on each endpoint task queue's ready bytes; `0` = unbounded.
-    pub task_queue_bytes: usize,
-    /// Service-level objectives folded into the replica's health document
-    /// (see [`WebService::health_doc`]): submit p99 target, tolerated
-    /// overload-rejection ratio, heartbeat staleness threshold.
-    pub slo: SloPolicy,
 }
 
 impl Default for CloudConfig {
     fn default() -> Self {
         Self {
-            payload_limit: DEFAULT_PAYLOAD_LIMIT,
-            inline_threshold: 64 * 1024,
-            cas_cache_bytes: 64 * 1024 * 1024,
             rest_link: gcx_mq::LinkProfile::instant(),
             heartbeat_timeout_ms: 30_000,
             max_task_deliveries: 3,
             trace: TraceConfig::default(),
             admission: AdmissionConfig::default(),
             task_queue_depth: 0,
-            task_queue_bytes: 0,
-            slo: SloPolicy::default(),
         }
     }
 }
@@ -367,7 +345,7 @@ impl WebService {
             t
         });
         let admission = AdmissionState::new(cfg.admission.clone());
-        let cas = CasStore::new(cfg.cas_cache_bytes, metrics.clone());
+        let cas = CasStore::new(CAS_CACHE_BYTES, metrics.clone());
         let inner = Arc::new(CloudInner {
             cfg,
             auth,
@@ -459,12 +437,11 @@ impl WebService {
 
     /// The replica's machine-readable health document: submit p99 versus
     /// target, overload-rejection ratio, brownout state, handover count,
-    /// and heartbeat staleness, with the [`SloPolicy`]-derived three-state
-    /// verdict. Served through both expositions and the `health` wire
+    /// and heartbeat staleness, with the three-state verdict of
+    /// [`HealthDoc::assess`]. Served through both expositions and the `health` wire
     /// method so clients route on data instead of timeouts.
     pub fn health_doc(&self) -> HealthDoc {
         let now = self.inner.clock.now_ms();
-        let slo = &self.inner.cfg.slo;
         let submit = self.inner.m.submit_ms.snapshot();
         let submit_p99_ms = if submit.count == 0 { 0 } else { submit.p99 };
         let tenants: Vec<TenantHealth> = self.inner.admission.tenant_health();
@@ -475,7 +452,7 @@ impl WebService {
         let mut stale_endpoints = 0u64;
         self.inner.endpoints.for_each(|_, rec| {
             endpoints += 1;
-            if rec.connected && now.saturating_sub(rec.last_heartbeat_ms) > slo.heartbeat_stale_ms {
+            if rec.connected && now.saturating_sub(rec.last_heartbeat_ms) > HEARTBEAT_STALE_MS {
                 stale_endpoints += 1;
             }
         });
@@ -492,7 +469,7 @@ impl WebService {
             endpoints,
             tenants,
         }
-        .assess(slo)
+        .assess()
     }
 
     /// Everything a scraper wants, in Prometheus text exposition format:

@@ -10,6 +10,7 @@ use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_mq::{Consumer, Message};
 
 use super::{WebService, RESULT_QUEUE};
+use crate::blob::PAYLOAD_LIMIT;
 use gcx_core::error::GcxError;
 
 /// An endpoint agent's live session with the web service.
@@ -114,11 +115,11 @@ impl EndpointSession {
             TaskResult::Err(e) => e.len(),
         };
         let oversized;
-        let result = if size > self.cloud.inner.cfg.payload_limit {
+        let result = if size > PAYLOAD_LIMIT {
             // Oversized results become failures, like the production 10 MB rule.
             oversized = TaskResult::Err(format!(
                 "result of {size} bytes exceeds the {} byte payload limit",
-                self.cloud.inner.cfg.payload_limit
+                PAYLOAD_LIMIT
             ));
             &oversized
         } else {

@@ -237,7 +237,6 @@ impl Peer {
             FederationConfig {
                 replicas,
                 heartbeat_timeout_ms: 1_000,
-                ..FederationConfig::default()
             },
             CloudConfig {
                 // On, and out of the way: only a leaked charge can show.
@@ -430,7 +429,7 @@ proptest! {
 #[test]
 fn the_hop_cap_drops_and_counts_in_the_rpc_loop() {
     let peer = Peer::new(2, VirtualClock::new());
-    let max = FederationConfig::default().max_forward_hops as u64;
+    let max = gcx_cloud::federation::MAX_FORWARD_HOPS;
     let (last_hop, too_far) = (peer.spec(1, vec![1]), peer.spec(1, vec![2]));
     // Both reach replica 0, which owns neither.
     peer.send(0, peer.submit(max, std::slice::from_ref(&too_far)));
@@ -450,7 +449,7 @@ fn the_hop_cap_drops_and_counts_in_the_rpc_loop() {
 fn the_hop_cap_drops_and_counts_in_the_handover() {
     let vclock = VirtualClock::new();
     let peer = Peer::new(2, vclock.clone());
-    let max = FederationConfig::default().max_forward_hops as u64;
+    let max = gcx_cloud::federation::MAX_FORWARD_HOPS;
     let (rescued, too_far) = (peer.spec(1, vec![1]), peer.spec(1, vec![2]));
     peer.fed.kill(1); // its rpc loop is gone: what we send now stays queued
     peer.send(1, peer.submit(max, std::slice::from_ref(&too_far)));

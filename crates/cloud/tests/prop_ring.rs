@@ -33,7 +33,7 @@ fn keys(seed: u64, n: usize) -> Vec<Uuid> {
 }
 
 fn ring_of(n: u32) -> HashRing {
-    let mut ring = HashRing::new(gcx_cloud::federation::DEFAULT_VNODES);
+    let mut ring = HashRing::default();
     for r in 0..n {
         ring.add(ReplicaId(r));
     }

@@ -16,14 +16,12 @@
 //! through the cloud as a task payload validates and renders without
 //! conversion.
 
-pub(crate) mod admission;
 pub(crate) mod schema;
 pub(crate) mod template;
 pub(crate) mod transport;
 pub(crate) mod yaml;
 
-pub use admission::AdmissionSpec;
 pub use schema::Schema;
 pub use template::Template;
 pub use transport::TransportSpec;
-pub use yaml::{parse_yaml, to_yaml};
+pub use yaml::parse_yaml;

@@ -14,8 +14,8 @@
 //! block scalars, tabs for indentation. Tabs are a hard error — silently
 //! treating a tab as one space is the classic YAML foot-gun.
 //!
-//! Parsed documents are [`gcx_core::Value`] trees; [`to_yaml`] re-serializes
-//! a value so configs can round-trip (property-tested).
+//! Parsed documents are [`gcx_core::Value`] trees. Configs are only ever
+//! read, so there is no writer.
 
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::value::Value;
@@ -41,19 +41,6 @@ pub fn parse_yaml(text: &str) -> GcxResult<Value> {
         )));
     }
     Ok(v)
-}
-
-/// Serialize a value to mini-YAML text.
-pub fn to_yaml(v: &Value) -> String {
-    let mut out = String::new();
-    match v {
-        Value::Map(_) | Value::List(_) => emit_block(v, 0, &mut out),
-        scalar => {
-            out.push_str(&emit_scalar(scalar));
-            out.push('\n');
-        }
-    }
-    out
 }
 
 struct Line<'a> {
@@ -92,18 +79,39 @@ fn preprocess(text: &str) -> GcxResult<Vec<Line<'_>>> {
     Ok(out)
 }
 
+/// Cut a `#` comment that follows whitespace and is not inside a quoted
+/// scalar. A quote opens a scalar only where one starts: at the start of
+/// the line, after `[` or `,`, or after `:` or `-` and a space. Anywhere
+/// else it is a literal character, as in `name: don't`.
 fn strip_trailing_comment(s: &str) -> &str {
-    let mut in_single = false;
-    let mut in_double = false;
     let bytes = s.as_bytes();
+    // The quote of the scalar we are inside, if any.
+    let mut open: Option<u8> = None;
+    // The last non-space byte before `i`, and whether a space followed it.
+    let (mut last, mut gap) = (None, false);
     for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'\'' if !in_double => in_single = !in_single,
-            b'"' if !in_single => in_double = !in_double,
-            b'#' if !in_single && !in_double && (i == 0 || bytes[i - 1] == b' ') => {
-                return &s[..i];
-            }
-            _ => {}
+        match open {
+            Some(quote) if b == quote => open = None,
+            Some(_) => {}
+            None => match b {
+                b'\'' | b'"' => {
+                    let starts_scalar = match last {
+                        None | Some(b'[' | b',') => true,
+                        Some(b':' | b'-') => gap,
+                        _ => false,
+                    };
+                    if starts_scalar {
+                        open = Some(b);
+                    }
+                }
+                b'#' if i == 0 || bytes[i - 1] == b' ' => return &s[..i],
+                _ => {}
+            },
+        }
+        if b == b' ' {
+            gap = true;
+        } else {
+            (last, gap) = (Some(b), false);
         }
     }
     s
@@ -408,143 +416,6 @@ fn split_flow(s: &str) -> Vec<&str> {
     out
 }
 
-fn emit_block(v: &Value, indent: usize, out: &mut String) {
-    let pad = " ".repeat(indent);
-    match v {
-        Value::Map(m) => {
-            if m.is_empty() {
-                out.push_str(&pad);
-                out.push_str("{}\n");
-                return;
-            }
-            for (k, val) in m {
-                match val {
-                    Value::Map(inner) if !inner.is_empty() => {
-                        out.push_str(&format!("{pad}{}:\n", emit_key(k)));
-                        emit_block(val, indent + 2, out);
-                    }
-                    Value::List(items) if !items.is_empty() => {
-                        out.push_str(&format!("{pad}{}:\n", emit_key(k)));
-                        emit_block(val, indent + 2, out);
-                    }
-                    other => {
-                        out.push_str(&format!("{pad}{}: {}\n", emit_key(k), emit_scalar(other)));
-                    }
-                }
-            }
-        }
-        Value::List(items) => {
-            if items.is_empty() {
-                out.push_str(&pad);
-                out.push_str("[]\n");
-                return;
-            }
-            for item in items {
-                match item {
-                    Value::Map(m) if !m.is_empty() => {
-                        // `- ` then map entries; first entry on the dash line.
-                        let mut it = m.iter();
-                        let (k0, v0) = it.next().unwrap();
-                        match v0 {
-                            Value::Map(_) | Value::List(_)
-                                if matches!(v0, Value::Map(mm) if !mm.is_empty())
-                                    || matches!(v0, Value::List(ll) if !ll.is_empty()) =>
-                            {
-                                out.push_str(&format!("{pad}- {}:\n", emit_key(k0)));
-                                emit_block(v0, indent + 4, out);
-                            }
-                            _ => out.push_str(&format!(
-                                "{pad}- {}: {}\n",
-                                emit_key(k0),
-                                emit_scalar(v0)
-                            )),
-                        }
-                        for (k, v2) in it {
-                            match v2 {
-                                Value::Map(mm) if !mm.is_empty() => {
-                                    out.push_str(&format!("{pad}  {}:\n", emit_key(k)));
-                                    emit_block(v2, indent + 4, out);
-                                }
-                                Value::List(ll) if !ll.is_empty() => {
-                                    out.push_str(&format!("{pad}  {}:\n", emit_key(k)));
-                                    emit_block(v2, indent + 2, out);
-                                }
-                                _ => out.push_str(&format!(
-                                    "{pad}  {}: {}\n",
-                                    emit_key(k),
-                                    emit_scalar(v2)
-                                )),
-                            }
-                        }
-                    }
-                    Value::List(inner) if !inner.is_empty() => {
-                        // Nested list: `-` on its own line, block below.
-                        out.push_str(&format!("{pad}-\n"));
-                        emit_block(item, indent + 2, out);
-                    }
-                    other => out.push_str(&format!("{pad}- {}\n", emit_scalar(other))),
-                }
-            }
-        }
-        scalar => {
-            out.push_str(&pad);
-            out.push_str(&emit_scalar(scalar));
-            out.push('\n');
-        }
-    }
-}
-
-fn emit_key(k: &str) -> String {
-    if k.is_empty()
-        || k.contains(':')
-        || k.contains('#')
-        || k.starts_with(['\'', '"', '-', '[', '{'])
-        || k != k.trim()
-    {
-        format!("'{k}'")
-    } else {
-        k.to_string()
-    }
-}
-
-fn emit_scalar(v: &Value) -> String {
-    match v {
-        Value::None => "null".into(),
-        Value::Bool(true) => "true".into(),
-        Value::Bool(false) => "false".into(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.is_finite() {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
-        }
-        Value::Str(s) => {
-            let needs_quote = s.is_empty()
-                || s != s.trim()
-                || s.contains([':', '#', ',', '[', ']', '{', '}', '\'', '"', '\n'])
-                || s.starts_with('-')
-                || matches!(
-                    s.as_str(),
-                    "null" | "~" | "true" | "false" | "True" | "False" | "Null" | "NULL"
-                )
-                || s.parse::<f64>().is_ok();
-            if needs_quote {
-                format!("\"{}\"", s.replace('"', "'"))
-            } else {
-                s.clone()
-            }
-        }
-        Value::Bytes(b) => format!("\"<{} bytes>\"", b.len()),
-        Value::List(items) => {
-            let inner: Vec<String> = items.iter().map(emit_scalar).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Value::Map(_) => "{}".into(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,6 +540,16 @@ launcher:
     }
 
     #[test]
+    fn apostrophe_inside_a_bare_scalar_opens_no_quote() {
+        let v =
+            parse_yaml("name: don't  # note\nitems:\n  - don't # c\n  - [a, 'b # c']\n").unwrap();
+        assert_eq!(v.get("name").unwrap().as_str(), Some("don't"));
+        let items = v.get("items").unwrap().as_list().unwrap();
+        assert_eq!(items[0].as_str(), Some("don't"));
+        assert_eq!(items[1].as_list().unwrap()[1].as_str(), Some("b # c"));
+    }
+
+    #[test]
     fn errors() {
         assert!(parse_yaml("\ta: 1\n").is_err(), "tabs rejected");
         assert!(
@@ -694,51 +575,5 @@ launcher:
     fn nested_empty_value_is_none() {
         let v = parse_yaml("a:\nb: 1\n").unwrap();
         assert_eq!(v.get("a").unwrap(), &Value::None);
-    }
-
-    #[test]
-    fn roundtrip_simple() {
-        let v = Value::map([
-            ("name", Value::str("ep1")),
-            (
-                "engine",
-                Value::map([
-                    ("type", Value::str("GlobusComputeEngine")),
-                    ("workers", Value::Int(8)),
-                ]),
-            ),
-            ("tags", Value::List(vec![Value::str("hpc"), Value::Int(2)])),
-        ]);
-        let text = to_yaml(&v);
-        let back = parse_yaml(&text).unwrap();
-        assert_eq!(v, back);
-    }
-
-    #[test]
-    fn roundtrip_list_of_maps() {
-        let v = Value::map([(
-            "mappings",
-            Value::List(vec![
-                Value::map([
-                    ("match", Value::str("(.*)@uchicago.edu")),
-                    ("output", Value::str("{0}")),
-                ]),
-                Value::map([("match", Value::str("x")), ("n", Value::Int(3))]),
-            ]),
-        )]);
-        let text = to_yaml(&v);
-        let back = parse_yaml(&text).unwrap();
-        assert_eq!(v, back);
-    }
-
-    #[test]
-    fn numeric_looking_strings_stay_strings_on_roundtrip() {
-        let v = Value::map([
-            ("walltime", Value::str("00:30:00")),
-            ("ver", Value::str("1.5")),
-        ]);
-        let back = parse_yaml(&to_yaml(&v)).unwrap();
-        assert_eq!(back.get("walltime").unwrap().as_str(), Some("00:30:00"));
-        assert_eq!(back.get("ver").unwrap().as_str(), Some("1.5"));
     }
 }

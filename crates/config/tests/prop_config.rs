@@ -1,41 +1,10 @@
 //! Property-based tests for the config machinery.
 
-use gcx_config::{parse_yaml, to_yaml, Template};
+use gcx_config::{parse_yaml, Template};
 use gcx_core::value::Value;
 use proptest::prelude::*;
 
-/// Values that appear in endpoint configurations: nested maps/lists of
-/// well-behaved scalars (no floats — YAML float text is lossy by nature).
-fn config_value() -> impl Strategy<Value = Value> {
-    let scalar = prop_oneof![
-        Just(Value::None),
-        any::<bool>().prop_map(Value::Bool),
-        any::<i64>().prop_map(Value::Int),
-        "[a-zA-Z][a-zA-Z0-9_ .:/-]{0,20}".prop_map(|s| Value::Str(s.trim().to_string())),
-    ];
-    scalar.prop_recursive(3, 32, 6, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..4).prop_map(Value::List),
-            prop::collection::btree_map("[a-z][a-z0-9_]{0,10}", inner, 1..4).prop_map(Value::Map),
-        ]
-    })
-}
-
-/// Top-level documents are maps (like every endpoint config).
-fn config_doc() -> impl Strategy<Value = Value> {
-    prop::collection::btree_map("[a-z][a-z0-9_]{0,10}", config_value(), 1..5).prop_map(Value::Map)
-}
-
 proptest! {
-    /// Emitting then re-parsing a config yields the same value.
-    #[test]
-    fn yaml_roundtrip(doc in config_doc()) {
-        let text = to_yaml(&doc);
-        let back = parse_yaml(&text)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n---\n{text}"));
-        prop_assert_eq!(&doc, &back, "text was:\n{}", text);
-    }
-
     /// The YAML parser never panics on arbitrary input.
     #[test]
     fn yaml_parser_never_panics(text in ".{0,200}") {

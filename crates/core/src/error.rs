@@ -76,8 +76,8 @@ pub enum GcxError {
     /// The service is shedding load (admission control or brownout) and
     /// declined the request. Retryable — but not before `retry_after_ms`.
     Overloaded { retry_after_ms: u64 },
-    /// A bounded queue is at its configured depth or byte capacity and its
-    /// overflow policy rejects new publishes. Retryable — the queue drains.
+    /// A bounded queue is at its configured depth and its overflow policy
+    /// rejects new publishes. Retryable — the queue drains.
     QueueFull { queue: String },
     /// The task's deadline/TTL elapsed before it completed. Terminal: the
     /// deadline is gone, retrying the same submission cannot meet it.

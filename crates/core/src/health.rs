@@ -11,7 +11,7 @@
 //! of timeouts.
 //!
 //! The verdict policy is deliberately simple and explicit (see
-//! [`SloPolicy`] and [`HealthDoc::assess`]):
+//! [`HealthDoc::assess`] and the three thresholds below):
 //!
 //! - **Unhealthy** — the replica is shedding more than the allowed fraction
 //!   of submissions (`reject_ratio > reject_ratio_max`). Sending it more
@@ -26,31 +26,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::value::Value;
 
-/// The replica's service-level objectives; thresholds for
-/// [`HealthDoc::assess`]. Configured per deployment (see
-/// `CloudConfig::slo`), defaults are intentionally loose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SloPolicy {
-    /// Target for the submit-path p99 (milliseconds); exceeding it marks
-    /// the replica Degraded.
-    pub submit_p99_target_ms: u64,
-    /// Maximum tolerated overload-rejection ratio, in permille of
-    /// submissions seen; exceeding it marks the replica Unhealthy.
-    pub reject_ratio_max_permille: u64,
-    /// An endpoint whose last heartbeat is older than this is counted
-    /// stale; any stale endpoint marks the replica Degraded.
-    pub heartbeat_stale_ms: u64,
-}
+/// Target for the submit-path p99 (milliseconds); exceeding it marks the
+/// replica Degraded.
+const SUBMIT_P99_TARGET_MS: u64 = 1000;
 
-impl Default for SloPolicy {
-    fn default() -> Self {
-        Self {
-            submit_p99_target_ms: 1000,
-            reject_ratio_max_permille: 50,
-            heartbeat_stale_ms: 30_000,
-        }
-    }
-}
+/// Maximum tolerated overload-rejection ratio, in permille of submissions
+/// seen; exceeding it marks the replica Unhealthy.
+const REJECT_RATIO_MAX_PERMILLE: u64 = 50;
+
+/// An endpoint whose last heartbeat is older than this is counted stale;
+/// any stale endpoint marks the replica Degraded.
+pub const HEARTBEAT_STALE_MS: u64 = 30_000;
 
 /// The three-state verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,13 +141,14 @@ pub struct HealthDoc {
 }
 
 impl HealthDoc {
-    /// Compute the verdict from the raw signals and stamp it into the doc.
-    pub fn assess(mut self, policy: &SloPolicy) -> Self {
-        self.submit_p99_target_ms = policy.submit_p99_target_ms;
-        self.reject_ratio_max_permille = policy.reject_ratio_max_permille;
-        self.status = if self.reject_ratio_permille > policy.reject_ratio_max_permille {
+    /// Compute the verdict from the raw signals and stamp it, with the
+    /// thresholds it was judged by, into the doc.
+    pub fn assess(mut self) -> Self {
+        self.submit_p99_target_ms = SUBMIT_P99_TARGET_MS;
+        self.reject_ratio_max_permille = REJECT_RATIO_MAX_PERMILLE;
+        self.status = if self.reject_ratio_permille > REJECT_RATIO_MAX_PERMILLE {
             HealthStatus::Unhealthy
-        } else if self.submit_p99_ms > policy.submit_p99_target_ms
+        } else if self.submit_p99_ms > SUBMIT_P99_TARGET_MS
             || self.brownout
             || self.stale_endpoints > 0
         {
@@ -286,33 +273,32 @@ mod tests {
 
     #[test]
     fn assess_applies_the_policy_ladder() {
-        let policy = SloPolicy::default();
-        let ok = base_doc().assess(&policy);
+        let ok = base_doc().assess();
         assert_eq!(ok.status, HealthStatus::Ok);
-        assert_eq!(ok.submit_p99_target_ms, policy.submit_p99_target_ms);
+        assert_eq!(ok.submit_p99_target_ms, SUBMIT_P99_TARGET_MS);
 
         let mut slow = base_doc();
-        slow.submit_p99_ms = policy.submit_p99_target_ms + 1;
-        assert_eq!(slow.assess(&policy).status, HealthStatus::Degraded);
+        slow.submit_p99_ms = SUBMIT_P99_TARGET_MS + 1;
+        assert_eq!(slow.assess().status, HealthStatus::Degraded);
 
         let mut browned = base_doc();
         browned.brownout = true;
-        assert_eq!(browned.assess(&policy).status, HealthStatus::Degraded);
+        assert_eq!(browned.assess().status, HealthStatus::Degraded);
 
         let mut stale = base_doc();
         stale.stale_endpoints = 1;
-        assert_eq!(stale.assess(&policy).status, HealthStatus::Degraded);
+        assert_eq!(stale.assess().status, HealthStatus::Degraded);
 
         let mut shedding = base_doc();
-        shedding.reject_ratio_permille = policy.reject_ratio_max_permille + 1;
+        shedding.reject_ratio_permille = REJECT_RATIO_MAX_PERMILLE + 1;
         // Unhealthy wins even when Degraded conditions also hold.
         shedding.brownout = true;
-        assert_eq!(shedding.assess(&policy).status, HealthStatus::Unhealthy);
+        assert_eq!(shedding.assess().status, HealthStatus::Unhealthy);
     }
 
     #[test]
     fn doc_roundtrips_through_wire_value() {
-        let doc = base_doc().assess(&SloPolicy::default());
+        let doc = base_doc().assess();
         let v = doc.to_value();
         assert_eq!(HealthDoc::from_value(&v), Some(doc));
     }
@@ -320,7 +306,7 @@ mod tests {
     #[test]
     fn malformed_values_parse_to_none() {
         assert_eq!(HealthDoc::from_value(&Value::Int(3)), None);
-        let mut v = base_doc().assess(&SloPolicy::default()).to_value();
+        let mut v = base_doc().assess().to_value();
         if let Value::Map(m) = &mut v {
             m.remove("status");
         }

@@ -173,7 +173,6 @@ pub fn build_engine(
 /// A running endpoint agent. Dropping it stops the agent.
 pub struct EndpointAgent {
     shutdown: Arc<AtomicBool>,
-    pump_stop: Arc<AtomicBool>,
     puller: Option<std::thread::JoinHandle<()>>,
     pump: Option<std::thread::JoinHandle<()>>,
     engine: Arc<Mutex<Box<dyn Engine>>>,
@@ -253,7 +252,6 @@ impl EndpointAgent {
         metrics: MetricsRegistry,
     ) -> Self {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let pump_stop = Arc::new(AtomicBool::new(false));
         let session = Arc::new(session);
         let engine = Arc::new(Mutex::new(engine));
 
@@ -284,9 +282,23 @@ impl EndpointAgent {
                                             function,
                                             tag,
                                         };
-                                        if engine.lock().submit(task).is_err() {
-                                            let _ = session.nack_task(tag);
-                                            return;
+                                        match engine.lock().submit(task) {
+                                            Ok(()) => {}
+                                            Err(GcxError::ShuttingDown) => {
+                                                let _ = session.nack_task(tag);
+                                                return;
+                                            }
+                                            // The engine refused this task
+                                            // (a malformed resource
+                                            // specification): fail it, and
+                                            // keep serving the queue.
+                                            Err(e) => {
+                                                let _ = session.publish_result(
+                                                    task_id,
+                                                    &TaskResult::Err(format!("ValueError: {e}")),
+                                                );
+                                                let _ = session.ack_task(tag);
+                                            }
                                         }
                                     }
                                     Err(e) => {
@@ -310,13 +322,14 @@ impl EndpointAgent {
         let pump = {
             let session = Arc::clone(&session);
             // The pump outlives the shutdown flag: it keeps publishing
-            // results while the engine drains and exits only once stop()
-            // has torn the engine down (or the event channel closes).
-            let pump_stop = Arc::clone(&pump_stop);
+            // results while the engine drains, and exits when stop() has
+            // torn the engine down. The engine's driver holds the only
+            // sender, and `recv` hands over every event sent before it
+            // reports the channel closed.
             std::thread::Builder::new()
                 .name("gcx-agent-pump".into())
                 .spawn(move || loop {
-                    match events.recv_timeout(Duration::from_millis(25)) {
+                    match events.recv() {
                         Ok(EngineEvent::State(task_id, state)) => {
                             debug_assert!(matches!(
                                 state,
@@ -343,12 +356,7 @@ impl EndpointAgent {
                         Ok(EngineEvent::BlockProvisioned { nodes }) => {
                             let _ = session.report_block_recovered(nodes);
                         }
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                            if pump_stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
+                        Err(_) => return,
                     }
                 })
                 .expect("spawn agent pump")
@@ -356,7 +364,6 @@ impl EndpointAgent {
 
         Self {
             shutdown,
-            pump_stop,
             puller: Some(puller),
             pump: Some(pump),
             engine,
@@ -434,10 +441,9 @@ impl EndpointAgent {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+        // Joining the engine's driver drops the events sender: the pump
+        // drains what is left and exits.
         self.engine.lock().shutdown();
-        // Only now may the pump exit on an idle timeout: every Done event
-        // the engine emitted is already in the channel.
-        self.pump_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
@@ -605,6 +611,56 @@ mod tests {
         };
         let sr = ShellResult::from_value(&v).unwrap();
         assert_eq!(sr.stdout.lines().count(), 4);
+
+        agent.stop();
+        svc.shutdown();
+    }
+
+    /// The MPI engine refuses an inconsistent resource specification when
+    /// the task is handed to it. That task fails with a typed error, and the
+    /// agent keeps serving its queue.
+    #[test]
+    fn a_task_the_engine_refuses_fails_and_the_next_one_runs() {
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("user@site.org").unwrap();
+        let fid = svc
+            .register_function(&token, FunctionBody::mpi("hostname"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "mpi-ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let config =
+            EndpointConfig::from_yaml("engine:\n  type: GlobusMPIEngine\n  nodes_per_block: 4\n")
+                .unwrap();
+        let agent = EndpointAgent::start(
+            &svc,
+            reg.endpoint_id,
+            &reg.queue_credential,
+            &config,
+            AgentEnv::local(SystemClock::shared()),
+        )
+        .unwrap();
+
+        let mut bad = TaskSpec::new(fid, reg.endpoint_id);
+        bad.resource_spec = ResourceSpec::nodes_ranks(2, 2);
+        bad.resource_spec.num_ranks = Some(5);
+        let bad = svc.submit_task(&token, bad).unwrap();
+        let mut good = TaskSpec::new(fid, reg.endpoint_id);
+        good.resource_spec = ResourceSpec::nodes_ranks(1, 2);
+        let good = svc.submit_task(&token, good).unwrap();
+
+        let refused = wait_success(&svc, &token, bad);
+        assert!(
+            matches!(&refused, TaskResult::Err(m) if m.starts_with("ValueError: ")),
+            "{refused:?}"
+        );
+        let Some(v) = wait_success(&svc, &token, good).ok_value() else {
+            panic!()
+        };
+        assert_eq!(
+            ShellResult::from_value(&v).unwrap().stdout.lines().count(),
+            2
+        );
 
         agent.stop();
         svc.shutdown();

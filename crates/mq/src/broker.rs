@@ -44,7 +44,7 @@ pub struct Headers {
 impl Headers {
     /// Metered size: what each field cost as a `name: text` pair
     /// (`gcx-trace`, `gcx-sent-ms`, `x-death-queue`; name + text + 4), so
-    /// byte counters and byte-bounded queues read as they always have.
+    /// byte counters and the `mq.bytes.*` gauges read as they always have.
     fn wire_size(&self) -> usize {
         // `<uuid>:<16 hex>` under a 9-byte name.
         const TRACE: usize = 9 + 36 + 1 + 16 + 4;
@@ -131,8 +131,6 @@ pub struct QueuePolicy {
     /// Maximum ready (undelivered) messages; `0` = unbounded. Unacked
     /// deliveries don't count — prefetch already bounds those.
     pub max_depth: usize,
-    /// Maximum total wire bytes across ready messages; `0` = unbounded.
-    pub max_bytes: usize,
 }
 
 impl QueuePolicy {
@@ -182,9 +180,6 @@ impl Hasher for TagHasher {
 /// Everything about a queue that changes per message, under its one lock.
 struct QueueState {
     ready: VecDeque<Message>,
-    /// Running total of `wire_size` across `ready` — kept so capacity checks
-    /// and the bytes gauge never walk the deque.
-    ready_bytes: usize,
     /// The only record of a delivery: tag → (its consumer's slot, message).
     unacked: HashMap<u64, (usize, Message), BuildHasherDefault<TagHasher>>,
     /// `windows[slot].held` counts the `unacked` entries of the consumer in
@@ -200,15 +195,10 @@ struct QueueState {
 }
 
 impl QueueState {
-    /// Would adding `add_msgs` messages totalling `add_bytes` exceed a bound?
-    fn would_overflow(&self, add_msgs: usize, add_bytes: usize) -> bool {
-        let QueuePolicy {
-            max_depth,
-            max_bytes,
-            ..
-        } = self.policy;
-        (max_depth > 0 && self.ready.len() + add_msgs > max_depth)
-            || (max_bytes > 0 && self.ready_bytes + add_bytes > max_bytes)
+    /// Would adding `add_msgs` messages exceed the depth bound?
+    fn would_overflow(&self, add_msgs: usize) -> bool {
+        let max_depth = self.policy.max_depth;
+        max_depth > 0 && self.ready.len() + add_msgs > max_depth
     }
 
     fn window_open(&self, slot: usize) -> bool {
@@ -274,11 +264,9 @@ impl Queue {
     }
 
     /// Add to `ready` at `end` (the front only for a requeue), maintaining
-    /// the byte total and gauges. Every path that grows `ready` goes
-    /// through this.
+    /// the gauges. Every path that grows `ready` goes through this.
     fn push_ready(&self, st: &mut QueueState, end: End, msg: Message) {
         let size = msg.wire_size();
-        st.ready_bytes += size;
         match end {
             End::Back => st.ready.push_back(msg),
             End::Front => st.ready.push_front(msg),
@@ -287,13 +275,11 @@ impl Queue {
         self.bytes_gauge.add(size as u64);
     }
 
-    /// Pop the oldest ready message, maintaining totals and gauges.
+    /// Pop the oldest ready message, maintaining the gauges.
     fn pop_ready(&self, st: &mut QueueState) -> Option<Message> {
         let msg = st.ready.pop_front()?;
-        let size = msg.wire_size();
-        st.ready_bytes = st.ready_bytes.saturating_sub(size);
         self.depth_gauge.sub(1);
-        self.bytes_gauge.sub(size as u64);
+        self.bytes_gauge.sub(msg.wire_size() as u64);
         Some(msg)
     }
 }
@@ -516,7 +502,6 @@ impl Broker {
                 credential: credential.map(str::to_string),
                 state: Mutex::new(QueueState {
                     ready: VecDeque::new(),
-                    ready_bytes: 0,
                     unacked: HashMap::default(),
                     windows: Vec::new(),
                     free_slots: Vec::new(),
@@ -553,10 +538,10 @@ impl Broker {
             let mut st = q.state.lock();
             st.closed = true;
             // Zero the gauges for whoever still holds them.
+            let bytes: usize = st.ready.iter().map(Message::wire_size).sum();
             q.depth_gauge.sub(st.ready.len() as u64);
-            q.bytes_gauge.sub(st.ready_bytes as u64);
+            q.bytes_gauge.sub(bytes as u64);
             st.ready.clear();
-            st.ready_bytes = 0;
         }
         q.cond.notify_all();
         Ok(())
@@ -626,9 +611,9 @@ impl Broker {
         let fault = inner.fault_plan();
         // Each message's copy count under a plan; empty without one.
         let mut copies = Vec::new();
-        // Bytes sent (every message), bytes metered as published (survivors,
-        // once each) and bytes headed for `ready` (survivors, each copy).
-        let (mut sent_bytes, mut published_bytes, mut ready_bytes) = (0, 0, 0);
+        // Bytes sent (every message) and bytes metered as published
+        // (survivors, once each).
+        let (mut sent_bytes, mut published_bytes) = (0, 0);
         let (mut accepted, mut total_copies, mut delay_ms) = (0u64, 0u64, 0u64);
         // The first survivor's trace: where a refusal is annotated.
         let mut first_trace = None;
@@ -656,7 +641,6 @@ impl Broker {
                     accepted += 1;
                     total_copies += n as u64;
                     published_bytes += size;
-                    ready_bytes += size * n as usize;
                     if extra_copies > 0 {
                         inner.trace_fault("fault.duplicate", queue, trace);
                     }
@@ -688,7 +672,7 @@ impl Broker {
         // All-or-nothing: either every surviving message fits under the
         // bound or none is enqueued, matching the whole-batch error
         // semantics of `submit_batch`.
-        if st.would_overflow(total_copies as usize, ready_bytes) {
+        if st.would_overflow(total_copies as usize) {
             drop(st);
             inner.m.queue_full_rejections.add(accepted);
             inner.trace_fault("queue_full", queue, first_trace.as_ref());
@@ -1692,30 +1676,6 @@ mod tests {
         let d = c.next(T).unwrap().unwrap();
         c.ack(d.tag).unwrap();
         b.publish("q", msg("c"), None).unwrap();
-    }
-
-    #[test]
-    fn bounded_queue_byte_cap_rejects_large_publish() {
-        let b = Broker::new();
-        b.declare_queue("q", None).unwrap();
-        let one = msg("0123456789").wire_size();
-        b.set_queue_policy(
-            "q",
-            QueuePolicy {
-                max_bytes: one * 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        b.publish("q", msg("0123456789"), None).unwrap();
-        b.publish("q", msg("0123456789"), None).unwrap();
-        assert!(matches!(
-            b.publish("q", msg("0123456789"), None),
-            Err(GcxError::QueueFull { .. })
-        ));
-        // A small message under the remaining byte budget still fails depth?
-        // No depth bound here — but bytes are exhausted, so even 1 byte fails.
-        assert!(b.publish("q", msg("x"), None).is_err());
     }
 
     #[test]

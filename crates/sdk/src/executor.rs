@@ -1392,7 +1392,6 @@ mod tests {
             FederationConfig {
                 replicas: 2,
                 heartbeat_timeout_ms: 250,
-                ..FederationConfig::default()
             },
             CloudConfig::default(),
             auth,

@@ -61,7 +61,6 @@ fn virtual_federation(
         FederationConfig {
             replicas,
             heartbeat_timeout_ms,
-            ..FederationConfig::default()
         },
         CloudConfig::default(),
         AuthService::new(clock.clone()),

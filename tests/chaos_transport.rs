@@ -81,7 +81,6 @@ fn wire_cfg() -> WireClientConfig {
     WireClientConfig {
         heartbeat_interval: Duration::from_millis(100),
         call_timeout: Duration::from_secs(5),
-        ..WireClientConfig::default()
     }
 }
 
