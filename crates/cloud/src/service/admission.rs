@@ -5,11 +5,11 @@
 //! passes through [`WebService::admit_batch`] before any validation work:
 //! a tenant over its rate or in-flight quota gets a typed
 //! [`GcxError::Overloaded`] with a `retry_after_ms` hint instead of
-//! enqueueing work the service can't serve. When the oldest undispatched
-//! task has waited longer than the brownout threshold (the dispatch-lag
-//! signal — typically a dead endpoint or a drowning queue), the service
-//! enters *brownout* and sheds lowest-priority traffic first, keeping
-//! high-priority submissions flowing.
+//! enqueueing work the service can't serve. When the oldest task still
+//! waiting on an endpoint's queue has waited longer than the brownout
+//! threshold (the dispatch-lag signal — typically a dead endpoint or a
+//! drowning queue), the service enters *brownout* and sheds lowest-priority
+//! traffic first, keeping high-priority submissions flowing.
 //!
 //! The same sweep that measures dispatch lag enforces per-task deadlines:
 //! a buffered task whose TTL elapsed is expired through the idempotent
@@ -24,9 +24,10 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::health::TenantHealth;
 use gcx_core::ids::{IdentityId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
+use gcx_mq::Message;
 use parking_lot::Mutex;
 
-use super::WebService;
+use super::{task_queue_name, WebService};
 
 /// Admission-control tunables: per-tenant token-bucket rate limits,
 /// in-flight quotas, and the brownout threshold that starts shedding
@@ -269,8 +270,8 @@ impl WebService {
     /// The clock-driven overload sweep: expire every non-terminal task
     /// whose deadline passed (through the idempotent cancel path, with a
     /// federation tombstone), measure dispatch lag (the age of the oldest
-    /// undispatched task), and flip brownout accordingly. Returns how many
-    /// tasks were expired.
+    /// task still waiting on an endpoint's queue), and flip brownout
+    /// accordingly. Returns how many tasks were expired.
     ///
     /// Called periodically by the service's cold-path thread on a real
     /// clock, and only while `AdmissionState::sweep_needed`; tests on a
@@ -279,20 +280,22 @@ impl WebService {
     pub fn check_expiry(&self) -> usize {
         let now = self.inner.clock.now_ms();
         let mut expired: Vec<(TaskId, IdentityId)> = Vec::new();
-        let mut oldest_wait_ms = 0u64;
-        self.inner.tasks.for_each(|id, rec| {
-            if rec.state.is_terminal() {
-                return;
-            }
-            if rec.received_at.is_none() {
-                oldest_wait_ms = oldest_wait_ms.max(now.saturating_sub(rec.submitted_at));
-            }
-            if let Some(expires_at) = rec.spec.expires_at(rec.submitted_at) {
-                if now > expires_at {
+        // Only a service that has taken a task with a deadline walks its
+        // records: nothing else can expire.
+        if self
+            .inner
+            .admission
+            .deadline_tasks_seen
+            .load(Ordering::Relaxed)
+            > 0
+        {
+            self.inner.tasks.for_each(|id, rec| {
+                let expires_at = rec.spec.expires_at(rec.submitted_at);
+                if !rec.state.is_terminal() && expires_at.is_some_and(|at| now > at) {
                     expired.push((*id, rec.owner));
                 }
-            }
-        });
+            });
+        }
         let mut count = 0;
         for (id, owner) in expired {
             // Re-check under the shard write lock — a result may have
@@ -328,15 +331,44 @@ impl WebService {
                 .flight()
                 .trigger(now, "deadline_exceeded");
         }
-        self.update_brownout(oldest_wait_ms);
+        self.update_brownout(now);
         count
     }
 
-    fn update_brownout(&self, oldest_wait_ms: u64) {
+    /// Dispatch lag: how long the oldest task still waiting on any
+    /// endpoint's queue has waited, from its message's publish stamp —
+    /// which every task message carries, traced or not. A task an agent
+    /// has taken has left the queue; one this replica does not hold live
+    /// (cancelled, expired, retired, or another replica's) is passed over.
+    /// A message put back (a nack, a recovery) counts from its publish.
+    fn dispatch_lag_ms(&self, now: u64) -> u64 {
+        let mut queues = Vec::new();
+        self.inner
+            .endpoints
+            .for_each(|id, _| queues.push(task_queue_name(*id)));
+        let live = |message: &Message| {
+            TaskSpec::from_message(&message.body).is_ok_and(|(spec, _)| {
+                let tasks = &self.inner.tasks;
+                tasks.with(&spec.task_id, |rec| {
+                    rec.is_some_and(|rec| !rec.state.is_terminal())
+                })
+            })
+        };
+        let broker = &self.inner.broker;
+        queues
+            .iter()
+            .filter_map(|queue| broker.oldest_ready_ms(queue, live).ok().flatten())
+            .map(|sent| now.saturating_sub(sent))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn update_brownout(&self, now: u64) {
         let adm = &self.inner.admission;
         if !adm.cfg.enabled || adm.cfg.brownout_threshold_ms == 0 {
             return;
         }
+        let oldest_wait_ms = self.dispatch_lag_ms(now);
         let active = oldest_wait_ms > adm.cfg.brownout_threshold_ms;
         let was = adm.brownout.swap(active, Ordering::Relaxed);
         if active && !was {
@@ -368,6 +400,13 @@ mod tests {
     use gcx_mq::Broker;
 
     fn virtual_service(admission: AdmissionConfig) -> (std::sync::Arc<VirtualClock>, WebService) {
+        virtual_service_with(CloudConfig {
+            admission,
+            ..CloudConfig::default()
+        })
+    }
+
+    fn virtual_service_with(cfg: CloudConfig) -> (std::sync::Arc<VirtualClock>, WebService) {
         let vclock = VirtualClock::new();
         let clock: gcx_core::clock::SharedClock = vclock.clone();
         let auth = gcx_auth::AuthService::new(clock.clone());
@@ -376,10 +415,6 @@ mod tests {
             clock.clone(),
             gcx_mq::LinkProfile::instant(),
         );
-        let cfg = CloudConfig {
-            admission,
-            ..CloudConfig::default()
-        };
         (vclock, WebService::new(cfg, auth, broker, clock))
     }
 
@@ -565,6 +600,63 @@ mod tests {
             .collect();
         assert_eq!(edges, ["brownout_enter", "brownout_exit"]);
         svc.shutdown();
+    }
+
+    /// Dispatch lag is read where every task waits — its endpoint's queue
+    /// — not from a stamp only a traced task gets: a task an endpoint has
+    /// taken never counts as waiting, and one nobody takes always does,
+    /// sampled or not.
+    #[test]
+    fn brownout_reads_the_same_lag_whether_or_not_a_task_is_traced() {
+        for sample_every in [1, 0] {
+            let (vclock, svc) = virtual_service_with(CloudConfig {
+                admission: AdmissionConfig {
+                    enabled: true,
+                    rate_per_sec: 1_000_000,
+                    burst: 1_000_000,
+                    max_inflight: 0,
+                    brownout_threshold_ms: 1_000,
+                    ..AdmissionConfig::default()
+                },
+                trace: gcx_core::trace::TraceConfig {
+                    sample_every,
+                    ..Default::default()
+                },
+                ..CloudConfig::default()
+            });
+            let token = login(&svc, "u@x.y");
+            let fid = svc
+                .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+                .unwrap();
+            let reg = svc
+                .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+                .unwrap();
+            let session = svc
+                .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+                .unwrap();
+            let taken = svc
+                .submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
+                .unwrap();
+            let (spec, _tag) = session
+                .next_task(std::time::Duration::from_secs(5))
+                .unwrap()
+                .unwrap();
+            assert_eq!(spec.task_id, taken);
+            assert_eq!(spec.trace.is_some(), sample_every == 1);
+            // The endpoint runs the task past the threshold: no lag.
+            vclock.advance(1_500);
+            svc.check_expiry();
+            assert!(!svc.brownout_active(), "sample_every {sample_every}");
+
+            // A second task waits on the queue past the threshold: lag.
+            svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
+                .unwrap();
+            vclock.advance(1_500);
+            svc.check_expiry();
+            assert!(svc.brownout_active(), "sample_every {sample_every}");
+            drop(session);
+            svc.shutdown();
+        }
     }
 
     #[test]

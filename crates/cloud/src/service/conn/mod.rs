@@ -585,7 +585,8 @@ mod tests {
 
     /// Fails if a cheaper tracer got there by recording less: one task,
     /// in process and over the wire, must leave every lifecycle leg exactly
-    /// once, linked to a closed root.
+    /// once, linked to a closed root, with `dispatch` starting where `queue`
+    /// ended.
     #[test]
     fn traced_task_keeps_every_leg() {
         use gcx_core::trace::{TraceConfig, Tracer};
@@ -604,13 +605,14 @@ mod tests {
         // reports the Running state (which is what stamps `dispatch`).
         let serve = |running: bool| {
             let (spec, tag) = session.next_task(T).unwrap().unwrap();
+            // The root must visibly close after it opened (ms clock), and
+            // `dispatch` must not be empty.
+            std::thread::sleep(Duration::from_millis(2));
             if running {
                 session
                     .report_state(spec.task_id, TaskState::Running)
                     .unwrap();
             }
-            // The root must visibly close after it opened (ms clock).
-            std::thread::sleep(Duration::from_millis(2));
             session
                 .publish_result(spec.task_id, &TaskResult::ok(Value::Int(1)))
                 .unwrap();
@@ -630,20 +632,42 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         };
+        // `dispatch` runs from where `queue` ended to the Running report.
+        let dispatch_follows_queue = |tracer: &Tracer, ctx: &TraceContext| {
+            let td = tracer.trace(ctx.trace_id).unwrap();
+            let leg = |name| td.spans_named(name).next().unwrap().clone();
+            let (queue, dispatch) = (leg("queue"), leg("dispatch"));
+            assert_eq!(dispatch.start_ms, queue.end_ms, "{td:?}");
+            assert!(dispatch.end_ms > dispatch.start_ms, "{td:?}");
+        };
 
-        // In process, context minted by the front door.
+        // In process: the context minted by the front door, then as the
+        // SDK's executor mints it — in the service's own collector, with
+        // the SDK's `submit` leg beside the service's work.
         let stream = svc.open_result_stream(&token).unwrap();
-        for running in [false, true] {
-            svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
-                .unwrap();
+        let tracer = svc.tracer();
+        for (by_sdk, running) in [(false, false), (true, true)] {
+            let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+            if by_sdk {
+                let submitted_ms = tracer.now_ms();
+                spec.trace = tracer.start_trace_at("task", submitted_ms);
+                let ctx = spec.trace;
+                svc.submit_batch(&token, vec![spec]).unwrap();
+                tracer.record_span(ctx.as_ref(), "submit", submitted_ms, tracer.now_ms());
+            } else {
+                svc.submit_task(&token, spec).unwrap();
+            }
             let ctx = serve(running);
-            closed_root(svc.tracer(), &ctx);
+            closed_root(tracer, &ctx);
             let mut legs = vec!["submit", "queue", "execute", "result"];
             legs.extend(running.then_some("dispatch"));
-            assert_legs(svc.tracer(), &ctx, &legs);
+            assert_legs(tracer, &ctx, &legs);
+            if running {
+                dispatch_follows_queue(tracer, &ctx);
+            }
             // `execute` runs from the Running report (or, with none, from
             // nothing) to the agent's publish stamp, where `result` starts.
-            let td = svc.tracer().trace(ctx.trace_id).unwrap();
+            let td = tracer.trace(ctx.trace_id).unwrap();
             let leg = |name| td.spans_named(name).next().unwrap();
             assert_eq!(leg("execute").end_ms, leg("result").start_ms);
             let started = running.then(|| leg("dispatch").end_ms);
@@ -677,6 +701,7 @@ mod tests {
         client.submit_batch(&[spec]).unwrap();
         assert_eq!(serve(true), minted);
         closed_root(svc.tracer(), &minted);
+        dispatch_follows_queue(svc.tracer(), &minted);
         assert_legs(
             svc.tracer(),
             &minted,

@@ -451,17 +451,21 @@ fn dispatch_method(
             // before admission, the CAS store or the task store see it.
             let specs = batch::unpack_specs(&Bytes::from(body))?;
             let t1 = now_ms(inner);
-            // The specs' contexts link into the service tracer once
-            // `submit_batch` adopts them; stamp the server-side wire legs
-            // afterwards so every wire task's timeline shows decode and
-            // enqueue time. Untraced specs carry no context and cost
-            // nothing here.
+            // A context decoded here was minted in the client's collector:
+            // this is the one place the service adopts one, with its
+            // server-side `submit` leg (specs → accepted; a re-sent batch's
+            // adoption loses to the first), beside the two wire legs, so
+            // every wire task's timeline shows decode and enqueue time. The
+            // log makes the order of writes immaterial: the adoption may
+            // follow the task's `queue` leg. Untraced specs carry no
+            // context and cost nothing here.
             let ctxs: Vec<_> = specs.iter().filter_map(|s| s.trace).collect();
             let ids = svc.submit_batch(token, specs)?;
             let t2 = now_ms(inner);
             if !ctxs.is_empty() {
                 let tracer = svc.tracer();
                 for ctx in &ctxs {
+                    tracer.adopt_trace_with_span(ctx, "task", "submit", t1, t2);
                     tracer.record_span(Some(ctx), "wire.decode", t0, t1);
                     tracer.record_span(Some(ctx), "wire.queue", t1, t2);
                 }

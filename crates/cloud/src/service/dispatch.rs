@@ -60,23 +60,11 @@ pub(super) struct Accepted {
     /// Ship the payload bytes (`true`) or only their content hash, a CAS
     /// reference.
     pub(super) inline: bool,
-    /// Whether this replica still owes the trace its `submit` span.
-    pub(super) submit_leg: SubmitLeg,
-}
-
-/// The server-side `submit` span exists exactly once per trace and
-/// collector; this says what is left to do about it when the task ships.
-#[derive(Clone, Copy)]
-pub(super) enum SubmitLeg {
-    /// Nothing: another replica's front door took the task in.
-    Recorded,
-    /// The trace was minted by this call: record the span.
-    Owed,
-    /// The context came with the spec (an SDK minted it). Adopt it if this
-    /// collector has not seen it and record the span only then — a context
-    /// minted in process (shared collector) or re-sent by a resubmission
-    /// already has one.
-    OwedIfNew,
+    /// Whether this replica owes the trace its `submit` span: only when
+    /// its front door minted the trace. An SDK that minted one records its
+    /// own `submit` — in process into this collector, and over the wire the
+    /// server adopts the context and stamps the span itself.
+    pub(super) owes_submit: bool,
 }
 
 impl Accepted {
@@ -87,7 +75,7 @@ impl Accepted {
             deliver_to: spec.endpoint_id,
             spec,
             inline: true,
-            submit_leg: SubmitLeg::Recorded,
+            owes_submit: false,
         }
     }
 }
@@ -144,16 +132,13 @@ impl WebService {
             // SDK submissions arrive with a trace context already minted;
             // direct REST submissions get theirs here (subject to sampling)
             // so the per-leg timeline exists either way. A context minted by
-            // a *remote* SDK (one that reached us over the wire) lives in a
-            // separate client-side collector; it is adopted when the task
-            // ships, so the server-side legs link into one trace here too.
-            let submit_leg = if spec.trace.is_some() {
-                SubmitLeg::OwedIfNew
-            } else if self.inner.tracer.enabled() {
-                spec.trace = self.inner.tracer.start_trace("task");
-                SubmitLeg::Owed
+            // a *remote* SDK lives in a separate client-side collector: the
+            // wire server adopts it (see `conn::server`).
+            let owes_submit = if spec.trace.is_none() {
+                spec.trace = self.inner.tracer.start_trace_at("task", now);
+                spec.trace.is_some()
             } else {
-                SubmitLeg::Recorded
+                false
             };
             let payload_len = spec.payload.len();
             if payload_len > PAYLOAD_LIMIT {
@@ -209,7 +194,7 @@ impl WebService {
                 spec,
                 deliver_to,
                 inline,
-                submit_leg,
+                owes_submit,
             });
         }
 
@@ -256,7 +241,7 @@ impl WebService {
                 let forwarded_at = self.inner.clock.now_ms();
                 let mut specs = Vec::with_capacity(group.len());
                 for task in group {
-                    self.stamp_submit(task.submit_leg, &task.spec, now, forwarded_at);
+                    self.stamp_submit(task.owes_submit, &task.spec, now, forwarded_at);
                     let mut wire_spec = task.spec;
                     wire_spec.endpoint_id = task.deliver_to;
                     specs.push(wire_spec);
@@ -290,29 +275,26 @@ impl WebService {
         Ok(ids)
     }
 
-    /// Settle the server-side `submit` span (`start_ms` → `end_ms`) a task
-    /// is owed, in one visit to the collector.
-    fn stamp_submit(&self, leg: SubmitLeg, spec: &TaskSpec, start_ms: u64, end_ms: u64) {
-        let tracer = &self.inner.tracer;
-        match (leg, &spec.trace) {
-            (SubmitLeg::Owed, ctx) => tracer.record_span(ctx.as_ref(), "submit", start_ms, end_ms),
-            (SubmitLeg::OwedIfNew, Some(ctx)) => {
-                tracer.adopt_trace_with_span(ctx, "task", "submit", start_ms, end_ms);
-            }
-            _ => {}
+    /// Record the server-side `submit` span (`start_ms` → `end_ms`) if the
+    /// task is owed one.
+    fn stamp_submit(&self, owed: bool, spec: &TaskSpec, start_ms: u64, end_ms: u64) {
+        if owed {
+            let tracer = &self.inner.tracer;
+            tracer.record_span(spec.trace.as_ref(), "submit", start_ms, end_ms);
         }
     }
 
     /// The queue message for a deliverable spec: the compact binary body
     /// (one buffer fill, no `Value` tree — an inlined payload is memcpy'd
-    /// into the frame, a CAS reference ships only the content hash), plus,
-    /// for a traced task, headers that let the broker annotate the trace on
-    /// fault injection and the receiving session time the queue-transit leg
-    /// without decoding the body.
+    /// into the frame, a CAS reference ships only the content hash), plus
+    /// headers that let the broker annotate a traced task on fault
+    /// injection, the receiving session time the queue-transit leg without
+    /// decoding the body, and the expiry sweep date the oldest task still
+    /// waiting on a queue (every task's message carries its publish stamp).
     fn task_message(&self, spec: &TaskSpec, inline: bool, sent_ms: u64) -> Message {
         let headers = gcx_mq::Headers {
             trace: spec.trace,
-            sent_ms: spec.trace.map(|_| sent_ms),
+            sent_ms: Some(sent_ms),
             death_queue: None,
         };
         Message::with_headers(spec.to_message(inline), headers)
@@ -348,7 +330,7 @@ impl WebService {
             spec,
             deliver_to,
             inline,
-            submit_leg,
+            owes_submit,
         } in tasks
         {
             let task_id = spec.task_id;
@@ -367,7 +349,7 @@ impl WebService {
                 continue;
             }
             installed.push(task_id);
-            self.stamp_submit(submit_leg, &spec, submitted_at, shipped);
+            self.stamp_submit(owes_submit, &spec, submitted_at, shipped);
             if spec.deadline_ms.is_some() {
                 self.inner.admission.note_deadline_task();
             }

@@ -297,8 +297,8 @@ impl WebService {
             // that published may sit on a replica that does not hold it.
             tracer.record_span(trace.as_ref(), "execute", started_at.unwrap_or(sent), sent);
         }
-        tracer.record_span(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
-        tracer.end_trace(trace.as_ref());
+        // Result leg: published → landed here, which also closes the root.
+        tracer.end_trace_with_span(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
 
         // For all of the owner's open streams: one message, whose clones
         // bump the body's refcount and copy the context. The trace context
@@ -491,16 +491,15 @@ impl WebService {
             }
             rec.transition(state, now)?;
             if state == TaskState::Running {
-                // Dispatch leg: agent receipt → the engine actually starting
-                // the task (queueing inside the endpoint's interchange).
-                dispatch_leg = rec.spec.trace.map(|ctx| (ctx, rec.received_at));
+                dispatch_leg = rec.spec.trace;
             }
             Ok(())
         })?;
-        if let Some((ctx, received_at)) = dispatch_leg {
-            let tracer = &self.inner.tracer;
-            tracer.record_span(Some(&ctx), "dispatch", received_at.unwrap_or(now), now);
-        }
+        // Dispatch leg: agent receipt (where the `queue` leg ended, read
+        // from the log) → the engine actually starting the task (queueing
+        // inside the endpoint's interchange).
+        let tracer = &self.inner.tracer;
+        tracer.record_span_after_queue(dispatch_leg.as_ref(), "dispatch", now);
         Ok(())
     }
 }

@@ -57,14 +57,6 @@ impl EndpointSession {
                             Vec::new()
                         }
                     });
-                    // First receipt stamps the record; redeliveries keep it.
-                    self.cloud.inner.tasks.update(&spec.task_id, |rec| {
-                        if let Some(rec) = rec {
-                            if rec.received_at.is_none() {
-                                rec.received_at = Some(now);
-                            }
-                        }
-                    });
                 }
                 Ok(Some((spec, delivery.tag)))
             }

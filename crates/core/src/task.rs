@@ -637,9 +637,6 @@ pub struct TaskRecord {
     /// When the task was shipped to the endpoint's queue, if it has been.
     #[serde(default)]
     pub dispatched_at: Option<TimeMs>,
-    /// When the endpoint first received the task, if it has.
-    #[serde(default)]
-    pub received_at: Option<TimeMs>,
     /// When execution started (first transition to `Running`), if it has.
     #[serde(default)]
     pub started_at: Option<TimeMs>,
@@ -657,7 +654,6 @@ impl TaskRecord {
             result: None,
             submitted_at: now,
             dispatched_at: None,
-            received_at: None,
             started_at: None,
             completed_at: None,
         }
@@ -676,9 +672,6 @@ impl TaskRecord {
             )));
         }
         self.state = next;
-        if next == TaskState::WaitingForNodes && self.received_at.is_none() {
-            self.received_at = Some(now);
-        }
         if next == TaskState::Running && self.started_at.is_none() {
             self.started_at = Some(now);
         }
@@ -754,19 +747,15 @@ mod tests {
     #[test]
     fn record_stamps_stage_timestamps_once() {
         let mut r = TaskRecord::new(spec(), IdentityId::random(), 100);
-        assert_eq!(
-            (r.dispatched_at, r.received_at, r.started_at),
-            (None, None, None)
-        );
+        assert_eq!((r.dispatched_at, r.started_at), (None, None));
         r.dispatched_at = Some(105);
         r.transition(TaskState::WaitingForNodes, 110).unwrap();
-        assert_eq!(r.received_at, Some(110));
         r.transition(TaskState::Running, 120).unwrap();
         assert_eq!(r.started_at, Some(120));
         r.complete(TaskResult::ok(Value::Int(1)), 130).unwrap();
         assert_eq!(
-            (r.submitted_at, r.dispatched_at, r.received_at, r.started_at),
-            (100, Some(105), Some(110), Some(120))
+            (r.submitted_at, r.dispatched_at, r.started_at),
+            (100, Some(105), Some(120))
         );
     }
 

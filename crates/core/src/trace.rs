@@ -214,14 +214,20 @@ pub struct LegStats {
     pub max_ms: u64,
 }
 
-/// Ring entries per trace of `TraceConfig::capacity`. Most threads write a
-/// task one or two, so their rings hold the newest `capacity` traces whole;
-/// the batcher's holds two thirds (`submit`, the adoption and its span). A
-/// longer ring reads little more and costs cache: 4 was 4 MiB heavier, no faster.
+/// Most ring entries per trace of `TraceConfig::capacity`: what a ring whose
+/// thread writes a trace several entries (the result processor's `execute`
+/// and `result`, a wire server's four, a test's whole lifecycle) grows to.
+/// One whose thread writes one entry per trace — the mint, the batcher's
+/// `submit`, the agent's `queue` — stops at `capacity` entries: it holds the
+/// newest `capacity` traces whole either way, and the half it would never
+/// need costs every thread cache (`svc_inmem` ran ≈ 4% faster without it).
+/// A longer ring reads little more: 4 was 4 MiB heavier, no faster.
 const RING_ENTRIES_PER_TRACE: usize = 2;
 /// How often a ring reads the clock into a [`Kind::Stamp`] entry of its
 /// own — what lets a reader date what the ring has overwritten.
 const STAMP_EVERY: usize = 64;
+/// The leg whose end a [`Kind::AfterQueue`] span starts at.
+const QUEUE_LEG: &str = "queue";
 
 /// What one log entry says. A reader sorts a trace's entries in this order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -234,16 +240,24 @@ enum Kind {
     Span,
     /// `adopt_trace_with_span`'s span: kept if the `Adopt` before it opened the trace.
     SpanIfOpened,
-    /// `end_trace`: the root closed at `end_ms`.
-    End,
+    /// `end_trace_with_span`: a child span whose end also closes the root.
+    Close,
+    /// `record_span_after_queue`: a child span that starts where the
+    /// trace's first `queue` leg ended (`start_ms` unused).
+    AfterQueue,
     /// `annotate`: `notes` go on span `span`, stamped `end_ms`.
     Note,
     /// The ring's clock reading: all before it was pushed by `end_ms`.
     Stamp,
 }
 
-/// One fixed-size log entry; `notes` is empty (and unallocated) unless the
-/// write carried annotations.
+/// The notes of an annotated write, kept out of line so that an entry
+/// stays 80 bytes and only an annotation allocates.
+#[derive(Debug, Clone)]
+struct Notes(Vec<String>);
+
+/// One fixed-size log entry (80 bytes); `notes` is `None` — nothing
+/// allocated — unless the write carried annotations.
 #[derive(Debug, Clone)]
 struct Entry {
     kind: Kind,
@@ -253,7 +267,7 @@ struct Entry {
     name: &'static str,
     start_ms: TimeMs,
     end_ms: TimeMs,
-    notes: Vec<String>,
+    notes: Option<Box<Notes>>,
 }
 
 impl Entry {
@@ -273,57 +287,91 @@ impl Entry {
             name,
             start_ms,
             end_ms,
-            notes: Vec::new(),
+            notes: None,
         }
     }
 
-    /// The span a `Mint`, `Adopt`, `Span` or `SpanIfOpened` entry records.
+    /// The span an entry of any kind but `Note` and `Stamp` records.
     fn to_span(&self) -> SpanRecord {
         let root = matches!(self.kind, Kind::Mint | Kind::Adopt);
-        let notes = self.notes.iter().map(|n| (self.end_ms, n.clone()));
+        let notes = self.notes.iter().flat_map(|n| &n.0);
         SpanRecord {
             id: self.span,
             parent: (!root).then_some(self.parent),
             name: self.name,
             start_ms: self.start_ms,
             end_ms: self.end_ms,
-            annotations: notes.collect(),
+            annotations: notes.map(|n| (self.end_ms, n.clone())).collect(),
         }
     }
 }
 
 /// One thread's append-only log for one tracer: a vector grown lazily to
-/// the tracer's ring bound, then overwritten oldest first.
+/// its bound, then overwritten oldest first.
 #[derive(Default)]
 struct Ring {
     entries: Vec<Entry>,
     /// Slot of the next push: the oldest entry's, once `wrapped`.
     next: usize,
     wrapped: bool,
+    /// Where `next` wraps: 0 until the ring first fills `TracerInner::base`
+    /// slots, then `base`, or `most` if its thread writes a trace more than
+    /// one entry.
+    bound: usize,
     /// `start_trace` calls this thread has made (sampling counts per thread).
     submissions: u64,
+    /// Writes pushed here, stamps aside (a retired ring: its threads' writes).
+    written: u64,
 }
 
 impl Ring {
+    /// A write: one entry.
     fn push(&mut self, tracer: &TracerInner, entry: Entry) {
+        self.written += 1;
+        self.append(tracer, entry);
+    }
+
+    /// Append `entry`, preceded every `STAMP_EVERY` slots by a stamp.
+    fn append(&mut self, tracer: &TracerInner, entry: Entry) {
         if self.next.is_multiple_of(STAMP_EVERY) {
             let stamp = Entry {
                 kind: Kind::Stamp,
                 end_ms: tracer.clock.now_ms(),
-                notes: Vec::new(),
+                notes: None,
                 ..entry
             };
-            self.put(tracer.bound, stamp);
+            self.put(tracer, stamp);
         }
-        self.put(tracer.bound, entry);
+        self.put(tracer, entry);
     }
 
-    fn put(&mut self, bound: usize, entry: Entry) {
+    fn put(&mut self, tracer: &TracerInner, entry: Entry) {
         match self.entries.get_mut(self.next) {
             Some(old) => (*old, self.wrapped) = (entry, true),
             None => self.entries.push(entry),
         }
-        self.next = (self.next + 1) & (bound - 1);
+        self.next += 1;
+        if self.bound == 0 && self.next == tracer.base {
+            self.bound = if self.writes_per_trace_above(1.25) {
+                tracer.most
+            } else {
+                tracer.base
+            };
+        }
+        if self.next == self.bound {
+            self.next = 0;
+        }
+    }
+
+    /// Whether the writes this ring holds average more than `per_trace`
+    /// entries for each trace they belong to (one look, when it first fills).
+    fn writes_per_trace_above(&self, per_trace: f64) -> bool {
+        let writes = self.entries.iter().filter(|e| e.kind != Kind::Stamp);
+        let mut traces: Vec<TraceId> = writes.map(|e| e.trace).collect();
+        let n = traces.len() as f64;
+        traces.sort_unstable();
+        traces.dedup();
+        n > per_trace * traces.len() as f64
     }
 
     /// The entries still held, oldest first.
@@ -356,8 +404,11 @@ struct Rings {
 struct TracerInner {
     clock: SharedClock,
     cfg: TraceConfig,
-    /// Entries a ring holds before it overwrites; a power of two.
-    bound: usize,
+    /// Entries a ring holds at one entry per trace: room for the newest
+    /// `capacity` traces, and for a stamp.
+    base: usize,
+    /// Entries a ring holds at most, at `RING_ENTRIES_PER_TRACE`.
+    most: usize,
     rings: Mutex<Rings>,
 }
 
@@ -381,8 +432,9 @@ impl Drop for ThreadRings {
             rings.live.retain(|r| !Arc::ptr_eq(r, &ring));
             let ring = ring.lock();
             rings.lost_before = rings.lost_before.max(ring.horizon());
+            rings.retired.written += ring.written;
             for entry in ring.survivors().filter(|e| e.kind != Kind::Stamp) {
-                rings.retired.push(&tracer, entry.clone());
+                rings.retired.append(&tracer, entry.clone());
             }
         }
     }
@@ -438,14 +490,24 @@ impl Tracer {
 
     /// An enabled tracer stamping spans from `clock`.
     pub fn new(clock: SharedClock, cfg: TraceConfig) -> Self {
+        // Powers of two, and room for a stamp.
+        let entries = |per_trace: usize| (cfg.capacity * per_trace).max(2 * STAMP_EVERY);
+        let base = entries(1).next_power_of_two();
+        let most = entries(RING_ENTRIES_PER_TRACE).next_power_of_two();
+        // Exited threads' entries, whatever their rings held, retire here.
+        let retired = Ring {
+            bound: most,
+            ..Ring::default()
+        };
         Self(Some(Arc::new(TracerInner {
             clock,
-            // Room for the newest `capacity` traces, and for a stamp.
-            bound: (cfg.capacity * RING_ENTRIES_PER_TRACE)
-                .max(2 * STAMP_EVERY)
-                .next_power_of_two(),
+            base,
+            most,
             cfg,
-            rings: Mutex::default(),
+            rings: Mutex::new(Rings {
+                retired,
+                ..Rings::default()
+            }),
         })))
     }
 
@@ -463,6 +525,20 @@ impl Tracer {
     /// caller must thread through the task envelope; `None` means this
     /// submission is untraced and every downstream call will no-op.
     pub fn start_trace(&self, label: &'static str) -> Option<TraceContext> {
+        self.open(label, |inner| inner.clock.now_ms())
+    }
+
+    /// [`start_trace`](Self::start_trace) with the root opened at `now_ms`,
+    /// a reading the caller has already taken.
+    pub fn start_trace_at(&self, label: &'static str, now_ms: TimeMs) -> Option<TraceContext> {
+        self.open(label, |_| now_ms)
+    }
+
+    fn open(
+        &self,
+        label: &'static str,
+        now: impl FnOnce(&TracerInner) -> TimeMs,
+    ) -> Option<TraceContext> {
         let inner = self.0.as_ref()?;
         let every = inner.cfg.sample_every;
         if every == 0 {
@@ -477,23 +553,23 @@ impl Tracer {
                 trace_id: TraceId::random(),
                 parent: SpanId::random(),
             };
-            let now = inner.clock.now_ms();
+            let now = now(inner);
             let root = Entry::new(Kind::Mint, &ctx, ctx.parent, label, now, now);
             ring.push(inner, root);
             Some(ctx)
         })
     }
 
-    /// Adopt a trace minted by a *remote* peer — open it here with
-    /// `ctx.parent` as its root span, so spans recorded under the context
-    /// on this side of a wire land somewhere (a read returns spans only
-    /// for traces the log opens) — with one child span that a reader keeps
-    /// only if this adoption is the open that won. Idempotent: a reader
-    /// lets one open win, a mint over an adoption, an earlier adoption over
-    /// a later. This is how a once-per-trace leg (the server-side `submit`
-    /// span) is stamped without duplicating it when client and server share
-    /// one collector (the in-process path) or when a resubmission re-sends
-    /// an already-adopted context.
+    /// Adopt a trace minted by a *remote* peer — open it here at `start_ms`
+    /// with `ctx.parent` as its root span, so spans recorded under the
+    /// context on this side of a wire land somewhere (a read returns spans
+    /// only for traces the log opens) — with one child span that a reader
+    /// keeps only if this adoption is the open that won. Idempotent: a
+    /// reader lets one open win, a mint over an adoption, an earlier
+    /// adoption over a later. This is how the wire server stamps its
+    /// once-per-trace `submit` leg without duplicating it when a
+    /// resubmission re-sends an already-adopted context. `start_ms` must
+    /// precede every write of the trace on this side.
     pub fn adopt_trace_with_span(
         &self,
         ctx: &TraceContext,
@@ -503,8 +579,7 @@ impl Tracer {
         end_ms: TimeMs,
     ) {
         if let Some(inner) = self.0.as_ref() {
-            let now = inner.clock.now_ms();
-            let root = Entry::new(Kind::Adopt, ctx, ctx.parent, label, now, now);
+            let root = Entry::new(Kind::Adopt, ctx, ctx.parent, label, start_ms, start_ms);
             let id = SpanId::random();
             let span = Entry::new(Kind::SpanIfOpened, ctx, id, name, start_ms, end_ms);
             inner.write(|ring| {
@@ -539,9 +614,49 @@ impl Tracer {
     ) -> Option<SpanId> {
         let (inner, ctx, id) = (self.0.as_ref()?, ctx?, SpanId::random());
         let mut span = Entry::new(Kind::Span, ctx, id, name, start_ms, end_ms);
-        span.notes = notes();
+        let notes = notes();
+        span.notes = (!notes.is_empty()).then(|| Box::new(Notes(notes)));
         inner.push(span);
         Some(id)
+    }
+
+    /// Record a child span that ends at `end_ms` and starts where the
+    /// trace's first `queue` leg ended — a reader takes the start from the
+    /// log, so the writer needs no stamp of its own (the `dispatch` leg:
+    /// agent receipt → `Running`). With no `queue` leg it reads as empty.
+    pub fn record_span_after_queue(
+        &self,
+        ctx: Option<&TraceContext>,
+        name: &'static str,
+        end_ms: TimeMs,
+    ) {
+        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
+            let span = Entry::new(
+                Kind::AfterQueue,
+                ctx,
+                SpanId::random(),
+                name,
+                end_ms,
+                end_ms,
+            );
+            inner.push(span);
+        }
+    }
+
+    /// Record the child span that finishes a trace: its end also closes the
+    /// root (idempotent — a later closing span, a re-delivery's, just moves
+    /// the root's end forward).
+    pub fn end_trace_with_span(
+        &self,
+        ctx: Option<&TraceContext>,
+        name: &'static str,
+        start_ms: TimeMs,
+        end_ms: TimeMs,
+    ) {
+        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
+            let span = Entry::new(Kind::Close, ctx, SpanId::random(), name, start_ms, end_ms);
+            inner.push(span);
+        }
     }
 
     /// Append a timestamped annotation to the span `ctx` points at (the
@@ -551,18 +666,21 @@ impl Tracer {
         if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
             let now = inner.clock.now_ms();
             let mut note = Entry::new(Kind::Note, ctx, ctx.parent, "", now, now);
-            note.notes.push(msg());
+            note.notes = Some(Box::new(Notes(vec![msg()])));
             inner.push(note);
         }
     }
 
-    /// Close the root span (idempotent — re-deliveries after completion
-    /// just move the end stamp forward).
-    pub fn end_trace(&self, ctx: Option<&TraceContext>) {
-        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
-            let now = inner.clock.now_ms();
-            inner.push(Entry::new(Kind::End, ctx, ctx.parent, "", now, now));
-        }
+    /// Log entries written so far by every thread, the rings' own clock
+    /// stamps aside: what tracing has cost the writers, read without
+    /// assembling anything.
+    pub fn entries_written(&self) -> u64 {
+        let Some(inner) = self.0.as_ref() else {
+            return 0;
+        };
+        let rings = inner.rings.lock();
+        let live: u64 = rings.live.iter().map(|r| r.lock().written).sum();
+        live + rings.retired.written
     }
 
     /// Assemble what a read returns from one cut of the log: every write
@@ -605,10 +723,21 @@ impl Tracer {
                 match e.kind {
                     Kind::Span => spans.push(e.to_span()),
                     Kind::SpanIfOpened if i == opened + 1 => spans.push(e.to_span()),
-                    Kind::End => spans[0].end_ms = spans[0].end_ms.max(e.end_ms),
+                    Kind::Close => {
+                        spans[0].end_ms = spans[0].end_ms.max(e.end_ms);
+                        spans.push(e.to_span());
+                    }
+                    Kind::AfterQueue => {
+                        let queued = spans.iter().filter(|s| s.name == QUEUE_LEG);
+                        let mut span = e.to_span();
+                        span.start_ms = queued.map(|s| s.end_ms).min().unwrap_or(e.end_ms);
+                        spans.push(span);
+                    }
                     Kind::Note => {
                         if let Some(span) = spans.iter_mut().find(|s| s.id == e.span) {
-                            span.annotations.push((e.end_ms, e.notes[0].clone()));
+                            let notes = e.notes.iter().flat_map(|n| &n.0);
+                            span.annotations
+                                .extend(notes.map(|n| (e.end_ms, n.clone())));
                         }
                     }
                     _ => {}
@@ -725,9 +854,8 @@ mod tests {
         vclock.advance(5);
         t.record_span(Some(&ctx), "submit", 0, 5);
         vclock.advance(10);
-        t.record_span(Some(&ctx), "queue", 5, 15);
+        t.end_trace_with_span(Some(&ctx), "queue", 5, 15);
         t.annotate(Some(&ctx), || "redelivered".to_string());
-        t.end_trace(Some(&ctx));
 
         let td = t.trace(ctx.trace_id).unwrap();
         assert_eq!(td.spans.len(), 3);
@@ -823,8 +951,7 @@ mod tests {
         t.adopt_trace_with_span(&ctx, "task", "submit", 1, 2);
         assert_eq!(t.trace_count(), 1, "re-adoption is a no-op");
         vclock.advance(2);
-        t.record_span(Some(&ctx), "queue", 1, 3);
-        t.end_trace(Some(&ctx));
+        t.end_trace_with_span(Some(&ctx), "queue", 1, 3);
 
         let td = t.trace(ctx.trace_id).unwrap();
         assert_eq!(td.root, ctx.parent);
@@ -878,8 +1005,7 @@ mod tests {
         assert!(t.trace(unknown.trace_id).is_none());
 
         vclock.advance(12);
-        t.record_span(Some(&remote), "result", 9, 12);
-        t.end_trace(Some(&remote));
+        t.end_trace_with_span(Some(&remote), "result", 9, 12);
         let td = t.trace(remote.trace_id).unwrap();
         let legs: Vec<_> = td.spans.iter().map(|s| (s.name, s.start_ms)).collect();
         assert_eq!(
@@ -902,8 +1028,7 @@ mod tests {
         );
         capped.adopt_trace_with_span(&remote, "task", "submit", 0, 1);
         capped.record_span(Some(&remote), "queue", 1, 2);
-        capped.record_span(Some(&remote), "result", 2, 3);
-        capped.end_trace(Some(&remote));
+        capped.end_trace_with_span(Some(&remote), "result", 2, 3);
         assert_eq!(capped.spans_overflowed(), 3);
         assert_eq!(capped.trace(remote.trace_id).unwrap().spans.len(), 1);
     }
@@ -955,5 +1080,64 @@ mod tests {
         let (_, other) = tracer();
         other.start_trace("task");
         RINGS.with(|rings| assert_eq!(rings.borrow().0.len(), 1));
+    }
+
+    /// A ring whose thread writes one entry per trace stops at `capacity`
+    /// slots; one whose thread writes several grows to twice that.
+    #[test]
+    fn a_ring_grows_past_capacity_only_for_a_thread_that_writes_a_trace_twice() {
+        let cfg = TraceConfig {
+            capacity: 256,
+            ..TraceConfig::default()
+        };
+        let t = Tracer::new(VirtualClock::new(), cfg);
+        let ring_len = |per_trace: usize| {
+            let t = t.clone();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        let ctx = t.start_trace("task");
+                        for _ in 1..per_trace {
+                            t.record_span(ctx.as_ref(), "leg", 0, 1);
+                        }
+                    }
+                    RINGS.with(|rings| rings.borrow().0[0].1.lock().entries.len())
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        assert_eq!(ring_len(1), 256);
+        assert_eq!(ring_len(2), 512);
+        assert_eq!(ring_len(3), 512);
+    }
+
+    /// An entry stays small: the notes live out of line, so a write moves
+    /// 80 bytes and only an annotation allocates.
+    #[test]
+    fn an_entry_is_at_most_80_bytes() {
+        assert!(size_of::<Entry>() <= 80, "{} bytes", size_of::<Entry>());
+    }
+
+    /// `dispatch` starts where the first delivery's `queue` leg ended, read
+    /// from the log; with no `queue` leg it is empty at its end.
+    #[test]
+    fn a_span_after_queue_starts_where_the_first_queue_leg_ended() {
+        let (_, t) = tracer();
+        let ctx = t.start_trace("task").unwrap();
+        t.record_span(Some(&ctx), "queue", 1, 4);
+        t.record_span(Some(&ctx), "queue", 1, 6); // a redelivery
+        t.record_span_after_queue(Some(&ctx), "dispatch", 9);
+        let td = t.trace(ctx.trace_id).unwrap();
+        let dispatch = td.spans_named("dispatch").next().unwrap();
+        assert_eq!((dispatch.start_ms, dispatch.end_ms), (4, 9));
+        assert_eq!(dispatch.parent, Some(ctx.parent));
+
+        let bare = t.start_trace("task").unwrap();
+        t.record_span_after_queue(Some(&bare), "dispatch", 7);
+        let td = t.trace(bare.trace_id).unwrap();
+        let dispatch = td.spans_named("dispatch").next().unwrap();
+        assert_eq!((dispatch.start_ms, dispatch.end_ms), (7, 7));
+        assert_eq!(t.entries_written(), 6, "a write is one entry");
     }
 }

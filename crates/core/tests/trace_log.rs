@@ -29,7 +29,7 @@ fn concurrent_writers_and_a_reader_see_whole_traces_only() {
         ..TraceConfig::default()
     };
     let tracer = Tracer::new(clock.clone(), cfg.clone());
-    // Contexts whose `end_trace` has returned, in that order.
+    // Contexts whose `end_trace_with_span` has returned, in that order.
     let ended: Arc<Mutex<Vec<TraceContext>>> = Arc::default();
     // Writers stay until the last read: an exited thread's ring is emptied
     // into the one retired ring, which eight full ones would overflow.
@@ -47,9 +47,8 @@ fn concurrent_writers_and_a_reader_see_whole_traces_only() {
         writers.push(std::thread::spawn(move || {
             let finish = |ctx: TraceContext| {
                 tracer.record_span(Some(&ctx), "queue", 1, 2);
-                tracer.record_span(Some(&ctx), "result", 2, 3);
                 clock.advance(1); // so a closed root reads closed
-                tracer.end_trace(Some(&ctx));
+                tracer.end_trace_with_span(Some(&ctx), "result", 2, tracer.now_ms());
                 ended.lock().unwrap().push(ctx);
             };
             for _ in 0..TRACES {

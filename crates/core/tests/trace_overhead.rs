@@ -68,8 +68,7 @@ fn disabled_tracer_path_is_allocation_free() {
             let span = tracer.record_span_annotated(Some(&ctx), "worker", 0, 1, Vec::new);
             assert!(span.is_none());
             tracer.annotate(Some(&ctx), || "never rendered".repeat(8));
-            tracer.record_span(Some(&ctx), "result", 0, 5);
-            tracer.end_trace(Some(&ctx));
+            tracer.end_trace_with_span(Some(&ctx), "result", 0, 5);
         }
     });
     assert_eq!(allocs, 0, "disabled tracer must never allocate");
@@ -95,8 +94,7 @@ fn sampled_out_path_is_allocation_free_and_builds_no_entry() {
             tracer.record_span(ctx.as_ref(), "submit", 0, 1);
             tracer.record_span(ctx.as_ref(), "worker", 0, 1);
             tracer.annotate(ctx.as_ref(), || "never rendered".to_string());
-            tracer.record_span(ctx.as_ref(), "result", 0, 1);
-            tracer.end_trace(ctx.as_ref());
+            tracer.end_trace_with_span(ctx.as_ref(), "result", 0, 1);
         }
     });
     assert_eq!(allocs, 0, "sampled-out submissions must never allocate");
@@ -137,10 +135,11 @@ fn enabled_path_is_allocation_free_on_a_warm_ring() {
     let lifecycles = |n: u64| {
         for _ in 0..n {
             let ctx = tracer.start_trace("task");
-            for leg in LEGS {
+            let (closing, legs) = LEGS.split_last().unwrap();
+            for leg in legs {
                 tracer.record_span(ctx.as_ref(), leg, 0, 1);
             }
-            tracer.end_trace(ctx.as_ref());
+            tracer.end_trace_with_span(ctx.as_ref(), closing, 0, 1);
         }
     };
 
@@ -149,18 +148,18 @@ fn enabled_path_is_allocation_free_on_a_warm_ring() {
     let allocs = allocations_in(|| lifecycles(TRACES));
     assert_eq!(tracer.trace_count(), TRACES as usize, "it does record");
     assert!(allocs <= 32, "{allocs} allocations while the ring grew");
-    // Fill the ring (2 × 4 096 entries, 7 a lifecycle here): from then on
+    // Fill the ring (2 × 4 096 entries, 6 a lifecycle here): from then on
     // every write overwrites in place.
     lifecycles(2 * TRACES);
     let allocs = allocations_in(|| lifecycles(TRACES));
     assert_eq!(allocs, 0, "{TRACES} traced lifecycles on a warm ring");
 
-    // However a span is recorded: here the four wire legs on top of the
-    // five above, adoption of a held context included. (The ring has
+    // However a span is recorded: here the four wire legs and the closing
+    // leg on top of the four above, adoption of a held context included. (The ring has
     // wrapped: a trace must open after what was overwritten to be read.)
     clock.advance(1);
     let ctx = tracer.start_trace("task").unwrap();
-    for leg in LEGS {
+    for leg in &LEGS[..4] {
         tracer.record_span(Some(&ctx), leg, 0, 1);
     }
     let allocs = allocations_in(|| {
@@ -169,7 +168,7 @@ fn enabled_path_is_allocation_free_on_a_warm_ring() {
         tracer.record_span(Some(&ctx), "wire.queue", 0, 1);
         tracer.record_span(Some(&ctx), "wire.send", 0, 1);
         tracer.record_span(Some(&ctx), "wire.await", 0, 1);
-        tracer.end_trace(Some(&ctx));
+        tracer.end_trace_with_span(Some(&ctx), "result", 0, 1);
     });
     assert_eq!(allocs, 0, "no write allocates");
     let td = tracer.trace(ctx.trace_id).unwrap();

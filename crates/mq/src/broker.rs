@@ -738,6 +738,22 @@ impl Broker {
         Ok(self.inner.find(name)?.stats())
     }
 
+    /// The publish stamp (`Headers::sent_ms`) of the first message ready on
+    /// `name` — the next one a take hands out — that `counts`: how long the
+    /// queue's backlog has waited. Stampless messages, and those `counts`
+    /// refuses, are passed over. `counts` runs under the queue's lock, so
+    /// it must not call into the broker.
+    pub fn oldest_ready_ms(
+        &self,
+        name: &str,
+        mut counts: impl FnMut(&Message) -> bool,
+    ) -> GcxResult<Option<u64>> {
+        let q = self.inner.find(name)?;
+        let st = q.state.lock();
+        let mut stamped = st.ready.iter().filter(|m| m.headers.sent_ms.is_some());
+        Ok(stamped.find(|m| counts(m)).and_then(|m| m.headers.sent_ms))
+    }
+
     /// Names of all queues (sorted), for inspection.
     pub fn queue_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.inner.queues.read().keys().cloned().collect();
@@ -822,7 +838,9 @@ impl Consumer {
         // On a virtual clock, waiting on real time would hang forever, so we
         // poll with yields instead of condvar timeouts in that mode.
         let virtual_mode = broker.clock.is_virtual();
-        let deadline = Instant::now() + timeout;
+        // Read only by a take that finds nothing to hand out: one that
+        // does never looks at the time.
+        let mut deadline = None;
         q.last_poll_ms
             .store(broker.clock.now_ms(), Ordering::Relaxed);
         let mut snoozed = false;
@@ -895,7 +913,11 @@ impl Consumer {
                 }
                 continue;
             }
+            if timeout.is_zero() {
+                return Ok(0);
+            }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Ok(0);
             }

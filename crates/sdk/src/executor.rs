@@ -299,8 +299,10 @@ impl Executor {
         spec.resource_spec = *self.resource_specification.lock();
         spec.user_endpoint_config = self.user_endpoint_config.lock().clone();
         // The SDK is the trace root for executor submissions: the context
-        // rides the spec through every resubmission attempt.
-        spec.trace = self.shared.tracer.start_trace("task");
+        // rides the spec through every resubmission attempt. One reading
+        // opens the root and starts the `submit` leg.
+        let submitted_ms = self.shared.tracer.now_ms();
+        spec.trace = self.shared.tracer.start_trace_at("task", submitted_ms);
 
         let future = TaskFuture::pending(spec.task_id);
         self.shared.inflight.lock().insert(
@@ -322,7 +324,7 @@ impl Executor {
             return Err(GcxError::ShuttingDown);
         }
         pending.push(PendingSubmit {
-            submitted_ms: self.shared.tracer.now_ms(),
+            submitted_ms,
             spec,
             enqueued_at: Instant::now(),
         });
