@@ -41,9 +41,10 @@ pub(crate) mod ring;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
+use crossbeam_channel::{RecvTimeoutError, Sender};
 use gcx_auth::AuthService;
 use gcx_core::clock::SharedClock;
 use gcx_core::error::GcxResult;
@@ -51,7 +52,7 @@ use gcx_core::ids::{TaskId, Uuid};
 use gcx_core::metrics::{Counter, MetricsRegistry};
 use gcx_core::trace::Tracer;
 use gcx_mq::{Broker, FaultPlan, Message, ReplicaAction};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::service::{CloudConfig, SharedStores, WebService};
 use envelope::{Body, Envelope};
@@ -96,8 +97,14 @@ pub(crate) struct MemberState {
 /// The shared heart of a federation: ring + epoch + membership. Cheap to
 /// share with every replica (no service handles in here — the handle map
 /// lives on [`Federation`] to keep `CloudInner` cycle-free).
+/// How often a heartbeat judged against `timeout_ms` is stamped or swept
+/// for: a quarter of it (a live peer's stamp is never stale), at least 25 ms.
+pub(crate) fn heartbeat_every(timeout_ms: u64) -> Duration {
+    Duration::from_millis((timeout_ms / 4).max(25))
+}
+
 pub(crate) struct FedCore {
-    heartbeat_timeout_ms: u64,
+    pub(crate) heartbeat_timeout_ms: u64,
     ring: RwLock<HashRing>,
     epoch: AtomicU64,
     members: RwLock<BTreeMap<ReplicaId, MemberState>>,
@@ -293,40 +300,13 @@ pub struct Federation {
     tracer: Tracer,
     cloud_cfg: CloudConfig,
     shared: SharedStores,
-    counters: FedCounters,
+    counters: Arc<FedCounters>,
     /// Watermark for scripted replica-fault actions (see
     /// [`Federation::apply_fault_actions`]).
     fault_watermark: Mutex<u64>,
-    stop: Arc<MonitorStop>,
-    monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-/// The monitor's stop flag, paired with the condvar its wait for the next
-/// sweep parks on, so a stop wakes it at once.
-#[derive(Default)]
-struct MonitorStop {
-    stopped: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl MonitorStop {
-    fn stop(&self) {
-        *self.stopped.lock() = true;
-        self.wake.notify_all();
-    }
-
-    /// Park until `deadline` or a stop; true once stopped.
-    fn wait_until(&self, deadline: Instant) -> bool {
-        let mut stopped = self.stopped.lock();
-        while !*stopped {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            self.wake.wait_for(&mut stopped, left);
-        }
-        *stopped
-    }
+    /// The monitor thread, and the only sender of the channel its wait for
+    /// the next sweep listens on: dropping it stops the monitor at once.
+    monitor: Mutex<Option<(Sender<()>, std::thread::JoinHandle<()>)>>,
 }
 
 impl Federation {
@@ -415,7 +395,7 @@ impl Federation {
             map.insert(rid, svc);
         }
         let fed = Self {
-            counters: FedCounters::resolve(&metrics),
+            counters: Arc::new(FedCounters::resolve(&metrics)),
             cfg,
             core,
             replicas: Arc::new(RwLock::new(map)),
@@ -426,7 +406,6 @@ impl Federation {
             cloud_cfg,
             shared,
             fault_watermark: Mutex::new(0),
-            stop: Arc::default(),
             monitor: Mutex::new(None),
         };
         // On a virtual clock the test harness drives `check_replicas`
@@ -439,32 +418,28 @@ impl Federation {
 
     fn spawn_monitor(&self) {
         let core = self.core.clone();
-        let stop = self.stop.clone();
+        let (stop, stopped) = crossbeam_channel::unbounded::<()>();
         let replicas = self.replicas.clone();
         let broker = self.broker.clone();
         let clock = self.clock.clone();
-        let counters_dead = self.counters.replicas_dead.clone();
-        let counters_adopted = self.counters.tasks_adopted.clone();
-        let counters_rerouted = self.counters.envelopes_rerouted.clone();
-        let sweep = Duration::from_millis((self.cfg.heartbeat_timeout_ms / 4).max(25));
+        let counters = self.counters.clone();
+        let sweep = heartbeat_every(self.cfg.heartbeat_timeout_ms);
         let handle = std::thread::Builder::new()
             .name("gcx-fed-monitor".into())
-            .spawn(move || loop {
-                if stop.wait_until(Instant::now() + sweep) {
-                    return;
+            .spawn(move || {
+                while stopped.recv_timeout(sweep) == Err(RecvTimeoutError::Timeout) {
+                    sweep_replicas(&core, &replicas, &broker, clock.now_ms(), &counters);
                 }
-                sweep_replicas(
-                    &core,
-                    &replicas,
-                    &broker,
-                    clock.now_ms(),
-                    &counters_dead,
-                    &counters_adopted,
-                    &counters_rerouted,
-                );
             })
             .expect("spawn fed monitor");
-        *self.monitor.lock() = Some(handle);
+        *self.monitor.lock() = Some((stop, handle));
+    }
+
+    fn stop_monitor(&self) {
+        if let Some((stop, handle)) = self.monitor.lock().take() {
+            drop(stop);
+            let _ = handle.join();
+        }
     }
 
     /// One membership event into the flight recorder.
@@ -553,9 +528,7 @@ impl Federation {
             &self.replicas,
             &self.broker,
             now,
-            &self.counters.replicas_dead,
-            &self.counters.tasks_adopted,
-            &self.counters.envelopes_rerouted,
+            &self.counters,
         );
         // Rejoin healed members: up, not partitioned, heartbeating, but
         // out of the ring (their ranges were handed over while they were
@@ -649,9 +622,7 @@ impl Federation {
                 &self.broker,
                 rid,
                 now,
-                &self.counters.replicas_dead,
-                &self.counters.tasks_adopted,
-                &self.counters.envelopes_rerouted,
+                &self.counters,
             );
         }
         let fresh = WebService::new_federated(
@@ -751,10 +722,7 @@ impl Federation {
 
     /// Stop the monitor and shut every live replica down.
     pub fn shutdown(&self) {
-        self.stop.stop();
-        if let Some(h) = self.monitor.lock().take() {
-            let _ = h.join();
-        }
+        self.stop_monitor();
         let members = self.core.members.read().clone();
         let services: Vec<(ReplicaId, WebService)> = self
             .replicas
@@ -773,25 +741,19 @@ impl Federation {
 
 impl Drop for Federation {
     fn drop(&mut self) {
-        self.stop.stop();
-        if let Some(h) = self.monitor.lock().take() {
-            let _ = h.join();
-        }
+        self.stop_monitor();
     }
 }
 
 /// Sweep for replicas whose heartbeat went stale and hand their ranges
 /// over. Free function so the monitor thread can run it without holding a
 /// `Federation` handle (which would keep the federation alive forever).
-#[allow(clippy::too_many_arguments)]
 fn sweep_replicas(
     core: &Arc<FedCore>,
     replicas: &Arc<RwLock<BTreeMap<ReplicaId, WebService>>>,
     broker: &Broker,
     now: u64,
-    replicas_dead: &Counter,
-    tasks_adopted: &Counter,
-    envelopes_rerouted: &Counter,
+    counters: &FedCounters,
 ) -> usize {
     let stale: Vec<ReplicaId> = {
         let members = core.members.read();
@@ -805,16 +767,7 @@ fn sweep_replicas(
     };
     let mut newly_dead = 0;
     for rid in stale {
-        if handover(
-            core,
-            replicas,
-            broker,
-            rid,
-            now,
-            replicas_dead,
-            tasks_adopted,
-            envelopes_rerouted,
-        ) {
+        if handover(core, replicas, broker, rid, now, counters) {
             newly_dead += 1;
         }
     }
@@ -825,16 +778,13 @@ fn sweep_replicas(
 /// down, replay its durable task log into the surviving owners, and
 /// re-route its pending rpc envelopes. Returns false if someone else got
 /// there first.
-#[allow(clippy::too_many_arguments)]
 fn handover(
     core: &Arc<FedCore>,
     replicas: &Arc<RwLock<BTreeMap<ReplicaId, WebService>>>,
     broker: &Broker,
     dead: ReplicaId,
     now: u64,
-    replicas_dead: &Counter,
-    tasks_adopted: &Counter,
-    envelopes_rerouted: &Counter,
+    counters: &FedCounters,
 ) -> bool {
     {
         let mut members = core.members.write();
@@ -849,7 +799,7 @@ fn handover(
         core.ring.write().remove(dead);
         core.epoch.fetch_add(1, Ordering::SeqCst);
     }
-    replicas_dead.inc();
+    counters.replicas_dead.inc();
     let flight = broker.metrics().flight();
     flight.record(
         now,
@@ -879,12 +829,12 @@ fn handover(
             svc.fed_adopt_record(rec, dead, now, true);
         }
     }
-    tasks_adopted.add(adopted as u64);
+    counters.tasks_adopted.add(adopted as u64);
     // Re-route rpc envelopes addressed to the corpse.
     let pending = drain_queue(broker, &fed_rpc_queue(dead));
     for body in &pending {
         if Envelope::decode(body).is_ok_and(|env| core.route(broker, env, None).1) {
-            envelopes_rerouted.inc();
+            counters.envelopes_rerouted.inc();
         }
     }
     // Black-box entry plus — on a handover *storm* (several dead replicas
@@ -899,7 +849,7 @@ fn handover(
             pending.len()
         ),
     );
-    if replicas_dead.get() >= 2 {
+    if counters.replicas_dead.get() >= 2 {
         flight.trigger(now, "handover_storm");
     }
     true

@@ -31,10 +31,6 @@ use super::{cancel_outcome_from_value, methods, status_entry_from_value, WireMet
 /// blocks on it (each is at most one server wake-up's worth of results).
 const PUSH_QUEUE_BATCHES: usize = 8;
 
-/// How long the demux thread blocks before it looks at `closed`/`dead`
-/// again (sooner when a heartbeat falls due).
-const STOP_NOTICE: Duration = Duration::from_millis(50);
-
 /// Client-side knobs. The defaults suit tests and localhost benches. The
 /// frame ceiling is `DEFAULT_MAX_FRAME`, the same as the server's.
 #[derive(Debug, Clone)]
@@ -56,12 +52,15 @@ impl Default for WireClientConfig {
     }
 }
 
+/// A subscription's channel; the receiver lets `close()` empty it.
+type PushChannel = (Sender<PushBatch>, Receiver<PushBatch>);
+
 struct Shared {
     transport: Arc<dyn Transport>,
     cfg: WireClientConfig,
     corr: AtomicU64,
     pending: Mutex<HashMap<u64, Sender<GcxResult<Value>>>>,
-    subs: Mutex<HashMap<u64, Sender<PushBatch>>>,
+    subs: Mutex<HashMap<u64, PushChannel>>,
     /// The connection failed (transport error or server goodbye); every
     /// in-flight and future call gets a retryable error.
     dead: AtomicBool,
@@ -78,10 +77,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// The connection is lost: close the transport, which ends the demux
+    /// thread's wait, and fail everything waiting on it.
     fn mark_dead(&self) {
         if self.dead.swap(true, Ordering::SeqCst) {
             return;
         }
+        self.transport.close();
         let pending: Vec<Sender<GcxResult<Value>>> =
             self.pending.lock().drain().map(|(_, tx)| tx).collect();
         for tx in pending {
@@ -220,6 +222,7 @@ impl WireClient {
     }
 
     /// Send Goodbye, close the transport, and join the client threads.
+    /// Results pushed to a stream and not yet read are dropped.
     pub fn close(&self) {
         if self.shared.closed.swap(true, Ordering::SeqCst) {
             return;
@@ -230,7 +233,10 @@ impl WireClient {
                 &Frame::new(FrameType::Goodbye, 0, Value::None),
             );
         }
-        self.shared.transport.close();
+        // Empty each stream's queue, as its drop does, to end a stalled send.
+        for (_, (_, rx)) in self.shared.subs.lock().drain() {
+            while rx.try_recv().is_ok() {}
+        }
         self.shared.mark_dead();
         let handles: Vec<_> = std::mem::take(&mut *self.threads.lock());
         for h in handles {
@@ -400,6 +406,7 @@ impl WireClient {
         // Register the push channel BEFORE the request is sent: the first
         // pushed result may race the open_stream response.
         let (push_tx, push_rx) = bounded(PUSH_QUEUE_BATCHES);
+        let sub = (push_tx, push_rx.clone());
         let mut corr = 0;
         let opened = self.call_traced(
             methods::OPEN_STREAM,
@@ -407,7 +414,7 @@ impl WireClient {
             &[],
             |c| {
                 corr = c;
-                self.shared.subs.lock().insert(c, push_tx);
+                self.shared.subs.lock().insert(c, sub);
             },
         );
         if let Err(e) = opened {
@@ -433,6 +440,14 @@ pub struct WireStream {
 }
 
 impl WireStream {
+    /// Ends this stream's waits from another thread: once what was pushed
+    /// before is served, `next` returns `Err`, as on a lost connection.
+    pub fn canceller(&self) -> impl Fn() + Send + Sync + 'static {
+        let (shared, corr) = (Arc::clone(&self.client.shared), self.corr);
+        // Its sender goes, so its receiver disconnects.
+        move || drop(shared.subs.lock().remove(&corr))
+    }
+
     /// Next pushed `(task_id, result)`, waiting up to `timeout`.
     /// `Ok(None)` = nothing yet (connection healthy); `Err` = the stream is
     /// gone (connection lost) and the caller must reconnect + resubscribe.
@@ -453,13 +468,9 @@ impl WireStream {
             }
             match self.rx.recv_timeout(timeout) {
                 Ok(next) => *batch = next,
-                Err(RecvTimeoutError::Timeout) => {
-                    return if self.client.is_dead() {
-                        Err(GcxError::Transient("wire connection lost".into()))
-                    } else {
-                        Ok(None)
-                    };
-                }
+                // A lost connection drops every subscription's sender, so
+                // its streams see `Disconnected`, not a timeout.
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(GcxError::Transient("wire stream closed".into()));
                 }
@@ -485,17 +496,16 @@ impl Drop for WireStream {
 }
 
 /// The connection's one thread: route responses to their callers and
-/// pushes to their subscriptions, and send the heartbeat when it is due —
-/// its `recv` waits no longer than that.
+/// pushes to their subscriptions, and send the heartbeat when it is due.
+/// Each `recv` waits one heartbeat interval — the same value call after
+/// call, so a TCP read timeout is armed once — and ends at once when the
+/// transport closes (`close()`, or the connection lost).
 fn demux_loop(shared: Arc<Shared>) {
-    let mut beat_due = Instant::now() + shared.cfg.heartbeat_interval;
+    let interval = shared.cfg.heartbeat_interval;
+    let mut beat_due = Instant::now() + interval;
     loop {
-        if shared.closed.load(Ordering::SeqCst) || shared.dead.load(Ordering::SeqCst) {
-            return;
-        }
         beat_if_due(&shared, &mut beat_due);
-        let wait = STOP_NOTICE.min(beat_due.saturating_duration_since(Instant::now()));
-        match shared.transport.recv(wait) {
+        match shared.transport.recv(interval) {
             Ok(Some(frame)) => match frame.frame_type {
                 FrameType::Response => {
                     shared.metrics.frames_in.inc();
@@ -518,7 +528,7 @@ fn demux_loop(shared: Arc<Shared>) {
                         shared.mark_dead();
                         return;
                     };
-                    let tx = shared.subs.lock().get(&frame.corr_id).cloned();
+                    let tx = shared.subs.lock().get(&frame.corr_id).map(|s| s.0.clone());
                     if let Some(tx) = tx {
                         let batch = PushBatch::new(Bytes::from(body));
                         deliver_push(&shared, &tx, batch, &mut beat_due);
@@ -545,12 +555,14 @@ fn demux_loop(shared: Arc<Shared>) {
 }
 
 /// Hand one pushed batch to its subscription, waiting while the
-/// subscription's queue is full. A pushed result is never dropped: a slow
-/// consumer stops this thread reading the socket, so the kernel buffers, the
-/// server's push thread and finally the stream queue hold the backlog. The
-/// wait ends early only when the stream is dropped or the connection goes,
-/// and it keeps the heartbeat going: a stalled subscriber stalls its own
-/// connection, and the server must not reap it for that.
+/// subscription's queue is full. Until `close()`, a pushed result is never
+/// dropped: a slow consumer stops this thread reading the socket, so the
+/// kernel buffers, the server's push thread and finally the stream queue
+/// hold the backlog. The wait ends early only when the stream is dropped or
+/// the client closes (both empty the stream's queue), and it keeps the
+/// heartbeat going: a stalled subscriber stalls its own connection, and the
+/// server must not reap it for that. A connection lost meanwhile ends the
+/// wait when the next beat falls due.
 fn deliver_push(
     shared: &Shared,
     tx: &Sender<PushBatch>,
@@ -558,7 +570,7 @@ fn deliver_push(
     beat_due: &mut Instant,
 ) {
     loop {
-        let wait = STOP_NOTICE.min(beat_due.saturating_duration_since(Instant::now()));
+        let wait = beat_due.saturating_duration_since(Instant::now());
         match tx.send_timeout(batch, wait) {
             Ok(()) | Err(SendTimeoutError::Disconnected(_)) => return,
             Err(SendTimeoutError::Timeout(back)) => {

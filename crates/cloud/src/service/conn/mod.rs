@@ -546,6 +546,57 @@ mod tests {
         svc.shutdown();
     }
 
+    /// `close()` ends the demux thread's wait on a stream nobody reads at
+    /// once, not when its next (here hour-long) heartbeat falls due.
+    #[test]
+    fn close_under_a_stalled_subscriber_returns_at_once() {
+        const RESULTS: usize = 12; // more push batches than the client queues
+        let svc = service();
+        let token = login(&svc, "stalled-close@x.y");
+        let server = WireServer::inmem(&svc, TransportSpec::default());
+        let cfg = WireClientConfig {
+            heartbeat_interval: Duration::from_secs(3600),
+            ..client_cfg()
+        };
+        let client = WireClient::over(server.connect_inmem(), &token.0, cfg).unwrap();
+        let fid = client
+            .register_function(&FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let _stream = client.open_stream().unwrap();
+        let specs: Vec<TaskSpec> = (0..RESULTS)
+            .map(|_| TaskSpec::new(fid, reg.endpoint_id))
+            .collect();
+        client.submit_batch(&specs).unwrap();
+        let pushed = svc.metrics().counter("wire.frames_out");
+        for _ in 0..RESULTS {
+            let before = pushed.get();
+            let (spec, tag) = session.next_task(T).unwrap().unwrap();
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(Value::Int(1)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while pushed.get() == before {
+                assert!(std::time::Instant::now() < deadline, "never pushed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Let the demux thread reach the full stream queue.
+        std::thread::sleep(Duration::from_millis(50));
+        let t = std::time::Instant::now();
+        client.close();
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(250), "close took {took:?}");
+        server.shutdown();
+        svc.shutdown();
+    }
+
     #[test]
     fn server_shutdown_fails_client_calls_with_retryable_error() {
         let svc = service();

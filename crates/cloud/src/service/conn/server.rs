@@ -25,10 +25,6 @@ use super::{
     cancel_outcome_to_value, methods, status_entry_to_value, task_id_from_str, WireMetrics,
 };
 
-/// How often a connection thread wakes to check idle/shutdown when no
-/// frames are arriving.
-const RECV_SLICE: Duration = Duration::from_millis(50);
-
 /// Ceilings on one `Push` frame: results per batch, and payload bytes per
 /// batch (far under the frame ceiling; a lone larger envelope still
 /// travels, as a batch of one). A batch is whatever is ready at wake-up up
@@ -36,25 +32,19 @@ const RECV_SLICE: Duration = Duration::from_millis(50);
 const PUSH_BATCH_MAX_RESULTS: usize = 256;
 const PUSH_BATCH_MAX_BYTES: usize = 1 << 20;
 
-/// A subscription's push thread: forwards stream-queue deliveries to the
-/// connection as `Push` frames until stopped or the queue dies.
+/// A subscription's push thread, which forwards deliveries to the
+/// connection as `Push` frames until the stream queue it parks on dies.
 struct Subscription {
-    stop: Arc<AtomicBool>,
-    /// The stream's queue, where the push thread parks.
     queue: String,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 impl Subscription {
-    /// Stop the push thread and wait for it. Deleting the stream's queue
-    /// wakes a thread parked on it at once; the thread's `ResultStream`
-    /// then closes the rest of the stream.
-    fn shut(&mut self, svc: &WebService) {
-        self.stop.store(true, Ordering::SeqCst);
+    /// Delete the stream's queue, which wakes the push thread at once (its
+    /// `ResultStream` then closes the rest of the stream), and wait for it.
+    fn shut(self, svc: &WebService) {
         let _ = svc.broker().delete_queue(&self.queue);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        let _ = self.handle.join();
     }
 }
 
@@ -170,7 +160,10 @@ impl WireServer {
         self.inner.conns.lock().len()
     }
 
-    /// Stop accepting, close every connection, and join all threads.
+    /// Stop accepting, close every connection, and join all threads. A
+    /// closed transport ends its connection thread's wait at once, and the
+    /// thread's cleanup deletes its streams' queues, which ends their push
+    /// threads.
     pub fn shutdown(&self) {
         let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
         // A listening server's accept loop blocks in `accept`: one loopback
@@ -234,12 +227,12 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
         transport.close();
         return;
     };
+    // Every wait is the whole idle timeout — the same value call after
+    // call, so a TCP read timeout is armed once — and one that ends empty
+    // began after the last frame, so the peer has been idle that long.
     let idle_timeout = Duration::from_millis(inner.spec.idle_timeout_ms);
     loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match transport.recv(RECV_SLICE) {
+        match transport.recv(idle_timeout) {
             Ok(Some(frame)) => {
                 inner.m.frames_in.inc();
                 *conn.last_seen.lock() = Instant::now();
@@ -292,8 +285,8 @@ fn serve_conn(inner: Arc<ServerInner>, transport: Arc<dyn Transport>) {
 
     // Cleanup: push threads first (they hold the ResultStreams whose Drop
     // deletes the stream queues), then the registry entry and the socket.
-    let mut subs = std::mem::take(&mut *conn.subs.lock());
-    for sub in subs.values_mut() {
+    let subs = std::mem::take(&mut *conn.subs.lock());
+    for sub in subs.into_values() {
         sub.shut(&inner.svc);
     }
     inner.conns.lock().remove(&conn.id);
@@ -388,6 +381,11 @@ fn handshake(
     // connection the server already counts.
     inner.m.conns_open.add(1);
     inner.conns.lock().insert(id, conn.clone());
+    // A shutdown that collected the connections before this one joined
+    // them did not close it: the flag, set first, says to.
+    if inner.shutdown.load(Ordering::SeqCst) {
+        transport.close();
+    }
     if inner.m.send_counted(transport.as_ref(), &ack).is_err() {
         inner.conns.lock().remove(&id);
         inner.m.conns_open.sub(1);
@@ -518,16 +516,10 @@ fn dispatch_method(
         methods::OPEN_STREAM => {
             let stream = svc.open_result_stream(token)?;
             let queue = stream.queue_name().to_string();
-            let stop = Arc::new(AtomicBool::new(false));
-            let handle = spawn_push_loop(inner.clone(), conn.clone(), corr, stream, stop.clone());
-            conn.subs.lock().insert(
-                corr,
-                Subscription {
-                    stop,
-                    queue,
-                    handle: Some(handle),
-                },
-            );
+            let handle = spawn_push_loop(inner.clone(), conn.clone(), corr, stream);
+            conn.subs
+                .lock()
+                .insert(corr, Subscription { queue, handle });
             Ok(Value::map([("stream", Value::Int(corr as i64))]))
         }
         methods::CLOSE_STREAM => {
@@ -537,7 +529,7 @@ fn dispatch_method(
                 .ok_or_else(|| GcxError::Codec("close_stream: missing stream".into()))?
                 as u64;
             let closing = conn.subs.lock().remove(&stream_corr);
-            if let Some(mut sub) = closing {
+            if let Some(sub) = closing {
                 sub.shut(svc);
             }
             Ok(Value::map([] as [(&str, Value); 0]))
@@ -556,15 +548,14 @@ fn dispatch_method(
 /// acked, with one ack. A failed write acks none of them — the deliveries
 /// stay with the queue, exactly as a single unacked result did. What did
 /// not fit leads the next batch. With one result outstanding the batch is
-/// that one result and nothing waits. The loop ends when the subscription
-/// is closed, the connection dies, or the stream queue disappears (liveness
-/// reaping, shutdown).
+/// that one result and nothing waits. The loop ends when the stream queue
+/// disappears (the subscription closed, the connection's cleanup, liveness
+/// reaping) or a push finds the connection dead.
 fn spawn_push_loop(
     inner: Arc<ServerInner>,
     conn: Arc<Conn>,
     corr: u64,
     stream: super::super::ResultStream,
-    stop: Arc<AtomicBool>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("gcx-wire-push".into())
@@ -575,11 +566,11 @@ fn spawn_push_loop(
             let mut body: Vec<u8> = Vec::new();
             let mut taken = Vec::new();
             let mut tags: Vec<u64> = Vec::new();
-            while !stop.load(Ordering::SeqCst) && !inner.shutdown.load(Ordering::SeqCst) {
+            loop {
                 // Deliveries that did not fit the previous batch wait for
                 // nothing: top them up with what is ready now.
                 let wait = if taken.is_empty() {
-                    Duration::from_millis(50)
+                    Duration::MAX
                 } else {
                     Duration::ZERO
                 };

@@ -23,14 +23,14 @@ use bytes::Bytes;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::{IdentityId, TaskId};
 use gcx_core::task::{TaskRecord, TaskResult, TaskSpec};
-use gcx_mq::Message;
+use gcx_mq::{Consumer, Message};
 
 use super::dispatch::Accepted;
 use super::results::FanOut;
 use super::WebService;
 use crate::federation::envelope::{open_entry, Body, Envelope};
-use crate::federation::log::{fed_log_queue, fed_rpc_queue, TaskLogEntry, FED_CRED};
-use crate::federation::{FedMembership, ReplicaId};
+use crate::federation::log::{fed_log_queue, TaskLogEntry, FED_CRED};
+use crate::federation::{heartbeat_every, FedMembership, ReplicaId};
 
 /// An orphaned result (owner has no record yet — handover race) is
 /// requeued to the owner's own rpc queue this many times before being
@@ -126,36 +126,32 @@ impl WebService {
 
     // ---- the rpc loop ----------------------------------------------------
 
-    /// Consume this replica's `fed.rpc.<r>` queue. Each iteration also
-    /// stamps the replica's federation heartbeat — a killed replica's loop
-    /// is gone and a partitioned one is skipped, so its heartbeat goes
-    /// stale exactly like a crashed endpoint agent's.
-    pub(super) fn fed_rpc_loop(&self) {
+    /// Consume this replica's `fed.rpc.<r>` queue until shutdown cancels
+    /// `consumer`, and stamp the replica's federation heartbeat when one is
+    /// due — a killed replica's loop is gone and a partitioned one is
+    /// skipped, so its heartbeat goes stale like a crashed agent's.
+    pub(super) fn fed_rpc_loop(&self, consumer: Consumer) {
         let Some(fed) = self.inner.fed.clone() else {
             return;
         };
-        let consumer =
-            match self
-                .inner
-                .broker
-                .consume(&fed_rpc_queue(fed.replica), Some(FED_CRED), 64)
-            {
-                Ok(c) => c,
-                Err(_) => return,
-            };
-        let mut fan_out = FanOut::default();
-        while !self
-            .inner
-            .shutdown
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
+        let beat_every = heartbeat_every(fed.core.heartbeat_timeout_ms).as_millis() as u64;
+        let (mut fan_out, mut beat_due) = (FanOut::default(), 0);
+        loop {
             let now = self.inner.clock.now_ms();
-            fed.heartbeat(now); // no-op while down or partitioned
             if fed.is_partitioned(now) {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
+                // Take nothing, and beat once the partition heals; nothing
+                // announces that, so look every 5 ms (a cancel still ends it).
+                beat_due = 0;
+                match consumer.next_batch(Duration::from_millis(5), 0, &mut Vec::new()) {
+                    Ok(_) => continue,
+                    Err(_) => return,
+                }
             }
-            match consumer.next(Duration::from_millis(25)) {
+            if now >= beat_due {
+                fed.heartbeat(now);
+                beat_due = now + beat_every;
+            }
+            match consumer.next(Duration::from_millis(beat_due - now)) {
                 Ok(Some(delivery)) => {
                     let handled =
                         self.fed_handle_envelope(&fed, &delivery.message.body, &mut fan_out);
@@ -173,7 +169,7 @@ impl WebService {
                     let _ = consumer.ack(delivery.tag);
                 }
                 Ok(None) => {}
-                Err(_) => return, // queue closed
+                Err(_) => return, // cancelled, or the queue is gone
             }
         }
     }

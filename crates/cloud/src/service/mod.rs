@@ -48,10 +48,11 @@ use gcx_core::task::TaskRecord;
 use gcx_core::trace::{TraceConfig, Tracer};
 use gcx_core::GcxResult;
 use gcx_core::ShardedMap;
-use gcx_mq::Broker;
+use gcx_mq::{Broker, Cancel, Consumer};
 use parking_lot::{Mutex, RwLock};
 
 use crate::blob::{CasStore, CAS_CACHE_BYTES};
+use crate::federation::log::{fed_rpc_queue, FED_CRED};
 use crate::federation::FedMembership;
 use crate::records::EndpointRecord;
 
@@ -271,7 +272,8 @@ pub(super) struct CloudInner {
     /// Admission control: token buckets, in-flight quotas, brownout flag.
     pub(super) admission: AdmissionState,
     pub(super) shutdown: AtomicBool,
-    pub(super) processors: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The service's threads, each with the cancel of the consumer it waits on.
+    pub(super) processors: Mutex<Vec<(std::thread::JoinHandle<()>, Cancel)>>,
 }
 
 /// The Globus Compute web service handle. Cloning shares the service.
@@ -370,29 +372,28 @@ impl WebService {
             processors: Mutex::new(Vec::new()),
         });
         let svc = Self { inner };
+        // Each thread blocks on one consumer, opened here so that
+        // `shutdown()` holds its cancel before the thread runs.
+        let spawn = |name: String, consumer: GcxResult<Consumer>, body: fn(&Self, Consumer)| {
+            let Ok(consumer) = consumer else { return };
+            let (svc2, cancel) = (svc.clone(), consumer.canceller());
+            let handle = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || body(&svc2, consumer))
+                .expect("spawn service thread");
+            svc.inner.processors.lock().push((handle, cancel));
+        };
+        let (broker, cred) = (&svc.inner.broker, Some("cloud-results"));
         for i in 0..RESULT_PROCESSORS {
-            let svc2 = svc.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("gcx-result-proc-{i}"))
-                .spawn(move || svc2.result_processor_loop())
-                .expect("spawn result processor");
-            svc.inner.processors.lock().push(handle);
+            let results = broker.consume(RESULT_QUEUE, cred, results::PROCESSOR_TAKE);
+            let name = format!("gcx-result-proc-{i}");
+            spawn(name, results, Self::result_processor_loop);
         }
-        {
-            let svc2 = svc.clone();
-            let handle = std::thread::Builder::new()
-                .name("gcx-cold-path".into())
-                .spawn(move || svc2.cold_path_loop())
-                .expect("spawn cold-path thread");
-            svc.inner.processors.lock().push(handle);
-        }
-        if svc.inner.fed.is_some() {
-            let svc2 = svc.clone();
-            let handle = std::thread::Builder::new()
-                .name("gcx-fed-rpc".into())
-                .spawn(move || svc2.fed_rpc_loop())
-                .expect("spawn fed rpc loop");
-            svc.inner.processors.lock().push(handle);
+        let dead_tasks = broker.consume(DEAD_TASKS_QUEUE, cred, 64);
+        spawn("gcx-cold-path".into(), dead_tasks, Self::cold_path_loop);
+        if let Some(fed) = &svc.inner.fed {
+            let rpc = broker.consume(&fed_rpc_queue(fed.replica), Some(FED_CRED), 64);
+            spawn("gcx-fed-rpc".into(), rpc, Self::fed_rpc_loop);
         }
         svc
     }
@@ -560,16 +561,20 @@ impl WebService {
         body.render()
     }
 
-    /// Stop result processors and release threads. When the
+    /// Stop the service's threads: cancel the consumer each one blocks on,
+    /// then join them. When the
     /// `GCX_FLIGHT_DUMP` environment variable is set (to anything
     /// non-empty), the flight recorder dumps on the way out — the env knob
     /// for grabbing a black-box dump from a run that didn't otherwise
     /// trip a trigger.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let handles: Vec<_> = std::mem::take(&mut *self.inner.processors.lock());
-        for h in handles {
-            let _ = h.join();
+        let threads: Vec<_> = std::mem::take(&mut *self.inner.processors.lock());
+        for (_, cancel) in &threads {
+            cancel.cancel();
+        }
+        for (handle, _) in threads {
+            let _ = handle.join();
         }
         if std::env::var("GCX_FLIGHT_DUMP").is_ok_and(|v| !v.is_empty()) {
             self.inner

@@ -12,12 +12,12 @@ use gcx_core::ids::{EndpointId, IdentityId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_mq::{Broker, Consumer, Message};
 
-use super::{stream_queue_name, StreamTargets, WebService, DEAD_TASKS_QUEUE, RESULT_QUEUE};
-use crate::federation::envelope::Body;
+use super::{stream_queue_name, StreamTargets, WebService};
+use crate::federation::{envelope::Body, heartbeat_every};
 
-/// How long a service loop blocks on an empty queue before it looks at the
-/// shutdown flag again.
-const STOP_NOTICE: Duration = Duration::from_millis(25);
+/// How soon the next retire pass comes after one that found nothing to
+/// retire: the cold path's idle cadence.
+const RETIRE_IDLE: Duration = Duration::from_millis(25);
 
 /// How soon the next retire pass comes after one that found confirmed
 /// results. The records confirmed between passes wait in the task store:
@@ -28,7 +28,7 @@ const STOP_NOTICE: Duration = Duration::from_millis(25);
 const RETIRE_BUSY: Duration = Duration::from_millis(15);
 
 /// Most results a result processor takes per wake-up: its prefetch window.
-const PROCESSOR_TAKE: usize = 64;
+pub(super) const PROCESSOR_TAKE: usize = 64;
 
 /// Results landed and not yet published to their owners' streams, in
 /// arrival order: each one's stream list and the one message all of those
@@ -143,30 +143,20 @@ impl WebService {
     /// prefetch), lands each result, publishes the take's fan-out once per
     /// stream, and only then acks the whole take. A processor that dies
     /// mid-take leaves every result of it unacked, for another to land.
-    pub(super) fn result_processor_loop(&self) {
-        let consumer =
-            match self
-                .inner
-                .broker
-                .consume(RESULT_QUEUE, Some("cloud-results"), PROCESSOR_TAKE)
-            {
-                Ok(c) => c,
-                Err(_) => return,
-            };
+    /// It parks until [`shutdown`](Self::shutdown) cancels `consumer`.
+    pub(super) fn result_processor_loop(&self, consumer: Consumer) {
         let (mut taken, mut tags, mut fan_out) = (Vec::new(), Vec::new(), FanOut::default());
-        while !self.inner.shutdown.load(Ordering::SeqCst) {
-            match consumer.next_batch(STOP_NOTICE, PROCESSOR_TAKE, &mut taken) {
-                Ok(_) => {
-                    for delivery in taken.drain(..) {
-                        let _ = self.process_result(&delivery.message, &mut fan_out);
-                        tags.push(delivery.tag);
-                    }
-                    fan_out.flush(&self.inner.broker);
-                    let _ = consumer.ack_batch(&tags);
-                    tags.clear();
-                }
-                Err(_) => return, // queue closed
+        while consumer
+            .next_batch(Duration::MAX, PROCESSOR_TAKE, &mut taken)
+            .is_ok()
+        {
+            for delivery in taken.drain(..) {
+                let _ = self.process_result(&delivery.message, &mut fan_out);
+                tags.push(delivery.tag);
             }
+            fan_out.flush(&self.inner.broker);
+            let _ = consumer.ack_batch(&tags);
+            tags.clear();
         }
     }
 
@@ -317,7 +307,8 @@ impl WebService {
         Ok(())
     }
 
-    /// The service's one cold-path thread. It drains [`DEAD_TASKS_QUEUE`]:
+    /// The service's one cold-path thread. It drains
+    /// [`DEAD_TASKS_QUEUE`](super::DEAD_TASKS_QUEUE):
     /// each message there is a task whose delivery budget ran out (poison
     /// task, or an endpoint that kept dying mid-execution), failed here
     /// with a *retryable* error so SDK-side retry budgets can decide
@@ -330,26 +321,20 @@ impl WebService {
     /// heartbeat timeout, and [`check_expiry`](Self::check_expiry) every
     /// 25 ms while anything can expire or admission is on. On a virtual
     /// clock it sweeps nothing: the harness drives both by hand, and a
-    /// background sweep would race the manually-advanced time.
-    pub(super) fn cold_path_loop(&self) {
+    /// background sweep would race the manually-advanced time. A cancel of
+    /// `dead_tasks` ends it; a deleted queue ends only the draining.
+    pub(super) fn cold_path_loop(&self, dead_tasks: Consumer) {
         const EXPIRY_EVERY: Duration = Duration::from_millis(25);
-        let liveness_every =
-            Duration::from_millis((self.inner.cfg.heartbeat_timeout_ms / 4).max(25));
+        let liveness_every = heartbeat_every(self.inner.cfg.heartbeat_timeout_ms);
         let sweeps = !self.inner.clock.is_virtual();
-        // A refused or closed queue ends the draining, never the sweeps.
-        let mut dead_tasks = self
-            .inner
-            .broker
-            .consume(DEAD_TASKS_QUEUE, Some("cloud-results"), 64)
-            .ok();
         let mut liveness_due = Instant::now() + liveness_every;
         let mut expiry_due = Instant::now() + EXPIRY_EVERY;
         let (mut taken, mut resident) = (Vec::new(), 0);
-        while !self.inner.shutdown.load(Ordering::SeqCst) {
+        loop {
             let mut wait = if self.retire_taken(&mut taken, &mut resident) {
                 RETIRE_BUSY
             } else {
-                STOP_NOTICE
+                RETIRE_IDLE
             };
             if sweeps {
                 // Each sweep rests its full period after it returns.
@@ -366,17 +351,14 @@ impl WebService {
                 let next_due = expiry_due.min(liveness_due);
                 wait = wait.min(next_due.saturating_duration_since(Instant::now()));
             }
-            let Some(consumer) = &dead_tasks else {
-                std::thread::sleep(wait);
-                continue;
-            };
-            match consumer.next(wait) {
+            match dead_tasks.next(wait) {
                 Ok(Some(delivery)) => {
                     let _ = self.fail_dead_task(&delivery.message);
-                    let _ = consumer.ack(delivery.tag);
+                    let _ = dead_tasks.ack(delivery.tag);
                 }
                 Ok(None) => {}
-                Err(_) => dead_tasks = None,
+                Err(GcxError::ShuttingDown) => break,
+                Err(_) => std::thread::sleep(wait),
             }
         }
         self.inner.m.tasks_resident.sub(resident);

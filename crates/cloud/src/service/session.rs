@@ -7,7 +7,7 @@ use gcx_core::error::GcxResult;
 use gcx_core::function::FunctionRecord;
 use gcx_core::ids::{EndpointId, FunctionId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
-use gcx_mq::{Consumer, Message};
+use gcx_mq::{Cancel, Consumer, Message};
 
 use super::{WebService, RESULT_QUEUE};
 use crate::blob::PAYLOAD_LIMIT;
@@ -61,6 +61,11 @@ impl EndpointSession {
                 Ok(Some((spec, delivery.tag)))
             }
         }
+    }
+
+    /// Ends `next_task`'s waits from another thread; acks still work.
+    pub fn canceller(&self) -> Cancel {
+        self.tasks.canceller()
     }
 
     /// Acknowledge a task delivery (after the result is safely published).

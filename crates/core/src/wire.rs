@@ -754,7 +754,8 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self, timeout: Duration) -> GcxResult<Option<Frame>> {
-        let deadline = Instant::now() + timeout;
+        // `None`: a timeout too long to add to an instant never expires.
+        let deadline = Instant::now().checked_add(timeout);
         let mut reader = self.reader.lock();
         // The first read of a call waits the caller's own `timeout` — the
         // same value call after call, so no socket option is issued; only a
@@ -793,12 +794,14 @@ impl Transport for TcpTransport {
                     return Err(GcxError::Transient(format!("tcp recv: {e}")));
                 }
             }
-            let now = Instant::now();
-            if now >= deadline {
-                // One last look: the read may have completed a frame.
-                return reader.frames.next_frame();
+            if let Some(deadline) = deadline {
+                let now = Instant::now();
+                if now >= deadline {
+                    // One last look: the read may have completed a frame.
+                    return reader.frames.next_frame();
+                }
+                wait = deadline - now;
             }
-            wait = deadline - now;
         }
     }
 
@@ -922,7 +925,7 @@ impl Transport for InMemTransport {
     }
 
     fn recv(&self, timeout: Duration) -> GcxResult<Option<Frame>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut reader = self.reader.lock();
         loop {
             if let Some(frame) = reader.next_frame()? {
@@ -934,13 +937,13 @@ impl Transport for InMemTransport {
                     return Err(GcxError::Transient("connection closed by peer".into()));
                 }
                 let now = Instant::now();
-                if now >= deadline {
+                if deadline.is_some_and(|d| now >= d) {
                     return Ok(None);
                 }
                 let timed_out = self
                     .inbound
                     .readable
-                    .wait_for(&mut st, deadline - now)
+                    .wait_for(&mut st, deadline.map_or(Duration::MAX, |d| d - now))
                     .timed_out();
                 if timed_out && st.bytes.is_empty() {
                     if st.closed {
@@ -1215,6 +1218,36 @@ mod tests {
         // Close propagates as a typed error.
         a.close();
         assert!(b.recv(Duration::from_millis(50)).is_err());
+    }
+
+    /// A frame sent 30 ms into a `recv(Duration::MAX)`: the wait has no
+    /// deadline rather than one that overflows.
+    fn recv_with_no_timeout(a: impl Transport + 'static, b: impl Transport) {
+        let f = Frame::request(3, "late", Value::None);
+        let sent = f.clone();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            a.send(&sent).unwrap();
+            a
+        });
+        assert_eq!(b.recv(Duration::MAX).unwrap(), Some(f));
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn inmem_recv_with_no_timeout_waits_for_a_later_frame() {
+        let (a, b) = InMemTransport::pair(DEFAULT_MAX_FRAME);
+        recv_with_no_timeout(a, b);
+    }
+
+    #[test]
+    fn tcp_recv_with_no_timeout_waits_for_a_later_frame() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = TcpTransport::connect(&addr, DEFAULT_MAX_FRAME).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let server = TcpTransport::new(stream, DEFAULT_MAX_FRAME).unwrap();
+        recv_with_no_timeout(client, server);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   delivery ack (results are never lost: the ack happens only after the
 //!   result is safely on the result queue).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use gcx_batch::BatchScheduler;
@@ -21,7 +20,8 @@ use gcx_cloud::{EndpointSession, WebService};
 use gcx_core::clock::SharedClock;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::metrics::MetricsRegistry;
-use gcx_core::task::{TaskResult, TaskState};
+use gcx_core::task::{TaskResult, TaskSpec, TaskState};
+use gcx_mq::Cancel;
 use gcx_shell::Vfs;
 use parking_lot::Mutex;
 
@@ -172,7 +172,10 @@ pub fn build_engine(
 
 /// A running endpoint agent. Dropping it stops the agent.
 pub struct EndpointAgent {
-    shutdown: Arc<AtomicBool>,
+    /// Ends the puller's wait on the task queue.
+    stop_pulling: Cancel,
+    /// When the agent last took a task or finished one.
+    last_active: Arc<Mutex<Instant>>,
     puller: Option<std::thread::JoinHandle<()>>,
     pump: Option<std::thread::JoinHandle<()>>,
     engine: Arc<Mutex<Box<dyn Engine>>>,
@@ -184,10 +187,6 @@ pub struct EndpointAgent {
 /// How long [`EndpointAgent::stop`] waits for in-flight tasks to drain
 /// before tearing the engine down anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How long the puller blocks on an empty task queue before it looks at
-/// the stop flag again.
-const PULL_WAIT: Duration = Duration::from_millis(25);
 
 /// The agent's liveness beat, paced on the service clock and carried by
 /// the puller loop.
@@ -208,6 +207,42 @@ impl Heartbeat {
         }
         Duration::from_millis(self.next_ms - now)
     }
+}
+
+/// Submit one pulled task to the engine, or settle it here: a task
+/// cancelled while buffered is dropped, not executed, and one whose
+/// function cannot be resolved, or that the engine refuses (a malformed
+/// resource specification), fails while the queue keeps being served.
+/// False once the engine is shutting down; the task goes back.
+fn hand_to_engine(
+    session: &EndpointSession,
+    engine: &Mutex<Box<dyn Engine>>,
+    spec: TaskSpec,
+    tag: u64,
+) -> bool {
+    let task_id = spec.task_id;
+    if session.task_cancelled(task_id) {
+        let _ = session.ack_task(tag);
+        return true;
+    }
+    let failure = match session.fetch_function(spec.function_id) {
+        Err(e) => format!("LookupError: {e}"),
+        Ok(function) => match engine.lock().submit(ExecutableTask {
+            spec,
+            function,
+            tag,
+        }) {
+            Ok(()) => return true,
+            Err(GcxError::ShuttingDown) => {
+                let _ = session.nack_task(tag);
+                return false;
+            }
+            Err(e) => format!("ValueError: {e}"),
+        },
+    };
+    let _ = session.publish_result(task_id, &TaskResult::Err(failure));
+    let _ = session.ack_task(tag);
+    true
 }
 
 impl EndpointAgent {
@@ -251,68 +286,24 @@ impl EndpointAgent {
         mut heartbeat: Heartbeat,
         metrics: MetricsRegistry,
     ) -> Self {
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop_pulling = session.canceller();
+        let last_active = Arc::new(Mutex::new(Instant::now()));
         let session = Arc::new(session);
         let engine = Arc::new(Mutex::new(engine));
 
         let puller = {
-            let session = Arc::clone(&session);
-            let engine = Arc::clone(&engine);
-            let shutdown = Arc::clone(&shutdown);
+            let (session, engine) = (Arc::clone(&session), Arc::clone(&engine));
+            let last_active = Arc::clone(&last_active);
+            // The liveness beat rides this loop: a pull never waits past the
+            // moment the next beat is due, and `stop()` cancels it at once.
             std::thread::Builder::new()
                 .name("gcx-agent-puller".into())
                 .spawn(move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        // The liveness beat rides this loop: a pull never
-                        // waits past the moment the next beat is due.
-                        let wait = PULL_WAIT.min(heartbeat.beat_if_due(&session));
-                        match session.next_task(wait) {
-                            Ok(Some((spec, tag))) => {
-                                let task_id = spec.task_id;
-                                // Best-effort cancellation: a task cancelled
-                                // while buffered is dropped, not executed.
-                                if session.task_cancelled(task_id) {
-                                    let _ = session.ack_task(tag);
-                                    continue;
-                                }
-                                match session.fetch_function(spec.function_id) {
-                                    Ok(function) => {
-                                        let task = ExecutableTask {
-                                            spec,
-                                            function,
-                                            tag,
-                                        };
-                                        match engine.lock().submit(task) {
-                                            Ok(()) => {}
-                                            Err(GcxError::ShuttingDown) => {
-                                                let _ = session.nack_task(tag);
-                                                return;
-                                            }
-                                            // The engine refused this task
-                                            // (a malformed resource
-                                            // specification): fail it, and
-                                            // keep serving the queue.
-                                            Err(e) => {
-                                                let _ = session.publish_result(
-                                                    task_id,
-                                                    &TaskResult::Err(format!("ValueError: {e}")),
-                                                );
-                                                let _ = session.ack_task(tag);
-                                            }
-                                        }
-                                    }
-                                    Err(e) => {
-                                        // Unresolvable function: fail the task.
-                                        let _ = session.publish_result(
-                                            task_id,
-                                            &TaskResult::Err(format!("LookupError: {e}")),
-                                        );
-                                        let _ = session.ack_task(tag);
-                                    }
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(_) => return, // queue closed
+                    while let Ok(taken) = session.next_task(heartbeat.beat_if_due(&session)) {
+                        let Some((spec, tag)) = taken else { continue };
+                        *last_active.lock() = Instant::now();
+                        if !hand_to_engine(&session, &engine, spec, tag) {
+                            return;
                         }
                     }
                 })
@@ -320,8 +311,8 @@ impl EndpointAgent {
         };
 
         let pump = {
-            let session = Arc::clone(&session);
-            // The pump outlives the shutdown flag: it keeps publishing
+            let (session, last_active) = (Arc::clone(&session), Arc::clone(&last_active));
+            // The pump outlives the puller: it keeps publishing
             // results while the engine drains, and exits when stop() has
             // torn the engine down. The engine's driver holds the only
             // sender, and `recv` hands over every event sent before it
@@ -347,6 +338,7 @@ impl EndpointAgent {
                             } else {
                                 let _ = session.nack_task(tag);
                             }
+                            *last_active.lock() = Instant::now();
                         }
                         Ok(EngineEvent::BlockLost { reason, nodes_lost }) => {
                             // Surface capacity loss so the cloud can tell
@@ -363,7 +355,8 @@ impl EndpointAgent {
         };
 
         Self {
-            shutdown,
+            stop_pulling,
+            last_active,
             puller: Some(puller),
             pump: Some(pump),
             engine,
@@ -374,6 +367,16 @@ impl EndpointAgent {
     /// Current engine load.
     pub fn engine_status(&self) -> crate::engine::EngineStatus {
         self.engine.lock().status()
+    }
+
+    /// How long the agent has held no task: zero while its engine holds
+    /// one, else the time since it last took or finished one.
+    pub fn idle_for(&self) -> Duration {
+        let st = self.engine_status();
+        if st.queued > 0 || st.running > 0 {
+            return Duration::ZERO;
+        }
+        self.last_active.lock().elapsed()
     }
 
     /// Prometheus-text exposition of the agent's registry: engine counters,
@@ -427,7 +430,7 @@ impl EndpointAgent {
     }
 
     fn stop_inner(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop_pulling.cancel();
         if let Some(h) = self.puller.take() {
             let _ = h.join();
         }
@@ -466,6 +469,7 @@ mod tests {
     use gcx_core::shellres::ShellResult;
     use gcx_core::task::TaskSpec;
     use gcx_core::value::Value;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn wait_success(
         svc: &WebService,

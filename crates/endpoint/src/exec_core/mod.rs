@@ -329,10 +329,6 @@ const HOUSEKEEPING_INTERVAL: Duration = Duration::from_micros(500);
 /// loss or a walltime kill on an otherwise quiet engine may be noticed.
 const BLOCK_POLL_INTERVAL: Duration = Duration::from_millis(10);
 
-/// How often a driver whose channel has no sender left looks at the
-/// shutdown flag when no other duty is due.
-const STOP_NOTICE_INTERVAL: Duration = Duration::from_millis(25);
-
 struct InFlight {
     task: CoreTask,
     assignment: Assignment,
@@ -435,11 +431,14 @@ impl<P: SchedPolicy> ExecCore<P> {
                     Err(RecvTimeoutError::Timeout) => {}
                     // No sender is left, so no message can ever arrive (the
                     // engine handle holds one until it has joined this
-                    // thread): keep the cadence without spinning on the
-                    // dead channel.
-                    Err(RecvTimeoutError::Disconnected) => {
-                        std::thread::sleep(wait.unwrap_or(STOP_NOTICE_INTERVAL));
-                    }
+                    // thread) and nothing in flight can report: the input
+                    // is closed. Serve what is still due at its own
+                    // cadence, without spinning on the dead channel; with
+                    // nothing due, stop as the flag would have.
+                    Err(RecvTimeoutError::Disconnected) => match wait {
+                        Some(wait) => std::thread::sleep(wait),
+                        None => break,
+                    },
                 }
             }
         }
@@ -915,10 +914,11 @@ mod tests {
     }
 
     /// `recv_timeout` on a channel with no sender left returns at once, so
-    /// a driver that treated `Disconnected` like `Timeout` would spin. With
-    /// a sender left, an engine that has no block, no deadline and no
-    /// backlog has no duty due: its driver blocks until a message, and a
-    /// bare shutdown flag is not one.
+    /// a driver that treated `Disconnected` like `Timeout` would spin; with
+    /// no duty due it has a closed input and stops on its own. With a
+    /// sender left, an engine that has no block, no deadline and no backlog
+    /// has no duty due: its driver blocks until a message, and a bare
+    /// shutdown flag is not one.
     #[test]
     fn a_driver_with_no_sender_left_does_not_spin() {
         const WATCHED: Duration = Duration::from_millis(50);
@@ -948,23 +948,21 @@ mod tests {
             });
             std::thread::sleep(WATCHED);
             let watched_passes = passes.load(Ordering::Relaxed);
+            if tx.is_none() {
+                assert!(driver.is_finished(), "a closed input with no duty stops");
+            }
             shared.shutdown.store(true, Ordering::SeqCst);
             if let Some(tx) = &tx {
                 // The flag alone wakes nobody: the driver is still parked.
-                std::thread::sleep(STOP_NOTICE_INTERVAL * 2);
+                std::thread::sleep(WATCHED);
                 assert!(!driver.is_finished(), "an idle driver has no timeout");
                 assert!(tx.send(CoreMsg::Wake).is_ok());
             }
             let cpu_ticks = driver.join().expect("driver exits on shutdown");
 
-            if keep_sender {
-                // One pass at start-up, then parked.
-                assert!(watched_passes <= 2, "{watched_passes} passes idle");
-            } else {
-                // One pass per stop-notice interval is 2 in the watched
-                // 50 ms; a spinning driver makes hundreds of thousands.
-                assert!(watched_passes < 100, "{watched_passes} in {WATCHED:?}");
-            }
+            // One pass at start-up, then parked or stopped; a spinning
+            // driver makes hundreds of thousands.
+            assert!(watched_passes <= 2, "{watched_passes} passes idle");
             // Spinning for the watched 50 ms is 5 ticks of CPU; idling is 0,
             // or 1 when a tick happens to land on a wake-up.
             if let Some(ticks) = cpu_ticks {

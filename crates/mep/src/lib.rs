@@ -30,7 +30,6 @@
 //! the user endpoint is destroyed").
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,6 +40,7 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::EndpointId;
 use gcx_core::task::TaskResult;
 use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
+use gcx_mq::Cancel;
 use parking_lot::Mutex;
 
 /// Builds the execution environment for a local user's endpoint — the
@@ -79,7 +79,6 @@ struct SpawnedEndpoint {
     /// The local account it runs as.
     local_user: String,
     agent: Option<EndpointAgent>,
-    last_busy: Instant,
 }
 
 struct MepState {
@@ -91,7 +90,8 @@ struct MepState {
 /// A running multi-user endpoint.
 pub struct MultiUserEndpoint {
     state: Arc<Mutex<MepState>>,
-    shutdown: Arc<AtomicBool>,
+    /// Ends the command loop's wait on its queue.
+    stop_commands: Cancel,
     command_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -112,40 +112,34 @@ impl MultiUserEndpoint {
             denied: 0,
             total_spawned: 0,
         }));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let idle_budget = setup.idle_shutdown;
-        let command_thread = {
-            let cloud = cloud.clone();
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name(format!("gcx-mep-{mep_endpoint_id}"))
-                .spawn(move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        match commands.next(Duration::from_millis(25)) {
-                            Ok(Some(delivery)) => {
-                                let _ = gcx_core::codec::decode(&delivery.message.body)
-                                    .and_then(|v| MepStartRequest::from_value(&v))
-                                    .and_then(|req| {
-                                        handle_start_request(&cloud, &setup, &state, req)
-                                    });
-                                let _ = commands.ack(delivery.tag);
-                            }
-                            Ok(None) => {}
-                            Err(_) => return,
-                        }
-                        // Idle user endpoints are reaped on this loop's
-                        // own wake-ups: a command, or the 25 ms timeout.
-                        reap_idle(&state, idle_budget);
-                    }
-                })
-                .map_err(|e| GcxError::Internal(format!("spawn mep: {e}")))?
-        };
+        let stop_commands = commands.canceller();
+        let (idle_budget, mep_state) = (setup.idle_shutdown, Arc::clone(&state));
+        // Idle user endpoints are reaped on this loop's own wake-ups: a
+        // command, or the next reap that is due. With none live, nothing is
+        // due; `stop()` cancels the wait.
+        let mut reap_due: Option<Instant> = None;
+        let command_thread = std::thread::Builder::new()
+            .name(format!("gcx-mep-{mep_endpoint_id}"))
+            .spawn(move || loop {
+                let wait = reap_due.map_or(Duration::MAX, |due| {
+                    due.saturating_duration_since(Instant::now())
+                });
+                let Ok(command) = commands.next(wait) else {
+                    return;
+                };
+                if let Some(delivery) = command {
+                    let _ = gcx_core::codec::decode(&delivery.message.body)
+                        .and_then(|v| MepStartRequest::from_value(&v))
+                        .and_then(|req| handle_start_request(&cloud, &setup, &mep_state, req));
+                    let _ = commands.ack(delivery.tag);
+                }
+                reap_due = reap_idle(&mep_state, idle_budget);
+            })
+            .map_err(|e| GcxError::Internal(format!("spawn mep: {e}")))?;
 
         Ok(Self {
             state,
-            shutdown,
+            stop_commands,
             command_thread: Some(command_thread),
         })
     }
@@ -190,7 +184,7 @@ impl MultiUserEndpoint {
     }
 
     fn stop_inner(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop_commands.cancel();
         if let Some(h) = self.command_thread.take() {
             let _ = h.join();
         }
@@ -209,22 +203,27 @@ impl Drop for MultiUserEndpoint {
     }
 }
 
-fn reap_idle(state: &Arc<Mutex<MepState>>, idle: Option<Duration>) {
-    let Some(budget) = idle else { return };
-    let mut st = state.lock();
-    for spawned in st.spawned.values_mut() {
+/// Stop every live user endpoint that has held no task for `idle`, and
+/// return when the next one is due (`None`: no budget, none live, or a
+/// budget past what an `Instant` holds); one busy now is due a budget on.
+fn reap_idle(state: &Mutex<MepState>, idle: Option<Duration>) -> Option<Instant> {
+    let budget = idle?;
+    let mut due: Option<Instant> = None;
+    for spawned in state.lock().spawned.values_mut() {
         let Some(agent) = &spawned.agent else {
             continue;
         };
-        let status = agent.engine_status();
-        if status.queued > 0 || status.running > 0 {
-            spawned.last_busy = Instant::now();
-        } else if spawned.last_busy.elapsed() > budget {
+        let idle_for = agent.idle_for();
+        if idle_for >= budget {
             if let Some(agent) = spawned.agent.take() {
                 agent.stop();
             }
+            continue;
         }
+        let reap_at = Instant::now().checked_add(budget - idle_for);
+        due = due.into_iter().chain(reap_at).min();
     }
+    due
 }
 
 fn handle_start_request(
@@ -298,7 +297,6 @@ fn handle_start_request(
         SpawnedEndpoint {
             local_user,
             agent: Some(agent),
-            last_busy: Instant::now(),
         },
     ) {
         if let Some(old_agent) = prev.agent {
@@ -653,6 +651,46 @@ mod idle_tests {
         assert_eq!(cloud.user_endpoints_of(reg.endpoint_id).len(), 1);
 
         ex.close();
+        mep.stop();
+        cloud.shutdown();
+    }
+
+    /// An idle budget too long to add to an instant never reaps, and the
+    /// command loop keeps serving: a second user's endpoint still spawns.
+    #[test]
+    fn an_endless_idle_budget_never_reaps() {
+        let cloud = WebService::with_defaults(SystemClock::shared());
+        let (_, admin) = cloud.auth().login("admin@site.edu").unwrap();
+        let reg = cloud
+            .register_endpoint(&admin, "mep", true, AuthPolicy::open(), None)
+            .unwrap();
+        let mut mapper = IdentityMapper::new();
+        mapper
+            .add_expression(ExpressionMapping::username_capture("site.edu"))
+            .unwrap();
+        let setup = MepSetup {
+            mapper,
+            template: Template::parse("engine:\n  type: GlobusComputeEngine\n").unwrap(),
+            schema: None,
+            env_factory: Arc::new(|_| AgentEnv::local(SystemClock::shared())),
+            idle_shutdown: Some(Duration::MAX),
+        };
+        let mep =
+            MultiUserEndpoint::start(cloud.clone(), reg.endpoint_id, &reg.queue_credential, setup)
+                .unwrap();
+        let f = PyFunction::new("def f():\n    return 7\n");
+        for user in ["ada@site.edu", "bob@site.edu"] {
+            let (_, token) = cloud.auth().login(user).unwrap();
+            let ex = Executor::new(cloud.clone(), token, reg.endpoint_id).unwrap();
+            let fut = ex.submit(&f, vec![], Value::None).unwrap();
+            assert_eq!(
+                fut.result_timeout(Duration::from_secs(10)).unwrap(),
+                Value::Int(7),
+                "{user}"
+            );
+            ex.close();
+        }
+        assert_eq!(mep.live_endpoints(), 2);
         mep.stop();
         cloud.shutdown();
     }

@@ -730,6 +730,7 @@ impl Broker {
             queue: q,
             broker: self.inner.clone(),
             slot,
+            cancelled: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -786,6 +787,27 @@ pub struct Consumer {
     broker: Arc<BrokerInner>,
     /// Index of this consumer's prefetch window in the queue's state.
     slot: usize,
+    /// Set by [`Cancel::cancel`]; a take reads it under the queue's lock.
+    cancelled: Arc<AtomicBool>,
+}
+
+/// AMQP's `basic.cancel` for one [`Consumer`], held by whoever stops the
+/// thread that owns it. The queue and its other consumers are untouched,
+/// and the consumer can still `ack` and `nack` what it holds.
+pub struct Cancel {
+    queue: Arc<Queue>,
+    cancelled: Arc<AtomicBool>,
+}
+
+impl Cancel {
+    /// Every take on the consumer, a parked one at once, returns
+    /// `Err(GcxError::ShuttingDown)` — never a deleted queue's error.
+    pub fn cancel(&self) {
+        self.cancelled.store(true, Ordering::SeqCst);
+        // A take that missed the store holds the lock until it parks.
+        drop(self.queue.state.lock());
+        self.queue.cond.notify_all();
+    }
 }
 
 fn unknown_tag(tag: u64) -> GcxError {
@@ -793,8 +815,15 @@ fn unknown_tag(tag: u64) -> GcxError {
 }
 
 impl Consumer {
-    /// Receive the next message, waiting up to `timeout`: the take of one.
-    /// Returns `Ok(None)` on timeout, `Err` if the queue was deleted.
+    /// A handle that cancels this consumer's takes from another thread.
+    pub fn canceller(&self) -> Cancel {
+        let (queue, cancelled) = (Arc::clone(&self.queue), Arc::clone(&self.cancelled));
+        Cancel { queue, cancelled }
+    }
+
+    /// Receive the next message, waiting up to `timeout` (`Duration::MAX`:
+    /// for ever): the take of one. Returns `Ok(None)` on timeout, `Err` if
+    /// the queue was deleted or the consumer cancelled.
     ///
     /// Blocks while the prefetch window is full — backpressure exactly like
     /// an AMQP channel with `basic.qos`.
@@ -809,7 +838,9 @@ impl Consumer {
     /// [`next`](Self::next) does, then keeps taking under the same lock
     /// while messages are ready and the prefetch window is open — it never
     /// waits to fill the batch. `Ok(0)` on timeout, `Err` if the queue was
-    /// deleted.
+    /// deleted or the consumer cancelled. A take of `max == 0` hands out
+    /// nothing and only waits: out its timeout, or until a delete or a
+    /// cancel.
     ///
     /// A take of `k` hands out what `k` successive `next(Duration::ZERO)`
     /// calls would, in the same order: each message is counted, checked
@@ -821,9 +852,6 @@ impl Consumer {
         max: usize,
         out: &mut Vec<Delivery>,
     ) -> GcxResult<usize> {
-        if max == 0 {
-            return Ok(0);
-        }
         self.take(timeout, max, &mut |d| out.push(d))
     }
 
@@ -852,6 +880,9 @@ impl Consumer {
                 .as_ref()
                 .is_some_and(|p| p.blocks_deliveries(&q.name, broker.clock.now_ms()));
             let mut st = q.state.lock();
+            if self.cancelled.load(Ordering::SeqCst) {
+                return Err(GcxError::ShuttingDown);
+            }
             if st.closed {
                 return Err(q.closed_error());
             }
@@ -917,8 +948,9 @@ impl Consumer {
                 return Ok(0);
             }
             let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + timeout);
-            if now >= deadline {
+            // `None`: a timeout too long to add to an instant never expires.
+            let deadline = *deadline.get_or_insert_with(|| now.checked_add(timeout));
+            if deadline.is_some_and(|d| now >= d) {
                 return Ok(0);
             }
             if virtual_mode {
@@ -929,7 +961,7 @@ impl Consumer {
             }
             // Nothing notifies when a partition window closes, so
             // wait in short slices while one is active.
-            let mut remaining = deadline - now;
+            let mut remaining = deadline.map_or(Duration::MAX, |d| d - now);
             if partitioned {
                 remaining = remaining.min(Duration::from_millis(10));
             } else if !snoozed {
@@ -1317,6 +1349,108 @@ mod tests {
         assert!(r.is_err(), "consumer must observe closure");
         assert!(b.queue_stats("q").is_err());
         assert!(b.publish("q", msg("x"), None).is_err());
+    }
+
+    /// Park `c` in a take of `timeout` on another thread, cancel it 50 ms
+    /// later, and return what the take returned and how long the cancel
+    /// took to end it.
+    fn cancel_parked(c: Consumer, timeout: Duration) -> (GcxResult<Option<Delivery>>, Duration) {
+        let cancel = c.canceller();
+        let h = std::thread::spawn(move || (c.next(timeout), c));
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        cancel.cancel();
+        let (r, _c) = h.join().unwrap();
+        (r, t0.elapsed())
+    }
+
+    #[test]
+    fn a_cancel_returns_a_parked_take_at_once() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        let (r, took) = cancel_parked(b.consume("q", None, 0).unwrap(), Duration::MAX);
+        assert!(took < Duration::from_secs(1), "cancel took {took:?}");
+        assert_eq!(r.unwrap_err(), GcxError::ShuttingDown);
+        // The queue is untouched: a new consumer takes what is published.
+        b.publish("q", msg("after"), None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        assert_eq!(&c.next(T).unwrap().unwrap().message.body[..], b"after");
+    }
+
+    #[test]
+    fn a_cancel_returns_a_take_on_a_virtual_clock() {
+        let clock = gcx_core::clock::VirtualClock::new();
+        let b = Broker::with_profile(MetricsRegistry::new(), clock, LinkProfile::instant());
+        b.declare_queue("q", None).unwrap();
+        let (r, took) = cancel_parked(b.consume("q", None, 0).unwrap(), Duration::from_secs(60));
+        assert!(took < Duration::from_secs(1), "cancel took {took:?}");
+        assert_eq!(r.unwrap_err(), GcxError::ShuttingDown);
+    }
+
+    #[test]
+    fn a_cancelled_consumer_settles_what_it_holds_and_spares_the_others() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        for i in 0..5 {
+            b.publish("q", msg(&format!("m{i}")), None).unwrap();
+        }
+        let other = b.consume("q", None, 0).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        let tags: Vec<u64> = (0..3).map(|_| c.next(T).unwrap().unwrap().tag).collect();
+        c.canceller().cancel();
+        assert_eq!(c.next(Duration::ZERO).unwrap_err(), GcxError::ShuttingDown);
+        let closed = b.inner.find("q").unwrap().closed_error();
+        assert_ne!(c.next(T).unwrap_err(), closed, "a cancel is not a delete");
+        c.ack(tags[0]).unwrap();
+        c.nack(tags[1]).unwrap();
+        // The other consumer keeps receiving: the nacked m1 (requeued at
+        // the front), then m3 and m4.
+        for want in ["m1", "m3", "m4"] {
+            let d = other.next(T).unwrap().unwrap();
+            assert_eq!(d.message.body, Bytes::from(want));
+            other.ack(d.tag).unwrap();
+        }
+        // Dropping the cancelled consumer requeues what it still holds.
+        drop(c);
+        let d = other.next(T).unwrap().unwrap();
+        assert_eq!(d.message.body, Bytes::from("m2"));
+        assert!(d.message.redelivered);
+    }
+
+    #[test]
+    fn a_take_of_none_waits_out_its_timeout_and_ends_on_a_cancel() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        b.publish("q", msg("stays"), None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(
+            c.next_batch(Duration::from_millis(30), 0, &mut Vec::new()),
+            Ok(0)
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert_eq!(
+            b.queue_stats("q").unwrap().ready,
+            1,
+            "a take of none takes none"
+        );
+        let cancel = c.canceller();
+        let h = std::thread::spawn(move || c.next_batch(Duration::MAX, 0, &mut Vec::new()));
+        std::thread::sleep(Duration::from_millis(30));
+        cancel.cancel();
+        assert_eq!(h.join().unwrap(), Err(GcxError::ShuttingDown));
+    }
+
+    #[test]
+    fn a_take_with_no_timeout_waits_for_a_later_publish() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        let h = std::thread::spawn(move || c.next(Duration::MAX).map(|d| d.map(|d| d.message)));
+        std::thread::sleep(Duration::from_millis(30));
+        b.publish("q", msg("late"), None).unwrap();
+        let got = h.join().unwrap().unwrap().unwrap();
+        assert_eq!(&got.body[..], b"late");
     }
 
     #[test]

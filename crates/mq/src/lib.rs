@@ -26,6 +26,6 @@ pub(crate) mod broker;
 pub(crate) mod fault;
 pub(crate) mod link;
 
-pub use broker::{Broker, Consumer, Delivery, Headers, Message, QueuePolicy, QueueStats};
+pub use broker::{Broker, Cancel, Consumer, Delivery, Headers, Message, QueuePolicy, QueueStats};
 pub use fault::{FaultDirection, FaultPlan, FaultRule, ReplicaAction, ReplicaFaultRule};
 pub use link::LinkProfile;

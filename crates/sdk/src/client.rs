@@ -123,7 +123,7 @@ impl Client {
         interval: Duration,
         timeout: Duration,
     ) -> GcxResult<Vec<GcxResult<Value>>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut done: std::collections::HashMap<TaskId, GcxResult<Value>> =
             std::collections::HashMap::new();
         while done.len() < tasks.len() {
@@ -143,7 +143,7 @@ impl Client {
             if done.len() == tasks.len() {
                 break;
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(GcxError::Timeout(format!(
                     "{} of {} tasks after {timeout:?}",
                     tasks.len() - done.len(),
@@ -166,7 +166,7 @@ impl Client {
         interval: Duration,
         timeout: Duration,
     ) -> GcxResult<Value> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             let (state, result) = self.task_status(task)?;
             if state.is_terminal() {
@@ -174,7 +174,7 @@ impl Client {
                     .ok_or_else(|| GcxError::Internal("terminal task without result".into()))?
                     .into_result();
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(GcxError::Timeout(format!("task {task} after {timeout:?}")));
             }
             std::thread::sleep(interval);

@@ -133,6 +133,9 @@ struct ExecutorShared {
     /// Content-hash → registered function id (on-the-fly dedup).
     registered: Mutex<HashMap<u64, FunctionId>>,
     shutdown: AtomicBool,
+    /// Cancels the stream thread's feed (replaced by each reopened one's);
+    /// `None` once `close()` has cancelled it.
+    feed_cancel: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
     /// Hot-path counters, resolved once at construction.
     tasks_resubmitted: Arc<Counter>,
     stream_reconnects: Arc<Counter>,
@@ -230,6 +233,7 @@ impl Executor {
             taken: Mutex::new(Some(Vec::new())),
             registered: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
+            feed_cancel: Mutex::new(Some(stream.canceller())),
             tasks_resubmitted,
             stream_reconnects,
             overload_backoffs,
@@ -423,8 +427,23 @@ impl Executor {
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
+        // What was flushed has the grace to land on the live feed; then
+        // the feed is cancelled, and what never landed fails.
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        let inflight = self.shared.inflight.lock();
+        let flushed: Vec<_> = inflight.values().map(|inf| inf.future.clone()).collect();
+        drop(inflight);
+        for future in flushed {
+            let _ = future.result_timeout(deadline.saturating_duration_since(Instant::now()));
+        }
+        if let Some(cancel) = self.shared.feed_cancel.lock().take() {
+            cancel();
+        }
         if let Some(h) = self.streamer.take() {
             let _ = h.join();
+        }
+        for (_, inf) in self.shared.inflight.lock().drain() {
+            inf.future.resolve(Err(GcxError::ShuttingDown));
         }
         // Wire links say Goodbye and drop the connection; local is a no-op.
         self.shared.link.close();
@@ -539,10 +558,11 @@ fn send_confirms(shared: &ExecutorShared, confirming: &mut Vec<TaskId>) {
     }
 }
 
+/// Resolve futures from the feed, with no timeout, until `close()` cancels
+/// it (after its grace).
 fn stream_loop(shared: &ExecutorShared, retry: &RetryPolicy, mut stream: ResultFeed) {
-    let mut grace: Option<Instant> = None;
     loop {
-        match stream.next(Duration::from_millis(25)) {
+        match stream.next(Duration::MAX) {
             Ok(Some((task_id, Ok(result)))) => {
                 // Taken: the service may forget the task. Only a result
                 // this executor was waiting for, so a result pushed to
@@ -565,26 +585,16 @@ fn stream_loop(shared: &ExecutorShared, retry: &RetryPolicy, mut stream: ResultF
                     inf.future.resolve(Err(e));
                 }
             }
-            Ok(None) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    if shared.inflight.lock().is_empty() {
-                        return;
-                    }
-                    // The batcher flushed everything pending before exiting;
-                    // give those tasks a bounded grace period to report
-                    // back, then fail the leftovers so no future strands.
-                    let deadline = *grace.get_or_insert_with(|| Instant::now() + SHUTDOWN_GRACE);
-                    if Instant::now() >= deadline {
-                        let mut inflight = shared.inflight.lock();
-                        for (_, inf) in inflight.drain() {
-                            inf.future.resolve(Err(GcxError::ShuttingDown));
-                        }
-                        return;
-                    }
-                }
-            }
+            Ok(None) => {}
+            Err(_) if shared.feed_cancel.lock().is_none() => return, // `close()` cancelled it
             Err(_) => match reconnect_stream(shared, retry) {
-                Some(s) => stream = s,
+                Some(s) => match &mut *shared.feed_cancel.lock() {
+                    Some(cancel) => {
+                        *cancel = s.canceller();
+                        stream = s;
+                    }
+                    None => return, // `close()` is past its grace
+                },
                 None => return,
             },
         }
@@ -617,10 +627,10 @@ fn reconnect_stream(shared: &ExecutorShared, retry: &RetryPolicy) -> Option<Resu
             }
             return None;
         }
-        std::thread::sleep(retry.backoff(attempt));
         if shared.shutdown.load(Ordering::SeqCst) && shared.inflight.lock().is_empty() {
             return None;
         }
+        std::thread::sleep(retry.backoff(attempt));
         if let Ok(stream) = shared.link.open_stream(&shared.token) {
             shared.stream_reconnects.inc();
             catch_up(shared, retry);
@@ -986,6 +996,72 @@ mod tests {
                 "close() must flush the pending batch and drain its results"
             );
         }
+    }
+
+    /// A result that lands after `close()` starts still resolves its future
+    /// Ok, on an executor with no retry budget and without a reconnect:
+    /// `close()` cancels the feed only once its grace is over. Locally and
+    /// over the wire.
+    #[test]
+    fn close_resolves_a_result_that_lands_after_it_starts() {
+        close_waits_for_late_result(false);
+        close_waits_for_late_result(true);
+    }
+
+    fn close_waits_for_late_result(wire: bool) {
+        use crate::link::WireLink;
+        use gcx_cloud::{WireClient, WireClientConfig, WireServer};
+        use gcx_config::TransportSpec;
+
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("late@site.org").unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let server = WireServer::inmem(&svc, TransportSpec::default());
+        let link = if wire {
+            let cfg = WireClientConfig::default();
+            let client = WireClient::over(server.connect_inmem(), &token.0, cfg.clone()).unwrap();
+            Link::Wire(WireLink::over(client, cfg))
+        } else {
+            Link::local(svc.clone())
+        };
+        let cfg = ExecutorConfig {
+            retry: RetryPolicy::none(),
+            ..ExecutorConfig::default()
+        };
+        let ex = Executor::build(link, token.clone(), reg.endpoint_id, cfg).unwrap();
+        let metrics = ex.metrics();
+        let f = PyFunction::new("def f():\n    return 1\n");
+        let fut = ex.submit(&f, vec![], Value::None).unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let (spec, tag) = session
+            .next_task(Duration::from_secs(10))
+            .unwrap()
+            .expect("the task reaches the endpoint queue");
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(Value::Int(7)))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+        });
+        ex.close();
+        late.join().unwrap();
+        assert_eq!(
+            fut.result_timeout(Duration::ZERO).unwrap(),
+            Value::Int(7),
+            "wire: {wire}"
+        );
+        assert_eq!(
+            metrics.counter("sdk.stream_reconnects").get(),
+            0,
+            "wire: {wire}: close() is not a broken feed"
+        );
+        server.shutdown();
+        svc.shutdown();
     }
 
     /// 4096 futures outstanding over the wire with the stream thread held

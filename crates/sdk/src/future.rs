@@ -104,9 +104,10 @@ impl TaskFuture {
         self.wait_until(None).expect("resolved").clone()
     }
 
-    /// Block up to `timeout`; `Err(Timeout)` if the result has not landed.
+    /// Block up to `timeout` (`Duration::MAX`: for ever); `Err(Timeout)`
+    /// if the result has not landed.
     pub fn result_timeout(&self, timeout: Duration) -> GcxResult<Value> {
-        self.wait_until(Some(Instant::now() + timeout))
+        self.wait_until(Instant::now().checked_add(timeout))
             .cloned()
             .unwrap_or_else(|| Err(GcxError::Timeout(format!("task {}", self.inner.task_id))))
     }
@@ -178,6 +179,16 @@ mod tests {
         f.resolve(Err(GcxError::Execution("boom".into())));
         let err = f.result_timeout(Duration::from_millis(20)).unwrap_err();
         assert!(matches!(err, GcxError::Execution(_)));
+    }
+
+    #[test]
+    fn a_timeout_too_long_for_an_instant_waits_for_the_result() {
+        let f = TaskFuture::pending(TaskId::random());
+        let f2 = f.clone();
+        let h = std::thread::spawn(move || f2.result_timeout(Duration::MAX));
+        std::thread::sleep(Duration::from_millis(30));
+        f.resolve(Ok(Value::str("late")));
+        assert_eq!(h.join().unwrap().unwrap(), Value::str("late"));
     }
 
     #[test]

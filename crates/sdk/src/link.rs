@@ -532,7 +532,20 @@ pub enum ResultFeed {
 }
 
 impl ResultFeed {
-    /// Wait up to `timeout` for the next result envelope.
+    /// Ends this feed's waits from another thread: `next` then returns
+    /// `Err`, as if the feed broke.
+    pub(crate) fn canceller(&self) -> Box<dyn Fn() + Send + Sync> {
+        match self {
+            ResultFeed::Local { stream, .. } => {
+                let cancel = stream.consumer.canceller();
+                Box::new(move || cancel.cancel())
+            }
+            ResultFeed::Wire(stream) => Box::new(stream.canceller()),
+        }
+    }
+
+    /// Wait up to `timeout` (`Duration::MAX`: for ever) for the next result
+    /// envelope.
     ///
     /// - `Ok(Some((id, Ok(result))))` — a result arrived;
     /// - `Ok(Some((id, Err(e))))` — an envelope arrived for `id` but its
