@@ -546,9 +546,9 @@ mod tests {
         // The result lands just before the sweep runs.
         let mut fan_out = crate::service::results::FanOut::default();
         let result = TaskResult::ok(gcx_core::value::Value::Int(7));
-        svc.finish_task_local(id, result, None, &mut fan_out)
+        svc.finish_task_local(id, result, None, None, &mut fan_out)
             .unwrap();
-        fan_out.flush(svc.broker());
+        fan_out.flush(svc.broker(), &svc.inner.streams);
         assert_eq!(svc.check_expiry(), 0, "terminal record is left untouched");
         let rec = svc.task_record(id).unwrap();
         assert_eq!(rec.state, TaskState::Success);

@@ -2,14 +2,18 @@
 //! payload interning (content-addressed dedup), and the status-polling
 //! path.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
+use bytes::Bytes;
 use gcx_auth::{AuthPolicy, Token};
 use gcx_core::codec;
 use gcx_core::error::{GcxError, GcxResult};
-use gcx_core::ids::{EndpointId, IdentityId, TaskId};
+use gcx_core::ids::{EndpointId, FunctionId, IdentityId, TaskId};
 use gcx_core::payload::{ContentHash, Payload};
 use gcx_core::task::{TaskRecord, TaskResult, TaskSpec, TaskState};
+use gcx_core::trace::TraceContext;
 use gcx_core::value::Value;
 use gcx_mq::Message;
 
@@ -47,6 +51,29 @@ pub enum CancelOutcome {
     Cancelled,
     /// The task had already reached this terminal state; nothing changed.
     AlreadyTerminal(TaskState),
+}
+
+/// A task message body this long or longer gets a buffer of its own, not
+/// a slice of its endpoint's shared one: a message still queued, or a
+/// payload decoded from it, keeps its whole buffer alive, and must not
+/// keep another task's long payload alive with it.
+const OWN_BUFFER_AT: usize = 4 * 1024;
+
+/// One endpoint's share of a batch, its tasks in the batch's order.
+struct Shipment {
+    to: EndpointId,
+    /// The short bodies end to end: the buffer their messages slice.
+    shared: Vec<u8>,
+    /// Each task's message body and trace.
+    bodies: Vec<(MessageBody, Option<TraceContext>)>,
+}
+
+/// Where a task message's body is.
+enum MessageBody {
+    /// A range of its shipment's shared buffer.
+    Shared(Range<usize>),
+    /// A buffer of its own (a long body).
+    Own(Bytes),
 }
 
 /// A validated task on its way into a replica's task store and onto its
@@ -126,7 +153,11 @@ impl WebService {
         // Validate everything before enqueueing anything (atomic batch).
         // The args payload was encoded once at the submit edge; here it is
         // only measured, hashed (already done), and interned — never
-        // re-walked by the codec.
+        // re-walked by the codec. What else a task is checked for depends
+        // only on its (function, endpoint) pair, so each pair the batch
+        // names is checked once, when it first appears; the map keeps a
+        // multi-user target's record for resolving each of its tasks.
+        let mut checked: HashMap<(FunctionId, EndpointId), Option<EndpointRecord>> = HashMap::new();
         let mut prepared: Vec<Accepted> = Vec::with_capacity(specs.len());
         for mut spec in specs {
             // SDK submissions arrive with a trace context already minted;
@@ -149,25 +180,15 @@ impl WebService {
             }
             bytes_in += payload_len + SPEC_WIRE_OVERHEAD;
 
-            // The target's policy and allowed list are checked where the
-            // record lives; only a multi-user endpoint's is copied out.
-            let function_known = self.inner.functions.contains_key(&spec.function_id);
-            let mep = self.inner.endpoints.with(&spec.endpoint_id, |target| {
-                let target = target.ok_or(GcxError::EndpointNotFound(spec.endpoint_id))?;
-                target.policy.evaluate(&who.identity, who.auth_time, now)?;
-                if !function_known {
-                    return Err(GcxError::FunctionNotFound(spec.function_id));
+            let (function_id, endpoint_id) = (spec.function_id, spec.endpoint_id);
+            let mep = match checked.entry((function_id, endpoint_id)) {
+                Entry::Occupied(seen) => seen.into_mut(),
+                Entry::Vacant(first) => {
+                    first.insert(self.check_target(who, function_id, endpoint_id, now)?)
                 }
-                if !target.function_allowed(spec.function_id) {
-                    return Err(GcxError::Forbidden(format!(
-                        "function {} is not in endpoint {}'s allowed list",
-                        spec.function_id, spec.endpoint_id
-                    )));
-                }
-                Ok(target.multi_user.then(|| target.clone()))
-            })?;
+            };
             // Resolve MEP targets to a user endpoint (spawning if needed).
-            let deliver_to = match &mep {
+            let deliver_to = match mep {
                 Some(mep) => {
                     self.resolve_user_endpoint(mep, &who.identity, &spec.user_endpoint_config)?
                 }
@@ -275,6 +296,34 @@ impl WebService {
         Ok(ids)
     }
 
+    /// Whether `who` may run `function_id` on `endpoint_id`: the function
+    /// exists, and the endpoint exists, its policy admits the caller and
+    /// its allowed list names the function. The policy and allowed list
+    /// are checked where the record lives; a multi-user endpoint's record
+    /// is copied out for resolving its user endpoints, any other's is not.
+    fn check_target(
+        &self,
+        who: &gcx_auth::service::Introspection,
+        function_id: FunctionId,
+        endpoint_id: EndpointId,
+        now: u64,
+    ) -> GcxResult<Option<EndpointRecord>> {
+        let function_known = self.inner.functions.contains_key(&function_id);
+        self.inner.endpoints.with(&endpoint_id, |target| {
+            let target = target.ok_or(GcxError::EndpointNotFound(endpoint_id))?;
+            target.policy.evaluate(&who.identity, who.auth_time, now)?;
+            if !function_known {
+                return Err(GcxError::FunctionNotFound(function_id));
+            }
+            if !target.function_allowed(function_id) {
+                return Err(GcxError::Forbidden(format!(
+                    "function {function_id} is not in endpoint {endpoint_id}'s allowed list"
+                )));
+            }
+            Ok(target.multi_user.then(|| target.clone()))
+        })
+    }
+
     /// Record the server-side `submit` span (`start_ms` → `end_ms`) if the
     /// task is owed one.
     fn stamp_submit(&self, owed: bool, spec: &TaskSpec, start_ms: u64, end_ms: u64) {
@@ -284,28 +333,23 @@ impl WebService {
         }
     }
 
-    /// The queue message for a deliverable spec: the compact binary body
-    /// (one buffer fill, no `Value` tree — an inlined payload is memcpy'd
-    /// into the frame, a CAS reference ships only the content hash), plus
-    /// headers that let the broker annotate a traced task on fault
-    /// injection, the receiving session time the queue-transit leg without
-    /// decoding the body, and the expiry sweep date the oldest task still
-    /// waiting on a queue (every task's message carries its publish stamp).
-    fn task_message(&self, spec: &TaskSpec, inline: bool, sent_ms: u64) -> Message {
-        let headers = gcx_mq::Headers {
-            trace: spec.trace,
-            sent_ms: Some(sent_ms),
-            death_queue: None,
-        };
-        Message::with_headers(spec.to_message(inline), headers)
-    }
-
     /// The one way a task gets into this replica, whoever validated it: the
     /// front door ([`Self::submit_batch`]), another replica's front door (a
     /// forwarded submit) or a dead owner's (an adopted open task). Installs
     /// each record if its id is absent, notes deadlines for the expiry
     /// sweep, appends the federation's `Open` log entry, and ships to each
-    /// target endpoint's queue with one batched publish.
+    /// target endpoint's queue with one batched publish, endpoints in the
+    /// order the batch first names them.
+    ///
+    /// Each task's queue message is its compact binary body (no `Value`
+    /// tree — an inlined payload is memcpy'd in, a CAS reference ships
+    /// only the content hash). The short bodies bound for one endpoint are
+    /// written into one buffer that their messages slice; a body of
+    /// `OWN_BUFFER_AT` bytes or more gets a buffer of its own. A message's
+    /// headers let the broker annotate a traced task on fault injection,
+    /// the receiving session time the queue-transit leg without decoding
+    /// the body, and the expiry sweep date the oldest task still waiting on
+    /// a queue (every task's message carries its publish stamp).
     ///
     /// An id that is already held installs and ships nothing; `on_resident`
     /// (given the id and the identity holding it) says whether that is fine
@@ -325,7 +369,31 @@ impl WebService {
         // also the queue-transit span's start, carried in a header.
         let shipped = self.inner.clock.now_ms();
         let mut installed = Vec::with_capacity(tasks.len());
-        let mut by_endpoint: HashMap<EndpointId, Vec<Message>> = HashMap::new();
+        // The endpoints in the order the batch first names them, so what
+        // shipped before a full queue refused the rest is the same on every
+        // run. `index` maps each to its place in that order and the room
+        // its short bodies and its tasks take.
+        let mut index: HashMap<EndpointId, (usize, usize, usize)> = HashMap::new();
+        let mut shipments: Vec<Shipment> = Vec::new();
+        for task in &tasks {
+            let (_, bytes, count) = index.entry(task.deliver_to).or_insert_with(|| {
+                shipments.push(Shipment {
+                    to: task.deliver_to,
+                    shared: Vec::new(),
+                    bodies: Vec::new(),
+                });
+                (shipments.len() - 1, 0, 0)
+            });
+            let hint = task.spec.message_size_hint(task.inline);
+            if hint < OWN_BUFFER_AT {
+                *bytes += hint;
+            }
+            *count += 1;
+        }
+        for &(at, bytes, count) in index.values() {
+            shipments[at].shared.reserve_exact(bytes);
+            shipments[at].bodies.reserve_exact(count);
+        }
         for Accepted {
             spec,
             deliver_to,
@@ -362,19 +430,43 @@ impl WebService {
                     .payload_bytes_moved
                     .add(wire_spec.payload.len() as u64);
             }
-            let message = self.task_message(&wire_spec, inline, shipped);
-            by_endpoint.entry(deliver_to).or_default().push(message);
+            let shipment = &mut shipments[index[&deliver_to].0];
+            let body = if wire_spec.message_size_hint(inline) < OWN_BUFFER_AT {
+                let start = shipment.shared.len();
+                wire_spec.write_message(inline, &mut shipment.shared);
+                MessageBody::Shared(start..shipment.shared.len())
+            } else {
+                MessageBody::Own(wire_spec.to_message(inline))
+            };
+            shipment.bodies.push((body, wire_spec.trace));
         }
+        let mut batch = Vec::with_capacity(installed.len());
         let ship = || -> GcxResult<()> {
-            for (deliver_to, messages) in by_endpoint {
+            for Shipment { to, shared, bodies } in shipments {
+                if bodies.is_empty() {
+                    continue; // every task for `to` was already held
+                }
                 let credential = self
                     .inner
                     .credentials
-                    .get_cloned(&deliver_to)
-                    .ok_or(GcxError::EndpointNotFound(deliver_to))?;
+                    .get_cloned(&to)
+                    .ok_or(GcxError::EndpointNotFound(to))?;
+                let shared = Bytes::from(shared);
+                batch.extend(bodies.into_iter().map(|(body, trace)| {
+                    let body = match body {
+                        MessageBody::Shared(range) => shared.slice(range),
+                        MessageBody::Own(body) => body,
+                    };
+                    let headers = gcx_mq::Headers {
+                        trace,
+                        sent_ms: Some(shipped),
+                        death_queue: None,
+                    };
+                    Message::with_headers(body, headers)
+                }));
                 self.inner.broker.publish_batch(
-                    &task_queue_name(deliver_to),
-                    messages,
+                    &task_queue_name(to),
+                    batch.drain(..),
                     Some(&credential),
                 )?;
             }
@@ -961,6 +1053,211 @@ mod tests {
             let (got, tag) = session.next_task(T).unwrap().unwrap();
             assert_eq!(got.task_id, *expected);
             session.ack_task(tag).unwrap();
+        }
+        svc.shutdown();
+    }
+
+    /// A service on an instant broker with this configuration.
+    fn service_with(cfg: super::super::CloudConfig) -> WebService {
+        let clock = gcx_core::clock::SystemClock::shared();
+        WebService::new(
+            cfg,
+            gcx_auth::AuthService::new(clock.clone()),
+            gcx_mq::Broker::with_profile(
+                gcx_core::metrics::MetricsRegistry::new(),
+                clock.clone(),
+                gcx_mq::LinkProfile::instant(),
+            ),
+            clock,
+        )
+    }
+
+    fn ready(svc: &WebService, endpoint: EndpointId) -> usize {
+        let stats = svc.broker().queue_stats(&task_queue_name(endpoint));
+        stats.unwrap().ready
+    }
+
+    /// Validation runs once per (function, endpoint) pair a batch names,
+    /// yet a batch whose later task is bad is refused with exactly the
+    /// error that task gets alone, even when a valid task before it shares
+    /// its function or its endpoint; nothing ships and no record stays.
+    #[test]
+    fn a_batch_is_refused_with_the_error_its_bad_task_gets_alone() {
+        let svc = service();
+        let token = login(&svc, "user@uchicago.edu");
+        let register = |body: &str| {
+            let body = FunctionBody::pyfn(body);
+            svc.register_function(&token, body).unwrap()
+        };
+        let (fid, other) = (
+            register("def f():\n    return 1\n"),
+            register("def g():\n    return 2\n"),
+        );
+        let endpoint = |name: &str, policy: AuthPolicy, allowed: Option<Vec<FunctionId>>| {
+            let reg = svc.register_endpoint(&token, name, false, policy, allowed);
+            reg.unwrap().endpoint_id
+        };
+        let open = endpoint("open", AuthPolicy::open(), None);
+        let gateway = endpoint("gateway", AuthPolicy::open(), Some(vec![fid]));
+        let anl = endpoint("anl-only", AuthPolicy::domains(&["anl.gov"]), None);
+        let second = endpoint("second", AuthPolicy::open(), None);
+        let endpoints = [open, gateway, anl, second];
+
+        let refused = [
+            TaskSpec::new(FunctionId::random(), open),
+            TaskSpec::new(other, gateway),
+            TaskSpec::new(fid, anl),
+            TaskSpec::new(fid, EndpointId::random()),
+        ];
+        for bad in refused {
+            let alone = svc.submit_task(&token, bad.clone()).unwrap_err();
+            let mut batch = vec![
+                TaskSpec::new(fid, open),
+                TaskSpec::new(fid, gateway),
+                TaskSpec::new(fid, second),
+            ];
+            batch.push(bad);
+            batch.push(TaskSpec::new(fid, open));
+            let ids: Vec<TaskId> = batch.iter().map(|s| s.task_id).collect();
+            let e = svc.submit_batch(&token, batch).unwrap_err();
+            assert_eq!(e, alone);
+            for ep in endpoints {
+                assert_eq!(ready(&svc, ep), 0, "{e}: something shipped");
+            }
+            for id in ids {
+                let left = svc.task_record(id);
+                assert!(
+                    matches!(left, Err(GcxError::TaskNotFound(_))),
+                    "{e}: {id} stayed"
+                );
+            }
+        }
+        assert_eq!(svc.metrics().counter("cloud.tasks_submitted").get(), 0);
+
+        // Naming a second valid endpoint later is fine: both ship.
+        let batch = vec![TaskSpec::new(fid, open), TaskSpec::new(fid, second)];
+        svc.submit_batch(&token, batch).unwrap();
+        assert_eq!((ready(&svc, open), ready(&svc, second)), (1, 1));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_batch_alternating_two_endpoints_delivers_each_in_submission_order() {
+        let svc = service();
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let regs = ["a", "b"].map(|name| {
+            svc.register_endpoint(&token, name, false, AuthPolicy::open(), None)
+                .unwrap()
+        });
+        let specs: Vec<TaskSpec> = (0..20)
+            .map(|i| TaskSpec::new(fid, regs[i % 2].endpoint_id))
+            .collect();
+        let ids = svc.submit_batch(&token, specs).unwrap();
+        for (n, reg) in regs.iter().enumerate() {
+            let session = svc
+                .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+                .unwrap();
+            for expected in ids.iter().skip(n).step_by(2) {
+                let (got, tag) = session.next_task(T).unwrap().unwrap();
+                assert_eq!((got.task_id, got.endpoint_id), (*expected, reg.endpoint_id));
+                session.ack_task(tag).unwrap();
+            }
+        }
+        svc.shutdown();
+    }
+
+    /// A batch spanning endpoints ships them in the order it first names
+    /// them. When one endpoint's bounded queue refuses, what had already
+    /// shipped is therefore the same on every run: here B's message, ahead
+    /// of A's full queue. Both records fail with the retryable refusal.
+    #[test]
+    fn a_full_queue_stops_a_batch_at_the_same_endpoint_every_time() {
+        for _ in 0..16 {
+            let svc = service_with(super::super::CloudConfig {
+                task_queue_depth: 1,
+                ..Default::default()
+            });
+            let token = login(&svc, "u@x.y");
+            let fid = svc
+                .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+                .unwrap();
+            let [a, b] = ["a", "b"].map(|name| {
+                let reg = svc.register_endpoint(&token, name, false, AuthPolicy::open(), None);
+                reg.unwrap().endpoint_id
+            });
+            svc.submit_task(&token, TaskSpec::new(fid, a)).unwrap();
+            let batch = vec![TaskSpec::new(fid, b), TaskSpec::new(fid, a)];
+            let ids: Vec<TaskId> = batch.iter().map(|s| s.task_id).collect();
+            let e = svc.submit_batch(&token, batch).unwrap_err();
+            assert!(matches!(e, GcxError::QueueFull { .. }), "{e:?}");
+            assert_eq!((ready(&svc, b), ready(&svc, a)), (1, 1));
+            for id in ids {
+                let rec = svc.task_record(id).unwrap();
+                assert!(rec.state.is_terminal(), "{id} left {:?}", rec.state);
+                let result = rec.result.unwrap();
+                assert!(result.is_retryable_err(), "{result:?}");
+                let TaskResult::Err(msg) = result else {
+                    unreachable!()
+                };
+                assert!(msg.ends_with(&e.to_string()), "{msg}");
+            }
+            svc.shutdown();
+        }
+    }
+
+    /// The short task messages bound for one endpoint slice one buffer;
+    /// another endpoint's messages and a long body (an inlined 8 KiB
+    /// payload) are not in it, so a message left queued on one endpoint
+    /// keeps no other endpoint's bodies, and no long payload, alive.
+    #[test]
+    fn a_batch_shares_a_buffer_per_endpoint_and_none_with_a_long_body() {
+        let svc = service();
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f(b):\n    return 1\n"))
+            .unwrap();
+        let [a, b] = ["a", "b"].map(|name| {
+            svc.register_endpoint(&token, name, false, AuthPolicy::open(), None)
+                .unwrap()
+        });
+        let long = {
+            let mut spec = TaskSpec::new(fid, a.endpoint_id);
+            let args = vec![Value::Bytes(vec![7; 8 * 1024])];
+            spec.set_args(args, Value::map([] as [(&str, Value); 0]));
+            spec
+        };
+        let batch = vec![
+            TaskSpec::new(fid, a.endpoint_id),
+            TaskSpec::new(fid, b.endpoint_id),
+            long,
+            TaskSpec::new(fid, a.endpoint_id),
+            TaskSpec::new(fid, a.endpoint_id),
+        ];
+        svc.submit_batch(&token, batch).unwrap();
+        let bodies = |reg: &crate::records::EndpointRegistration| -> Vec<Bytes> {
+            let queue = task_queue_name(reg.endpoint_id);
+            let consumer = svc
+                .broker()
+                .consume(&queue, Some(&reg.queue_credential), 0)
+                .unwrap();
+            std::iter::from_fn(|| consumer.next(std::time::Duration::ZERO).unwrap())
+                .map(|delivery| delivery.message.body)
+                .collect()
+        };
+        let (on_a, on_b) = (bodies(&a), bodies(&b));
+        assert_eq!((on_a.len(), on_b.len()), (4, 1));
+        assert!(on_a[1].len() > 8 * 1024, "the long body ships inline");
+        // A's short bodies lie end to end in one buffer ...
+        let end = |body: &Bytes| body.as_ptr_range().end;
+        assert_eq!(end(&on_a[0]), on_a[2].as_ptr());
+        assert_eq!(end(&on_a[2]), on_a[3].as_ptr());
+        let shared = on_a[0].as_ptr()..end(&on_a[3]);
+        // ... which holds neither the long body nor B's.
+        for other in [&on_a[1], &on_b[0]] {
+            assert!(!shared.contains(&other.as_ptr()), "{:?}", other.as_ptr());
         }
         svc.shutdown();
     }

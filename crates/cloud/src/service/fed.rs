@@ -155,7 +155,7 @@ impl WebService {
                 Ok(Some(delivery)) => {
                     let handled =
                         self.fed_handle_envelope(&fed, &delivery.message.body, &mut fan_out);
-                    fan_out.flush(&self.inner.broker);
+                    fan_out.flush(&self.inner.broker, &self.inner.streams);
                     if let Err(e) = handled {
                         // Nothing to hand the failure to: a refused envelope
                         // names no task we can trust.
@@ -202,7 +202,7 @@ impl WebService {
                 result,
                 sent_ms,
                 retry,
-            }) => match self.finish_task_local(task_id, result.clone(), sent_ms, fan_out) {
+            }) => match self.finish_task_local(task_id, result.clone(), sent_ms, None, fan_out) {
                 Err(GcxError::TaskNotFound(_)) => {
                     self.fed_requeue_orphan_result(task_id, result, sent_ms, retry)
                 }
@@ -247,7 +247,7 @@ impl WebService {
         if let Err(e) = shipped {
             for id in &installed {
                 let failed = TaskResult::retryable_err(&e);
-                let _ = self.finish_task_local(*id, failed, None, fan_out);
+                let _ = self.finish_task_local(*id, failed, None, None, fan_out);
             }
         }
         installed.len()
@@ -326,7 +326,7 @@ impl WebService {
             let (owner, at) = (incoming.owner, incoming.submitted_at);
             let mut fan_out = FanOut::default();
             let fresh = self.fed_ingest(owner, at, vec![incoming.spec], &mut fan_out) > 0;
-            fan_out.flush(&self.inner.broker);
+            fan_out.flush(&self.inner.broker, &self.inner.streams);
             if fresh {
                 self.inner.m.fed_tasks_republished.inc();
             }

@@ -6,10 +6,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use gcx_auth::Token;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::ids::{EndpointId, IdentityId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
+use gcx_core::ShardedMap;
 use gcx_mq::{Broker, Consumer, Message};
 
 use super::{stream_queue_name, StreamTargets, WebService};
@@ -31,31 +33,44 @@ const RETIRE_BUSY: Duration = Duration::from_millis(15);
 pub(super) const PROCESSOR_TAKE: usize = 64;
 
 /// Results landed and not yet published to their owners' streams, in
-/// arrival order: each one's stream list and the one message all of those
+/// arrival order: each one's owner and the one message all of the owner's
 /// streams get. Whoever lands results owns one and flushes it; the buffers
 /// are kept for the owner's lifetime.
 #[derive(Default)]
 pub(super) struct FanOut {
-    landed: Vec<(StreamTargets, Message)>,
+    landed: Vec<(IdentityId, Message)>,
+    /// The stream lists this flush has read (`None`: no stream open).
+    owners: Vec<(IdentityId, Option<StreamTargets>)>,
     /// One stream's share of a flush, lent to `publish_batch` as a drain.
     batch: Vec<Message>,
 }
 
 impl FanOut {
     /// Publish everything landed: one `publish_batch` per stream per run of
-    /// results that share a stream list (one run per take when a single
+    /// results with the same owner (one run per take when a single
     /// identity's results arrive together), so each stream receives its
-    /// results in arrival order.
-    pub(super) fn flush(&mut self, broker: &Broker) {
-        while let Some((targets, _)) = self.landed.first() {
-            let targets = targets.clone();
-            let run = self
-                .landed
-                .iter()
-                .take_while(|(t, _)| Arc::ptr_eq(t, &targets))
-                .count();
-            // Never empty: `finish_task_local` lands nothing for no streams.
-            let Some(((last_queue, last_cred), rest)) = targets.split_last() else {
+    /// results in arrival order. Each owner's stream list is read from
+    /// `streams` once per flush, after all of its results have landed: a
+    /// stream opened before that read is pushed them, and one opened after
+    /// it finds them landed when it catches up on status.
+    pub(super) fn flush(
+        &mut self,
+        broker: &Broker,
+        streams: &ShardedMap<IdentityId, StreamTargets>,
+    ) {
+        while let Some(&(owner, _)) = self.landed.first() {
+            let run = self.landed.iter().take_while(|(o, _)| *o == owner).count();
+            let targets = match self.owners.iter().find(|(o, _)| *o == owner) {
+                Some((_, targets)) => targets.clone(),
+                None => {
+                    let targets = streams.get_cloned(&owner);
+                    self.owners.push((owner, targets.clone()));
+                    targets
+                }
+            };
+            let Some(((last_queue, last_cred), rest)) =
+                targets.as_deref().and_then(<[_]>::split_last)
+            else {
                 self.landed.drain(..run);
                 continue;
             };
@@ -69,6 +84,7 @@ impl FanOut {
                 .extend(self.landed.drain(..run).map(|(_, message)| message));
             let _ = broker.publish_batch(last_queue, self.batch.drain(..), Some(last_cred));
         }
+        self.owners.clear();
     }
 }
 
@@ -154,7 +170,7 @@ impl WebService {
                 let _ = self.process_result(&delivery.message, &mut fan_out);
                 tags.push(delivery.tag);
             }
-            fan_out.flush(&self.inner.broker);
+            fan_out.flush(&self.inner.broker, &self.inner.streams);
             let _ = consumer.ack_batch(&tags);
             tags.clear();
         }
@@ -162,9 +178,10 @@ impl WebService {
 
     fn process_result(&self, message: &Message, fan_out: &mut FanOut) -> GcxResult<()> {
         // Binary result envelope: the payload bytes inside are sliced out
-        // of the message body, never re-decoded through the codec.
+        // of the message body, never re-decoded through the codec. Once it
+        // has decoded, the same body is what the owner's streams get.
         let (task_id, result, sent_ms) = TaskResult::from_envelope(&message.body)?;
-        self.finish_task_traced(task_id, result, sent_ms, fan_out)
+        self.finish_task_traced(task_id, result, sent_ms, Some(&message.body), fan_out)
     }
 
     /// Land a task's result: state transitions, metrics, and fan-out to the
@@ -175,15 +192,16 @@ impl WebService {
     /// produce its result twice).
     pub(super) fn finish_task(&self, task_id: TaskId, result: TaskResult) -> GcxResult<()> {
         let mut fan_out = FanOut::default();
-        let landed = self.finish_task_traced(task_id, result, None, &mut fan_out);
-        fan_out.flush(&self.inner.broker);
+        let landed = self.finish_task_traced(task_id, result, None, None, &mut fan_out);
+        fan_out.flush(&self.inner.broker, &self.inner.streams);
         landed
     }
 
     /// [`finish_task`](Self::finish_task) plus the result-leg span, its
     /// fan-out left in `fan_out` for the caller to flush: `sent_ms` is the
     /// agent's publish stamp carried in the envelope, so the span covers
-    /// result-queue transit and processor pickup.
+    /// result-queue transit and processor pickup. `published` is that
+    /// envelope when `result` and `sent_ms` were decoded from one.
     ///
     /// Federated routing: any replica's result processor can pick a result
     /// off the shared queue, but only the task's ring owner may land it —
@@ -195,6 +213,7 @@ impl WebService {
         task_id: TaskId,
         result: TaskResult,
         sent_ms: Option<u64>,
+        published: Option<&Bytes>,
         fan_out: &mut FanOut,
     ) -> GcxResult<()> {
         if let Some(fed) = self.fed() {
@@ -208,27 +227,33 @@ impl WebService {
                 };
                 return self.fed_forward(owner, body);
             }
-            return match self.finish_task_local(task_id, result.clone(), sent_ms, fan_out) {
+            let landed =
+                self.finish_task_local(task_id, result.clone(), sent_ms, published, fan_out);
+            return match landed {
                 Err(GcxError::TaskNotFound(_)) => {
                     self.fed_requeue_orphan_result(task_id, result, sent_ms, 0)
                 }
                 other => other,
             };
         }
-        self.finish_task_local(task_id, result, sent_ms, fan_out)
+        self.finish_task_local(task_id, result, sent_ms, published, fan_out)
     }
 
     /// The non-routing core of [`finish_task_traced`](Self::finish_task_traced):
     /// land the result on this replica's own task store and append its
-    /// stream message to `fan_out`. The single idempotency point for
-    /// completions — a terminal record swallows any later result for the
-    /// same task, and a retired one (its result taken) is
+    /// stream message to `fan_out`: the `published` envelope as it is, or,
+    /// if the owner has a stream open, a fresh one for a result made in the
+    /// service (dead-lettered, failed on ingest, or forwarded by another
+    /// replica). The single idempotency
+    /// point for completions — a terminal record swallows any later result
+    /// for the same task, and a retired one (its result taken) is
     /// [`GcxError::TaskNotFound`], which the processor drops.
     pub(super) fn finish_task_local(
         &self,
         task_id: TaskId,
         result: TaskResult,
         sent_ms: Option<u64>,
+        published: Option<&Bytes>,
         fan_out: &mut FanOut,
     ) -> GcxResult<()> {
         let now = self.inner.clock.now_ms();
@@ -295,15 +320,20 @@ impl WebService {
         // rides a queue header so the wire layer can stamp server-push
         // Result frames with the originating trace without decoding the
         // body.
-        let targets = self.inner.streams.get_cloned(&owner);
-        if let Some(targets) = targets.filter(|t| !t.is_empty()) {
-            let headers = gcx_mq::Headers {
-                trace,
-                ..Default::default()
-            };
-            let message = Message::with_headers(result.to_envelope(task_id, None), headers);
-            fan_out.landed.push((targets, message));
-        }
+        let headers = gcx_mq::Headers {
+            trace,
+            ..Default::default()
+        };
+        let body = match published {
+            Some(envelope) => envelope.clone(),
+            // A result made here is encoded only for an owner with a
+            // stream open now: a stream opened later finds the record
+            // terminal when it catches up on status.
+            None if self.inner.streams.contains_key(&owner) => result.to_envelope(task_id, None),
+            None => return Ok(()),
+        };
+        let message = Message::with_headers(body, headers);
+        fan_out.landed.push((owner, message));
         Ok(())
     }
 
@@ -376,14 +406,7 @@ impl WebService {
         let confirmed = !taken.is_empty();
         let tasks = &self.inner.tasks;
         for (id, identity) in taken.drain(..) {
-            // A terminal record never changes again, so the check still
-            // holds at the remove.
-            let retire = tasks.with(&id, |rec| {
-                rec.is_some_and(|rec| rec.owner == identity && rec.state.is_terminal())
-            });
-            if retire {
-                tasks.remove(&id);
-            }
+            tasks.remove_if(&id, |rec| rec.owner == identity && rec.state.is_terminal());
         }
         let now = tasks.len() as u64;
         let gauge = &self.inner.m.tasks_resident;
@@ -595,6 +618,49 @@ mod tests {
         assert_eq!(got_id, id);
         assert_eq!(result.ok_value(), Some(Value::str("pushed")));
         stream.consumer.ack(delivery.tag).unwrap();
+        svc.shutdown();
+    }
+
+    /// A take reads its owners' stream lists at the flush, after all of it
+    /// has landed, so a stream opened mid-take is pushed the envelopes the
+    /// take landed. Read any earlier, a result landing after the new
+    /// stream's status catch-up would reach neither the poll nor the
+    /// stream. A result made in the service for an owner with no stream
+    /// open is not encoded at all: the catch-up finds it.
+    #[test]
+    fn a_stream_opened_mid_take_is_pushed_the_take() {
+        let svc = service();
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let [made, published] = [(); 2].map(|()| {
+            svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
+                .unwrap()
+        });
+        let mut fan_out = FanOut::default();
+        let failed = TaskResult::retryable_err("made in the service");
+        svc.finish_task_local(made, failed, None, None, &mut fan_out)
+            .unwrap();
+        assert!(fan_out.landed.is_empty(), "encoded for no stream");
+        let result = TaskResult::ok(Value::Int(3));
+        let envelope = result.to_envelope(published, Some(1));
+        svc.finish_task_local(published, result, Some(1), Some(&envelope), &mut fan_out)
+            .unwrap();
+        let stream = svc.open_result_stream(&token).unwrap();
+        fan_out.flush(svc.broker(), &svc.inner.streams);
+        let pushed = stream
+            .consumer
+            .next(T)
+            .unwrap()
+            .expect("pushed at the flush");
+        assert_eq!(pushed.message.body, envelope, "pushed as published");
+        assert!(stream.consumer.next(Duration::ZERO).unwrap().is_none());
+        let made = svc.task_record(made).unwrap();
+        assert!(made.result.unwrap().is_retryable_err());
         svc.shutdown();
     }
 

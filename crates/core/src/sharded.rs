@@ -68,6 +68,18 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shard(key).write().remove(key)
     }
 
+    /// Remove the entry if `f` holds for its value, under one shard write
+    /// lock: nothing can change it between the check and the remove.
+    /// Returns the removed value.
+    pub fn remove_if(&self, key: &K, f: impl FnOnce(&V) -> bool) -> Option<V> {
+        let mut shard = self.shard(key).write();
+        if shard.get(key).is_some_and(f) {
+            shard.remove(key)
+        } else {
+            None
+        }
+    }
+
     /// Whether the key is present.
     pub fn contains_key(&self, key: &K) -> bool {
         self.shard(key).read().contains_key(key)
@@ -222,6 +234,10 @@ mod tests {
         assert_eq!(m.remove(&1), Some("uno".into()));
         assert_eq!(m.remove(&1), None);
         assert_eq!(m.len(), 1);
+        assert_eq!(m.remove_if(&2, |v| v == "deux"), None);
+        assert_eq!(m.remove_if(&99, |_| true), None);
+        assert_eq!(m.remove_if(&2, |v| v == "two"), Some("two".into()));
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -142,16 +142,11 @@ impl TaskSpec {
         Bytes::from(out)
     }
 
-    /// Append the [`TaskSpec::to_message`] body to `out` — the wire packs a
-    /// whole submit batch into one buffer this way, with no per-task
-    /// allocation.
-    pub(crate) fn write_message(&self, inline_payload: bool, out: &mut Vec<u8>) {
-        let payload_len = if inline_payload {
-            self.payload.len()
-        } else {
-            0
-        };
-        out.reserve(SPEC_MSG_FIXED + 64 + payload_len);
+    /// Append the [`TaskSpec::to_message`] body to `out` — the wire and the
+    /// service's dispatch each pack a whole batch into one buffer this way,
+    /// with no per-task allocation.
+    pub fn write_message(&self, inline_payload: bool, out: &mut Vec<u8>) {
+        out.reserve(self.message_size_hint(inline_payload));
         out.push(SPEC_MSG_VERSION);
         out.extend_from_slice(&self.task_id.uuid().as_bytes());
         out.extend_from_slice(&self.function_id.uuid().as_bytes());
@@ -202,6 +197,18 @@ impl TaskSpec {
         if inline_payload {
             out.extend_from_slice(self.payload.as_slice());
         }
+    }
+
+    /// Room [`TaskSpec::write_message`] reserves for this spec's body: all
+    /// of it unless the spec carries a resource spec or a user endpoint
+    /// config. A buffer sized by the sum of a batch's hints never grows.
+    pub fn message_size_hint(&self, inline_payload: bool) -> usize {
+        let payload_len = if inline_payload {
+            self.payload.len()
+        } else {
+            0
+        };
+        SPEC_MSG_FIXED + 64 + payload_len
     }
 
     /// Decode a [`TaskSpec::to_message`] body. Returns the spec plus
