@@ -2,34 +2,24 @@
 //! individual REST requests to run tasks."
 //!
 //! Sweep the executor's batch window and cap; report REST request counts,
-//! submission throughput, and end-to-end completion time for a fixed
-//! workload.
-//!
-//! Run: `cargo run --release -p gcx-bench --bin batching_sweep`
+//! submission time, and end-to-end completion time for a fixed workload.
+//! Expected shape: wider windows collapse the submissions into a handful of
+//! REST requests; per-task requests (window 0) maximize the request count.
 
 use std::time::{Duration, Instant};
 
-use gcx_bench::{ms, BenchStack, Table};
-use gcx_core::clock::SystemClock;
 use gcx_core::value::Value;
 use gcx_sdk::{Executor, ExecutorConfig, PyFunction};
+
+use crate::{ms_since, row, BenchStack, Row};
 
 const N_TASKS: usize = 400;
 const ENGINE: &str = "engine:\n  type: GlobusComputeEngine\n  workers_per_node: 8\n";
 
-fn main() {
-    println!("E5 — submission batching sweep, {N_TASKS} trivial tasks");
-    let mut table = Table::new(&[
-        "batch window",
-        "max batch",
-        "REST reqs",
-        "tasks/req",
-        "submit (ms)",
-        "complete (ms)",
-    ]);
-
+pub(crate) fn run(_smoke: bool, _rep: u64) -> Vec<Row> {
+    let mut rows = Vec::new();
     for (window_ms, max_batch) in [(0u64, 1usize), (1, 16), (5, 64), (20, 128), (50, 512)] {
-        let stack = BenchStack::new(ENGINE, SystemClock::shared());
+        let stack = BenchStack::new(ENGINE);
         let ex = Executor::with_config(
             stack.cloud.clone(),
             stack.token.clone(),
@@ -52,27 +42,24 @@ fn main() {
                     .unwrap()
             })
             .collect();
-        let submitted = started.elapsed();
+        let submit_ms = ms_since(started);
         for fut in &futures {
             fut.result_timeout(Duration::from_secs(60)).unwrap();
         }
-        let completed = started.elapsed();
+        let complete_ms = ms_since(started);
 
-        let reqs = stack.cloud.metrics().counter("api.requests").get();
-        table.row(&[
-            format!("{window_ms} ms"),
-            max_batch.to_string(),
-            reqs.to_string(),
-            format!("{:.1}", N_TASKS as f64 / reqs.max(1) as f64),
-            ms(submitted),
-            ms(completed),
-        ]);
+        let reqs = stack.cloud.metrics().counter("api.requests").get() as f64;
+        rows.push(row(
+            format!("window {window_ms} ms, max {max_batch}"),
+            &[
+                ("rest_reqs", reqs),
+                ("tasks_per_req", N_TASKS as f64 / reqs.max(1.0)),
+                ("submit_ms", submit_ms),
+                ("complete_ms", complete_ms),
+            ],
+        ));
         ex.close();
         stack.stop();
     }
-
-    table.print();
-    println!();
-    println!("  expected shape: wider windows collapse {N_TASKS} submissions into a handful");
-    println!("  of REST requests; per-task requests (window 0) maximize request count.");
+    rows
 }

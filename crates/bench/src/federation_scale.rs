@@ -16,10 +16,11 @@
 //!   still completes every task exactly once (asserted on
 //!   `cloud.results_processed`).
 //!
-//! Emits `bench_results/BENCH_federation.json`.
-//!
-//! Flags: `--tasks N` (total per leg), `--batch B`, `--replicas a,b,c`,
-//! `--smoke` (tiny parameters for CI).
+//! Expected shape: clean throughput holds as replicas multiply (forwarding
+//! adds a broker hop for ~1-1/N of submits); the chaos leg completes every
+//! task exactly once, paying only the handover window. Every leg asserts
+//! exactly-once completion and bounds the duplicates it dropped by what
+//! was republished or requeued.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +28,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gcx_auth::{AuthPolicy, AuthService};
-use gcx_bench::{JsonReport, Table};
 use gcx_cloud::{CloudConfig, Federation, FederationConfig, WebService};
 use gcx_core::clock::SystemClock;
 use gcx_core::function::FunctionBody;
@@ -37,68 +37,12 @@ use gcx_core::task::{TaskResult, TaskSpec};
 use gcx_core::value::Value;
 use gcx_mq::{Broker, LinkProfile};
 
-#[derive(Clone)]
+use crate::{row, Row};
+
 struct Params {
     tasks: usize,
     batch: usize,
-    replica_counts: Vec<usize>,
     drains: usize,
-}
-
-fn parse_args() -> Params {
-    let mut p = Params {
-        tasks: 2048,
-        batch: 64,
-        replica_counts: vec![1, 2, 4],
-        drains: 4,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--tasks" => {
-                p.tasks = need(i).parse().expect("--tasks");
-                i += 2;
-            }
-            "--batch" => {
-                p.batch = need(i).parse().expect("--batch");
-                i += 2;
-            }
-            "--replicas" => {
-                p.replica_counts = need(i)
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--replicas"))
-                    .collect();
-                i += 2;
-            }
-            "--smoke" => {
-                p = Params {
-                    tasks: 128,
-                    batch: 16,
-                    replica_counts: vec![1, 2],
-                    drains: 2,
-                };
-                i += 1;
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-    }
-    assert!(p.tasks > 0 && p.batch > 0 && !p.replica_counts.is_empty());
-    p
-}
-
-struct LegOutcome {
-    elapsed: Duration,
-    adopted: u64,
-    duplicates_dropped: u64,
-    /// The two places a second result can legitimately come from
-    /// (FAULTS.md, replica runbook); their sum bounds `duplicates_dropped`.
-    republished: u64,
-    redelivered: u64,
 }
 
 /// Submit `n` tasks in batches, rotating across `bindings`; a binding that
@@ -174,7 +118,7 @@ fn await_all_terminal(fed: &Federation, token: &gcx_auth::Token, ids: &[TaskId])
 
 /// One leg: `replicas` replicas serving `p.tasks` tasks; when `chaos`,
 /// the last replica is killed with half the workload in flight.
-fn run_leg(replicas: usize, chaos: bool, p: &Params) -> LegOutcome {
+fn run_leg(replicas: usize, chaos: bool, p: &Params) -> Row {
     let clock = SystemClock::shared();
     let broker = Broker::with_profile(
         MetricsRegistry::new(),
@@ -229,23 +173,18 @@ fn run_leg(replicas: usize, chaos: bool, p: &Params) -> LegOutcome {
         }));
     }
 
-    let bindings: Vec<WebService> = (0..replicas as u32).filter_map(|r| dir.get(r)).collect();
-    let victim = (replicas - 1) as u32;
+    let mut bindings: Vec<WebService> = (0..replicas as u32).filter_map(|r| dir.get(r)).collect();
+    let submit = |bindings: &[WebService], n: usize, offset: usize| {
+        submit_round_robin(bindings, &token, fid, reg.endpoint_id, n, p.batch, offset)
+    };
+    let first = if chaos { p.tasks / 2 } else { p.tasks };
     let started = Instant::now();
-    let ids = if chaos {
-        let mut ids = submit_round_robin(
-            &bindings,
-            &token,
-            fid,
-            reg.endpoint_id,
-            p.tasks / 2,
-            p.batch,
-            0,
-        );
-        // Kill the victim with the first half in flight; the monitor thread
-        // declares it dead and hands its ranges over. Wait for the ring to
-        // shrink so the second half routes around the corpse.
-        fed.kill(victim);
+    let mut ids = submit(&bindings, first, 0);
+    if chaos {
+        // Kill the last replica with the first half in flight; the monitor
+        // thread declares it dead and hands its ranges over. Wait for the
+        // ring to shrink so the second half routes around the corpse.
+        fed.kill((replicas - 1) as u32);
         let handover_deadline = Instant::now() + Duration::from_secs(30);
         while fed.live_replicas().len() != replicas - 1 {
             assert!(
@@ -254,45 +193,44 @@ fn run_leg(replicas: usize, chaos: bool, p: &Params) -> LegOutcome {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        let survivors: Vec<WebService> = (0..victim).filter_map(|r| dir.get(r)).collect();
-        ids.extend(submit_round_robin(
-            &survivors,
-            &token,
-            fid,
-            reg.endpoint_id,
-            p.tasks - p.tasks / 2,
-            p.batch,
-            p.tasks / 2,
-        ));
-        ids
-    } else {
-        submit_round_robin(&bindings, &token, fid, reg.endpoint_id, p.tasks, p.batch, 0)
-    };
+        bindings.pop();
+        ids.extend(submit(&bindings, p.tasks - first, first));
+    }
     assert_eq!(ids.len(), p.tasks);
     await_all_terminal(&fed, &token, &ids);
-    let elapsed = started.elapsed();
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
 
     // Exactly-once across the fault: one processed completion per task,
     // however many duplicate deliveries the handover republish produced.
-    let processed = fed.metrics().counter("cloud.results_processed").get();
-    assert_eq!(
-        processed, p.tasks as u64,
-        "replicas={replicas} chaos={chaos}: completions must be exactly-once"
-    );
     let count = |name: &str| fed.metrics().counter(name).get();
-    let outcome = LegOutcome {
-        elapsed,
-        adopted: count("fed.tasks_adopted"),
-        duplicates_dropped: count("cloud.duplicate_results_dropped"),
-        republished: count("fed.tasks_republished"),
-        redelivered: count("mq.redeliveries"),
-    };
+    let leg = format!(
+        "{replicas} replicas, {}",
+        if chaos { "chaos" } else { "clean" }
+    );
+    assert_eq!(
+        count("cloud.results_processed"),
+        p.tasks as u64,
+        "{leg}: completions must be exactly-once"
+    );
+    // The two places a second result can legitimately come from (FAULTS.md,
+    // replica runbook); their sum bounds the duplicates dropped.
+    let dropped = count("cloud.duplicate_results_dropped");
+    let republished = count("fed.tasks_republished");
+    let requeued = count("mq.redeliveries");
     assert!(
-        outcome.duplicates_dropped <= outcome.republished + outcome.redelivered,
-        "replicas={replicas} chaos={chaos}: {} duplicates from {} republished + {} requeued",
-        outcome.duplicates_dropped,
-        outcome.republished,
-        outcome.redelivered
+        dropped <= republished + requeued,
+        "{leg}: {dropped} duplicates from {republished} republished + {requeued} requeued"
+    );
+    let r = row(
+        leg,
+        &[
+            ("elapsed_ms", elapsed_ms),
+            ("tasks_per_s", p.tasks as f64 * 1000.0 / elapsed_ms),
+            ("adopted", count("fed.tasks_adopted") as f64),
+            ("dup_dropped", dropped as f64),
+            ("republished", republished as f64),
+            ("requeued", requeued as f64),
+        ],
     );
 
     stop.store(true, Ordering::Relaxed);
@@ -300,86 +238,31 @@ fn run_leg(replicas: usize, chaos: bool, p: &Params) -> LegOutcome {
         let _ = d.join();
     }
     fed.shutdown();
-    outcome
+    r
 }
 
-fn main() {
-    let p = parse_args();
-    println!(
-        "E12 — federated cloud scale: {} tasks per leg, batch {}",
-        p.tasks, p.batch
-    );
-    let mut table = Table::new(&[
-        "replicas",
-        "leg",
-        "elapsed_ms",
-        "tasks/s",
-        "adopted",
-        "dup results dropped",
-        "republished",
-        "requeued",
-    ]);
-    let mut report = JsonReport::new("BENCH_federation");
-    report
-        .num("total_tasks", p.tasks as u64)
-        .num("batch_size", p.batch as u64);
-
-    for &replicas in &p.replica_counts {
-        let clean = run_leg(replicas, false, &p);
-        let clean_tps = p.tasks as f64 / clean.elapsed.as_secs_f64();
-        table.row(&[
-            replicas.to_string(),
-            "clean".into(),
-            format!("{:.1}", clean.elapsed.as_secs_f64() * 1000.0),
-            format!("{clean_tps:.0}"),
-            clean.adopted.to_string(),
-            clean.duplicates_dropped.to_string(),
-            clean.republished.to_string(),
-            clean.redelivered.to_string(),
-        ]);
-        report.float(&format!("clean_r{replicas}_tasks_per_sec"), clean_tps);
-        report.float(
-            &format!("clean_r{replicas}_elapsed_ms"),
-            clean.elapsed.as_secs_f64() * 1000.0,
-        );
-
+pub(crate) fn run(smoke: bool, _rep: u64) -> Vec<Row> {
+    let (p, replica_counts) = if smoke {
+        let p = Params {
+            tasks: 128,
+            batch: 16,
+            drains: 2,
+        };
+        (p, &[1, 2][..])
+    } else {
+        let p = Params {
+            tasks: 2048,
+            batch: 64,
+            drains: 4,
+        };
+        (p, &[1, 2, 4][..])
+    };
+    let mut rows = Vec::new();
+    for &replicas in replica_counts {
+        rows.push(run_leg(replicas, false, &p));
         if replicas >= 2 {
-            let chaos = run_leg(replicas, true, &p);
-            let chaos_tps = p.tasks as f64 / chaos.elapsed.as_secs_f64();
-            table.row(&[
-                replicas.to_string(),
-                "chaos".into(),
-                format!("{:.1}", chaos.elapsed.as_secs_f64() * 1000.0),
-                format!("{chaos_tps:.0}"),
-                chaos.adopted.to_string(),
-                chaos.duplicates_dropped.to_string(),
-                chaos.republished.to_string(),
-                chaos.redelivered.to_string(),
-            ]);
-            report.float(&format!("chaos_r{replicas}_tasks_per_sec"), chaos_tps);
-            report.num(&format!("chaos_r{replicas}_tasks_adopted"), chaos.adopted);
-            report.num(
-                &format!("chaos_r{replicas}_duplicates_dropped"),
-                chaos.duplicates_dropped,
-            );
-            report.num(
-                &format!("chaos_r{replicas}_tasks_republished"),
-                chaos.republished,
-            );
-            report.num(
-                &format!("chaos_r{replicas}_redeliveries"),
-                chaos.redelivered,
-            );
+            rows.push(run_leg(replicas, true, &p));
         }
     }
-
-    table.print();
-    println!();
-    println!("  expected shape: clean throughput holds as replicas multiply (forwarding");
-    println!("  adds a broker hop for ~1-1/N of submits); the chaos leg completes every");
-    println!("  task exactly once, paying only the handover window.");
-    let path = report
-        .write_to(std::path::Path::new("bench_results"))
-        .expect("write BENCH_federation.json");
-    println!("  written to {}", path.display());
+    rows
 }

@@ -1,73 +1,405 @@
 //! # gcx-bench
 //!
-//! The benchmark harness: one binary per paper figure/table/claim (see
-//! `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for recorded
-//! results). Throughput, latency and the per-layer micro-timings are
-//! `gcxbench`'s (the repository's benchmark, a package of its own).
+//! The paper's evaluation as one runner, `gcx-paper <experiment>...
+//! [--smoke]` (`cargo run --release -p gcx-bench -- all`). Each experiment
+//! runs `REPS` times, once under `--smoke`. A run returns rows of named
+//! numeric cells and asserts the experiment's contract, so a broken
+//! contract ends the runner non-zero. The runner prints one table per
+//! experiment and writes `bench_results/BENCH_<experiment>.json`, both with
+//! the n, median and interquartile range of every cell. `EXPERIMENTS.md`
+//! holds the recorded tables. Throughput, latency and the per-layer
+//! micro-timings are `gcxbench`'s (the repository's benchmark, a package
+//! of its own).
 //!
-//! Binaries (run with `cargo run --release -p gcx-bench --bin <name>`):
+//! | name  | module                 | paper artifact                              |
+//! |-------|------------------------|---------------------------------------------|
+//! | `e4`  | `executor_vs_polling`  | §III-A streaming vs polling                 |
+//! | `e5`  | `batching_sweep`       | §III-A request batching                     |
+//! | `e6`  | `mpi_partitioning`     | §III-C dynamic partitioning                 |
+//! | `e7`  | `mep_scaling`          | §IV/§VI spawn-on-demand, config-hash reuse  |
+//! | `e8`  | `data_movement`        | §V 10 MB limit / ProxyStore / Transfer      |
+//! | `e9`  | `service_scale`        | §I/§VI one service, many endpoints          |
+//! | `e11` | `latency_breakdown`    | per-leg lifecycle latency from trace spans  |
+//! | `e12` | `federation_scale`     | replicated cloud: throughput + chaos leg    |
+//! | `e13` | `overload_soak`        | admission control vs unprotected meltdown   |
+//! | `a1`  | `ablation_sandbox`     | §III-B.2 sandbox contention                 |
+//! | `a2`  | `ablation_multiplex`   | §II manager multiplexing                    |
+//! | `a3`  | `ablation_proxy_cache` | §V-B worker-side proxy cache                |
 //!
-//! | binary               | experiment | paper artifact                              |
-//! |----------------------|------------|---------------------------------------------|
-//! | `fig2_usage`         | E1         | Fig. 2 tasks/day                            |
-//! | `shellfn_walltime`   | E2         | Listing 3 walltime → rc 124                 |
-//! | `mpifn_hostname`     | E3         | Listings 6/7 per-rank hostnames             |
-//! | `executor_vs_polling`| E4         | §III-A streaming vs polling                 |
-//! | `batching_sweep`     | E5         | §III-A request batching                     |
-//! | `mpi_partitioning`   | E6         | §III-C dynamic partitioning                 |
-//! | `mep_scaling`        | E7         | §IV/§VI spawn-on-demand, config-hash reuse  |
-//! | `data_movement`      | E8         | §V 10 MB limit / ProxyStore / Transfer      |
-//! | `service_scale`      | E9         | §I/§VI one service, many endpoints          |
-//! | `latency_breakdown`  | E11        | per-leg lifecycle latency from trace spans  |
-//! | `federation_scale`   | E12        | replicated cloud: throughput + chaos leg    |
-//! | `overload_soak`      | E13        | admission control vs unprotected meltdown   |
-//! | `ablation_sandbox`   | A1         | §III-B.2 sandbox contention                 |
-//! | `ablation_multiplex` | A2         | §II manager multiplexing                    |
-//! | `ablation_proxy_cache`| A3        | §V-B worker-side proxy cache                |
+//! E1 (Fig. 2), E2 (Listing 3) and E3 (Listings 6/7) are deterministic
+//! contract checks, so they are tests of the crates they check.
 
-use std::time::Duration;
+mod ablation_multiplex;
+mod ablation_proxy_cache;
+mod ablation_sandbox;
+mod batching_sweep;
+mod data_movement;
+mod executor_vs_polling;
+mod federation_scale;
+mod latency_breakdown;
+mod mep_scaling;
+mod mpi_partitioning;
+mod overload_soak;
+mod service_scale;
+
+use std::process::ExitCode;
+use std::time::Instant;
 
 use gcx_auth::{AuthPolicy, Token};
 use gcx_cloud::{CloudConfig, WebService};
-use gcx_core::clock::SharedClock;
+use gcx_core::clock::SystemClock;
+use gcx_core::expo::JsonBody;
 use gcx_core::ids::EndpointId;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_endpoint::{AgentEnv, EndpointAgent, EndpointConfig};
 use gcx_mq::{Broker, LinkProfile};
 
-/// A cloud + one endpoint + one logged-in user: the standard bench stack.
-pub struct BenchStack {
-    /// The web service.
-    pub cloud: WebService,
-    /// A compute-scoped token.
-    pub token: Token,
-    /// The endpoint id.
-    pub endpoint: EndpointId,
+/// How many times each experiment runs (once under `--smoke`).
+const REPS: usize = 5;
+
+/// One experiment: its command-line name, its heading, and one run.
+struct Experiment {
+    name: &'static str,
+    title: &'static str,
+    run: fn(smoke: bool, rep: u64) -> Vec<Row>,
+}
+
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "e4",
+        title: "§III-A: executor (streaming) vs client (polling), 120 tasks of ~5 ms",
+        run: executor_vs_polling::run,
+    },
+    Experiment {
+        name: "e5",
+        title: "§III-A: submission batching sweep, 400 trivial tasks",
+        run: batching_sweep::run,
+    },
+    Experiment {
+        name: "e6",
+        title: "§III-C: dynamic partitioning vs whole-block serialization (8-node block)",
+        run: mpi_partitioning::run,
+    },
+    Experiment {
+        name: "e7",
+        title: "§IV/§VI: MEP spawn-on-demand, 10 users x 2 configs x 5 tasks",
+        run: mep_scaling::run,
+    },
+    Experiment {
+        name: "e8",
+        title: "§V: data movement paths on a 100 Mbps / 20 ms WAN (ms; - = rejected > 10 MB)",
+        run: data_movement::run,
+    },
+    Experiment {
+        name: "e9",
+        title: "§I/§VI: one cloud service, many endpoints (1200 tasks)",
+        run: service_scale::run,
+    },
+    Experiment {
+        name: "e11",
+        title: "task-lifecycle latency per leg from trace spans, in memory and over TCP",
+        run: latency_breakdown::run,
+    },
+    Experiment {
+        name: "e12",
+        title: "federated cloud: throughput vs replicas, clean and with a replica killed",
+        run: federation_scale::run,
+    },
+    Experiment {
+        name: "e13",
+        title: "overload soak: admission control vs an unprotected stack",
+        run: overload_soak::run,
+    },
+    Experiment {
+        name: "a1",
+        title: "§III-B.2 ablation: 48 concurrent ShellFunctions sharing a cwd",
+        run: ablation_sandbox::run,
+    },
+    Experiment {
+        name: "a2",
+        title: "§II ablation: manager multiplexing, 16 workers, 320 tasks of ~2 ms",
+        run: ablation_multiplex::run,
+    },
+    Experiment {
+        name: "a3",
+        title: "§V-B ablation: worker-side proxy cache, one 4 MiB model x 16 tasks",
+        run: ablation_proxy_cache::run,
+    },
+];
+
+/// One row of one run: a label and its named cells.
+struct Row {
+    label: String,
+    cells: Vec<(&'static str, f64)>,
+}
+
+/// A row labelled `label`.
+fn row(label: impl Into<String>, cells: &[(&'static str, f64)]) -> Row {
+    Row {
+        label: label.into(),
+        cells: cells.to_vec(),
+    }
+}
+
+/// Milliseconds since `t0`.
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1000.0
+}
+
+/// The runner: `args` are experiment names, `all`, and `--smoke`.
+pub fn cli(args: impl IntoIterator<Item = String>) -> ExitCode {
+    let mut smoke = false;
+    let mut chosen: Vec<&Experiment> = Vec::new();
+    for arg in args {
+        let picked: Vec<&Experiment> = match arg.as_str() {
+            "--smoke" => {
+                smoke = true;
+                continue;
+            }
+            "all" => EXPERIMENTS.iter().collect(),
+            name => match EXPERIMENTS.iter().find(|e| e.name == name) {
+                Some(e) => vec![e],
+                None => return usage(&format!("unknown experiment `{name}`")),
+            },
+        };
+        for e in picked {
+            if !chosen.iter().any(|c| c.name == e.name) {
+                chosen.push(e);
+            }
+        }
+    }
+    if chosen.is_empty() {
+        return usage("no experiment named");
+    }
+    let reps = if smoke { 1 } else { REPS };
+    for exp in chosen {
+        println!("\n{} — {}", exp.name.to_uppercase(), exp.title);
+        let runs: Vec<Vec<Row>> = (0..reps)
+            .map(|rep| {
+                let t0 = Instant::now();
+                let rows = (exp.run)(smoke, rep as u64);
+                println!(
+                    "  run {}/{reps}: {:.1} s",
+                    rep + 1,
+                    t0.elapsed().as_secs_f64()
+                );
+                rows
+            })
+            .collect();
+        let table = collect(&runs);
+        print_table(&table);
+        let dir = std::path::Path::new("bench_results");
+        let path = dir.join(format!("BENCH_{}.json", exp.name));
+        let written = std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, report(exp, reps, &table) + "\n"));
+        match written {
+            Ok(()) => println!("  written to {}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+fn usage(problem: &str) -> ExitCode {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    eprintln!(
+        "{problem}\nusage: gcx-paper <experiment>... [--smoke]\nexperiments: {} all",
+        names.join(" ")
+    );
+    ExitCode::from(2)
+}
+
+/// A cell over the runs: how many samples, their median, and their
+/// interquartile range.
+struct Spread {
+    n: usize,
+    median: f64,
+    iqr: f64,
+}
+
+impl Spread {
+    /// Quartiles by linear interpolation between order statistics (R's
+    /// type 7): one sample has itself as median and an IQR of 0.
+    fn of(samples: &[f64]) -> Self {
+        let mut s = samples.to_vec();
+        s.sort_by(f64::total_cmp);
+        let q = |p: f64| {
+            let pos = p * (s.len() - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+        };
+        Self {
+            n: s.len(),
+            median: q(0.5),
+            iqr: q(0.75) - q(0.25),
+        }
+    }
+}
+
+/// The rows of every run, each label once in first-seen order, with each
+/// cell's samples across the runs.
+type Samples = Vec<(String, Vec<(&'static str, Vec<f64>)>)>;
+
+fn collect(runs: &[Vec<Row>]) -> Samples {
+    let mut out: Samples = Vec::new();
+    for r in runs.iter().flatten() {
+        let i = match out.iter().position(|(label, _)| *label == r.label) {
+            Some(i) => i,
+            None => {
+                out.push((r.label.clone(), Vec::new()));
+                out.len() - 1
+            }
+        };
+        for &(name, v) in &r.cells {
+            let cells = &mut out[i].1;
+            match cells.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, samples)) => samples.push(v),
+                None => cells.push((name, vec![v])),
+            }
+        }
+    }
+    out
+}
+
+/// A number at a precision its size deserves.
+fn fmt(x: f64) -> String {
+    if x.fract() == 0.0 || x.abs() >= 100.0 {
+        format!("{x:.0}")
+    } else if x.abs() >= 1.0 {
+        format!("{x:.2}")
+    } else {
+        format!("{x:.3}")
+    }
+}
+
+/// One line per row, one column per cell name: `median [IQR]`, and `-`
+/// where a row has no such cell.
+fn print_table(rows: &Samples) {
+    let mut names: Vec<&'static str> = Vec::new();
+    for (_, cells) in rows {
+        for (name, _) in cells {
+            if !names.contains(name) {
+                names.push(name);
+            }
+        }
+    }
+    let header = ["row", "n"].iter().chain(&names).map(|h| h.to_string());
+    let mut lines = vec![header.collect::<Vec<_>>()];
+    for (label, cells) in rows {
+        let n = cells.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+        let mut line = vec![label.clone(), n.to_string()];
+        for name in &names {
+            line.push(match cells.iter().find(|(n, _)| n == name) {
+                Some((_, samples)) => {
+                    let s = Spread::of(samples);
+                    format!("{} [{}]", fmt(s.median), fmt(s.iqr))
+                }
+                None => "-".to_string(),
+            });
+        }
+        lines.push(line);
+    }
+    let widths: Vec<usize> = (0..lines[0].len())
+        .map(|i| lines.iter().map(|l| l[i].len()).max().unwrap_or(0))
+        .collect();
+    for (k, line) in lines.iter().enumerate() {
+        let cells: Vec<String> = line
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        println!("  {}", cells.join("  "));
+        if k == 0 {
+            println!(
+                "  {}",
+                "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
+            );
+        }
+    }
+}
+
+/// `{"experiment", "title", "reps", "rows": {label: {cell: {n, median,
+/// iqr}}}}`; a non-finite number is `null`.
+fn report(exp: &Experiment, reps: usize, rows: &Samples) -> String {
+    let num = |x: f64| {
+        if x.is_finite() {
+            format!("{x}")
+        } else {
+            "null".to_string()
+        }
+    };
+    let mut body = JsonBody::new();
+    body.text("experiment", exp.name);
+    body.text("title", exp.title);
+    body.num("reps", reps as u64);
+    let mut rows_json = JsonBody::new();
+    for (label, cells) in rows {
+        let mut cells_json = JsonBody::new();
+        for (name, samples) in cells {
+            let s = Spread::of(samples);
+            cells_json.raw(
+                name,
+                &format!(
+                    "{{\"n\":{},\"median\":{},\"iqr\":{}}}",
+                    s.n,
+                    num(s.median),
+                    num(s.iqr)
+                ),
+            );
+        }
+        rows_json.raw(label, &cells_json.render());
+    }
+    body.raw("rows", &rows_json.render());
+    body.render()
+}
+
+/// A cloud, one endpoint agent and one logged-in user: the standard stack.
+struct BenchStack {
+    cloud: WebService,
+    token: Token,
+    endpoint: EndpointId,
     agent: Option<EndpointAgent>,
 }
 
 impl BenchStack {
-    /// Bring up a stack with a zero-cost link.
-    pub fn new(engine_yaml: &str, clock: SharedClock) -> Self {
-        Self::with_link(engine_yaml, clock, LinkProfile::instant())
+    /// A default cloud on an instant link, one `engine_yaml` endpoint.
+    fn new(engine_yaml: &str) -> Self {
+        Self::build(
+            engine_yaml,
+            CloudConfig::default(),
+            LinkProfile::instant(),
+            |_, _| {},
+        )
     }
 
-    /// Bring up a stack whose broker link has the given profile.
-    pub(crate) fn with_link(engine_yaml: &str, clock: SharedClock, link: LinkProfile) -> Self {
+    /// A cloud with `config` whose broker link is `link`; `env` adjusts the
+    /// agent's environment before it starts.
+    fn build(
+        engine_yaml: &str,
+        config: CloudConfig,
+        link: LinkProfile,
+        env: impl FnOnce(&WebService, &mut AgentEnv),
+    ) -> Self {
+        let clock = SystemClock::shared();
         let auth = gcx_auth::AuthService::new(clock.clone());
         let broker = Broker::with_profile(MetricsRegistry::new(), clock.clone(), link);
-        let cloud = WebService::new(CloudConfig::default(), auth, broker, clock.clone());
+        let cloud = WebService::new(config, auth, broker, clock.clone());
         let (_, token) = cloud.auth().login("bench@gcx.dev").unwrap();
         let reg = cloud
             .register_endpoint(&token, "bench-ep", false, AuthPolicy::open(), None)
             .unwrap();
-        let config = EndpointConfig::from_yaml(engine_yaml).unwrap();
+        let mut agent_env = AgentEnv::local(clock);
+        env(&cloud, &mut agent_env);
         let agent = EndpointAgent::start(
             &cloud,
             reg.endpoint_id,
             &reg.queue_credential,
-            &config,
-            AgentEnv::local(clock),
+            &EndpointConfig::from_yaml(engine_yaml).unwrap(),
+            agent_env,
         )
         .unwrap();
         Self {
@@ -78,8 +410,13 @@ impl BenchStack {
         }
     }
 
+    /// An executor for this stack's user and endpoint.
+    fn executor(&self) -> gcx_sdk::Executor {
+        gcx_sdk::Executor::new(self.cloud.clone(), self.token.clone(), self.endpoint).unwrap()
+    }
+
     /// Tear everything down.
-    pub fn stop(mut self) {
+    fn stop(mut self) {
         if let Some(a) = self.agent.take() {
             a.stop();
         }
@@ -87,182 +424,17 @@ impl BenchStack {
     }
 }
 
-/// Fixed-width table printer for experiment output.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// A table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Self {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len());
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Render to stdout.
-    pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let line = |cells: &[String]| {
-            let parts: Vec<String> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>width$}", c, width = widths[i]))
-                .collect();
-            println!("  {}", parts.join("  "));
-        };
-        line(&self.headers);
-        let total: usize = widths.iter().sum::<usize>() + widths.len() * 2;
-        println!("  {}", "-".repeat(total));
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
-/// A flat JSON object writer for machine-readable bench outputs:
-/// string/number fields appended in order, rendered without any external
-/// dependency, written to `<dir>/<name>.json`.
-pub struct JsonReport {
-    name: String,
-    fields: Vec<(String, String)>,
-}
-
-impl JsonReport {
-    /// A report named `name` (also the output file stem).
-    pub fn new(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            fields: vec![("experiment".into(), json_escape(name))],
-        }
-    }
-
-    /// Append an integer field.
-    pub fn num(&mut self, key: &str, value: u64) -> &mut Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Append a float field (JSON has no NaN/Inf; those render as null).
-    pub fn float(&mut self, key: &str, value: f64) -> &mut Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".into()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Append a string field.
-    pub fn text(&mut self, key: &str, value: &str) -> &mut Self {
-        self.fields.push((key.to_string(), json_escape(value)));
-        self
-    }
-
-    /// Render the object.
-    pub(crate) fn render(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{}: {}", json_escape(k), v))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-
-    /// Write `<dir>/<name>.json`, creating `dir` if needed; returns the path.
-    pub fn write_to(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&path, self.render() + "\n")?;
-        Ok(path)
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a duration as milliseconds with 2 decimals.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1000.0)
-}
-
-/// Format bytes human-readably.
-pub fn human_bytes(n: u64) -> String {
-    if n >= 1024 * 1024 {
-        format!("{:.1}MB", n as f64 / (1024.0 * 1024.0))
-    } else if n >= 1024 {
-        format!("{:.1}KB", n as f64 / 1024.0)
-    } else {
-        format!("{n}B")
-    }
-}
-
-/// A deterministic xorshift RNG for workload generation.
-pub struct BenchRng(u64);
-
-impl BenchRng {
-    /// Seeded RNG.
-    pub fn new(seed: u64) -> Self {
-        Self(seed.max(1))
-    }
-
-    /// Uniform in [0, 1).
-    pub fn f64(&mut self) -> f64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        (self.0.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform integer in [0, n).
-    pub fn below(&mut self, n: u64) -> u64 {
-        (self.f64() * n as f64) as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcx_core::clock::SystemClock;
     use gcx_core::value::Value;
-    use gcx_sdk::{Executor, PyFunction};
+    use gcx_sdk::PyFunction;
+    use std::time::Duration;
 
     #[test]
     fn bench_stack_runs_a_task() {
-        let stack = BenchStack::new(
-            "engine:\n  type: GlobusComputeEngine\n",
-            SystemClock::shared(),
-        );
-        let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.endpoint).unwrap();
+        let stack = BenchStack::new("engine:\n  type: GlobusComputeEngine\n");
+        let ex = stack.executor();
         let f = PyFunction::new("def f():\n    return 1\n");
         let fut = ex.submit(&f, vec![], Value::None).unwrap();
         assert_eq!(
@@ -273,41 +445,58 @@ mod tests {
         stack.stop();
     }
 
-    #[test]
-    fn table_renders() {
-        let mut t = Table::new(&["a", "bb"]);
-        t.row(&["1".into(), "2".into()]);
-        t.print();
-        assert_eq!(human_bytes(2048), "2.0KB");
-        assert_eq!(human_bytes(3 * 1024 * 1024), "3.0MB");
-        assert_eq!(human_bytes(10), "10B");
+    /// (n, median, IQR) of `samples`.
+    fn spread(samples: &[f64]) -> (usize, f64, f64) {
+        let s = Spread::of(samples);
+        (s.n, s.median, s.iqr)
     }
 
     #[test]
-    fn json_report_renders_and_writes() {
-        let mut r = JsonReport::new("soak");
-        r.num("tasks", 10)
-            .float("rate", 2.5)
-            .text("note", "a \"quoted\"\nline");
+    fn spread_of_an_odd_count() {
+        assert_eq!(spread(&[5.0, 1.0, 3.0, 2.0, 4.0]), (5, 3.0, 2.0));
+    }
+
+    #[test]
+    fn spread_of_an_even_count() {
+        // Quartiles at positions 0.75 and 2.25 of [1, 2, 3, 4].
+        assert_eq!(spread(&[4.0, 1.0, 3.0, 2.0]), (4, 2.5, 1.5));
+    }
+
+    #[test]
+    fn spread_of_one_sample_as_under_smoke() {
+        assert_eq!(spread(&[7.25]), (1, 7.25, 0.0));
+    }
+
+    #[test]
+    fn runs_collect_by_label_and_report_every_cell() {
+        let runs = vec![
+            vec![
+                row("a", &[("x", 1.0), ("y", 10.0)]),
+                row("b", &[("x", 5.0)]),
+            ],
+            vec![
+                row("a", &[("x", 3.0), ("y", 30.0)]),
+                row("b", &[("x", 5.0)]),
+            ],
+        ];
+        let rows = collect(&runs);
+        assert_eq!(rows.len(), 2);
         assert_eq!(
-            r.render(),
-            "{\"experiment\": \"soak\", \"tasks\": 10, \"rate\": 2.5, \
-             \"note\": \"a \\\"quoted\\\"\\nline\"}"
+            rows[0].1,
+            vec![("x", vec![1.0, 3.0]), ("y", vec![10.0, 30.0])]
         );
-        let dir = std::env::temp_dir().join("gcx-bench-json-test");
-        let path = r.write_to(&dir).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), r.render() + "\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = BenchRng::new(9);
-        let mut b = BenchRng::new(9);
-        for _ in 0..100 {
-            assert_eq!(a.f64(), b.f64());
-        }
-        let x = a.below(10);
-        assert!(x < 10);
+        let json = report(&EXPERIMENTS[0], 2, &rows);
+        assert_eq!(
+            json,
+            "{\"experiment\":\"e4\",\"title\":\"".to_string()
+                + EXPERIMENTS[0].title
+                + "\",\"reps\":2,\"rows\":{\"a\":{\"x\":{\"n\":2,\"median\":2,\"iqr\":1},\
+                   \"y\":{\"n\":2,\"median\":20,\"iqr\":10}},\
+                   \"b\":{\"x\":{\"n\":2,\"median\":5,\"iqr\":0}}}}"
+        );
+        assert_eq!(fmt(2.0), "2");
+        assert_eq!(fmt(1234.4), "1234");
+        assert_eq!(fmt(5.4321), "5.43");
+        assert_eq!(fmt(0.01234), "0.012");
     }
 }

@@ -7,13 +7,15 @@
 //!   - warm latency (subsequent tasks reuse the UEP),
 //!   - the UEP-per-MEP fan-out and the cloud's reuse counters.
 //!
-//! Run: `cargo run --release -p gcx-bench --bin mep_scaling`
+//! Expected shape (spawns and reuses asserted): exactly one spawn per
+//! (user, config hash); every later task reuses its UEP, so warm latency
+//! sits below cold start, which pays identity mapping, template render and
+//! agent start.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gcx_auth::{AuthPolicy, ExpressionMapping, IdentityMapper};
-use gcx_bench::{ms, Table};
 use gcx_cloud::WebService;
 use gcx_config::Template;
 use gcx_core::clock::SystemClock;
@@ -22,12 +24,13 @@ use gcx_endpoint::AgentEnv;
 use gcx_mep::{MepSetup, MultiUserEndpoint};
 use gcx_sdk::{Executor, ExecutorConfig, PyFunction};
 
+use crate::{row, Row};
+
 const USERS: usize = 10;
 const CONFIGS_PER_USER: usize = 2; // → 20 UEPs: the paper's ~20x fan-out
 const TASKS_PER_CONFIG: usize = 5;
 
-fn main() {
-    println!("E7 — MEP spawn-on-demand: {USERS} users x {CONFIGS_PER_USER} configs x {TASKS_PER_CONFIG} tasks");
+pub(crate) fn run(_smoke: bool, _rep: u64) -> Vec<Row> {
     let cloud = WebService::with_defaults(SystemClock::shared());
     let (_, admin) = cloud.auth().login("admin@site.edu").unwrap();
     let reg = cloud
@@ -61,7 +64,6 @@ fn main() {
     let f = PyFunction::new("def f():\n    return 1\n");
     let mut cold = Vec::new();
     let mut warm = Vec::new();
-
     for u in 0..USERS {
         let (_, token) = cloud.auth().login(&format!("user{u}@site.edu")).unwrap();
         for c in 0..CONFIGS_PER_USER {
@@ -83,58 +85,37 @@ fn main() {
                 let started = Instant::now();
                 let fut = ex.submit(&f, vec![], Value::None).unwrap();
                 fut.result_timeout(Duration::from_secs(30)).unwrap();
-                let latency = started.elapsed();
+                let latency_ms = started.elapsed().as_secs_f64() * 1000.0;
                 if t == 0 {
-                    cold.push(latency);
+                    cold.push(latency_ms);
                 } else {
-                    warm.push(latency);
+                    warm.push(latency_ms);
                 }
             }
             ex.close();
         }
     }
 
-    let mean =
-        |xs: &[Duration]| -> Duration { xs.iter().sum::<Duration>() / xs.len().max(1) as u32 };
-    let max = |xs: &[Duration]| xs.iter().max().copied().unwrap_or_default();
-
-    let mut table = Table::new(&["metric", "value"]);
-    table.row(&[
-        "UEPs spawned (one MEP)".into(),
-        mep.total_spawned().to_string(),
-    ]);
-    table.row(&[
-        "UEP fan-out vs paper".into(),
-        format!("{} vs ~19.7 (1718/87)", mep.total_spawned()),
-    ]);
-    table.row(&["cold-start latency mean (ms)".into(), ms(mean(&cold))]);
-    table.row(&["cold-start latency max (ms)".into(), ms(max(&cold))]);
-    table.row(&["warm latency mean (ms)".into(), ms(mean(&warm))]);
-    table.row(&[
-        "spawn requests (cloud)".into(),
-        cloud
-            .metrics()
-            .counter("mep.uep_spawn_requested")
-            .get()
-            .to_string(),
-    ]);
-    table.row(&[
-        "UEP reuses (cloud)".into(),
-        cloud.metrics().counter("mep.uep_reused").get().to_string(),
-    ]);
-    table.print();
-
-    let expected_spawns = (USERS * CONFIGS_PER_USER) as u64;
-    assert_eq!(mep.total_spawned(), expected_spawns);
+    let spawned = mep.total_spawned();
+    let count = |name: &str| cloud.metrics().counter(name).get();
+    assert_eq!(spawned, (USERS * CONFIGS_PER_USER) as u64);
     assert_eq!(
-        cloud.metrics().counter("mep.uep_reused").get(),
+        count("mep.uep_reused"),
         (USERS * CONFIGS_PER_USER * (TASKS_PER_CONFIG - 1)) as u64
     );
-    println!();
-    println!("  expected shape: exactly one spawn per (user, config-hash); every later");
-    println!("  task reuses its UEP, so warm latency sits below cold-start (which pays");
-    println!("  identity mapping + template render + agent start).");
-
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    let r = row(
+        "one MEP (paper: ~19.7 UEPs per MEP, 1718/87)",
+        &[
+            ("ueps_spawned", spawned as f64),
+            ("cold_mean_ms", mean(&cold)),
+            ("cold_max_ms", cold.iter().copied().fold(0.0, f64::max)),
+            ("warm_mean_ms", mean(&warm)),
+            ("spawn_requests", count("mep.uep_spawn_requested") as f64),
+            ("uep_reuses", count("mep.uep_reused") as f64),
+        ],
+    );
     mep.stop();
     cloud.shutdown();
+    vec![r]
 }

@@ -585,6 +585,51 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Every landed result records one round trip (submit → landed) and one
+    /// transit (published → landed); a duplicate delivery records neither.
+    #[test]
+    fn each_landed_result_records_one_roundtrip_and_one_transit() {
+        const N: usize = 16;
+        let svc = service();
+        let token = login(&svc, "histo@site.org");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let specs = (0..N)
+            .map(|_| TaskSpec::new(fid, reg.endpoint_id))
+            .collect();
+        svc.submit_batch(&token, specs).unwrap();
+        for i in 0..N {
+            let (spec, tag) = session.next_task(T).unwrap().unwrap();
+            let result = TaskResult::ok(Value::Int(1));
+            session.publish_result(spec.task_id, &result).unwrap();
+            if i == 0 {
+                session.publish_result(spec.task_id, &result).unwrap();
+            }
+            session.ack_task(tag).unwrap();
+        }
+        let m = svc.metrics();
+        let landed = || {
+            m.counter("cloud.results_processed").get()
+                + m.counter("cloud.duplicate_results_dropped").get()
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while landed() < N as u64 + 1 {
+            assert!(std::time::Instant::now() < deadline, "results never landed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for name in ["cloud.task_roundtrip_ms", "cloud.result_transit_ms"] {
+            assert_eq!(m.histogram(name).snapshot().count, N as u64, "{name}");
+        }
+        svc.shutdown();
+    }
+
     #[test]
     fn result_stream_receives_pushed_results() {
         let svc = service();
@@ -702,10 +747,15 @@ mod tests {
             .unwrap();
         // A token that does not authenticate confirms nothing.
         assert!(svc.confirm_taken(&Token("forged".into()), &[bobs]).is_err());
-        // Bob confirms his own finished task: that one goes.
+        // Bob confirms his own finished task once its result has landed (a
+        // confirm names results the caller holds): that one goes.
         let mine = run(&bob);
-        svc.confirm_taken(&bob, &[mine]).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !svc.task_status(&bob, mine).unwrap().0.is_terminal() {
+            assert!(std::time::Instant::now() < deadline, "never landed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        svc.confirm_taken(&bob, &[mine]).unwrap();
         while svc.task_record(mine).is_ok() {
             assert!(std::time::Instant::now() < deadline, "never retired");
             std::thread::sleep(Duration::from_millis(5));

@@ -668,7 +668,9 @@ impl<P: SchedPolicy> ExecCore<P> {
     }
 
     /// A launch reported its outcome. If recovery already claimed the
-    /// entry, the outcome is stale and discarded.
+    /// entry, the outcome is stale and discarded. A launch that outlived
+    /// its deadline resolves as the sweep would have resolved it, however
+    /// recently the sweep ran.
     fn finish(&mut self, launch_id: u64, outcome: LaunchOutcome) {
         let Some(entry) = self.in_flight.remove(&launch_id) else {
             self.counters.stale_discarded.inc();
@@ -676,6 +678,12 @@ impl<P: SchedPolicy> ExecCore<P> {
         };
         self.shared.running.fetch_sub(1, Ordering::SeqCst);
         self.policy.reclaim(&entry.assignment, None);
+        if let Some(expires_at_ms) = entry.task.expires_at_ms {
+            if self.clock.now_ms() > expires_at_ms {
+                self.resolve_expired(&entry.task);
+                return;
+            }
+        }
         match outcome {
             LaunchOutcome::Done(result) => self.emit(EngineEvent::Done {
                 task_id: entry.task.task.spec.task_id,
@@ -969,5 +977,93 @@ mod tests {
                 assert!(ticks <= 2, "driver burned {ticks} ticks in {WATCHED:?}");
             }
         }
+    }
+
+    /// Places every task at once, on no block.
+    struct LaunchAll;
+
+    impl SchedPolicy for LaunchAll {
+        fn capacity(&self) -> usize {
+            1
+        }
+        fn try_launch(&mut self, _: u64, _: &CoreTask) -> LaunchDecision {
+            LaunchDecision::Launched(Assignment {
+                block: None,
+                nodes: Vec::new(),
+            })
+        }
+        fn shutdown(&mut self) {}
+    }
+
+    /// A launch that finishes past its deadline, between two sweeps, ends
+    /// `[deadline]` and counts a kill, as if the sweep had caught it in
+    /// flight; one that finishes in time keeps its result.
+    #[test]
+    fn a_launch_finishing_past_its_deadline_between_sweeps_is_a_deadline_kill() {
+        use gcx_core::clock::VirtualClock;
+        use gcx_core::function::FunctionRecord;
+        use gcx_core::ids::{EndpointId, FunctionId, IdentityId};
+        use gcx_core::task::TaskSpec;
+        use gcx_core::value::Value;
+
+        let clock = VirtualClock::new();
+        let metrics = MetricsRegistry::new();
+        let (_tx, rx) = crossbeam_channel::unbounded::<CoreMsg>();
+        let (events, events_rx) = crossbeam_channel::unbounded();
+        let mut core = ExecCore::new(
+            &CoreConfig {
+                kind: EngineKind::Thread,
+                max_retries: 0,
+                thread_name: "unused",
+                clock: clock.clone(),
+            },
+            LaunchAll,
+            None,
+            metrics.clone(),
+            events,
+            Arc::new(CoreShared::default()),
+            rx,
+        );
+        let task = |tag, expires_at_ms| {
+            let mut spec = TaskSpec::new(FunctionId::random(), EndpointId::random());
+            spec.deadline_ms = Some(1);
+            CoreTask {
+                task: ExecutableTask {
+                    spec,
+                    function: FunctionRecord {
+                        id: FunctionId::random(),
+                        owner: IdentityId::random(),
+                        body: FunctionBody::pyfn("def f():\n    return 1\n"),
+                        registered_at: 0,
+                    },
+                    tag,
+                },
+                retries: 0,
+                expires_at_ms: Some(expires_at_ms),
+            }
+        };
+        core.on_msg(CoreMsg::Submit(Box::new(task(0, 1))));
+        core.on_msg(CoreMsg::Submit(Box::new(task(1, 100))));
+        // The sweep runs at 0 ms and next at 10 ms; both tasks launch.
+        assert!(!core.kill_expired());
+        assert!(core.dispatch());
+        clock.advance(5);
+        assert!(!core.kill_expired(), "the next sweep is not due yet");
+        for launch_id in [0, 1] {
+            core.on_msg(CoreMsg::Finished {
+                launch_id,
+                outcome: LaunchOutcome::Done(TaskResult::ok(Value::Int(1))),
+            });
+        }
+        let results: Vec<(u64, TaskResult)> = std::iter::from_fn(|| events_rx.try_recv().ok())
+            .filter_map(|e| match e {
+                EngineEvent::Done { tag, result, .. } => Some((tag, result)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(results.len(), 2);
+        assert!(results[0].1.is_deadline_err(), "{:?}", results[0]);
+        assert_eq!(results[1], (1, TaskResult::ok(Value::Int(1))));
+        assert_eq!(metrics.counter("thread.deadline_kills").get(), 1);
     }
 }

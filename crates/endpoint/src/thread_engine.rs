@@ -3,9 +3,9 @@
 //! The funcX non-batch deployment mode: an endpoint on a login node,
 //! workstation, or container executes functions directly in local worker
 //! threads. There is no pilot job to wait for, so the task path is
-//! submit → core dispatch → worker — the lowest-latency engine, which is
-//! exactly what the `run_all` engine-parity check measures against htex on
-//! the instant link.
+//! submit → core dispatch → worker — the lowest-latency engine. `gcxbench`'s
+//! `endpoint.engine.thread_idle_task_us` and `htex_idle_task_us` probes
+//! measure its engine leg against htex's.
 //!
 //! The engine is the shared [`ExecCore`](crate::exec_core) under the
 //! `InlineSlots` policy with no [`BlockTable`](crate::exec_core::BlockTable)

@@ -928,14 +928,22 @@ mod tests {
         let stack = Stack::new("engine:\n  type: GlobusMPIEngine\n  nodes_per_block: 4\n");
         let ex = stack.executor();
         let func = MpiFunction::new("hostname");
-        for n in 1..=2u32 {
-            ex.set_resource_specification(ResourceSpec::nodes_ranks(2, n));
+        // Listing 6's loop (2 nodes, n ranks each), then other shapes.
+        for (nodes, n) in [(2, 1), (2, 2), (1, 1), (4, 1), (4, 2), (3, 4)] {
+            ex.set_resource_specification(ResourceSpec::nodes_ranks(nodes, n));
             let fut = ex.submit(&func, vec![], Value::None).unwrap();
             let sr = fut.shell_result().unwrap();
+            let lines: Vec<&str> = sr.stdout.lines().collect();
             assert_eq!(
-                sr.stdout.lines().count(),
-                (2 * n) as usize,
-                "n={n}: one hostname line per rank"
+                lines.len(),
+                (nodes * n) as usize,
+                "{nodes}x{n}: one hostname line per rank"
+            );
+            let distinct: std::collections::BTreeSet<&str> = lines.into_iter().collect();
+            assert_eq!(
+                distinct.len(),
+                nodes as usize,
+                "{nodes}x{n}: ranks span the nodes"
             );
         }
         ex.close();

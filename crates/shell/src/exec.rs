@@ -415,6 +415,19 @@ mod tests {
         let out = shell().run("echo fast", &env(), "/", Some(60_000)).unwrap();
         assert_eq!(out.returncode, 0);
         assert!(!out.timed_out);
+        // The kill is a threshold: a sleep that ends inside its walltime
+        // returns 0.
+        let clock = VirtualClock::new();
+        let sh = ShellExecutor::new(Vfs::new(), clock.clone());
+        let h = std::thread::spawn(move || {
+            sh.run("sleep 1", &BTreeMap::new(), "/", Some(2_000))
+                .unwrap()
+        });
+        clock.wait_for_sleepers(1);
+        clock.advance(1_000);
+        let out = h.join().unwrap();
+        assert_eq!(out.returncode, 0);
+        assert!(!out.timed_out);
     }
 
     #[test]
