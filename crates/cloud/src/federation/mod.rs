@@ -876,7 +876,7 @@ mod tests {
     use gcx_core::clock::SystemClock;
     use gcx_core::function::FunctionBody;
     use gcx_core::ids::{EndpointId, FunctionId};
-    use gcx_core::task::{TaskResult, TaskSpec, TaskState};
+    use gcx_core::task::{TaskRecord, TaskResult, TaskSpec, TaskState};
     use std::time::Duration;
 
     #[test]
@@ -1180,6 +1180,71 @@ mod tests {
             assert_eq!(fed.broker().queue_stats(&queue).unwrap().ready, 2);
         }
         fed.shutdown();
+    }
+
+    /// `cloud.tasks_resident` counts each record a replica installs, by
+    /// either path (a submit at its owner, a carried-over record), when it
+    /// is installed. A replica retires nothing, so the gauge never falls:
+    /// not as results land, and not on a confirm.
+    #[test]
+    fn the_resident_gauge_counts_a_replicas_installs_and_never_falls() {
+        let fed = Federation::new(3, SystemClock::shared());
+        let r0 = fed.replica(0).unwrap();
+        let (identity, token) = fed.auth().login("u@x.y").unwrap();
+        let fid = r0
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = r0
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let resident = fed.metrics().gauge("cloud.tasks_resident");
+        let mut ids = Vec::new();
+        for owner in 0..3 {
+            let specs = (0..4)
+                .map(|_| spec_owned_by(&fed, owner, fid, reg.endpoint_id))
+                .collect();
+            let svc = fed.replica(owner).unwrap();
+            ids.extend(svc.submit_batch(&token, specs).unwrap());
+            assert_eq!(resident.get(), ids.len() as u64, "counted as installed");
+        }
+        let session = r0
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let t = Duration::from_secs(2);
+        for _ in 0..ids.len() {
+            let (spec, tag) = session.next_task(t).unwrap().expect("task delivered");
+            session
+                .publish_result(spec.task_id, &TaskResult::ok(1.into()))
+                .unwrap();
+            session.ack_task(tag).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        for id in &ids {
+            let owner = fed.replica(fed.owner_of(id.uuid()).unwrap()).unwrap();
+            while !owner.task_record(*id).is_ok_and(|r| r.state.is_terminal()) {
+                assert!(std::time::Instant::now() < deadline, "{id} never landed");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(resident.get(), 12, "a landing moves nothing");
+        }
+        for owner in 0..3 {
+            let svc = fed.replica(owner).unwrap();
+            svc.confirm_taken(&token, &ids).unwrap();
+        }
+        assert_eq!(resident.get(), 12, "a replica ignores a confirm");
+        // A record carried over as it stands (a rebalance's adoption) is
+        // one install, however often it is offered.
+        let mut carried =
+            TaskRecord::new(spec_owned_by(&fed, 1, fid, reg.endpoint_id), identity.id, 0);
+        carried.transition(TaskState::Running, 0).unwrap();
+        carried.complete(TaskResult::ok(1.into()), 0).unwrap();
+        let r1 = fed.replica(1).unwrap();
+        r1.fed_adopt_record(carried.clone(), ReplicaId(2), 0, false);
+        assert_eq!(resident.get(), 13);
+        r1.fed_adopt_record(carried, ReplicaId(2), 0, false);
+        assert_eq!(resident.get(), 13);
+        fed.shutdown();
+        assert_eq!(resident.get(), 0, "stopped replicas hold nothing");
     }
 }
 

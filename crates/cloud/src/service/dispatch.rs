@@ -412,6 +412,7 @@ impl WebService {
             );
             if record.is_some() {
                 if let Err(e) = on_resident(task_id, holder) {
+                    self.inner.m.tasks_resident.add(installed.len() as u64);
                     return (installed, Err(e));
                 }
                 continue;
@@ -440,6 +441,7 @@ impl WebService {
             };
             shipment.bodies.push((body, wire_spec.trace));
         }
+        self.inner.m.tasks_resident.add(installed.len() as u64);
         let mut batch = Vec::with_capacity(installed.len());
         let ship = || -> GcxResult<()> {
             for Shipment { to, shared, bodies } in shipments {

@@ -359,6 +359,7 @@ impl WebService {
             task_id,
             || {
                 fresh.set(true);
+                self.inner.m.tasks_resident.add(1);
                 incoming.clone()
             },
             |existing| {
@@ -402,6 +403,7 @@ impl WebService {
                 false
             }
         });
+        self.inner.m.tasks_resident.sub(moved.len() as u64);
         for rec in &moved {
             self.fed_log_moved(rec.spec.task_id);
         }

@@ -156,8 +156,9 @@ pub(super) struct CloudMetrics {
     pub(super) payload_bytes_moved: Arc<Counter>,
     pub(super) admission_inflight: Arc<Gauge>,
     /// Task records held: in flight, plus terminal results nobody has
-    /// confirmed taking. Each cold-path pass moves it by its own store's
-    /// change, so replicas sharing a registry read as their sum.
+    /// confirmed taking. Moved where a record comes or goes (an install, a
+    /// confirm, a federation's shed, a shutdown), so replicas sharing a
+    /// registry read as their sum.
     pub(super) tasks_resident: Arc<Gauge>,
     pub(super) fed_submits_forwarded: Arc<Counter>,
     pub(super) fed_results_forwarded: Arc<Counter>,
@@ -251,11 +252,6 @@ pub(super) struct CloudInner {
     pub(super) endpoints: Arc<ShardedMap<EndpointId, EndpointRecord>>,
     pub(super) credentials: Arc<ShardedMap<EndpointId, String>>,
     pub(super) tasks: ShardedMap<TaskId, TaskRecord>,
-    /// Tasks whose results an executor confirmed it holds, with the
-    /// identity that confirmed: the cold-path loop retires the records
-    /// that are that identity's and terminal (see
-    /// [`WebService::confirm_taken`]).
-    pub(super) taken: Mutex<Vec<(TaskId, IdentityId)>>,
     /// (MEP id, user identity, config hash) → spawned user endpoint. Cold
     /// (one entry per spawned UEP) and guarded by a read-then-write
     /// double-check, so it stays a plain map.
@@ -361,7 +357,6 @@ impl WebService {
             endpoints: shared.endpoints,
             credentials: shared.credentials,
             tasks: ShardedMap::with_default_shards(),
-            taken: Mutex::new(Vec::new()),
             ueps: shared.ueps,
             streams: shared.streams,
             stream_counter: shared.stream_counter,
@@ -562,19 +557,25 @@ impl WebService {
     }
 
     /// Stop the service's threads: cancel the consumer each one blocks on,
-    /// then join them. When the
+    /// then join them. The first call takes this store's records out of
+    /// `cloud.tasks_resident`, so replicas sharing a registry keep only
+    /// their own share. When the
     /// `GCX_FLIGHT_DUMP` environment variable is set (to anything
     /// non-empty), the flight recorder dumps on the way out — the env knob
     /// for grabbing a black-box dump from a run that didn't otherwise
     /// trip a trigger.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
         let threads: Vec<_> = std::mem::take(&mut *self.inner.processors.lock());
         for (_, cancel) in &threads {
             cancel.cancel();
         }
         for (handle, _) in threads {
             let _ = handle.join();
+        }
+        if first {
+            let held = self.inner.tasks.len() as u64;
+            self.inner.m.tasks_resident.sub(held);
         }
         if std::env::var("GCX_FLIGHT_DUMP").is_ok_and(|v| !v.is_empty()) {
             self.inner

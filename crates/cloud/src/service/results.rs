@@ -17,18 +17,6 @@ use gcx_mq::{Broker, Consumer, Message};
 use super::{stream_queue_name, StreamTargets, WebService};
 use crate::federation::{envelope::Body, heartbeat_every};
 
-/// How soon the next retire pass comes after one that found nothing to
-/// retire: the cold path's idle cadence.
-const RETIRE_IDLE: Duration = Duration::from_millis(25);
-
-/// How soon the next retire pass comes after one that found confirmed
-/// results. The records confirmed between passes wait in the task store:
-/// at ≈ 300k tasks/s a 25 ms gap let them pass ≈ 10k, where its shards
-/// double (≈ +7 MiB). Passes are not free either: one every 5 ms added
-/// 5–11% to that workload's median latency on a 2-vCPU host, one every
-/// 15 ms ≈ 3.5% (EXPERIMENTS.md W9).
-const RETIRE_BUSY: Duration = Duration::from_millis(15);
-
 /// Most results a result processor takes per wake-up: its prefetch window.
 pub(super) const PROCESSOR_TAKE: usize = 64;
 
@@ -134,22 +122,31 @@ impl WebService {
         let _ = self.inner.broker.delete_queue(queue_name);
     }
 
-    /// The caller holds these tasks' results and was waiting for them: the
-    /// cold-path loop's next pass retires each record that is still the
-    /// caller's and terminal (`retire_taken`), and a
-    /// later status query, cancel or `task_record` answers
-    /// [`GcxError::TaskNotFound`]. The one entry point for both links: an
-    /// in-process call, or a wire `Confirm` frame. The caller must have no
-    /// submit of these ids outstanding (the SDK's batcher confirms between
-    /// its own calls). A federated replica ignores it: handover replay,
-    /// adoption and redirect-resends need records.
+    /// The caller holds these tasks' results and was waiting for them:
+    /// each record that is still the caller's and terminal is removed
+    /// before this returns, and a later status query, cancel or
+    /// `task_record` answers [`GcxError::TaskNotFound`]. The check and the
+    /// remove take one shard lock, so a record that is not yet terminal
+    /// (or not the caller's) is left as it is. The one entry point for both
+    /// links: an in-process call, or a wire `Confirm` frame. The caller
+    /// must have no submit of these ids outstanding (the SDK's batcher
+    /// confirms between its own calls). A federated replica ignores it:
+    /// handover replay, adoption and redirect-resends need records.
     pub fn confirm_taken(&self, token: &Token, ids: &[TaskId]) -> GcxResult<()> {
         if self.inner.fed.is_some() || ids.is_empty() {
             return Ok(());
         }
         let identity = self.authenticate(token)?.identity.id;
-        let mut taken = self.inner.taken.lock();
-        taken.extend(ids.iter().map(|id| (*id, identity)));
+        let tasks = &self.inner.tasks;
+        let retired = ids
+            .iter()
+            .filter(|id| {
+                tasks
+                    .remove_if(id, |rec| rec.owner == identity && rec.state.is_terminal())
+                    .is_some()
+            })
+            .count();
+        self.inner.m.tasks_resident.sub(retired as u64);
         Ok(())
     }
 
@@ -343,29 +340,22 @@ impl WebService {
     /// task, or an endpoint that kept dying mid-execution), failed here
     /// with a *retryable* error so SDK-side retry budgets can decide
     /// whether to resubmit. That queue almost never has a message, so the
-    /// same loop carries the periodic duties. On every pass, on any clock,
-    /// it retires the records whose results were taken
-    /// ([`retire_taken`](Self::retire_taken)); a pass that found any brings
-    /// the next one forward to [`RETIRE_BUSY`]. Each when it is due, it
-    /// sweeps: [`check_liveness`](Self::check_liveness) at a quarter of the
+    /// same loop carries the periodic sweeps, each when it is due:
+    /// [`check_liveness`](Self::check_liveness) at a quarter of the
     /// heartbeat timeout, and [`check_expiry`](Self::check_expiry) every
     /// 25 ms while anything can expire or admission is on. On a virtual
-    /// clock it sweeps nothing: the harness drives both by hand, and a
-    /// background sweep would race the manually-advanced time. A cancel of
-    /// `dead_tasks` ends it; a deleted queue ends only the draining.
+    /// clock it sweeps nothing and waits only for dead tasks: the harness
+    /// drives both sweeps by hand, and a background sweep would race the
+    /// manually-advanced time. A cancel of `dead_tasks` ends it; a deleted
+    /// queue ends only the draining, or, with no sweep to run, the loop.
     pub(super) fn cold_path_loop(&self, dead_tasks: Consumer) {
         const EXPIRY_EVERY: Duration = Duration::from_millis(25);
         let liveness_every = heartbeat_every(self.inner.cfg.heartbeat_timeout_ms);
         let sweeps = !self.inner.clock.is_virtual();
         let mut liveness_due = Instant::now() + liveness_every;
         let mut expiry_due = Instant::now() + EXPIRY_EVERY;
-        let (mut taken, mut resident) = (Vec::new(), 0);
         loop {
-            let mut wait = if self.retire_taken(&mut taken, &mut resident) {
-                RETIRE_BUSY
-            } else {
-                RETIRE_IDLE
-            };
+            let mut wait = Duration::MAX;
             if sweeps {
                 // Each sweep rests its full period after it returns.
                 if Instant::now() >= expiry_due {
@@ -378,8 +368,9 @@ impl WebService {
                     self.check_liveness();
                     liveness_due = Instant::now() + liveness_every;
                 }
-                let next_due = expiry_due.min(liveness_due);
-                wait = wait.min(next_due.saturating_duration_since(Instant::now()));
+                wait = expiry_due
+                    .min(liveness_due)
+                    .saturating_duration_since(Instant::now());
             }
             match dead_tasks.next(wait) {
                 Ok(Some(delivery)) => {
@@ -388,35 +379,10 @@ impl WebService {
                 }
                 Ok(None) => {}
                 Err(GcxError::ShuttingDown) => break,
-                Err(_) => std::thread::sleep(wait),
+                Err(_) if sweeps => std::thread::sleep(wait),
+                Err(_) => break,
             }
         }
-        self.inner.m.tasks_resident.sub(resident);
-    }
-
-    /// Retire every record whose result an executor confirmed it holds
-    /// ([`confirm_taken`](Self::confirm_taken)), if the record is still the
-    /// confirming identity's and terminal, and move `cloud.tasks_resident`
-    /// to what the store holds now. The records are freed here, off the
-    /// task path. `taken` is the caller's spare list, swapped with the
-    /// marked one so that neither reallocates; `resident` is this store's
-    /// last reading. Returns whether anything had been confirmed.
-    fn retire_taken(&self, taken: &mut Vec<(TaskId, IdentityId)>, resident: &mut u64) -> bool {
-        std::mem::swap(&mut *self.inner.taken.lock(), taken);
-        let confirmed = !taken.is_empty();
-        let tasks = &self.inner.tasks;
-        for (id, identity) in taken.drain(..) {
-            tasks.remove_if(&id, |rec| rec.owner == identity && rec.state.is_terminal());
-        }
-        let now = tasks.len() as u64;
-        let gauge = &self.inner.m.tasks_resident;
-        if now >= *resident {
-            gauge.add(now - *resident);
-        } else {
-            gauge.sub(*resident - now);
-        }
-        *resident = now;
-        confirmed
     }
 
     fn fail_dead_task(&self, message: &Message) -> GcxResult<()> {
@@ -756,18 +722,76 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         svc.confirm_taken(&bob, &[mine]).unwrap();
-        while svc.task_record(mine).is_ok() {
-            assert!(std::time::Instant::now() < deadline, "never retired");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert!(svc.task_record(mine).is_err(), "never retired");
         for id in [done, open, bobs] {
             assert!(svc.task_record(id).is_ok(), "{id} was retired");
         }
         let resident = svc.metrics().gauge("cloud.tasks_resident");
-        while resident.get() != 3 {
-            assert!(std::time::Instant::now() < deadline, "no pass counted 3");
-            std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(resident.get(), 3);
+        svc.shutdown();
+    }
+
+    /// A service whose cold path sweeps nothing (a virtual clock), with one
+    /// endpoint and `n` tasks submitted by one user.
+    fn virtual_service_with_tasks(n: usize) -> (WebService, Token, Vec<TaskId>) {
+        let clock: gcx_core::clock::SharedClock = gcx_core::clock::VirtualClock::new();
+        let svc = WebService::with_defaults(clock);
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let ids = (0..n)
+            .map(|_| {
+                svc.submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
+                    .unwrap()
+            })
+            .collect();
+        (svc, token, ids)
+    }
+
+    /// The confirm itself retires: when it returns, the records are gone
+    /// and `cloud.tasks_resident` reads what is still held, with no other
+    /// thread having run a pass.
+    #[test]
+    fn a_confirm_retires_before_it_returns() {
+        let (svc, token, ids) = virtual_service_with_tasks(3);
+        let resident = svc.metrics().gauge("cloud.tasks_resident");
+        assert_eq!(resident.get(), 3, "counted as installed");
+        for &id in &ids[..2] {
+            svc.finish_task(id, TaskResult::ok(Value::Int(1))).unwrap();
         }
+        svc.confirm_taken(&token, &ids[..2]).unwrap();
+        for &id in &ids[..2] {
+            assert!(matches!(
+                svc.task_record(id),
+                Err(GcxError::TaskNotFound(_))
+            ));
+        }
+        assert!(svc.task_record(ids[2]).is_ok());
+        assert_eq!(resident.get(), 1);
+        // A second confirm of the same ids finds nothing to retire.
+        svc.confirm_taken(&token, &ids[..2]).unwrap();
+        assert_eq!(resident.get(), 1);
+        svc.shutdown();
+        assert_eq!(resident.get(), 0, "a stopped service holds nothing");
+    }
+
+    /// Naming one's own task before its result lands retires nothing, then
+    /// or later: the record survives its landing and stays readable.
+    #[test]
+    fn a_confirm_before_the_result_lands_retires_nothing() {
+        let (svc, token, ids) = virtual_service_with_tasks(1);
+        let id = ids[0];
+        svc.confirm_taken(&token, &[id]).unwrap();
+        svc.finish_task(id, TaskResult::ok(Value::Int(1))).unwrap();
+        // Long enough for anything deferred to have acted.
+        std::thread::sleep(Duration::from_millis(60));
+        let record = svc.task_record(id).expect("the record survives");
+        assert_eq!(record.state, TaskState::Success);
+        assert_eq!(svc.metrics().gauge("cloud.tasks_resident").get(), 1);
         svc.shutdown();
     }
 

@@ -1,5 +1,5 @@
 //! A task record has an end: once the executor that submitted a task
-//! confirms it holds the result, the cold-path loop retires the record, and
+//! confirms it holds the result, the confirm retires the record, and
 //! the service then answers `TaskNotFound` for that id. These cases drive
 //! the in-process executor; the wire executor's are pinned in the SDK's
 //! executor tests. Nothing else confirms — a polling client, a `catch_up`
@@ -110,8 +110,8 @@ fn resident(metrics: &MetricsRegistry) -> u64 {
     metrics.gauge("cloud.tasks_resident").get()
 }
 
-/// Wait until `cloud.tasks_resident` reads `want` (a cold-path pass sets
-/// it at least every 25 ms).
+/// Wait until `cloud.tasks_resident` reads `want` (the executor's batcher
+/// confirms what its stream took on its next pass, within a tick).
 fn await_resident(metrics: &MetricsRegistry, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while resident(metrics) != want {
@@ -146,7 +146,7 @@ fn not_found(r: Result<impl std::fmt::Debug, GcxError>) -> bool {
 }
 
 /// (a) Every task an in-process executor resolved off its stream is
-/// forgotten after one cold-path pass.
+/// forgotten once its batcher has confirmed it.
 #[test]
 fn executor_results_retire_and_later_queries_are_not_found() {
     let (svc, token, reg) = standalone(CloudConfig::default());
@@ -333,7 +333,7 @@ fn a_cut_stream_catches_up_and_keeps_what_it_polled() {
         m.counter("cloud.status_polls").get() >= 1,
         "catch_up polled"
     );
-    // A pass after the last confirm: what is held is what `catch_up` took.
+    // After the last confirm: what is held is what `catch_up` took.
     std::thread::sleep(Duration::from_millis(100));
     let held = futures
         .iter()
@@ -438,8 +438,8 @@ fn soak_store_stays_at_in_flight_size() {
         }
         if Instant::now() >= next_sample {
             let rate = done as f64 / start.elapsed().as_secs_f64();
-            // One cold-path pass is at most 25 ms of tasks (doubled: the
-            // gauge lags by up to a pass).
+            // Confirms trail the results by one batcher pass; 50 ms of
+            // tasks is the margin for it.
             let bound = (DEPTH as f64 + rate * 0.050) as i64;
             worst = worst.max(resident(svc.metrics()) as i64 - bound);
             samples.push((

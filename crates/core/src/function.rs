@@ -86,29 +86,29 @@ impl FunctionBody {
     /// hash identically, which the SDK uses to avoid re-registering the same
     /// function "on-the-fly" (§III-A).
     pub fn content_hash(&self) -> u64 {
-        let label: (&str, &str, u64, u64) = match self {
-            FunctionBody::PyFn { source } => ("pyfn", source, 0, 0),
+        match self {
+            FunctionBody::PyFn { source } => Self::hash_parts("pyfn", source, None, 0),
             FunctionBody::Shell {
                 cmd,
                 walltime_ms,
                 snippet_lines,
-            } => (
-                "shell",
-                cmd,
-                walltime_ms.unwrap_or(0),
-                *snippet_lines as u64,
-            ),
+            } => Self::hash_parts("shell", cmd, *walltime_ms, *snippet_lines),
             FunctionBody::Mpi {
                 cmd,
                 walltime_ms,
                 snippet_lines,
-            } => ("mpi", cmd, walltime_ms.unwrap_or(0), *snippet_lines as u64),
-        };
+            } => Self::hash_parts("mpi", cmd, *walltime_ms, *snippet_lines),
+        }
+    }
+
+    /// [`content_hash`](Self::content_hash) from a body's borrowed fields
+    /// (`kind` is `"pyfn"`, `"shell"` or `"mpi"`; a pyfn's are `None`, 0).
+    pub fn hash_parts(kind: &str, text: &str, walltime: Option<u64>, lines: usize) -> u64 {
         fnv1a(&[
-            label.0.as_bytes(),
-            label.1.as_bytes(),
-            &label.2.to_le_bytes(),
-            &label.3.to_le_bytes(),
+            kind.as_bytes(),
+            text.as_bytes(),
+            &walltime.unwrap_or(0).to_le_bytes(),
+            &(lines as u64).to_le_bytes(),
         ])
     }
 

@@ -295,7 +295,10 @@ impl Executor {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(GcxError::ShuttingDown);
         }
-        let function_id = self.ensure_registered(function.body())?;
+        // The body is built only to register it: a known hash is a lookup.
+        let hash = function.content_hash();
+        let known = self.shared.registered.lock().get(&hash).copied();
+        let function_id = known.map_or_else(|| self.ensure_registered(function.body()), Ok)?;
         let mut spec = TaskSpec::new(function_id, self.endpoint_id);
         // The single encode of the task's arguments: every layer below
         // moves these bytes by reference.
@@ -863,6 +866,42 @@ mod tests {
         ex.close();
     }
 
+    /// A submit reads the function's hash; the body is built only to
+    /// register it, once however many tasks call the function.
+    #[test]
+    fn a_function_body_is_built_once_over_many_submits() {
+        struct Counted {
+            f: PyFunction,
+            built: std::sync::atomic::AtomicUsize,
+        }
+        impl Function for Counted {
+            fn body(&self) -> FunctionBody {
+                self.built.fetch_add(1, Ordering::Relaxed);
+                self.f.body()
+            }
+            fn content_hash(&self) -> u64 {
+                self.f.content_hash()
+            }
+        }
+        let stack = Stack::new("engine:\n  type: GlobusComputeEngine\n");
+        let ex = stack.executor();
+        let f = Counted {
+            f: PyFunction::new("def f(x):\n    return x\n"),
+            built: Default::default(),
+        };
+        let futures: Vec<TaskFuture> = (0..1000)
+            .map(|i| ex.submit(&f, vec![Value::Int(i)], Value::None).unwrap())
+            .collect();
+        for (i, fut) in futures.iter().enumerate() {
+            assert_eq!(
+                fut.result_timeout(Duration::from_secs(30)).unwrap(),
+                Value::Int(i as i64)
+            );
+        }
+        assert_eq!(f.built.load(Ordering::Relaxed), 1);
+        ex.close();
+    }
+
     #[test]
     fn batching_coalesces_rest_requests() {
         let stack = Stack::new("engine:\n  type: GlobusComputeEngine\n  workers_per_node: 4\n");
@@ -1165,7 +1204,8 @@ mod tests {
             );
         }
         assert_eq!(ex.inflight(), 0);
-        // Confirmed over the wire: a cold-path pass retires every record.
+        // Confirmed over the wire: each `Confirm` frame retires its records
+        // as the server's connection thread reads it.
         let resident = svc.metrics().gauge("cloud.tasks_resident");
         let deadline = Instant::now() + Duration::from_secs(10);
         while resident.get() != 0 {

@@ -8,6 +8,12 @@ use gcx_core::shellres::DEFAULT_SNIPPET_LINES;
 pub trait Function {
     /// The registrable body.
     fn body(&self) -> FunctionBody;
+
+    /// The body's [`FunctionBody::content_hash`], read on every submit: a
+    /// type that can hash its fields without building a body should.
+    fn content_hash(&self) -> u64 {
+        self.body().content_hash()
+    }
 }
 
 /// An ordinary (mini-)Python function: the default Globus Compute payload.
@@ -28,6 +34,10 @@ impl PyFunction {
 impl Function for PyFunction {
     fn body(&self) -> FunctionBody {
         FunctionBody::pyfn(self.source.clone())
+    }
+
+    fn content_hash(&self) -> u64 {
+        FunctionBody::hash_parts("pyfn", &self.source, None, 0)
     }
 }
 
@@ -78,6 +88,10 @@ impl Function for ShellFunction {
             snippet_lines: self.snippet_lines,
         }
     }
+
+    fn content_hash(&self) -> u64 {
+        FunctionBody::hash_parts("shell", &self.cmd, self.walltime_ms, self.snippet_lines)
+    }
 }
 
 /// `MPIFunction` (§III-C): "an extension to ShellFunction … rather than run
@@ -122,11 +136,36 @@ impl Function for MpiFunction {
             snippet_lines: self.snippet_lines,
         }
     }
+
+    fn content_hash(&self) -> u64 {
+        FunctionBody::hash_parts("mpi", &self.cmd, self.walltime_ms, self.snippet_lines)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each type hashes its fields in place to what its body hashes to.
+    #[test]
+    fn content_hash_is_the_bodys() {
+        let fns: [&dyn Function; 6] = [
+            &PyFunction::new("def f():\n    return 1\n"),
+            &ShellFunction::new("echo {x}"),
+            &ShellFunction::new("sleep 2")
+                .with_walltime(1.0)
+                .with_snippet_lines(10),
+            &MpiFunction::new("echo {x}"),
+            &MpiFunction::new("hostname").with_walltime(2.5),
+            &MpiFunction::new("hostname").with_snippet_lines(3),
+        ];
+        let hashes: Vec<u64> = fns.iter().map(|f| f.content_hash()).collect();
+        for (f, hash) in fns.iter().zip(&hashes) {
+            assert_eq!(*hash, f.body().content_hash(), "{:?}", f.body());
+        }
+        let distinct: std::collections::HashSet<_> = hashes.iter().collect();
+        assert_eq!(distinct.len(), fns.len());
+    }
 
     #[test]
     fn pyfunction_body() {

@@ -128,9 +128,9 @@ fn killed_agent_mid_workload_tasks_reroute_and_complete() {
         .unwrap();
     // ...and here agent A stops making progress forever.
 
-    // Agent A's three results reach the executor, which confirms them, and
-    // the cold-path loop (wall-clock, on any clock) retires their records —
-    // the published-but-unacked task's among them.
+    // Agent A's three results reach the executor, whose batcher confirms
+    // them on its next pass, and the confirm retires their records — the
+    // published-but-unacked task's among them.
     let rerun = pulled[2].0.task_id;
     while svc.task_record(rerun).is_ok() {
         assert!(

@@ -8,7 +8,7 @@
 //! cancels the input, so no loop wakes just to look at a stop flag. So a
 //! service with eight idle agents, an idle multi-user endpoint, an idle
 //! wire client and an idle executor has no timer threads and wakes only
-//! for its duties — the cold path's retire pass, the wire client's beat,
+//! for its duties — the cold path's expiry due, the wire client's beat,
 //! the executor's batch tick — still runs a task the moment one arrives,
 //! and stops as promptly as it ever did; an idle federation's monitor and
 //! rpc loops wait for their next sweep and heartbeat stamp.
@@ -143,8 +143,9 @@ fn an_idle_stack_sleeps_and_still_works() {
         let agent_rate = per_second(&|n| {
             n.starts_with("gcx-") && !service(n) && !mep_loop(n) && !wire(n) && !executor(n)
         }) / 8.0;
-        // The service: the cold path's 25 ms retire pass (39/s) and nothing
-        // else; its two result processors park until a result or a cancel.
+        // The service: the cold path's 25 ms expiry due (≈ 39/s, armed
+        // whether or not a sweep is needed) and nothing else; its two
+        // result processors park until a result or a cancel.
         // An agent: its puller waits for its 5 s beat. The MEP: with no
         // user endpoint live, no reap is due. Measured 39/s, 0 and 0.
         assert!(service_rate <= 50.0, "service wakes {service_rate:.0}/s");
