@@ -123,47 +123,7 @@ impl WebService {
                 format!("endpoint={id} requeued={requeued}"),
             );
         }
-        self.reap_abandoned_streams(now, timeout);
         newly_offline
-    }
-
-    /// Reap result streams whose consumer stopped polling. A client that
-    /// drops its [`ResultStream`](super::ResultStream) (or closes its wire
-    /// connection) tears the stream down explicitly; one that is killed
-    /// outright leaves the entry behind, and `finish_task` would fan every
-    /// future result into a queue nobody drains. The broker stamps each
-    /// queue's last consumer poll, so any stream quieter than **twice** the
-    /// heartbeat timeout is closed here. The doubled bar is deliberate:
-    /// wrongly reaping a live stream destroys its queued results, and a
-    /// healthy consumer polls on wall-clock cadence while this sweep may be
-    /// driven by a virtual clock — the slack keeps a just-advanced clock
-    /// from outrunning the consumer's next stamp.
-    fn reap_abandoned_streams(&self, now: u64, timeout: u64) {
-        let bar = timeout.saturating_mul(2);
-        let mut dead: Vec<(gcx_core::ids::IdentityId, String)> = Vec::new();
-        self.inner.streams.for_each(|identity, list| {
-            for (qname, _) in list.iter() {
-                match self.inner.broker.queue_stats(qname) {
-                    Ok(stats) if now.saturating_sub(stats.last_poll_ms) > bar => {
-                        dead.push((*identity, qname.clone()));
-                    }
-                    // Queue already gone (e.g. broker-side delete): the
-                    // map entry is pure leak, drop it too.
-                    Err(_) => dead.push((*identity, qname.clone())),
-                    _ => {}
-                }
-            }
-        });
-        for (identity, qname) in dead {
-            self.close_result_stream(identity, &qname);
-            self.inner.m.streams_reaped.inc();
-            self.inner.metrics.flight().record(
-                now,
-                "cloud.liveness",
-                "stream_reaped",
-                format!("queue={qname}"),
-            );
-        }
     }
 }
 
@@ -316,63 +276,6 @@ mod tests {
             svc.endpoint_health(reg.endpoint_id).unwrap(),
             EndpointHealth::Offline
         );
-        svc.shutdown();
-    }
-
-    #[test]
-    fn abandoned_result_stream_is_reaped_by_liveness_sweep() {
-        // Regression: a client killed without `close_result_stream` (no
-        // Drop runs) used to leak its stream queue forever — every future
-        // result fanned out into a queue nobody drained.
-        let (vclock, svc) = virtual_service(1_000);
-        let token = login(&svc, "leaky@x.y");
-
-        let stream = svc.open_result_stream(&token).unwrap();
-        let qname = stream.queue_name().to_string();
-        // Simulate a SIGKILLed client: the stream vanishes without Drop.
-        std::mem::forget(stream);
-        assert!(svc.broker().queue_stats(&qname).is_ok());
-
-        // Within the reaping bar (2x heartbeat timeout): left alone.
-        vclock.advance(1_500);
-        svc.check_liveness();
-        assert!(
-            svc.broker().queue_stats(&qname).is_ok(),
-            "stream inside the staleness bar must survive"
-        );
-
-        // Past the bar: queue deleted and fan-out entry removed.
-        vclock.advance(2_000);
-        svc.check_liveness();
-        assert!(
-            svc.broker().queue_stats(&qname).is_err(),
-            "abandoned stream queue must be deleted"
-        );
-        assert_eq!(svc.metrics().counter("cloud.streams_reaped").get(), 1);
-
-        // The fan-out map no longer references the reaped queue: landing a
-        // result publishes to zero streams.
-        let mut fanout = Vec::new();
-        svc.inner
-            .streams
-            .for_each(|_, list| fanout.extend(list.iter().cloned()));
-        assert!(
-            fanout.is_empty(),
-            "streams map must forget the reaped queue: {fanout:?}"
-        );
-
-        // A stream whose consumer keeps polling is never reaped, however
-        // stale the rest of the world gets.
-        let live = svc.open_result_stream(&token).unwrap();
-        vclock.advance(5_000);
-        let _ = live.consumer.next(std::time::Duration::from_millis(1));
-        svc.check_liveness();
-        assert!(
-            svc.broker().queue_stats(live.queue_name()).is_ok(),
-            "actively polled stream must survive the sweep"
-        );
-        assert_eq!(svc.metrics().counter("cloud.streams_reaped").get(), 1);
-        drop(live);
         svc.shutdown();
     }
 }

@@ -141,7 +141,6 @@ pub(super) struct CloudMetrics {
     pub(super) tasks_dead_lettered: Arc<Counter>,
     pub(super) retries: Arc<Counter>,
     pub(super) endpoints_offline: Arc<Counter>,
-    pub(super) streams_reaped: Arc<Counter>,
     pub(super) block_loss_reports: Arc<Counter>,
     pub(super) block_recovery_reports: Arc<Counter>,
     pub(super) uep_reused: Arc<Counter>,
@@ -185,7 +184,6 @@ impl CloudMetrics {
             tasks_dead_lettered: registry.counter("cloud.tasks_dead_lettered"),
             retries: registry.counter("cloud.retries"),
             endpoints_offline: registry.counter("cloud.endpoints_offline"),
-            streams_reaped: registry.counter("cloud.streams_reaped"),
             block_loss_reports: registry.counter("cloud.block_loss_reports"),
             block_recovery_reports: registry.counter("cloud.block_recovery_reports"),
             uep_reused: registry.counter("mep.uep_reused"),

@@ -68,6 +68,13 @@ impl EndpointSession {
         self.tasks.canceller()
     }
 
+    /// Call `waker` whenever a `next_task` may find something new: a task
+    /// published or requeued to this endpoint, the queue deleted, or the
+    /// session cancelled (see [`Consumer::set_waker`]).
+    pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
+        self.tasks.set_waker(waker);
+    }
+
     /// Acknowledge a task delivery (after the result is safely published).
     pub fn ack_task(&self, tag: u64) -> GcxResult<()> {
         self.tasks.ack(tag)

@@ -1,36 +1,51 @@
-//! The endpoint agent loop.
+//! The endpoint agent.
 //!
 //! "The Agent listens for incoming tasks, executes the task on the local
 //! resource, monitors execution, captures errors, and returns results or
-//! exceptions back to the cloud service" (§II). Concretely:
+//! exceptions back to the cloud service" (§II). Here that is one control
+//! thread, the engine's `exec_core` driver, plus the engine's workers. The
+//! agent hands the driver an `AgentLink` at construction, and on every
+//! pass the driver:
 //!
-//! - the *puller* thread consumes the endpoint's task queue, resolves each
-//!   task's function, and hands it to the engine;
-//! - the *pump* thread forwards engine events: state changes become status
-//!   reports, completions become result publications followed by the task
-//!   delivery ack (results are never lost: the ack happens only after the
-//!   result is safely on the result queue).
+//! - takes what is ready on the endpoint's task queue, without waiting and
+//!   at most 64 deliveries a pass: a task cancelled while buffered is acked
+//!   and dropped, one whose function cannot be resolved fails with a
+//!   `LookupError`, a message that cannot be read is counted and skipped,
+//!   the rest are admitted;
+//! - beats the heartbeat when a beat is due;
+//! - settles each engine event with the service: a state change becomes a
+//!   status report, a completion a result publication followed by the
+//!   delivery's ack (results are never lost: the ack happens only after
+//!   the result is safely on the result queue), a lost or recovered block
+//!   a capacity report.
+//!
+//! A publish, requeue, delete or cancel on the task queue wakes a parked
+//! driver through its own channel. `stop()` cancels the task consumer: the
+//! driver stops pulling, drains what it holds, and exits.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::Sender;
 use gcx_batch::BatchScheduler;
 use gcx_cloud::{EndpointSession, WebService};
 use gcx_core::clock::SharedClock;
 use gcx_core::error::{GcxError, GcxResult};
-use gcx_core::metrics::MetricsRegistry;
-use gcx_core::task::{TaskResult, TaskSpec, TaskState};
+use gcx_core::ids::TaskId;
+use gcx_core::metrics::{Counter, MetricsRegistry};
+use gcx_core::task::TaskResult;
 use gcx_mq::Cancel;
 use gcx_shell::Vfs;
 use parking_lot::Mutex;
 
 use crate::config::{EndpointConfig, EngineSpec, ProviderSpec};
-use crate::engine::{Engine, EngineEvent, ExecutableTask, ValueTransform};
-use crate::htex::{GlobusComputeEngine, HtexConfig};
-use crate::mpi_engine::{GlobusMpiEngine, MpiEngineConfig};
+use crate::engine::{EngineEvent, EngineIo, EngineStatus, ExecutableTask, Io, ValueTransform};
+use crate::exec_core::{CoreMsg, Engine};
+use crate::htex::HtexConfig;
+use crate::mpi_engine::MpiEngineConfig;
 use crate::provider::{BatchProvider, LocalProvider, Provider};
-use crate::thread_engine::{ThreadEngine, ThreadEngineConfig};
+use crate::thread_engine::ThreadEngineConfig;
 
 /// Everything an agent needs from its host environment.
 #[derive(Clone)]
@@ -105,12 +120,13 @@ pub(crate) fn build_provider(spec: &ProviderSpec, env: &AgentEnv) -> GcxResult<A
     })
 }
 
-/// Build the engine named by the config, wired to `events`.
+/// Build the engine named by the config. `io` is where its events go: a
+/// `Sender<EngineEvent>`, or an agent's link to the service.
 pub fn build_engine(
     config: &EndpointConfig,
     env: &AgentEnv,
-    events: Sender<EngineEvent>,
-) -> GcxResult<Box<dyn Engine>> {
+    io: impl Into<EngineIo>,
+) -> GcxResult<Engine> {
     Ok(match &config.engine {
         EngineSpec::GlobusCompute {
             nodes_per_block,
@@ -118,45 +134,39 @@ pub fn build_engine(
             workers_per_node,
             sandbox,
             provider,
-        } => {
-            let provider = build_provider(provider, env)?;
-            Box::new(GlobusComputeEngine::start(
-                HtexConfig {
-                    nodes_per_block: *nodes_per_block,
-                    max_blocks: *max_blocks,
-                    workers_per_node: *workers_per_node,
-                    sandbox: *sandbox,
-                    max_retries: 1,
-                },
-                provider,
-                env.vfs.clone(),
-                env.clock.clone(),
-                env.metrics.clone(),
-                events,
-                env.arg_transform.clone(),
-            ))
-        }
+        } => Engine::globus_compute(
+            HtexConfig {
+                nodes_per_block: *nodes_per_block,
+                max_blocks: *max_blocks,
+                workers_per_node: *workers_per_node,
+                sandbox: *sandbox,
+                max_retries: 1,
+            },
+            build_provider(provider, env)?,
+            env.vfs.clone(),
+            env.clock.clone(),
+            env.metrics.clone(),
+            io,
+            env.arg_transform.clone(),
+        ),
         EngineSpec::GlobusMpi {
             nodes_per_block,
             mpi_launcher,
             provider,
-        } => {
-            let provider = build_provider(provider, env)?;
-            Box::new(GlobusMpiEngine::start(
-                MpiEngineConfig {
-                    nodes_per_block: *nodes_per_block,
-                    launcher: *mpi_launcher,
-                    max_retries: 1,
-                },
-                provider,
-                env.vfs.clone(),
-                env.clock.clone(),
-                env.metrics.clone(),
-                events,
-                env.arg_transform.clone(),
-            ))
-        }
-        EngineSpec::Thread { workers } => Box::new(ThreadEngine::start(
+        } => Engine::globus_mpi(
+            MpiEngineConfig {
+                nodes_per_block: *nodes_per_block,
+                launcher: *mpi_launcher,
+                max_retries: 1,
+            },
+            build_provider(provider, env)?,
+            env.vfs.clone(),
+            env.clock.clone(),
+            env.metrics.clone(),
+            io,
+            env.arg_transform.clone(),
+        ),
+        EngineSpec::Thread { workers } => Engine::thread(
             ThreadEngineConfig {
                 workers: *workers,
                 max_retries: 1,
@@ -164,90 +174,162 @@ pub fn build_engine(
             env.vfs.clone(),
             env.clock.clone(),
             env.metrics.clone(),
-            events,
+            io,
             env.arg_transform.clone(),
-        )),
+        ),
     })
 }
 
-/// A running endpoint agent. Dropping it stops the agent.
-pub struct EndpointAgent {
-    /// Ends the puller's wait on the task queue.
-    stop_pulling: Cancel,
-    /// When the agent last took a task or finished one.
+/// The most deliveries one pass of the driver takes. A burst reaches the
+/// workers, and results and beats go out, after this many takes, not after
+/// the whole burst; a publisher faster than the driver cannot hold it in
+/// one pass.
+const PULL_PER_PASS: usize = 64;
+
+/// An agent's link to the service, owned by its engine's driver: where the
+/// driver takes the endpoint's tasks from, and where it settles every
+/// event.
+pub(crate) struct AgentLink {
+    session: EndpointSession,
+    /// The liveness beat, paced on the agent's clock: every
+    /// `beat_every_ms`, the first on the driver's first pass.
+    clock: SharedClock,
+    beat_every_ms: u64,
+    next_beat_ms: u64,
+    /// Set by the task queue's waker, cleared by the driver before each
+    /// pull: a burst of publishes sends the driver one `Wake`, and a
+    /// publish that lands after the clear sends one more.
+    woken: Arc<AtomicBool>,
+    /// When the agent last took or finished a task.
     last_active: Arc<Mutex<Instant>>,
-    puller: Option<std::thread::JoinHandle<()>>,
-    pump: Option<std::thread::JoinHandle<()>>,
-    engine: Arc<Mutex<Box<dyn Engine>>>,
+    /// Task messages that could not be read: undecodable, or their payload
+    /// not resolvable.
+    unreadable: Arc<Counter>,
+}
+
+impl AgentLink {
+    /// Have the endpoint's task queue wake the driver through `core`, and
+    /// return the cancel that stops the driver's pulling. The waker only
+    /// sets a flag and sends a message; it never calls back into the
+    /// broker.
+    pub(crate) fn wake_through(&self, core: Sender<CoreMsg>) -> Cancel {
+        let woken = Arc::clone(&self.woken);
+        self.session.set_waker(move || {
+            if !woken.swap(true, Ordering::SeqCst) {
+                let _ = core.send(CoreMsg::Wake);
+            }
+        });
+        self.session.canceller()
+    }
+
+    /// Beat if a beat is due, then take what is ready on the endpoint's
+    /// queue, at most [`PULL_PER_PASS`] deliveries, without waiting: one
+    /// cancelled while buffered is acked and dropped, not executed; one
+    /// whose function cannot be resolved fails with a `LookupError`; the
+    /// rest go to `out`. Returns how many deliveries it took. An error once
+    /// the consumer is cancelled or the queue is gone: the pulling is over.
+    pub(crate) fn pull(&mut self, out: &mut Vec<ExecutableTask>) -> GcxResult<usize> {
+        let now = self.clock.now_ms();
+        if now >= self.next_beat_ms {
+            let _ = self.session.heartbeat();
+            self.next_beat_ms = now.saturating_add(self.beat_every_ms);
+        }
+        self.woken.store(false, Ordering::SeqCst);
+        let mut taken = 0;
+        while taken < PULL_PER_PASS {
+            let (spec, tag) = match self.session.next_task(Duration::ZERO) {
+                Ok(Some(task)) => task,
+                Ok(None) => break,
+                Err(e @ (GcxError::ShuttingDown | GcxError::Queue(_))) => return Err(e),
+                // A message that cannot be read costs only itself: it is
+                // counted, and its delivery, still unacked, goes back to
+                // the queue when the session drops.
+                Err(_) => {
+                    self.unreadable.inc();
+                    taken += 1;
+                    continue;
+                }
+            };
+            taken += 1;
+            self.touch();
+            if self.session.task_cancelled(spec.task_id) {
+                let _ = self.session.ack_task(tag);
+                continue;
+            }
+            match self.session.fetch_function(spec.function_id) {
+                Ok(function) => out.push(ExecutableTask {
+                    spec,
+                    function,
+                    tag,
+                }),
+                Err(e) => {
+                    let failure = TaskResult::Err(format!("LookupError: {e}"));
+                    let _ = self.session.publish_result(spec.task_id, &failure);
+                    let _ = self.session.ack_task(tag);
+                }
+            }
+        }
+        Ok(taken)
+    }
+
+    /// Settle one engine event with the service.
+    pub(crate) fn deliver(&self, event: EngineEvent) {
+        match event {
+            EngineEvent::State(task_id, state) => {
+                let _ = self.session.report_state(task_id, state);
+            }
+            EngineEvent::Done {
+                task_id,
+                tag,
+                result,
+            } => self.publish(task_id, tag, &result),
+            EngineEvent::BlockLost { reason, nodes_lost } => {
+                // Surface capacity loss so the cloud can tell "endpoint
+                // dead" from "endpoint recovering".
+                let _ = self.session.report_block_lost(reason, nodes_lost);
+            }
+            EngineEvent::BlockProvisioned { nodes } => {
+                let _ = self.session.report_block_recovered(nodes);
+            }
+        }
+    }
+
+    /// Publish a result, then ack its delivery; a result that could not be
+    /// published sends its task back to the queue instead.
+    fn publish(&self, task_id: TaskId, tag: u64, result: &TaskResult) {
+        if self.session.publish_result(task_id, result).is_ok() {
+            let _ = self.session.ack_task(tag);
+        } else {
+            let _ = self.session.nack_task(tag);
+        }
+        self.touch();
+    }
+
+    /// The time left until the next beat is due.
+    pub(crate) fn beat_due_in(&self) -> Duration {
+        Duration::from_millis(self.next_beat_ms.saturating_sub(self.clock.now_ms()))
+    }
+
+    fn touch(&self) {
+        *self.last_active.lock() = Instant::now();
+    }
+}
+
+/// A running endpoint agent: its engine, whose driver is the agent's one
+/// control thread. Dropping it stops the agent.
+pub struct EndpointAgent {
+    engine: Engine,
+    /// When the agent last took or finished a task, stamped by the driver.
+    last_active: Arc<Mutex<Instant>>,
     /// The environment's registry, kept so operators can scrape the agent
     /// (engine counters plus trace summaries).
     metrics: MetricsRegistry,
 }
 
-/// How long [`EndpointAgent::stop`] waits for in-flight tasks to drain
-/// before tearing the engine down anyway.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The agent's liveness beat, paced on the service clock and carried by
-/// the puller loop.
-struct Heartbeat {
-    clock: SharedClock,
-    interval_ms: u64,
-    next_ms: u64,
-}
-
-impl Heartbeat {
-    /// Beat if the service clock has reached the next beat (the first call
-    /// always does); returns the time left until the one after.
-    fn beat_if_due(&mut self, session: &EndpointSession) -> Duration {
-        let now = self.clock.now_ms();
-        if now >= self.next_ms {
-            let _ = session.heartbeat();
-            self.next_ms = now.saturating_add(self.interval_ms);
-        }
-        Duration::from_millis(self.next_ms - now)
-    }
-}
-
-/// Submit one pulled task to the engine, or settle it here: a task
-/// cancelled while buffered is dropped, not executed, and one whose
-/// function cannot be resolved, or that the engine refuses (a malformed
-/// resource specification), fails while the queue keeps being served.
-/// False once the engine is shutting down; the task goes back.
-fn hand_to_engine(
-    session: &EndpointSession,
-    engine: &Mutex<Box<dyn Engine>>,
-    spec: TaskSpec,
-    tag: u64,
-) -> bool {
-    let task_id = spec.task_id;
-    if session.task_cancelled(task_id) {
-        let _ = session.ack_task(tag);
-        return true;
-    }
-    let failure = match session.fetch_function(spec.function_id) {
-        Err(e) => format!("LookupError: {e}"),
-        Ok(function) => match engine.lock().submit(ExecutableTask {
-            spec,
-            function,
-            tag,
-        }) {
-            Ok(()) => return true,
-            Err(GcxError::ShuttingDown) => {
-                let _ = session.nack_task(tag);
-                return false;
-            }
-            Err(e) => format!("ValueError: {e}"),
-        },
-    };
-    let _ = session.publish_result(task_id, &TaskResult::Err(failure));
-    let _ = session.ack_task(tag);
-    true
-}
-
 impl EndpointAgent {
-    /// Start an agent from a parsed configuration: connects to the cloud,
-    /// builds the engine, and begins pulling tasks and heartbeating.
+    /// Start an agent from a parsed configuration: connects to the cloud
+    /// and builds the engine, whose driver begins pulling tasks and
+    /// heartbeating.
     pub fn start(
         cloud: &WebService,
         endpoint_id: gcx_core::ids::EndpointId,
@@ -255,118 +337,34 @@ impl EndpointAgent {
         config: &EndpointConfig,
         env: AgentEnv,
     ) -> GcxResult<Self> {
-        // A zero interval is due on every pass, so the puller would never
+        // A zero interval is due on every pass, so the driver would never
         // block and would heartbeat the service in a loop.
         if env.heartbeat_interval_ms == 0 {
             return Err(GcxError::InvalidConfig(
                 "heartbeat_interval_ms must be positive".into(),
             ));
         }
-        let session = cloud.connect_endpoint(endpoint_id, credential)?;
-        let (events_tx, events_rx) = unbounded();
-        let engine = build_engine(config, &env, events_tx)?;
-        let heartbeat = Heartbeat {
-            clock: env.clock.clone(),
-            interval_ms: env.heartbeat_interval_ms,
-            next_ms: 0,
-        };
-        Ok(Self::launch(
-            session,
-            engine,
-            events_rx,
-            heartbeat,
-            env.metrics,
-        ))
-    }
-
-    fn launch(
-        session: EndpointSession,
-        engine: Box<dyn Engine>,
-        events: Receiver<EngineEvent>,
-        mut heartbeat: Heartbeat,
-        metrics: MetricsRegistry,
-    ) -> Self {
-        let stop_pulling = session.canceller();
         let last_active = Arc::new(Mutex::new(Instant::now()));
-        let session = Arc::new(session);
-        let engine = Arc::new(Mutex::new(engine));
-
-        let puller = {
-            let (session, engine) = (Arc::clone(&session), Arc::clone(&engine));
-            let last_active = Arc::clone(&last_active);
-            // The liveness beat rides this loop: a pull never waits past the
-            // moment the next beat is due, and `stop()` cancels it at once.
-            std::thread::Builder::new()
-                .name("gcx-agent-puller".into())
-                .spawn(move || {
-                    while let Ok(taken) = session.next_task(heartbeat.beat_if_due(&session)) {
-                        let Some((spec, tag)) = taken else { continue };
-                        *last_active.lock() = Instant::now();
-                        if !hand_to_engine(&session, &engine, spec, tag) {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn agent puller")
+        let link = AgentLink {
+            session: cloud.connect_endpoint(endpoint_id, credential)?,
+            clock: env.clock.clone(),
+            beat_every_ms: env.heartbeat_interval_ms,
+            next_beat_ms: 0,
+            woken: Arc::new(AtomicBool::new(false)),
+            last_active: Arc::clone(&last_active),
+            unreadable: env.metrics.counter("agent.tasks_unreadable"),
         };
-
-        let pump = {
-            let (session, last_active) = (Arc::clone(&session), Arc::clone(&last_active));
-            // The pump outlives the puller: it keeps publishing
-            // results while the engine drains, and exits when stop() has
-            // torn the engine down. The engine's driver holds the only
-            // sender, and `recv` hands over every event sent before it
-            // reports the channel closed.
-            std::thread::Builder::new()
-                .name("gcx-agent-pump".into())
-                .spawn(move || loop {
-                    match events.recv() {
-                        Ok(EngineEvent::State(task_id, state)) => {
-                            debug_assert!(matches!(
-                                state,
-                                TaskState::WaitingForNodes | TaskState::Running
-                            ));
-                            let _ = session.report_state(task_id, state);
-                        }
-                        Ok(EngineEvent::Done {
-                            task_id,
-                            tag,
-                            result,
-                        }) => {
-                            if session.publish_result(task_id, &result).is_ok() {
-                                let _ = session.ack_task(tag);
-                            } else {
-                                let _ = session.nack_task(tag);
-                            }
-                            *last_active.lock() = Instant::now();
-                        }
-                        Ok(EngineEvent::BlockLost { reason, nodes_lost }) => {
-                            // Surface capacity loss so the cloud can tell
-                            // "endpoint dead" from "endpoint recovering".
-                            let _ = session.report_block_lost(reason, nodes_lost);
-                        }
-                        Ok(EngineEvent::BlockProvisioned { nodes }) => {
-                            let _ = session.report_block_recovered(nodes);
-                        }
-                        Err(_) => return,
-                    }
-                })
-                .expect("spawn agent pump")
-        };
-
-        Self {
-            stop_pulling,
-            last_active,
-            puller: Some(puller),
-            pump: Some(pump),
+        let engine = build_engine(config, &env, EngineIo(Io::Agent(link)))?;
+        Ok(Self {
             engine,
-            metrics,
-        }
+            last_active,
+            metrics: env.metrics,
+        })
     }
 
     /// Current engine load.
-    pub fn engine_status(&self) -> crate::engine::EngineStatus {
-        self.engine.lock().status()
+    pub fn engine_status(&self) -> EngineStatus {
+        self.engine.status()
     }
 
     /// How long the agent has held no task: zero while its engine holds
@@ -422,40 +420,12 @@ impl EndpointAgent {
         j.render()
     }
 
-    /// Graceful stop: quit pulling new tasks, let in-flight tasks finish
-    /// (bounded by `DRAIN_TIMEOUT`) with their results published, then
-    /// shut the engine down and join all threads.
+    /// Graceful stop: quit pulling new tasks, run what the agent holds (for
+    /// at most ten seconds) with its results published, then shut the
+    /// engine down and join its threads. What it had not finished by then
+    /// goes back to the queue for the next agent.
     pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop_pulling.cancel();
-        if let Some(h) = self.puller.take() {
-            let _ = h.join();
-        }
-        // Drain: no new tasks are being pulled; wait for accepted work to
-        // complete so its results make it out before the engine dies.
-        let deadline = std::time::Instant::now() + DRAIN_TIMEOUT;
-        loop {
-            let st = self.engine.lock().status();
-            if (st.queued == 0 && st.running == 0) || std::time::Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Joining the engine's driver drops the events sender: the pump
-        // drains what is left and exits.
-        self.engine.lock().shutdown();
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for EndpointAgent {
-    fn drop(&mut self) {
-        self.stop_inner();
+        self.engine.shutdown();
     }
 }
 
@@ -621,8 +591,8 @@ mod tests {
     }
 
     /// The MPI engine refuses an inconsistent resource specification when
-    /// the task is handed to it. That task fails with a typed error, and the
-    /// agent keeps serving its queue.
+    /// it comes to place the task. That task fails with a typed error, and
+    /// the agent keeps serving its queue.
     #[test]
     fn a_task_the_engine_refuses_fails_and_the_next_one_runs() {
         let svc = WebService::with_defaults(SystemClock::shared());
@@ -758,7 +728,7 @@ mod tests {
             .unwrap()
             .last_heartbeat_ms;
         assert!(first > 0, "stamped on connect");
-        // The puller keeps pushing the stamp forward.
+        // The driver keeps pushing the stamp forward.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             if svc
@@ -790,13 +760,12 @@ mod tests {
         stamps.len()
     }
 
-    /// The beat rides the puller, so it is on time only if the puller never
-    /// waits past it: parked on an empty queue (the task consumer has no
-    /// prefetch bound, so that is the one place it blocks) the pull's
-    /// timeout is cut to the time left, and with tasks streaming in every
-    /// turn of the loop looks at the clock.
+    /// The beat rides the engine's driver, so it is on time only if the
+    /// driver never waits past it: parked with nothing to do, its wait is
+    /// cut to the time left, and with tasks streaming in every pass (each
+    /// one pulls) looks at the clock.
     #[test]
-    fn heartbeats_stay_on_time_while_the_puller_is_blocked_or_busy() {
+    fn heartbeats_stay_on_time_while_the_driver_is_parked_or_busy() {
         const WINDOW: Duration = Duration::from_millis(300);
         let svc = WebService::with_defaults(SystemClock::shared());
         let (_, token) = svc.auth().login("user@site.org").unwrap();
@@ -832,10 +801,157 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         feeder.join().unwrap();
 
-        // A 10 ms beat makes 30 in the window. A puller that slept out its
-        // 25 ms pull timeout between looks at the clock would make 12.
-        assert!(blocked >= 18, "{blocked} beats while blocked on the queue");
+        // A 10 ms beat makes 30 in the window. A driver that slept 25 ms
+        // between looks at the clock would make 12.
+        assert!(blocked >= 18, "{blocked} beats while parked");
         assert!(busy >= 18, "{busy} beats while pulling");
+        agent.stop();
+        svc.shutdown();
+    }
+
+    /// A publisher faster than the driver holds it in no pass: while tasks
+    /// stream in for the whole window, results go out and the beat stays on
+    /// time, because one pass takes a bounded number of deliveries.
+    #[test]
+    fn a_sustained_publisher_stops_neither_results_nor_beats() {
+        const WINDOW: Duration = Duration::from_millis(300);
+        const MAX_TASKS: usize = 60_000;
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("user@site.org").unwrap();
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let config =
+            EndpointConfig::from_yaml("engine:\n  type: ThreadEngine\n  workers: 2\n").unwrap();
+        let mut env = AgentEnv::local(SystemClock::shared());
+        env.heartbeat_interval_ms = 10;
+        let agent =
+            EndpointAgent::start(&svc, reg.endpoint_id, &reg.queue_credential, &config, env)
+                .unwrap();
+        let stream = svc.open_result_stream(&token).unwrap();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let feeder = {
+            let (svc, token, stop) = (svc.clone(), token.clone(), Arc::clone(&stop));
+            let ep = reg.endpoint_id;
+            std::thread::spawn(move || {
+                let mut sent = 0;
+                while !stop.load(Ordering::SeqCst) && sent < MAX_TASKS {
+                    let specs = (0..256).map(|_| TaskSpec::new(fid, ep)).collect();
+                    svc.submit_batch(&token, specs).unwrap();
+                    sent += 256;
+                }
+                sent
+            })
+        };
+        let beats = beats_in(&svc, reg.endpoint_id, WINDOW);
+        let mut results = Vec::new();
+        let streamed = stream
+            .consumer
+            .next_batch(Duration::ZERO, usize::MAX, &mut results)
+            .unwrap();
+        stop.store(true, Ordering::SeqCst);
+        let sent = feeder.join().unwrap();
+
+        assert!(beats >= 18, "{beats} beats while {sent} tasks streamed in");
+        assert!(
+            streamed > 0,
+            "no result went out while {sent} tasks streamed in"
+        );
+        drop(stream);
+        agent.stop();
+        svc.shutdown();
+    }
+
+    /// A task message that cannot be read is counted and skipped: the
+    /// driver keeps serving its queue, and the next task runs.
+    #[test]
+    fn an_unreadable_task_message_is_skipped_and_the_next_task_runs() {
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("user@site.org").unwrap();
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f(x):\n    return x * 2\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let config =
+            EndpointConfig::from_yaml("engine:\n  type: ThreadEngine\n  workers: 1\n").unwrap();
+        let env = AgentEnv::local(SystemClock::shared());
+        let metrics = env.metrics.clone();
+        let agent =
+            EndpointAgent::start(&svc, reg.endpoint_id, &reg.queue_credential, &config, env)
+                .unwrap();
+
+        let garbage = gcx_mq::Message::new(vec![0xFF; 8].into());
+        let queue = format!("tasks.{}", reg.endpoint_id);
+        svc.broker()
+            .publish(&queue, garbage, Some(&reg.queue_credential))
+            .unwrap();
+        let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+        spec.set_args(vec![Value::Int(21)], Value::None);
+        let id = svc.submit_task(&token, spec).unwrap();
+        assert_eq!(
+            wait_success(&svc, &token, id),
+            TaskResult::ok(Value::Int(42))
+        );
+        assert_eq!(metrics.counter("agent.tasks_unreadable").get(), 1);
+
+        agent.stop();
+        svc.shutdown();
+    }
+
+    /// No wake-up is lost: each of 2 000 lone tasks, submitted to an idle
+    /// agent after a seeded gap of 0–200 µs, is taken as soon as it is
+    /// published. A driver that missed a wake-up would take it at its next
+    /// beat, 5 s on.
+    #[test]
+    fn lone_tasks_to_an_idle_agent_never_wait_for_a_beat() {
+        const TASKS: usize = 2_000;
+        let svc = WebService::with_defaults(SystemClock::shared());
+        let (_, token) = svc.auth().login("user@site.org").unwrap();
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f(x):\n    return x\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let config =
+            EndpointConfig::from_yaml("engine:\n  type: ThreadEngine\n  workers: 1\n").unwrap();
+        let agent = EndpointAgent::start(
+            &svc,
+            reg.endpoint_id,
+            &reg.queue_credential,
+            &config,
+            AgentEnv::local(SystemClock::shared()),
+        )
+        .unwrap();
+        let stream = svc.open_result_stream(&token).unwrap();
+        let mut rng = gcx_core::retry::DetRng::new(45);
+        let mut took = Vec::with_capacity(TASKS);
+        for i in 0..TASKS as i64 {
+            std::thread::sleep(Duration::from_micros(rng.next_u64() % 201));
+            let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+            spec.set_args(vec![Value::Int(i)], Value::None);
+            let from = std::time::Instant::now();
+            let id = svc.submit_task(&token, spec).unwrap();
+            let delivery = stream
+                .consumer
+                .next(Duration::from_secs(1))
+                .unwrap()
+                .unwrap_or_else(|| panic!("task {i} waited a second: a lost wake-up"));
+            took.push(from.elapsed());
+            let (landed, result, _) = TaskResult::from_envelope(&delivery.message.body).unwrap();
+            assert_eq!((landed, result), (id, TaskResult::ok(Value::Int(i))));
+            stream.consumer.ack(delivery.tag).unwrap();
+        }
+        took.sort_unstable();
+        let median = took[TASKS / 2];
+        assert!(median < Duration::from_millis(1), "median {median:?}");
+        drop(stream);
         agent.stop();
         svc.shutdown();
     }
@@ -872,7 +988,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        // Give the puller a moment to accept some tasks, then stop: every
+        // Give the driver a moment to accept some tasks, then stop: every
         // task the agent accepted must still produce its result; the rest
         // stay buffered on the queue for the next agent — none stranded.
         std::thread::sleep(Duration::from_millis(30));

@@ -1,13 +1,16 @@
-//! The engine abstraction: how an endpoint agent executes tasks on
-//! provisioned resources.
+//! What an engine is given and what it reports: the tasks it runs, the
+//! events it emits, its status, and where those events go.
 
 use std::sync::Arc;
 
+use crossbeam_channel::Sender;
 use gcx_core::error::GcxResult;
 use gcx_core::function::FunctionRecord;
 use gcx_core::ids::TaskId;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_core::value::Value;
+
+use crate::agent::AgentLink;
 
 /// Which engine implementation is running. The kind names the scheduling
 /// policy, labels metrics (`htex.*` / `mpi.*` / `thread.*`), and appears in
@@ -110,15 +113,22 @@ pub struct EngineStatus {
     pub redispatches_total: u64,
 }
 
-/// An execution engine. Submission is non-blocking; completion and state
-/// changes arrive on the event channel supplied at construction.
-pub trait Engine: Send {
-    /// Queue a task for execution.
-    fn submit(&self, task: ExecutableTask) -> GcxResult<()>;
+/// Where an engine's driver sends what happens to its tasks and, for an
+/// endpoint agent, where it takes them from. A `Sender<EngineEvent>`
+/// converts into one: the events go down that channel, and tasks come in
+/// through [`Engine::submit`](crate::Engine::submit).
+pub struct EngineIo(pub(crate) Io);
 
-    /// Current load.
-    fn status(&self) -> EngineStatus;
+pub(crate) enum Io {
+    /// Events go down a channel; tasks come in through `Engine::submit`.
+    Channel(Sender<EngineEvent>),
+    /// An agent's session: the driver takes the endpoint's tasks from its
+    /// queue and settles every event with the service itself.
+    Agent(AgentLink),
+}
 
-    /// Stop accepting work, release resources, join internal threads.
-    fn shutdown(&mut self);
+impl From<Sender<EngineEvent>> for EngineIo {
+    fn from(events: Sender<EngineEvent>) -> Self {
+        Self(Io::Channel(events))
+    }
 }

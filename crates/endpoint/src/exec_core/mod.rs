@@ -16,9 +16,15 @@
 //!   return code 124 (§III-B.3 — the command ran and was killed, which is
 //!   a *result*); every other loss requeues within the retry budget and
 //!   then fails as a typed retryable error;
-//! - event emission (all [`EngineEvent`] sends route through one helper,
-//!   so shutdown-disconnect tolerance is uniform), redispatch trace legs,
-//!   and drain/shutdown ordering.
+//! - admission (the expiry stamp, the `queued` count and
+//!   `WaitingForNodes`, once per task, whether it was submitted or pulled);
+//! - event emission (every [`EngineEvent`] goes through one helper: down a
+//!   channel, or for an endpoint agent straight to the service), redispatch
+//!   trace legs, and drain/shutdown ordering;
+//! - for an endpoint agent, the agent's whole control loop: the driver
+//!   takes what is ready on the endpoint's task queue, beats the heartbeat,
+//!   publishes each result and acks its delivery, and on a stop drains what
+//!   it holds. An agent is this one thread plus its workers.
 //!
 //! What an engine *defines* is only its `SchedPolicy`: how capacity maps
 //! to launches. `SlotPool` (htex) round-robins tasks into per-manager
@@ -34,7 +40,7 @@ pub use block_table::{BlockEvent, BlockShape, BlockTable};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use gcx_core::clock::SharedClock;
@@ -43,8 +49,9 @@ use gcx_core::function::FunctionBody;
 use gcx_core::metrics::{Counter, MetricsRegistry};
 use gcx_core::shellres::ShellResult;
 use gcx_core::task::{TaskResult, TaskState};
+use gcx_mq::Cancel;
 
-use crate::engine::{EngineEvent, EngineKind, EngineStatus, ExecutableTask};
+use crate::engine::{EngineEvent, EngineIo, EngineKind, EngineStatus, ExecutableTask, Io};
 use crate::provider::{BlockEndReason, BlockHandle};
 use crate::worker::WorkerContext;
 
@@ -55,7 +62,7 @@ pub(crate) struct CoreTask {
     pub(crate) task: ExecutableTask,
     /// How many times it has been requeued after a resource loss.
     pub(crate) retries: u8,
-    /// Absolute expiry on the engine's clock, stamped at submit from the
+    /// Absolute expiry on the engine's clock, stamped at admission from the
     /// spec's relative `deadline_ms`. A task past this instant is killed
     /// wherever it sits (backlog or in flight) and resolves with a typed
     /// deadline error.
@@ -66,7 +73,7 @@ pub(crate) struct CoreTask {
 /// handle; `Finished` comes from whatever thread ran the launch.
 pub(crate) enum CoreMsg {
     /// A newly submitted task.
-    Submit(Box<CoreTask>),
+    Submit(Box<ExecutableTask>),
     /// A launch completed (or failed retryably, e.g. a worker panic).
     Finished {
         /// The launch this outcome belongs to. If the id is no longer in
@@ -76,8 +83,9 @@ pub(crate) enum CoreMsg {
         /// What happened.
         outcome: LaunchOutcome,
     },
-    /// Carries nothing: [`CoreEngine::shutdown`] sends it so a driver
-    /// blocked with no timeout sees the shutdown flag now.
+    /// Carries nothing: [`Engine::shutdown`] sends it so a driver blocked
+    /// with no timeout sees the shutdown flag now, and an agent's task
+    /// queue sends it so the driver pulls.
     Wake,
 }
 
@@ -166,10 +174,6 @@ pub(crate) trait SchedPolicy: Send + 'static {
     fn shutdown(&mut self);
 }
 
-/// Submit-time validation hook run on the caller's thread (the MPI engine
-/// rejects malformed `resource_specification`s synchronously).
-pub(crate) type Validator = Arc<dyn Fn(&ExecutableTask) -> GcxResult<()> + Send + Sync>;
-
 /// Engine-wide construction parameters.
 pub(crate) struct CoreConfig {
     /// Which engine this core drives (labels, metric prefixes).
@@ -178,7 +182,7 @@ pub(crate) struct CoreConfig {
     pub max_retries: u8,
     /// Name for the core's driver thread.
     pub(crate) thread_name: &'static str,
-    /// The engine's clock: stamps task expiry at submit and drives the
+    /// The engine's clock: stamps task expiry at admission and drives the
     /// deadline sweep.
     pub(crate) clock: SharedClock,
 }
@@ -214,18 +218,27 @@ impl CoreCounters {
     }
 }
 
-/// The non-generic engine handle: submit/status/shutdown over a running
-/// [`ExecCore`] driver thread. The public engines wrap this.
-pub(crate) struct CoreEngine {
+/// How long a stopped agent's driver goes on running what it holds,
+/// publishing each result, before it leaves its loop anyway.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// An execution engine: the handle of one running `ExecCore` driver
+/// thread under an engine's scheduling policy. `GlobusComputeEngine`,
+/// `GlobusMPIEngine` and `ThreadEngine` are its constructors
+/// ([`Engine::globus_compute`], [`Engine::globus_mpi`], [`Engine::thread`]);
+/// what happens to each task goes where the [`EngineIo`] given to the
+/// constructor says.
+pub struct Engine {
     kind: EngineKind,
     tx: Sender<CoreMsg>,
     shared: Arc<CoreShared>,
     driver: Option<std::thread::JoinHandle<()>>,
-    validate: Option<Validator>,
-    clock: SharedClock,
+    /// An agent's task consumer. Cancelling it is how the driver is told to
+    /// stop: it stops pulling and drains what it holds.
+    tasks: Option<Cancel>,
 }
 
-impl CoreEngine {
+impl Engine {
     /// Spawn the driver thread for `policy` and return the handle.
     ///
     /// `channel` is the core's message channel; the policy keeps the
@@ -236,21 +249,18 @@ impl CoreEngine {
         policy: P,
         table: Option<BlockTable>,
         metrics: MetricsRegistry,
-        events: Sender<EngineEvent>,
+        io: EngineIo,
         channel: (Sender<CoreMsg>, Receiver<CoreMsg>),
-        validate: Option<Validator>,
     ) -> Self {
         let (tx, rx) = channel;
         let shared = Arc::new(CoreShared::default());
-        let core = ExecCore::new(
-            &cfg,
-            policy,
-            table,
-            metrics,
-            events,
-            Arc::clone(&shared),
-            rx,
-        );
+        // An agent's driver is woken by its task queue as well as by its
+        // channel.
+        let tasks = match &io.0 {
+            Io::Agent(link) => Some(link.wake_through(tx.clone())),
+            Io::Channel(_) => None,
+        };
+        let core = ExecCore::new(&cfg, policy, table, metrics, io.0, Arc::clone(&shared), rx);
         let driver = std::thread::Builder::new()
             .name(cfg.thread_name.into())
             .spawn(move || core.run())
@@ -260,38 +270,22 @@ impl CoreEngine {
             tx,
             shared,
             driver: Some(driver),
-            validate,
-            clock: cfg.clock,
+            tasks,
         }
     }
 
-    /// Queue a task (non-blocking). Runs the validator, if any, on the
-    /// caller's thread so malformed tasks are rejected synchronously.
-    pub(crate) fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
+    /// Queue a task (non-blocking); the driver admits it.
+    pub fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(GcxError::ShuttingDown);
         }
-        if let Some(validate) = &self.validate {
-            validate(&task)?;
-        }
-        // Deadlines are relative on the wire (clock-skew safe); pin the
-        // absolute expiry to this engine's clock on arrival.
-        let expires_at_ms = task
-            .spec
-            .deadline_ms
-            .map(|d| self.clock.now_ms().saturating_add(d));
-        self.shared.queued.fetch_add(1, Ordering::SeqCst);
         self.tx
-            .send(CoreMsg::Submit(Box::new(CoreTask {
-                task,
-                retries: 0,
-                expires_at_ms,
-            })))
+            .send(CoreMsg::Submit(Box::new(task)))
             .map_err(|_| GcxError::ShuttingDown)
     }
 
     /// Point-in-time load, including the lifetime parity counters.
-    pub(crate) fn status(&self) -> EngineStatus {
+    pub fn status(&self) -> EngineStatus {
         EngineStatus {
             kind: self.kind,
             queued: self.shared.queued.load(Ordering::SeqCst),
@@ -303,17 +297,27 @@ impl CoreEngine {
         }
     }
 
-    /// Stop the driver (policy workers are joined, blocks cancelled).
-    pub(crate) fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.tx.send(CoreMsg::Wake);
+    /// Stop the driver and join it; its policy's workers are joined and
+    /// its blocks released. An agent's driver stops pulling and first runs
+    /// what it holds, for at most ten seconds, publishing each result (what
+    /// it had not finished by then goes back to the queue). Any other
+    /// driver stops at once, and a launch in flight loses its result, as an
+    /// agent killed mid-task would.
+    pub fn shutdown(&mut self) {
+        match &self.tasks {
+            Some(tasks) => tasks.cancel(),
+            None => {
+                self.shared.shutdown.store(true, Ordering::SeqCst);
+                let _ = self.tx.send(CoreMsg::Wake);
+            }
+        }
         if let Some(h) = self.driver.take() {
             let _ = h.join();
         }
     }
 }
 
-impl Drop for CoreEngine {
+impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -343,7 +347,11 @@ struct ExecCore<P: SchedPolicy> {
     table: Option<BlockTable>,
     metrics: MetricsRegistry,
     counters: CoreCounters,
-    events: Sender<EngineEvent>,
+    /// Where events go, and for an agent where tasks come from.
+    io: Io,
+    /// Set once an agent's pulling has stopped: the driver leaves its loop
+    /// when it holds nothing more, or at this instant.
+    drain_by: Option<Instant>,
     shared: Arc<CoreShared>,
     rx: Receiver<CoreMsg>,
     backlog: VecDeque<CoreTask>,
@@ -366,7 +374,7 @@ impl<P: SchedPolicy> ExecCore<P> {
         policy: P,
         table: Option<BlockTable>,
         metrics: MetricsRegistry,
-        events: Sender<EngineEvent>,
+        io: Io,
         shared: Arc<CoreShared>,
         rx: Receiver<CoreMsg>,
     ) -> Self {
@@ -377,7 +385,8 @@ impl<P: SchedPolicy> ExecCore<P> {
             table,
             counters: CoreCounters::new(&metrics, cfg.kind),
             metrics,
-            events,
+            io,
+            drain_by: None,
             shared,
             rx,
             backlog: VecDeque::new(),
@@ -403,6 +412,7 @@ impl<P: SchedPolicy> ExecCore<P> {
                 self.on_msg(msg);
             }
 
+            progressed |= self.pull();
             progressed |= self.kill_expired();
             progressed |= self.poll_blocks();
 
@@ -416,6 +426,9 @@ impl<P: SchedPolicy> ExecCore<P> {
 
             progressed |= self.dispatch();
             self.publish_gauges();
+            if self.drained() {
+                break;
+            }
 
             if !progressed {
                 // Nothing to do until a message arrives: block on the
@@ -453,8 +466,9 @@ impl<P: SchedPolicy> ExecCore<P> {
 
     /// How long a pass that found nothing to do may block on the channel:
     /// the time to the driver's nearest due duty, `None` when it has none
-    /// (no block to poll, no deadline to enforce, no scale-out to retry) and
-    /// only a message can give it work.
+    /// (no block to poll, no deadline to enforce, no scale-out to retry, no
+    /// agent to beat for or drain) and only a message can give it work. An
+    /// agent's task queue wakes it with a message too.
     fn idle_wait(&self) -> Option<Duration> {
         if self.clock.is_virtual() {
             return Some(HOUSEKEEPING_INTERVAL);
@@ -472,28 +486,87 @@ impl<P: SchedPolicy> ExecCore<P> {
             let now = self.clock.now_ms();
             Duration::from_millis(self.next_deadline_sweep_ms.saturating_sub(now).max(1))
         });
-        [block_poll, sweep].into_iter().flatten().min()
+        let agent = match (&self.io, self.drain_by) {
+            (_, Some(by)) => Some(by.saturating_duration_since(Instant::now())),
+            (Io::Agent(link), None) => Some(link.beat_due_in()),
+            (Io::Channel(_), None) => None,
+        };
+        [block_poll, sweep, agent].into_iter().flatten().min()
     }
 
     fn on_msg(&mut self, msg: CoreMsg) {
         match msg {
-            CoreMsg::Submit(task) => {
-                self.emit(EngineEvent::State(
-                    task.task.spec.task_id,
-                    TaskState::WaitingForNodes,
-                ));
-                self.deadlines_present |= task.expires_at_ms.is_some();
-                self.backlog.push_back(*task);
-            }
+            CoreMsg::Submit(task) => self.admit(*task),
             CoreMsg::Finished { launch_id, outcome } => self.finish(launch_id, outcome),
             CoreMsg::Wake => {}
         }
     }
 
-    /// The one place every engine event goes through: tolerates a
-    /// disconnected receiver during shutdown.
+    /// An agent's take, once a pass: beat if a beat is due, then take what
+    /// is ready on the endpoint's task queue, a bounded number, and admit
+    /// it. A pass that took anything counts as progress, so the next one
+    /// takes again before the driver parks. A cancelled consumer ends the
+    /// pulling for good: the driver drains.
+    fn pull(&mut self) -> bool {
+        let Io::Agent(link) = &mut self.io else {
+            return false;
+        };
+        if self.drain_by.is_some() {
+            return false;
+        }
+        let mut pulled = Vec::new();
+        let progressed = match link.pull(&mut pulled) {
+            Ok(taken) => taken > 0,
+            Err(_) => {
+                self.drain_by = Instant::now().checked_add(DRAIN_TIMEOUT);
+                true
+            }
+        };
+        for task in pulled {
+            self.admit(task);
+        }
+        progressed
+    }
+
+    /// Whether a stopped agent's driver is done: it holds nothing more, or
+    /// its drain deadline has passed.
+    fn drained(&self) -> bool {
+        self.drain_by.is_some_and(|by| {
+            (self.backlog.is_empty() && self.in_flight.is_empty()) || Instant::now() >= by
+        })
+    }
+
+    /// The one admission of a task, submitted or pulled. Deadlines are
+    /// relative on the wire (clock-skew safe); the absolute expiry is
+    /// pinned to this engine's clock here.
+    fn admit(&mut self, task: ExecutableTask) {
+        let expires_at_ms = task
+            .spec
+            .deadline_ms
+            .map(|d| self.clock.now_ms().saturating_add(d));
+        self.deadlines_present |= expires_at_ms.is_some();
+        self.shared.queued.fetch_add(1, Ordering::SeqCst);
+        self.emit(EngineEvent::State(
+            task.spec.task_id,
+            TaskState::WaitingForNodes,
+        ));
+        self.backlog.push_back(CoreTask {
+            task,
+            retries: 0,
+            expires_at_ms,
+        });
+    }
+
+    /// The one place every engine event goes through: down the channel
+    /// (tolerating a receiver gone during shutdown), or for an agent to
+    /// the service.
     fn emit(&self, event: EngineEvent) {
-        let _ = self.events.send(event);
+        match &self.io {
+            Io::Channel(events) => {
+                let _ = events.send(event);
+            }
+            Io::Agent(link) => link.deliver(event),
+        }
     }
 
     fn publish_gauges(&self) {
@@ -945,7 +1018,7 @@ mod tests {
                 CountPasses(Arc::clone(&passes)),
                 None,
                 MetricsRegistry::new(),
-                events,
+                Io::Channel(events),
                 Arc::clone(&shared),
                 rx,
             );
@@ -1020,26 +1093,23 @@ mod tests {
             LaunchAll,
             None,
             metrics.clone(),
-            events,
+            Io::Channel(events),
             Arc::new(CoreShared::default()),
             rx,
         );
-        let task = |tag, expires_at_ms| {
+        // Admitted at 0 ms, so a deadline of `d` expires at `d`.
+        let task = |tag, deadline_ms| {
             let mut spec = TaskSpec::new(FunctionId::random(), EndpointId::random());
-            spec.deadline_ms = Some(1);
-            CoreTask {
-                task: ExecutableTask {
-                    spec,
-                    function: FunctionRecord {
-                        id: FunctionId::random(),
-                        owner: IdentityId::random(),
-                        body: FunctionBody::pyfn("def f():\n    return 1\n"),
-                        registered_at: 0,
-                    },
-                    tag,
+            spec.deadline_ms = Some(deadline_ms);
+            ExecutableTask {
+                spec,
+                function: FunctionRecord {
+                    id: FunctionId::random(),
+                    owner: IdentityId::random(),
+                    body: FunctionBody::pyfn("def f():\n    return 1\n"),
+                    registered_at: 0,
                 },
-                retries: 0,
-                expires_at_ms: Some(expires_at_ms),
+                tag,
             }
         };
         core.on_msg(CoreMsg::Submit(Box::new(task(0, 1))));

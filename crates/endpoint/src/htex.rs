@@ -25,21 +25,18 @@ use std::sync::Arc;
 
 use crossbeam_channel::{bounded, unbounded, Sender, TrySendError};
 use gcx_core::clock::SharedClock;
-use gcx_core::error::GcxResult;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_shell::Vfs;
 
-use crate::engine::{
-    Engine, EngineEvent, EngineKind, EngineStatus, ExecutableTask, ValueTransform,
-};
+use crate::engine::{EngineIo, EngineKind, ValueTransform};
 use crate::exec_core::{
-    run_worker, Assignment, BlockShape, BlockTable, CoreConfig, CoreEngine, CoreMsg, CoreTask,
+    run_worker, Assignment, BlockShape, BlockTable, CoreConfig, CoreMsg, CoreTask, Engine,
     LaunchDecision, SchedPolicy, WorkerMsg,
 };
 use crate::provider::{BlockHandle, BlockSupervisor, Provider};
 use crate::worker::WorkerContext;
 
-/// Configuration for [`GlobusComputeEngine`].
+/// Configuration for [`Engine::globus_compute`].
 #[derive(Debug, Clone)]
 pub struct HtexConfig {
     /// Nodes per provisioned block.
@@ -68,23 +65,17 @@ impl Default for HtexConfig {
     }
 }
 
-/// The pilot-job engine: the shared core under a `SlotPool` policy.
-pub struct GlobusComputeEngine {
-    core: CoreEngine,
-}
-
-impl GlobusComputeEngine {
-    /// Start the engine: interchange thread plus provider-driven scaling.
-    ///
-    /// `events` receives [`EngineEvent`]s; the caller (the endpoint agent)
-    /// publishes results and acks deliveries.
-    pub fn start(
+impl Engine {
+    /// `GlobusComputeEngine`, the pilot-job engine: the shared core under a
+    /// `SlotPool` policy, its driver the interchange, scaling out through
+    /// `provider`.
+    pub fn globus_compute(
         cfg: HtexConfig,
         provider: Arc<dyn Provider>,
         vfs: Vfs,
         clock: SharedClock,
         metrics: MetricsRegistry,
-        events: Sender<EngineEvent>,
+        io: impl Into<EngineIo>,
         transform: Option<ValueTransform>,
     ) -> Self {
         let supervisor =
@@ -109,35 +100,19 @@ impl GlobusComputeEngine {
             zombies: Vec::new(),
             rr_cursor: 0,
         };
-        let core = CoreEngine::start(
+        Engine::start(
             CoreConfig {
                 kind: EngineKind::Htex,
                 max_retries: cfg.max_retries,
                 thread_name: "gcx-interchange",
-                clock: clock.clone(),
+                clock,
             },
             policy,
             Some(table),
             metrics,
-            events,
+            io.into(),
             channel,
-            None,
-        );
-        Self { core }
-    }
-}
-
-impl Engine for GlobusComputeEngine {
-    fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
-        self.core.submit(task)
-    }
-
-    fn status(&self) -> EngineStatus {
-        self.core.status()
-    }
-
-    fn shutdown(&mut self) {
-        self.core.shutdown();
+        )
     }
 }
 
@@ -307,10 +282,11 @@ impl SchedPolicy for SlotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineEvent, ExecutableTask};
     use crate::provider::{BlockEndReason, BlockState, LocalProvider};
     use crossbeam_channel::Receiver;
     use gcx_core::clock::SystemClock;
-    use gcx_core::error::GcxError;
+    use gcx_core::error::{GcxError, GcxResult};
     use gcx_core::function::{FunctionBody, FunctionRecord};
     use gcx_core::ids::{EndpointId, FunctionId, IdentityId};
     use gcx_core::task::{TaskResult, TaskSpec, TaskState};
@@ -332,9 +308,9 @@ mod tests {
         }
     }
 
-    fn engine(cfg: HtexConfig) -> (GlobusComputeEngine, Receiver<EngineEvent>) {
+    fn engine(cfg: HtexConfig) -> (Engine, Receiver<EngineEvent>) {
         let (tx, rx) = unbounded();
-        let e = GlobusComputeEngine::start(
+        let e = Engine::globus_compute(
             cfg,
             Arc::new(LocalProvider::new("host")),
             Vfs::new(),
@@ -437,7 +413,7 @@ mod tests {
     fn scales_out_only_up_to_max_blocks() {
         let metrics = MetricsRegistry::new();
         let (tx, rx) = unbounded();
-        let mut e = GlobusComputeEngine::start(
+        let mut e = Engine::globus_compute(
             HtexConfig {
                 nodes_per_block: 1,
                 max_blocks: 3,
@@ -468,7 +444,7 @@ mod tests {
     fn multiplexing_counts_connections_per_manager_not_worker() {
         let metrics = MetricsRegistry::new();
         let (tx, rx) = unbounded();
-        let mut e = GlobusComputeEngine::start(
+        let mut e = Engine::globus_compute(
             HtexConfig {
                 nodes_per_block: 2,
                 max_blocks: 1,
@@ -534,7 +510,7 @@ mod tests {
         }
 
         let (tx, rx) = unbounded();
-        let mut e = GlobusComputeEngine::start(
+        let mut e = Engine::globus_compute(
             HtexConfig {
                 max_retries: 1,
                 ..Default::default()
@@ -577,7 +553,7 @@ mod tests {
         });
         let metrics = MetricsRegistry::new();
         let (tx, rx) = unbounded();
-        let mut e = GlobusComputeEngine::start(
+        let mut e = Engine::globus_compute(
             HtexConfig {
                 max_retries: 1,
                 ..Default::default()

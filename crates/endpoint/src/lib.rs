@@ -10,21 +10,25 @@
 //!   simulator, standing in for SlurmProvider/PBSProvider);
 //! - [`worker`] — task execution: mini-Python functions, `ShellFunction`s
 //!   (with sandboxing and walltime), stream capture;
-//! - `engine` — the engine abstraction and events;
+//! - `engine` — what an engine runs and reports: tasks, events, status,
+//!   and [`EngineIo`], where its events go;
 //! - [`exec_core`] — the shared execution core: the block-lifecycle state
 //!   machine ([`exec_core::BlockTable`]) and the generic dispatch loop every
-//!   engine runs on; engines define only a scheduling policy;
-//! - [`htex`] — `GlobusComputeEngine`, the pilot-job model wrapping Parsl's
-//!   HighThroughputExecutor: an *interchange* dispatching to per-node
-//!   *managers*, each multiplexing a set of *workers*;
-//! - [`mpi_engine`] — `GlobusMPIEngine` (§III-C.1): dynamic partitioning of
-//!   a batch block so multiple MPI applications run concurrently inside one
-//!   job, with `$PARSL_MPI_PREFIX` resolution;
-//! - [`thread_engine`] — `ThreadEngine`: in-process worker threads for
-//!   low-latency single-node endpoints (the funcX non-batch deployment
-//!   mode), no provider involved;
-//! - [`agent`] — the agent loop connecting an engine to the web service:
-//!   pull tasks, execute, return results/exceptions.
+//!   engine runs on, behind the one [`Engine`] type; engines define only a
+//!   scheduling policy and a constructor;
+//! - [`htex`] — `GlobusComputeEngine` ([`Engine::globus_compute`]), the
+//!   pilot-job model wrapping Parsl's HighThroughputExecutor: an
+//!   *interchange* dispatching to per-node *managers*, each multiplexing a
+//!   set of *workers*;
+//! - [`mpi_engine`] — `GlobusMPIEngine` ([`Engine::globus_mpi`], §III-C.1):
+//!   dynamic partitioning of a batch block so multiple MPI applications run
+//!   concurrently inside one job, with `$PARSL_MPI_PREFIX` resolution;
+//! - [`thread_engine`] — `ThreadEngine` ([`Engine::thread`]): in-process
+//!   worker threads for low-latency single-node endpoints (the funcX
+//!   non-batch deployment mode), no provider involved;
+//! - [`agent`] — the agent: one control thread, the engine's driver, which
+//!   pulls tasks from the web service, runs them and returns
+//!   results/exceptions, plus the engine's workers.
 
 pub mod agent;
 pub(crate) mod config;
@@ -38,7 +42,5 @@ pub mod worker;
 
 pub use agent::{AgentEnv, EndpointAgent};
 pub use config::EndpointConfig;
-pub use engine::{Engine, EngineEvent, EngineKind, EngineStatus, ExecutableTask};
-pub use htex::GlobusComputeEngine;
-pub use mpi_engine::GlobusMpiEngine;
-pub use thread_engine::ThreadEngine;
+pub use engine::{EngineEvent, EngineIo, EngineKind, EngineStatus, ExecutableTask};
+pub use exec_core::Engine;

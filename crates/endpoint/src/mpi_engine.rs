@@ -28,7 +28,6 @@ use std::sync::Arc;
 
 use crossbeam_channel::{unbounded, Sender};
 use gcx_core::clock::SharedClock;
-use gcx_core::error::GcxResult;
 use gcx_core::function::FunctionBody;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_core::respec::NormalizedSpec;
@@ -37,17 +36,15 @@ use gcx_core::task::TaskResult;
 use gcx_shell::mpi::{LauncherKind, MpiLaunchPlan, MpiLauncher};
 use gcx_shell::{format_command, ShellExecutor, Vfs};
 
-use crate::engine::{
-    Engine, EngineEvent, EngineKind, EngineStatus, ExecutableTask, ValueTransform,
-};
+use crate::engine::{EngineIo, EngineKind, ExecutableTask, ValueTransform};
 use crate::exec_core::{
-    Assignment, BlockShape, BlockTable, CoreConfig, CoreEngine, CoreMsg, CoreTask, LaunchDecision,
+    Assignment, BlockShape, BlockTable, CoreConfig, CoreMsg, CoreTask, Engine, LaunchDecision,
     LaunchOutcome, SchedPolicy,
 };
 use crate::provider::{BlockHandle, BlockSupervisor, Provider};
 use crate::worker::WorkerContext;
 
-/// Configuration for [`GlobusMpiEngine`].
+/// Configuration for [`Engine::globus_mpi`].
 #[derive(Debug, Clone)]
 pub struct MpiEngineConfig {
     /// Nodes in the shared batch block (Listing 5's `nodes_per_block`).
@@ -68,21 +65,17 @@ impl Default for MpiEngineConfig {
     }
 }
 
-/// The MPI engine: the shared core under a `NodePartitioner` policy.
-pub struct GlobusMpiEngine {
-    core: CoreEngine,
-}
-
-impl GlobusMpiEngine {
-    /// Start the engine over a provider (which will be asked for one block
-    /// of `nodes_per_block` nodes, re-acquired if it dies).
-    pub fn start(
+impl Engine {
+    /// `GlobusMPIEngine`: the shared core under a `NodePartitioner` policy,
+    /// over a provider that is asked for one block of `nodes_per_block`
+    /// nodes, re-acquired if it dies.
+    pub fn globus_mpi(
         cfg: MpiEngineConfig,
         provider: Arc<dyn Provider>,
         vfs: Vfs,
         clock: SharedClock,
         metrics: MetricsRegistry,
-        events: Sender<EngineEvent>,
+        io: impl Into<EngineIo>,
         transform: Option<ValueTransform>,
     ) -> Self {
         let supervisor =
@@ -107,39 +100,19 @@ impl GlobusMpiEngine {
             free: Vec::new(),
             members: 0,
         };
-        let core = CoreEngine::start(
+        Engine::start(
             CoreConfig {
                 kind: EngineKind::Mpi,
                 max_retries: cfg.max_retries,
                 thread_name: "gcx-mpi-scheduler",
-                clock: clock.clone(),
+                clock,
             },
             policy,
             Some(table),
             metrics,
-            events,
+            io.into(),
             channel,
-            // Malformed resource_specifications are rejected synchronously
-            // on the submitter's thread.
-            Some(Arc::new(|t: &ExecutableTask| {
-                t.spec.resource_spec.normalize().map(|_| ())
-            })),
-        );
-        Self { core }
-    }
-}
-
-impl Engine for GlobusMpiEngine {
-    fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
-        self.core.submit(task)
-    }
-
-    fn status(&self) -> EngineStatus {
-        self.core.status()
-    }
-
-    fn shutdown(&mut self) {
-        self.core.shutdown();
+        )
     }
 }
 
@@ -190,7 +163,7 @@ impl SchedPolicy for NodePartitioner {
     fn try_launch(&mut self, launch_id: u64, task: &CoreTask) -> LaunchDecision {
         let spec = match task.task.spec.resource_spec.normalize() {
             Ok(spec) => spec,
-            // Unreachable in practice: validated at submit time.
+            // The one refusal of a malformed resource_specification.
             Err(e) => return LaunchDecision::Reject(TaskResult::Err(format!("ValueError: {e}"))),
         };
         let need = spec.num_nodes as usize;
@@ -357,11 +330,11 @@ fn run_mpi_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineEvent;
     use crate::provider::{BatchProvider, LocalProvider};
     use crossbeam_channel::Receiver;
     use gcx_batch::{BatchScheduler, ClusterSpec};
     use gcx_core::clock::{SystemClock, VirtualClock};
-    use gcx_core::error::GcxError;
     use gcx_core::function::FunctionRecord;
     use gcx_core::ids::{EndpointId, FunctionId, IdentityId};
     use gcx_core::respec::ResourceSpec;
@@ -384,9 +357,9 @@ mod tests {
         }
     }
 
-    fn engine(nodes: u32) -> (GlobusMpiEngine, Receiver<EngineEvent>) {
+    fn engine(nodes: u32) -> (Engine, Receiver<EngineEvent>) {
         let (tx, rx) = unbounded();
-        let e = GlobusMpiEngine::start(
+        let e = Engine::globus_mpi(
             MpiEngineConfig {
                 nodes_per_block: nodes,
                 ..Default::default()
@@ -505,16 +478,29 @@ mod tests {
         e.shutdown();
     }
 
+    /// A resource specification that does not normalize is taken like any
+    /// task and fails in the one refusal path, with a `ValueError` result;
+    /// the engine goes on serving.
     #[test]
-    fn invalid_resource_spec_rejected_at_submit() {
-        let (mut e, _rx) = engine(2);
+    fn invalid_resource_spec_fails_with_a_value_error() {
+        let (mut e, rx) = engine(2);
         let bad = ResourceSpec {
             num_nodes: Some(2),
             ranks_per_node: Some(2),
             num_ranks: Some(5),
         };
-        let err = e.submit(mpi_task("hostname", bad, 0)).unwrap_err();
-        assert!(matches!(err, GcxError::InvalidConfig(_)));
+        e.submit(mpi_task("hostname", bad, 0)).unwrap();
+        let done = wait_results(&rx, 1);
+        assert_eq!(done[0].0, 0);
+        assert!(
+            matches!(&done[0].1, TaskResult::Err(m) if m.starts_with("ValueError: ")),
+            "{:?}",
+            done[0].1
+        );
+        e.submit(mpi_task("hostname", ResourceSpec::nodes(1), 1))
+            .unwrap();
+        let done = wait_results(&rx, 1);
+        assert_eq!(shell_result(&done[0].1).stdout.lines().count(), 1);
         e.shutdown();
     }
 
@@ -572,7 +558,7 @@ mod tests {
         let sched = BatchScheduler::new(ClusterSpec::simple(2), clock.clone());
         let provider = Arc::new(BatchProvider::slurm(sched, "cpu", "a", 1_000));
         let (tx, rx) = unbounded();
-        let mut e = GlobusMpiEngine::start(
+        let mut e = Engine::globus_mpi(
             MpiEngineConfig {
                 nodes_per_block: 2,
                 max_retries: 0,
@@ -612,7 +598,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let provider = Arc::new(BatchProvider::slurm(sched, "cpu", "a", 60_000));
         let (tx, rx) = unbounded();
-        let mut e = GlobusMpiEngine::start(
+        let mut e = Engine::globus_mpi(
             MpiEngineConfig {
                 nodes_per_block: 2,
                 max_retries: 1,

@@ -17,20 +17,17 @@ use std::sync::Arc;
 
 use crossbeam_channel::{bounded, unbounded, Sender, TrySendError};
 use gcx_core::clock::SharedClock;
-use gcx_core::error::GcxResult;
 use gcx_core::metrics::MetricsRegistry;
 use gcx_shell::Vfs;
 
-use crate::engine::{
-    Engine, EngineEvent, EngineKind, EngineStatus, ExecutableTask, ValueTransform,
-};
+use crate::engine::{EngineIo, EngineKind, ValueTransform};
 use crate::exec_core::{
-    run_worker, Assignment, CoreConfig, CoreEngine, CoreMsg, CoreTask, LaunchDecision, SchedPolicy,
+    run_worker, Assignment, CoreConfig, CoreMsg, CoreTask, Engine, LaunchDecision, SchedPolicy,
     WorkerMsg,
 };
 use crate::worker::WorkerContext;
 
-/// Configuration for [`ThreadEngine`].
+/// Configuration for [`Engine::thread`].
 #[derive(Debug, Clone)]
 pub struct ThreadEngineConfig {
     /// Worker threads (the endpoint's constant capacity).
@@ -48,20 +45,16 @@ impl Default for ThreadEngineConfig {
     }
 }
 
-/// The in-process engine: the shared core under an `InlineSlots` policy.
-pub struct ThreadEngine {
-    core: CoreEngine,
-}
-
-impl ThreadEngine {
-    /// Start `cfg.workers` local worker threads. No provider is involved:
-    /// capacity exists from the first loop iteration.
-    pub fn start(
+impl Engine {
+    /// `ThreadEngine`, the in-process engine: the shared core under an
+    /// `InlineSlots` policy over `cfg.workers` local worker threads. No
+    /// provider is involved: capacity exists from the first loop iteration.
+    pub fn thread(
         cfg: ThreadEngineConfig,
         vfs: Vfs,
         clock: SharedClock,
         metrics: MetricsRegistry,
-        events: Sender<EngineEvent>,
+        io: impl Into<EngineIo>,
         transform: Option<ValueTransform>,
     ) -> Self {
         let channel = unbounded::<CoreMsg>();
@@ -93,7 +86,7 @@ impl ThreadEngine {
             task_tx: Some(task_tx),
             handles: workers,
         };
-        let core = CoreEngine::start(
+        Engine::start(
             CoreConfig {
                 kind: EngineKind::Thread,
                 max_retries: cfg.max_retries,
@@ -103,25 +96,9 @@ impl ThreadEngine {
             policy,
             None,
             metrics,
-            events,
+            io.into(),
             channel,
-            None,
-        );
-        Self { core }
-    }
-}
-
-impl Engine for ThreadEngine {
-    fn submit(&self, task: ExecutableTask) -> GcxResult<()> {
-        self.core.submit(task)
-    }
-
-    fn status(&self) -> EngineStatus {
-        self.core.status()
-    }
-
-    fn shutdown(&mut self) {
-        self.core.shutdown();
+        )
     }
 }
 
@@ -170,6 +147,7 @@ impl SchedPolicy for InlineSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineEvent, ExecutableTask};
     use crossbeam_channel::Receiver;
     use gcx_core::clock::SystemClock;
     use gcx_core::error::GcxError;
@@ -194,9 +172,9 @@ mod tests {
         }
     }
 
-    fn engine(cfg: ThreadEngineConfig) -> (ThreadEngine, Receiver<EngineEvent>) {
+    fn engine(cfg: ThreadEngineConfig) -> (Engine, Receiver<EngineEvent>) {
         let (tx, rx) = unbounded();
-        let e = ThreadEngine::start(
+        let e = Engine::thread(
             cfg,
             Vfs::new(),
             SystemClock::shared(),
@@ -284,7 +262,7 @@ mod tests {
         });
         let metrics = MetricsRegistry::new();
         let (tx, rx) = unbounded();
-        let mut e = ThreadEngine::start(
+        let mut e = Engine::thread(
             ThreadEngineConfig {
                 workers: 1,
                 max_retries: 1,

@@ -29,9 +29,7 @@ use gcx_endpoint::provider::{
     BatchProvider, BlockEndReason, BlockHandle, BlockState, LocalProvider, Provider,
 };
 use gcx_endpoint::thread_engine::ThreadEngineConfig;
-use gcx_endpoint::{
-    Engine, EngineEvent, ExecutableTask, GlobusComputeEngine, GlobusMpiEngine, ThreadEngine,
-};
+use gcx_endpoint::{Engine, EngineEvent, ExecutableTask};
 use gcx_shell::Vfs;
 
 fn task(body: FunctionBody, spec: ResourceSpec, tag: u64) -> ExecutableTask {
@@ -68,9 +66,9 @@ fn start_engine(
     max_retries: u8,
     provider: Arc<dyn Provider>,
     events: crossbeam_channel::Sender<EngineEvent>,
-) -> Box<dyn Engine> {
+) -> Engine {
     match kind {
-        "htex" => Box::new(GlobusComputeEngine::start(
+        "htex" => Engine::globus_compute(
             HtexConfig {
                 nodes_per_block,
                 max_blocks: 1,
@@ -84,8 +82,8 @@ fn start_engine(
             MetricsRegistry::new(),
             events,
             None,
-        )),
-        "mpi" => Box::new(GlobusMpiEngine::start(
+        ),
+        "mpi" => Engine::globus_mpi(
             MpiEngineConfig {
                 nodes_per_block,
                 max_retries,
@@ -97,7 +95,7 @@ fn start_engine(
             MetricsRegistry::new(),
             events,
             None,
-        )),
+        ),
         other => panic!("unknown engine {other}"),
     }
 }
@@ -112,7 +110,7 @@ fn run_under_walltime_kill(engine_kind: &str, body: FunctionBody) -> TaskResult 
     let (tx, rx) = unbounded();
     let result = match engine_kind {
         "htex" => {
-            let mut e = GlobusComputeEngine::start(
+            let mut e = Engine::globus_compute(
                 HtexConfig {
                     nodes_per_block: 1,
                     max_blocks: 1,
@@ -135,7 +133,7 @@ fn run_under_walltime_kill(engine_kind: &str, body: FunctionBody) -> TaskResult 
             r
         }
         "mpi" => {
-            let mut e = GlobusMpiEngine::start(
+            let mut e = Engine::globus_mpi(
                 MpiEngineConfig {
                     nodes_per_block: 1,
                     max_retries: 0,
@@ -398,8 +396,8 @@ fn a_deadline_on_an_otherwise_idle_engine_is_enforced_on_time() {
     for kind in ["thread", "htex", "mpi"] {
         let (tx, rx) = unbounded();
         let provider = Arc::new(LocalProvider::new("host"));
-        let mut e: Box<dyn Engine> = match kind {
-            "thread" => Box::new(ThreadEngine::start(
+        let mut e = match kind {
+            "thread" => Engine::thread(
                 ThreadEngineConfig {
                     workers: 1,
                     max_retries: 0,
@@ -409,7 +407,7 @@ fn a_deadline_on_an_otherwise_idle_engine_is_enforced_on_time() {
                 MetricsRegistry::new(),
                 tx,
                 None,
-            )),
+            ),
             _ => start_engine(kind, 1, 0, provider, tx),
         };
         let (body, spec) = if kind == "mpi" {

@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,11 +108,6 @@ pub struct QueueStats {
     pub unacked: usize,
     /// Total messages ever published.
     pub published: u64,
-    /// Broker-clock stamp of the most recent consumer poll (`next` call),
-    /// initialized to the declare time. The cloud's liveness sweep uses
-    /// this to reap result-stream queues whose consumer vanished without
-    /// closing the stream — a queue nobody polls anymore.
-    pub last_poll_ms: u64,
 }
 
 /// Redelivery limits and capacity bounds for a queue. The default policy
@@ -234,14 +229,20 @@ enum End {
     Front,
 }
 
+/// A consumer's waker, called by every notify of its queue.
+type Waker = Box<dyn Fn() + Send + Sync>;
+
 struct Queue {
     name: String,
     credential: Option<String>,
     state: Mutex<QueueState>,
     cond: Condvar,
-    /// Broker-clock stamp of the latest `Consumer::next` on this queue
-    /// (declare time until first poll); see [`QueueStats::last_poll_ms`].
-    last_poll_ms: AtomicU64,
+    /// Consumers' wakers, keyed by their window slot. A consumer that
+    /// drops takes its waker out before its slot is free again.
+    wakers: Mutex<Vec<(usize, Waker)>>,
+    /// Whether `wakers` holds any; written under its lock. A notify on a
+    /// queue without one reads this flag and never the lock.
+    wakers_on: AtomicBool,
     /// `mq.depth.<queue>` — ready messages, kept in lockstep with `ready`.
     depth_gauge: Arc<gcx_core::metrics::Gauge>,
     /// `mq.bytes.<queue>` — ready wire bytes, kept in lockstep.
@@ -255,7 +256,19 @@ impl Queue {
             ready: st.ready.len(),
             unacked: st.unacked.len(),
             published: st.published,
-            last_poll_ms: self.last_poll_ms.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The one wake-up of a queue's waiters: every take parked on it, and
+    /// every consumer's waker. Called after the state lock is released by
+    /// each change a waiter may act on (a publish, a requeue, a dead
+    /// letter, a window an ack opened, a delete, a cancel).
+    fn notify(&self) {
+        self.cond.notify_all();
+        if self.wakers_on.load(Ordering::Acquire) {
+            for (_, wake) in self.wakers.lock().iter() {
+                wake();
+            }
         }
     }
 
@@ -377,7 +390,7 @@ impl BrokerInner {
                 q.push_ready(&mut st, End::Back, msg);
                 st.published += 1;
                 drop(st);
-                q.cond.notify_one();
+                q.notify();
                 return;
             }
         }
@@ -420,7 +433,7 @@ impl BrokerInner {
         for msg in dead {
             self.dead_letter(&q.name, &target, msg);
         }
-        q.cond.notify_all();
+        q.notify();
         requeued
     }
 }
@@ -511,7 +524,8 @@ impl Broker {
                     closed: false,
                 }),
                 cond: Condvar::new(),
-                last_poll_ms: AtomicU64::new(self.inner.clock.now_ms()),
+                wakers: Mutex::new(Vec::new()),
+                wakers_on: AtomicBool::new(false),
                 depth_gauge: self.inner.metrics.gauge(&format!("mq.depth.{name}")),
                 bytes_gauge: self.inner.metrics.gauge(&format!("mq.bytes.{name}")),
             }),
@@ -543,7 +557,7 @@ impl Broker {
             q.bytes_gauge.sub(bytes as u64);
             st.ready.clear();
         }
-        q.cond.notify_all();
+        q.notify();
         Ok(())
     }
 
@@ -696,7 +710,7 @@ impl Broker {
         inner.m.messages_published.add(accepted);
         inner.m.bytes_published.add(published_bytes as u64);
         drop(st);
-        q.cond.notify_all();
+        q.notify();
         if total_copies > accepted {
             inner.m.duplicated.add(total_copies - accepted);
         }
@@ -806,7 +820,7 @@ impl Cancel {
         self.cancelled.store(true, Ordering::SeqCst);
         // A take that missed the store holds the lock until it parks.
         drop(self.queue.state.lock());
-        self.queue.cond.notify_all();
+        self.queue.notify();
     }
 }
 
@@ -815,6 +829,19 @@ fn unknown_tag(tag: u64) -> GcxError {
 }
 
 impl Consumer {
+    /// Call `waker` on every notify of this consumer's queue, from the
+    /// notifying thread, until the consumer drops: a publish, a requeue, a
+    /// delete, a cancel. It is how a thread that does more than wait on
+    /// this queue learns that a take may now find something: it must be
+    /// quick and must not call into the broker, because it runs under the
+    /// queue's waker lock. A second call replaces the first waker.
+    pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
+        let mut wakers = self.queue.wakers.lock();
+        wakers.retain(|(slot, _)| *slot != self.slot);
+        wakers.push((self.slot, Box::new(waker)));
+        self.queue.wakers_on.store(true, Ordering::Release);
+    }
+
     /// A handle that cancels this consumer's takes from another thread.
     pub fn canceller(&self) -> Cancel {
         let (queue, cancelled) = (Arc::clone(&self.queue), Arc::clone(&self.cancelled));
@@ -863,14 +890,11 @@ impl Consumer {
         out: &mut impl FnMut(Delivery),
     ) -> GcxResult<usize> {
         let (q, broker) = (&*self.queue, &*self.broker);
-        // On a virtual clock, waiting on real time would hang forever, so we
-        // poll with yields instead of condvar timeouts in that mode.
-        let virtual_mode = broker.clock.is_virtual();
         // Read only by a take that finds nothing to hand out: one that
-        // does never looks at the time.
+        // does never looks at the time. A timeout is wall time on any
+        // clock, so a take parks on a virtual clock exactly as on the
+        // system clock.
         let mut deadline = None;
-        q.last_poll_ms
-            .store(broker.clock.now_ms(), Ordering::Relaxed);
         let mut snoozed = false;
         loop {
             let fault = broker.fault_plan();
@@ -953,14 +977,8 @@ impl Consumer {
             if deadline.is_some_and(|d| now >= d) {
                 return Ok(0);
             }
-            if virtual_mode {
-                // Bounded spin against wall time.
-                drop(st);
-                std::thread::yield_now();
-                continue;
-            }
-            // Nothing notifies when a partition window closes, so
-            // wait in short slices while one is active.
+            // Nothing notifies when a partition window closes (on either
+            // clock), so wait in short slices while one is active.
             let mut remaining = deadline.map_or(Duration::MAX, |d| d - now);
             if partitioned {
                 remaining = remaining.min(Duration::from_millis(10));
@@ -1010,7 +1028,7 @@ impl Consumer {
             }
         }
         if opened {
-            self.queue.cond.notify_all();
+            self.queue.notify();
         }
         self.broker.m.acks.add(acked);
         unknown.map_or(Ok(()), |tag| Err(unknown_tag(tag)))
@@ -1035,6 +1053,15 @@ impl Consumer {
 
 impl Drop for Consumer {
     fn drop(&mut self) {
+        // The waker goes first: no notify calls it once this lock is
+        // released, and a consumer given this slot later starts without one.
+        if self.queue.wakers_on.load(Ordering::Acquire) {
+            let mut wakers = self.queue.wakers.lock();
+            wakers.retain(|(slot, _)| *slot != self.slot);
+            self.queue
+                .wakers_on
+                .store(!wakers.is_empty(), Ordering::Release);
+        }
         // Requeue everything we held but never acked — crash semantics. The
         // slot is free for reuse once this lock is released, and by then
         // nothing in `unacked` names it.
@@ -1439,6 +1466,90 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         cancel.cancel();
         assert_eq!(h.join().unwrap(), Err(GcxError::ShuttingDown));
+    }
+
+    /// utime + stime of the calling thread where the kernel reports them,
+    /// in `USER_HZ` ticks (10 ms on Linux).
+    fn thread_cpu_ticks() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        // Fields after the parenthesised thread name; utime and stime are
+        // the 14th and 15th of the line, 12th and 13th after the name.
+        let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+        let utime: u64 = fields.next()?.parse().ok()?;
+        let stime: u64 = fields.next()?.parse().ok()?;
+        Some(utime + stime)
+    }
+
+    /// A take with no timeout on a virtual clock parks as it does on the
+    /// system clock: it burns no CPU while it waits, and a publish wakes it.
+    #[test]
+    fn a_take_on_a_virtual_clock_parks_until_a_publish() {
+        const WATCHED: Duration = Duration::from_millis(300);
+        let clock = gcx_core::clock::VirtualClock::new();
+        let b = Broker::with_profile(MetricsRegistry::new(), clock, LinkProfile::instant());
+        b.declare_queue("q", None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        let parked = std::thread::spawn(move || {
+            let before = thread_cpu_ticks();
+            let got = c.next(Duration::MAX).map(|d| d.map(|d| d.message.body));
+            (got, before.zip(thread_cpu_ticks()).map(|(a, b)| b - a))
+        });
+        std::thread::sleep(WATCHED);
+        b.publish("q", msg("wake"), None).unwrap();
+        let (got, ticks) = parked.join().unwrap();
+        assert_eq!(got.unwrap(), Some(Bytes::from("wake")));
+        // Spinning for the watched 300 ms is 30 ticks of CPU; parking is 0,
+        // or 1 when a tick happens to land on a wake-up.
+        if let Some(ticks) = ticks {
+            assert!(
+                ticks <= 2,
+                "the parked take burned {ticks} ticks in {WATCHED:?}"
+            );
+        }
+    }
+
+    /// A consumer's waker runs on every change a take may act on — a
+    /// publish, a requeue, a delete, a cancel — and never once its
+    /// consumer has dropped, not even for the requeue that drop makes.
+    #[test]
+    fn a_waker_fires_on_publish_requeue_delete_and_cancel_and_never_after_its_consumer_drops() {
+        use std::sync::atomic::AtomicU64;
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        let counted = |c: &Consumer| {
+            let fired = Arc::new(AtomicU64::new(0));
+            let count = Arc::clone(&fired);
+            c.set_waker(move || {
+                count.fetch_add(1, Ordering::SeqCst);
+            });
+            move || fired.load(Ordering::SeqCst)
+        };
+        let c = b.consume("q", None, 0).unwrap();
+        let fired = counted(&c);
+        b.publish("q", msg("a"), None).unwrap();
+        assert_eq!(fired(), 1, "a publish");
+        let d = c.next(Duration::ZERO).unwrap().unwrap();
+        assert_eq!(fired(), 1, "a take wakes nobody");
+        c.nack(d.tag).unwrap();
+        assert_eq!(fired(), 2, "a requeue");
+        c.canceller().cancel();
+        assert_eq!(fired(), 3, "a cancel");
+
+        let other = b.consume("q", None, 0).unwrap();
+        let other_fired = counted(&other);
+        let held = other.next(Duration::ZERO).unwrap().unwrap();
+        // A second waker on the queue: each notify calls both.
+        b.publish("q", msg("b"), None).unwrap();
+        assert_eq!((fired(), other_fired()), (4, 1));
+        // `other` drops holding a delivery: the requeue it makes wakes `c`,
+        // not itself, and nothing wakes it afterwards.
+        let _ = held;
+        drop(other);
+        assert_eq!((fired(), other_fired()), (5, 1));
+        b.publish("q", msg("c"), None).unwrap();
+        assert_eq!((fired(), other_fired()), (6, 1));
+        b.delete_queue("q").unwrap();
+        assert_eq!(fired(), 7, "a delete");
     }
 
     #[test]

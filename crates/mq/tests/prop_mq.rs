@@ -75,10 +75,7 @@ fn drain(
         }
     }
     drop(consumer);
-    let stats = ["q", "dead"].map(|q| QueueStats {
-        last_poll_ms: 0,
-        ..broker.queue_stats(q).unwrap()
-    });
+    let stats = ["q", "dead"].map(|q| broker.queue_stats(q).unwrap());
     let m = broker.metrics();
     (seen, stats.into(), m.counter_snapshot(), m.gauge_snapshot())
 }

@@ -1117,6 +1117,84 @@ mod tests {
     /// 1024-deep client channel used to be discarded, stranding futures.)
     /// Every result taken is confirmed, so the service then forgets every
     /// task — over an in-memory connection and over TCP alike.
+    /// A result stream that has carried nothing for several times the
+    /// service's heartbeat timeout is still open: the owner's next task
+    /// resolves through it with no reconnect, in process and over TCP. A
+    /// stream lives exactly as long as its owner's handle (in process) or
+    /// connection (over the wire); idleness never closes it.
+    #[test]
+    fn an_idle_result_stream_stays_open_on_both_links() {
+        use gcx_cloud::{CloudConfig, WireClientConfig, WireServer};
+        use gcx_config::TransportSpec;
+
+        const TIMEOUT_MS: u64 = 200;
+        for tcp in [false, true] {
+            let clock: gcx_core::clock::SharedClock = SystemClock::shared();
+            let broker = gcx_mq::Broker::with_profile(
+                gcx_core::metrics::MetricsRegistry::new(),
+                clock.clone(),
+                gcx_mq::LinkProfile::instant(),
+            );
+            let svc = WebService::new(
+                CloudConfig {
+                    heartbeat_timeout_ms: TIMEOUT_MS,
+                    ..CloudConfig::default()
+                },
+                gcx_auth::AuthService::new(clock.clone()),
+                broker,
+                clock,
+            );
+            let (_, token) = svc.auth().login("quiet@site.org").unwrap();
+            let reg = svc
+                .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+                .unwrap();
+            let mut env = AgentEnv::local(SystemClock::shared());
+            env.heartbeat_interval_ms = TIMEOUT_MS / 4;
+            let agent = EndpointAgent::start(
+                &svc,
+                reg.endpoint_id,
+                &reg.queue_credential,
+                &EndpointConfig::from_yaml("engine:\n  type: ThreadEngine\n  workers: 1\n")
+                    .unwrap(),
+                env,
+            )
+            .unwrap();
+            let server = tcp.then(|| WireServer::listen(&svc, TransportSpec::default()).unwrap());
+            let ex = match &server {
+                Some(server) => Executor::over_wire(
+                    vec![server.addr().to_string()],
+                    &token.0,
+                    reg.endpoint_id,
+                    ExecutorConfig::default(),
+                    WireClientConfig::default(),
+                )
+                .unwrap(),
+                None => Executor::new(svc.clone(), token.clone(), reg.endpoint_id).unwrap(),
+            };
+            let inc = PyFunction::new("def f(x):\n    return x + 1\n");
+            let run = |x: i64| {
+                ex.submit(&inc, vec![Value::Int(x)], Value::None)
+                    .unwrap()
+                    .result_timeout(Duration::from_secs(5))
+            };
+            assert_eq!(run(1), Ok(Value::Int(2)), "tcp={tcp}");
+            // Idle for five timeouts: several liveness sweeps go by.
+            std::thread::sleep(Duration::from_millis(5 * TIMEOUT_MS));
+            assert_eq!(run(2), Ok(Value::Int(3)), "tcp={tcp}");
+            assert_eq!(
+                ex.metrics().counter("sdk.stream_reconnects").get(),
+                0,
+                "tcp={tcp}"
+            );
+            ex.close();
+            agent.stop();
+            if let Some(server) = server {
+                server.shutdown();
+            }
+            svc.shutdown();
+        }
+    }
+
     #[test]
     fn wire_executor_resolves_4096_outstanding_futures() {
         wire_backlog_resolves_and_retires(false);

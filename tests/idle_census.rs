@@ -65,7 +65,10 @@ fn an_idle_stack_sleeps_and_still_works() {
     let (_, token) = cloud.auth().login("idle@site.org").unwrap();
 
     // Eight agents across the three engine kinds, none ever given a task.
+    // An agent is one control thread, its engine's driver, plus its
+    // workers: the first (a ThreadEngine with one worker) adds two threads.
     let mut agents = Vec::new();
+    let threads_before = census();
     for i in 0..8 {
         let reg = cloud
             .register_endpoint(&token, &format!("ep{i}"), false, AuthPolicy::open(), None)
@@ -80,6 +83,25 @@ fn an_idle_stack_sleeps_and_still_works() {
         )
         .unwrap();
         agents.push((reg.endpoint_id, agent));
+        if let (0, Some(before)) = (i, &threads_before) {
+            // A new thread carries its parent's name until it has run far
+            // enough to set its own, so count the threads, then wait for
+            // the names.
+            let total = |c: &BTreeMap<String, (usize, u64)>| c.values().map(|v| v.0).sum::<usize>();
+            let named = Instant::now() + Duration::from_secs(1);
+            loop {
+                let after = census().expect("/proc was readable a moment ago");
+                assert_eq!(total(&after), total(before) + 2, "{after:?}");
+                let added = |name: &str| {
+                    after.get(name).map_or(0, |a| a.0) > before.get(name).map_or(0, |b| b.0)
+                };
+                if added("gcx-thread-engi") && added("gcx-thread-work") {
+                    break;
+                }
+                assert!(Instant::now() < named, "{after:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
     }
     // One multi-user endpoint that reaps user endpoints idle for 100 ms.
     let (_, admin) = cloud.auth().login("root@site.org").unwrap();
@@ -119,6 +141,8 @@ fn an_idle_stack_sleeps_and_still_works() {
         let seconds = watched.elapsed().as_secs_f64();
 
         for gone in [
+            "gcx-agent-pulle",
+            "gcx-agent-pump",
             "gcx-agent-heart",
             "gcx-liveness",
             "gcx-expiry",
@@ -146,7 +170,7 @@ fn an_idle_stack_sleeps_and_still_works() {
         // The service: the cold path's 25 ms expiry due (≈ 39/s, armed
         // whether or not a sweep is needed) and nothing else; its two
         // result processors park until a result or a cancel.
-        // An agent: its puller waits for its 5 s beat. The MEP: with no
+        // An agent: its driver waits for its 5 s beat. The MEP: with no
         // user endpoint live, no reap is due. Measured 39/s, 0 and 0.
         assert!(service_rate <= 50.0, "service wakes {service_rate:.0}/s");
         assert!(agent_rate <= 5.0, "an idle agent wakes {agent_rate:.0}/s");
@@ -269,8 +293,7 @@ fn an_idle_stack_sleeps_and_still_works() {
     // ---- and it stops promptly -------------------------------------------
     // Every stop closes or cancels the input its thread waits on, so each
     // returns well inside 50 ms, the longest stop-notice slice it replaced:
-    // an agent's puller is cancelled, its engine driver woken by a message
-    // and its pump by its channel closing.
+    // an agent's task consumer is cancelled, which wakes its driver.
     let prompt = |what: &str, stop: &mut dyn FnMut()| {
         let t = Instant::now();
         stop();
