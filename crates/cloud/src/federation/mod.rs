@@ -1182,6 +1182,59 @@ mod tests {
         fed.shutdown();
     }
 
+    /// A poison task's queue dead-letters it into the shared result queue;
+    /// whichever replica's processor takes it fails it through the ring,
+    /// so it fails once, at its owner, and the retryable error reaches the
+    /// submitter's stream.
+    #[test]
+    fn a_poison_task_fails_once_at_its_owner() {
+        let fed = Federation::new(2, SystemClock::shared());
+        let r0 = fed.replica(0).unwrap();
+        let token = fed.auth().login("u@x.y").unwrap().1;
+        let fid = r0
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = r0
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let stream = r0.open_result_stream(&token).unwrap();
+        // Submitted to, and served by, the replica that does not own it.
+        let spec = spec_owned_by(&fed, 1, fid, reg.endpoint_id);
+        let id = r0.submit_task(&token, spec).unwrap();
+        let session = r0
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let t = Duration::from_secs(2);
+        for _ in 0..3 {
+            let (_, tag) = session.next_task(t).unwrap().expect("within budget");
+            session.nack_task(tag).unwrap();
+        }
+        let d = stream
+            .consumer
+            .next(t)
+            .unwrap()
+            .expect("the failure fans out to the submitter's stream");
+        let (got, streamed, _) = TaskResult::from_envelope(&d.message.body).unwrap();
+        assert_eq!(got, id);
+        assert!(streamed.is_retryable_err(), "{streamed:?}");
+        stream.consumer.ack(d.tag).unwrap();
+        let rec = fed.replica(1).unwrap().task_record(id).unwrap();
+        assert_eq!((rec.state, rec.result), (TaskState::Failed, Some(streamed)));
+        assert!(matches!(
+            r0.task_status(&token, id),
+            Err(gcx_core::GcxError::NotOwner { owner: 1 })
+        ));
+        let m = fed.metrics();
+        assert_eq!(m.counter("cloud.tasks_dead_lettered").get(), 1);
+        assert_eq!(m.counter("cloud.duplicate_results_dropped").get(), 0);
+        assert!(stream
+            .consumer
+            .next(Duration::from_millis(50))
+            .unwrap()
+            .is_none());
+        fed.shutdown();
+    }
+
     /// `cloud.tasks_resident` counts each record a replica installs, by
     /// either path (a submit at its owner, a carried-over record), when it
     /// is installed. A replica retires nothing, so the gauge never falls:

@@ -24,7 +24,7 @@ use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::health::TenantHealth;
 use gcx_core::ids::{IdentityId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
-use gcx_mq::Message;
+use gcx_mq::{Message, Nudge};
 use parking_lot::Mutex;
 
 use super::{task_queue_name, WebService};
@@ -86,6 +86,9 @@ pub(crate) struct AdmissionState {
     /// deployment that never uses TTLs (and has admission off) pays zero
     /// scan cost on the hot path.
     deadline_tasks_seen: AtomicU64,
+    /// Wakes the result processor that runs the sweeps when the first
+    /// deadline task arms its expiry sweep (`None`: nothing sweeps).
+    sweep_nudge: Option<Nudge>,
     /// Per-tenant admission ledger: `identity → (admitted, rejected)`
     /// task counts, feeding the health document's tenant table. One lock
     /// take per *batch*, so it stays off the per-task hot path.
@@ -93,13 +96,14 @@ pub(crate) struct AdmissionState {
 }
 
 impl AdmissionState {
-    pub(super) fn new(cfg: AdmissionConfig) -> Self {
+    pub(super) fn new(cfg: AdmissionConfig, sweep_nudge: Option<Nudge>) -> Self {
         Self {
             cfg,
             buckets: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             brownout: AtomicBool::new(false),
             deadline_tasks_seen: AtomicU64::new(0),
+            sweep_nudge,
             ledger: Mutex::new(HashMap::new()),
         }
     }
@@ -125,8 +129,13 @@ impl AdmissionState {
         rows
     }
 
+    /// The first one makes `sweep_needed` hold: the sweeper's take may be
+    /// parked with no expiry due, so it is nudged to arm one.
     pub(super) fn note_deadline_task(&self) {
-        self.deadline_tasks_seen.fetch_add(1, Ordering::Relaxed);
+        let first = self.deadline_tasks_seen.fetch_add(1, Ordering::Relaxed) == 0;
+        if let Some(nudge) = self.sweep_nudge.as_ref().filter(|_| first) {
+            nudge.nudge();
+        }
     }
 
     /// Whether the expiry sweep has anything to look for.
@@ -190,62 +199,53 @@ impl WebService {
                 .any(|s| s.priority < adm.cfg.brownout_min_priority)
         {
             self.inner.m.tasks_shed_brownout.add(n);
-            self.inner.m.submits_rejected_overload.inc();
-            adm.ledger_note(who, 0, n);
-            self.inner.metrics.flight().record(
-                now,
-                "cloud.admission",
-                "brownout_shed",
-                format!("tenant={who} tasks={n}"),
-            );
-            let retry_after_ms = adm
-                .cfg
-                .brownout_threshold_ms
-                .min(adm.cfg.retry_after_cap_ms)
-                .max(1);
-            return Err(GcxError::Overloaded { retry_after_ms });
+            let wait_ms = adm.cfg.brownout_threshold_ms;
+            return self.refuse(who, n, wait_ms, "brownout_shed", String::new());
         }
 
         // Rate limit (consumes tokens), then in-flight quota (commits the
         // charge). Both locks are tenant-keyed maps with O(1) work inside.
         if let Err(wait_ms) = adm.take_tokens(who, n, now) {
-            self.inner.m.submits_rejected_overload.inc();
-            adm.ledger_note(who, 0, n);
-            self.inner.metrics.flight().record(
-                now,
-                "cloud.admission",
-                "rate_reject",
-                format!("tenant={who} tasks={n} wait_ms={wait_ms}"),
-            );
-            return Err(GcxError::Overloaded {
-                retry_after_ms: wait_ms.min(adm.cfg.retry_after_cap_ms).max(1),
-            });
+            let more = format!(" wait_ms={wait_ms}");
+            return self.refuse(who, n, wait_ms, "rate_reject", more);
         }
         if adm.cfg.max_inflight > 0 {
             let mut inflight = adm.inflight.lock();
             let cur = inflight.entry(who).or_insert(0);
             if *cur + n > adm.cfg.max_inflight {
-                let held = *cur;
+                let more = format!(" inflight={cur}");
                 drop(inflight);
-                self.inner.m.submits_rejected_overload.inc();
-                adm.ledger_note(who, 0, n);
-                self.inner.metrics.flight().record(
-                    now,
-                    "cloud.admission",
-                    "quota_reject",
-                    format!("tenant={who} tasks={n} inflight={held}"),
-                );
                 // No time-based estimate exists for quota pressure; suggest
                 // a fraction of the cap so clients spread their retries.
-                return Err(GcxError::Overloaded {
-                    retry_after_ms: (adm.cfg.retry_after_cap_ms / 4).max(1),
-                });
+                let wait_ms = adm.cfg.retry_after_cap_ms / 4;
+                return self.refuse(who, n, wait_ms, "quota_reject", more);
             }
             *cur += n;
         }
         adm.ledger_note(who, n, 0);
         self.inner.m.admission_inflight.add(n);
         Ok(())
+    }
+
+    /// Refuse `who`'s batch of `n` as `Overloaded`, to retry after
+    /// `wait_ms` (capped): counted, noted in the ledger, and recorded in
+    /// the flight ring as `event`, with `more` after the tenant and count.
+    fn refuse(
+        &self,
+        who: IdentityId,
+        n: u64,
+        wait_ms: u64,
+        event: &'static str,
+        more: String,
+    ) -> GcxResult<()> {
+        let adm = &self.inner.admission;
+        self.inner.m.submits_rejected_overload.inc();
+        adm.ledger_note(who, 0, n);
+        let detail = format!("tenant={who} tasks={n}{more}");
+        let flight = self.inner.metrics.flight();
+        flight.record(self.inner.clock.now_ms(), "cloud.admission", event, detail);
+        let retry_after_ms = wait_ms.min(adm.cfg.retry_after_cap_ms).max(1);
+        Err(GcxError::Overloaded { retry_after_ms })
     }
 
     /// Return `n` units of `who`'s in-flight quota (tasks reached a
@@ -273,8 +273,8 @@ impl WebService {
     /// task still waiting on an endpoint's queue), and flip brownout
     /// accordingly. Returns how many tasks were expired.
     ///
-    /// Called periodically by the service's cold-path thread on a real
-    /// clock, and only while `AdmissionState::sweep_needed`; tests on a
+    /// Called periodically by result processor 0 (`gcx-result-proc-0`) on
+    /// a real clock, and only while `AdmissionState::sweep_needed`; tests on a
     /// virtual clock call it explicitly after advancing time — exactly the
     /// [`WebService::check_liveness`] pattern.
     pub fn check_expiry(&self) -> usize {
@@ -517,7 +517,7 @@ mod tests {
         vclock.advance(400);
         assert_eq!(svc.check_expiry(), 0);
         vclock.advance(200);
-        // On a virtual clock the cold-path thread leaves the sweep to the
+        // On a virtual clock the result processors leave the sweep to the
         // test: several of its periods later nothing has expired.
         std::thread::sleep(std::time::Duration::from_millis(80));
         assert_eq!(svc.metrics().counter("cloud.tasks_expired").get(), 0);

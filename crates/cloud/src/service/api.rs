@@ -10,7 +10,7 @@ use gcx_core::function::{FunctionBody, FunctionRecord};
 use gcx_core::ids::{EndpointId, FunctionId};
 use gcx_mq::Consumer;
 
-use super::{mep_queue_name, task_queue_name, EndpointSession, WebService, DEAD_TASKS_QUEUE};
+use super::{mep_queue_name, task_queue_name, EndpointSession, WebService, RESULT_QUEUE};
 use crate::blob::PAYLOAD_LIMIT;
 use crate::records::{EndpointRecord, EndpointRegistration};
 
@@ -205,13 +205,13 @@ impl WebService {
     }
 
     /// Give every endpoint task queue the service-wide delivery budget, with
-    /// exhausted deliveries routed to [`DEAD_TASKS_QUEUE`], plus the
+    /// exhausted deliveries routed to [`RESULT_QUEUE`], plus the
     /// configured depth bound (0 = unbounded, the default). A bounded queue
     /// rejects new publishes with a typed [`GcxError::QueueFull`] rather
     /// than growing without limit under overload.
     pub(super) fn apply_task_queue_policy(&self, id: EndpointId) -> GcxResult<()> {
         let mut policy =
-            gcx_mq::QueuePolicy::dead_letter(self.inner.cfg.max_task_deliveries, DEAD_TASKS_QUEUE);
+            gcx_mq::QueuePolicy::dead_letter(self.inner.cfg.max_task_deliveries, RESULT_QUEUE);
         policy.max_depth = self.inner.cfg.task_queue_depth;
         self.inner
             .broker

@@ -72,9 +72,9 @@ impl WebService {
     /// dead-lettered and failed instead). Returns how many endpoints were
     /// newly marked offline.
     ///
-    /// Called periodically by the service's cold-path thread on a real
-    /// clock; tests on a virtual clock call it explicitly after advancing
-    /// time.
+    /// Called periodically by result processor 0 (`gcx-result-proc-0`) on
+    /// a real clock; tests on a virtual clock call it explicitly after
+    /// advancing time.
     pub fn check_liveness(&self) -> usize {
         let now = self.inner.clock.now_ms();
         let timeout = self.inner.cfg.heartbeat_timeout_ms;
@@ -179,7 +179,7 @@ mod tests {
 
         // The agent freezes: no heartbeats while the timeout elapses. On a
         // virtual clock nothing in the background sweeps — several periods
-        // of the cold-path thread later the endpoint is still connected,
+        // of the sweeping processor later the endpoint is still connected,
         // and the sweep driven by hand is the one that finds it.
         vclock.advance(1_500);
         std::thread::sleep(std::time::Duration::from_millis(80));

@@ -7,9 +7,9 @@
 //! - `dispatch` — task submission (single and batched), MEP→UEP
 //!   resolution, payload interning (CAS dedup), and the status-polling
 //!   path.
-//! - `results` — result streams, the result-processor loop, the cold-path
-//!   loop (retiring taken results, dead tasks, and the liveness and expiry
-//!   sweeps when each is due), and endpoint-side state reports.
+//! - `results` — result streams, the result-processor loop (results, dead
+//!   tasks, and on processor 0 the liveness and expiry sweeps when each is
+//!   due), and endpoint-side state reports.
 //! - `liveness` — heartbeats, degradation reports, and the stale-endpoint
 //!   sweep that requeues in-flight tasks.
 //! - `session` — [`EndpointSession`], the agent's live connection.
@@ -50,6 +50,7 @@ use gcx_core::GcxResult;
 use gcx_core::ShardedMap;
 use gcx_mq::{Broker, Cancel, Consumer};
 use parking_lot::{Mutex, RwLock};
+use results::PROCESSOR_TAKE;
 
 use crate::blob::{CasStore, CAS_CACHE_BYTES};
 use crate::federation::log::{fed_rpc_queue, FED_CRED};
@@ -59,13 +60,11 @@ use crate::records::EndpointRecord;
 /// The scope required for Globus Compute API calls.
 pub const COMPUTE_SCOPE: &str = gcx_auth::service::COMPUTE_SCOPE;
 
-/// The shared result queue every endpoint publishes into.
+/// The shared result queue every endpoint publishes into, and every task
+/// queue's dead-letter queue: a result processor fails each task whose
+/// delivery budget ran out with a retryable error, so clients see a
+/// terminal state instead of a silent black hole.
 pub const RESULT_QUEUE: &str = "results.all";
-
-/// Dead-letter queue for tasks whose delivery budget is exhausted. A
-/// service-side processor fails each such task with a retryable error so
-/// clients see a terminal state instead of a silent black hole.
-pub(crate) const DEAD_TASKS_QUEUE: &str = "dead.tasks";
 
 /// Threads draining [`RESULT_QUEUE`].
 const RESULT_PROCESSORS: usize = 2;
@@ -137,6 +136,8 @@ pub(super) struct CloudMetrics {
     pub(super) status_polls: Arc<Counter>,
     pub(super) tasks_cancelled: Arc<Counter>,
     pub(super) results_processed: Arc<Counter>,
+    /// Messages on the result queue that decode as nothing it carries.
+    pub(super) results_unreadable: Arc<Counter>,
     pub(super) duplicate_results_dropped: Arc<Counter>,
     pub(super) tasks_dead_lettered: Arc<Counter>,
     pub(super) retries: Arc<Counter>,
@@ -180,6 +181,7 @@ impl CloudMetrics {
             status_polls: registry.counter("cloud.status_polls"),
             tasks_cancelled: registry.counter("cloud.tasks_cancelled"),
             results_processed: registry.counter("cloud.results_processed"),
+            results_unreadable: registry.counter("cloud.results_unreadable"),
             duplicate_results_dropped: registry.counter("cloud.duplicate_results_dropped"),
             tasks_dead_lettered: registry.counter("cloud.tasks_dead_lettered"),
             retries: registry.counter("cloud.retries"),
@@ -317,13 +319,17 @@ impl WebService {
     ) -> Self {
         let metrics = broker.metrics().clone();
         // Queue declaration is idempotent for a matching credential, so N
-        // federated replicas share these two queues safely.
+        // federated replicas share this queue safely.
+        let cred = Some("cloud-results");
         broker
-            .declare_queue(RESULT_QUEUE, Some("cloud-results"))
+            .declare_queue(RESULT_QUEUE, cred)
             .expect("fresh broker");
-        broker
-            .declare_queue(DEAD_TASKS_QUEUE, Some("cloud-results"))
-            .expect("fresh broker");
+        // Opened before the service exists, so that no submit can arm the
+        // expiry sweep before processor 0, which runs it, can be nudged.
+        let processors: Vec<_> = (0..RESULT_PROCESSORS)
+            .map(|_| broker.consume(RESULT_QUEUE, cred, PROCESSOR_TAKE))
+            .collect();
+        let sweep_nudge = processors[0].as_ref().ok().map(Consumer::nudger);
         let m = CloudMetrics::resolve(&metrics);
         let shared = shared.unwrap_or_default();
         // The registry is shared with the broker (and, when the harness
@@ -340,7 +346,7 @@ impl WebService {
             metrics.set_tracer(t.clone());
             t
         });
-        let admission = AdmissionState::new(cfg.admission.clone());
+        let admission = AdmissionState::new(cfg.admission.clone(), sweep_nudge);
         let cas = CasStore::new(CAS_CACHE_BYTES, metrics.clone());
         let inner = Arc::new(CloudInner {
             cfg,
@@ -365,30 +371,33 @@ impl WebService {
             processors: Mutex::new(Vec::new()),
         });
         let svc = Self { inner };
-        // Each thread blocks on one consumer, opened here so that
-        // `shutdown()` holds its cancel before the thread runs.
-        let spawn = |name: String, consumer: GcxResult<Consumer>, body: fn(&Self, Consumer)| {
-            let Ok(consumer) = consumer else { return };
-            let (svc2, cancel) = (svc.clone(), consumer.canceller());
-            let handle = std::thread::Builder::new()
-                .name(name)
-                .spawn(move || body(&svc2, consumer))
-                .expect("spawn service thread");
-            svc.inner.processors.lock().push((handle, cancel));
-        };
-        let (broker, cred) = (&svc.inner.broker, Some("cloud-results"));
-        for i in 0..RESULT_PROCESSORS {
-            let results = broker.consume(RESULT_QUEUE, cred, results::PROCESSOR_TAKE);
-            let name = format!("gcx-result-proc-{i}");
-            spawn(name, results, Self::result_processor_loop);
+        for (i, results) in processors.into_iter().enumerate() {
+            let body = move |svc: &Self, c| svc.result_processor_loop(c, i == 0);
+            svc.spawn(format!("gcx-result-proc-{i}"), results, body);
         }
-        let dead_tasks = broker.consume(DEAD_TASKS_QUEUE, cred, 64);
-        spawn("gcx-cold-path".into(), dead_tasks, Self::cold_path_loop);
         if let Some(fed) = &svc.inner.fed {
-            let rpc = broker.consume(&fed_rpc_queue(fed.replica), Some(FED_CRED), 64);
-            spawn("gcx-fed-rpc".into(), rpc, Self::fed_rpc_loop);
+            let queue = fed_rpc_queue(fed.replica);
+            let rpc = svc.inner.broker.consume(&queue, Some(FED_CRED), 64);
+            svc.spawn("gcx-fed-rpc".into(), rpc, Self::fed_rpc_loop);
         }
         svc
+    }
+
+    /// Start a service thread that blocks on `consumer`, opened before it
+    /// so that `shutdown()` holds its cancel before the thread runs.
+    fn spawn(
+        &self,
+        name: String,
+        consumer: GcxResult<Consumer>,
+        body: impl FnOnce(&Self, Consumer) + Send + 'static,
+    ) {
+        let Ok(consumer) = consumer else { return };
+        let (svc, cancel) = (self.clone(), consumer.canceller());
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(&svc, consumer))
+            .expect("spawn service thread");
+        self.inner.processors.lock().push((handle, cancel));
     }
 
     /// Convenience constructor with defaults on the given clock.

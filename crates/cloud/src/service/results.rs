@@ -1,6 +1,6 @@
-//! Result landing: the processor loops draining the shared result and
-//! dead-task queues, per-identity result streams, and endpoint-side state
-//! reports.
+//! Result landing: the processor loops draining the shared result queue
+//! (results, dead-lettered tasks, and on one processor the periodic
+//! sweeps), per-identity result streams, and endpoint-side state reports.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -153,18 +153,44 @@ impl WebService {
     // ---- result processing -----------------------------------------------
 
     /// A result processor: per wake-up it takes what is ready (up to its
-    /// prefetch), lands each result, publishes the take's fan-out once per
-    /// stream, and only then acks the whole take. A processor that dies
-    /// mid-take leaves every result of it unacked, for another to land.
-    /// It parks until [`shutdown`](Self::shutdown) cancels `consumer`.
-    pub(super) fn result_processor_loop(&self, consumer: Consumer) {
+    /// prefetch), lands each message, publishes the take's fan-out once per
+    /// stream, and only then acks the whole take, so one that dies mid-take
+    /// leaves all of it for another. [`shutdown`](Self::shutdown) cancels
+    /// `consumer`. The one that `sweeps` parks only until its next sweep:
+    /// [`check_liveness`](Self::check_liveness) every `heartbeat_every`,
+    /// and [`check_expiry`](Self::check_expiry) every 25 ms once
+    /// `sweep_needed` holds (the first deadline task nudges the take). On a
+    /// virtual clock the harness drives both sweeps by hand.
+    pub(super) fn result_processor_loop(&self, consumer: Consumer, sweeps: bool) {
+        const EXPIRY_EVERY: Duration = Duration::from_millis(25);
+        let sweeps = sweeps && !self.inner.clock.is_virtual();
+        let liveness_every = heartbeat_every(self.inner.cfg.heartbeat_timeout_ms);
+        let (mut liveness_due, mut expiry_due) = (Instant::now() + liveness_every, None);
         let (mut taken, mut tags, mut fan_out) = (Vec::new(), Vec::new(), FanOut::default());
-        while consumer
-            .next_batch(Duration::MAX, PROCESSOR_TAKE, &mut taken)
-            .is_ok()
-        {
+        loop {
+            let mut wait = Duration::MAX;
+            if sweeps {
+                // Each sweep rests its full period after it returns.
+                let now = Instant::now();
+                if self.inner.admission.sweep_needed() {
+                    let due = expiry_due.get_or_insert(now + EXPIRY_EVERY);
+                    if now >= *due {
+                        self.check_expiry();
+                        *due = Instant::now() + EXPIRY_EVERY;
+                    }
+                }
+                if now >= liveness_due {
+                    self.check_liveness();
+                    liveness_due = Instant::now() + liveness_every;
+                }
+                let next = expiry_due.map_or(liveness_due, |due| due.min(liveness_due));
+                wait = next.saturating_duration_since(Instant::now());
+            }
+            let Ok(_) = consumer.next_batch(wait, PROCESSOR_TAKE, &mut taken) else {
+                break;
+            };
             for delivery in taken.drain(..) {
-                let _ = self.process_result(&delivery.message, &mut fan_out);
+                self.process_result(&delivery.message, &mut fan_out);
                 tags.push(delivery.tag);
             }
             fan_out.flush(&self.inner.broker, &self.inner.streams);
@@ -173,32 +199,65 @@ impl WebService {
         }
     }
 
-    fn process_result(&self, message: &Message, fan_out: &mut FanOut) -> GcxResult<()> {
+    /// Land a result envelope, or a task dead-lettered here (it carries
+    /// `death_queue`), into `fan_out`. Anything else is counted unreadable.
+    /// A retired record's [`GcxError::TaskNotFound`] is not: it is how a
+    /// late duplicate normally ends.
+    fn process_result(&self, message: &Message, fan_out: &mut FanOut) {
         // Binary result envelope: the payload bytes inside are sliced out
         // of the message body, never re-decoded through the codec. Once it
         // has decoded, the same body is what the owner's streams get.
-        let (task_id, result, sent_ms) = TaskResult::from_envelope(&message.body)?;
-        self.finish_task_traced(task_id, result, sent_ms, Some(&message.body), fan_out)
+        let body = &message.body;
+        let decoded = match message.headers.death_queue.as_deref() {
+            None => TaskResult::from_envelope(body)
+                .map(|(id, result, sent_ms)| (id, result, sent_ms, Some(body))),
+            Some(source) => TaskSpec::from_message(body)
+                .map(|(spec, _)| (spec.task_id, self.dead_lettered(&spec, source), None, None)),
+        };
+        match decoded {
+            Ok((task_id, result, sent_ms, published)) => {
+                let _ = self.finish_task_traced(task_id, result, sent_ms, published, fan_out);
+            }
+            Err(e) => {
+                self.inner.m.results_unreadable.inc();
+                let (now, flight) = (self.inner.clock.now_ms(), self.inner.metrics.flight());
+                flight.record(now, "cloud.results", "unreadable", e.to_string());
+            }
+        }
     }
 
-    /// Land a task's result: state transitions, metrics, and fan-out to the
-    /// owner's open result streams, published before this returns.
-    /// Idempotent — exactly one caller wins per task id; later results for
-    /// a terminal task are counted and dropped, which is what makes
-    /// endpoint-side retries safe (a redelivered task may legitimately
-    /// produce its result twice).
-    pub(super) fn finish_task(&self, task_id: TaskId, result: TaskResult) -> GcxResult<()> {
-        let mut fan_out = FanOut::default();
-        let landed = self.finish_task_traced(task_id, result, None, None, &mut fan_out);
-        fan_out.flush(&self.inner.broker, &self.inner.streams);
-        landed
+    /// A task whose delivery budget ran out on `source` (a poison task, or
+    /// an endpoint that kept dying mid-execution): counted, noted on its
+    /// trace and in the flight ring, and failed with a *retryable* error so
+    /// SDK-side retry budgets can decide whether to resubmit.
+    fn dead_lettered(&self, spec: &TaskSpec, source: &str) -> TaskResult {
+        self.inner.m.tasks_dead_lettered.inc();
+        let tracer = &self.inner.tracer;
+        tracer.annotate(spec.trace.as_ref(), || {
+            format!("dead-lettered from {source}: delivery budget exhausted")
+        });
+        self.inner.metrics.flight().record(
+            self.inner.clock.now_ms(),
+            "cloud.results",
+            "dead_task",
+            format!("task_id={} source={source}", spec.task_id),
+        );
+        TaskResult::retryable_err(format!(
+            "task exhausted its {} delivery attempts on {source}",
+            self.inner.cfg.max_task_deliveries
+        ))
     }
 
-    /// [`finish_task`](Self::finish_task) plus the result-leg span, its
-    /// fan-out left in `fan_out` for the caller to flush: `sent_ms` is the
-    /// agent's publish stamp carried in the envelope, so the span covers
-    /// result-queue transit and processor pickup. `published` is that
-    /// envelope when `result` and `sent_ms` were decoded from one.
+    /// Land a task's result: state transitions, metrics, the result-leg
+    /// span, and fan-out to the owner's open result streams, left in
+    /// `fan_out` for the caller to flush. Idempotent — exactly one caller
+    /// wins per task id; later results for a terminal task are counted and
+    /// dropped, which is what makes endpoint-side retries safe (a
+    /// redelivered task may legitimately produce its result twice).
+    /// `sent_ms` is the agent's publish stamp carried in the envelope, so
+    /// the span covers result-queue transit and processor pickup.
+    /// `published` is that envelope when `result` and `sent_ms` were
+    /// decoded from one.
     ///
     /// Federated routing: any replica's result processor can pick a result
     /// off the shared queue, but only the task's ring owner may land it —
@@ -334,84 +393,6 @@ impl WebService {
         Ok(())
     }
 
-    /// The service's one cold-path thread. It drains
-    /// [`DEAD_TASKS_QUEUE`](super::DEAD_TASKS_QUEUE):
-    /// each message there is a task whose delivery budget ran out (poison
-    /// task, or an endpoint that kept dying mid-execution), failed here
-    /// with a *retryable* error so SDK-side retry budgets can decide
-    /// whether to resubmit. That queue almost never has a message, so the
-    /// same loop carries the periodic sweeps, each when it is due:
-    /// [`check_liveness`](Self::check_liveness) at a quarter of the
-    /// heartbeat timeout, and [`check_expiry`](Self::check_expiry) every
-    /// 25 ms while anything can expire or admission is on. On a virtual
-    /// clock it sweeps nothing and waits only for dead tasks: the harness
-    /// drives both sweeps by hand, and a background sweep would race the
-    /// manually-advanced time. A cancel of `dead_tasks` ends it; a deleted
-    /// queue ends only the draining, or, with no sweep to run, the loop.
-    pub(super) fn cold_path_loop(&self, dead_tasks: Consumer) {
-        const EXPIRY_EVERY: Duration = Duration::from_millis(25);
-        let liveness_every = heartbeat_every(self.inner.cfg.heartbeat_timeout_ms);
-        let sweeps = !self.inner.clock.is_virtual();
-        let mut liveness_due = Instant::now() + liveness_every;
-        let mut expiry_due = Instant::now() + EXPIRY_EVERY;
-        loop {
-            let mut wait = Duration::MAX;
-            if sweeps {
-                // Each sweep rests its full period after it returns.
-                if Instant::now() >= expiry_due {
-                    if self.inner.admission.sweep_needed() {
-                        self.check_expiry();
-                    }
-                    expiry_due = Instant::now() + EXPIRY_EVERY;
-                }
-                if Instant::now() >= liveness_due {
-                    self.check_liveness();
-                    liveness_due = Instant::now() + liveness_every;
-                }
-                wait = expiry_due
-                    .min(liveness_due)
-                    .saturating_duration_since(Instant::now());
-            }
-            match dead_tasks.next(wait) {
-                Ok(Some(delivery)) => {
-                    let _ = self.fail_dead_task(&delivery.message);
-                    let _ = dead_tasks.ack(delivery.tag);
-                }
-                Ok(None) => {}
-                Err(GcxError::ShuttingDown) => break,
-                Err(_) if sweeps => std::thread::sleep(wait),
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn fail_dead_task(&self, message: &Message) -> GcxResult<()> {
-        let (spec, _) = TaskSpec::from_message(&message.body)?;
-        let source = message
-            .headers
-            .death_queue
-            .as_deref()
-            .unwrap_or("<unknown>");
-        self.inner.m.tasks_dead_lettered.inc();
-        let tracer = &self.inner.tracer;
-        tracer.annotate(spec.trace.as_ref(), || {
-            format!("dead-lettered from {source}: delivery budget exhausted")
-        });
-        self.inner.metrics.flight().record(
-            self.inner.clock.now_ms(),
-            "cloud.results",
-            "dead_task",
-            format!("task_id={} source={source}", spec.task_id),
-        );
-        self.finish_task(
-            spec.task_id,
-            TaskResult::retryable_err(format!(
-                "task exhausted its {} delivery attempts on {source}",
-                self.inner.cfg.max_task_deliveries
-            )),
-        )
-    }
-
     /// Endpoint-side state report (Received → WaitingForNodes → Running).
     /// In a federation the report is forwarded to the task's ring owner —
     /// the session may be connected to any replica.
@@ -507,6 +488,8 @@ mod tests {
     use gcx_core::function::FunctionBody;
     use gcx_core::task::TaskSpec;
     use gcx_core::value::Value;
+
+    use crate::service::RESULT_QUEUE;
 
     #[test]
     fn submit_flows_to_endpoint_and_result_flows_back() {
@@ -731,7 +714,7 @@ mod tests {
         svc.shutdown();
     }
 
-    /// A service whose cold path sweeps nothing (a virtual clock), with one
+    /// A service whose processors sweep nothing (a virtual clock), with one
     /// endpoint and `n` tasks submitted by one user.
     fn virtual_service_with_tasks(n: usize) -> (WebService, Token, Vec<TaskId>) {
         let clock: gcx_core::clock::SharedClock = gcx_core::clock::VirtualClock::new();
@@ -752,6 +735,15 @@ mod tests {
         (svc, token, ids)
     }
 
+    /// Land `id`'s result as a processor would, and flush its fan-out.
+    fn land(svc: &WebService, id: TaskId) {
+        let mut fan_out = FanOut::default();
+        let result = TaskResult::ok(Value::Int(1));
+        svc.finish_task_traced(id, result, None, None, &mut fan_out)
+            .unwrap();
+        fan_out.flush(svc.broker(), &svc.inner.streams);
+    }
+
     /// The confirm itself retires: when it returns, the records are gone
     /// and `cloud.tasks_resident` reads what is still held, with no other
     /// thread having run a pass.
@@ -761,7 +753,7 @@ mod tests {
         let resident = svc.metrics().gauge("cloud.tasks_resident");
         assert_eq!(resident.get(), 3, "counted as installed");
         for &id in &ids[..2] {
-            svc.finish_task(id, TaskResult::ok(Value::Int(1))).unwrap();
+            land(&svc, id);
         }
         svc.confirm_taken(&token, &ids[..2]).unwrap();
         for &id in &ids[..2] {
@@ -786,7 +778,7 @@ mod tests {
         let (svc, token, ids) = virtual_service_with_tasks(1);
         let id = ids[0];
         svc.confirm_taken(&token, &[id]).unwrap();
-        svc.finish_task(id, TaskResult::ok(Value::Int(1))).unwrap();
+        land(&svc, id);
         // Long enough for anything deferred to have acted.
         std::thread::sleep(Duration::from_millis(60));
         let record = svc.task_record(id).expect("the record survives");
@@ -825,7 +817,7 @@ mod tests {
             .unwrap()
             .is_none());
 
-        // The dead-task processor fails it with a retryable error.
+        // A result processor fails it with a retryable error.
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
             let (state, result) = svc.task_status(&token, id).unwrap();
@@ -845,6 +837,70 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(svc.metrics().counter("cloud.tasks_dead_lettered").get(), 1);
+        svc.shutdown();
+    }
+
+    /// A message on the result queue that decodes as nothing it carries —
+    /// not a result, nor a task where it says it was dead-lettered — is
+    /// counted, recorded and acked, and the results after it still land.
+    #[test]
+    fn unreadable_result_messages_are_counted_and_acked() {
+        let svc = service();
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f():\n    return 1\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let id = svc
+            .submit_task(&token, TaskSpec::new(fid, reg.endpoint_id))
+            .unwrap();
+        let garbage = Bytes::from_static(&[0xde; 8]);
+        let dead = gcx_mq::Headers {
+            death_queue: Some(Arc::from("tasks.x")),
+            ..Default::default()
+        };
+        let cred = Some("cloud-results");
+        let publish = |m| svc.broker().publish(RESULT_QUEUE, m, cred).unwrap();
+        publish(Message::new(garbage.clone()));
+        let unreadable = svc.metrics().counter("cloud.results_unreadable");
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while unreadable.get() < 1 {
+            assert!(std::time::Instant::now() < deadline, "never counted");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(unreadable.get(), 1);
+        let (_, tag) = session.next_task(T).unwrap().unwrap();
+        session
+            .publish_result(id, &TaskResult::ok(Value::Int(1)))
+            .unwrap();
+        session.ack_task(tag).unwrap();
+        while svc.task_status(&token, id).unwrap().0 != TaskState::Success {
+            assert!(std::time::Instant::now() < deadline, "never landed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        publish(Message::with_headers(garbage, dead));
+        while unreadable.get() < 2 {
+            assert!(std::time::Instant::now() < deadline, "never counted");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(svc.metrics().counter("cloud.tasks_dead_lettered").get(), 0);
+        let events = svc.metrics().flight().events();
+        let noted = events.iter().filter(|e| e.event == "unreadable").count();
+        assert_eq!(noted, 2, "each one is in the flight ring");
+        // The ack follows the take's flush.
+        let held = || {
+            let stats = svc.broker().queue_stats(RESULT_QUEUE).unwrap();
+            stats.ready + stats.unacked
+        };
+        while held() > 0 {
+            assert!(std::time::Instant::now() < deadline, "never acked");
+            std::thread::sleep(Duration::from_millis(2));
+        }
         svc.shutdown();
     }
 

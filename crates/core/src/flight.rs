@@ -1,12 +1,12 @@
-//! The black-box flight recorder: a fixed-size, lock-sharded ring buffer of
-//! recent lifecycle / fault / admission / handover events.
+//! The black-box flight recorder: one fixed-size ring buffer of recent
+//! lifecycle / fault / admission / handover events.
 //!
 //! The trace collector (`gcx_core::trace`) answers "how long did each leg of
 //! this task take" — but it is bounded and evicting, so by the time a chaos
 //! assertion fires or an operator looks at a `QueueFull` storm, the traces
 //! that explain it are often gone. The flight recorder is the complementary
 //! postmortem instrument: every component records terse events into a small
-//! ring (`SHARDS` × [`EVENTS_PER_SHARD`] entries) at near-zero cost, and the
+//! ring (the newest [`FLIGHT_EVENTS`]) at near-zero cost, and the
 //! whole ring is dumped — once per distinct reason — when something goes
 //! wrong. Like an aircraft black box, it is always on and only read after
 //! the crash.
@@ -21,22 +21,17 @@
 //! artifacts when a chaos job fails.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::trace::json_escape;
 
-/// Number of independently-locked shards; recording threads spread across
-/// them so the recorder never serializes hot components behind one lock.
-pub(crate) const FLIGHT_SHARDS: usize = 8;
+/// Events retained: the recorder holds the newest this many. Every record
+/// site is cold, so one lock serves them all.
+pub(crate) const FLIGHT_EVENTS: usize = 1024;
 
-/// Events retained per shard; the whole recorder holds at most
-/// `FLIGHT_SHARDS * EVENTS_PER_SHARD` of the most recent events.
-pub(crate) const EVENTS_PER_SHARD: usize = 128;
-
-/// One recorded event. `seq` totally orders events across shards.
+/// One recorded event. `seq` totally orders the recorder's events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Global sequence number (monotonic across the whole recorder).
@@ -67,8 +62,9 @@ impl FlightEvent {
 
 #[derive(Default)]
 struct FlightInner {
-    shards: Vec<Mutex<VecDeque<FlightEvent>>>,
-    seq: AtomicU64,
+    /// The retained events, oldest first. It is never emptied, so its last
+    /// event holds the newest `seq`.
+    ring: Mutex<VecDeque<FlightEvent>>,
     /// Reasons that already produced a dump — each distinct reason fires at
     /// most once per process so an error storm cannot flood stderr/disk.
     triggered: Mutex<BTreeSet<String>>,
@@ -76,29 +72,14 @@ struct FlightInner {
 
 /// The recorder handle. Cloning shares the ring (it is an `Arc` inside);
 /// `Default` yields an empty, ready-to-record instance.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct FlightRecorder {
     inner: Arc<FlightInner>,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        let inner = FlightInner {
-            shards: (0..FLIGHT_SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(EVENTS_PER_SHARD)))
-                .collect(),
-            seq: AtomicU64::new(0),
-            triggered: Mutex::new(BTreeSet::new()),
-        };
-        Self {
-            inner: Arc::new(inner),
-        }
-    }
-}
-
 impl FlightRecorder {
-    /// Record one event. Cost: one atomic increment, one shard lock, one
-    /// ring push (evicting the shard's oldest entry when full). Call sites
+    /// Record one event. Cost: one lock and one ring push (evicting the
+    /// oldest entry when full). Call sites
     /// are cold paths — faults, rejections, handovers, lifecycle edges —
     /// never per-task hot loops.
     pub fn record(
@@ -108,10 +89,9 @@ impl FlightRecorder {
         event: &'static str,
         detail: impl Into<String>,
     ) {
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.inner.shards[(seq as usize) % FLIGHT_SHARDS];
-        let mut ring = shard.lock();
-        if ring.len() >= EVENTS_PER_SHARD {
+        let mut ring = self.inner.ring.lock();
+        let seq = ring.back().map_or(0, |last| last.seq + 1);
+        if ring.len() >= FLIGHT_EVENTS {
             ring.pop_front();
         }
         ring.push_back(FlightEvent {
@@ -123,14 +103,9 @@ impl FlightRecorder {
         });
     }
 
-    /// All retained events, oldest first (totally ordered by `seq`).
+    /// All retained events, oldest first (in `seq` order).
     pub fn events(&self) -> Vec<FlightEvent> {
-        let mut all: Vec<FlightEvent> = Vec::new();
-        for shard in &self.inner.shards {
-            all.extend(shard.lock().iter().cloned());
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+        self.inner.ring.lock().iter().cloned().collect()
     }
 
     /// The full ring as JSON lines (one event object per line, oldest
@@ -194,7 +169,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_orders_events_across_shards() {
+    fn records_events_in_seq_order() {
         let fr = FlightRecorder::default();
         for i in 0..50u64 {
             fr.record(i, "test", "tick", format!("n={i}"));
@@ -210,12 +185,12 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_keeps_the_newest() {
         let fr = FlightRecorder::default();
-        let total = (FLIGHT_SHARDS * EVENTS_PER_SHARD * 3) as u64;
+        let total = (FLIGHT_EVENTS * 3) as u64;
         for i in 0..total {
             fr.record(i, "test", "tick", "");
         }
         let events = fr.events();
-        assert_eq!(events.len(), FLIGHT_SHARDS * EVENTS_PER_SHARD);
+        assert_eq!(events.len(), FLIGHT_EVENTS);
         // The retained window is exactly the newest events.
         assert_eq!(events.first().unwrap().seq, total - events.len() as u64);
         assert_eq!(events.last().unwrap().seq, total - 1);

@@ -744,7 +744,8 @@ impl Broker {
             queue: q,
             broker: self.inner.clone(),
             slot,
-            cancelled: Arc::new(AtomicBool::new(false)),
+            cancelled: Arc::default(),
+            nudged: Arc::default(),
         })
     }
 
@@ -803,24 +804,46 @@ pub struct Consumer {
     slot: usize,
     /// Set by [`Cancel::cancel`]; a take reads it under the queue's lock.
     cancelled: Arc<AtomicBool>,
+    /// Set by [`Nudge::nudge`]; the take it ends clears it under that lock.
+    nudged: Arc<AtomicBool>,
+}
+
+/// A consumer's flag and its queue. Raising it wakes every take parked
+/// there; one that missed the store holds the lock until it parks.
+struct Flag(Arc<Queue>, Arc<AtomicBool>);
+
+impl Flag {
+    fn raise(&self) {
+        self.1.store(true, Ordering::SeqCst);
+        drop(self.0.state.lock());
+        self.0.notify();
+    }
 }
 
 /// AMQP's `basic.cancel` for one [`Consumer`], held by whoever stops the
 /// thread that owns it. The queue and its other consumers are untouched,
 /// and the consumer can still `ack` and `nack` what it holds.
-pub struct Cancel {
-    queue: Arc<Queue>,
-    cancelled: Arc<AtomicBool>,
-}
+pub struct Cancel(Flag);
 
 impl Cancel {
     /// Every take on the consumer, a parked one at once, returns
     /// `Err(GcxError::ShuttingDown)` — never a deleted queue's error.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-        // A take that missed the store holds the lock until it parks.
-        drop(self.queue.state.lock());
-        self.queue.notify();
+        self.0.raise();
+    }
+}
+
+/// A one-shot wake-up for one [`Consumer`], held by a thread that changes
+/// what the consumer's owner waits for (a sweep it must now run).
+pub struct Nudge(Flag);
+
+impl Nudge {
+    /// The consumer's next take that finds nothing to hand out, a parked
+    /// one at once, returns `Ok` with nothing taken instead of waiting. Any
+    /// number of nudges before that take end it alone, and that take sees
+    /// what the nudging thread wrote before the nudge.
+    pub fn nudge(&self) {
+        self.0.raise();
     }
 }
 
@@ -844,13 +867,17 @@ impl Consumer {
 
     /// A handle that cancels this consumer's takes from another thread.
     pub fn canceller(&self) -> Cancel {
-        let (queue, cancelled) = (Arc::clone(&self.queue), Arc::clone(&self.cancelled));
-        Cancel { queue, cancelled }
+        Cancel(Flag(Arc::clone(&self.queue), Arc::clone(&self.cancelled)))
+    }
+
+    /// A handle that ends one of this consumer's waits from another thread.
+    pub fn nudger(&self) -> Nudge {
+        Nudge(Flag(Arc::clone(&self.queue), Arc::clone(&self.nudged)))
     }
 
     /// Receive the next message, waiting up to `timeout` (`Duration::MAX`:
-    /// for ever): the take of one. Returns `Ok(None)` on timeout, `Err` if
-    /// the queue was deleted or the consumer cancelled.
+    /// for ever): the take of one. Returns `Ok(None)` on timeout or a
+    /// nudge, `Err` if the queue was deleted or the consumer cancelled.
     ///
     /// Blocks while the prefetch window is full — backpressure exactly like
     /// an AMQP channel with `basic.qos`.
@@ -866,8 +893,8 @@ impl Consumer {
     /// while messages are ready and the prefetch window is open — it never
     /// waits to fill the batch. `Ok(0)` on timeout, `Err` if the queue was
     /// deleted or the consumer cancelled. A take of `max == 0` hands out
-    /// nothing and only waits: out its timeout, or until a delete or a
-    /// cancel.
+    /// nothing and only waits: out its timeout, or until a delete, a
+    /// cancel or a nudge.
     ///
     /// A take of `k` hands out what `k` successive `next(Duration::ZERO)`
     /// calls would, in the same order: each message is counted, checked
@@ -977,6 +1004,11 @@ impl Consumer {
             if deadline.is_some_and(|d| now >= d) {
                 return Ok(0);
             }
+            // Read under the lock the wait below releases: a nudge is
+            // seen here, or it wakes that wait.
+            if self.nudged.swap(false, Ordering::AcqRel) {
+                return Ok(0);
+            }
             // Nothing notifies when a partition window closes (on either
             // clock), so wait in short slices while one is active.
             let mut remaining = deadline.map_or(Duration::MAX, |d| d - now);
@@ -1043,11 +1075,6 @@ impl Consumer {
         }
         self.broker.requeue(&self.queue, st, &mut [tag]);
         Ok(())
-    }
-
-    /// Current queue stats (for tests and backpressure decisions).
-    pub fn stats(&self) -> QueueStats {
-        self.queue.stats()
     }
 }
 
@@ -1175,7 +1202,7 @@ mod tests {
         let _d2 = c.next(T).unwrap().unwrap();
         // Window full → next times out even though a message is ready.
         assert!(c.next(Duration::from_millis(30)).unwrap().is_none());
-        assert_eq!(c.stats().ready, 1);
+        assert_eq!(b.queue_stats("q").unwrap().ready, 1);
         c.ack(d1.tag).unwrap();
         let d3 = c.next(T).unwrap().unwrap();
         assert_eq!(&d3.message.body[..], b"2");
@@ -1227,7 +1254,7 @@ mod tests {
         // A take appends, and an empty queue times out with nothing.
         assert_eq!(c.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 0);
         assert_eq!(taken.len(), 3);
-        assert_eq!(c.stats().unacked, 3);
+        assert_eq!(b.queue_stats("q").unwrap().unacked, 3);
         assert_eq!(b.metrics().counter("mq.messages_delivered").get(), 3);
     }
 
@@ -1245,7 +1272,7 @@ mod tests {
         c.ack(taken[0].tag).unwrap();
         assert_eq!(c.next_batch(Duration::ZERO, 64, &mut taken).unwrap(), 1);
         assert_eq!(&taken[2].message.body[..], b"2");
-        assert_eq!(c.stats().ready, 2);
+        assert_eq!(b.queue_stats("q").unwrap().ready, 2);
     }
 
     /// A take goes on past a message it dead-letters, as the singles it
@@ -1326,7 +1353,7 @@ mod tests {
         tags.insert(1, 999);
         let err = c.ack_batch(&tags).unwrap_err();
         assert!(err.to_string().contains("999"), "{err}");
-        assert_eq!(c.stats().unacked, 0);
+        assert_eq!(b.queue_stats("q").unwrap().unacked, 0);
         assert_eq!(b.metrics().counter("mq.acks").get(), 3);
         assert!(c.ack_batch(&[]).is_ok());
     }
@@ -1412,6 +1439,42 @@ mod tests {
         let (r, took) = cancel_parked(b.consume("q", None, 0).unwrap(), Duration::from_secs(60));
         assert!(took < Duration::from_secs(1), "cancel took {took:?}");
         assert_eq!(r.unwrap_err(), GcxError::ShuttingDown);
+    }
+
+    /// A nudge ends one parked take with nothing taken; a nudge sent while
+    /// no take waits ends the next one that would, and a take that finds a
+    /// message leaves it for that one.
+    #[test]
+    fn a_nudge_ends_one_wait_with_nothing_taken() {
+        let b = Broker::new();
+        b.declare_queue("q", None).unwrap();
+        let c = b.consume("q", None, 0).unwrap();
+        let nudge = c.nudger();
+        let h = std::thread::spawn(move || (c.next(Duration::MAX), c));
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        nudge.nudge();
+        let (r, c) = h.join().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "nudge took {:?}",
+            t0.elapsed()
+        );
+        assert!(r.unwrap().is_none());
+        nudge.nudge();
+        nudge.nudge();
+        b.publish("q", msg("m"), None).unwrap();
+        let d = c.next(T).unwrap().expect("a ready message is taken");
+        c.ack(d.tag).unwrap();
+        let t0 = Instant::now();
+        assert!(c.next(Duration::from_secs(60)).unwrap().is_none());
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        let t0 = Instant::now();
+        assert!(c.next(Duration::from_millis(30)).unwrap().is_none());
+        assert!(
+            t0.elapsed() >= Duration::from_millis(30),
+            "two nudges end one wait"
+        );
     }
 
     #[test]
@@ -1743,7 +1806,7 @@ mod tests {
             assert!(c.nack(tag).is_err());
         }
         assert_eq!(b.metrics().counter("mq.acks").get(), 0);
-        assert_eq!(c.stats().unacked, 2);
+        assert_eq!(b.queue_stats("q").unwrap().unacked, 2);
         b.publish("q", msg("m2"), None).unwrap();
         assert!(c.next(Duration::from_millis(30)).unwrap().is_none());
         c.ack(fresh[0].tag).unwrap();

@@ -26,6 +26,8 @@ pub(crate) mod broker;
 pub(crate) mod fault;
 pub(crate) mod link;
 
-pub use broker::{Broker, Cancel, Consumer, Delivery, Headers, Message, QueuePolicy, QueueStats};
+pub use broker::{
+    Broker, Cancel, Consumer, Delivery, Headers, Message, Nudge, QueuePolicy, QueueStats,
+};
 pub use fault::{FaultDirection, FaultPlan, FaultRule, ReplicaAction, ReplicaFaultRule};
 pub use link::LinkProfile;

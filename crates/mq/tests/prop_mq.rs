@@ -228,7 +228,7 @@ proptest! {
         let mut held = Vec::new();
         while let Some(d) = consumer.next(Duration::from_millis(20)).unwrap() {
             held.push(d.tag);
-            let stats = consumer.stats();
+            let stats = broker.queue_stats("q").unwrap();
             prop_assert!(stats.unacked <= prefetch, "unacked {} > prefetch {prefetch}", stats.unacked);
             if held.len() == prefetch {
                 for tag in held.drain(..) {
@@ -239,7 +239,7 @@ proptest! {
         for tag in held {
             consumer.ack(tag).unwrap();
         }
-        prop_assert_eq!(consumer.stats().unacked, 0);
+        prop_assert_eq!(broker.queue_stats("q").unwrap().unacked, 0);
     }
 
     /// One rule puts a delivery back, whichever way it is asked to: after

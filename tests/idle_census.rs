@@ -8,8 +8,8 @@
 //! cancels the input, so no loop wakes just to look at a stop flag. So a
 //! service with eight idle agents, an idle multi-user endpoint, an idle
 //! wire client and an idle executor has no timer threads and wakes only
-//! for its duties — the cold path's expiry due, the wire client's beat,
-//! the executor's batch tick — still runs a task the moment one arrives,
+//! for its duties — the liveness sweep, the wire client's beat, the
+//! executor's batch tick — still runs a task the moment one arrives,
 //! and stops as promptly as it ever did; an idle federation's monitor and
 //! rpc loops wait for their next sweep and heartbeat stamp.
 
@@ -37,8 +37,10 @@ const ENGINES: [&str; 3] = [
 
 /// Thread name (as the kernel keeps it: 15 bytes) → (threads, voluntary
 /// context switches so far), over every thread of this process.
-fn census() -> Option<BTreeMap<String, (usize, u64)>> {
-    let mut by_name: BTreeMap<String, (usize, u64)> = BTreeMap::new();
+type Census = BTreeMap<String, (usize, u64)>;
+
+fn census() -> Option<Census> {
+    let mut by_name = Census::new();
     for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
         // A thread may exit between the listing and the read.
         let Ok(status) = std::fs::read_to_string(task.path().join("status")) else {
@@ -59,9 +61,35 @@ fn census() -> Option<BTreeMap<String, (usize, u64)>> {
     Some(by_name)
 }
 
+/// Wait until `after` holds exactly `added` more threads than `before`,
+/// each of the `names` one more. A new thread carries its parent's name
+/// until it has run far enough to set its own, so count the threads, then
+/// wait for the names.
+fn assert_adds(before: &Census, added: usize, names: &[&str]) {
+    let total = |c: &Census| c.values().map(|v| v.0).sum::<usize>();
+    let named = Instant::now() + Duration::from_secs(1);
+    loop {
+        let after = census().expect("/proc was readable a moment ago");
+        assert_eq!(total(&after), total(before) + added, "{after:?}");
+        let count = |c: &Census, name: &str| c.get(name).map_or(0, |a| a.0);
+        let grew = |name: &&str| count(&after, name) > count(before, name);
+        if names.iter().all(grew) {
+            return;
+        }
+        assert!(Instant::now() < named, "{after:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn an_idle_stack_sleeps_and_still_works() {
+    // A standalone service is its two result processors; the first also
+    // runs the sweeps.
+    let threads_before = census();
     let cloud = WebService::with_defaults(SystemClock::shared());
+    if let Some(before) = &threads_before {
+        assert_adds(before, 2, &["gcx-result-proc"]);
+    }
     let (_, token) = cloud.auth().login("idle@site.org").unwrap();
 
     // Eight agents across the three engine kinds, none ever given a task.
@@ -84,23 +112,7 @@ fn an_idle_stack_sleeps_and_still_works() {
         .unwrap();
         agents.push((reg.endpoint_id, agent));
         if let (0, Some(before)) = (i, &threads_before) {
-            // A new thread carries its parent's name until it has run far
-            // enough to set its own, so count the threads, then wait for
-            // the names.
-            let total = |c: &BTreeMap<String, (usize, u64)>| c.values().map(|v| v.0).sum::<usize>();
-            let named = Instant::now() + Duration::from_secs(1);
-            loop {
-                let after = census().expect("/proc was readable a moment ago");
-                assert_eq!(total(&after), total(before) + 2, "{after:?}");
-                let added = |name: &str| {
-                    after.get(name).map_or(0, |a| a.0) > before.get(name).map_or(0, |b| b.0)
-                };
-                if added("gcx-thread-engi") && added("gcx-thread-work") {
-                    break;
-                }
-                assert!(Instant::now() < named, "{after:?}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            assert_adds(before, 2, &["gcx-thread-engi", "gcx-thread-work"]);
         }
     }
     // One multi-user endpoint that reaps user endpoints idle for 100 ms.
@@ -141,6 +153,7 @@ fn an_idle_stack_sleeps_and_still_works() {
         let seconds = watched.elapsed().as_secs_f64();
 
         for gone in [
+            "gcx-cold-path",
             "gcx-agent-pulle",
             "gcx-agent-pump",
             "gcx-agent-heart",
@@ -159,7 +172,7 @@ fn an_idle_stack_sleeps_and_still_works() {
                 .sum();
             woke as f64 / seconds
         };
-        let service = |n: &str| n.starts_with("gcx-cold-path") || n.starts_with("gcx-result-proc");
+        let service = |n: &str| n.starts_with("gcx-result-proc");
         let mep_loop = |n: &str| n.starts_with("gcx-mep-");
         let wire = |n: &str| n.starts_with("gcx-wire-");
         let executor = |n: &str| n.starts_with("gcx-executor-");
@@ -167,12 +180,13 @@ fn an_idle_stack_sleeps_and_still_works() {
         let agent_rate = per_second(&|n| {
             n.starts_with("gcx-") && !service(n) && !mep_loop(n) && !wire(n) && !executor(n)
         }) / 8.0;
-        // The service: the cold path's 25 ms expiry due (≈ 39/s, armed
-        // whether or not a sweep is needed) and nothing else; its two
-        // result processors park until a result or a cancel.
-        // An agent: its driver waits for its 5 s beat. The MEP: with no
-        // user endpoint live, no reap is due. Measured 39/s, 0 and 0.
-        assert!(service_rate <= 50.0, "service wakes {service_rate:.0}/s");
+        // The service: processor 0 parks until its next liveness sweep
+        // (7.5 s by default) with no expiry due, as no task with a
+        // deadline has come and admission is off; processor 1 until a
+        // result or a cancel. An agent: its driver waits for its 5 s beat.
+        // The MEP: with no user endpoint live, no reap is due. Measured
+        // 0, 0 and 0.
+        assert!(service_rate <= 5.0, "service wakes {service_rate:.0}/s");
         assert!(agent_rate <= 5.0, "an idle agent wakes {agent_rate:.0}/s");
         assert!(
             per_second(&mep_loop) <= 5.0,
