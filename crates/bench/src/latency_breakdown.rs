@@ -23,9 +23,12 @@
 //! role: the executor submits over framed TCP, the trace context rides the
 //! frames, and the breakdown gains the wire legs — `wire.send`/`wire.await`
 //! on the client's own collector, and `wire.decode`/`wire.queue` on the
-//! server's. Every run asserts that each leg collected spans (a leg with
-//! none is a tracing regression: some layer stopped stamping it) and that
-//! every retried trace relinked without orphans.
+//! server's. The task's `submit` leg is the executor batcher's, so over TCP
+//! it is read from the client's collector too: the server's `submit` is
+//! only its adoption of the trace (the batch decoded → accepted). Every run
+//! asserts that each leg collected spans (a leg with none is a tracing
+//! regression: some layer stopped stamping it) and that every retried
+//! trace relinked without orphans.
 
 use std::time::Duration;
 
@@ -39,8 +42,11 @@ use gcx_sdk::{Executor, ExecutorConfig, PyFunction, WireClientConfig};
 
 use crate::{row, BenchStack, Row};
 
-/// The lifecycle legs every clean run must populate (order = report order).
-const LIFECYCLE_LEGS: &[&str] = &["submit", "queue", "dispatch", "execute", "worker", "result"];
+/// The lifecycle legs every clean run must populate (order = report order):
+/// the SDK's `submit`, on the collector the executor writes to, then the
+/// service's.
+const SDK_LEGS: &[&str] = &["submit"];
+const SERVICE_LEGS: &[&str] = &["queue", "dispatch", "execute", "worker", "result"];
 
 /// The wire legs a clean TCP run must additionally populate, split by
 /// which collector stamps them.
@@ -59,7 +65,8 @@ pub(crate) fn run(smoke: bool, rep: u64) -> Vec<Row> {
 
 /// The clean phase's rows, one a leg: every leg must have collected spans.
 fn clean(transport: &str, server: &Tracer, client: Option<&Tracer>) -> Vec<Row> {
-    let mut legs: Vec<(&Tracer, &[&str])> = vec![(server, LIFECYCLE_LEGS)];
+    let sdk = client.unwrap_or(server);
+    let mut legs: Vec<(&Tracer, &[&str])> = vec![(sdk, SDK_LEGS), (server, SERVICE_LEGS)];
     if let Some(client) = client {
         legs.push((server, WIRE_SERVER_LEGS));
         legs.push((client, WIRE_CLIENT_LEGS));

@@ -18,7 +18,7 @@
 //! never resurrects it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::health::TenantHealth;
@@ -82,10 +82,12 @@ pub(crate) struct AdmissionState {
     buckets: Mutex<HashMap<IdentityId, TokenBucket>>,
     inflight: Mutex<HashMap<IdentityId, u64>>,
     brownout: AtomicBool,
-    /// Tasks ever submitted with a deadline — gates the expiry sweep so a
-    /// deployment that never uses TTLs (and has admission off) pays zero
-    /// scan cost on the hot path.
-    deadline_tasks_seen: AtomicU64,
+    /// Whether an expiry sweep may find a task to expire: set by each
+    /// deadline task's install, cleared by a sweep that finds none still
+    /// live. It gates the sweep, so a deployment that never uses TTLs (and
+    /// has admission off) pays no scan, and one whose deadline tasks have
+    /// all ended stops paying.
+    deadline_armed: AtomicBool,
     /// Wakes the result processor that runs the sweeps when the first
     /// deadline task arms its expiry sweep (`None`: nothing sweeps).
     sweep_nudge: Option<Nudge>,
@@ -102,7 +104,7 @@ impl AdmissionState {
             buckets: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             brownout: AtomicBool::new(false),
-            deadline_tasks_seen: AtomicU64::new(0),
+            deadline_armed: AtomicBool::new(false),
             sweep_nudge,
             ledger: Mutex::new(HashMap::new()),
         }
@@ -129,18 +131,26 @@ impl AdmissionState {
         rows
     }
 
-    /// The first one makes `sweep_needed` hold: the sweeper's take may be
-    /// parked with no expiry due, so it is nudged to arm one.
+    /// A deadline task was installed. One that arms the sweep makes
+    /// `sweep_needed` hold: the sweeper's take may be parked with no expiry
+    /// due, so it is nudged to arm one. Call it after the install, so that
+    /// a sweep that disarmed first sees the task in its walk or is nudged.
     pub(super) fn note_deadline_task(&self) {
-        let first = self.deadline_tasks_seen.fetch_add(1, Ordering::Relaxed) == 0;
-        if let Some(nudge) = self.sweep_nudge.as_ref().filter(|_| first) {
+        // A load first: the armed flag is written once an arming, not once
+        // a task.
+        if self.deadline_armed.load(Ordering::SeqCst)
+            || self.deadline_armed.swap(true, Ordering::SeqCst)
+        {
+            return;
+        }
+        if let Some(nudge) = self.sweep_nudge.as_ref() {
             nudge.nudge();
         }
     }
 
     /// Whether the expiry sweep has anything to look for.
     pub(super) fn sweep_needed(&self) -> bool {
-        self.cfg.enabled || self.deadline_tasks_seen.load(Ordering::Relaxed) > 0
+        self.cfg.enabled || self.deadline_armed.load(Ordering::Relaxed)
     }
 
     /// Refill `who`'s bucket to `now` and try to take `n` tokens. On
@@ -280,21 +290,24 @@ impl WebService {
     pub fn check_expiry(&self) -> usize {
         let now = self.inner.clock.now_ms();
         let mut expired: Vec<(TaskId, IdentityId)> = Vec::new();
-        // Only a service that has taken a task with a deadline walks its
-        // records: nothing else can expire.
-        if self
-            .inner
-            .admission
-            .deadline_tasks_seen
-            .load(Ordering::Relaxed)
-            > 0
-        {
+        // Only a sweep armed by a deadline task walks the records: nothing
+        // else can expire. It disarms before the walk and re-arms if the
+        // walk finds a deadline task still live, so a task installed during
+        // the walk is either seen or re-arms the sweep itself.
+        let armed = &self.inner.admission.deadline_armed;
+        if armed.swap(false, Ordering::SeqCst) {
+            let mut live = false;
             self.inner.tasks.for_each(|id, rec| {
                 let expires_at = rec.spec.expires_at(rec.submitted_at);
-                if !rec.state.is_terminal() && expires_at.is_some_and(|at| now > at) {
-                    expired.push((*id, rec.owner));
+                match expires_at.filter(|_| !rec.state.is_terminal()) {
+                    Some(at) if now > at => expired.push((*id, rec.owner)),
+                    Some(_) => live = true,
+                    None => {}
                 }
             });
+            if live {
+                armed.store(true, Ordering::SeqCst);
+            }
         }
         let mut count = 0;
         for (id, owner) in expired {

@@ -10,13 +10,14 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
+use gcx_core::clock::TimeMs;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
 use gcx_core::health::HealthDoc;
 use gcx_core::ids::{FunctionId, TaskId};
 use gcx_core::metrics::MetricsRegistry;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
-use gcx_core::trace::{TraceContext, Tracer};
+use gcx_core::trace::{Tracer, WireStamps};
 use gcx_core::value::Value;
 use gcx_core::wire::batch::{self, PushBatch};
 use gcx_core::wire::{
@@ -72,7 +73,8 @@ struct Shared {
     /// this connection's point of view).
     metrics: WireMetrics,
     /// Tracer from the caller's registry; stamps `wire.send`/`wire.await`
-    /// client legs on traced submissions. No-ops when tracing is off.
+    /// client legs on traced submissions, and `wire.push` on traced
+    /// results. No-ops when tracing is off.
     tracer: Tracer,
 }
 
@@ -246,63 +248,71 @@ impl WireClient {
 
     /// One request/response cycle, multiplexed by correlation id.
     pub(crate) fn call(&self, method: &str, params: Value) -> GcxResult<Value> {
-        self.call_traced(method, params, &[], |_| {})
+        self.call_stamped(method, params, false, |_| {}).0
     }
 
     /// The client's one correlation-id round trip: [`WireClient::call`],
-    /// but stamping the client's wire legs — `wire.send` (serialize + hand
-    /// to the transport) and `wire.await` (in flight until the response is
-    /// demuxed) — onto each trace context in `ctxs` (the server links its
-    /// own legs from the contexts inside the packed specs). With an empty
-    /// `ctxs` (or tracing disabled) this costs nothing beyond the plain
-    /// call. `before_send` runs with the call's correlation id before the
-    /// request goes out, for a subscription that must be registered first.
-    fn call_traced(
+    /// but, if `traced` (and tracing is on), also returning the stamps of
+    /// the client's wire legs — `wire.send` (serialize + hand to the
+    /// transport) and `wire.await` (in flight until the response is
+    /// demuxed) — for a call that was answered. Untraced, this costs
+    /// nothing beyond the plain call. `before_send` runs with the call's
+    /// correlation id before the request goes out, for a subscription that
+    /// must be registered first.
+    fn call_stamped(
         &self,
         method: &str,
         params: Value,
-        ctxs: &[TraceContext],
+        traced: bool,
         before_send: impl FnOnce(u64),
-    ) -> GcxResult<Value> {
+    ) -> (GcxResult<Value>, Option<WireStamps>) {
         let shared = &self.shared;
         if shared.dead.load(Ordering::SeqCst) {
-            return Err(GcxError::Transient("wire connection lost".into()));
+            return (
+                Err(GcxError::Transient("wire connection lost".into())),
+                None,
+            );
         }
         let corr = shared.corr.fetch_add(1, Ordering::Relaxed);
         before_send(corr);
         let (tx, rx) = bounded(1);
         shared.pending.lock().insert(corr, tx);
-        let traced = !ctxs.is_empty() && shared.tracer.enabled();
-        let t0 = if traced { shared.tracer.now_ms() } else { 0 };
+        let traced = traced && shared.tracer.enabled();
+        let begin_ms = if traced { shared.tracer.now_ms() } else { 0 };
         let frame = Frame::request(corr, method, params);
         if let Err(e) = shared.metrics.send_counted(&*shared.transport, &frame) {
             shared.pending.lock().remove(&corr);
             shared.mark_dead();
-            return Err(e);
+            return (Err(e), None);
         }
-        let t1 = if traced { shared.tracer.now_ms() } else { 0 };
+        let mid_ms = if traced { shared.tracer.now_ms() } else { 0 };
         match rx.recv_timeout(shared.cfg.call_timeout) {
             Ok(result) => {
-                if traced {
-                    let t2 = shared.tracer.now_ms();
-                    for ctx in ctxs {
-                        shared.tracer.record_span(Some(ctx), "wire.send", t0, t1);
-                        shared.tracer.record_span(Some(ctx), "wire.await", t1, t2);
-                    }
-                }
-                result
+                let stamps = traced.then(|| WireStamps {
+                    begin_ms,
+                    mid_ms,
+                    end_ms: shared.tracer.now_ms(),
+                });
+                (result, stamps)
             }
             Err(RecvTimeoutError::Timeout) => {
                 shared.pending.lock().remove(&corr);
-                Err(GcxError::Timeout(format!(
+                let e = GcxError::Timeout(format!(
                     "no response to '{method}' within {:?}",
                     shared.cfg.call_timeout
-                )))
+                ));
+                (Err(e), None)
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(GcxError::Transient("wire connection lost".into()))
-            }
+            Err(RecvTimeoutError::Disconnected) => (
+                Err(GcxError::Transient("wire connection lost".into())),
+                None,
+            ),
         }
+    }
+
+    /// The tracer this connection stamps its legs on: its registry's.
+    pub fn tracer(&self) -> &Tracer {
+        &self.shared.tracer
     }
 
     /// The server's SLO health document, through the `health` method.
@@ -347,15 +357,51 @@ impl WireClient {
             .map_err(|e| GcxError::Codec(format!("register_function: bad id: {e}")))
     }
 
+    /// Submit a batch, stamping the call's `wire.send` and `wire.await`
+    /// legs on each traced spec's trace (the server links its own legs from
+    /// the contexts inside the packed specs).
     pub fn submit_batch(&self, specs: &[TaskSpec]) -> GcxResult<Vec<TaskId>> {
-        let ctxs: Vec<TraceContext> = specs.iter().filter_map(|s| s.trace).collect();
+        let (ids, call) = self.submit_batch_timed(specs)?;
+        if let Some(call) = call {
+            self.record_call(specs, &call);
+        }
+        Ok(ids)
+    }
+
+    /// [`WireClient::submit_batch`] for a caller that writes each task's
+    /// hop itself (the executor's batcher): an accepted batch hands the
+    /// call's stamps back instead of recording them. A refused one records
+    /// them here, as `submit_batch` does.
+    pub fn submit_batch_timed(
+        &self,
+        specs: &[TaskSpec],
+    ) -> GcxResult<(Vec<TaskId>, Option<WireStamps>)> {
+        let traced = specs.iter().any(|s| s.trace.is_some());
         let params = Value::Bytes(batch::pack_specs(specs)?);
-        match self.call_traced(methods::SUBMIT_BATCH, params, &ctxs, |_| {})? {
+        let (response, call) = self.call_stamped(methods::SUBMIT_BATCH, params, traced, |_| {});
+        let ids = response.and_then(|ids| match ids {
             Value::Bytes(ids) => batch::unpack_ids(&ids),
             other => Err(GcxError::Codec(format!(
                 "submit_batch: ids must be packed bytes, got {}",
                 other.type_name()
             ))),
+        });
+        match ids {
+            Ok(ids) => Ok((ids, call)),
+            Err(e) => {
+                if let Some(call) = call {
+                    self.record_call(specs, &call);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    fn record_call(&self, specs: &[TaskSpec], call: &WireStamps) {
+        for spec in specs {
+            self.shared
+                .tracer
+                .record_wire_call(spec.trace.as_ref(), call);
         }
     }
 
@@ -408,10 +454,10 @@ impl WireClient {
         let (push_tx, push_rx) = bounded(PUSH_QUEUE_BATCHES);
         let sub = (push_tx, push_rx.clone());
         let mut corr = 0;
-        let opened = self.call_traced(
+        let (opened, _) = self.call_stamped(
             methods::OPEN_STREAM,
             Value::map([] as [(&str, Value); 0]),
-            &[],
+            false,
             |c| {
                 corr = c;
                 self.shared.subs.lock().insert(c, sub);
@@ -425,7 +471,7 @@ impl WireClient {
             client: self.clone(),
             corr,
             rx: push_rx,
-            batch: Mutex::new(PushBatch::default()),
+            batch: Mutex::new((PushBatch::default(), None)),
         })
     }
 }
@@ -435,8 +481,10 @@ pub struct WireStream {
     client: WireClient,
     corr: u64,
     rx: Receiver<PushBatch>,
-    /// The batch being served; the channel is touched only once it is spent.
-    batch: Mutex<PushBatch>,
+    /// The batch being served, and the one clock reading its traced
+    /// results' `wire.push` legs share; the channel is touched only once the
+    /// batch is spent.
+    batch: Mutex<(PushBatch, Option<TimeMs>)>,
 }
 
 impl WireStream {
@@ -452,7 +500,8 @@ impl WireStream {
     /// `Ok(None)` = nothing yet (connection healthy); `Err` = the stream is
     /// gone (connection lost) and the caller must reconnect + resubscribe.
     pub fn next(&self, timeout: Duration) -> GcxResult<Option<(TaskId, TaskResult)>> {
-        let mut batch = self.batch.lock();
+        let mut served = self.batch.lock();
+        let (batch, pushed_ms) = &mut *served;
         loop {
             if let Some((trace, envelope)) = batch.next_entry()? {
                 if let Some(ctx) = trace {
@@ -460,14 +509,14 @@ impl WireStream {
                     // entry: link the delivery leg back into the originating
                     // trace on the client's collector.
                     let tracer = &self.client.shared.tracer;
-                    let now = tracer.now_ms();
+                    let now = *pushed_ms.get_or_insert_with(|| tracer.now_ms());
                     tracer.record_span(Some(&ctx), "wire.push", now, now);
                 }
                 let (id, result, _sent_ms) = TaskResult::from_envelope(&envelope)?;
                 return Ok(Some((id, result)));
             }
             match self.rx.recv_timeout(timeout) {
-                Ok(next) => *batch = next,
+                Ok(next) => (*batch, *pushed_ms) = (next, None),
                 // A lost connection drops every subscription's sender, so
                 // its streams see `Disconnected`, not a timeout.
                 Err(RecvTimeoutError::Timeout) => return Ok(None),

@@ -13,6 +13,7 @@ use gcx_auth::Token;
 use gcx_config::TransportSpec;
 use gcx_core::error::{GcxError, GcxResult};
 use gcx_core::function::FunctionBody;
+use gcx_core::trace::WireStamps;
 use gcx_core::value::Value;
 use gcx_core::wire::batch;
 use gcx_core::wire::{
@@ -453,19 +454,21 @@ fn dispatch_method(
             // this is the one place the service adopts one, with its
             // server-side `submit` leg (specs → accepted; a re-sent batch's
             // adoption loses to the first), beside the two wire legs, so
-            // every wire task's timeline shows decode and enqueue time. The
-            // log makes the order of writes immaterial: the adoption may
-            // follow the task's `queue` leg. Untraced specs carry no
-            // context and cost nothing here.
+            // every wire task's timeline shows decode and enqueue time —
+            // one entry a task. The log makes the order of writes
+            // immaterial: the adoption may follow the task's `queue` leg.
+            // Untraced specs carry no context and cost nothing here.
             let ctxs: Vec<_> = specs.iter().filter_map(|s| s.trace).collect();
             let ids = svc.submit_batch(token, specs)?;
-            let t2 = now_ms(inner);
             if !ctxs.is_empty() {
+                let call = WireStamps {
+                    begin_ms: t0,
+                    mid_ms: t1,
+                    end_ms: now_ms(inner),
+                };
                 let tracer = svc.tracer();
                 for ctx in &ctxs {
-                    tracer.adopt_trace_with_span(ctx, "task", "submit", t1, t2);
-                    tracer.record_span(Some(ctx), "wire.decode", t0, t1);
-                    tracer.record_span(Some(ctx), "wire.queue", t1, t2);
+                    tracer.adopt_trace_over_wire(ctx, "task", &call);
                 }
             }
             Ok(Value::Bytes(batch::pack_ids(&ids)))

@@ -158,8 +158,9 @@ impl WebService {
     /// leaves all of it for another. [`shutdown`](Self::shutdown) cancels
     /// `consumer`. The one that `sweeps` parks only until its next sweep:
     /// [`check_liveness`](Self::check_liveness) every `heartbeat_every`,
-    /// and [`check_expiry`](Self::check_expiry) every 25 ms once
-    /// `sweep_needed` holds (the first deadline task nudges the take). On a
+    /// and [`check_expiry`](Self::check_expiry) every 25 ms while
+    /// `sweep_needed` holds (a deadline task arms it and nudges the take; a
+    /// sweep that finds none left disarms it). On a
     /// virtual clock the harness drives both sweeps by hand.
     pub(super) fn result_processor_loop(&self, consumer: Consumer, sweeps: bool) {
         const EXPIRY_EVERY: Duration = Duration::from_millis(25);
@@ -178,6 +179,11 @@ impl WebService {
                         self.check_expiry();
                         *due = Instant::now() + EXPIRY_EVERY;
                     }
+                }
+                // A sweep that found no deadline task left disarmed itself;
+                // the next one nudges this take to arm it again.
+                if !self.inner.admission.sweep_needed() {
+                    expiry_due = None;
                 }
                 if now >= liveness_due {
                     self.check_liveness();
@@ -361,15 +367,18 @@ impl WebService {
                 .result_transit_ms
                 .record(now.saturating_sub(sent));
         }
-        let tracer = &self.inner.tracer;
-        if let Some(sent) = sent_ms {
-            // Execute leg: Running stamp → result published by the agent.
-            // Stamped here, where the record is open anyway — the session
-            // that published may sit on a replica that does not hold it.
-            tracer.record_span(trace.as_ref(), "execute", started_at.unwrap_or(sent), sent);
-        }
         // Result leg: published → landed here, which also closes the root.
-        tracer.end_trace_with_span(trace.as_ref(), "result", sent_ms.unwrap_or(now), now);
+        // With a publish stamp, the execute leg too — Running stamp →
+        // published by the agent — in the same entry. Stamped here, where
+        // the record is open anyway: the session that published may sit on
+        // a replica that does not hold it.
+        let tracer = &self.inner.tracer;
+        match sent_ms {
+            Some(sent) => {
+                tracer.end_trace_landed(trace.as_ref(), started_at.unwrap_or(sent), sent, now)
+            }
+            None => tracer.end_trace_with_span(trace.as_ref(), "result", now, now),
+        }
 
         // For all of the owner's open streams: one message, whose clones
         // bump the body's refcount and copy the context. The trace context

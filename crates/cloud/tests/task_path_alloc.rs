@@ -52,18 +52,20 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 /// Heap allocations per task for the round trip, tracer at the product
-/// default. Today 7.15: building the spec (its argument list, the encoded
-/// payload and that payload's shared copy) is 5.0; the envelope the
-/// endpoint publishes (a buffer and its shared copy) 2.0; the rest is what
-/// a 128-task batch pays once on submit (≈ 19, the endpoint's one buffer
-/// of task messages among them). Nothing else allocates: each queue
+/// default. Today 3.15: building the spec is 2.0 (the test's argument list,
+/// and the encoded payload, written in a reused buffer and copied out once);
+/// the envelope the endpoint publishes 1.0, made the same way; the rest is
+/// what a 128-task batch pays once on submit (≈ 19, the endpoint's one
+/// buffer of task messages among them). Nothing else allocates: each queue
 /// message is a slice of that buffer, and the result stream carries the
-/// published envelope as it is. It was 11.2 while every task message and every
-/// pushed envelope was a buffer and a copy of its own, 13.2 while every
-/// trace owned a span block and every submitted task cloned its endpoint's
-/// record, and 53.3 when headers were string maps and spans owned their
-/// names.
-const ALLOCS_PER_TASK: f64 = 8.0;
+/// published envelope as it is. It was 7.15 while the payload was encoded
+/// from a cloned `Value` tree into a buffer and then copied (5.0 for the
+/// spec) and the envelope was a buffer and its copy (2.0), 11.2 while every
+/// task message and every pushed envelope was a buffer and a copy of its
+/// own, 13.2 while every trace owned a span block and every submitted task
+/// cloned its endpoint's record, and 53.3 when headers were string maps and
+/// spans owned their names.
+const ALLOCS_PER_TASK: f64 = 3.5;
 
 /// What tracing every task may add per task over tracing none. Today 0.0:
 /// a span is an entry appended to its thread's ring (the warm-up grows

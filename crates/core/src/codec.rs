@@ -11,6 +11,7 @@
 //! tree. Integers are varint-encoded (LEB128) so small values — the common
 //! case for task metadata — stay small.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -52,6 +53,50 @@ pub(crate) fn encode_to(v: &Value, out: &mut Vec<u8>) {
     out.reserve(v.approx_size() + 1);
     out.push(CODEC_VERSION);
     encode_into(v, out);
+}
+
+/// Append what [`encode`] would return for the list `[args, kwargs]`
+/// (`args` itself a list) to `out`, without building that tree.
+pub(crate) fn encode_args_to(args: &[Value], kwargs: &Value, out: &mut Vec<u8>) {
+    out.push(CODEC_VERSION);
+    out.push(tag::LIST);
+    put_varint(out, 2);
+    out.push(tag::LIST);
+    put_varint(out, args.len() as u64);
+    for arg in args {
+        encode_into(arg, out);
+    }
+    encode_into(kwargs, out);
+}
+
+/// What a thread's scratch buffer keeps between builds; a larger one is
+/// let go, so one big payload does not pin its size on the thread.
+const SCRATCH_KEEP: usize = 64 * 1024;
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Build bytes with `write` in this thread's reused scratch buffer, then
+/// copy them out: the result is one exact-size allocation.
+pub(crate) fn build(write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            write(&mut buf);
+            let bytes = Bytes::copy_from_slice(&buf);
+            if buf.capacity() > SCRATCH_KEEP {
+                *buf = Vec::new();
+            }
+            bytes
+        }
+        // A build inside a build: a buffer of its own.
+        Err(_) => {
+            let mut buf = Vec::new();
+            write(&mut buf);
+            Bytes::copy_from_slice(&buf)
+        }
+    })
 }
 
 /// The number of bytes [`encode`] would produce, without allocating.

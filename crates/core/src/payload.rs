@@ -113,9 +113,11 @@ impl Payload {
 
     /// Encode a positional-args / kwargs pair once, as the canonical
     /// two-element list `[args..., kwargs]`. Decoded by [`Payload::decode_args`].
+    /// Written straight from the parts into a reused buffer, never as a
+    /// `Value` tree: the payload is its one allocation.
     pub fn encode_args(args: &[Value], kwargs: &Value) -> Self {
-        let shape = Value::List(vec![Value::List(args.to_vec()), kwargs.clone()]);
-        Self::encode(&shape)
+        ENCODES.fetch_add(1, Ordering::Relaxed);
+        Self::from_bytes(codec::build(|out| codec::encode_args_to(args, kwargs, out)))
     }
 
     /// Wrap already-encoded bytes, hashing them.

@@ -505,11 +505,10 @@ impl TaskResult {
     /// Serialize to the compact binary envelope used on result and stream
     /// queues: the task id, optional send timestamp, and either the payload
     /// bytes (appended verbatim) or the error string. Never builds a `Value`
-    /// tree.
+    /// tree, and is one allocation: written in a reused buffer, then copied
+    /// out at its exact size.
     pub fn to_envelope(&self, task_id: TaskId, sent_ms: Option<u64>) -> Bytes {
-        let mut out = Vec::new();
-        self.write_envelope(task_id, sent_ms, &mut out);
-        Bytes::from(out)
+        codec::build(|out| self.write_envelope(task_id, sent_ms, out))
     }
 
     /// Append the [`TaskResult::to_envelope`] body to `out`.

@@ -215,93 +215,322 @@ pub struct LegStats {
 }
 
 /// Most ring entries per trace of `TraceConfig::capacity`: what a ring whose
-/// thread writes a trace several entries (the result processor's `execute`
-/// and `result`, a wire server's four, a test's whole lifecycle) grows to.
-/// One whose thread writes one entry per trace — the mint, the batcher's
-/// `submit`, the agent's `queue` — stops at `capacity` entries: it holds the
-/// newest `capacity` traces whole either way, and the half it would never
-/// need costs every thread cache (`svc_inmem` ran ≈ 4% faster without it).
+/// thread writes a trace several entries (a test's whole lifecycle, an
+/// engine's `queue` and `dispatch`) grows to. One whose thread writes one
+/// entry per trace — every hop of the `svc_*` paths: the batcher's, the
+/// wire server's, the agent's `queue`, the result processor's — stops at
+/// `capacity` entries: it holds the newest `capacity` traces whole either
+/// way, and the half it would never need costs every thread cache.
 /// A longer ring reads little more: 4 was 4 MiB heavier, no faster.
 const RING_ENTRIES_PER_TRACE: usize = 2;
 /// How often a ring reads the clock into a [`Kind::Stamp`] entry of its
 /// own — what lets a reader date what the ring has overwritten.
 const STAMP_EVERY: usize = 64;
-/// The leg whose end a [`Kind::AfterQueue`] span starts at.
-const QUEUE_LEG: &str = "queue";
 
-/// What one log entry says. A reader sorts a trace's entries in this order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The leg names product code writes, by index: an entry carries a leg's
+/// place here, not its name. Any other name is interned once, after these
+/// (`INTERNED`), the first time it is written.
+const LEGS: [&str; 16] = [
+    "task",
+    "submit",
+    "wire.send",
+    "wire.await",
+    "wire.decode",
+    "wire.queue",
+    "wire.push",
+    "queue",
+    "dispatch",
+    "execute",
+    "result",
+    "worker",
+    "redispatch",
+    "retry",
+    "forward",
+    "handover",
+];
+/// The legs a hop entry names without a lookup: places in `LEGS`.
+mod leg {
+    pub(super) const SUBMIT: u8 = 1;
+    pub(super) const WIRE_SEND: u8 = 2;
+    pub(super) const WIRE_AWAIT: u8 = 3;
+    pub(super) const WIRE_DECODE: u8 = 4;
+    pub(super) const WIRE_QUEUE: u8 = 5;
+    pub(super) const QUEUE: u8 = 7;
+    pub(super) const EXECUTE: u8 = 9;
+    pub(super) const RESULT: u8 = 10;
+    /// What every name past the 255th reads as.
+    pub(super) const UNNAMED: u8 = u8::MAX;
+}
+
+/// Names written outside `LEGS`, in order of first write (tests', mostly).
+static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+/// `name`'s leg index: its place in `LEGS`, else after them in `INTERNED`.
+fn leg_index(name: &'static str) -> u8 {
+    if let Some(i) = LEGS.iter().position(|l| *l == name) {
+        return i as u8;
+    }
+    let mut interned = INTERNED.lock();
+    let at = match interned.iter().position(|l| *l == name) {
+        Some(at) => at,
+        None if LEGS.len() + interned.len() < usize::from(leg::UNNAMED) => {
+            interned.push(name);
+            interned.len() - 1
+        }
+        None => return leg::UNNAMED,
+    };
+    (LEGS.len() + at) as u8
+}
+
+/// Every leg name, by index, as of one read.
+struct LegNames(Vec<&'static str>);
+
+impl LegNames {
+    fn now() -> Self {
+        Self(LEGS.iter().chain(INTERNED.lock().iter()).copied().collect())
+    }
+
+    fn get(&self, leg: u8) -> &'static str {
+        self.0.get(usize::from(leg)).copied().unwrap_or("(unnamed)")
+    }
+}
+
+/// Three clock readings around one wire exchange, bounding its two legs:
+/// the client's `wire.send` (`begin_ms` → `mid_ms`: serialize and hand to
+/// the transport) and `wire.await` (`mid_ms` → `end_ms`: until the answer is
+/// demuxed), or the server's `wire.decode` and `wire.queue` (the batch
+/// unpacked, then accepted).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireStamps {
+    /// The exchange's first reading.
+    pub begin_ms: TimeMs,
+    /// Where its first leg ends and its second starts.
+    pub mid_ms: TimeMs,
+    /// Its last reading.
+    pub end_ms: TimeMs,
+}
+
+/// What one log entry says, and what its stamps mean. A hop's stamps are
+/// numbered: stamp 0 is `start_ms`, the others offsets from it
+/// ([`Entry::stamp`]); any other entry's second stamp, if it has one, is
+/// its `end_ms` ([`Entry::end_ms`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
-    /// `start_trace`: `span` roots a trace minted here, labelled `name`.
+    /// `start_trace`, `open_trace`: a root, labelled `leg`, of a trace
+    /// minted here at `start_ms`.
     Mint,
-    /// `adopt_trace_with_span`: the same for a trace minted elsewhere.
+    /// The batcher's hop: a mint at stamp 0 and its `submit` leg to stamp 1.
+    MintSubmit,
+    /// `MintSubmit` over a wire, with the call's `wire.send` (stamp 2 → 3)
+    /// and `wire.await` (stamp 3 → 1).
+    MintSubmitWire,
+    /// `adopt_trace_with_span`: a root for a trace minted elsewhere, at
+    /// `start_ms`, and span `leg2` from there to `end_ms`, which a reader
+    /// keeps only if this adoption is the open that won.
     Adopt,
-    /// A completed child span.
+    /// The wire server's hop: an adoption at stamp 0 with its `submit` to
+    /// stamp 1, `wire.decode` (stamp 2 → 0) and `wire.queue` (0 → 1).
+    AdoptWire,
+    /// A completed child span, `start_ms` → `end_ms`.
     Span,
-    /// `adopt_trace_with_span`'s span: kept if the `Adopt` before it opened the trace.
-    SpanIfOpened,
     /// `end_trace_with_span`: a child span whose end also closes the root.
     Close,
-    /// `record_span_after_queue`: a child span that starts where the
-    /// trace's first `queue` leg ended (`start_ms` unused).
+    /// The result processor's hop: `execute` (stamp 0 → 1) and the closing
+    /// `result` (1 → 2).
+    Landed,
+    /// `record_span_after_queue`: a child span that ends at `start_ms` and
+    /// starts where the trace's first `queue` leg ended.
     AfterQueue,
-    /// `annotate`: `notes` go on span `span`, stamped `end_ms`.
+    /// `annotate`: `notes` go on span `span`, stamped `start_ms`.
     Note,
-    /// The ring's clock reading: all before it was pushed by `end_ms`.
+    /// The ring's clock reading: all before it was pushed by `start_ms`.
     Stamp,
 }
 
-/// The notes of an annotated write, kept out of line so that an entry
-/// stays 80 bytes and only an annotation allocates.
-#[derive(Debug, Clone)]
-struct Notes(Vec<String>);
-
-/// One fixed-size log entry (80 bytes); `notes` is `None` — nothing
-/// allocated — unless the write carried annotations.
-#[derive(Debug, Clone)]
-struct Entry {
-    kind: Kind,
-    trace: TraceId,
-    span: SpanId,
-    parent: SpanId,
-    name: &'static str,
-    start_ms: TimeMs,
-    end_ms: TimeMs,
-    notes: Option<Box<Notes>>,
-}
-
-impl Entry {
-    fn new(
-        kind: Kind,
-        ctx: &TraceContext,
-        span: SpanId,
-        name: &'static str,
-        start_ms: TimeMs,
-        end_ms: TimeMs,
-    ) -> Self {
-        Self {
-            kind,
-            trace: ctx.trace_id,
-            span,
-            parent: ctx.parent,
-            name,
-            start_ms,
-            end_ms,
-            notes: None,
+impl Kind {
+    /// Where a reader sorts an entry among its trace's: opens first, a mint
+    /// before an adoption, then spans, then what reads the spans.
+    fn rank(self) -> u8 {
+        match self {
+            Kind::Mint | Kind::MintSubmit | Kind::MintSubmitWire => 0,
+            Kind::Adopt | Kind::AdoptWire => 1,
+            Kind::Span | Kind::Close | Kind::Landed => 2,
+            Kind::AfterQueue => 3,
+            Kind::Note | Kind::Stamp => 4,
         }
     }
 
-    /// The span an entry of any kind but `Note` and `Stamp` records.
-    fn to_span(&self) -> SpanRecord {
-        let root = matches!(self.kind, Kind::Mint | Kind::Adopt);
-        let notes = self.notes.iter().flat_map(|n| &n.0);
+    fn opens(self) -> bool {
+        self.rank() <= 1
+    }
+}
+
+/// The notes of an annotated write, kept out of line so that an entry
+/// stays 64 bytes and only an annotation allocates.
+#[derive(Debug, Clone)]
+struct Notes(Vec<String>);
+
+/// One fixed-size log entry (64 bytes): one hop's write, whatever spans it
+/// stands for. `notes` is `None` — nothing allocated — unless the write
+/// carried annotations.
+#[derive(Debug, Clone)]
+struct Entry {
+    trace: TraceId,
+    /// What its spans parent to; an open's root; a note's span.
+    parent: SpanId,
+    /// Its first span's id; a hop's further spans count up from it by 2.
+    span: SpanId,
+    start_ms: TimeMs,
+    notes: Option<Box<Notes>>,
+    /// A hop's stamps 1–3, as `i32` offsets from `start_ms`; any other
+    /// entry's `end_ms` in the first two words.
+    at: [u32; 3],
+    kind: Kind,
+    /// Its own span's name (an open's label), as a leg index.
+    leg: u8,
+    /// An adoption's span's name.
+    leg2: u8,
+}
+
+impl Entry {
+    fn new(kind: Kind, ctx: &TraceContext, span: SpanId, leg: u8, start_ms: TimeMs) -> Self {
+        Self {
+            trace: ctx.trace_id,
+            parent: ctx.parent,
+            span,
+            start_ms,
+            notes: None,
+            at: [0; 3],
+            kind,
+            leg,
+            leg2: 0,
+        }
+    }
+
+    /// An entry of one span, `start_ms` → `end_ms`.
+    fn spanning(
+        kind: Kind,
+        ctx: &TraceContext,
+        span: SpanId,
+        leg: u8,
+        start_ms: TimeMs,
+        end_ms: TimeMs,
+    ) -> Self {
+        let mut entry = Self::new(kind, ctx, span, leg, start_ms);
+        entry.at = [end_ms as u32, (end_ms >> 32) as u32, 0];
+        entry
+    }
+
+    /// A hop's entry over `stamps` (at most 4), or `None` if one lies too
+    /// far from the first to be an offset.
+    fn hop(kind: Kind, ctx: &TraceContext, leg: u8, stamps: &[TimeMs]) -> Option<Self> {
+        let (&first, rest) = stamps.split_first()?;
+        let mut entry = Self::new(kind, ctx, SpanId::random(), leg, first);
+        for (slot, &stamp) in entry.at.iter_mut().zip(rest) {
+            *slot = i32::try_from(stamp.wrapping_sub(first) as i64).ok()? as u32;
+        }
+        Some(entry)
+    }
+
+    fn end_ms(&self) -> TimeMs {
+        u64::from(self.at[0]) | u64::from(self.at[1]) << 32
+    }
+
+    /// A hop's stamp `i`.
+    fn stamp(&self, i: usize) -> TimeMs {
+        match i {
+            0 => self.start_ms,
+            i => self
+                .start_ms
+                .wrapping_add_signed(i64::from(self.at[i - 1] as i32)),
+        }
+    }
+
+    /// The root an open stands for.
+    fn root(&self, names: &LegNames) -> SpanRecord {
         SpanRecord {
-            id: self.span,
-            parent: (!root).then_some(self.parent),
-            name: self.name,
+            id: self.parent,
+            parent: None,
+            name: names.get(self.leg),
             start_ms: self.start_ms,
-            end_ms: self.end_ms,
-            annotations: notes.map(|n| (self.end_ms, n.clone())).collect(),
+            end_ms: self.start_ms,
+            annotations: Vec::new(),
+        }
+    }
+
+    /// A hop's span `k`.
+    fn child(&self, k: u64, name: &'static str, start_ms: TimeMs, end_ms: TimeMs) -> SpanRecord {
+        SpanRecord {
+            id: SpanId(self.span.0.wrapping_add(2 * k)),
+            parent: Some(self.parent),
+            name,
+            start_ms,
+            end_ms,
+            annotations: Vec::new(),
+        }
+    }
+
+    /// The one span of a `Span`, `Close` or `AfterQueue` entry, with its
+    /// notes.
+    fn own_span(&self, names: &LegNames, start_ms: TimeMs, end_ms: TimeMs) -> SpanRecord {
+        let mut span = self.child(0, names.get(self.leg), start_ms, end_ms);
+        let notes = self.notes.iter().flat_map(|n| &n.0);
+        span.annotations = notes.map(|n| (end_ms, n.clone())).collect();
+        span
+    }
+
+    /// Append the spans this entry stands for to `spans`, whose first is
+    /// the trace's root; `opened` is whether this entry is the open that won.
+    fn expand(&self, opened: bool, names: &LegNames, spans: &mut Vec<SpanRecord>) {
+        let (s, name) = (|i| self.stamp(i), |leg| names.get(leg));
+        match self.kind {
+            Kind::Mint | Kind::Stamp => {}
+            Kind::MintSubmit => spans.push(self.child(0, name(leg::SUBMIT), s(0), s(1))),
+            Kind::MintSubmitWire => spans.extend([
+                self.child(0, name(leg::SUBMIT), s(0), s(1)),
+                self.child(1, name(leg::WIRE_SEND), s(2), s(3)),
+                self.child(2, name(leg::WIRE_AWAIT), s(3), s(1)),
+            ]),
+            Kind::Adopt => {
+                if opened {
+                    spans.push(self.child(0, name(self.leg2), self.start_ms, self.end_ms()));
+                }
+            }
+            Kind::AdoptWire => {
+                if opened {
+                    spans.push(self.child(0, name(leg::SUBMIT), s(0), s(1)));
+                }
+                spans.extend([
+                    self.child(1, name(leg::WIRE_DECODE), s(2), s(0)),
+                    self.child(2, name(leg::WIRE_QUEUE), s(0), s(1)),
+                ]);
+            }
+            Kind::Span => spans.push(self.own_span(names, self.start_ms, self.end_ms())),
+            Kind::Close => {
+                spans[0].end_ms = spans[0].end_ms.max(self.end_ms());
+                spans.push(self.own_span(names, self.start_ms, self.end_ms()));
+            }
+            Kind::Landed => {
+                spans[0].end_ms = spans[0].end_ms.max(s(2));
+                spans.extend([
+                    self.child(0, name(leg::EXECUTE), s(0), s(1)),
+                    self.child(1, name(leg::RESULT), s(1), s(2)),
+                ]);
+            }
+            Kind::AfterQueue => {
+                let queue = name(leg::QUEUE);
+                let queued = spans.iter().filter(|span| span.name == queue);
+                let start_ms = queued.map(|span| span.end_ms).min();
+                let start_ms = start_ms.unwrap_or(self.start_ms);
+                spans.push(self.own_span(names, start_ms, self.start_ms));
+            }
+            Kind::Note => {
+                if let Some(span) = spans.iter_mut().find(|span| span.id == self.span) {
+                    let notes = self.notes.iter().flat_map(|n| &n.0);
+                    span.annotations
+                        .extend(notes.map(|n| (self.start_ms, n.clone())));
+                }
+            }
         }
     }
 }
@@ -318,7 +547,8 @@ struct Ring {
     /// slots, then `base`, or `most` if its thread writes a trace more than
     /// one entry.
     bound: usize,
-    /// `start_trace` calls this thread has made (sampling counts per thread).
+    /// Contexts this thread has asked for, `start_trace` or `draw_trace`
+    /// (sampling counts per thread).
     submissions: u64,
     /// Writes pushed here, stamps aside (a retired ring: its threads' writes).
     written: u64,
@@ -336,7 +566,7 @@ impl Ring {
         if self.next.is_multiple_of(STAMP_EVERY) {
             let stamp = Entry {
                 kind: Kind::Stamp,
-                end_ms: tracer.clock.now_ms(),
+                start_ms: tracer.clock.now_ms(),
                 notes: None,
                 ..entry
             };
@@ -363,6 +593,18 @@ impl Ring {
         }
     }
 
+    /// A submission by this ring's thread: a fresh context if it is sampled
+    /// (`sample_every` is not 0 here).
+    fn sample(&mut self, tracer: &TracerInner) -> Option<TraceContext> {
+        self.submissions += 1;
+        (self.submissions - 1)
+            .is_multiple_of(tracer.cfg.sample_every)
+            .then(|| TraceContext {
+                trace_id: TraceId::random(),
+                parent: SpanId::random(),
+            })
+    }
+
     /// Whether the writes this ring holds average more than `per_trace`
     /// entries for each trace they belong to (one look, when it first fills).
     fn writes_per_trace_above(&self, per_trace: f64) -> bool {
@@ -385,7 +627,7 @@ impl Ring {
     fn horizon(&self) -> Option<TimeMs> {
         let oldest = self.survivors().find(|e| e.kind == Kind::Stamp);
         self.wrapped
-            .then(|| oldest.map_or(TimeMs::MAX, |e| e.end_ms))
+            .then(|| oldest.map_or(TimeMs::MAX, |e| e.start_ms))
     }
 }
 
@@ -539,25 +781,92 @@ impl Tracer {
         label: &'static str,
         now: impl FnOnce(&TracerInner) -> TimeMs,
     ) -> Option<TraceContext> {
-        let inner = self.0.as_ref()?;
-        let every = inner.cfg.sample_every;
-        if every == 0 {
-            return None;
-        }
+        let inner = self.0.as_ref().filter(|i| i.cfg.sample_every != 0)?;
         inner.write(|ring| {
-            ring.submissions += 1;
-            if (ring.submissions - 1) % every != 0 {
-                return None;
-            }
-            let ctx = TraceContext {
-                trace_id: TraceId::random(),
-                parent: SpanId::random(),
-            };
-            let now = now(inner);
-            let root = Entry::new(Kind::Mint, &ctx, ctx.parent, label, now, now);
+            let ctx = ring.sample(inner)?;
+            let root = Entry::new(Kind::Mint, &ctx, ctx.parent, leg_index(label), now(inner));
             ring.push(inner, root);
             Some(ctx)
         })
+    }
+
+    /// Draw the context of a new trace, subject to sampling, and write
+    /// nothing: the caller opens the trace later with its first hop —
+    /// [`open_submitted`](Self::open_submitted) — or, for a task that never
+    /// gets that far, with [`open_trace`](Self::open_trace). Every write of
+    /// the trace on this collector must come at or after the root's start.
+    pub fn draw_trace(&self) -> Option<TraceContext> {
+        let inner = self.0.as_ref().filter(|i| i.cfg.sample_every != 0)?;
+        inner.write(|ring| ring.sample(inner))
+    }
+
+    /// Open a drawn trace at `start_ms` with its root alone.
+    pub fn open_trace(&self, ctx: Option<&TraceContext>, label: &'static str, start_ms: TimeMs) {
+        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
+            inner.push(Entry::new(
+                Kind::Mint,
+                ctx,
+                ctx.parent,
+                leg_index(label),
+                start_ms,
+            ));
+        }
+    }
+
+    /// Open a drawn trace at `submitted_ms` together with its `submit` leg,
+    /// which ends at `accepted_ms`: the batcher's hop, one entry.
+    pub fn open_submitted(
+        &self,
+        ctx: Option<&TraceContext>,
+        label: &'static str,
+        submitted_ms: TimeMs,
+        accepted_ms: TimeMs,
+    ) {
+        let stamps = [submitted_ms, accepted_ms];
+        self.write_hop(ctx, Kind::MintSubmit, label, &stamps, |ctx, label| {
+            vec![
+                Entry::new(Kind::Mint, ctx, ctx.parent, label, submitted_ms),
+                span_entry(ctx, leg::SUBMIT, submitted_ms, accepted_ms),
+            ]
+        });
+    }
+
+    /// [`open_submitted`](Self::open_submitted) for a batch that crossed a
+    /// wire: the `submit` leg ends where the call's `wire.await` does, and
+    /// the same entry carries the call's `wire.send` and `wire.await`.
+    pub fn open_submitted_over_wire(
+        &self,
+        ctx: Option<&TraceContext>,
+        label: &'static str,
+        submitted_ms: TimeMs,
+        call: &WireStamps,
+    ) {
+        let stamps = [submitted_ms, call.end_ms, call.begin_ms, call.mid_ms];
+        self.write_hop(ctx, Kind::MintSubmitWire, label, &stamps, |ctx, label| {
+            vec![
+                Entry::new(Kind::Mint, ctx, ctx.parent, label, submitted_ms),
+                span_entry(ctx, leg::SUBMIT, submitted_ms, call.end_ms),
+                span_entry(ctx, leg::WIRE_SEND, call.begin_ms, call.mid_ms),
+                span_entry(ctx, leg::WIRE_AWAIT, call.mid_ms, call.end_ms),
+            ]
+        });
+    }
+
+    /// A wire call's `wire.send` and `wire.await` legs on a trace already
+    /// open here, for a caller with no hop to fold them into (two entries).
+    pub fn record_wire_call(&self, ctx: Option<&TraceContext>, call: &WireStamps) {
+        if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
+            inner.write(|ring| {
+                ring.push(
+                    inner,
+                    span_entry(ctx, leg::WIRE_SEND, call.begin_ms, call.mid_ms),
+                );
+                ring.push(
+                    inner,
+                    span_entry(ctx, leg::WIRE_AWAIT, call.mid_ms, call.end_ms),
+                );
+            });
+        }
     }
 
     /// Adopt a trace minted by a *remote* peer — open it here at `start_ms`
@@ -566,10 +875,10 @@ impl Tracer {
     /// only for traces the log opens) — with one child span that a reader
     /// keeps only if this adoption is the open that won. Idempotent: a
     /// reader lets one open win, a mint over an adoption, an earlier
-    /// adoption over a later. This is how the wire server stamps its
-    /// once-per-trace `submit` leg without duplicating it when a
-    /// resubmission re-sends an already-adopted context. `start_ms` must
-    /// precede every write of the trace on this side.
+    /// adoption over a later. This is how a once-per-trace leg is stamped
+    /// without duplicating it when a resubmission re-sends an
+    /// already-adopted context. `start_ms` must precede every write of the
+    /// trace on this side.
     pub fn adopt_trace_with_span(
         &self,
         ctx: &TraceContext,
@@ -579,14 +888,35 @@ impl Tracer {
         end_ms: TimeMs,
     ) {
         if let Some(inner) = self.0.as_ref() {
-            let root = Entry::new(Kind::Adopt, ctx, ctx.parent, label, start_ms, start_ms);
-            let id = SpanId::random();
-            let span = Entry::new(Kind::SpanIfOpened, ctx, id, name, start_ms, end_ms);
-            inner.write(|ring| {
-                ring.push(inner, root);
-                ring.push(inner, span);
-            })
+            inner.push(adopt_entry(
+                ctx,
+                leg_index(label),
+                leg_index(name),
+                start_ms,
+                end_ms,
+            ));
         }
+    }
+
+    /// The wire server's hop, one entry: adopt the trace at `call.mid_ms`
+    /// (the batch decoded) with its `submit` leg to `call.end_ms` (accepted)
+    /// as the adopted span, beside `wire.decode` (`begin_ms` → `mid_ms`) and
+    /// `wire.queue` (`mid_ms` → `end_ms`), which a re-sent batch records
+    /// again.
+    pub fn adopt_trace_over_wire(
+        &self,
+        ctx: &TraceContext,
+        label: &'static str,
+        call: &WireStamps,
+    ) {
+        let stamps = [call.mid_ms, call.end_ms, call.begin_ms];
+        self.write_hop(Some(ctx), Kind::AdoptWire, label, &stamps, |ctx, label| {
+            vec![
+                adopt_entry(ctx, label, leg::SUBMIT, call.mid_ms, call.end_ms),
+                span_entry(ctx, leg::WIRE_DECODE, call.begin_ms, call.mid_ms),
+                span_entry(ctx, leg::WIRE_QUEUE, call.mid_ms, call.end_ms),
+            ]
+        });
     }
 
     /// Record a completed child span under `ctx`: one append to the calling
@@ -613,7 +943,7 @@ impl Tracer {
         notes: impl FnOnce() -> Vec<String>,
     ) -> Option<SpanId> {
         let (inner, ctx, id) = (self.0.as_ref()?, ctx?, SpanId::random());
-        let mut span = Entry::new(Kind::Span, ctx, id, name, start_ms, end_ms);
+        let mut span = Entry::spanning(Kind::Span, ctx, id, leg_index(name), start_ms, end_ms);
         let notes = notes();
         span.notes = (!notes.is_empty()).then(|| Box::new(Notes(notes)));
         inner.push(span);
@@ -631,15 +961,14 @@ impl Tracer {
         end_ms: TimeMs,
     ) {
         if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
-            let span = Entry::new(
+            let id = SpanId::random();
+            inner.push(Entry::new(
                 Kind::AfterQueue,
                 ctx,
-                SpanId::random(),
-                name,
+                id,
+                leg_index(name),
                 end_ms,
-                end_ms,
-            );
-            inner.push(span);
+            ));
         }
     }
 
@@ -654,8 +983,53 @@ impl Tracer {
         end_ms: TimeMs,
     ) {
         if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
-            let span = Entry::new(Kind::Close, ctx, SpanId::random(), name, start_ms, end_ms);
-            inner.push(span);
+            let (id, leg) = (SpanId::random(), leg_index(name));
+            inner.push(Entry::spanning(Kind::Close, ctx, id, leg, start_ms, end_ms));
+        }
+    }
+
+    /// The result processor's hop, one entry: the `execute` leg
+    /// (`started_ms` → `sent_ms`) and the `result` leg (`sent_ms` →
+    /// `landed_ms`), whose end closes the root as
+    /// [`end_trace_with_span`](Self::end_trace_with_span)'s does.
+    pub fn end_trace_landed(
+        &self,
+        ctx: Option<&TraceContext>,
+        started_ms: TimeMs,
+        sent_ms: TimeMs,
+        landed_ms: TimeMs,
+    ) {
+        let stamps = [started_ms, sent_ms, landed_ms];
+        self.write_hop(ctx, Kind::Landed, "task", &stamps, |ctx, _| {
+            let (id, leg) = (SpanId::random(), leg::RESULT);
+            vec![
+                span_entry(ctx, leg::EXECUTE, started_ms, sent_ms),
+                Entry::spanning(Kind::Close, ctx, id, leg, sent_ms, landed_ms),
+            ]
+        });
+    }
+
+    /// Write a hop as one entry of `kind` over `stamps` or, should a stamp
+    /// lie too far from the first for an offset, as the entries `split`
+    /// makes of it (given the context and `label`'s index).
+    fn write_hop(
+        &self,
+        ctx: Option<&TraceContext>,
+        kind: Kind,
+        label: &'static str,
+        stamps: &[TimeMs],
+        split: impl FnOnce(&TraceContext, u8) -> Vec<Entry>,
+    ) {
+        let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) else {
+            return;
+        };
+        let label = leg_index(label);
+        match Entry::hop(kind, ctx, label, stamps) {
+            Some(entry) => inner.push(entry),
+            None => {
+                let entries = split(ctx, label);
+                inner.write(|ring| entries.into_iter().for_each(|e| ring.push(inner, e)));
+            }
         }
     }
 
@@ -665,7 +1039,7 @@ impl Tracer {
     pub fn annotate(&self, ctx: Option<&TraceContext>, msg: impl FnOnce() -> String) {
         if let (Some(inner), Some(ctx)) = (self.0.as_ref(), ctx) {
             let now = inner.clock.now_ms();
-            let mut note = Entry::new(Kind::Note, ctx, ctx.parent, "", now, now);
+            let mut note = Entry::new(Kind::Note, ctx, ctx.parent, 0, now);
             note.notes = Some(Box::new(Notes(vec![msg()])));
             inner.push(note);
         }
@@ -689,8 +1063,7 @@ impl Tracer {
         let Some(inner) = self.0.as_ref() else {
             return View::default();
         };
-        // The cut: all rings locked at once, entries copied out ring by
-        // ring. An adoption's span directly follows its `Adopt` here.
+        // The cut: all rings locked at once, entries copied out ring by ring.
         let mut log: Vec<Entry> = Vec::new();
         let mut horizon;
         {
@@ -702,14 +1075,15 @@ impl Tracer {
                 log.extend(ring.survivors().filter(|e| e.kind != Kind::Stamp).cloned());
             }
         }
+        let names = LegNames::now();
         // Group by trace, opens first — a mint before an adoption, an
-        // earlier adoption before a later: the first one opened the trace.
+        // earlier open before a later: the first one opened the trace.
         let mut by_trace: Vec<(usize, &Entry)> = log.iter().enumerate().collect();
-        by_trace.sort_unstable_by_key(|(i, e)| (e.trace, e.kind, e.start_ms, *i));
+        by_trace.sort_unstable_by_key(|(i, e)| (e.trace, e.kind.rank(), e.start_ms, *i));
         let (mut view, mut traces) = (View::default(), Vec::new());
         for entries in by_trace.chunk_by(|a, b| a.1.trace == b.1.trace) {
             let (opened, open) = entries[0];
-            if open.kind > Kind::Adopt {
+            if !open.kind.opens() {
                 continue; // spans of a trace nobody opened here
             }
             view.evicted += 1; // until it is returned
@@ -718,30 +1092,9 @@ impl Tracer {
                 // may be among those some ring has overwritten.
                 continue;
             }
-            let mut spans = vec![open.to_span()];
-            for &(i, e) in &entries[1..] {
-                match e.kind {
-                    Kind::Span => spans.push(e.to_span()),
-                    Kind::SpanIfOpened if i == opened + 1 => spans.push(e.to_span()),
-                    Kind::Close => {
-                        spans[0].end_ms = spans[0].end_ms.max(e.end_ms);
-                        spans.push(e.to_span());
-                    }
-                    Kind::AfterQueue => {
-                        let queued = spans.iter().filter(|s| s.name == QUEUE_LEG);
-                        let mut span = e.to_span();
-                        span.start_ms = queued.map(|s| s.end_ms).min().unwrap_or(e.end_ms);
-                        spans.push(span);
-                    }
-                    Kind::Note => {
-                        if let Some(span) = spans.iter_mut().find(|s| s.id == e.span) {
-                            let notes = e.notes.iter().flat_map(|n| &n.0);
-                            span.annotations
-                                .extend(notes.map(|n| (e.end_ms, n.clone())));
-                        }
-                    }
-                    _ => {}
-                }
+            let mut spans = vec![open.root(&names)];
+            for &(i, e) in entries {
+                e.expand(i == opened, &names, &mut spans);
             }
             traces.push((open.start_ms, opened, spans));
         }
@@ -754,11 +1107,11 @@ impl Tracer {
             spans[1..].sort_by_key(|s| s.start_ms);
             let over = spans.len().saturating_sub(inner.cfg.max_spans_per_trace);
             spans.truncate(spans.len() - over);
-            let (trace_id, label, root) = (log[opened].trace, log[opened].name, log[opened].span);
+            let open = &log[opened];
             view.traces.push(TraceData {
-                trace_id,
-                label,
-                root,
+                trace_id: open.trace,
+                label: names.get(open.leg),
+                root: open.parent,
                 spans,
             });
             view.evicted -= 1;
@@ -817,6 +1170,18 @@ impl Tracer {
         };
         by_name.into_iter().map(stats).collect()
     }
+}
+
+/// A hop's child span written as an entry of its own.
+fn span_entry(ctx: &TraceContext, leg: u8, start_ms: TimeMs, end_ms: TimeMs) -> Entry {
+    Entry::spanning(Kind::Span, ctx, SpanId::random(), leg, start_ms, end_ms)
+}
+
+/// An adoption: root `label` at `start_ms`, and span `name` to `end_ms`.
+fn adopt_entry(ctx: &TraceContext, label: u8, name: u8, start_ms: TimeMs, end_ms: TimeMs) -> Entry {
+    let mut entry = Entry::spanning(Kind::Adopt, ctx, SpanId::random(), label, start_ms, end_ms);
+    entry.leg2 = name;
+    entry
 }
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -1112,11 +1477,115 @@ mod tests {
         assert_eq!(ring_len(3), 512);
     }
 
-    /// An entry stays small: the notes live out of line, so a write moves
-    /// 80 bytes and only an annotation allocates.
+    /// An entry stays small: the notes live out of line, a leg is an index
+    /// and a hop's extra stamps are offsets, so a write moves 64 bytes and
+    /// only an annotation allocates.
     #[test]
-    fn an_entry_is_at_most_80_bytes() {
-        assert!(size_of::<Entry>() <= 80, "{} bytes", size_of::<Entry>());
+    fn an_entry_is_at_most_64_bytes() {
+        assert!(size_of::<Entry>() <= 64, "{} bytes", size_of::<Entry>());
+    }
+
+    /// Each span as a reader compares it: ids aside.
+    fn legs(td: &TraceData) -> Vec<(&'static str, Option<SpanId>, TimeMs, TimeMs)> {
+        let spans = td.spans.iter();
+        spans
+            .map(|s| (s.name, s.parent, s.start_ms, s.end_ms))
+            .collect()
+    }
+
+    /// A hop's one entry reads as the separate writes it stands for, stamps
+    /// before its first included, and so does one whose stamps are too far
+    /// apart for offsets (it is written split).
+    #[test]
+    fn a_hop_reads_as_the_writes_it_replaces() {
+        for far in [0, 1 << 40] {
+            let (hop, split) = (tracer().1, tracer().1);
+            let ctx = hop.draw_trace().unwrap();
+            let call = WireStamps {
+                begin_ms: 2,
+                mid_ms: 3,
+                end_ms: 5 + far,
+            };
+            hop.open_submitted_over_wire(Some(&ctx), "task", 1, &call);
+            // The Running report raced behind the result: execute ends first.
+            hop.end_trace_landed(Some(&ctx), 8, 7 + far, 9 + far);
+            let entries = if far == 0 { 2 } else { 6 };
+            assert_eq!(hop.entries_written(), entries);
+
+            split.open_trace(Some(&ctx), "task", 1);
+            split.record_span(Some(&ctx), "submit", 1, 5 + far);
+            split.record_span(Some(&ctx), "wire.send", 2, 3);
+            split.record_span(Some(&ctx), "wire.await", 3, 5 + far);
+            split.record_span(Some(&ctx), "execute", 8, 7 + far);
+            split.end_trace_with_span(Some(&ctx), "result", 7 + far, 9 + far);
+            let (hop, split) = (hop.trace(ctx.trace_id), split.trace(ctx.trace_id));
+            let (hop, split) = (hop.unwrap(), split.unwrap());
+            assert_eq!(legs(&hop), legs(&split));
+            assert!(hop.orphan_spans().is_empty());
+            let mut ids: Vec<SpanId> = hop.spans.iter().map(|s| s.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), hop.spans.len(), "{hop:?}");
+        }
+    }
+
+    /// The wire server's hop: the first adoption's `submit`, and each
+    /// re-sent batch's wire legs, as its separate writes read.
+    #[test]
+    fn an_adoption_over_a_wire_reads_as_its_separate_writes() {
+        let (hop, split) = (tracer().1, tracer().1);
+        let remote = TraceContext {
+            trace_id: TraceId::random(),
+            parent: SpanId::random(),
+        };
+        for (at, t) in [(0, &hop), (0, &split), (10, &hop), (10, &split)] {
+            let call = WireStamps {
+                begin_ms: at + 1,
+                mid_ms: at + 2,
+                end_ms: at + 4,
+            };
+            if std::ptr::eq(t, &hop) {
+                t.adopt_trace_over_wire(&remote, "task", &call);
+            } else {
+                t.adopt_trace_with_span(&remote, "task", "submit", at + 2, at + 4);
+                t.record_span(Some(&remote), "wire.decode", at + 1, at + 2);
+                t.record_span(Some(&remote), "wire.queue", at + 2, at + 4);
+            }
+        }
+        assert_eq!((hop.entries_written(), split.entries_written()), (2, 6));
+        let (hop, split) = (
+            hop.trace(remote.trace_id).unwrap(),
+            split.trace(remote.trace_id),
+        );
+        assert_eq!(legs(&hop), legs(&split.unwrap()));
+        assert_eq!(hop.spans_named("submit").count(), 1);
+        assert_eq!(hop.spans_named("wire.queue").count(), 2);
+        assert_eq!(hop.root_span().unwrap().start_ms, 2, "the first adoption's");
+    }
+
+    /// A drawn context writes nothing until its hop opens the trace, and
+    /// sampling counts draws as it counts mints.
+    #[test]
+    fn a_drawn_trace_opens_with_its_first_hop() {
+        let vclock = VirtualClock::new();
+        let cfg = TraceConfig {
+            sample_every: 2,
+            ..TraceConfig::default()
+        };
+        let t = Tracer::new(vclock, cfg);
+        let drawn: Vec<_> = (0..4).map(|_| t.draw_trace()).collect();
+        assert_eq!(drawn.iter().filter(|c| c.is_some()).count(), 2);
+        assert_eq!((t.entries_written(), t.trace_count()), (0, 0));
+        t.open_submitted(drawn[0].as_ref(), "task", 3, 5);
+        t.open_trace(drawn[2].as_ref(), "task", 4);
+        let td = t.trace(drawn[0].unwrap().trace_id).unwrap();
+        let submit = (Some(td.root), 3, 5);
+        assert_eq!(
+            legs(&td),
+            [("task", None, 3, 3), ("submit", submit.0, 3, 5)]
+        );
+        assert_eq!(t.trace(drawn[2].unwrap().trace_id).unwrap().spans.len(), 1);
+        assert_eq!(t.entries_written(), 2);
     }
 
     /// `dispatch` starts where the first delivery's `queue` leg ended, read

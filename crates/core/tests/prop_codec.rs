@@ -553,3 +553,45 @@ proptest! {
         prop_assert_eq!(reader.next_frame().unwrap(), Some(next));
     }
 }
+
+proptest! {
+    /// An args payload and a result envelope are each built in a reused
+    /// buffer and copied out once: their bytes are exactly what encoding
+    /// the same `Value` tree (`codec::encode`) and appending the envelope to
+    /// a fresh buffer give.
+    #[test]
+    fn built_payloads_and_envelopes_are_the_codecs_bytes(
+        args in prop::collection::vec(tree_strategy(), 0..4),
+        kwargs in tree_strategy(),
+        sent in (any::<bool>(), any::<u64>()),
+    ) {
+        let sent_ms = sent.0.then_some(sent.1);
+        let tree = Value::List(vec![Value::List(args.clone()), kwargs.clone()]);
+        let payload = Payload::encode_args(&args, &kwargs);
+        prop_assert_eq!(payload.as_slice(), &encode(&tree)[..]);
+        prop_assert_eq!(payload.hash(), Payload::encode(&tree).hash());
+        let id = TaskId::random();
+        for result in [TaskResult::Ok(payload), TaskResult::Err("boom √".into())] {
+            let mut fresh = Vec::new();
+            result.write_envelope(id, sent_ms, &mut fresh);
+            prop_assert_eq!(&result.to_envelope(id, sent_ms)[..], &fresh[..]);
+        }
+    }
+}
+
+/// The same for one payload larger than the buffer a thread keeps, and for
+/// a small one built after it on the same thread.
+#[test]
+fn a_payload_past_the_kept_buffer_is_the_codecs_bytes() {
+    for len in [200_000, 3] {
+        let args = vec![Value::Bytes(vec![7; len]), Value::Int(-1)];
+        let kwargs = Value::map([("k", Value::str("v"))]);
+        let tree = Value::List(vec![Value::List(args.clone()), kwargs.clone()]);
+        let payload = Payload::encode_args(&args, &kwargs);
+        assert_eq!(payload.as_slice(), &encode(&tree)[..]);
+        let (result, id) = (TaskResult::Ok(payload), TaskId::random());
+        let mut fresh = Vec::new();
+        result.write_envelope(id, None, &mut fresh);
+        assert_eq!(&result.to_envelope(id, None)[..], &fresh[..]);
+    }
+}

@@ -46,7 +46,7 @@ use gcx_core::metrics::Counter;
 use gcx_core::respec::ResourceSpec;
 use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec};
-use gcx_core::trace::TraceContext;
+use gcx_core::trace::{TraceContext, Tracer};
 use gcx_core::value::Value;
 use parking_lot::{Condvar, Mutex};
 
@@ -83,14 +83,27 @@ struct PendingSubmit {
     /// Trace stamp of the original `submit()` call (or of the resubmission
     /// decision), so the submit span covers batching wait plus the REST call.
     submitted_ms: u64,
+    /// Whether the task's trace is still to be opened: its context is drawn
+    /// at `submit()`, and its root written with its first hop.
+    opens: bool,
+}
+
+impl PendingSubmit {
+    /// The task will never ship: its drawn trace gets its root alone.
+    fn dropped(&self, tracer: &Tracer) {
+        if self.opens {
+            tracer.open_trace(self.spec.trace.as_ref(), "task", self.submitted_ms);
+        }
+    }
 }
 
 /// What the batcher keeps of a task whose spec it handed to the link: enough
-/// for the `submit` span, or for `fail_or_retry` if the batch is refused.
+/// for the task's hop, or for `fail_or_retry` if the batch is refused.
 struct Shipped {
     task_id: TaskId,
     trace: Option<TraceContext>,
     submitted_ms: u64,
+    opens: bool,
 }
 
 /// How often the batcher looks for what no push announces: a partial batch
@@ -144,7 +157,7 @@ struct ExecutorShared {
     overload_backoffs: Arc<Counter>,
     /// The service's tracer (shared via the metrics registry); disabled
     /// tracers make every span call a no-op.
-    tracer: gcx_core::trace::Tracer,
+    tracer: Tracer,
 }
 
 /// How long [`Executor::close`] waits for results of already-flushed tasks
@@ -306,10 +319,11 @@ impl Executor {
         spec.resource_spec = *self.resource_specification.lock();
         spec.user_endpoint_config = self.user_endpoint_config.lock().clone();
         // The SDK is the trace root for executor submissions: the context
-        // rides the spec through every resubmission attempt. One reading
-        // opens the root and starts the `submit` leg.
+        // rides the spec through every resubmission attempt. It is drawn
+        // here; the batcher writes the root with the `submit` leg, which
+        // starts at this one reading.
         let submitted_ms = self.shared.tracer.now_ms();
-        spec.trace = self.shared.tracer.start_trace_at("task", submitted_ms);
+        spec.trace = self.shared.tracer.draw_trace();
 
         let future = TaskFuture::pending(spec.task_id);
         self.shared.inflight.lock().insert(
@@ -325,16 +339,19 @@ impl Executor {
         // its final drain only after observing the shutdown flag, so a push
         // that lands here is guaranteed to be flushed, and a push that would
         // land after the drain is rejected instead of stranding the task.
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            drop(pending);
-            self.shared.inflight.lock().remove(&spec.task_id);
-            return Err(GcxError::ShuttingDown);
-        }
-        pending.push(PendingSubmit {
+        let submit = PendingSubmit {
             submitted_ms,
             spec,
             enqueued_at: Instant::now(),
-        });
+            opens: true,
+        };
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            drop(pending);
+            self.shared.inflight.lock().remove(&submit.spec.task_id);
+            submit.dropped(&self.shared.tracer);
+            return Err(GcxError::ShuttingDown);
+        }
+        pending.push(submit);
         // The push that fills a batch ships it now: a load unless the
         // batcher is parked. A shorter batch waits for the batcher's tick.
         if pending.len() == self.shared.full {
@@ -400,8 +417,9 @@ impl Executor {
                 // Not yet flushed from the batcher: cancel locally.
                 let mut pending = self.shared.pending.lock();
                 if let Some(pos) = pending.iter().position(|p| p.spec.task_id == task_id) {
-                    pending.remove(pos);
+                    let dropped = pending.remove(pos);
                     drop(pending);
+                    dropped.dropped(&self.shared.tracer);
                     self.shared.inflight.lock().remove(&task_id);
                     future.resolve(Err(GcxError::Cancelled(task_id)));
                     return Ok(true);
@@ -516,25 +534,45 @@ fn batcher_loop(shared: &ExecutorShared, cfg: ExecutorConfig) {
                         task_id: p.spec.task_id,
                         trace: p.spec.trace,
                         submitted_ms: p.submitted_ms,
+                        opens: p.opens,
                     });
                     p.spec
                 })
                 .collect()
         };
-        match shared.link.submit_batch(&shared.token, specs) {
-            Ok(_) => {
-                // Submit leg: submit() call → batch accepted by the REST
-                // API (covers the coalescing window).
-                let tracer = &shared.tracer;
-                let now = tracer.now_ms();
+        let tracer = &shared.tracer;
+        match shared.link.submit_batch_timed(&shared.token, specs) {
+            Ok((_, call)) => {
+                // Each task's hop, one entry: the root and the submit leg —
+                // submit() call → batch accepted by the REST API (covers the
+                // coalescing window) — and over the wire the call's legs,
+                // whose answer is where the submit leg ends.
+                let accepted_ms = call.map_or_else(|| tracer.now_ms(), |c| c.end_ms);
                 for s in &shipped {
-                    tracer.record_span(s.trace.as_ref(), "submit", s.submitted_ms, now);
+                    let ctx = s.trace.as_ref();
+                    match (s.opens, &call) {
+                        (true, None) => {
+                            tracer.open_submitted(ctx, "task", s.submitted_ms, accepted_ms)
+                        }
+                        (true, Some(call)) => {
+                            tracer.open_submitted_over_wire(ctx, "task", s.submitted_ms, call)
+                        }
+                        (false, call) => {
+                            tracer.record_span(ctx, "submit", s.submitted_ms, accepted_ms);
+                            if let Some(call) = call {
+                                tracer.record_wire_call(ctx, call);
+                            }
+                        }
+                    }
                 }
             }
             Err(e) => {
                 // The whole batch was rejected: fail (or, for retryable
-                // rejections, resubmit) each task.
+                // rejections, resubmit) each task, its trace open first.
                 for s in &shipped {
+                    if s.opens {
+                        tracer.open_trace(s.trace.as_ref(), "task", s.submitted_ms);
+                    }
                     fail_or_retry(shared, &cfg.retry, s.task_id, e.clone());
                 }
             }
@@ -744,6 +782,7 @@ fn fail_or_retry(
         spec: inf.spec.clone(),
         enqueued_at: Instant::now(),
         submitted_ms: now,
+        opens: false,
     };
     shared.inflight.lock().insert(inf.spec.task_id, inf);
     shared

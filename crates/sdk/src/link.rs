@@ -39,7 +39,7 @@ use gcx_core::ids::{FunctionId, TaskId};
 use gcx_core::metrics::MetricsRegistry;
 use gcx_core::retry::RetryPolicy;
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
-use gcx_core::trace::{TraceConfig, Tracer};
+use gcx_core::trace::{TraceConfig, Tracer, WireStamps};
 use gcx_mq::Delivery;
 use parking_lot::RwLock;
 
@@ -60,12 +60,15 @@ const ROTATION_BACKOFF: RetryPolicy = RetryPolicy {
 
 /// The client-process-local registry a wire link runs on. A separate OS
 /// process has no service registry to share, so the link brings its own —
-/// with tracing enabled, so the executor's submit spans and the
-/// connection's `wire.send`/`wire.await` legs land in one collector that
-/// shares trace ids with the server over the wire.
-fn wire_registry() -> MetricsRegistry {
+/// with tracing enabled (`tracer`, when given, is the connection's own), so
+/// the executor's submit spans and the connection's `wire.send`,
+/// `wire.await` and `wire.push` legs land in one collector that shares
+/// trace ids with the server over the wire.
+fn wire_registry(tracer: Option<Tracer>) -> MetricsRegistry {
     let registry = MetricsRegistry::new();
-    registry.set_tracer(Tracer::new(SystemClock::shared(), TraceConfig::default()));
+    let tracer =
+        tracer.unwrap_or_else(|| Tracer::new(SystemClock::shared(), TraceConfig::default()));
+    registry.set_tracer(tracer);
     registry
 }
 
@@ -105,6 +108,17 @@ impl Target {
         match self {
             Target::Local(svc) => svc.submit_batch(token, specs.to_vec()),
             Target::Wire(c) => c.submit_batch(specs),
+        }
+    }
+
+    fn submit_batch_timed(
+        &self,
+        token: &Token,
+        specs: &[TaskSpec],
+    ) -> GcxResult<(Vec<TaskId>, Option<WireStamps>)> {
+        match self {
+            Target::Local(svc) => Ok((svc.submit_batch(token, specs.to_vec())?, None)),
+            Target::Wire(c) => c.submit_batch_timed(specs),
         }
     }
 }
@@ -275,15 +289,30 @@ impl Link {
     ) -> GcxResult<Vec<TaskId>> {
         let specs = specs.into();
         match self {
+            Link::Local(_) => Ok(self.submit_batch_timed(token, specs)?.0),
+            Link::Wire(_) => self.follow(|at| at.submit_batch(token, &specs)),
+        }
+    }
+
+    /// [`Link::submit_batch`] for a caller that writes each task's hop
+    /// itself (the executor's batcher): over the wire, an accepted call's
+    /// `wire.send`/`wire.await` stamps come back instead of being recorded.
+    pub(crate) fn submit_batch_timed<'a>(
+        &self,
+        token: &Token,
+        specs: impl Into<Cow<'a, [TaskSpec]>>,
+    ) -> GcxResult<(Vec<TaskId>, Option<WireStamps>)> {
+        let specs = specs.into();
+        match self {
             Link::Local(l) => {
                 let svc = l.current.read().clone();
                 let out = svc.submit_batch(token, specs.into_owned());
                 if let Err(GcxError::ReplicaUnavailable(r)) = &out {
                     self.rotate(Some(*r));
                 }
-                out
+                Ok((out?, None))
             }
-            Link::Wire(_) => self.follow(|at| at.submit_batch(token, &specs)),
+            Link::Wire(_) => self.follow(|at| at.submit_batch_timed(token, &specs)),
         }
     }
 
@@ -422,7 +451,7 @@ impl WireLink {
         if addrs.is_empty() {
             return Err(GcxError::InvalidConfig("wire link needs an address".into()));
         }
-        let metrics = wire_registry();
+        let metrics = wire_registry(None);
         let mut last = None;
         for (i, addr) in addrs.iter().enumerate() {
             match WireClient::connect_tcp_with_registry(addr, token, cfg.clone(), &metrics) {
@@ -442,14 +471,16 @@ impl WireLink {
     }
 
     /// Wrap an already-connected client (used by tests over in-memory
-    /// transports, where there is no address to dial).
+    /// transports, where there is no address to dial). A client that traces
+    /// lends the link its collector, as a dialed one shares the link's.
     pub fn over(client: WireClient, cfg: WireClientConfig) -> Arc<Self> {
+        let tracer = Some(client.tracer().clone()).filter(Tracer::enabled);
         Arc::new(Self {
             addrs: Vec::new(),
             token: String::new(),
             cfg,
             conn: RwLock::new((0, client)),
-            metrics: wire_registry(),
+            metrics: wire_registry(tracer),
         })
     }
 

@@ -3,14 +3,21 @@
 //! `publish_result` → `ack_task`, as `gcxbench`'s `svc_inmem` runs it), on
 //! a `Clock` that counts its readings.
 //!
-//! - Ring entries per task: 5 — the mint, the SDK's `submit`, `queue`,
-//!   `execute` and the closing `result`. It was 8 while the service also
-//!   adopted every in-process context with a `submit` span of its own
-//!   (which the mint always beat) and a separate entry closed the root.
-//! - `Clock::now_ms` readings per task over a 128-task batch: ≈ 5.3 — one
+//! - Ring entries per task: 3, one a hop — the batcher's (the root and
+//!   `submit`), the agent's `queue`, and the result processor's (`execute`
+//!   and the closing `result`). It was 5 while the mint, `execute` and
+//!   `result` were entries of their own, and 8 while the service also
+//!   adopted every in-process context with a `submit` span of its own.
+//! - Over the wire (localhost TCP, the `svc_tcp` path), 2 on the client's
+//!   collector — the batcher's hop, now also carrying `wire.send` and
+//!   `wire.await`, and `wire.push` — and 3 on the server's: the connection
+//!   thread's adoption with `submit`, `wire.decode` and `wire.queue`, then
+//!   `queue` and the result processor's. It was 5 and 7.
+//! - `Clock::now_ms` readings per task over a 128-task batch: ≈ 4.1 — one
 //!   at submit, then `queue`, the echo take's poll stamp, the result's
 //!   publish stamp, where it lands, a ring's stamp every 64 entries, and
-//!   the batch's and the batched takes' share. It was ≈ 8.4 with the
+//!   the batch's and the batched takes' share. It was 4.13 with an entry a
+//!   leg (two more ring stamps every 64 tasks), and ≈ 8.4 with the
 //!   adoption's, the root close's and a second one at submit.
 //!
 //! The same stack also keeps every leg: driven by a real `Executor`, each
@@ -23,7 +30,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gcx_auth::{AuthPolicy, AuthService};
-use gcx_cloud::{CloudConfig, WebService};
+use gcx_cloud::{CloudConfig, WebService, WireClientConfig, WireServer};
+use gcx_config::TransportSpec;
 use gcx_core::clock::{Clock, SharedClock, SystemClock, TimeMs};
 use gcx_core::metrics::MetricsRegistry;
 use gcx_core::task::{TaskResult, TaskState};
@@ -31,10 +39,15 @@ use gcx_core::value::Value;
 use gcx_mq::{Broker, LinkProfile};
 use gcx_sdk::{Executor, ExecutorConfig, PyFunction, TaskFuture};
 
-/// Ring entries a traced in-process round trip writes (8 before).
-const ENTRIES_PER_TASK: f64 = 5.0;
-/// `Clock::now_ms` readings per task: 5.16–5.83 over 65 runs (8.28–8.56
-/// before). The result processor's and the stream's takes each stamp the
+/// Ring entries a traced in-process round trip writes (5 before, 8 before
+/// that).
+const ENTRIES_PER_TASK: f64 = 3.0;
+/// Ring entries a traced round trip over the wire writes on the client's
+/// collector (5 before) and on the server's (7 before).
+const WIRE_CLIENT_ENTRIES_PER_TASK: f64 = 2.0;
+const WIRE_SERVER_ENTRIES_PER_TASK: f64 = 3.0;
+/// `Clock::now_ms` readings per task: 4.09–4.11 (4.13 with an entry a leg;
+/// 8.28–8.56 while the service also adopted in-process contexts). The result processor's and the stream's takes each stamp the
 /// clock once, however many results they find, so a host whose consumers
 /// keep up one result at a time reads up to one more per consumer.
 const CLOCK_READS_PER_TASK: f64 = 6.5;
@@ -60,9 +73,11 @@ impl Clock for CountingClock {
 }
 
 /// A service on `clock`, one endpoint served by an echo drain (which
-/// reports `Running` first if `running`), and an executor on it.
+/// reports `Running` first if `running`), and an executor on it — over a
+/// localhost wire server if `wire`.
 struct Stack {
     svc: WebService,
+    server: Option<WireServer>,
     executor: Option<Executor>,
     stop: Arc<AtomicBool>,
     drain: Option<JoinHandle<()>>,
@@ -70,6 +85,10 @@ struct Stack {
 
 impl Stack {
     fn new(clock: SharedClock, running: bool) -> Self {
+        Self::build(clock, running, false)
+    }
+
+    fn build(clock: SharedClock, running: bool, wire: bool) -> Self {
         let broker = Broker::with_profile(
             MetricsRegistry::new(),
             clock.clone(),
@@ -105,20 +124,25 @@ impl Stack {
                 }
             })
         };
-        let executor = Executor::with_config(
-            svc.clone(),
-            token,
-            reg.endpoint_id,
-            ExecutorConfig {
-                // Only a full batch ships, in one call.
-                batch_window: Duration::from_secs(60),
-                max_batch: BATCH,
-                ..ExecutorConfig::default()
-            },
-        )
-        .unwrap();
+        let cfg = ExecutorConfig {
+            // Only a full batch ships, in one call.
+            batch_window: Duration::from_secs(60),
+            max_batch: BATCH,
+            ..ExecutorConfig::default()
+        };
+        let (server, executor) = if wire {
+            let server = WireServer::listen(&svc, TransportSpec::default()).unwrap();
+            let addrs = vec![server.addr().to_string()];
+            let wire_cfg = WireClientConfig::default();
+            let executor = Executor::over_wire(addrs, &token.0, reg.endpoint_id, cfg, wire_cfg);
+            (Some(server), executor.unwrap())
+        } else {
+            let executor = Executor::with_config(svc.clone(), token, reg.endpoint_id, cfg);
+            (None, executor.unwrap())
+        };
         Self {
             svc,
+            server,
             executor: Some(executor),
             stop,
             drain: Some(drain),
@@ -144,6 +168,9 @@ impl Stack {
 impl Drop for Stack {
     fn drop(&mut self) {
         self.executor.take().unwrap().close();
+        if let Some(server) = self.server.take() {
+            server.shutdown();
+        }
         self.stop.store(true, Ordering::Relaxed);
         self.drain.take().unwrap().join().unwrap();
         self.svc.shutdown();
@@ -151,7 +178,7 @@ impl Drop for Stack {
 }
 
 #[test]
-fn a_traced_in_process_task_writes_five_entries_and_reads_the_clock_about_five_times() {
+fn a_traced_in_process_task_writes_three_entries_and_reads_the_clock_about_four_times() {
     let clock = Arc::new(CountingClock::default());
     let stack = Stack::new(clock.clone(), false);
     let tracer = stack.svc.tracer().clone();
@@ -193,5 +220,49 @@ fn an_executor_task_keeps_one_submit_and_dispatch_follows_queue() {
         assert_eq!(leg("execute").start_ms, leg("dispatch").end_ms, "{td:?}");
         let root = td.root_span().unwrap();
         assert_eq!(root.end_ms, leg("result").end_ms, "the closing leg's end");
+    }
+}
+
+#[test]
+fn a_traced_wire_task_writes_two_entries_on_the_client_and_three_on_the_server() {
+    let stack = Stack::build(SystemClock::shared(), false, true);
+    let server = stack.svc.tracer().clone();
+    let client = stack.executor.as_ref().unwrap().metrics().tracer();
+    stack.round_trip(BATCH);
+
+    let written = || (client.entries_written(), server.entries_written());
+    let before = written();
+    stack.round_trip(BATCH);
+    let after = written();
+    let per_task = |a: u64, b: u64| (a - b) as f64 / BATCH as f64;
+    let (on_client, on_server) = (per_task(after.0, before.0), per_task(after.1, before.1));
+    println!("per traced wire task: {on_client:.2} client entries, {on_server:.2} server entries");
+    assert!(
+        on_client <= WIRE_CLIENT_ENTRIES_PER_TASK,
+        "{on_client:.2} client ring entries a task (bound {WIRE_CLIENT_ENTRIES_PER_TASK})"
+    );
+    assert!(
+        on_server <= WIRE_SERVER_ENTRIES_PER_TASK,
+        "{on_server:.2} server ring entries a task (bound {WIRE_SERVER_ENTRIES_PER_TASK})"
+    );
+    // Every leg of both sides is still there.
+    let client_legs = ["submit", "wire.await", "wire.push", "wire.send"];
+    let server_legs = [
+        "execute",
+        "queue",
+        "result",
+        "submit",
+        "wire.decode",
+        "wire.queue",
+    ];
+    for (tracer, once) in [(&client, &client_legs[..]), (&server, &server_legs[..])] {
+        let traces = tracer.traces();
+        assert_eq!(traces.len(), 2 * BATCH);
+        for td in &traces {
+            assert!(td.orphan_spans().is_empty(), "{td:?}");
+            let mut legs: Vec<&str> = td.children_of(td.root).iter().map(|s| s.name).collect();
+            legs.sort_unstable();
+            assert_eq!(legs, once, "{td:?}");
+        }
     }
 }

@@ -221,6 +221,48 @@ fn an_idle_stack_sleeps_and_still_works() {
         eprintln!("idle_census: no /proc/self/task here, wake-ups not counted");
     }
 
+    // ---- after a task's deadline: the expiry sweep it armed disarms once
+    // it finds nothing left to expire, so the service sleeps again --------
+    let ttl_ep = cloud
+        .register_endpoint(&token, "ttl", false, AuthPolicy::open(), None)
+        .unwrap();
+    let ttl_fid = cloud
+        .register_function(
+            &token,
+            FunctionBody::pyfn(
+                "def f():
+    return 0
+",
+            ),
+        )
+        .unwrap();
+    let mut spec = TaskSpec::new(ttl_fid, ttl_ep.endpoint_id);
+    spec.deadline_ms = Some(50);
+    // No agent serves `ttl`: the task waits in its queue until it expires.
+    let doomed = cloud.submit_task(&token, spec).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cloud.task_status(&token, doomed).unwrap().0.is_terminal() {
+        assert!(Instant::now() < deadline, "task {doomed} never expired");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(100)); // the disarming sweep
+    if let (Some(before), watched) = (census(), Instant::now()) {
+        std::thread::sleep(Duration::from_secs(1));
+        let after = census().expect("/proc was readable a second ago");
+        let woke: u64 = after
+            .iter()
+            .filter(|(name, _)| name.starts_with("gcx-result-proc"))
+            .map(|(name, (_, now))| now - before.get(name).map_or(0, |b| b.1))
+            .sum();
+        // Processor 0 parks until its liveness sweep again; with the sweep
+        // armed for good it woke every 25 ms (≈ 39/s). Measured 0/s.
+        let service_rate = woke as f64 / watched.elapsed().as_secs_f64();
+        assert!(
+            service_rate <= 5.0,
+            "the service wakes {service_rate:.0}/s after its last deadline task expired"
+        );
+    }
+
     // ---- an idle federation's monitor and rpc loops, in a window of their
     // own: the replicas' other threads share their names with the service
     // row above ---------------------------------------------------------------
