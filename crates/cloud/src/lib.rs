@@ -10,9 +10,10 @@
 //!   `gcx-auth` and metered;
 //! - per-endpoint **task queues** and a shared **result queue** on the
 //!   `gcx-mq` broker, with AMQPS-style credentials per endpoint;
-//! - a content-addressed payload cache ([`blob::CasStore`]) that ships
-//!   repeated and large task inputs as 16-byte references, under the
-//!   **10 MB payload limit** (§V);
+//! - task records that are also the payload store: a task input over
+//!   64 KiB rides its endpoint's queue as a 16-byte content-hash reference
+//!   to the record's copy, and every input is held to the **10 MB payload
+//!   limit** (§V);
 //! - a result-processor pool that consumes results, updates the
 //!   task database, and feeds per-user **result streams** (the push channel
 //!   behind the executor interface, §III-A);
@@ -26,13 +27,11 @@
 //!   failure handover with exactly-once result ingestion — the "highly
 //!   available" part of §II made concrete.
 
-pub(crate) mod blob;
 pub mod federation;
 pub(crate) mod records;
 pub mod service;
 pub(crate) mod usage;
 
-pub use blob::{CasStore, Intern};
 pub use federation::{Federation, FederationConfig, HashRing, ReplicaDirectory, ReplicaId};
 pub use records::{EndpointHealth, EndpointRegistration, MepStartRequest};
 pub use service::{

@@ -10,8 +10,8 @@ use gcx_core::function::{FunctionBody, FunctionRecord};
 use gcx_core::ids::{EndpointId, FunctionId};
 use gcx_mq::Consumer;
 
+use super::dispatch::PAYLOAD_LIMIT;
 use super::{mep_queue_name, task_queue_name, EndpointSession, WebService, RESULT_QUEUE};
-use crate::blob::PAYLOAD_LIMIT;
 use crate::records::{EndpointRecord, EndpointRegistration};
 
 impl WebService {

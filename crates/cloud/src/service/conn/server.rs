@@ -447,7 +447,7 @@ fn dispatch_method(
             };
             // Ingress from a peer: `unpack_specs` verifies every payload
             // against its carried hash and refuses the batch on any defect,
-            // before admission, the CAS store or the task store see it.
+            // before admission or the task store see it.
             let specs = batch::unpack_specs(&Bytes::from(body))?;
             let t1 = now_ms(inner);
             // A context decoded here was minted in the client's collector:

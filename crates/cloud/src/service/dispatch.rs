@@ -1,5 +1,5 @@
 //! Task dispatch: submission (single and batched), MEP→UEP resolution,
-//! payload interning (content-addressed dedup), and the status-polling
+//! the inline-or-reference choice for each payload, and the status-polling
 //! path.
 
 use std::collections::hash_map::Entry;
@@ -18,10 +18,21 @@ use gcx_core::value::Value;
 use gcx_mq::Message;
 
 use super::{mep_queue_name, task_queue_name, WebService};
-use crate::blob::{Intern, INLINE_THRESHOLD, PAYLOAD_LIMIT};
 use crate::federation::envelope::{Body, Forwarded};
 use crate::federation::ReplicaId;
 use crate::records::{config_hash, EndpointRecord, MepStartRequest};
+
+/// The payload limit the production service enforces (§V), on every task
+/// submission, function body and result. ProxyStore and Globus Transfer
+/// exist to route around it.
+pub(super) const PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
+
+/// A payload longer than this never rides the queue ("large task inputs
+/// are stored in S3", §II): its task record is the store, and the queue
+/// message carries only the 16-byte content hash, which the endpoint's
+/// session resolves against that record
+/// ([`WebService::resolve_payload`]).
+const INLINE_THRESHOLD: usize = 64 * 1024;
 
 /// Rough wire overhead of a binary task message beyond its payload bytes
 /// (ids, flags, hash, varints) — used for API byte metering so the
@@ -84,8 +95,8 @@ pub(super) struct Accepted {
     /// The endpoint whose queue it ships to: `spec.endpoint_id`, or the
     /// user endpoint a multi-user target resolved to.
     pub(super) deliver_to: EndpointId,
-    /// Ship the payload bytes (`true`) or only their content hash, a CAS
-    /// reference.
+    /// Ship the payload bytes (`true`) or only their content hash, a
+    /// reference to the task record's copy.
     pub(super) inline: bool,
     /// Whether this replica owes the trace its `submit` span: only when
     /// its front door minted the trace. An SDK that minted one records its
@@ -152,11 +163,11 @@ impl WebService {
 
         // Validate everything before enqueueing anything (atomic batch).
         // The args payload was encoded once at the submit edge; here it is
-        // only measured, hashed (already done), and interned — never
-        // re-walked by the codec. What else a task is checked for depends
-        // only on its (function, endpoint) pair, so each pair the batch
-        // names is checked once, when it first appears; the map keeps a
-        // multi-user target's record for resolving each of its tasks.
+        // only measured and hashed (already done) — never re-walked by the
+        // codec. What else a task is checked for depends only on its
+        // (function, endpoint) pair, so each pair the batch names is
+        // checked once, when it first appears; the map keeps a multi-user
+        // target's record for resolving each of its tasks.
         let mut checked: HashMap<(FunctionId, EndpointId), Option<EndpointRecord>> = HashMap::new();
         let mut prepared: Vec<Accepted> = Vec::with_capacity(specs.len());
         for mut spec in specs {
@@ -194,23 +205,10 @@ impl WebService {
                 }
                 None => spec.endpoint_id,
             };
-            // Content-addressed dedup: intern the payload and ship a
-            // 16-byte reference when the bytes are already cached (a
-            // repeat submission) or too large to ride the queue inline.
-            // Federated replicas don't share the cache, so their tasks
-            // always inline (the owning replica may be a different
-            // process). So does a payload no longer than the reference
-            // that would replace it: it can never ship smaller, and a
-            // cache entry costs far more than its bytes.
-            let inline = if self.fed().is_some() || payload_len <= size_of::<ContentHash>() {
-                true
-            } else {
-                match self.inner.cas.intern(&spec.payload) {
-                    Intern::Hit => false,
-                    Intern::Stored => payload_len <= INLINE_THRESHOLD,
-                    Intern::Uncacheable => true,
-                }
-            };
+            // A large payload ships as a reference to the record's copy.
+            // A federation always inlines: the replica that owns the task,
+            // and so its record, may be another process.
+            let inline = self.fed().is_some() || payload_len <= INLINE_THRESHOLD;
             prepared.push(Accepted {
                 spec,
                 deliver_to,
@@ -342,8 +340,8 @@ impl WebService {
     /// order the batch first names them.
     ///
     /// Each task's queue message is its compact binary body (no `Value`
-    /// tree — an inlined payload is memcpy'd in, a CAS reference ships
-    /// only the content hash). The short bodies bound for one endpoint are
+    /// tree — an inlined payload is memcpy'd in, a reference ships only
+    /// the content hash). The short bodies bound for one endpoint are
     /// written into one buffer that their messages slice; a body of
     /// `OWN_BUFFER_AT` bytes or more gets a buffer of its own. A message's
     /// headers let the broker annotate a traced task on fault injection,
@@ -507,23 +505,21 @@ impl WebService {
         }
     }
 
-    /// Resolve a CAS payload reference for an endpoint session: the dedup
-    /// cache first, then the task record (which always retains the full
-    /// payload) when the cache entry was evicted between ship and receipt.
-    /// Both misses is a retryable fault — the spec can be redelivered.
+    /// Resolve a payload reference for an endpoint session from the task's
+    /// record, which holds the payload for as long as the task is held. The
+    /// record's bytes are served only if their hash is the reference's, so
+    /// a reference never resolves to other bytes. No record, or another
+    /// payload on it, is a retryable fault.
     pub(super) fn resolve_payload(&self, task_id: TaskId, hash: ContentHash) -> GcxResult<Payload> {
-        if let Some(p) = self.inner.cas.get(hash) {
-            return Ok(p);
-        }
-        self.inner
-            .tasks
-            .with(&task_id, |rec| rec.map(|r| r.spec.payload.clone()))
-            .ok_or_else(|| {
-                GcxError::Transient(format!(
-                    "payload {hash} for task {task_id} not resolvable: evicted from the \
-                     dedup cache and no local task record"
-                ))
-            })
+        self.inner.tasks.with(&task_id, |rec| match rec {
+            Some(rec) if rec.spec.payload.hash() == hash => Ok(rec.spec.payload.clone()),
+            Some(_) => Err(GcxError::Transient(format!(
+                "payload {hash} for task {task_id} is not the one its record holds"
+            ))),
+            None => Err(GcxError::Transient(format!(
+                "payload {hash} for task {task_id} not resolvable: no task record"
+            ))),
+        })
     }
 
     /// Resolve the user endpoint for (MEP, identity, config-hash), creating
@@ -781,7 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn large_args_ship_as_cas_reference_and_resolve() {
+    fn large_args_ship_as_a_reference_and_resolve() {
         let svc = service();
         let token = login(&svc, "u@x.y");
         let fid = svc
@@ -800,7 +796,6 @@ mod tests {
             Value::map([] as [(&str, Value); 0]),
         );
         svc.submit_task(&token, spec).unwrap();
-        assert_eq!(svc.cas().len(), 1, "args interned in the dedup cache");
         let (got, tag) = session.next_task(T).unwrap().unwrap();
         let (args, _) = got.decode_args().unwrap();
         assert_eq!(args, vec![Value::Bytes(payload)], "resolved transparently");
@@ -820,7 +815,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_args_dedup_through_the_cas_cache() {
+    fn identical_args_each_resolve_byte_identical() {
         let svc = service();
         let token = login(&svc, "u@x.y");
         let fid = svc
@@ -834,25 +829,17 @@ mod tests {
             .unwrap();
         let args = vec![Value::Bytes(vec![3u8; 4096])];
         let kwargs = Value::map([] as [(&str, Value); 0]);
-        // First submission travels inline (and primes the cache); the next
-        // four are hash-only references to the same interned bytes.
         let mut ids = Vec::new();
+        let mut payload_len = 0;
         for _ in 0..5 {
             let mut spec = TaskSpec::new(fid, reg.endpoint_id);
             spec.set_args(args.clone(), kwargs.clone());
+            payload_len = spec.payload.len() as u64;
             ids.push(svc.submit_task(&token, spec).unwrap());
         }
-        assert_eq!(svc.metrics().counter("blob.cas_misses").get(), 1);
-        assert_eq!(svc.metrics().counter("blob.cas_hits").get(), 4);
+        // Each copy rides its own queue message inline.
         let moved = svc.metrics().counter("payload.bytes_moved").get();
-        let payload_len = {
-            let mut s = TaskSpec::new(fid, reg.endpoint_id);
-            s.set_args(args.clone(), kwargs.clone());
-            s.payload.len() as u64
-        };
-        assert_eq!(moved, payload_len, "only the first copy moves");
-        // Every delivery resolves to identical args regardless of how it
-        // traveled.
+        assert_eq!(moved, 5 * payload_len);
         for id in &ids {
             let (got, tag) = session.next_task(T).unwrap().unwrap();
             assert_eq!(got.task_id, *id);
@@ -863,25 +850,56 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A by-reference payload is held by its task record and by nothing
+    /// else: once the result is confirmed its reference resolves to
+    /// nothing, and a reference naming other bytes than the live record's
+    /// never resolves to the record's.
     #[test]
-    fn arguments_no_longer_than_a_reference_are_never_interned() {
+    fn a_referenced_payload_lives_exactly_as_long_as_its_record() {
         let svc = service();
         let token = login(&svc, "u@x.y");
         let fid = svc
-            .register_function(&token, FunctionBody::pyfn("def f(n):\n    return n\n"))
+            .register_function(&token, FunctionBody::pyfn("def f(b):\n    return len(b)\n"))
             .unwrap();
         let reg = svc
             .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
             .unwrap();
-        for n in 0..1_000 {
-            let mut spec = TaskSpec::new(fid, reg.endpoint_id);
-            spec.set_args(vec![Value::Int(n)], Value::map([] as [(&str, Value); 0]));
-            assert!(spec.payload.len() <= size_of::<ContentHash>());
-            svc.submit_task(&token, spec).unwrap();
+        let session = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+        spec.set_args(vec![Value::Bytes(vec![9u8; 1024 * 1024])], Value::None);
+        let hash = spec.payload.hash();
+        let id = svc.submit_task(&token, spec).unwrap();
+
+        // A live record whose payload has another hash serves nothing.
+        let forged = ContentHash(hash.0 ^ 1);
+        assert!(matches!(
+            svc.resolve_payload(id, forged),
+            Err(GcxError::Transient(_))
+        ));
+
+        let (got, tag) = session.next_task(T).unwrap().unwrap();
+        assert_eq!(got.payload.hash(), hash);
+        session
+            .publish_result(id, &TaskResult::ok(Value::Int(1)))
+            .unwrap();
+        session.ack_task(tag).unwrap();
+        let deadline = std::time::Instant::now() + T;
+        while !svc.task_status(&token, id).unwrap().0.is_terminal() {
+            assert!(std::time::Instant::now() < deadline, "never landed");
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        assert_eq!(svc.cas().len(), 0);
-        assert_eq!(svc.metrics().counter("blob.cas_misses").get(), 0);
-        assert_eq!(svc.metrics().counter("blob.cas_hits").get(), 0);
+        assert!(
+            svc.resolve_payload(id, hash).is_ok(),
+            "held until confirmed"
+        );
+        svc.confirm_taken(&token, &[id]).unwrap();
+        assert!(matches!(
+            svc.resolve_payload(id, hash),
+            Err(GcxError::Transient(_))
+        ));
+        assert_eq!(svc.metrics().gauge("cloud.tasks_resident").get(), 0);
         svc.shutdown();
     }
 

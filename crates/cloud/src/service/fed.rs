@@ -239,8 +239,8 @@ impl WebService {
         specs: Vec<TaskSpec>,
         fan_out: &mut FanOut,
     ) -> usize {
-        // Always inline: this replica's CAS is not reachable from the
-        // endpoint's connected replica.
+        // Always inline: this replica's task records are not reachable
+        // from the endpoint's connected replica.
         let tasks = specs.into_iter().map(Accepted::as_resolved).collect();
         let (installed, shipped) =
             self.install_and_ship(identity, submitted_at, tasks, &mut |_, _| Ok(()));

@@ -5,8 +5,8 @@
 //! - `api` — the authenticated REST surface: function registration,
 //!   endpoint registration/listing/status, agent connect.
 //! - `dispatch` — task submission (single and batched), MEP→UEP
-//!   resolution, payload interning (CAS dedup), and the status-polling
-//!   path.
+//!   resolution, the inline-or-reference choice for each payload, and
+//!   the status-polling path.
 //! - `results` — result streams, the result-processor loop (results, dead
 //!   tasks, and on processor 0 the liveness and expiry sweeps when each is
 //!   due), and endpoint-side state reports.
@@ -52,7 +52,6 @@ use gcx_mq::{Broker, Cancel, Consumer};
 use parking_lot::{Mutex, RwLock};
 use results::PROCESSOR_TAKE;
 
-use crate::blob::{CasStore, CAS_CACHE_BYTES};
 use crate::federation::log::{fed_rpc_queue, FED_CRED};
 use crate::federation::FedMembership;
 use crate::records::EndpointRecord;
@@ -150,10 +149,12 @@ pub(super) struct CloudMetrics {
     pub(super) tasks_expired: Arc<Counter>,
     pub(super) submits_rejected_overload: Arc<Counter>,
     pub(super) tasks_shed_brownout: Arc<Counter>,
-    /// Payload bytes that actually traveled a queue inline. A CAS-hit
-    /// reference moves ~0 payload bytes, so `payload.bytes_moved` versus
-    /// `cloud.tasks_submitted × payload size` is the dedup win.
+    /// Payload bytes that actually traveled a queue inline. A reference
+    /// moves none of its payload's bytes.
     pub(super) payload_bytes_moved: Arc<Counter>,
+    /// By-reference task deliveries whose task was no longer held, acked
+    /// and dropped by the session that took them.
+    pub(super) deliveries_stale: Arc<Counter>,
     pub(super) admission_inflight: Arc<Gauge>,
     /// Task records held: in flight, plus terminal results nobody has
     /// confirmed taking. Moved where a record comes or goes (an install, a
@@ -195,6 +196,7 @@ impl CloudMetrics {
             submits_rejected_overload: registry.counter("cloud.submits_rejected_overload"),
             tasks_shed_brownout: registry.counter("cloud.tasks_shed_brownout"),
             payload_bytes_moved: registry.counter("payload.bytes_moved"),
+            deliveries_stale: registry.counter("cloud.deliveries_stale"),
             admission_inflight: registry.gauge("cloud.admission_inflight"),
             tasks_resident: registry.gauge("cloud.tasks_resident"),
             fed_submits_forwarded: registry.counter("fed.submits_forwarded"),
@@ -239,11 +241,6 @@ pub(super) struct CloudInner {
     pub(super) cfg: CloudConfig,
     pub(super) auth: AuthService,
     pub(super) broker: Broker,
-    /// Content-addressed payload dedup cache. Per-replica: CAS references
-    /// are only shipped by a standalone service (`fed.is_none()`) — a
-    /// federation's replicas don't share this cache, so its tasks always
-    /// travel with the payload inline.
-    pub(super) cas: CasStore,
     pub(super) clock: SharedClock,
     pub(super) metrics: MetricsRegistry,
     pub(super) tracer: Tracer,
@@ -251,6 +248,8 @@ pub(super) struct CloudInner {
     pub(super) functions: Arc<ShardedMap<FunctionId, FunctionRecord>>,
     pub(super) endpoints: Arc<ShardedMap<EndpointId, EndpointRecord>>,
     pub(super) credentials: Arc<ShardedMap<EndpointId, String>>,
+    /// Every task this replica holds. A record keeps its task's payload,
+    /// so it is also the store a by-reference delivery resolves against.
     pub(super) tasks: ShardedMap<TaskId, TaskRecord>,
     /// (MEP id, user identity, config hash) → spawned user endpoint. Cold
     /// (one entry per spawned UEP) and guarded by a read-then-write
@@ -347,12 +346,10 @@ impl WebService {
             t
         });
         let admission = AdmissionState::new(cfg.admission.clone(), sweep_nudge);
-        let cas = CasStore::new(CAS_CACHE_BYTES, metrics.clone());
         let inner = Arc::new(CloudInner {
             cfg,
             auth,
             broker,
-            cas,
             clock,
             metrics,
             tracer,
@@ -424,12 +421,6 @@ impl WebService {
     /// Metrics registry shared with the broker.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
-    }
-
-    /// The content-addressed payload dedup cache (tests/benches inspect
-    /// hit/miss/eviction behavior).
-    pub fn cas(&self) -> &CasStore {
-        &self.inner.cas
     }
 
     /// The task-lifecycle tracer (disabled when `cfg.trace.sample_every`

@@ -9,8 +9,8 @@ use gcx_core::ids::{EndpointId, FunctionId, TaskId};
 use gcx_core::task::{TaskResult, TaskSpec, TaskState};
 use gcx_mq::{Cancel, Consumer, Message};
 
+use super::dispatch::PAYLOAD_LIMIT;
 use super::{WebService, RESULT_QUEUE};
-use crate::blob::PAYLOAD_LIMIT;
 use gcx_core::error::GcxError;
 
 /// An endpoint agent's live session with the web service.
@@ -30,36 +30,52 @@ impl EndpointSession {
     }
 
     /// Pull the next task (blocking up to `timeout`). Returns the decoded
-    /// spec (CAS payload references resolved) plus the delivery tag.
+    /// spec (a payload reference resolved from the task record) plus the
+    /// delivery tag.
+    ///
+    /// A by-reference delivery whose task is no longer held is stale: its
+    /// record goes only once the task's result has landed and been
+    /// confirmed (or at shutdown), so this is a redelivery of finished
+    /// work. It is acked, counted in `cloud.deliveries_stale`, and the
+    /// call takes what else is ready without waiting again.
     pub fn next_task(&self, timeout: Duration) -> GcxResult<Option<(TaskSpec, u64)>> {
-        match self.tasks.next(timeout)? {
-            None => Ok(None),
-            Some(delivery) => {
-                let (mut spec, payload_is_ref) = TaskSpec::from_message(&delivery.message.body)?;
-                if payload_is_ref {
-                    spec.payload = self
-                        .cloud
-                        .resolve_payload(spec.task_id, spec.payload.hash())?;
+        let mut wait = timeout;
+        loop {
+            let Some(delivery) = self.tasks.next(wait)? else {
+                return Ok(None);
+            };
+            let (mut spec, payload_is_ref) = TaskSpec::from_message(&delivery.message.body)?;
+            if payload_is_ref {
+                let cloud = &self.cloud;
+                match cloud.resolve_payload(spec.task_id, spec.payload.hash()) {
+                    Ok(payload) => spec.payload = payload,
+                    Err(_) if !cloud.inner.tasks.contains_key(&spec.task_id) => {
+                        self.tasks.ack(delivery.tag)?;
+                        cloud.inner.m.deliveries_stale.inc();
+                        wait = Duration::ZERO;
+                        continue;
+                    }
+                    Err(e) => return Err(e),
                 }
-                if let Some(ctx) = &spec.trace {
-                    // Queue-transit leg: publish stamp (header) → now. A
-                    // redelivery records a second queue span, so recovery
-                    // round-trips are visible in the timeline.
-                    let tracer = &self.cloud.inner.tracer;
-                    let now = tracer.now_ms();
-                    let sent = delivery.message.headers.sent_ms.unwrap_or(now);
-                    let redelivered = delivery.message.redelivered;
-                    let delivery_count = delivery.message.delivery_count;
-                    tracer.record_span_annotated(Some(ctx), "queue", sent, now, || {
-                        if redelivered {
-                            vec![format!("redelivered (delivery {delivery_count})")]
-                        } else {
-                            Vec::new()
-                        }
-                    });
-                }
-                Ok(Some((spec, delivery.tag)))
             }
+            if let Some(ctx) = &spec.trace {
+                // Queue-transit leg: publish stamp (header) → now. A
+                // redelivery records a second queue span, so recovery
+                // round-trips are visible in the timeline.
+                let tracer = &self.cloud.inner.tracer;
+                let now = tracer.now_ms();
+                let sent = delivery.message.headers.sent_ms.unwrap_or(now);
+                let redelivered = delivery.message.redelivered;
+                let delivery_count = delivery.message.delivery_count;
+                tracer.record_span_annotated(Some(ctx), "queue", sent, now, || {
+                    if redelivered {
+                        vec![format!("redelivered (delivery {delivery_count})")]
+                    } else {
+                        Vec::new()
+                    }
+                });
+            }
+            return Ok(Some((spec, delivery.tag)));
         }
     }
 
@@ -235,6 +251,60 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
+        svc.shutdown();
+    }
+
+    /// A by-reference task redelivered after its result was confirmed is
+    /// stale: the session that takes it acks it, counts it, and answers
+    /// with what else is ready — here nothing, and no error.
+    #[test]
+    fn a_stale_reference_delivery_is_acked_and_skipped() {
+        let svc = service();
+        let token = login(&svc, "u@x.y");
+        let fid = svc
+            .register_function(&token, FunctionBody::pyfn("def f(b):\n    return len(b)\n"))
+            .unwrap();
+        let reg = svc
+            .register_endpoint(&token, "ep", false, AuthPolicy::open(), None)
+            .unwrap();
+        let mut spec = TaskSpec::new(fid, reg.endpoint_id);
+        spec.set_args(vec![Value::Bytes(vec![1u8; 1024 * 1024])], Value::None);
+        let id = svc.submit_task(&token, spec).unwrap();
+
+        // Session A serves the task but drops before it acks.
+        let first = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        let (got, _unacked) = first.next_task(T).unwrap().unwrap();
+        assert_eq!(got.task_id, id);
+        first
+            .publish_result(id, &TaskResult::ok(Value::Int(1)))
+            .unwrap();
+        drop(first);
+
+        // The caller takes the result and confirms it: the record goes.
+        let deadline = std::time::Instant::now() + T;
+        while !svc.task_status(&token, id).unwrap().0.is_terminal() {
+            assert!(std::time::Instant::now() < deadline, "never landed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        svc.confirm_taken(&token, &[id]).unwrap();
+
+        let second = svc
+            .connect_endpoint(reg.endpoint_id, &reg.queue_credential)
+            .unwrap();
+        assert!(second.next_task(T).unwrap().is_none());
+        let stale = svc.metrics().counter("cloud.deliveries_stale");
+        assert_eq!(stale.get(), 1);
+        let queue = svc
+            .broker()
+            .queue_stats(&super::super::task_queue_name(reg.endpoint_id))
+            .unwrap();
+        assert_eq!(
+            (queue.ready, queue.unacked),
+            (0, 0),
+            "the stale delivery was acked"
+        );
         svc.shutdown();
     }
 }

@@ -1,16 +1,18 @@
 //! Property test for the wire's trust boundary: a peer that lies.
 //!
-//! Inside the service a payload's content hash is trusted — the CAS store
-//! files bytes under it, queues ship it in place of the bytes. That trust is
-//! established exactly once, where bytes enter from a peer: the wire server
+//! Inside the service a payload's content hash is trusted — a reference
+//! resolves to the task record's payload by it, queues ship it in place of
+//! the bytes. That trust is established exactly once, where bytes enter
+//! from a peer: the wire server
 //! recomputes each inline payload's hash on `submit_batch` ingress. This
 //! suite plays a client that handshakes honestly and then sends submit
 //! bodies that are wrong in every way a flat body can be — a forged hash, a
 //! forged payload length, a forged entry length, a body cut mid-entry, a
 //! by-reference body (hash, no bytes) — each hidden in a batch with honest
 //! neighbours. Every one must come back as a typed `Codec` refusal of the
-//! whole batch, with nothing interned in the CAS store (least of all under
-//! the forged hash), no task accepted, no admission charge left behind, and
+//! whole batch, with no task record installed (least of all the one
+//! carrying the forged hash), no task accepted, no admission charge left
+//! behind, and
 //! the connection — whose server thread must not have panicked — still
 //! serving the honest request that follows.
 //!
@@ -134,11 +136,10 @@ impl Peer {
     }
 
     /// What a refused batch must leave untouched.
-    fn footprint(&self) -> (usize, usize, u64, u64) {
+    fn footprint(&self) -> (u64, u64, u64) {
         let m = self.svc.metrics();
         (
-            self.svc.cas().len(),
-            self.svc.cas().total_bytes(),
+            m.gauge("cloud.tasks_resident").get(),
             m.counter("cloud.tasks_submitted").get(),
             m.gauge("cloud.admission_inflight").get(),
         )
@@ -205,15 +206,15 @@ proptest! {
     ) {
         let mut peer = peer().lock().unwrap_or_else(|e| e.into_inner());
         let mut entry = batch::pack_specs(&[peer.spec(victim.clone())]).unwrap();
-        let mut forged_hash = None;
+        let mut forged_task = None;
         let mut tail = peer.honest(&after);
         match lie {
             Lie::Hash { flip } => {
                 let mut spec = peer.spec(victim.clone());
                 let forged = ContentHash(spec.payload.hash().0 ^ flip);
                 spec.payload = Payload::from_parts_unchecked(spec.payload.bytes().clone(), forged);
+                forged_task = Some(spec.task_id);
                 entry = batch::pack_specs(&[spec]).unwrap();
-                forged_hash = Some(forged);
             }
             Lie::PayloadLen { delta } => {
                 let len = entry[PAYLOAD_LEN_AT];
@@ -250,8 +251,8 @@ proptest! {
             "{lie:?} must be refused with a typed Codec error, got {refusal:?}"
         );
         prop_assert_eq!(peer.footprint(), untouched, "a refused batch left something behind");
-        if let Some(forged) = forged_hash {
-            prop_assert!(peer.svc.cas().get(forged).is_none(), "entry stored under a forged hash");
+        if let Some(forged) = forged_task {
+            prop_assert!(peer.svc.task_record(forged).is_err(), "record installed under a forged hash");
         }
 
         // The same connection still serves an honest client.
@@ -259,8 +260,9 @@ proptest! {
         let ok = peer.submit(honest).expect("honest submit after a lie");
         let Value::Bytes(ids) = ok else { panic!("ids must be packed bytes") };
         prop_assert_eq!(batch::unpack_ids(&ids).unwrap().len(), 1);
+        prop_assert_eq!(peer.footprint().0, untouched.0 + 1);
+        prop_assert_eq!(peer.footprint().1, untouched.1 + 1);
         prop_assert_eq!(peer.footprint().2, untouched.2 + 1);
-        prop_assert_eq!(peer.footprint().3, untouched.3 + 1);
     }
 }
 

@@ -94,23 +94,11 @@ fn steady_state_cycle_encodes_each_payload_exactly_once() {
     client.close();
     server.shutdown();
 
-    // The payload plane's counters ride both scrape surfaces.
-    let prom = svc.exposition_prometheus();
-    for metric in [
-        "gcx_blob_cas_hits",
-        "gcx_blob_cas_misses",
-        "gcx_blob_cas_evictions",
-        "gcx_payload_bytes_moved",
-    ] {
-        assert!(
-            prom.contains(metric),
-            "prometheus exposition lacks {metric}"
-        );
-    }
-    let json = svc.exposition_json();
-    for metric in ["blob.cas_misses", "payload.bytes_moved"] {
-        assert!(json.contains(metric), "json exposition lacks {metric}");
-    }
+    // The payload plane's counter rides both scrape surfaces.
+    assert!(svc
+        .exposition_prometheus()
+        .contains("gcx_payload_bytes_moved"));
+    assert!(svc.exposition_json().contains("payload.bytes_moved"));
     svc.shutdown();
 }
 
@@ -129,8 +117,7 @@ fn measured_cycle(
     let mut ids = Vec::new();
     for i in 0..TASKS {
         let mut spec = TaskSpec::new(fid, ep);
-        // Unique payloads: the CAS dedup cache must not hide a re-encode
-        // behind a hash hit.
+        // Unique payloads: no task's bytes can stand in for another's.
         spec.set_args(vec![Value::Bytes(vec![salt + i as u8; 4096])], Value::None);
         ids.push(submit(spec));
     }

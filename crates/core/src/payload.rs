@@ -9,9 +9,11 @@
 //! dispatch plane, and the endpoint engines all see the same `Arc` and never
 //! re-walk the codec tree.
 //!
-//! The content hash makes the payload *content-addressable*: the cloud blob
-//! store interns payloads by hash so repeated function bodies and arguments
-//! are stored and forwarded once (see `gcx-cloud::blob::CasStore`).
+//! The content hash lets a payload travel as a 16-byte reference: the cloud
+//! service ships a large task input as its hash, and the endpoint's session
+//! serves the bytes from the task's record only when that record's payload
+//! has the same hash. Peers' hashes are recomputed where bytes enter
+//! (`gcx_core::wire::batch::unpack_specs`).
 //!
 //! Two process-wide counters ([`encode_count`] / [`decode_count`]) meter every
 //! codec traversal that goes through this type. They are always compiled in
@@ -261,8 +263,8 @@ mod tests {
     fn hash_stability() {
         // FNV-1a-128 of empty input is the offset basis.
         assert_eq!(ContentHash::of(&[]).0, FNV_OFFSET);
-        // Known-answer check so the hash can never silently change: the CAS
-        // store's on-disk-free but cross-process identity depends on it.
+        // Known-answer check so the hash can never silently change: a
+        // reference resolves across processes only if both ends agree.
         let h = ContentHash::of(b"globus");
         assert_eq!(h, ContentHash::from_bytes(h.to_bytes()));
         assert_ne!(ContentHash::of(b"globus"), ContentHash::of(b"globut"));

@@ -134,8 +134,8 @@ impl TaskSpec {
     /// Unlike [`TaskSpec::to_value`] this never builds a `Value` tree: raw
     /// UUID bytes, varint scalars, the 25-byte trace context, and the
     /// payload bytes appended verbatim. With `inline_payload = false` only
-    /// the content hash and length travel (a CAS reference — the consumer
-    /// resolves the bytes from the dedup store, see `gcx-cloud`).
+    /// the content hash and length travel (a reference — the consumer
+    /// resolves the bytes from the task's record, see `gcx-cloud`).
     pub fn to_message(&self, inline_payload: bool) -> Bytes {
         let mut out = Vec::new();
         self.write_message(inline_payload, &mut out);
@@ -329,7 +329,8 @@ const SPEC_HAS_TRACE: u8 = 0x01;
 const SPEC_HAS_DEADLINE: u8 = 0x02;
 const SPEC_HAS_RESPEC: u8 = 0x04;
 const SPEC_HAS_UEC: u8 = 0x08;
-/// Payload bytes omitted; the 16-byte content hash references the CAS store.
+/// Payload bytes omitted; the 16-byte content hash references the task
+/// record's copy.
 const SPEC_PAYLOAD_REF: u8 = 0x10;
 const SPEC_HAS_PRIORITY: u8 = 0x20;
 

@@ -31,7 +31,7 @@ use crate::wire::{decode_trace_ctx, encode_trace_ctx, TRACE_CTX_LEN};
 
 /// A received payload shorter than this gets its own allocation instead of a
 /// slice of the batch buffer: a slice keeps the *whole* buffer alive for as
-/// long as the task record (or the CAS entry) holding it lives, which for a
+/// long as the task record holding it lives, which for a
 /// few argument bytes is a ten-fold overhead. Larger payloads stay zero-copy.
 const SLICE_MIN: usize = 1024;
 

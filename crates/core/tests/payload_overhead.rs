@@ -104,7 +104,7 @@ fn ref_message_carries_no_payload_bytes() {
     let by_ref = spec.to_message(false);
     assert!(
         by_ref.len() < 256,
-        "a CAS reference is hash+len, not the body: {} bytes",
+        "a reference is hash+len, not the body: {} bytes",
         by_ref.len()
     );
     assert!(inline.len() > 256 * 1024);

@@ -1,10 +1,13 @@
 //! Property-based tests for gcx-core invariants.
 
 use gcx_core::codec::{decode, encode, encoded_size};
-use gcx_core::ids::Uuid;
+use gcx_core::ids::{EndpointId, FunctionId, Uuid};
+use gcx_core::payload::Payload;
 use gcx_core::respec::ResourceSpec;
 use gcx_core::shellres::ShellResult;
+use gcx_core::task::TaskSpec;
 use gcx_core::value::Value;
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary (bounded-depth) `Value` trees.
@@ -78,5 +81,38 @@ proptest! {
         let snip = ShellResult::snippet(&text, n);
         prop_assert!(snip.lines().count() <= n);
         prop_assert!(text.ends_with(&snip));
+    }
+
+    /// Payload bytes — including a slice into a larger buffer — round-trip
+    /// through the binary task-message framing byte-identical. The inline
+    /// form carries the bytes; the reference form carries the hash and an
+    /// empty body.
+    #[test]
+    fn payload_slice_roundtrips_through_wire_framing(
+        buf in vec(any::<u8>(), 0..2048),
+        start_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..1.0,
+    ) {
+        let start = (buf.len() as f64 * start_frac) as usize;
+        let len = ((buf.len() - start) as f64 * len_frac) as usize;
+        let whole = bytes::Bytes::from(buf);
+        let slice = whole.slice(start..start + len);
+        let payload = Payload::from_bytes(slice.clone());
+        prop_assert_eq!(payload.as_slice(), &slice[..]);
+
+        let mut spec = TaskSpec::new(FunctionId::random(), EndpointId::random());
+        spec.payload = payload.clone();
+
+        let inline = spec.to_message(true);
+        let (back, is_ref) = TaskSpec::from_message(&inline).unwrap();
+        prop_assert!(!is_ref);
+        prop_assert_eq!(back.payload.as_slice(), payload.as_slice());
+        prop_assert_eq!(back.payload.hash(), payload.hash());
+
+        let by_ref = spec.to_message(false);
+        let (back, is_ref) = TaskSpec::from_message(&by_ref).unwrap();
+        prop_assert!(is_ref);
+        prop_assert_eq!(back.payload.hash(), payload.hash());
+        prop_assert!(back.payload.is_empty());
     }
 }

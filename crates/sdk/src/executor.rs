@@ -876,11 +876,6 @@ mod tests {
         // The payload plane's counters are readable straight off the
         // executor: for a local link this is the service's own registry.
         let m = ex.metrics();
-        assert_eq!(
-            m.counter("blob.cas_misses").get() + m.counter("blob.cas_hits").get(),
-            0,
-            "an argument no longer than its reference is never interned"
-        );
         assert!(
             m.counter("payload.bytes_moved").get() > 0,
             "inline-sized payloads count their queue bytes"

@@ -199,7 +199,7 @@ fn inline_vs_offload_vs_proxy_byte_accounting() {
     let inline_queue_bytes = metrics.counter("mq.bytes_published").get();
     assert!(inline_queue_bytes >= 1024, "inline payload rides the queue");
 
-    // 1 MB payload: interned in the CAS dedup cache, queue carries a
+    // 1 MB payload: the task record holds it, the queue carries a
     // content-hash reference instead of the body.
     metrics.reset_counters();
     let fut = ex
@@ -212,17 +212,13 @@ fn inline_vs_offload_vs_proxy_byte_accounting() {
         "queue carries a reference: {offload_queue_bytes}"
     );
     assert!(
-        metrics.counter("blob.cas_misses").get() >= 1,
-        "the large payload must be interned in the CAS cache"
-    );
-    assert!(
         metrics.counter("payload.bytes_moved").get() < 64 * 1024,
         "the body must not move through the queue"
     );
     ex.close();
 
-    // Proxied payload: neither the queue nor the service's payload cache
-    // sees the body — only the small proxy reference.
+    // Proxied payload: the queue never sees the body — only the small
+    // proxy reference.
     let ex = Executor::new(stack.cloud.clone(), stack.token.clone(), stack.ep).unwrap();
     let store = ObjectStore::new(
         "mem",
@@ -240,16 +236,11 @@ fn inline_vs_offload_vs_proxy_byte_accounting() {
         },
     );
     metrics.reset_counters();
-    let cached_before = stack.cloud.cas().total_bytes();
     let fut = pex
         .submit(&f, vec![Value::Bytes(vec![0u8; 1024 * 1024])], Value::None)
         .unwrap();
     assert_eq!(pex.result(&fut).unwrap(), Value::Int(1024 * 1024));
     assert!(metrics.counter("mq.bytes_published").get() < 10 * 1024);
     assert!(metrics.counter("payload.bytes_moved").get() < 10 * 1024);
-    assert!(
-        stack.cloud.cas().total_bytes() - cached_before < 10 * 1024,
-        "the service interned the proxy reference, not the body"
-    );
     pex.close();
 }
